@@ -30,8 +30,9 @@ is a threshold, not an exact count:
 A second scenario gates the *batch* robustness layer: a 50-job
 :func:`~repro.api.compile_batch` run on a 2-worker process pool is killed
 mid-run by a pinned ``pool.worker`` kill schedule (workers die via
-``os._exit``), then resumed over the same checkpoint directory with faults
-off.  Gates: the resume completes every job (rate exactly 100 %), recompiles
+``os._exit``), then resumed over the same checkpoint directory — a
+:class:`~repro.api.PersistentCompileCache` journal — with faults off.
+Gates: the resume completes every job (rate exactly 100 %), recompiles
 **zero** journaled jobs (ceiling 0) and at most the jobs the kill lost
 (ceiling = kill victims), and the merged outcome is bit-identical to an
 uninterrupted run.  The scenario needs the ``fork`` start method (pool
@@ -65,16 +66,16 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro import faults  # noqa: E402
-from repro.api import CompileRequest, CompilerConfig, compile_batch  # noqa: E402
+from repro.api import (  # noqa: E402
+    CompileRequest,
+    CompilerConfig,
+    PersistentCompileCache,
+    compile_batch,
+)
 from repro.faults import inject  # noqa: E402
 from repro.obs import chrome_trace, validate_chrome_trace  # noqa: E402
 from repro.obs.tracer import tracing  # noqa: E402
-from repro.service import (  # noqa: E402
-    CircuitBreaker,
-    CompileService,
-    PersistentCompileCache,
-    RetryPolicy,
-)
+from repro.service import CircuitBreaker, CompileService, RetryPolicy  # noqa: E402
 from repro.vqe import ExcitationTerm  # noqa: E402
 
 #: Pinned plan seed: the whole fault schedule (and hence the report) replays.

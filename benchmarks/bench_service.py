@@ -195,13 +195,14 @@ async def bench_backpressure() -> dict:
             except ServiceOverloadedError:
                 rejected += 1
         await asyncio.gather(*[service.result(job_id) for job_id in accepted])
+        snapshot = service.metrics.snapshot()
         return {
             "burst": len(requests),
             "max_queue": max_queue,
             "accepted": len(accepted),
             "rejected": rejected,
-            "rejections_counted": service.metrics.rejections,
-            "queue_depth_peak": service.metrics.queue_depth_peak,
+            "rejections_counted": snapshot["rejections"],
+            "queue_depth_peak": snapshot["queue_depth_peak"],
         }
 
 

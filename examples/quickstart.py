@@ -13,8 +13,8 @@ Runs the full stack end to end for LiH:
 Migration note: this example used to call ``compile_molecule_ansatz`` with
 loose keyword options.  Those knobs now live in the frozen
 :class:`repro.api.CompilerConfig`, and each flow is a named backend —
-``get_backend("advanced").compile(request)`` replaces
-``AdvancedCompiler(**kwargs).compile(terms)``.
+``get_backend("advanced").compile(request)`` runs the paper's flow (or
+``AdvancedPipeline(CompilerConfig(...)).run(terms)`` for the raw result).
 
 Run with:  python examples/quickstart.py
 """

@@ -57,11 +57,12 @@ True
 
 Migrating from the pre-API entry points
 ---------------------------------------
-``AdvancedCompiler(**kwargs).compile(terms)`` and ``compile_advanced(...)``
-still work as deprecation shims; their keyword arguments became fields of the
-frozen :class:`~repro.api.CompilerConfig`, and the monolithic compile body is
-now explicit stages on :class:`~repro.core.AdvancedPipeline` (substitute one
-with ``pipeline.with_stage(name, fn)`` instead of flipping booleans).
+The keyword arguments of the old kwarg-style compiler entry points are
+fields of the frozen :class:`~repro.api.CompilerConfig`
+(``AdvancedPipeline(CompilerConfig(...)).run(terms)`` runs the flow
+directly), and the monolithic compile body is now explicit stages on
+:class:`~repro.core.AdvancedPipeline` (substitute one with
+``pipeline.with_stage(name, fn)`` instead of flipping booleans).
 ``BaselineCompiler().compile(terms)`` is ``get_backend("baseline")``, and
 ``naive_cnot_count(terms, transform)`` is ``get_backend("jw")`` /
 ``get_backend("bk")``.
@@ -85,7 +86,7 @@ from repro.api import (
 )
 from repro.baselines import BaselineCompiler, naive_cnot_count
 from repro.chemistry import build_molecular_hamiltonian, make_molecule, run_rhf
-from repro.core import AdvancedCompiler, AdvancedPipeline, compile_advanced
+from repro.core import AdvancedPipeline
 from repro.transforms import BravyiKitaevTransform, JordanWignerTransform
 from repro.vqe import ExcitationTerm, select_ansatz_terms
 
@@ -217,10 +218,8 @@ __all__ = [
     "compile_batch",
     "get_backend",
     "register_backend",
-    # pipeline + deprecated shims
+    # pipeline
     "AdvancedPipeline",
-    "AdvancedCompiler",
-    "compile_advanced",
     "BaselineCompiler",
     "naive_cnot_count",
 ]

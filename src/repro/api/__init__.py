@@ -16,8 +16,9 @@ Batches of requests, with memoization and optional process parallelism:
 ...                       workers=4, cache=cache)
 
 See :mod:`repro.api.backend` for the protocol/registry,
-:mod:`repro.api.backends` for the default adapters and
-:mod:`repro.api.batch` for the batch service.
+:mod:`repro.api.backends` for the default adapters,
+:mod:`repro.api.store` for the in-memory and on-disk result stores and
+:mod:`repro.api.batch` for the batch service and its job runner.
 """
 
 from repro.api.backend import (
@@ -44,26 +45,31 @@ from repro.api.batch import (
     BackendResults,
     BatchReport,
     BatchResult,
-    CompileCache,
     FallbackRecord,
     JobFailure,
-    cache_key_digest,
+    WorkerCrashed,
     compile_batch,
 )
-from repro.api.checkpoint import BatchCheckpoint
 from repro.api.config import CompilerConfig
+from repro.api.store import (
+    CompileCache,
+    PersistentCompileCache,
+    cache_key_digest,
+    golden_version_stamp,
+)
 from repro.core.pipeline import StageFailure
 
 __all__ = [
     "BackendRegistrationError",
     "BackendResults",
-    "BatchCheckpoint",
     "BatchReport",
     "BatchResult",
     "CompileCache",
     "FALLBACK_RETRYABLE",
     "FallbackRecord",
     "JobFailure",
+    "PersistentCompileCache",
+    "WorkerCrashed",
     "StageFailure",
     "CompileRequest",
     "CompileResult",
@@ -79,6 +85,7 @@ __all__ = [
     "compile_batch",
     "compiled_rotation_sequence",
     "get_backend",
+    "golden_version_stamp",
     "register_backend",
     "register_default_backends",
     "unregister_backend",

@@ -1,12 +1,12 @@
-"""Batch compilation service: memoized, optionally parallel, multi-backend.
+"""Batch compilation: memoized, optionally parallel, multi-backend.
 
 :func:`compile_batch` runs many :class:`~repro.api.backend.CompileRequest`
 jobs across one or more backends in a single call.  Identical jobs — same
 terms fingerprint, backend and config — are compiled once and served from a
-:class:`CompileCache`, which can be kept across calls so warm batches skip
-recompilation entirely.  With ``workers > 1`` the outstanding jobs fan out
-over a process pool (every flow is CPU-bound pure Python, so threads would
-not help).
+:class:`~repro.api.store.CompileCache`, which can be kept across calls so
+warm batches skip recompilation entirely.  With ``workers > 1`` the
+outstanding jobs fan out over a process pool (every flow is CPU-bound pure
+Python, so threads would not help).
 
 >>> from repro.api import CompileRequest, CompileCache, compile_batch
 >>> cache = CompileCache()
@@ -15,16 +15,21 @@ not help).
 >>> compile_batch(requests, backends="advanced", cache=cache).cache_hits  # warm
 len(requests)
 
+Every job runs through :func:`run_job`, the one worker entry point that
+:class:`repro.service.CompileService` uses too: it compiles on the job's
+backend and, when that fails with a :data:`FALLBACK_RETRYABLE` error, walks
+the job's fallback chain.
+
 Batches are *resumable* and *degradable*:
 
-* ``checkpoint_dir=`` journals every completed job in a crash-safe on-disk
-  :class:`~repro.api.checkpoint.BatchCheckpoint`; a batch killed mid-run
-  (crash, OOM, SIGKILL) resumes by recompiling only the missing jobs and
-  serves the journaled results verbatim (bit-identical to an uninterrupted
-  run).
+* ``checkpoint_dir=`` journals every completed job in a
+  :class:`~repro.api.store.PersistentCompileCache` on that directory; a
+  batch killed mid-run (crash, OOM, SIGKILL) resumes by recompiling only the
+  missing jobs and serves the journaled results verbatim (bit-identical to
+  an uninterrupted run).
 * ``fallback=("gt", "jw")`` retries a job whose backend failed with a typed
   stage failure (or an I/O / worker-pool error) on the next backend in the
-  chain, in-process, recording the substitution in the report.
+  chain, recording the substitution in the report.
 * ``on_error="collect"`` isolates per-job failures into
   ``BatchResult.report.failed`` instead of aborting the whole batch
   (``"raise"``, the historical default, propagates the first unrecovered
@@ -41,7 +46,6 @@ workers fail with an opaque ``KeyError`` mid-batch.
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing
 import time
 from concurrent.futures import (
@@ -50,8 +54,9 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     as_completed,
 )
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro import faults
 from repro.api.backend import (
@@ -60,15 +65,40 @@ from repro.api.backend import (
     canonical_backend_name,
     get_backend,
 )
+from repro.api.backends import DEFAULT_BACKEND_NAMES
+from repro.api.store import (
+    CacheKey,
+    CompileCache,
+    PersistentCompileCache,
+    cache_key_digest,
+)
 from repro.core.pipeline import StageFailure
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer, tracing
 
-#: Failure classes a backend-fallback chain retries on: typed pipeline stage
-#: failures, I/O errors (incl. injected faults), and broken worker pools.
-#: Input-validation errors (ValueError/TypeError) are deliberately excluded —
-#: a request every backend would reject should fail, not burn the chain.
-FALLBACK_RETRYABLE: Tuple[type, ...] = (StageFailure, OSError, BrokenExecutor)
+
+class WorkerCrashed(RuntimeError):
+    """A process-pool worker died mid-compile (e.g. OOM-killed).
+
+    :class:`~repro.service.CompileService` raises it in place of the
+    executor's ``BrokenProcessPool`` so the failure is (a) scoped to the job
+    that hit it rather than poisoning the service and (b) classified as
+    retryable — the pool is replenished and the retry (or a dedup joiner
+    awaiting the same future) gets the recomputed result.
+    """
+
+
+#: Failure classes that send a job down its backend fallback chain: typed
+#: pipeline stage failures, I/O errors (incl. injected faults), and died
+#: pool workers.  Input-validation errors (ValueError/TypeError) are
+#: deliberately excluded — a request every backend would reject should
+#: fail, not burn the chain.
+FALLBACK_RETRYABLE: Tuple[type, ...] = (
+    StageFailure,
+    OSError,
+    BrokenExecutor,
+    WorkerCrashed,
+)
 
 #: Batch-robustness traffic, in the global obs registry.
 _BATCH_FALLBACKS = get_metrics().counter("batch.fallbacks")
@@ -76,93 +106,7 @@ _BATCH_SKIPPED = get_metrics().counter("batch.checkpoint.skipped")
 _BATCH_CHECKPOINT_ERRORS = get_metrics().counter("batch.checkpoint.errors")
 _BATCH_FAILURES = get_metrics().counter("batch.failures")
 
-#: A memoization key: (request fingerprint, canonical backend name).
-CacheKey = Tuple[Hashable, str]
-
-
-def cache_key_digest(key: CacheKey) -> str:
-    """Stable SHA-256 content address of a memoization key (hex).
-
-    A :data:`CacheKey` is a nest of primitives — ints, floats, strings,
-    booleans, ``None`` and tuples (nested dataclasses such as
-    :class:`~repro.hardware.topology.Topology` are flattened by the config
-    fingerprint's ``dataclasses.astuple``) — so its ``repr`` is deterministic
-    across processes and interpreter restarts.  The persistent on-disk cache
-    (:class:`repro.service.PersistentCompileCache`) uses this digest to shard
-    and address entries.
-    """
-    return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
-
-
-@dataclass
-class CompileCache:
-    """In-memory memoization of compile results with hit/miss accounting.
-
-    ``max_entries`` bounds the cache: when set, inserting beyond the bound
-    evicts the least-recently-used entry (a :meth:`get` hit refreshes an
-    entry's recency, :meth:`peek` does not) and increments ``evictions``,
-    mirroring the bounded-cache convention of the SCF/integral caches.
-    ``None`` (the default) keeps the historical unbounded behavior.
-    """
-
-    _store: Dict[CacheKey, CompileResult] = field(default_factory=dict)
-    hits: int = 0
-    misses: int = 0
-    max_entries: Optional[int] = None
-    evictions: int = 0
-
-    def __post_init__(self):
-        if self.max_entries is not None and self.max_entries < 1:
-            raise ValueError("max_entries must be None or at least 1")
-
-    @staticmethod
-    def key(request: CompileRequest, backend_name: str) -> CacheKey:
-        """Memoization key; config is mostly excluded for config-blind backends.
-
-        A backend declaring ``uses_config = False`` (the naive JW/BK flows)
-        compiles identically under every config, so sweeps over pipeline
-        knobs share its cache entries.  The one exception is the device
-        ``topology``: even the naive flows route against it, so it stays in
-        the key.
-        """
-        backend = get_backend(backend_name)
-        if getattr(backend, "uses_config", True):
-            return (request.fingerprint, backend.name)
-        return (request.input_fingerprint, request.config.topology, backend.name)
-
-    def get(self, key: CacheKey) -> Optional[CompileResult]:
-        result = self._store.get(key)
-        if result is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-            if self.max_entries is not None:  # refresh LRU recency
-                self._store[key] = self._store.pop(key)
-        return result
-
-    def peek(self, key: CacheKey) -> Optional[CompileResult]:
-        """Like :meth:`get` but without touching counters or LRU recency."""
-        return self._store.get(key)
-
-    def put(self, key: CacheKey, result: CompileResult) -> None:
-        self._store.pop(key, None)  # re-insert at the most-recent position
-        self._store[key] = result
-        if self.max_entries is not None:
-            while len(self._store) > self.max_entries:
-                del self._store[next(iter(self._store))]
-                self.evictions += 1
-
-    def clear(self) -> None:
-        self._store.clear()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def __contains__(self, key: CacheKey) -> bool:
-        return key in self._store
+Attempts = Tuple[Tuple[str, str], ...]
 
 
 class BackendResults(Dict[str, CompileResult]):
@@ -270,69 +214,81 @@ class BatchResult:
         return [row[canonical].cnot_count for row in self.results]
 
 
-def _compile_job(job: Tuple[str, CompileRequest]) -> CompileResult:
-    """Worker entry point: resolve the backend by name and compile.
+class JobOutcome(NamedTuple):
+    """A job :func:`run_job` completed, and how."""
 
-    The two :mod:`repro.faults` sites here are no-ops unless a fault plan is
-    active (chaos tests): ``pool.worker`` is where a ``kill`` rule takes down
-    the hosting pool process, and ``compute`` injects transient compile
-    failures/delays.  Pool workers pick a plan up from the ``REPRO_FAULTS``
-    environment variable (or fork inheritance on Linux).
+    result: CompileResult
+    #: The backend whose compile produced ``result``.
+    backend: str
+    #: ``(backend, error repr)`` of every backend that failed first, in order.
+    attempts: Attempts
+    #: The worker's exported span forest (only with ``collect_spans``).
+    spans: Optional[list] = None
+
+
+def backend_chain(backend: str, fallback: Sequence[str]) -> Tuple[str, ...]:
+    """A job's backend chain: its own backend, then the other fallbacks."""
+    return (backend,) + tuple(name for name in fallback if name != backend)
+
+
+def _compile_on(backend: str, request: CompileRequest) -> CompileResult:
+    # The two repro.faults sites are no-ops unless a fault plan is active:
+    # ``pool.worker`` is where a ``kill`` rule takes down the hosting pool
+    # process, ``compute`` injects transient compile failures/delays.
+    faults.fire("pool.worker", backend=backend)
+    faults.fire("compute", backend=backend)
+    return get_backend(backend).compile(request)
+
+
+def run_job(
+    backends: Sequence[str],
+    request: CompileRequest,
+    failed: Attempts = (),
+    collect_spans: bool = False,
+) -> JobOutcome:
+    """The worker entry point of every compile job, batch and service alike.
+
+    Compiles ``request`` on ``backends[0]``; when that raises a
+    :data:`FALLBACK_RETRYABLE` error, tries the remaining (fallback)
+    backends in order until one succeeds, each in its own ``job.fallback``
+    span.  A fallback's failure of any kind moves on to the next.  When
+    every backend fails, the first error is re-raised with an ``attempts``
+    attribute listing every ``(backend, error repr)`` tried.
+
+    ``failed`` holds the attempts of a pool worker that died mid-chain: the
+    caller re-runs the rest of the chain with them, so every backend here
+    counts as a fallback, and the caller raises its own primary error if
+    this run fails too.  ``collect_spans`` runs the job under a fresh tracer
+    and returns its exported forest in ``JobOutcome.spans`` — executor
+    workers do not share the caller's tracer, so the caller adopts it.
+    Pool workers pick a fault plan up from the ``REPRO_FAULTS`` environment
+    variable (or fork inheritance on Linux).
     """
-    backend_name, request = job
-    faults.fire("pool.worker", backend=backend_name)
-    faults.fire("compute", backend=backend_name)
-    return get_backend(backend_name).compile(request)
-
-
-def _compile_job_traced(job: Tuple[str, CompileRequest]):
-    """Worker entry point that also collects the worker-side span forest.
-
-    Used instead of :func:`_compile_job` on executor paths when the parent's
-    tracer is enabled: the worker process compiles under a fresh tracer and
-    ships its spans back (picklable dicts, times relative to the worker
-    origin) for :meth:`~repro.obs.tracer.Tracer.adopt` in the parent.
-    """
-    with tracing() as tracer:
-        result = _compile_job(job)
-        return result, tracer.export()
-
-
-def _run_jobs_incremental(
-    executor: Executor,
-    jobs: Sequence[Tuple[CacheKey, Tuple[str, CompileRequest]]],
-    tracer,
-    complete: Callable[[CacheKey, str, CompileRequest, CompileResult], None],
-    settle_failure: Callable[[CacheKey, str, CompileRequest, BaseException], None],
-) -> None:
-    """Submit every job and handle each outcome *as it completes*.
-
-    Unlike the historical ``executor.map`` path, results reach ``complete``
-    (cache put + checkpoint record) the moment their future resolves, so a
-    batch killed mid-run keeps every job finished before the kill.  With the
-    tracer enabled, jobs go through :func:`_compile_job_traced` and each
-    worker's span forest is adopted under the current span.  A broken pool
-    fails only the unfinished jobs (each reaches ``settle_failure`` with the
-    ``BrokenExecutor`` error); already-resolved futures keep their results.
-    """
-    fn = _compile_job_traced if tracer.enabled else _compile_job
-    futures = {
-        executor.submit(fn, (name, request)): (key, name, request)
-        for key, (name, request) in jobs
-    }
-    for future in as_completed(futures):
-        key, name, request = futures[future]
+    if collect_spans:
+        with tracing() as tracer:
+            return run_job(backends, request, failed)._replace(spans=tracer.export())
+    tracer = get_tracer()
+    attempts = list(failed)
+    first_error = None
+    for name in backends:
+        span = (
+            tracer.span("job.fallback", backend=name, replaces=attempts[0][0])
+            if attempts
+            else nullcontext()
+        )
         try:
-            outcome = future.result()
+            with span:
+                result = _compile_on(name, request)
         except Exception as exc:
-            settle_failure(key, name, request, exc)
+            attempts.append((name, repr(exc)))
+            if first_error is None:
+                first_error = exc
+                if not failed and not isinstance(exc, FALLBACK_RETRYABLE):
+                    break
             continue
-        if tracer.enabled:
-            result, spans = outcome
-            tracer.adopt(spans)
-        else:
-            result = outcome
-        complete(key, name, request, result)
+        return JobOutcome(result, name, tuple(attempts))
+    first_error.attempts = tuple(attempts)
+    raise first_error
 
 
 def _check_worker_backends(canonical_names: Sequence[str]) -> None:
@@ -343,8 +299,6 @@ def _check_worker_backends(canonical_names: Sequence[str]) -> None:
     worker's registry lookup would fail with a bare ``KeyError`` deep inside
     the pool.  Raise eagerly, before any job runs, with the offending names.
     """
-    from repro.api.backends import DEFAULT_BACKEND_NAMES  # late: avoids cycle
-
     custom = [name for name in canonical_names if name not in DEFAULT_BACKEND_NAMES]
     start_method = multiprocessing.get_start_method()
     if custom and start_method != "fork":
@@ -388,17 +342,18 @@ def compile_batch(
         Table-I row) amortize one pool's startup cost.  Overrides ``workers``;
         the caller shuts it down.
     checkpoint_dir:
-        Directory for a crash-safe :class:`~repro.api.checkpoint.BatchCheckpoint`
-        journal.  Every completed job is recorded the moment it finishes; a
-        rerun over the same directory serves journaled jobs verbatim
-        (``report.skipped``) and recompiles only the rest, making a batch
-        killed mid-run resumable with bit-identical results.
+        Directory of a crash-safe journal, a
+        :class:`~repro.api.store.PersistentCompileCache`.  Every completed
+        job is recorded the moment it finishes; a rerun over the same
+        directory serves journaled jobs verbatim (``report.skipped``) and
+        recompiles only the rest, making a batch killed mid-run resumable
+        with bit-identical results.
     fallback:
         Backend name(s) to retry a job on when its backend fails with a
         :data:`FALLBACK_RETRYABLE` error (typed stage failure, I/O error,
-        broken worker pool).  Tried in order, in-process; the first success
-        fills the job's row (under the originally requested backend's key)
-        and is recorded in ``report.fallbacks``.
+        broken worker pool).  Tried in order by :func:`run_job`; the first
+        success fills the job's row (under the originally requested
+        backend's key) and is recorded in ``report.fallbacks``.
     on_error:
         ``"raise"`` (default): the first failure that survives the fallback
         chain propagates — jobs already completed are journaled and cached
@@ -418,13 +373,11 @@ def compile_batch(
     if on_error not in ("raise", "collect"):
         raise ValueError("on_error must be 'raise' or 'collect'")
     if workers > 1 and executor is None:
-        _check_worker_backends(canonical_names)
+        _check_worker_backends(canonical_names + fallback_chain)
     cache = cache if cache is not None else CompileCache()
-    checkpoint = None
+    journal = None
     if checkpoint_dir is not None:
-        from repro.api.checkpoint import BatchCheckpoint  # late: avoids cycle
-
-        checkpoint = BatchCheckpoint(checkpoint_dir)
+        journal = PersistentCompileCache(checkpoint_dir)
 
     start = time.perf_counter()
     hits_before, misses_before = cache.hits, cache.misses
@@ -442,7 +395,8 @@ def compile_batch(
         [CompileCache.key(request, name) for name in canonical_names]
         for request in requests
     ]
-    pending: Dict[CacheKey, Tuple[str, CompileRequest]] = {}
+    chains = {name: backend_chain(name, fallback_chain) for name in canonical_names}
+    pending: Dict[CacheKey, Tuple[Tuple[str, ...], CompileRequest]] = {}
     for request, request_keys in zip(requests, keys):
         for key, name in zip(request_keys, canonical_names):
             if key in pending or key in resolved:
@@ -452,86 +406,88 @@ def compile_batch(
             if cached is not None:
                 resolved[key] = cached
                 continue
-            if checkpoint is not None:
-                journaled = checkpoint.lookup(key)
-                if journaled is not None:
-                    # A previous (possibly killed) run finished this job;
-                    # serve its result verbatim so resume is bit-identical.
-                    resolved[key] = journaled
-                    report.skipped.append(cache_key_digest(key))
-                    _BATCH_SKIPPED.inc()
-                    if journaled.backend == name:
-                        cache.put(key, journaled)
-                    continue
-            pending[key] = (name, request)
+            journaled = journal.peek(key) if journal is not None else None
+            if journaled is not None:
+                # A previous (possibly killed) run finished this job; serve
+                # its result verbatim so resume is bit-identical.
+                resolved[key] = journaled
+                report.skipped.append(cache_key_digest(key))
+                _BATCH_SKIPPED.inc()
+                if journaled.backend == name:
+                    cache.put(key, journaled)
+                continue
+            pending[key] = (chains[name], request)
 
     jobs = list(pending.items())
     tracer = get_tracer()
 
-    def record_checkpoint(key, result):
-        """Journal one completed job; a failed write degrades, never aborts.
-
-        The job *succeeded* — losing its journal record only costs a
-        recompile on resume, so an I/O failure here (full disk, injected
-        ``checkpoint.write`` fault) is counted and swallowed rather than
-        failing the batch.
-        """
-        if checkpoint is None:
-            return
-        try:
-            checkpoint.record(key, result)
-        except OSError:
-            _BATCH_CHECKPOINT_ERRORS.inc()
-
-    def complete(key, name, request, result):
-        """Cache, journal and record one finished job — called incrementally."""
-        resolved[key] = result
-        cache.put(key, result)
-        record_checkpoint(key, result)
-        report.compiled.append(cache_key_digest(key))
-
-    def settle_failure(key, name, request, exc):
-        """Walk the fallback chain; collect or re-raise an unrecovered failure."""
+    def settle(key: CacheKey, chain, request, run: Callable[[], JobOutcome]) -> None:
+        """Run one job via ``run``; cache, journal and report its outcome."""
         digest = cache_key_digest(key)
-        attempts = [(name, repr(exc))]
-        if isinstance(exc, FALLBACK_RETRYABLE):
-            for fb_name in fallback_chain:
-                if fb_name == name:
-                    continue
+        error = None
+        try:
+            outcome = run()
+        except BrokenExecutor as crash:
+            # The pool worker died and took the job's chain with it; the rest
+            # of the chain runs in-process, never on the broken pool.
+            error, attempts = crash, ((chain[0], repr(crash)),)
+            if len(chain) > 1:
                 try:
-                    # In-process (never on a possibly-broken pool); obs spans
-                    # nest under batch.compile_batch naturally.
-                    with tracer.span("batch.fallback", digest=digest, backend=fb_name):
-                        result = _compile_job((fb_name, request))
-                except Exception as fb_exc:
-                    attempts.append((fb_name, repr(fb_exc)))
-                    continue
-                resolved[key] = result
-                # The shared cache stays honest: the fallback result is cached
-                # under its *own* backend's key, never the failed primary's.
-                cache.put(CompileCache.key(request, fb_name), result)
-                # The journal is a batch artifact ("this job is done"), so it
-                # records under the job's primary key — resume must serve
-                # this same result, not retry the failed backend.
-                record_checkpoint(key, result)
-                report.compiled.append(digest)
-                report.fallbacks.append(
-                    FallbackRecord(
-                        digest=digest,
-                        failed=tuple(attempt_name for attempt_name, _ in attempts),
-                        succeeded=fb_name,
-                    )
-                )
-                _BATCH_FALLBACKS.inc()
-                return
-        _BATCH_FAILURES.inc()
-        if on_error == "raise":
-            raise exc
-        report.failed.append(
-            JobFailure(
-                digest=digest, backend=name, error=repr(exc), attempts=tuple(attempts)
+                    outcome = run_job(chain[1:], request, attempts)
+                    error = None
+                except Exception as rest_error:
+                    attempts = rest_error.attempts
+        except Exception as exc:
+            error = exc
+            attempts = getattr(exc, "attempts", ((chain[0], repr(exc)),))
+        if error is not None:
+            _BATCH_FAILURES.inc()
+            if on_error == "raise":
+                raise error
+            report.failed.append(
+                JobFailure(digest, chain[0], repr(error), tuple(attempts))
             )
-        )
+            return
+        tracer.adopt(outcome.spans)
+        resolved[key] = outcome.result
+        # The shared cache stays honest: a result is cached under the key of
+        # the backend that produced it, never under a failed primary's.
+        if outcome.backend == chain[0]:
+            cache.put(key, outcome.result)
+        else:
+            cache.put(CompileCache.key(request, outcome.backend), outcome.result)
+        # The journal is a batch artifact ("this job is done"), so it records
+        # under the job's primary key — resume must serve this same result,
+        # not retry the failed backend.
+        if journal is not None:
+            try:
+                faults.fire("checkpoint.write", digest=digest)
+                journal.put(key, outcome.result)
+            except OSError:
+                # The job succeeded: a lost record (full disk, injected
+                # fault) only costs a recompile on resume, so degrade.
+                _BATCH_CHECKPOINT_ERRORS.inc()
+        report.compiled.append(digest)
+        if outcome.attempts:
+            report.fallbacks.append(
+                FallbackRecord(
+                    digest=digest,
+                    failed=tuple(name for name, _ in outcome.attempts),
+                    succeeded=outcome.backend,
+                )
+            )
+            _BATCH_FALLBACKS.inc()
+
+    def run_on(pool: Executor) -> None:
+        # Outcomes are settled as each future resolves, so a batch killed
+        # mid-run keeps (journaled) every job finished before the kill.  A
+        # broken pool fails only the unfinished futures.
+        futures = {
+            pool.submit(run_job, chain, request, (), tracer.enabled): (key, chain, request)
+            for key, (chain, request) in jobs
+        }
+        for future in as_completed(futures):
+            settle(*futures[future], future.result)
 
     with tracer.span(
         "batch.compile_batch",
@@ -540,11 +496,11 @@ def compile_batch(
         backends=",".join(canonical_names),
     ) as batch_span:
         if executor is not None and len(jobs) > 1:
-            _run_jobs_incremental(executor, jobs, tracer, complete, settle_failure)
+            run_on(executor)
         elif workers > 1 and len(jobs) > 1:
             pool = ProcessPoolExecutor(max_workers=workers)
             try:
-                _run_jobs_incremental(pool, jobs, tracer, complete, settle_failure)
+                run_on(pool)
             finally:
                 # Always executed — job failure, on_error="raise" propagation,
                 # KeyboardInterrupt: pending jobs are cancelled, running ones
@@ -552,13 +508,8 @@ def compile_batch(
                 pool.shutdown(wait=True, cancel_futures=True)
         else:
             # In-process: spans from each backend nest under this one naturally.
-            for key, (name, request) in jobs:
-                try:
-                    result = _compile_job((name, request))
-                except Exception as exc:
-                    settle_failure(key, name, request, exc)
-                else:
-                    complete(key, name, request, result)
+            for key, (chain, request) in jobs:
+                settle(key, chain, request, lambda: run_job(chain, request))
         if report.skipped:
             batch_span.set_attribute("n_skipped", len(report.skipped))
         if report.fallbacks:

@@ -1,12 +1,13 @@
-"""Persistent, sharded, versioned on-disk compile cache.
+"""Compile-result stores: the in-memory and the on-disk tier, one key space.
 
-:class:`PersistentCompileCache` stores :class:`~repro.api.CompileResult`
-objects content-addressed by the same memoization keys the in-memory
-:class:`~repro.api.CompileCache` uses — ``CompileCache.key(request, backend)``
-— so the two tiers agree on identity by construction.  Entries live under a
-cache *root* directory, sharded by the leading hex characters of the key's
-SHA-256 digest (:func:`repro.api.cache_key_digest`) so no single directory
-grows unbounded::
+:class:`CompileCache` memoizes :class:`~repro.api.CompileResult` objects in
+memory under ``CompileCache.key(request, backend)``.
+:class:`PersistentCompileCache` stores them on disk content-addressed by the
+same keys, so the two tiers agree on identity by construction.  The disk
+store is also the :func:`~repro.api.compile_batch` checkpoint journal.
+Entries live under a cache *root* directory, sharded by the leading hex
+characters of the key's SHA-256 digest (:func:`cache_key_digest`) so no
+single directory grows unbounded::
 
     root/
       3f/3fa8...e1.pkl      # one pickled entry per (request, backend) key
@@ -42,12 +43,100 @@ import pickle
 import tempfile
 import threading
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 from repro import faults
-from repro.api.backend import CompileResult
-from repro.api.batch import CacheKey, cache_key_digest
+from repro.api.backend import CompileRequest, CompileResult, get_backend
+
+#: A memoization key: (request fingerprint, canonical backend name).
+CacheKey = Tuple[Hashable, str]
+
+
+def cache_key_digest(key: CacheKey) -> str:
+    """Stable SHA-256 content address of a memoization key (hex).
+
+    A :data:`CacheKey` is a nest of primitives — ints, floats, strings,
+    booleans, ``None`` and tuples (nested dataclasses such as
+    :class:`~repro.hardware.topology.Topology` are flattened by the config
+    fingerprint's ``dataclasses.astuple``) — so its ``repr`` is deterministic
+    across processes and interpreter restarts.  :class:`PersistentCompileCache`
+    uses this digest to shard and address entries.
+    """
+    return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
+
+
+@dataclass
+class CompileCache:
+    """In-memory memoization of compile results with hit/miss accounting.
+
+    ``max_entries`` bounds the cache: when set, inserting beyond the bound
+    evicts the least-recently-used entry (a :meth:`get` hit refreshes an
+    entry's recency, :meth:`peek` does not) and increments ``evictions``,
+    mirroring the bounded-cache convention of the SCF/integral caches.
+    ``None`` (the default) keeps the historical unbounded behavior.
+    """
+
+    _store: Dict[CacheKey, CompileResult] = field(default_factory=dict)
+    hits: int = 0
+    misses: int = 0
+    max_entries: Optional[int] = None
+    evictions: int = 0
+
+    def __post_init__(self):
+        if self.max_entries is not None and self.max_entries < 1:
+            raise ValueError("max_entries must be None or at least 1")
+
+    @staticmethod
+    def key(request: CompileRequest, backend_name: str) -> CacheKey:
+        """Memoization key; config is mostly excluded for config-blind backends.
+
+        A backend declaring ``uses_config = False`` (the naive JW/BK flows)
+        compiles identically under every config, so sweeps over pipeline
+        knobs share its cache entries.  The one exception is the device
+        ``topology``: even the naive flows route against it, so it stays in
+        the key.
+        """
+        backend = get_backend(backend_name)
+        if getattr(backend, "uses_config", True):
+            return (request.fingerprint, backend.name)
+        return (request.input_fingerprint, request.config.topology, backend.name)
+
+    def get(self, key: CacheKey) -> Optional[CompileResult]:
+        result = self._store.get(key)
+        if result is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+            if self.max_entries is not None:  # refresh LRU recency
+                self._store[key] = self._store.pop(key)
+        return result
+
+    def peek(self, key: CacheKey) -> Optional[CompileResult]:
+        """Like :meth:`get` but without touching counters or LRU recency."""
+        return self._store.get(key)
+
+    def put(self, key: CacheKey, result: CompileResult) -> None:
+        self._store.pop(key, None)  # re-insert at the most-recent position
+        self._store[key] = result
+        if self.max_entries is not None:
+            while len(self._store) > self.max_entries:
+                del self._store[next(iter(self._store))]
+                self.evictions += 1
+
+    def clear(self) -> None:
+        self._store.clear()
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def __len__(self) -> int:
+        return len(self._store)
+
+    def __contains__(self, key: CacheKey) -> bool:
+        return key in self._store
+
 
 #: Bumped whenever the on-disk entry layout changes; part of every stamp.
 #: 2: CompileResult gained the ``stage_timings`` field.
@@ -79,7 +168,7 @@ def golden_version_stamp(golden_dir: Optional[Path] = None) -> str:
 
 
 class PersistentCompileCache:
-    """Disk tier of the compile-service lookup path (memory → disk → compute).
+    """Disk tier of the service lookup path and the batch checkpoint journal.
 
     Parameters
     ----------

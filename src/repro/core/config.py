@@ -1,8 +1,7 @@
 """Frozen configuration of the compilation flows.
 
 :class:`CompilerConfig` replaces the loose keyword-argument soup that used to
-be threaded through :class:`~repro.core.pipeline.AdvancedCompiler`,
-:func:`~repro.core.pipeline.compile_advanced` and
+be threaded through the pipeline's old entry points and
 :func:`repro.compile_molecule_ansatz`.  It is frozen (hashable), so a config
 can key caches — :func:`repro.api.compile_batch` memoizes on
 ``(terms fingerprint, backend, config)`` — and be shared between threads and

@@ -7,13 +7,14 @@ whether to misbehave.  The registered sites are
 ====================  =========================================================
 ``disk.read``         :meth:`PersistentCompileCache.get` reading an entry file
 ``disk.write``        :meth:`PersistentCompileCache.put` writing an entry file
-``compute``           the backend compile inside ``repro.api.batch._compile_job``
+``compute``           each backend compile inside ``repro.api.batch.run_job``
 ``pool.worker``       the same entry point, *process-pool children only*
 ``queue``             :meth:`CompileService.submit` enqueueing a job
 ``scf``               :func:`repro.chemistry.run_rhf` entering an SCF solve
 ``stage.gamma``       the pipeline's ``gamma_search`` stage starting its search
 ``stage.sort``        the pipeline's ``sort`` stage starting the GTSP solve
-``checkpoint.write``  :meth:`BatchCheckpoint.record` journaling a finished job
+``checkpoint.write``  :func:`compile_batch` journaling a finished job (before
+                      the journal's :meth:`PersistentCompileCache.put`)
 ====================  =========================================================
 
 and the available actions are

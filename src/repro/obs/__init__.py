@@ -34,7 +34,6 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
-    LatencyHistogram,
     MetricsRegistry,
     get_metrics,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "LatencyHistogram",
     "MetricsRegistry",
     "NULL_SPAN",
     "Span",

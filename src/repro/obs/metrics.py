@@ -31,7 +31,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "LatencyHistogram",
     "MetricsRegistry",
     "get_metrics",
 ]
@@ -177,9 +176,6 @@ class Histogram:
     def __repr__(self) -> str:
         return f"Histogram({self.name!r}, count={self.count}, stored={len(self.samples)})"
 
-
-#: Historical name of the latency histogram; same type, same behavior.
-LatencyHistogram = Histogram
 
 Metric = Union[Counter, Gauge, Histogram]
 

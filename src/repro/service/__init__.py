@@ -6,7 +6,8 @@ traffic repeats the same molecules/configs and should never recompile:
 
 * :class:`PersistentCompileCache` — sharded, version-stamped, LRU-bounded
   on-disk results shared across processes (atomic writes, stale-version
-  invalidation tied to the golden files);
+  invalidation tied to the golden files); it lives in
+  :mod:`repro.api.store`, below the service, and is re-exported here;
 * :class:`CompileService` — asyncio front end with ``submit / status /
   result / cancel``, per-job priorities and deadlines, a bounded queue
   (backpressure via :class:`ServiceOverloadedError` with a ``retry_after_s``
@@ -17,9 +18,10 @@ traffic repeats the same molecules/configs and should never recompile:
   (graceful degradation to memory → compute), :class:`JobTimedOut` /
   :class:`WorkerCrashed` typed failures, worker-crash pool replenishment
   and draining shutdown — chaos-tested under :mod:`repro.faults` injection;
-* :class:`ServiceMetrics` — per-tier hit rates, queue depth, resilience
-  counters (timeouts/retries/breaker transitions) and wait/compute/total
-  latency histograms (p50/p95/p99), dumped by ``benchmarks/bench_service.py``
+* :class:`ServiceMetrics` — a per-service metrics registry: per-tier hit
+  rates, queue depth, resilience counters (timeouts/retries/breaker
+  transitions) and wait/compute/total latency histograms (p50/p95/p99),
+  read through ``snapshot()``, which ``benchmarks/bench_service.py`` dumps
   into ``BENCH_service.json``.
 
 >>> from repro.service import CompileService, PersistentCompileCache
@@ -28,12 +30,12 @@ traffic repeats the same molecules/configs and should never recompile:
 ...     svc.metrics.snapshot()["hit_rates"]
 """
 
-from repro.service.cache import (
+from repro.api.store import (
     CACHE_FORMAT_VERSION,
     PersistentCompileCache,
     golden_version_stamp,
 )
-from repro.service.metrics import TIERS, LatencyHistogram, ServiceMetrics
+from repro.service.metrics import TIERS, ServiceMetrics
 from repro.service.resilience import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
@@ -64,7 +66,6 @@ __all__ = [
     "JobState",
     "JobStatus",
     "JobTimedOut",
-    "LatencyHistogram",
     "PersistentCompileCache",
     "RetryPolicy",
     "ServiceDrainingError",

@@ -1,43 +1,54 @@
 """Observability for the compile service: tier hit rates and latency tails.
 
 :class:`ServiceMetrics` is the single metrics object a
-:class:`~repro.service.CompileService` instance owns.  It tracks
+:class:`~repro.service.CompileService` instance owns, a per-instance
+:class:`~repro.obs.metrics.MetricsRegistry` holding
 
-* **tier counters** — how many finished jobs were served by each tier of the
-  lookup path (``memory`` → ``disk`` → ``compute``) plus ``dedup`` joins
-  (submits that attached to an identical in-flight compilation), and the
-  failure/cancellation/backpressure-rejection counts;
-* **queue pressure** — current and peak queue depth;
-* **resilience counters** — deadline timeouts, retries consumed, abandoned
-  compilations, pool-worker crashes, backend-fallback completions, disk
-  faults observed and lookups that
-  skipped the disk tier while its circuit breaker was open, plus the
-  breaker's open/close transition counts and current state code;
+* **tier counters** ``service.tier.<tier>`` — how many finished jobs were
+  served by each tier of the lookup path (``memory`` → ``disk`` →
+  ``compute``) plus ``dedup`` joins (submits that attached to an identical
+  in-flight compilation);
+* **event counters** ``service.<name>`` — submits, failures, cancellations,
+  backpressure rejections and the resilience events (deadline timeouts,
+  retries, abandoned compilations, pool-worker crashes, backend-fallback
+  completions, disk faults, lookups that skipped the disk tier while its
+  circuit breaker was open, breaker open/close transitions).  The service
+  increments them on the registry directly; read them from :meth:`snapshot`
+  or ``metrics.registry.counter("service.<name>").value``;
+* **gauges** — ``queue`` (queue depth, with its peak) and
+  ``service.breaker.state``, the disk breaker's state code (0 closed,
+  1 half-open, 2 open);
 * **latency histograms** — ``wait`` (submit → worker pickup), ``compute``
-  (backend compile only) and ``total`` (submit → result) with p50/p95/p99.
+  (backend compile only) and ``total`` (submit → result), bounded
+  :class:`~repro.obs.metrics.Histogram` objects with p50/p95/p99.
 
-Since the ``repro.obs`` layer landed, everything here is built on its shared
-primitives: the counters are :class:`~repro.obs.metrics.Counter`, the queue
-gauge is a :class:`~repro.obs.metrics.Gauge`, and the latency histograms are
-bounded :class:`~repro.obs.metrics.Histogram` objects (so a long-running
-service no longer grows sample memory without bound — see
-``DEFAULT_MAX_SAMPLES`` / reservoir sampling in :mod:`repro.obs.metrics`).
-:class:`LatencyHistogram` is re-exported from there for compatibility.
-
-Everything is plain-Python and JSON-serializable via :meth:`snapshot`, which
-is what ``benchmarks/bench_service.py`` dumps into ``BENCH_service.json``.
+Everything is JSON-serializable via :meth:`snapshot`, which is what
+``benchmarks/bench_service.py`` dumps into ``BENCH_service.json``.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.obs.metrics import Counter, Gauge, LatencyHistogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["TIERS", "LatencyHistogram", "ServiceMetrics"]
+__all__ = ["TIERS", "ServiceMetrics"]
 
 #: The lookup tiers a finished job can be served from.
 TIERS = ("memory", "disk", "compute", "dedup")
+
+#: ``snapshot()["resilience"]`` keys → their registry counter names.
+RESILIENCE_COUNTERS = {
+    "timeouts": "service.timeouts",
+    "retries": "service.retries",
+    "abandonments": "service.abandonments",
+    "worker_crashes": "service.worker_crashes",
+    "fallbacks": "service.fallbacks",
+    "disk_faults": "service.disk_faults",
+    "disk_degraded": "service.disk_degraded",
+    "breaker_opens": "service.breaker.opens",
+    "breaker_closes": "service.breaker.closes",
+}
 
 
 class ServiceMetrics:
@@ -50,172 +61,27 @@ class ServiceMetrics:
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._tier_counters: Dict[str, Counter] = {
+        self._tier_counters = {
             tier: self.registry.counter(f"service.tier.{tier}") for tier in TIERS
         }
-        self._submitted = self.registry.counter("service.submitted")
-        self._failures = self.registry.counter("service.failures")
-        self._cancellations = self.registry.counter("service.cancellations")
-        self._rejections = self.registry.counter("service.rejections")
-        self._timeouts = self.registry.counter("service.timeouts")
-        self._retries = self.registry.counter("service.retries")
-        self._abandonments = self.registry.counter("service.abandonments")
-        self._worker_crashes = self.registry.counter("service.worker_crashes")
-        self._fallbacks = self.registry.counter("service.fallbacks")
-        self._disk_faults = self.registry.counter("service.disk_faults")
-        self._disk_degraded = self.registry.counter("service.disk_degraded")
-        self._breaker_opens = self.registry.counter("service.breaker.opens")
-        self._breaker_closes = self.registry.counter("service.breaker.closes")
-        self._breaker_state = self.registry.gauge("service.breaker.state")
-        self._queue = self.registry.gauge("service.queue_depth")
+        self.queue = self.registry.gauge("service.queue_depth")
         self.wait = self.registry.histogram("service.latency.wait")
         self.compute = self.registry.histogram("service.latency.compute")
         self.total = self.registry.histogram("service.latency.total")
 
-    # ------------------------------------------------------------------
-    # Counter views (attribute-compatible with the pre-obs implementation:
-    # `metrics.submitted += 1` still works through the property setters)
-    # ------------------------------------------------------------------
     @property
     def tier_counts(self) -> Dict[str, int]:
         return {tier: counter.value for tier, counter in self._tier_counters.items()}
 
-    @property
-    def submitted(self) -> int:
-        return self._submitted.value
-
-    @submitted.setter
-    def submitted(self, value: int) -> None:
-        self._submitted.value = value
-
-    @property
-    def failures(self) -> int:
-        return self._failures.value
-
-    @failures.setter
-    def failures(self, value: int) -> None:
-        self._failures.value = value
-
-    @property
-    def cancellations(self) -> int:
-        return self._cancellations.value
-
-    @cancellations.setter
-    def cancellations(self, value: int) -> None:
-        self._cancellations.value = value
-
-    @property
-    def rejections(self) -> int:
-        return self._rejections.value
-
-    @rejections.setter
-    def rejections(self, value: int) -> None:
-        self._rejections.value = value
-
-    @property
-    def timeouts(self) -> int:
-        return self._timeouts.value
-
-    @timeouts.setter
-    def timeouts(self, value: int) -> None:
-        self._timeouts.value = value
-
-    @property
-    def retries(self) -> int:
-        return self._retries.value
-
-    @retries.setter
-    def retries(self, value: int) -> None:
-        self._retries.value = value
-
-    @property
-    def abandonments(self) -> int:
-        return self._abandonments.value
-
-    @abandonments.setter
-    def abandonments(self, value: int) -> None:
-        self._abandonments.value = value
-
-    @property
-    def worker_crashes(self) -> int:
-        return self._worker_crashes.value
-
-    @worker_crashes.setter
-    def worker_crashes(self, value: int) -> None:
-        self._worker_crashes.value = value
-
-    @property
-    def fallbacks(self) -> int:
-        """Jobs completed by a fallback backend after their own failed."""
-        return self._fallbacks.value
-
-    @fallbacks.setter
-    def fallbacks(self, value: int) -> None:
-        self._fallbacks.value = value
-
-    @property
-    def disk_faults(self) -> int:
-        return self._disk_faults.value
-
-    @disk_faults.setter
-    def disk_faults(self, value: int) -> None:
-        self._disk_faults.value = value
-
-    @property
-    def disk_degraded(self) -> int:
-        return self._disk_degraded.value
-
-    @disk_degraded.setter
-    def disk_degraded(self, value: int) -> None:
-        self._disk_degraded.value = value
-
-    @property
-    def breaker_opens(self) -> int:
-        return self._breaker_opens.value
-
-    @breaker_opens.setter
-    def breaker_opens(self, value: int) -> None:
-        self._breaker_opens.value = value
-
-    @property
-    def breaker_closes(self) -> int:
-        return self._breaker_closes.value
-
-    @breaker_closes.setter
-    def breaker_closes(self, value: int) -> None:
-        self._breaker_closes.value = value
-
-    @property
-    def breaker_state(self) -> int:
-        """Disk-breaker state code: 0 closed, 1 half-open, 2 open."""
-        return self._breaker_state.value
-
-    def record_breaker_state(self, code: int) -> None:
-        self._breaker_state.set(code)
-
-    @property
-    def queue_depth(self) -> int:
-        return self._queue.value
-
-    @property
-    def queue_depth_peak(self) -> int:
-        return self._queue.peak
-
-    # ------------------------------------------------------------------
-    # Recording
-    # ------------------------------------------------------------------
-    def count_tier(self, tier: str) -> None:
+    def _tier_counter(self, tier: str):
         counter = self._tier_counters.get(tier)
         if counter is None:
             raise ValueError(f"unknown tier {tier!r}; expected one of {TIERS}")
-        counter.inc()
+        return counter
 
-    def record_queue_depth(self, depth: int) -> None:
-        self._queue.set(depth)
+    def count_tier(self, tier: str) -> None:
+        self._tier_counter(tier).inc()
 
-    # ------------------------------------------------------------------
-    # Derived rates
-    # ------------------------------------------------------------------
     @property
     def served(self) -> int:
         """Jobs that finished successfully (every tier, dedup included)."""
@@ -223,9 +89,7 @@ class ServiceMetrics:
 
     def hit_rate(self, tier: str) -> float:
         """Fraction of served jobs answered by ``tier`` (0.0 when idle)."""
-        counter = self._tier_counters.get(tier)
-        if counter is None:
-            raise ValueError(f"unknown tier {tier!r}; expected one of {TIERS}")
+        counter = self._tier_counter(tier)
         if self.served == 0:
             return 0.0
         return counter.value / self.served
@@ -238,35 +102,25 @@ class ServiceMetrics:
         avoided = self.served - self._tier_counters["compute"].value
         return avoided / self.served
 
-    # ------------------------------------------------------------------
-    # Export
-    # ------------------------------------------------------------------
     def snapshot(self) -> Dict:
         """One JSON-serializable dict of everything above."""
+        count = lambda name: self.registry.counter(name).value  # noqa: E731
         return {
-            "submitted": self.submitted,
+            "submitted": count("service.submitted"),
             "served": self.served,
             "tiers": self.tier_counts,
             "hit_rates": {
                 tier: round(self.hit_rate(tier), 6) for tier in TIERS
             },
             "cache_hit_rate": round(self.cache_hit_rate, 6),
-            "failures": self.failures,
-            "cancellations": self.cancellations,
-            "rejections": self.rejections,
-            "queue_depth": self.queue_depth,
-            "queue_depth_peak": self.queue_depth_peak,
+            "failures": count("service.failures"),
+            "cancellations": count("service.cancellations"),
+            "rejections": count("service.rejections"),
+            "queue_depth": self.queue.value,
+            "queue_depth_peak": self.queue.peak,
             "resilience": {
-                "timeouts": self.timeouts,
-                "retries": self.retries,
-                "abandonments": self.abandonments,
-                "worker_crashes": self.worker_crashes,
-                "fallbacks": self.fallbacks,
-                "disk_faults": self.disk_faults,
-                "disk_degraded": self.disk_degraded,
-                "breaker_opens": self.breaker_opens,
-                "breaker_closes": self.breaker_closes,
-                "breaker_state": self.breaker_state,
+                **{key: count(name) for key, name in RESILIENCE_COUNTERS.items()},
+                "breaker_state": self.registry.gauge("service.breaker.state").value,
             },
             "latency": {
                 "wait": self.wait.summary(),

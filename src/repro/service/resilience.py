@@ -34,6 +34,8 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple, Type
 
+from repro.api.batch import WorkerCrashed
+
 __all__ = [
     "BREAKER_CLOSED",
     "BREAKER_HALF_OPEN",
@@ -54,16 +56,6 @@ class JobTimedOut(TimeoutError):
         )
         self.job_id = job_id
         self.deadline_s = deadline_s
-
-
-class WorkerCrashed(RuntimeError):
-    """A process-pool worker died mid-compile (e.g. OOM-killed).
-
-    Raised in place of the executor's ``BrokenProcessPool`` so the failure is
-    (a) scoped to the job that hit it rather than poisoning the service and
-    (b) classified as retryable — the pool is replenished and the retry (or a
-    dedup joiner awaiting the same future) gets the recomputed result.
-    """
 
 
 @dataclass(frozen=True)

@@ -20,14 +20,14 @@ layered lookup path
 
     memory (CompileCache) → disk (PersistentCompileCache) → compute
 
-where the compute step reuses the batch layer's worker entry point
-(:func:`repro.api.batch._compile_job`) on a caller-supplied executor — pass a
+where the compute step runs the batch layer's worker entry point
+(:func:`repro.api.batch.run_job`) on a caller-supplied executor — pass a
 ``ProcessPoolExecutor`` (or better, ``executor_factory=`` so the service can
 replenish a crashed pool) for real parallelism, or leave the default to run
 compilations on the event loop's thread pool.
 
-The resilience layer (this PR's reason to exist) is built from the
-:mod:`repro.service.resilience` primitives:
+The resilience layer is built from the :mod:`repro.service.resilience`
+primitives:
 
 * **Deadlines** — ``submit(..., deadline_s=...)`` arms a watchdog that fails
   the submitter's future with :class:`JobTimedOut` the moment the deadline
@@ -49,16 +49,19 @@ The resilience layer (this PR's reason to exist) is built from the
   re-admit the tier once it heals.  Transitions are counted, gauged and
   emitted as ``service.breaker`` spans.
 * **Backend fallback chains** — ``CompileService(fallback=("gt", "jw"))``
-  retries a job whose backend failed with a typed stage failure, I/O error
-  or worker crash (after the retry policy is exhausted) on the next backend
-  in the chain.  The substitute result is cached under *its own* backend's
-  key (no cache poisoning), served to every submitter, counted in
-  ``metrics.fallbacks`` and traced as a ``service.fallback`` span.
+  hands :func:`~repro.api.batch.run_job` the job's whole backend chain, so a
+  backend failing with a :data:`~repro.api.FALLBACK_RETRYABLE` error (typed
+  stage failure, I/O error) falls back to the next one inside the same
+  worker round trip, in a ``job.fallback`` span.  A worker crash takes the
+  chain with it; once the retry policy is spent on it, the rest of the chain
+  runs once more on the replenished executor.  The substitute result is
+  cached under *its own* backend's key (no cache poisoning), served to every
+  submitter and counted in ``service.fallbacks``.
 * **Graceful shutdown** — ``shutdown(drain=True, timeout_s=...)`` stops
   accepting work and finishes what is queued/in flight before closing,
   instead of cancelling it.
 
-Every tier transition and resilience event is recorded in
+Every tier transition and resilience event is counted in the registry of
 :class:`~repro.service.metrics.ServiceMetrics`; the chaos suite
 (``tests/service/test_chaos.py``) and ``benchmarks/bench_chaos.py`` drive
 the whole layer under :mod:`repro.faults` injection.
@@ -83,16 +86,15 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import faults
 from repro.api.backend import CompileRequest, CompileResult, canonical_backend_name
-from repro.api.batch import (
-    FALLBACK_RETRYABLE,
+from repro.api.batch import WorkerCrashed, backend_chain, run_job
+from repro.api.store import (
     CacheKey,
     CompileCache,
-    _compile_job,
-    _compile_job_traced,
+    PersistentCompileCache,
     cache_key_digest,
 )
+from repro.obs.metrics import Counter
 from repro.obs.tracer import get_tracer
-from repro.service.cache import PersistentCompileCache
 from repro.service.metrics import ServiceMetrics
 from repro.service.resilience import (
     BREAKER_CLOSED,
@@ -100,13 +102,7 @@ from repro.service.resilience import (
     CircuitBreaker,
     JobTimedOut,
     RetryPolicy,
-    WorkerCrashed,
 )
-
-#: Failure classes the service's backend fallback chain retries on: the
-#: batch layer's set (typed stage failures, I/O errors, broken pools) plus
-#: :class:`WorkerCrashed`, the service's own translation of a died worker.
-_SERVICE_FALLBACK_RETRYABLE: Tuple[type, ...] = FALLBACK_RETRYABLE + (WorkerCrashed,)
 
 
 class ServiceOverloadedError(RuntimeError):
@@ -280,10 +276,10 @@ class CompileService:
         no deadline).
     fallback:
         Backend name(s) to retry a job on when its own backend fails with a
-        retryable error (typed pipeline :class:`~repro.core.StageFailure`,
-        I/O error, worker crash) after the retry policy is exhausted.  Tried
-        in order, one attempt each; a success serves every submitter and is
-        cached under the fallback backend's own key.
+        :data:`~repro.api.FALLBACK_RETRYABLE` error (typed pipeline
+        :class:`~repro.core.StageFailure`, I/O error, worker crash).  Tried
+        in order; a success serves every submitter and is cached under the
+        fallback backend's own key.
 
     Lower ``priority`` values run earlier; ties are FIFO.
     """
@@ -321,7 +317,7 @@ class CompileService:
             self.breaker = CircuitBreaker()
         if self.breaker is not None:
             self._chain_breaker_callback(self.breaker)
-            self.metrics.record_breaker_state(self.breaker.state_code)
+            self.metrics.registry.gauge("service.breaker.state").set(self.breaker.state_code)
         self.default_deadline_s = default_deadline_s
         if isinstance(fallback, str):
             fallback = (fallback,)
@@ -449,7 +445,7 @@ class CompileService:
         try:
             self._queue.put_nowait((priority, next(self._order), job))
         except asyncio.QueueFull:
-            self.metrics.rejections += 1
+            self._counter("rejections").inc()
             raise ServiceOverloadedError(
                 f"compile queue is full ({self._max_queue} jobs); "
                 "retry after in-flight work drains",
@@ -457,7 +453,7 @@ class CompileService:
             ) from None
         self._inflight[key] = job
         self._register(job, loop)
-        self.metrics.record_queue_depth(self._queue.qsize())
+        self.metrics.queue.set(self._queue.qsize())
         return job_id
 
     def _register(self, job: _Job, loop: asyncio.AbstractEventLoop) -> None:
@@ -469,7 +465,7 @@ class CompileService:
         job.future.add_done_callback(
             lambda f: None if f.cancelled() else f.exception()
         )
-        self.metrics.submitted += 1
+        self._counter("submitted").inc()
         deadline = job.deadline_s if job.deadline_s is not None else self.default_deadline_s
         if deadline is not None:
             job.deadline_s = deadline
@@ -498,7 +494,7 @@ class CompileService:
         *last* waiting submitter cancels (or times out) mid-compute, the
         abandonment is propagated to the executor future where possible —
         queued executor work is cancelled outright, a running compile has
-        its result discarded — and counted in ``metrics.abandonments``.
+        its result discarded — and counted in ``service.abandonments``.
         """
         job = self._job(job_id)
         if job.cancelled:
@@ -509,7 +505,7 @@ class CompileService:
         job.finished_at = time.perf_counter()
         self._cancel_deadline(job)
         job.future.cancel()
-        self.metrics.cancellations += 1
+        self._counter("cancellations").inc()
         self._maybe_abandon(job.primary)
         return True
 
@@ -582,7 +578,7 @@ class CompileService:
         job.error = repr(exc)
         job.finished_at = time.perf_counter()
         job.future.set_exception(exc)
-        self.metrics.timeouts += 1
+        self._counter("timeouts").inc()
         self.metrics.total.record(job.finished_at - job.submitted_at)
         self._maybe_abandon(job.primary)
 
@@ -594,7 +590,7 @@ class CompileService:
         if exec_future is not None and not exec_future.done():
             primary.abandon_requested = True
             exec_future.cancel()
-            self.metrics.abandonments += 1
+            self._counter("abandonments").inc()
         # A still-queued group is skipped (and counted) at dequeue time.
 
     # ------------------------------------------------------------------
@@ -625,7 +621,11 @@ class CompileService:
         budget = self.retry_policy.budget if self.retry_policy else None
         if budget is None:
             return None
-        return max(0, budget - self.metrics.retries)
+        return max(0, budget - self._counter("retries").value)
+
+    def _counter(self, name: str) -> Counter:
+        """The ``service.<name>`` counter of this service's registry."""
+        return self.metrics.registry.counter(f"service.{name}")
 
     # ------------------------------------------------------------------
     # Disk tier behind the circuit breaker
@@ -634,11 +634,11 @@ class CompileService:
         existing = breaker.on_transition
 
         def on_transition(old_state: str, new_state: str) -> None:
-            self.metrics.record_breaker_state(breaker.state_code)
+            self.metrics.registry.gauge("service.breaker.state").set(breaker.state_code)
             if new_state == BREAKER_OPEN:
-                self.metrics.breaker_opens += 1
+                self._counter("breaker.opens").inc()
             elif new_state == BREAKER_CLOSED:
-                self.metrics.breaker_closes += 1
+                self._counter("breaker.closes").inc()
             # Zero-length marker span: transitions are events, not intervals.
             with get_tracer().span(
                 "service.breaker", from_state=old_state, to_state=new_state
@@ -649,47 +649,29 @@ class CompileService:
 
         breaker.on_transition = on_transition
 
-    def _breaker_allows(self) -> bool:
-        breaker = self.breaker
-        if breaker is None or breaker.allow():
-            return True
-        self.metrics.disk_degraded += 1
-        return False
+    def _disk(self, operation: str, *args):
+        """One disk-tier ``get``/``put`` behind the circuit breaker.
 
-    def _record_disk_outcome(self, ok: bool) -> None:
+        A fault (I/O error, corrupt entry) degrades to ``None`` — a miss, or
+        a lost cache write the job survives — and counts against the breaker.
+        """
+        disk, breaker = self.disk_cache, self.breaker
+        if disk is None:
+            return None
+        if breaker is not None and not breaker.allow():
+            self._counter("disk_degraded").inc()
+            return None
+        before = disk.fault_events
+        try:
+            result = getattr(disk, operation)(*args)
+            ok = disk.fault_events == before
+        except OSError:
+            result, ok = None, False
         if not ok:
-            self.metrics.disk_faults += 1
-        breaker = self.breaker
+            self._counter("disk_faults").inc()
         if breaker is not None:
-            if ok:
-                breaker.record_success()
-            else:
-                breaker.record_failure()
-
-    def _disk_get(self, key: CacheKey) -> Optional[CompileResult]:
-        disk = self.disk_cache
-        if disk is None or not self._breaker_allows():
-            return None
-        before = disk.fault_events
-        try:
-            result = disk.get(key)
-        except OSError:
-            self._record_disk_outcome(ok=False)
-            return None
-        self._record_disk_outcome(ok=disk.fault_events == before)
+            (breaker.record_success if ok else breaker.record_failure)()
         return result
-
-    def _disk_put(self, key: CacheKey, result: CompileResult) -> None:
-        disk = self.disk_cache
-        if disk is None or not self._breaker_allows():
-            return
-        before = disk.fault_events
-        try:
-            disk.put(key, result)
-        except OSError:
-            self._record_disk_outcome(ok=False)
-            return  # a failed cache write degrades; the job still succeeds
-        self._record_disk_outcome(ok=disk.fault_events == before)
 
     def _lookup(self, key: CacheKey) -> Tuple[Optional[CompileResult], Optional[str]]:
         """The cache tiers of the lookup path: memory first, then disk."""
@@ -697,7 +679,7 @@ class CompileService:
             result = self.memory_cache.get(key)
             if result is not None:
                 return result, "memory"
-        result = self._disk_get(key)
+        result = self._disk("get", key)
         if result is not None:
             return result, "disk"
         return None, None
@@ -720,128 +702,85 @@ class CompileService:
         if broken is not None:
             broken.shutdown(wait=False)
 
-    async def _run_compute_once(
-        self, job: _Job, compute_start: float, backend: Optional[str] = None
-    ):
-        """One executor round-trip, with worker-crash translation.
-
-        ``backend`` overrides the job's own backend for fallback-chain
-        attempts; everything else (executor, crash translation, span
-        adoption) is identical.
-        """
-        backend = backend if backend is not None else job.backend
+    async def _run_compute_once(self, job: _Job, compute_start: float, chain, failed=()):
+        """One executor round trip of :func:`run_job`, with crash translation."""
         loop = asyncio.get_running_loop()
         tracer = get_tracer()
         executor = self._executor
-        if tracer.enabled:
-            # Executor workers do not inherit the tracing contextvar;
-            # collect their span forest explicitly and rebase it at the
-            # compute start time.
-            exec_future = loop.run_in_executor(
-                executor, _compile_job_traced, (backend, job.request)
-            )
-        else:
-            exec_future = loop.run_in_executor(
-                executor, _compile_job, (backend, job.request)
-            )
+        # Executor workers do not inherit the tracing contextvar; with tracing
+        # on, run_job collects their span forest, rebased at compute start.
+        exec_future = loop.run_in_executor(
+            executor, run_job, chain, job.request, failed, tracer.enabled
+        )
         job.exec_future = exec_future
         try:
-            raw = await exec_future
+            outcome = await exec_future
         except BrokenExecutor as exc:
-            self.metrics.worker_crashes += 1
+            self._counter("worker_crashes").inc()
             self._replenish_executor(executor)
             raise WorkerCrashed(
                 f"executor worker died while compiling job {job.job_id}"
             ) from exc
         finally:
             job.exec_future = None
-        if tracer.enabled:
-            result, spans = raw
-            tracer.adopt(spans, at=compute_start)
-            return result
-        return raw
+        tracer.adopt(outcome.spans, at=compute_start)
+        return outcome
 
-    async def _compute_with_retries(self, job: _Job):
-        """Drive the compute step under the retry policy.
+    async def _compute(self, job: _Job):
+        """Run the job's backend chain under the retry policy.
 
-        Returns the result, the ``_ABANDONED`` sentinel when every submitter
-        gave up mid-compute, or raises the final (non-retryable or
-        exhausted) failure.
+        Returns the :class:`~repro.api.batch.JobOutcome`, the ``_ABANDONED``
+        sentinel when every submitter gave up mid-compute, or raises the
+        final (non-retryable or exhausted) failure of the job's own backend.
+        A died pool worker takes the whole chain with it: once the retry
+        policy is spent on such a crash, the rest of the chain runs once more
+        on the (replenished) executor.
         """
         tracer = get_tracer()
         policy = self.retry_policy
         token = cache_key_digest(job.key)
+        chain = backend_chain(job.backend, self.fallback_chain)
+        failed, crash = (), None
         attempt = 0
         while True:
             try:
                 with tracer.span("service.compute", attempt=attempt):
                     compute_start = time.perf_counter()
-                    result = await self._run_compute_once(job, compute_start)
+                    outcome = await self._run_compute_once(
+                        job, compute_start, chain, failed
+                    )
                 self.metrics.compute.record(time.perf_counter() - compute_start)
-                return result
+                return outcome
             except asyncio.CancelledError:
                 if job.abandon_requested and not self._task_cancelling():
                     return _ABANDONED
                 raise
             except Exception as exc:
+                if crash is not None:
+                    raise crash  # the rest of the chain failed as well
                 attempt += 1
+                retries = self._counter("retries")
                 retryable = policy is not None and policy.is_retryable(exc)
                 budget_left = policy is not None and (
-                    policy.budget is None or self.metrics.retries < policy.budget
+                    policy.budget is None or retries.value < policy.budget
                 )
-                if (
-                    not retryable
-                    or not budget_left
-                    or attempt >= policy.max_attempts
-                    or job.abandoned
-                ):
+                if job.abandoned:
                     raise
-                delay = policy.delay_s(attempt - 1, token)
-                self.metrics.retries += 1
-                with tracer.span(
-                    "service.retry",
-                    job_id=job.job_id,
-                    attempt=attempt,
-                    delay_s=round(delay, 4),
-                    error=type(exc).__name__,
-                ):
-                    await asyncio.sleep(delay)
-
-    async def _compute_with_fallback(self, job: _Job):
-        """Compute under the retry policy, then walk the backend fallback chain.
-
-        Returns ``(result, fallback_backend)`` where ``fallback_backend`` is
-        ``None`` when the job's own backend (or the lookup) produced the
-        result.  Re-raises the original failure when the chain is empty,
-        ineligible, or exhausted — fallback-attempt errors are subordinate
-        to the primary error the submitters should see.
-        """
-        tracer = get_tracer()
-        try:
-            return await self._compute_with_retries(job), None
-        except asyncio.CancelledError:
-            raise
-        except _SERVICE_FALLBACK_RETRYABLE as exc:
-            for fb_name in self.fallback_chain:
-                if fb_name == job.backend:
+                if retryable and budget_left and attempt < policy.max_attempts:
+                    delay = policy.delay_s(attempt - 1, token)
+                    retries.inc()
+                    with tracer.span(
+                        "service.retry",
+                        job_id=job.job_id,
+                        attempt=attempt,
+                        delay_s=round(delay, 4),
+                        error=type(exc).__name__,
+                    ):
+                        await asyncio.sleep(delay)
                     continue
-                with tracer.span(
-                    "service.fallback", job_id=job.job_id, backend=fb_name
-                ) as fb_span:
-                    try:
-                        compute_start = time.perf_counter()
-                        result = await self._run_compute_once(
-                            job, compute_start, backend=fb_name
-                        )
-                    except asyncio.CancelledError:
-                        raise
-                    except Exception as fb_exc:
-                        fb_span.set_attribute("error", type(fb_exc).__name__)
-                        continue
-                self.metrics.compute.record(time.perf_counter() - compute_start)
-                self.metrics.fallbacks += 1
-                return result, fb_name
-            raise exc
+                if not isinstance(exc, WorkerCrashed) or len(chain) == 1:
+                    raise
+                crash, failed, chain = exc, ((job.backend, repr(exc)),), chain[1:]
 
     async def _worker(self) -> None:
         while True:
@@ -850,7 +789,7 @@ class CompileService:
                 await self._process(job)
             finally:
                 self._queue.task_done()
-                self.metrics.record_queue_depth(self._queue.qsize())
+                self.metrics.queue.set(self._queue.qsize())
 
     async def _process(self, job: _Job) -> None:
         if job.abandoned:
@@ -861,7 +800,7 @@ class CompileService:
             for submitter in job.group:
                 if submitter.finished_at is None:
                     submitter.finished_at = finished
-            self.metrics.abandonments += 1
+            self._counter("abandonments").inc()
             return
         job.started_at = time.perf_counter()
         self.metrics.wait.record(job.started_at - job.submitted_at)
@@ -874,18 +813,19 @@ class CompileService:
                     result, tier = self._lookup(job.key)
                 store_key = job.key
                 if result is None:
-                    result, fallback_backend = await self._compute_with_fallback(job)
-                    if result is _ABANDONED:
+                    outcome = await self._compute(job)
+                    if outcome is _ABANDONED:
                         self._inflight.pop(job.key, None)
                         return
-                    tier = "compute"
-                    if fallback_backend is not None:
+                    result, tier = outcome.result, "compute"
+                    if outcome.backend != job.backend:
                         # The caches stay honest: a fallback backend's result
                         # is stored under its own key, never the failed
                         # primary's — submitters are served directly instead.
-                        store_key = CompileCache.key(job.request, fallback_backend)
-                        job_span.set_attribute("fallback", fallback_backend)
-                    self._disk_put(store_key, result)
+                        store_key = CompileCache.key(job.request, outcome.backend)
+                        job_span.set_attribute("fallback", outcome.backend)
+                        self._counter("fallbacks").inc()
+                    self._disk("put", store_key, result)
                 if self.memory_cache is not None:
                     self.memory_cache.put(store_key, result)
                 job_span.set_attribute("tier", tier)
@@ -921,4 +861,4 @@ class CompileService:
         if error is not None:
             if job.error is None:
                 job.error = repr(error)
-            self.metrics.failures += 1
+            self._counter("failures").inc()

@@ -1,17 +1,26 @@
 """Batch hardening: fallback chains, failure isolation, checkpointed resume."""
 
+import os
+import pickle
+import subprocess
+import sys
 from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api import (
     CompileCache,
     CompileRequest,
     CompileResult,
     CompilerConfig,
+    PersistentCompileCache,
     StageFailure,
     cache_key_digest,
     compile_batch,
+    golden_version_stamp,
     register_backend,
     unregister_backend,
 )
@@ -204,9 +213,51 @@ class TestFallbackChain:
         before = counter.value
         with tracing() as tracer:
             compile_batch([make_request()], backends="exploder", fallback=("advanced",))
-            spans = [s for s in tracer.all_spans() if s.name == "batch.fallback"]
+            spans = [s for s in tracer.all_spans() if s.name == "job.fallback"]
         assert counter.value == before + 1
         assert spans and spans[0].attributes["backend"] == "advanced"
+
+
+class TestRunJob:
+    def test_primary_success_has_no_attempts(self, flaky):
+        flaky.broken = False
+        outcome = batch_module.run_job(("flaky", "advanced"), make_request())
+        assert outcome.backend == "flaky"
+        assert outcome.attempts == ()
+        assert outcome.spans is None
+
+    def test_fallback_reports_producer_and_attempts(self, exploder):
+        outcome = batch_module.run_job(("exploder", "advanced"), make_request())
+        assert outcome.backend == outcome.result.backend == "advanced"
+        assert [name for name, _ in outcome.attempts] == ["exploder"]
+        assert "StageFailure" in outcome.attempts[0][1]
+
+    def test_exhausted_chain_reraises_the_primary_error(self, exploder, rejecting):
+        with pytest.raises(StageFailure) as info:
+            batch_module.run_job(("exploder", "rejecting"), make_request())
+        assert [name for name, _ in info.value.attempts] == ["exploder", "rejecting"]
+
+    def test_attempts_survive_the_process_boundary(self, exploder):
+        with pytest.raises(StageFailure) as info:
+            batch_module.run_job(("exploder",), make_request())
+        shipped = pickle.loads(pickle.dumps(info.value))
+        assert shipped.stage == "sort"
+        assert shipped.attempts == info.value.attempts
+
+    def test_rerun_after_a_crash_counts_every_backend_as_a_fallback(self, flaky):
+        flaky.broken = False
+        crash = (("advanced", "BrokenProcessPool()"),)
+        with tracing() as tracer:
+            outcome = batch_module.run_job(("flaky",), make_request(), crash)
+            spans = [s for s in tracer.all_spans() if s.name == "job.fallback"]
+        assert outcome.attempts == crash
+        assert [s.attributes for s in spans] == [
+            {"backend": "flaky", "replaces": "advanced"}
+        ]
+
+    def test_chain_puts_the_primary_first_once(self):
+        chain = batch_module.backend_chain("advanced", ("baseline", "advanced", "jw"))
+        assert chain == ("advanced", "baseline", "jw")
 
 
 class TestFailureIsolation:
@@ -261,10 +312,10 @@ class RecordingPool:
         type(self).last = self
         self.shutdown_calls = []
 
-    def submit(self, fn, arg):
+    def submit(self, fn, *args):
         future = Future()
         try:
-            future.set_result(fn(arg))
+            future.set_result(fn(*args))
         except BaseException as exc:  # delivered via future.result(), as a pool would
             future.set_exception(exc)
         return future
@@ -278,6 +329,47 @@ def recording_pool(monkeypatch):
     monkeypatch.setattr(batch_module, "ProcessPoolExecutor", RecordingPool)
     RecordingPool.last = None
     yield RecordingPool
+
+
+class CrashingPool(RecordingPool):
+    """A pool whose worker dies on every job whose chain starts at ``victim``."""
+
+    victim = "advanced"
+
+    def submit(self, fn, *args):
+        if args[0][0] != self.victim:
+            return super().submit(fn, *args)
+        future = Future()
+        future.set_exception(BrokenProcessPool("worker died"))
+        return future
+
+
+class TestWorkerCrash:
+    def test_rest_of_the_chain_runs_in_process(self, flaky):
+        flaky.broken = False
+        batch = compile_batch(
+            [make_request(), make_request(shift=1)],
+            backends="advanced",
+            executor=CrashingPool(),
+            fallback=("flaky",),
+        )
+        assert [row["advanced"].backend for row in batch.results] == ["flaky", "flaky"]
+        assert flaky.calls == 2
+        for record in batch.report.fallbacks:
+            assert record.failed == ("advanced",)
+            assert record.succeeded == "flaky"
+
+    def test_crash_without_a_chain_fails_with_the_pool_error(self):
+        batch = compile_batch(
+            [make_request(), make_request(shift=1)],
+            backends="advanced",
+            executor=CrashingPool(),
+            on_error="collect",
+        )
+        assert len(batch.report.failed) == 2
+        for failure in batch.report.failed:
+            assert "BrokenProcessPool" in failure.error
+            assert [name for name, _ in failure.attempts] == ["advanced"]
 
 
 class TestExecutorCleanup:
@@ -380,7 +472,7 @@ class TestCheckpointResume:
         counter = get_metrics().counter("batch.checkpoint.errors")
         before = counter.value
         try:
-            with inject("checkpoint.write=error:1.0"):
+            with inject("checkpoint.write=error:1.0") as plan:
                 batch = compile_batch(
                     [make_request(), make_request(shift=1)],
                     backends="flaky",
@@ -392,6 +484,9 @@ class TestCheckpointResume:
         assert len(batch.report.compiled) == 2
         assert not batch.report.failed
         assert counter.value == before + 2
+        # The fault fires before the write: nothing half-journaled.
+        assert plan.fired_total("checkpoint.write") == 2
+        assert len(PersistentCompileCache(tmp_path)) == 0
 
         resumed = compile_batch(
             [make_request(), make_request(shift=1)],
@@ -400,3 +495,71 @@ class TestCheckpointResume:
         )
         assert not resumed.report.skipped  # nothing was journaled
         assert flaky.calls == 4
+
+    def test_fault_free_journal_writes_fire_nothing(self, flaky, tmp_path):
+        flaky.broken = False
+        try:
+            with inject("checkpoint.write=error:0.0") as plan:
+                compile_batch([make_request()], backends="flaky", checkpoint_dir=tmp_path)
+        finally:
+            deactivate()
+        assert plan.evaluations["checkpoint.write"] == 1
+        assert plan.fired_total() == 0
+        assert len(PersistentCompileCache(tmp_path)) == 1
+
+    def test_journal_leaves_no_temp_files(self, flaky, tmp_path):
+        flaky.broken = False
+        requests = [make_request(shift=shift) for shift in range(5)]
+        compile_batch(requests, backends="flaky", checkpoint_dir=tmp_path)
+        assert len(PersistentCompileCache(tmp_path)) == 5
+        leftovers = [
+            path for path in tmp_path.rglob("*") if path.is_file() and "tmp" in path.name
+        ]
+        assert leftovers == []
+
+    def test_stale_version_records_are_recompiled(self, flaky, tmp_path):
+        flaky.broken = False
+        request = make_request()
+        key = CompileCache.key(request, "flaky")
+        stale = CompileResult(
+            backend="flaky", cnot_count=999, n_qubits=8, breakdown={"total": 999}
+        )
+        PersistentCompileCache(tmp_path, version="older-code").put(key, stale)
+        batch = compile_batch([request], backends="flaky", checkpoint_dir=tmp_path)
+        # A journal written under a different code state never resumes: the
+        # stale record is invalidated on read, the job recompiles and the
+        # fresh result replaces it.
+        assert flaky.calls == 1
+        assert not batch.report.skipped
+        assert batch.report.compiled == [cache_key_digest(key)]
+        assert batch.results[0]["flaky"].cnot_count == 11
+        # The fresh record carries the golden-derived stamp.
+        journal = PersistentCompileCache(tmp_path, version=golden_version_stamp())
+        assert journal.peek(key).cnot_count == 11
+
+    def test_journal_survives_a_new_process(self, tmp_path):
+        requests = [make_request(), make_request(shift=1)]
+        requests_file = tmp_path / "requests.pkl"
+        requests_file.write_bytes(pickle.dumps(requests))
+        journal = tmp_path / "journal"
+        script = (
+            "import pickle, sys\n"
+            "from repro.api import compile_batch\n"
+            "requests = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+            "compile_batch(requests, backends='advanced', checkpoint_dir=sys.argv[2])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        subprocess.run(
+            [sys.executable, "-c", script, str(requests_file), str(journal)],
+            check=True,
+            env=env,
+            timeout=120,
+        )
+        resumed = compile_batch(requests, backends="advanced", checkpoint_dir=journal)
+        assert not resumed.report.compiled  # every job came from the journal
+        assert sorted(resumed.report.skipped) == sorted(
+            cache_key_digest(CompileCache.key(request, "advanced"))
+            for request in requests
+        )
+        fresh = compile_batch(requests, backends="advanced")
+        assert resumed.cnot_counts("advanced") == fresh.cnot_counts("advanced")

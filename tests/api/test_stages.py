@@ -5,7 +5,6 @@ import pytest
 
 from repro.api import CompilerConfig
 from repro.core import (
-    AdvancedCompiler,
     AdvancedPipeline,
     SortingResult,
     StageContext,
@@ -200,14 +199,6 @@ class TestPipelineComposition:
         )
         assert via_run.cnot_count == context.result.cnot_count
         assert via_run.breakdown() == context.result.breakdown()
-
-    def test_matches_deprecated_compiler_shim(self, mixed_terms):
-        shim = AdvancedCompiler(
-            gamma_steps=8, sorting_population=10, sorting_generations=8, seed=0
-        ).compile(mixed_terms, n_qubits=8)
-        staged = AdvancedPipeline(FAST).run(mixed_terms, n_qubits=8)
-        assert shim.cnot_count == staged.cnot_count
-        assert shim.breakdown() == staged.breakdown()
 
     def test_with_stage_substitutes_one_stage(self, mixed_terms):
         recorded = {}

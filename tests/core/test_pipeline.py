@@ -5,7 +5,8 @@ import pytest
 
 from repro import compile_molecule_ansatz
 from repro.baselines import BaselineCompiler, naive_cnot_count
-from repro.core import AdvancedCompiler, compile_advanced
+from repro.api import CompilerConfig
+from repro.core import AdvancedPipeline
 from repro.transforms import JordanWignerTransform
 from repro.vqe import ExcitationTerm
 
@@ -28,16 +29,16 @@ def mixed_terms():
 def fast_compiler(**overrides):
     options = dict(gamma_steps=8, sorting_population=10, sorting_generations=8, seed=0)
     options.update(overrides)
-    return AdvancedCompiler(**options)
+    return AdvancedPipeline(CompilerConfig(**options))
 
 
 class TestAdvancedPipeline:
     def test_empty_terms_rejected(self):
         with pytest.raises(ValueError):
-            fast_compiler().compile([])
+            fast_compiler().run([])
 
     def test_segments_sum_to_total(self, mixed_terms):
-        result = fast_compiler().compile(mixed_terms, n_qubits=8)
+        result = fast_compiler().run(mixed_terms, n_qubits=8)
         breakdown = result.breakdown()
         assert breakdown["total"] == (
             breakdown["bosonic"] + breakdown["hybrid"] + breakdown["fermionic"]
@@ -45,30 +46,30 @@ class TestAdvancedPipeline:
         assert result.cnot_count > 0
 
     def test_bosonic_terms_cost_two_each(self, mixed_terms):
-        result = fast_compiler().compile(mixed_terms, n_qubits=8)
+        result = fast_compiler().run(mixed_terms, n_qubits=8)
         assert result.bosonic_cnot_count == 2 * len(result.bosonic_terms)
         assert len(result.bosonic_terms) == 2
 
     def test_advanced_beats_naive_jw(self, mixed_terms):
-        result = fast_compiler().compile(mixed_terms, n_qubits=8)
+        result = fast_compiler().run(mixed_terms, n_qubits=8)
         naive = naive_cnot_count(mixed_terms, JordanWignerTransform(8))
         assert result.cnot_count < naive
 
     def test_advanced_not_worse_than_baseline(self, mixed_terms):
-        advanced = fast_compiler().compile(mixed_terms, n_qubits=8).cnot_count
+        advanced = fast_compiler().run(mixed_terms, n_qubits=8).cnot_count
         baseline = BaselineCompiler().compile(mixed_terms, n_qubits=8).cnot_count
         assert advanced <= baseline
 
     def test_deterministic_for_fixed_seed(self, mixed_terms):
-        first = fast_compiler(seed=7).compile(mixed_terms, n_qubits=8).cnot_count
-        second = fast_compiler(seed=7).compile(mixed_terms, n_qubits=8).cnot_count
+        first = fast_compiler(seed=7).run(mixed_terms, n_qubits=8).cnot_count
+        second = fast_compiler(seed=7).run(mixed_terms, n_qubits=8).cnot_count
         assert first == second
 
     def test_feature_switches(self, mixed_terms):
-        full = fast_compiler().compile(mixed_terms, n_qubits=8)
-        no_hybrid = fast_compiler(use_hybrid_encoding=False).compile(mixed_terms, n_qubits=8)
-        no_bosonic = fast_compiler(use_bosonic_encoding=False).compile(mixed_terms, n_qubits=8)
-        no_sorting = fast_compiler(use_advanced_sorting=False, use_gamma_search=False).compile(
+        full = fast_compiler().run(mixed_terms, n_qubits=8)
+        no_hybrid = fast_compiler(use_hybrid_encoding=False).run(mixed_terms, n_qubits=8)
+        no_bosonic = fast_compiler(use_bosonic_encoding=False).run(mixed_terms, n_qubits=8)
+        no_sorting = fast_compiler(use_advanced_sorting=False, use_gamma_search=False).run(
             mixed_terms, n_qubits=8
         )
         assert no_hybrid.hybrid_cnot_count == 0
@@ -78,17 +79,10 @@ class TestAdvancedPipeline:
         assert full.cnot_count <= no_bosonic.cnot_count
 
     def test_fermionic_circuit_emission(self, mixed_terms):
-        result = fast_compiler().compile(mixed_terms, n_qubits=8)
+        result = fast_compiler().run(mixed_terms, n_qubits=8)
         circuit = result.fermionic_circuit()
         assert circuit.n_qubits == 8
         assert circuit.cnot_count >= result.fermionic_cnot_count or len(circuit) >= 0
-
-    def test_compile_advanced_wrapper(self, mixed_terms):
-        result = compile_advanced(
-            mixed_terms, n_qubits=8, seed=1,
-            gamma_steps=5, sorting_population=8, sorting_generations=5,
-        )
-        assert result.cnot_count > 0
 
 
 class TestEndToEndMoleculeApi:

@@ -15,7 +15,8 @@ from scipy.linalg import expm
 from repro import compile_molecule_ansatz
 from repro.chemistry import build_molecular_hamiltonian, make_molecule, run_rhf
 from repro.circuits import optimize_circuit, sequence_cnot_count
-from repro.core import AdvancedCompiler, terms_to_rotations
+from repro.api import CompilerConfig
+from repro.core import AdvancedPipeline, terms_to_rotations
 from repro.operators import QubitOperator
 from repro.simulator import expectation_value, fci_ground_state_energy, hartree_fock_state
 from repro.transforms import JordanWignerTransform, LinearEncodingTransform
@@ -37,11 +38,11 @@ class TestCircuitEmissionConsistency:
         """The emitted circuit of one fermionic term equals exp(θ(T - T†)) exactly
         (all Pauli strings of one term commute, so reordering is harmless)."""
         excitation = term((2, 4), (0, 1))
-        compiler = AdvancedCompiler(
+        pipeline = AdvancedPipeline(CompilerConfig(
             use_gamma_search=False, use_hybrid_encoding=False, use_bosonic_encoding=False,
             sorting_population=10, sorting_generations=10, seed=0,
-        )
-        result = compiler.compile([excitation], n_qubits=5, parameters=[0.37])
+        ))
+        result = pipeline.run([excitation], n_qubits=5, parameters=[0.37])
         circuit = result.fermionic_circuit()
 
         transform = JordanWignerTransform(5)

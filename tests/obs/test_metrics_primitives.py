@@ -8,7 +8,6 @@ from repro.obs import (
     Counter,
     Gauge,
     Histogram,
-    LatencyHistogram,
     MetricsRegistry,
     get_metrics,
 )
@@ -222,6 +221,3 @@ class TestRegistry:
     def test_global_registry_is_a_singleton(self):
         assert get_metrics() is get_metrics()
         assert isinstance(get_metrics(), MetricsRegistry)
-
-    def test_latency_histogram_is_the_histogram(self):
-        assert LatencyHistogram is Histogram

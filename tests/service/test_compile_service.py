@@ -295,7 +295,7 @@ class TestBackpressure:
                         rejected += 1
                 for job_id in accepted:
                     await service.result(job_id)
-                return len(accepted), rejected, service.metrics.rejections
+                return len(accepted), rejected, service.metrics.snapshot()["rejections"]
 
         accepted, rejected, counted = run(scenario())
         assert accepted == 2 and rejected == 3 and counted == 3
@@ -307,7 +307,7 @@ class TestBackpressure:
                 joined = await service.submit(make_request(), backend.name)
                 await service.result(first)
                 await service.result(joined)
-                return service.metrics.rejections
+                return service.metrics.snapshot()["rejections"]
 
         assert run(scenario()) == 0
 
@@ -320,7 +320,8 @@ class TestBackpressure:
                 ]
                 for job_id in jobs:
                     await service.result(job_id)
-                return service.metrics.queue_depth_peak, service.metrics.queue_depth
+                snapshot = service.metrics.snapshot()
+                return snapshot["queue_depth_peak"], snapshot["queue_depth"]
 
         peak, final = run(scenario())
         assert peak >= 3 and final == 0
@@ -338,7 +339,7 @@ class TestCancellation:
                 await service.join()
                 with pytest.raises(JobCancelledError):
                     await service.result(drop)
-                return service.status(drop), service.metrics.cancellations
+                return service.status(drop), service.metrics.snapshot()["cancellations"]
 
         status, cancellations = run(scenario())
         assert status.state is JobState.CANCELLED
@@ -394,7 +395,7 @@ class TestFailures:
                 job_id = await service.submit(make_request(), backend.name)
                 with pytest.raises(ValueError, match="bad molecule"):
                     await service.result(job_id)
-                return service.status(job_id), service.metrics.failures
+                return service.status(job_id), service.metrics.snapshot()["failures"]
 
         status, failures = run(scenario())
         assert status.state is JobState.FAILED

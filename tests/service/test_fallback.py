@@ -1,6 +1,8 @@
 """Tests for the compile service's backend fallback chains."""
 
 import asyncio
+from concurrent.futures import Executor, Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -10,6 +12,7 @@ from repro.api import (
     CompileResult,
     CompilerConfig,
     StageFailure,
+    compile_batch,
     register_backend,
     unregister_backend,
 )
@@ -153,7 +156,7 @@ class TestServiceFallback:
                 fallback=("svc-rescue", "svc-rescue-2"), retry_policy=NO_RETRIES
             ) as service:
                 result = await service.compile(make_request(), backend="svc-breaking")
-                return result, service.metrics.fallbacks
+                return result, service.metrics.snapshot()["resilience"]["fallbacks"]
 
         result, fallbacks = run(scenario())
         assert result.backend == "svc-rescue-2"
@@ -209,5 +212,116 @@ class TestServiceFallback:
 
         with tracing() as tracer:
             run(scenario())
-            spans = [s for s in tracer.all_spans() if s.name == "service.fallback"]
+            spans = [s for s in tracer.all_spans() if s.name == "job.fallback"]
         assert spans and spans[0].attributes["backend"] == "svc-rescue"
+
+
+class OSErrorBackend:
+    """Backend whose compile fails with a (transient-looking) I/O error."""
+
+    name = "svc-oserror"
+
+    def __init__(self):
+        self.calls = 0
+
+    def compile(self, request):
+        self.calls += 1
+        raise OSError("synthetic disk hiccup")
+
+
+@pytest.fixture
+def oserror():
+    backend = OSErrorBackend()
+    register_backend(backend)
+    yield backend
+    unregister_backend(backend.name)
+
+
+class TestOneJobRunner:
+    def test_oserror_falls_back_inside_the_worker_round_trip(self, oserror, rescue):
+        policy = RetryPolicy(max_attempts=3, base_delay_s=0.001)
+
+        async def scenario(fallback):
+            async with CompileService(fallback=fallback, retry_policy=policy) as service:
+                job_id = await service.submit(make_request(), backend="svc-oserror")
+                try:
+                    result = await service.result(job_id)
+                except OSError:
+                    result = None
+                return result, service.metrics.snapshot()["resilience"]
+
+        # With a chain, the I/O error falls back at once: no service retry.
+        result, resilience = run(scenario(("svc-rescue",)))
+        assert result.backend == "svc-rescue"
+        assert oserror.calls == 1
+        assert resilience["retries"] == 0
+        assert resilience["fallbacks"] == 1
+
+        # Without one, the retry policy still retries the backend.
+        oserror.calls = 0
+        result, resilience = run(scenario(()))
+        assert result is None
+        assert oserror.calls == 3
+        assert resilience["retries"] == 2
+
+    def test_batch_and_service_share_span_and_cache_key(self, breaking, rescue):
+        request = make_request()
+        batch_cache = CompileCache()
+        with tracing() as tracer:
+            compile_batch(
+                [request], backends="svc-breaking", cache=batch_cache,
+                fallback=("svc-rescue",),
+            )
+            batch_spans = [s for s in tracer.all_spans() if s.name == "job.fallback"]
+
+        async def scenario():
+            async with CompileService(
+                fallback=("svc-rescue",), retry_policy=NO_RETRIES
+            ) as service:
+                await service.compile(request, backend="svc-breaking")
+                return service.memory_cache
+
+        with tracing() as tracer:
+            service_cache = run(scenario())
+            service_spans = [s for s in tracer.all_spans() if s.name == "job.fallback"]
+
+        (batch_span,) = batch_spans
+        (service_span,) = service_spans
+        assert batch_span.attributes == service_span.attributes == {
+            "backend": "svc-rescue",
+            "replaces": "svc-breaking",
+        }
+        honest_key = CompileCache.key(request, "svc-rescue")
+        for cache in (batch_cache, service_cache):
+            assert honest_key in cache
+            assert CompileCache.key(request, "svc-breaking") not in cache
+
+    def test_crashed_worker_reruns_the_rest_of_the_chain(self, breaking, rescue):
+        class CrashingExecutor(Executor):
+            """Kills the worker of every job whose chain starts at the primary."""
+
+            def submit(self, fn, *args):
+                future = Future()
+                if args[0][0] == "svc-breaking":
+                    future.set_exception(BrokenProcessPool("worker died"))
+                else:
+                    future.set_result(fn(*args))
+                return future
+
+        async def scenario():
+            async with CompileService(
+                executor=CrashingExecutor(),
+                fallback=("svc-rescue",),
+                retry_policy=NO_RETRIES,
+            ) as service:
+                result = await service.compile(make_request(), backend="svc-breaking")
+                return result, service.metrics.snapshot()["resilience"]
+
+        with tracing() as tracer:
+            result, resilience = run(scenario())
+            spans = [s for s in tracer.all_spans() if s.name == "job.fallback"]
+        assert result.backend == "svc-rescue"
+        assert resilience["worker_crashes"] == 1
+        assert resilience["fallbacks"] == 1
+        assert [s.attributes["replaces"] for s in spans] == ["svc-breaking"]
+        assert breaking.calls == 0  # the "worker" died before compiling

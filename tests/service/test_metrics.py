@@ -2,18 +2,19 @@
 
 import pytest
 
-from repro.service import TIERS, LatencyHistogram, ServiceMetrics
+from repro.obs import Histogram
+from repro.service import TIERS, ServiceMetrics
 
 
 class TestLatencyHistogram:
     def test_empty_summary(self):
-        histogram = LatencyHistogram("wait")
+        histogram = Histogram("wait")
         assert histogram.summary() == {"count": 0}
         assert histogram.percentile(50) is None
         assert len(histogram) == 0
 
     def test_percentiles_nearest_rank(self):
-        histogram = LatencyHistogram("total")
+        histogram = Histogram("total")
         for value in range(1, 101):  # 1..100 ms
             histogram.record(value / 1e3)
         assert histogram.percentile(50) == pytest.approx(0.050)
@@ -24,10 +25,10 @@ class TestLatencyHistogram:
 
     def test_percentile_range_validated(self):
         with pytest.raises(ValueError):
-            LatencyHistogram("x").percentile(101)
+            Histogram("x").percentile(101)
 
     def test_summary_fields(self):
-        histogram = LatencyHistogram("compute")
+        histogram = Histogram("compute")
         histogram.record(0.002)
         histogram.record(0.004)
         summary = histogram.summary()
@@ -62,9 +63,9 @@ class TestServiceMetrics:
     def test_queue_depth_peak(self):
         metrics = ServiceMetrics()
         for depth in (1, 4, 2):
-            metrics.record_queue_depth(depth)
-        assert metrics.queue_depth == 2
-        assert metrics.queue_depth_peak == 4
+            metrics.queue.set(depth)
+        assert metrics.snapshot()["queue_depth"] == 2
+        assert metrics.snapshot()["queue_depth_peak"] == 4
 
     def test_snapshot_is_json_shaped(self):
         import json

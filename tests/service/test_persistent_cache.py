@@ -7,7 +7,7 @@ import time
 import pytest
 
 from repro.api import CompileCache, CompileRequest, CompileResult, CompilerConfig
-from repro.api.batch import cache_key_digest
+from repro.api.store import cache_key_digest
 from repro.service import (
     CACHE_FORMAT_VERSION,
     PersistentCompileCache,
@@ -177,7 +177,7 @@ class TestEviction:
         path must hand out strictly increasing nanosecond stamps even when
         ``time.time_ns`` never advances.
         """
-        import repro.service.cache as cache_module
+        import repro.api.store as cache_module
 
         cache = PersistentCompileCache(tmp_path, max_entries=2)
         key_a, key_b, key_c = make_key(0), make_key(1), make_key(2)

@@ -274,7 +274,7 @@ class TestDeadlines:
                     assert info.value.job_id == queued
                     status = service.status(queued)
                     await service.result(blocker)  # the blocker is unaffected
-                    return status, service.metrics.timeouts
+                    return status, service.metrics.snapshot()["resilience"]["timeouts"]
             finally:
                 unregister_backend(slow.name)
 
@@ -299,7 +299,7 @@ class TestDeadlines:
                     assert service.status(job).state is JobState.TIMED_OUT
                     # The abandoned compute was disconnected from the worker:
                     # the next job must not wait the full 0.3 s blocker out.
-                    assert service.metrics.abandonments == 1
+                    assert service.metrics.snapshot()["resilience"]["abandonments"] == 1
             finally:
                 unregister_backend(slow.name)
 
@@ -357,7 +357,7 @@ class TestDeadlines:
             async with CompileService(n_workers=1) as service:
                 job = await service.submit(make_request(), flaky.name, deadline_s=5.0)
                 result = await service.result(job)
-                return result, service.metrics.timeouts
+                return result, service.metrics.snapshot()["resilience"]["timeouts"]
 
         result, timeouts = run(scenario())
         assert result.cnot_count == 12
@@ -377,7 +377,8 @@ class TestRetries:
                 policy = RetryPolicy(max_attempts=3, base_delay_s=0.001)
                 async with CompileService(n_workers=1, retry_policy=policy) as service:
                     result = await service.compile(make_request(), backend=backend.name)
-                    return result, backend.calls, service.metrics.retries
+                    retries = service.metrics.snapshot()["resilience"]["retries"]
+                    return result, backend.calls, retries
             finally:
                 unregister_backend(backend.name)
 
@@ -397,7 +398,12 @@ class TestRetries:
                     job = await service.submit(make_request(), backend=backend.name)
                     with pytest.raises(OSError, match="transient"):
                         await service.result(job)
-                    return backend.calls, service.metrics.retries, service.metrics.failures
+                    snapshot = service.metrics.snapshot()
+                    return (
+                        backend.calls,
+                        snapshot["resilience"]["retries"],
+                        snapshot["failures"],
+                    )
             finally:
                 unregister_backend(backend.name)
 
@@ -416,7 +422,7 @@ class TestRetries:
                     job = await service.submit(make_request(), backend=backend.name)
                     with pytest.raises(ValueError, match="bad molecule"):
                         await service.result(job)
-                    return backend.calls, service.metrics.retries
+                    return backend.calls, service.metrics.snapshot()["resilience"]["retries"]
             finally:
                 unregister_backend(backend.name)
 
@@ -437,7 +443,7 @@ class TestRetries:
                         with pytest.raises(OSError):
                             await service.result(job)
                     snap = service.snapshot()
-                    return backend.calls, service.metrics.retries, snap
+                    return backend.calls, snap["metrics"]["resilience"]["retries"], snap
             finally:
                 unregister_backend(backend.name)
 
@@ -515,8 +521,8 @@ class TestWorkerCrashRecovery:
                 ) as service:
                     result = await service.compile(make_request(), backend=backend.name)
                     assert result.cnot_count == 12
-                    assert service.metrics.worker_crashes == 1
-                    assert service.metrics.retries == 1
+                    assert service.metrics.snapshot()["resilience"]["worker_crashes"] == 1
+                    assert service.metrics.snapshot()["resilience"]["retries"] == 1
                     # The replenished pool keeps serving.
                     result2 = await service.compile(make_request(1), backend=backend.name)
                     assert result2.cnot_count == 12
@@ -608,7 +614,7 @@ class TestDiskBreaker:
                 with inject("disk.read=corrupt:1.0", seed=5):
                     result = await service.compile(make_request(), flaky.name)
                 assert result is not None
-                assert service.metrics.disk_faults == 1
+                assert service.metrics.snapshot()["resilience"]["disk_faults"] == 1
                 assert disk.corrupt_invalidations == 1
 
         run(scenario())
@@ -625,7 +631,7 @@ class TestDiskBreaker:
                 with inject("disk.write=error:1.0", seed=1):
                     result = await service.compile(make_request(), flaky.name)
                 assert result.cnot_count == 12
-                assert service.metrics.disk_faults == 1
+                assert service.metrics.snapshot()["resilience"]["disk_faults"] == 1
                 assert disk.io_errors == 1
                 assert len(disk) == 0  # nothing was persisted
 
@@ -644,7 +650,7 @@ class TestDiskBreaker:
         )
         breaker.record_failure()
         assert seen == [BREAKER_OPEN]
-        assert service.metrics.breaker_opens == 1
+        assert service.metrics.snapshot()["resilience"]["breaker_opens"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -666,7 +672,8 @@ class TestAbandonment:
                         await service.result(leaver)
                     result = await service.result(keeper)
                     assert result.cnot_count == 12
-                    assert service.metrics.abandonments == 0  # keeper still waited
+                    # The keeper still waited, so nothing was abandoned.
+                    assert service.metrics.snapshot()["resilience"]["abandonments"] == 0
             finally:
                 unregister_backend(slow.name)
 
@@ -683,8 +690,8 @@ class TestAbandonment:
                     second = await service.submit(make_request(), backend=slow.name)
                     await wait_until(lambda: slow.calls == 1)
                     assert service.cancel(first) and service.cancel(second)
-                    assert service.metrics.abandonments == 1
-                    assert service.metrics.cancellations == 2
+                    assert service.metrics.snapshot()["resilience"]["abandonments"] == 1
+                    assert service.metrics.snapshot()["cancellations"] == 2
                     # The worker must be free well before the 0.3 s compute
                     # would have finished: a follow-up job completes promptly.
                     start = time.perf_counter()
@@ -708,7 +715,7 @@ class TestAbandonment:
                     await service.result(blocker)
                     await service.join()
                     assert slow.calls == 1  # the cancelled job never compiled
-                    assert service.metrics.abandonments == 1
+                    assert service.metrics.snapshot()["resilience"]["abandonments"] == 1
             finally:
                 unregister_backend(slow.name)
 
@@ -770,7 +777,8 @@ class TestOverloadHint:
                     ]
                     results = [await service.result(job_id) for job_id in job_ids]
                     assert len(results) == 5
-                    assert service.metrics.rejections > 0  # backoff actually engaged
+                    # The backoff actually engaged.
+                    assert service.metrics.snapshot()["rejections"] > 0
             finally:
                 unregister_backend(slow.name)
 

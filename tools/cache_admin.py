@@ -1,5 +1,8 @@
 """Admin CLI for a persistent compile-cache directory.
 
+Works on any :class:`repro.api.PersistentCompileCache` root: a compile
+service's disk cache or a ``compile_batch(checkpoint_dir=...)`` journal.
+
 Subcommands
 -----------
 ``stats``
@@ -32,7 +35,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.service import PersistentCompileCache  # noqa: E402
+from repro.api import PersistentCompileCache  # noqa: E402
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -31,17 +31,17 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.api import CompileRequest, CompilerConfig  # noqa: E402
+from repro.api import (  # noqa: E402
+    CompileRequest,
+    CompilerConfig,
+    PersistentCompileCache,
+)
 from repro.chemistry import (  # noqa: E402
     build_molecular_hamiltonian,
     make_molecule,
     run_rhf,
 )
-from repro.service import (  # noqa: E402
-    CompileService,
-    PersistentCompileCache,
-    ServiceOverloadedError,
-)
+from repro.service import CompileService, ServiceOverloadedError  # noqa: E402
 from repro.vqe import hmp2_ranked_terms  # noqa: E402
 
 
@@ -125,8 +125,9 @@ def main(argv=None) -> int:
     parser.add_argument("--deadline", type=float, default=None,
                         help="per-job deadline in seconds (default: none)")
     parser.add_argument("--fallback", default="",
-                        help="comma-separated backend fallback chain tried when "
-                             "a job's backend fails (e.g. 'gt,jw'; default: none)")
+                        help="comma-separated backend fallback chain tried, in "
+                             "the same worker round trip, when a job's backend "
+                             "fails (e.g. 'gt,jw'; default: none)")
     args = parser.parse_args(argv)
 
     snapshot = asyncio.run(serve(args))
