@@ -15,6 +15,7 @@ from repro.core.advanced_sorting import (
     baseline_order_cnot_count,
     build_sorting_problem,
     greedy_sort,
+    greedy_walk,
     result_to_tour,
     routed_sequence_cost_estimate,
     term_block_tour,
@@ -22,6 +23,7 @@ from repro.core.advanced_sorting import (
 from repro.core.config import CompilerConfig
 from repro.core.gamma_search import (
     GammaSearchResult,
+    GreedySortingCost,
     assemble_gamma,
     excitation_topology_blocks,
     search_block_diagonal_gamma,
@@ -86,10 +88,12 @@ __all__ = [
     "SortingResult",
     "advanced_sort",
     "greedy_sort",
+    "greedy_walk",
     "baseline_order_cnot_count",
     "build_sorting_problem",
     "routed_sequence_cost_estimate",
     "GammaSearchResult",
+    "GreedySortingCost",
     "search_block_diagonal_gamma",
     "excitation_topology_blocks",
     "assemble_gamma",

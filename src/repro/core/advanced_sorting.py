@@ -34,10 +34,12 @@ from repro.optimizers import GtspProblem, solve_gtsp
 #: A GTSP vertex: (rotation index, target qubit).
 SortingVertex = Tuple[int, int]
 
+#: The vertices of a rotation list and their pairwise savings matrix, as
+#: :func:`vertex_savings` returns them.
+VertexSavings = Tuple[List[SortingVertex], np.ndarray]
 
-def vertex_savings(
-    rotations: Sequence[PauliRotation],
-) -> Tuple[List[SortingVertex], np.ndarray]:
+
+def vertex_savings(rotations: Sequence[PauliRotation]) -> VertexSavings:
     """All ``(rotation, target)`` vertices plus their pairwise savings matrix.
 
     Vertices are enumerated in (rotation index, ascending target) order; the
@@ -110,7 +112,9 @@ def routed_sequence_cost_estimate(
 
 
 def build_sorting_problem(
-    rotations: Sequence[PauliRotation], topology: Optional[Topology] = None
+    rotations: Sequence[PauliRotation],
+    topology: Optional[Topology] = None,
+    savings: Optional[VertexSavings] = None,
 ) -> GtspProblem:
     """Build the GTSP instance of Sec. III-B for a list of Pauli rotations.
 
@@ -121,7 +125,8 @@ def build_sorting_problem(
     distance-weighted cost matrix
     (:func:`repro.operators.distance_weighted_cost_matrix`), which folds the
     per-target steered ladder cost into the incoming edge so target choices
-    trade connectivity against cancellation.
+    trade connectivity against cancellation.  ``savings`` is the
+    :func:`vertex_savings` of ``rotations`` when the caller already built it.
     """
     rotations = list(rotations)
     if not rotations:
@@ -133,7 +138,7 @@ def build_sorting_problem(
             raise ValueError("identity rotations cannot be sorted into circuits")
         clusters.append([(index, target) for target in support])
 
-    vertices, savings = vertex_savings(rotations)
+    vertices, savings = savings if savings is not None else vertex_savings(rotations)
     if topology is None:
         matrix = -savings
     else:
@@ -211,6 +216,7 @@ def advanced_sort(
     seed_tours: Optional[Sequence[Sequence[SortingVertex]]] = None,
     topology: Optional[Topology] = None,
     max_generations: Optional[int] = None,
+    savings: Optional[VertexSavings] = None,
 ) -> SortingResult:
     """Order rotations and pick per-rotation targets to minimize the CNOT count.
 
@@ -221,7 +227,8 @@ def advanced_sort(
     weights and the seed comparison both use the distance-weighted routed
     cost instead of the all-to-all CNOT count.  ``max_generations`` is the
     anytime GA budget (see :func:`repro.optimizers.solve_gtsp`); a truncated
-    search marks the result ``degraded=True``.
+    search marks the result ``degraded=True``.  ``savings`` is the
+    :func:`vertex_savings` of ``rotations`` when the caller already built it.
     """
     rotations = list(rotations)
     if not rotations:
@@ -237,7 +244,7 @@ def advanced_sort(
         target = rotation.string.support[-1]
         return _finalize_sorting([(rotation, target)], topology)
 
-    problem = build_sorting_problem(rotations, topology=topology)
+    problem = build_sorting_problem(rotations, topology=topology, savings=savings)
     initial_tours = None
     if seed_tours:
         initial_tours = [
@@ -294,16 +301,49 @@ def advanced_sort(
     return result
 
 
+def greedy_walk(
+    preference: np.ndarray, vertex_rotation: np.ndarray, start: int
+) -> List[int]:
+    """Nearest-neighbour path through the GTSP clusters, as vertex rows.
+
+    ``vertex_rotation[row]`` names the rotation of each row; a rotation's
+    rows are contiguous.  From ``start``, step to the vertex of a not yet
+    visited rotation with the largest ``preference[current, row]`` until
+    every rotation is visited.  Ties go to the lowest row, as ``argmax``
+    returns the first maximum.
+    """
+    n_rows = len(vertex_rotation)
+    stops = np.flatnonzero(np.diff(vertex_rotation)) + 1
+    run_start = [0, *stops.tolist()]
+    run_stop = [*stops.tolist(), n_rows]
+    run_of_row = np.repeat(
+        np.arange(len(run_start)), np.subtract(run_stop, run_start)
+    ).tolist()
+    alive = np.ones(n_rows, dtype=bool)
+    floor = np.iinfo(preference.dtype).min
+    path = [start]
+    for _ in range(len(run_start) - 1):
+        run = run_of_row[path[-1]]
+        alive[run_start[run]:run_stop[run]] = False
+        path.append(int(np.argmax(np.where(alive, preference[path[-1]], floor))))
+    return path
+
+
 def greedy_sort(
-    rotations: Sequence[PauliRotation], topology: Optional[Topology] = None
+    rotations: Sequence[PauliRotation],
+    topology: Optional[Topology] = None,
+    savings: Optional[VertexSavings] = None,
 ) -> SortingResult:
     """Cheap nearest-neighbour alternative to the GTSP genetic algorithm.
 
     Starting from the first rotation (with its default target), the next
     rotation/target pair is always the one with the largest interface
     cancellation — or, under a ``topology``, the smallest distance-weighted
-    cost.  Used as the fast inner cost function of the Γ simulated annealing
-    and as an ablation reference for the full GTSP solver.
+    cost (:func:`greedy_walk`).  The ablation reference for the full GTSP
+    solver and one of its seed tours; the Γ search evaluates the same walk
+    on bit-planes (:class:`repro.core.gamma_search.GreedySortingCost`).
+    ``savings`` is the :func:`vertex_savings` of ``rotations`` when the
+    caller already built it.
     """
     rotations = list(rotations)
     if not rotations:
@@ -312,7 +352,9 @@ def greedy_sort(
             cnot_count=0,
             routed_cost_estimate=None if topology is None else 0,
         )
-    vertices, savings = vertex_savings(rotations)
+    if any(rotation.string.is_identity for rotation in rotations):
+        raise ValueError("identity rotations cannot be sorted into circuits")
+    vertices, savings = savings if savings is not None else vertex_savings(rotations)
     if topology is None:
         preference = savings  # maximize the interface saving
     else:
@@ -324,23 +366,13 @@ def greedy_sort(
         )
         preference = savings - costs[None, :]
     vertex_rotation = np.array([index for index, _ in vertices], dtype=np.int64)
-    row_of = {vertex: row for row, vertex in enumerate(vertices)}
-
-    first = rotations[0]
-    first_target = first.string.support[-1]
-    ordered: List[Tuple[PauliRotation, int]] = [(first, first_target)]
-    current = row_of[(0, first_target)]
-    alive = vertex_rotation != 0
-    # Vertices are enumerated in (rotation index, target) order, and argmax
-    # returns the first maximum, so ties resolve exactly as the historical
-    # nested loop did: lowest rotation index first, then lowest target.
-    for _ in range(len(rotations) - 1):
-        candidates = np.nonzero(alive)[0]
-        best = candidates[int(np.argmax(preference[current, candidates]))]
-        index, target = vertices[best]
-        ordered.append((rotations[index], target))
-        alive &= vertex_rotation != index
-        current = best
+    # Vertices are enumerated in (rotation index, target) order, so the first
+    # rotation's default (last-support) target is the last vertex of its run.
+    start = len(rotations[0].string.support) - 1
+    ordered = [
+        (rotations[vertices[row][0]], vertices[row][1])
+        for row in greedy_walk(preference, vertex_rotation, start)
+    ]
     return _finalize_sorting(ordered, topology)
 
 

@@ -6,9 +6,14 @@ the *topology* of the excitation terms: the creation-side and
 annihilation-side index pairs of every double excitation define a graph on the
 spin orbitals whose connected components become the blocks.  Each block is an
 independent invertible matrix searched with simulated annealing, with the
-objective being the CNOT count reported by a caller-supplied cost function
-(in the full pipeline: the advanced-sorting cost of the transformed term
-list).
+objective being the CNOT count reported by a caller-supplied cost function.
+
+In the full pipeline that cost is :class:`GreedySortingCost`: the greedy-sort
+CNOT count ("subroutine 1" of Fig. 2) of the terms transformed under the
+candidate Γ, evaluated on packed bit-planes.  The Jordan-Wigner images are
+built once; a candidate only applies the GF(2) map of its CNOT circuit to
+them (:func:`repro.operators.linear_encoding_image`), re-sorts each term's
+strings, builds the same-target savings and walks the greedy path.
 """
 
 from __future__ import annotations
@@ -19,8 +24,27 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import networkx as nx
 import numpy as np
 
+from repro.core.advanced_sorting import greedy_walk
+from repro.core.terms_to_paulis import terms_to_rotations
+from repro.hardware.topology import Topology
+from repro.operators import (
+    PackedPaulis,
+    interface_reduction_matrix,
+    lexicographic_order,
+    linear_encoding_image,
+    routed_vertex_cost_vector,
+    support_matrix,
+    weight_vector,
+)
 from repro.optimizers import AnnealingSchedule, simulated_annealing
-from repro.transforms import embed_block, gf2_matmul, identity_matrix, is_invertible
+from repro.transforms import (
+    JordanWignerTransform,
+    embed_block,
+    gf2_inverse,
+    gf2_matmul,
+    identity_matrix,
+    is_invertible,
+)
 from repro.vqe import ExcitationTerm
 
 
@@ -93,6 +117,58 @@ def _random_elementary_update(
     return updated
 
 
+class GreedySortingCost:
+    """The Γ-search objective: greedy-sort cost of the terms encoded under Γ.
+
+    ``GreedySortingCost(terms, n, parameters, topology)(Γ)`` equals
+    ``greedy_sort(terms_to_rotations(terms, LinearEncodingTransform(Γ),
+    parameters), topology).objective()`` — the all-to-all CNOT count, or the
+    distance-weighted estimate under a ``topology`` — without building the
+    transform.  The Jordan-Wigner rotations are expanded once, through
+    :func:`~repro.core.terms_to_paulis.terms_to_rotations`, so its
+    anti-hermiticity check and angle-drop rule apply unchanged.  Conjugation
+    by ``U_Γ`` only flips signs, so the dropped rotations do not depend on Γ.
+    Per candidate the cost maps the bit-planes (x → Γx, z → Γ^{-T}z),
+    re-sorts each term's strings in :class:`~repro.operators.PauliString`
+    order (the greedy tie-breaks depend on it), and walks
+    :func:`~repro.core.advanced_sorting.greedy_walk` over the vertex savings.
+    """
+
+    def __init__(
+        self,
+        terms: Sequence[ExcitationTerm],
+        n_qubits: int,
+        parameters: Optional[Sequence[float]] = None,
+        topology: Optional[Topology] = None,
+    ):
+        rotations = terms_to_rotations(terms, JordanWignerTransform(n_qubits), parameters)
+        self._images = PackedPaulis.from_strings(rotation.string for rotation in rotations)
+        self._term_index = np.array([rotation.term_index for rotation in rotations])
+        self._distance = None if topology is None else topology.distance_matrix
+
+    def __call__(self, gamma: np.ndarray) -> float:
+        if not len(self._images):
+            return 0.0
+        image = linear_encoding_image(self._images, gamma, gf2_inverse(gamma))
+        order = lexicographic_order(image, groups=self._term_index)
+        # GTSP vertices in (rotation, ascending target) order, as vertex_savings
+        # enumerates them.
+        vertex_rotation, targets = np.nonzero(support_matrix(image)[order])
+        rows = order[vertex_rotation]
+        vertices = PackedPaulis(image.n_qubits, image.x[rows], image.z[rows])
+        savings = interface_reduction_matrix(vertices, targets)
+        if self._distance is None:
+            costs = 2 * (weight_vector(vertices) - 1)
+            preference = savings
+        else:
+            costs = routed_vertex_cost_vector(vertices, targets, self._distance)
+            preference = savings - costs[None, :]
+        # The walk starts at the first rotation's last support qubit.
+        start = int(np.searchsorted(vertex_rotation, 1)) - 1
+        path = np.array(greedy_walk(preference, vertex_rotation, start))
+        return float(costs[path].sum() - savings[path[:-1], path[1:]].sum())
+
+
 def search_block_diagonal_gamma(
     terms: Sequence[ExcitationTerm],
     n_qubits: int,
@@ -113,7 +189,8 @@ def search_block_diagonal_gamma(
         Register size N (Γ is N×N).
     cost_function:
         Maps a candidate Γ to the CNOT count of the compiled circuit; this is
-        "subroutine 1" of Fig. 2 (advanced sorting + generic circuit compiler).
+        "subroutine 1" of Fig. 2 (advanced sorting + generic circuit
+        compiler).  The pipeline passes a :class:`GreedySortingCost`.
     n_steps:
         Number of SA proposals.
     max_steps:
@@ -134,9 +211,9 @@ def search_block_diagonal_gamma(
         identity_matrix(len(block)) for block in blocks
     )
 
-    # The cost function (transform + greedy sort) is deterministic in Γ and by
-    # far the dominant expense, while the elementary-update walk frequently
-    # revisits the same candidate; memoize on the Γ bit pattern.
+    # The cost function (bit-plane transform + greedy walk) is deterministic
+    # in Γ and by far the dominant expense, while the elementary-update walk
+    # frequently revisits the same candidate; memoize on the Γ bit pattern.
     cost_cache: Dict[bytes, float] = {}
 
     def energy(state: Tuple[np.ndarray, ...]) -> float:

@@ -47,9 +47,10 @@ from repro.core.advanced_sorting import (
     greedy_sort,
     result_to_tour,
     term_block_tour,
+    vertex_savings,
 )
 from repro.core.config import CompilerConfig
-from repro.core.gamma_search import search_block_diagonal_gamma
+from repro.core.gamma_search import GreedySortingCost, search_block_diagonal_gamma
 from repro.core.hybrid_encoding import (
     BOSONIC_TERM_CNOT_COST,
     HYBRID_TERM_CNOT_COST,
@@ -253,30 +254,30 @@ def _resolve_term_parameters(context: StageContext) -> Optional[List[float]]:
 def gamma_search_stage(context: StageContext) -> None:
     """Simulated-annealing search of the block-diagonal Γ (Sec. III-C).
 
-    Honors ``config.gamma_budget_steps``: a truncated walk records the stage
-    in ``context.degraded_stages`` and keeps the best Γ seen so far.
+    The objective is built once per stage as a
+    :class:`~repro.core.gamma_search.GreedySortingCost` over the fermionic
+    terms: their Jordan-Wigner images on packed bit-planes, to which every
+    candidate Γ applies only GF(2) algebra and one greedy walk.  With a
+    ``config.topology`` it is the same distance-weighted objective the
+    sorting stage uses.  Honors ``config.gamma_budget_steps``: a truncated
+    walk records the stage in ``context.degraded_stages`` and keeps the best
+    Γ seen so far.
     """
     context.gamma = identity_matrix(context.n_qubits)
     if not context.fermionic_terms or not context.config.use_gamma_search:
         return
     faults.fire("stage.gamma", n_terms=len(context.fermionic_terms))
 
-    fermionic = context.fermionic_terms
-    term_parameters = _resolve_term_parameters(context)
-
-    topology = context.config.topology
-
-    def sorting_cost(candidate_gamma: np.ndarray) -> float:
-        transform = LinearEncodingTransform(candidate_gamma)
-        rotations = terms_to_rotations(fermionic, transform, term_parameters)
-        # With a device topology the Γ search optimizes the same
-        # distance-weighted objective the sorting stage will use.
-        return float(greedy_sort(rotations, topology=topology).objective())
-
-    search = search_block_diagonal_gamma(
-        fermionic,
+    cost = GreedySortingCost(
+        context.fermionic_terms,
         context.n_qubits,
-        cost_function=sorting_cost,
+        _resolve_term_parameters(context),
+        topology=context.config.topology,
+    )
+    search = search_block_diagonal_gamma(
+        context.fermionic_terms,
+        context.n_qubits,
+        cost_function=cost,
         n_steps=context.config.gamma_steps,
         rng=context.rng,
         max_steps=context.config.gamma_budget_steps,
@@ -314,7 +315,9 @@ def sort_stage(context: StageContext) -> None:
         naive_sort_stage(context)
         return
     faults.fire("stage.sort", n_rotations=len(context.rotations))
-    greedy = greedy_sort(context.rotations, topology=config.topology)
+    # The greedy construction and the GTSP instance share one savings matrix.
+    savings = vertex_savings(context.rotations)
+    greedy = greedy_sort(context.rotations, topology=config.topology, savings=savings)
     seed_tours = None
     if config.sorting_seed_tours:
         seed_tours = [
@@ -329,6 +332,7 @@ def sort_stage(context: StageContext) -> None:
         seed_tours=seed_tours,
         topology=config.topology,
         max_generations=config.sorting_budget_generations,
+        savings=savings,
     )
     if sorting.degraded:
         # The budget was hit regardless of whether the greedy construction

@@ -23,6 +23,8 @@ from repro.operators.symplectic import (
     commutation_matrix,
     distance_weighted_cost_matrix,
     interface_reduction_matrix,
+    lexicographic_order,
+    linear_encoding_image,
     overlap_matrix,
     routed_vertex_cost_vector,
     support_matrix,
@@ -38,6 +40,8 @@ __all__ = [
     "commutation_matrix",
     "distance_weighted_cost_matrix",
     "interface_reduction_matrix",
+    "lexicographic_order",
+    "linear_encoding_image",
     "overlap_matrix",
     "routed_vertex_cost_vector",
     "support_matrix",

@@ -14,7 +14,11 @@ pairwise quantities as whole-matrix numpy bit operations:
   support-overlap sizes,
 * :func:`interface_reduction_matrix` — the ω-rule CNOT savings of
   Sec. III-B for every ordered pair of targeted strings (the GTSP edge
-  weights of :mod:`repro.core.advanced_sorting`).
+  weights of :mod:`repro.core.advanced_sorting`),
+* :func:`linear_encoding_image` — the strings conjugated by the CNOT
+  circuit of a linear encoding Γ, as a GF(2) map of the planes (the Γ-search
+  objective of :mod:`repro.core.gamma_search` applies one per candidate),
+* :func:`lexicographic_order` — the :class:`PauliString` sort order.
 
 All functions accept either a :class:`PackedPaulis` or any iterable of
 :class:`PauliString` (packed on the fly).
@@ -105,6 +109,20 @@ def _as_packed(strings: Packable) -> PackedPaulis:
     return PackedPaulis.from_strings(strings)
 
 
+def _unpack_planes(planes: np.ndarray, n_qubits: int) -> np.ndarray:
+    """``(m, words)`` packed plane -> ``(m, n_qubits)`` uint8 array of 0/1 bits."""
+    as_bytes = np.ascontiguousarray(planes, dtype="<u8").view(np.uint8)
+    return np.unpackbits(as_bytes, axis=1, count=n_qubits, bitorder="little")
+
+
+def _pack_planes(bits: np.ndarray, n_words: int) -> np.ndarray:
+    """``(m, n)`` array of 0/1 bits -> ``(m, n_words)`` packed uint64 plane."""
+    padded = np.zeros((bits.shape[0], n_words * WORD_BITS), dtype=np.uint8)
+    padded[:, : bits.shape[1]] = bits
+    packed = np.packbits(padded, axis=1, bitorder="little")
+    return packed.view("<u8").astype(np.uint64, copy=False)
+
+
 def _popcount_pairwise(a: np.ndarray, b: np.ndarray, op) -> np.ndarray:
     """Sum of per-word popcounts of ``op(a[i], b[j])`` for every pair (i, j)."""
     combined = op(a[:, None, :], b[None, :, :])
@@ -149,15 +167,63 @@ def overlap_matrix(
 def support_matrix(strings: Packable) -> np.ndarray:
     """Boolean ``(m, n_qubits)`` matrix: string ``i`` is non-identity on ``q``."""
     packed = _as_packed(strings)
-    non_identity = packed.x | packed.z
-    shifts = np.arange(WORD_BITS, dtype=np.uint64)
-    bits = (non_identity[:, :, None] >> shifts[None, None, :]) & np.uint64(1)
-    flat = bits.reshape(len(packed), packed.n_words * WORD_BITS)
-    return flat[:, : packed.n_qubits].astype(bool)
+    return _unpack_planes(packed.x | packed.z, packed.n_qubits).astype(bool)
+
+
+def linear_encoding_image(
+    strings: Packable, gamma: np.ndarray, gamma_inverse: np.ndarray
+) -> PackedPaulis:
+    """The strings conjugated by the CNOT circuit ``U_Γ: |x⟩ ↦ |Γx⟩``, unsigned.
+
+    Conjugation by a CNOT circuit acts linearly on the symplectic planes
+    (Aaronson & Gottesman, arXiv:quant-ph/0406196): the X plane maps to
+    ``Γ x`` and the Z plane to ``Γ^{-T} z``.  The ±1 sign that
+    :func:`repro.transforms.clifford.conjugate_by_cnot_network` also tracks is
+    dropped; supports and labels do not depend on it.  ``gamma_inverse`` is
+    the GF(2) inverse of the 0/1 matrix ``gamma``; both are ``n × n`` for
+    strings on ``n`` qubits, any ``n``.
+    """
+    packed = _as_packed(strings)
+    n = packed.n_qubits
+    gamma = np.asarray(gamma, dtype=np.uint8)
+    gamma_inverse = np.asarray(gamma_inverse, dtype=np.uint8)
+    if gamma.shape != (n, n) or gamma_inverse.shape != (n, n):
+        raise ValueError(f"Γ and its inverse must be {n}×{n} for {n}-qubit strings")
+    # Row-vector form: x' = x Γ^T and z' = z Γ^{-1}.  uint8 products wrap
+    # modulo 256, which keeps the parity the mod-2 sum needs.
+    x = (_unpack_planes(packed.x, n) @ gamma.T) & 1
+    z = (_unpack_planes(packed.z, n) @ gamma_inverse) & 1
+    return PackedPaulis(
+        n_qubits=n,
+        x=_pack_planes(x, packed.n_words),
+        z=_pack_planes(z, packed.n_words),
+    )
+
+
+def lexicographic_order(
+    strings: Packable, groups: Optional[Sequence[int]] = None
+) -> np.ndarray:
+    """Indices that sort the strings as :meth:`PauliString.__lt__` does.
+
+    Labels compare qubit 0 first with ``I < X < Y < Z``.  With ``groups``
+    the strings are sorted by group first (ascending) and by label inside
+    each group.
+    """
+    packed = _as_packed(strings)
+    n = packed.n_qubits
+    # Per-qubit sort key x ^ 3z: I=0, X=1, Y=2, Z=3.
+    keys = _unpack_planes(packed.x, n) ^ (3 * _unpack_planes(packed.z, n))
+    # np.lexsort treats its last key as the primary one.
+    sort_keys = list(keys.T[::-1])
+    if groups is not None:
+        sort_keys.append(np.asarray(groups))
+    if not sort_keys:
+        return np.arange(len(packed))
+    return np.lexsort(sort_keys)
 
 
 def routed_vertex_cost_vector(
-    strings: Sequence[PauliString],
+    strings: Packable,
     targets: Sequence[int],
     distance_matrix: np.ndarray,
 ) -> np.ndarray:
@@ -170,14 +236,14 @@ def routed_vertex_cost_vector(
     everywhere) this collapses to the template cost ``2 (w - 1)``, so the
     distance-weighted GTSP degenerates exactly to the paper's formulation.
     """
-    strings = list(strings)
+    packed = _as_packed(strings)
     targets_arr = np.asarray(list(targets), dtype=np.int64)
-    if len(strings) != targets_arr.shape[0]:
+    if len(packed) != targets_arr.shape[0]:
         raise ValueError("one target per string is required")
-    if not strings:
+    if not len(packed):
         return np.zeros(0, dtype=np.int64)
     distance = np.asarray(distance_matrix, dtype=np.int64)
-    support = support_matrix(strings)
+    support = support_matrix(packed)
     n = support.shape[1]
     if distance.shape[0] < n or distance.shape[1] < n:
         raise ValueError(
@@ -188,13 +254,13 @@ def routed_vertex_cost_vector(
         raise ValueError("distance matrix has unreachable pairs (-1 entries)")
     d_to_target = distance[:n, targets_arr].T  # (m, n): d(q, t_i)
     per_qubit = np.where(support, 2 * d_to_target - 1, 0)
-    rows = np.arange(len(strings))
+    rows = np.arange(len(packed))
     per_qubit[rows, targets_arr] = 0  # the target itself carries the Rz
     return 2 * per_qubit.sum(axis=1)
 
 
 def distance_weighted_cost_matrix(
-    strings: Sequence[PauliString],
+    strings: Packable,
     targets: Sequence[int],
     distance_matrix: np.ndarray,
 ) -> np.ndarray:
@@ -208,13 +274,14 @@ def distance_weighted_cost_matrix(
     objective shifted by a per-cluster constant, so the optimal tour is
     unchanged there.
     """
-    cost = routed_vertex_cost_vector(strings, targets, distance_matrix)
-    savings = interface_reduction_matrix(strings, targets)
+    packed = _as_packed(strings)
+    cost = routed_vertex_cost_vector(packed, targets, distance_matrix)
+    savings = interface_reduction_matrix(packed, targets)
     return cost[None, :] - savings
 
 
 def interface_reduction_matrix(
-    strings: Sequence[PauliString], targets: Sequence[int]
+    strings: Packable, targets: Sequence[int]
 ) -> np.ndarray:
     """Pairwise interface CNOT savings for targeted strings (Sec. III-B ω-rule).
 
@@ -223,64 +290,71 @@ def interface_reduction_matrix(
     ``(strings[a], targets[a])`` — exactly
     :func:`repro.circuits.interface.interface_cnot_reduction` evaluated for
     every ordered pair at once.  Pairs with different targets save zero,
-    matching the paper.
+    matching the paper, so only the same-target blocks are evaluated: one
+    vectorized pass over the pairs that share a target.
 
     The strings/targets arguments are "vertices" in the GTSP sense: the same
     Pauli string may appear several times with different targets.
     """
-    strings = list(strings)
-    targets_arr = np.asarray(list(targets), dtype=np.int64)
-    if len(strings) != targets_arr.shape[0]:
-        raise ValueError("one target per string is required")
     packed = _as_packed(strings)
+    targets_arr = np.asarray(list(targets), dtype=np.int64)
     m = len(packed)
+    if m != targets_arr.shape[0]:
+        raise ValueError("one target per string is required")
     if m == 0:
         return np.zeros((0, 0), dtype=np.int64)
 
     non_identity = packed.x | packed.z
-    word_index = targets_arr // WORD_BITS
-    bit_index = (targets_arr % WORD_BITS).astype(np.uint64)
     rows = np.arange(m)
-    target_word = non_identity[rows, word_index]
-    if np.any(((target_word >> bit_index) & np.uint64(1)) == 0):
-        bad = int(np.argmax(((target_word >> bit_index) & np.uint64(1)) == 0))
+    word_index = targets_arr // WORD_BITS
+    target_bit = np.uint64(1) << (targets_arr % WORD_BITS).astype(np.uint64)
+    on_target = (non_identity[rows, word_index] & target_bit) != 0
+    if not on_target.all():
+        bad = int(np.argmin(on_target))
         raise ValueError(
             f"target {int(targets_arr[bad])} not in support of "
-            f"{strings[bad].to_label()}"
+            f"{packed.to_strings()[bad].to_label()}"
         )
 
     # Per-vertex masks with the own target bit cleared.
     cleared = non_identity.copy()
-    cleared[rows, word_index] &= ~(np.uint64(1) << bit_index)
+    cleared[rows, word_index] &= ~target_bit
+    # Per-vertex scalars in one code: bit 0 = X component on the own target,
+    # bit 1 = exactly Z there, the rest = Pauli weight.  Good collisions on
+    # the shared target: both carry an X component (X/Y against X/Y), or
+    # both are exactly Z, i.e. the two codes share a low bit.
+    x_at = (packed.x[rows, word_index] & target_bit) != 0
+    z_at = (packed.z[rows, word_index] & target_bit) != 0
+    weights = np.bitwise_count(non_identity).sum(axis=-1, dtype=np.int64)
+    code = x_at | ((z_at & ~x_at).astype(np.int64) << 1) | (weights << 2)
 
-    # ω = 1 for every qubit where both strings are non-identity (target excluded).
-    both = _popcount_pairwise(cleared, cleared, np.bitwise_and)
+    # Every ordered same-target pair (a, b): group the vertices by target and
+    # pair each one with every member of its group.
+    order = np.argsort(targets_arr, kind="stable")
+    _, starts, sizes = np.unique(
+        targets_arr[order], return_index=True, return_counts=True
+    )
+    pairs_per_position = np.repeat(sizes, sizes)
+    a = np.repeat(order, pairs_per_position)
+    first_pair = np.cumsum(pairs_per_position) - pairs_per_position
+    offset = np.arange(a.size) - np.repeat(first_pair, pairs_per_position)
+    b = order[np.repeat(np.repeat(starts, sizes), pairs_per_position) + offset]
 
+    # ω = 1 for every qubit where both strings are non-identity (target
+    # excluded) ...
+    shared = np.take(cleared, a, axis=0) & np.take(cleared, b, axis=0)
+    both = np.bitwise_count(shared).sum(axis=-1, dtype=np.int64)
     # ... plus 1 more where the collision is matching (equal non-identity
-    # labels) *and* the target collision is "good".
-    equal = ~((packed.x[:, None, :] ^ packed.x[None, :, :])
-              | (packed.z[:, None, :] ^ packed.z[None, :, :]))
-    matching = np.bitwise_count(
-        cleared[:, None, :] & cleared[None, :, :] & equal
-    ).sum(axis=-1, dtype=np.int64)
-
-    # Per-vertex Pauli bits at the vertex's own target qubit.
-    x_at = ((packed.x[rows, word_index] >> bit_index) & np.uint64(1)).astype(bool)
-    z_at = ((packed.z[rows, word_index] >> bit_index) & np.uint64(1)).astype(bool)
-    # Good collisions on the shared target: both carry an X component
-    # (X/Y against X/Y), or both are exactly Z.
-    is_z = z_at & ~x_at
-    good = (x_at[:, None] & x_at[None, :]) | (is_z[:, None] & is_z[None, :])
-
-    saved = both + np.where(good, matching, 0)
+    # labels) *and* the target collision is good.
+    differ = (np.take(packed.x, a, axis=0) ^ np.take(packed.x, b, axis=0)) | (
+        np.take(packed.z, a, axis=0) ^ np.take(packed.z, b, axis=0)
+    )
+    matching = np.bitwise_count(shared & ~differ).sum(axis=-1, dtype=np.int64)
+    code_a, code_b = code[a], code[b]
+    saved = both + np.where(code_a & code_b & 3, matching, 0)
 
     # The saving can never exceed the CNOTs present at the interface.
-    weights = np.bitwise_count(non_identity).sum(axis=-1, dtype=np.int64)
-    interface_cnots = np.maximum(
-        (weights[:, None] - 1) + (weights[None, :] - 1), 0
-    )
-    saved = np.minimum(saved, interface_cnots)
-
-    # Different targets save nothing.
-    same_target = targets_arr[:, None] == targets_arr[None, :]
-    return np.where(same_target, saved, 0)
+    interface_cnots = np.maximum((code_a >> 2) + (code_b >> 2) - 2, 0)
+    matrix = np.zeros((m, m), dtype=np.int64)
+    matrix[a, b] = np.minimum(saved, interface_cnots)
+    return matrix

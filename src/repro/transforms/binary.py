@@ -85,30 +85,38 @@ def is_invertible(matrix: np.ndarray) -> bool:
 def gf2_inverse(matrix: np.ndarray) -> np.ndarray:
     """Invert a GF(2) matrix via Gauss-Jordan elimination.
 
+    Indices whose row and column both equal the identity's form an identity
+    block of the inverse, so only the remaining submatrix is eliminated —
+    for the sparse block-diagonal Γ of the Γ search that is a few rows.
+
     Raises
     ------
     ValueError
         If the matrix is singular over GF(2).
     """
-    m = as_gf2(matrix).copy()
+    m = as_gf2(matrix)
     rows, cols = m.shape
     if rows != cols:
         raise ValueError("only square matrices can be inverted")
-    n = rows
-    augmented = np.concatenate([m, identity_matrix(n)], axis=1)
+    inverse = identity_matrix(rows)
+    off_identity = m ^ inverse
+    active = np.flatnonzero(off_identity.any(axis=0) | off_identity.any(axis=1))
+    n = active.size
+    block = np.ix_(active, active)
+    augmented = np.concatenate([m[block], identity_matrix(n)], axis=1)
     for col in range(n):
-        pivot = None
-        for row in range(col, n):
-            if augmented[row, col]:
-                pivot = row
-                break
-        if pivot is None:
+        candidates = np.flatnonzero(augmented[col:, col])
+        if candidates.size == 0:
             raise ValueError("matrix is singular over GF(2)")
-        augmented[[col, pivot]] = augmented[[pivot, col]]
-        for row in range(n):
-            if row != col and augmented[row, col]:
-                augmented[row] ^= augmented[col]
-    return augmented[:, n:].copy()
+        pivot = col + int(candidates[0])
+        if pivot != col:
+            augmented[[col, pivot]] = augmented[[pivot, col]]
+        # Clear the column everywhere else with one row-block XOR.
+        hits = augmented[:, col].astype(bool)
+        hits[col] = False
+        augmented[hits] ^= augmented[col]
+    inverse[block] = augmented[:, n:]
+    return inverse
 
 
 def is_upper_triangular(matrix: np.ndarray) -> bool:

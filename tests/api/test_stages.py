@@ -123,6 +123,28 @@ class TestTransformStage:
 
 
 class TestSortStage:
+    @pytest.mark.parametrize("seed_tours", [False, True])
+    def test_savings_matrix_built_once(self, mixed_terms, monkeypatch, seed_tours):
+        """The greedy construction and the GTSP instance share one matrix."""
+        import repro.core.advanced_sorting as advanced_sorting
+
+        config = FAST.replace(sorting_seed_tours=seed_tours)
+        context = run_stages(
+            make_context(mixed_terms, config),
+            classify_stage, schedule_hybrid_stage, gamma_search_stage, transform_stage,
+        )
+        calls = []
+        original = advanced_sorting.interface_reduction_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(advanced_sorting, "interface_reduction_matrix", counting)
+        sort_stage(context)
+        assert len(calls) == 1
+        assert len(context.sorting.ordered_rotations) == len(context.rotations)
+
     def test_sorted_count_not_worse_than_naive(self, mixed_terms):
         context = run_stages(
             make_context(mixed_terms),

@@ -2,15 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.circuits import interface_cnot_reduction
 from repro.core import (
     PauliRotation,
     advanced_sort,
     baseline_order_cnot_count,
     build_sorting_problem,
     greedy_sort,
+    greedy_walk,
 )
-from repro.operators import PauliString
+from repro.hardware import Topology
+from repro.operators import PauliString, routed_vertex_cost_vector
 
 
 def rotation(label, angle=0.1, term_index=0):
@@ -109,3 +114,74 @@ class TestGreedySort:
         rotations = [rotation(label, term_index=i) for i, label in enumerate(labels)]
         result = greedy_sort(rotations)
         assert len(result.ordered_rotations) == len(labels)
+
+    def test_identity_rotation_rejected(self):
+        with pytest.raises(ValueError, match="identity"):
+            greedy_sort([rotation("XZ"), rotation("II")])
+
+
+def nested_loop_greedy(rotations, topology=None):
+    """Reference: the greedy sort as a plain nested loop over every pair.
+
+    Starts at the first rotation's last support qubit; each step takes the
+    first (rotation index, ascending target) vertex of an unvisited rotation
+    with the largest saving, or under a topology the smallest routed cost
+    minus saving.
+    """
+
+    def vertex_cost(string, target):
+        if topology is None:
+            return 0
+        return int(routed_vertex_cost_vector([string], [target], topology.distance_matrix)[0])
+
+    sequence = [(0, rotations[0].string.support[-1])]
+    visited = {0}
+    while len(visited) < len(rotations):
+        current_index, current_target = sequence[-1]
+        best = None
+        for index, candidate in enumerate(rotations):
+            if index in visited:
+                continue
+            for target in candidate.string.support:
+                score = interface_cnot_reduction(
+                    rotations[current_index].string, current_target,
+                    candidate.string, target,
+                ) - vertex_cost(candidate.string, target)
+                if best is None or score > best[0]:
+                    best = (score, index, target)
+        sequence.append(best[1:])
+        visited.add(best[1])
+    return [(rotations[index], target) for index, target in sequence]
+
+
+class TestGreedyWalk:
+    @given(
+        st.integers(2, 6).flatmap(
+            lambda n: st.lists(
+                st.text(alphabet="IXYZ", min_size=n, max_size=n).filter(
+                    lambda label: set(label) != {"I"}
+                ),
+                min_size=1,
+                max_size=8,
+            )
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_greedy_sort_matches_nested_loop(self, labels, on_line):
+        rotations = [rotation(label, term_index=i) for i, label in enumerate(labels)]
+        topology = Topology.line(len(labels[0])) if on_line else None
+        result = greedy_sort(rotations, topology=topology)
+        assert result.ordered_rotations == nested_loop_greedy(rotations, topology)
+
+    def test_ties_go_to_the_lowest_row(self):
+        preference = np.zeros((4, 4), dtype=np.int64)
+        vertex_rotation = np.array([0, 1, 1, 2])
+        assert greedy_walk(preference, vertex_rotation, 0) == [0, 1, 3]
+
+    def test_visits_one_vertex_per_rotation(self):
+        preference = np.array(
+            [[0, 1, 5, 2], [0, 0, 0, 9], [3, 0, 0, 4], [0, 7, 8, 0]], dtype=np.int64
+        )
+        vertex_rotation = np.array([0, 1, 1, 2])
+        assert greedy_walk(preference, vertex_rotation, 0) == [0, 2, 3]

@@ -2,15 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
+    GreedySortingCost,
     assemble_gamma,
     excitation_topology_blocks,
     greedy_sort,
     search_block_diagonal_gamma,
     terms_to_rotations,
 )
-from repro.transforms import LinearEncodingTransform, is_invertible
+from repro.hardware import Topology
+from repro.transforms import LinearEncodingTransform, is_invertible, random_invertible_matrix
 from repro.vqe import ExcitationTerm
 
 
@@ -95,3 +99,58 @@ class TestGammaSearch:
             rng=np.random.default_rng(3),
         )
         assert np.isclose(result.cnot_count, self.cost(result.gamma))
+
+
+@st.composite
+def excitation_terms(draw, n_qubits):
+    """A single or double excitation on ``n_qubits`` spin orbitals."""
+    rank = draw(st.sampled_from([1, 2]))
+    indices = draw(st.permutations(range(n_qubits)))[: 2 * rank]
+    return term(indices[:rank], indices[rank:])
+
+
+@st.composite
+def gamma_cost_cases(draw):
+    n = draw(st.integers(4, 10))
+    terms = draw(st.lists(excitation_terms(n), min_size=1, max_size=6))
+    parameters = draw(
+        st.none()
+        | st.lists(
+            st.sampled_from([0.0, 1.0, -0.5, 0.3, 2.0]),
+            min_size=len(terms),
+            max_size=len(terms),
+        )
+    )
+    return n, terms, parameters, draw(st.integers(0, 2**32 - 1)), draw(st.booleans())
+
+
+def sorting_cost_oracle(terms, gamma, parameters, topology):
+    """The Γ cost through the transform: signed rotations, then greedy_sort."""
+    rotations = terms_to_rotations(terms, LinearEncodingTransform(gamma), parameters)
+    return float(greedy_sort(rotations, topology=topology).objective())
+
+
+class TestGreedySortingCost:
+    @given(gamma_cost_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_transform_and_greedy_sort(self, case):
+        n, terms, parameters, seed, on_line = case
+        rng = np.random.default_rng(seed)
+        blocks = excitation_topology_blocks(terms, n)
+        gamma = assemble_gamma(
+            n, blocks, [random_invertible_matrix(len(block), rng) for block in blocks]
+        )
+        topology = Topology.line(n) if on_line else None
+        cost = GreedySortingCost(terms, n, parameters, topology=topology)
+        assert cost(gamma) == sorting_cost_oracle(terms, gamma, parameters, topology)
+        identity = np.eye(n, dtype=np.uint8)
+        assert cost(identity) == sorting_cost_oracle(terms, identity, parameters, topology)
+
+    def test_all_rotations_dropped_costs_zero(self):
+        terms = [term((4, 6), (0, 2)), term((5,), (1,))]
+        cost = GreedySortingCost(terms, 8, parameters=[0.0, 0.0])
+        assert cost(np.eye(8, dtype=np.uint8)) == 0.0
+
+    def test_parameter_count_checked(self):
+        with pytest.raises(ValueError, match="one parameter per excitation term"):
+            GreedySortingCost([term((4, 6), (0, 2))], 8, parameters=[1.0, 2.0])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.hardware import Topology
 from repro.operators import (
+    PackedPaulis,
     PauliString,
     distance_weighted_cost_matrix,
     interface_reduction_matrix,
@@ -111,3 +112,35 @@ class TestDistanceWeightedCostMatrix:
         savings = interface_reduction_matrix(strings, targets)
         weights = np.array([2 * (s.weight - 1) for s in strings])
         np.testing.assert_array_equal(matrix, weights[None, :] - savings)
+
+
+class TestPackedInputs:
+    """Every cost function takes a PackedPaulis as well as PauliStrings."""
+
+    def test_packed_matches_strings(self):
+        line = Topology.line(70)
+        labels_ = ["X" + "Z" * 64 + "YIIII", "I" * 63 + "XZZIIIY", "Z" * 70]
+        strings = [PauliString(label) for label in labels_]
+        targets = [64, 64, 69]
+        packed = PackedPaulis.from_strings(strings)
+        assert packed.n_words == 2
+        distance = line.distance_matrix
+        np.testing.assert_array_equal(
+            interface_reduction_matrix(packed, targets),
+            interface_reduction_matrix(strings, targets),
+        )
+        np.testing.assert_array_equal(
+            routed_vertex_cost_vector(packed, targets, distance),
+            routed_vertex_cost_vector(strings, targets, distance),
+        )
+        np.testing.assert_array_equal(
+            distance_weighted_cost_matrix(packed, targets, distance),
+            distance_weighted_cost_matrix(strings, targets, distance),
+        )
+
+    def test_packed_validation(self):
+        packed = PackedPaulis.from_strings([PauliString("XI")])
+        with pytest.raises(ValueError, match="not in support of XI"):
+            interface_reduction_matrix(packed, [1])
+        with pytest.raises(ValueError, match="one target per string"):
+            routed_vertex_cost_vector(packed, [0, 1], Topology.line(2).distance_matrix)

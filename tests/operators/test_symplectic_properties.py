@@ -17,12 +17,21 @@ from scipy import sparse
 from repro.operators import (
     PackedPaulis,
     PauliString,
+    QubitOperator,
     commutation_matrix,
     interface_reduction_matrix,
+    lexicographic_order,
+    linear_encoding_image,
     overlap_matrix,
     weight_vector,
 )
 from repro.operators.pauli import PAULI_MATRICES, _PAULI_PRODUCTS
+from repro.transforms import (
+    LinearEncodingTransform,
+    conjugate_by_cnot_network,
+    gf2_inverse,
+    random_invertible_matrix,
+)
 
 
 # ----------------------------------------------------------------------
@@ -181,17 +190,22 @@ class TestBatchedAgainstScalar:
     def test_interface_matrix_matches_scalar_rule(self, label_list):
         from repro.circuits.interface import interface_cnot_reduction
 
+        # Every (string, support qubit) vertex, as the GTSP enumerates them,
+        # so several vertices share each target and the same-target blocks
+        # hold more than one string.
         strings = []
         targets = []
         for label in label_list:
             string = PauliString(label)
-            if not string.support:
-                continue
-            strings.append(string)
-            targets.append(string.support[-1])
+            for target in string.support:
+                strings.append(string)
+                targets.append(target)
         if not strings:
             return
         matrix = interface_reduction_matrix(strings, targets)
+        assert np.array_equal(
+            matrix, interface_reduction_matrix(PackedPaulis.from_strings(strings), targets)
+        )
         for i, a in enumerate(strings):
             for j, b in enumerate(strings):
                 assert matrix[i, j] == interface_cnot_reduction(
@@ -201,3 +215,69 @@ class TestBatchedAgainstScalar:
     def test_interface_matrix_rejects_bad_target(self):
         with pytest.raises(ValueError, match="not in support"):
             interface_reduction_matrix([PauliString("XI")], [1])
+
+
+# ----------------------------------------------------------------------
+# Linear-encoding map on bit-planes vs CNOT-network conjugation
+# ----------------------------------------------------------------------
+class TestLinearEncodingImage:
+    @given(
+        st.integers(2, 70).flatmap(
+            lambda n: st.tuples(
+                st.integers(0, 2**32 - 1),
+                st.lists(labels(n, n), min_size=1, max_size=6, unique=True),
+            )
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_cnot_network_conjugation(self, case):
+        """x -> Γx, z -> Γ^{-T}z equals conjugating by U_Γ's CNOT network."""
+        seed, label_list = case
+        n = len(label_list[0])
+        gamma = random_invertible_matrix(n, np.random.default_rng(seed))
+        strings = [PauliString(label) for label in label_list]
+        image = linear_encoding_image(strings, gamma, gf2_inverse(gamma))
+
+        operator = QubitOperator(n, {string: 1.0 for string in strings})
+        network = LinearEncodingTransform(gamma).cnot_network
+        # Conjugation permutes the Pauli basis, so the output keeps the input
+        # order string for string.
+        expected = list(conjugate_by_cnot_network(operator, network).terms)
+        assert [(s.x_mask, s.z_mask) for s in image.to_strings()] == [
+            (s.x_mask, s.z_mask) for s in expected
+        ]
+        assert image.n_words == PackedPaulis.from_strings(strings).n_words
+
+    def test_identity_is_a_no_op(self):
+        strings = [PauliString("XYZI"), PauliString("ZZIX")]
+        identity = np.eye(4, dtype=np.uint8)
+        image = linear_encoding_image(strings, identity, identity)
+        assert image.to_strings() == strings
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError, match="3×3"):
+            linear_encoding_image([PauliString("XYZ")], np.eye(2), np.eye(2))
+
+
+class TestLexicographicOrder:
+    @given(st.integers(1, 70).flatmap(
+        lambda n: st.lists(labels(n, n), min_size=1, max_size=10)
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_pauli_string_sort(self, label_list):
+        strings = [PauliString(label) for label in label_list]
+        order = lexicographic_order(strings)
+        assert [strings[i] for i in order] == sorted(strings)
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 3), labels(5, 5)), min_size=1, max_size=12)
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_groups_are_the_primary_key(self, items):
+        groups = [group for group, _ in items]
+        strings = [PauliString(label) for _, label in items]
+        order = lexicographic_order(PackedPaulis.from_strings(strings), groups=groups)
+        expected = sorted(range(len(items)), key=lambda i: (groups[i], strings[i]))
+        assert [(groups[i], strings[i]) for i in order] == [
+            (groups[i], strings[i]) for i in expected
+        ]

@@ -51,6 +51,21 @@ class TestBasicOperations:
         with pytest.raises(ValueError):
             binary.gf2_inverse(np.ones((2, 3)))
 
+    @given(st.integers(1, 30), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_of_embedded_blocks(self, n, seed):
+        """Identity rows/columns split off; the rest is eliminated."""
+        rng = np.random.default_rng(seed)
+        indices = sorted(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
+        block = binary.random_invertible_matrix(len(indices), rng)
+        matrix = binary.embed_block(n, indices, block) if indices else np.eye(n)
+        inverse = binary.gf2_inverse(matrix)
+        assert np.array_equal(binary.gf2_matmul(matrix, inverse), np.eye(n, dtype=np.uint8))
+
+    def test_inverse_singular_beside_identity_raises(self):
+        with pytest.raises(ValueError, match="singular"):
+            binary.gf2_inverse([[1, 0, 0], [0, 0, 0], [0, 0, 1]])
+
     def test_is_upper_triangular(self):
         assert binary.is_upper_triangular([[1, 1], [0, 1]])
         assert not binary.is_upper_triangular([[1, 0], [1, 1]])
