@@ -263,8 +263,14 @@ def legacy_problem_from(problem) -> LegacyGtspProblem:
     return LegacyGtspProblem(list(problem.clusters), weight)
 
 
-def legacy_solve_adapter(problem, **kwargs) -> GtspResult:
-    """Drop-in ``solve_gtsp`` replacement running the seed implementation."""
+def legacy_solve_adapter(problem, max_generations=None, **kwargs) -> GtspResult:
+    """Drop-in ``solve_gtsp`` replacement running the seed implementation.
+
+    The seed solver predates the ``max_generations`` budget, so only the
+    unbudgeted call (``None``, what the default config passes) is accepted.
+    """
+    if max_generations is not None:
+        raise ValueError("the seed solver has no max_generations budget")
     return legacy_solve_gtsp(legacy_problem_from(problem), **kwargs)
 
 

@@ -17,11 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.circuits import (
-    best_sequence_from_cycle,
-    interface_cnot_reduction,
-    sequence_cnot_count,
-)
+from repro.circuits import interface_cnot_reduction, sequence_cnot_count
 from repro.core.terms_to_paulis import PauliRotation
 from repro.hardware.topology import Topology
 from repro.operators import (
@@ -260,28 +256,11 @@ def advanced_sort(
     )
     # Determine the weakest edge of the cycle and cut there (path compilation):
     # the edge with the least interface saving, or — under a topology — the
-    # largest distance-weighted edge weight.
-    n = len(solution.tour)
-    cut_scores = []
-    for position in range(n):
-        _, u = solution.tour[position]
-        _, v = solution.tour[(position + 1) % n]
-        if topology is None:
-            index_a, target_a = u
-            index_b, target_b = v
-            cut_scores.append(
-                interface_cnot_reduction(
-                    rotations[index_a].string,
-                    target_a,
-                    rotations[index_b].string,
-                    target_b,
-                )
-            )
-        else:
-            cut_scores.append(-problem.weight(u, v))
-    # Builtin min on the small Python list (np.argmin would pay an array
-    # conversion); ties resolve to the first minimum exactly as argmin did.
-    cut = min(range(n), key=cut_scores.__getitem__)
+    # largest distance-weighted edge weight.  Either way it is the largest
+    # GTSP weight; argmax takes the first maximum.
+    rows = problem.tour_rows(solution.tour)
+    n = len(rows)
+    cut = int(np.argmax(problem.matrix[rows, np.roll(rows, -1)]))
     ordered: List[Tuple[PauliRotation, int]] = []
     for step in range(n):
         _, (index, target) = solution.tour[(cut + 1 + step) % n]

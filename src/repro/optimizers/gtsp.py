@@ -10,15 +10,27 @@ the cluster permutation, per-cluster vertex reassignment and swap mutations,
 and an exact dynamic-programming "cluster optimization" step that, for a
 fixed cluster order, picks the best vertex inside every cluster.
 
-Edge weights are served from one dense ``(n_vertices, n_vertices)`` float64
-matrix indexed by a global vertex row (clusters flattened in order).  Callers
-that already own such a matrix — the advanced sorting builds one batched
-symplectic scan — pass it as ``weight_matrix`` and skip every per-edge Python
-call; the legacy scalar ``weight(u, v)`` callable remains supported and is
-densified lazily on first use.  Every matrix kernel reproduces the scalar
-implementation bit-for-bit: candidate costs are single additions of the same
-float64 pairs, reductions take the first minimum exactly like ``np.argmin``
-on a list did, and tour costs accumulate left-to-right in tour order.
+Edge weights live in one dense float64 buffer of shape ``(V + 1, V + 1)``:
+the ``(V, V)`` weight matrix indexed by global vertex row (clusters
+flattened in order) plus a sentinel row and column of ``+inf``.  Callers
+that already own the matrix — the advanced sorting builds it in one batched
+symplectic scan — pass it as ``weight_matrix``; the scalar ``weight(u, v)``
+callable remains supported and is densified lazily on first use.  Weights
+must be finite.
+
+The cluster-optimization DP runs on a whole batch of chromosomes at once:
+every cluster is padded to the widest cluster ``K`` with the sentinel
+vertex, so one fancy index gathers every layer's ``(B, K, K)`` step and
+each layer is one reduction over the batch; tour costs are one gather per
+batch.  The solver defers a generation's optimizations to one batch after
+all its children are bred.  That changes no result: the DP draws nothing
+from the rng and selection reads only the previous generation's costs, so
+every draw and every chromosome is the same as optimizing each child as
+soon as it is made.  Every kernel reproduces the scalar implementation bit
+for bit: candidate costs are single additions of the same float64 pairs,
+padded vertices come last and cost ``+inf`` so the first-minimum
+``argmin`` lands on the same real vertex, and tour costs accumulate left to
+right in tour order.
 """
 
 from __future__ import annotations
@@ -51,21 +63,16 @@ class GtspProblem:
         Dense edge-cost matrix indexed by global vertex rows, clusters
         flattened in order (cluster 0's vertices first).  When omitted it is
         built lazily from ``weight`` — once per problem, not once per query.
+        Every weight must be finite; NaN or infinite entries raise
+        ``ValueError``.
     """
 
     clusters: Sequence[Sequence[Vertex]]
     weight: Optional[Callable[[Vertex, Vertex], float]] = None
     weight_matrix: Optional[np.ndarray] = None
-    _matrix: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-    _matrix_rows: Optional[List[List[float]]] = field(
-        default=None, init=False, repr=False
-    )
-    _cluster_rows: List[List[int]] = field(default_factory=list, init=False, repr=False)
+    _buffer: Optional[np.ndarray] = field(default=None, init=False, repr=False)
     _row_in_cluster: List[Dict[Vertex, int]] = field(
         default_factory=list, init=False, repr=False
-    )
-    _blocks: Dict[Tuple[int, int], np.ndarray] = field(
-        default_factory=dict, init=False, repr=False
     )
 
     def __post_init__(self):
@@ -76,12 +83,16 @@ class GtspProblem:
         if self.weight is None and self.weight_matrix is None:
             raise ValueError("provide a weight callable or a weight_matrix")
 
+        n = sum(len(cluster) for cluster in self.clusters)
+        width = max(len(cluster) for cluster in self.clusters)
+        # _padded_rows[c, i]: global row of vertex i of cluster c, padded to
+        # the widest cluster with the sentinel row n of the weight buffer.
+        self._padded_rows = np.full((len(self.clusters), width), n, dtype=np.intp)
         self._vertices: List[Vertex] = []
-        self._cluster_rows = []
         self._row_in_cluster = []
         row = 0
-        for cluster in self.clusters:
-            self._cluster_rows.append(list(range(row, row + len(cluster))))
+        for index, cluster in enumerate(self.clusters):
+            self._padded_rows[index, :len(cluster)] = range(row, row + len(cluster))
             self._row_in_cluster.append(
                 {vertex: row + position for position, vertex in enumerate(cluster)}
             )
@@ -89,16 +100,15 @@ class GtspProblem:
             row += len(cluster)
 
         if self.weight_matrix is not None:
-            # Copy on ingest: the row-list/block caches snapshot the matrix,
-            # so aliasing the caller's array would let later in-place
-            # mutation desynchronize them.
-            matrix = np.array(self.weight_matrix, dtype=np.float64)
+            matrix = np.asarray(self.weight_matrix, dtype=np.float64)
             if matrix.shape != (row, row):
                 raise ValueError(
                     f"weight_matrix must be ({row}, {row}) for {row} vertices, "
                     f"got {matrix.shape}"
                 )
-            self._matrix = matrix
+            # Copied into the buffer on ingest: later in-place mutation of
+            # the caller's array cannot reach the solver.
+            self._fill_buffer(matrix)
             if self.weight is None:
                 self.weight = self._matrix_weight
 
@@ -121,42 +131,33 @@ class GtspProblem:
                 return row
         raise KeyError(f"vertex {vertex!r} is not part of this problem")
 
+    def _fill_buffer(self, matrix: np.ndarray) -> None:
+        """Store ``matrix`` in a buffer with a ``+inf`` sentinel row and column."""
+        if not np.isfinite(matrix).all():
+            raise ValueError("GTSP weights must be finite (got NaN or infinity)")
+        n = self.n_vertices
+        buffer = np.full((n + 1, n + 1), np.inf)
+        buffer[:n, :n] = matrix
+        self._buffer = buffer
+
+    @property
+    def _weights(self) -> np.ndarray:
+        """The padded ``(V + 1, V + 1)`` weight buffer (densified on first use)."""
+        if self._buffer is None:
+            weight = self.weight
+            self._fill_buffer(
+                np.array(
+                    [[float(weight(u, v)) for v in self._vertices] for u in self._vertices],
+                    dtype=np.float64,
+                )
+            )
+        return self._buffer
+
     @property
     def matrix(self) -> np.ndarray:
-        """The dense float64 weight matrix (built from ``weight`` on first use)."""
-        if self._matrix is None:
-            n = self.n_vertices
-            matrix = np.empty((n, n), dtype=np.float64)
-            weight = self.weight
-            for i, u in enumerate(self._vertices):
-                row = matrix[i]
-                for j, v in enumerate(self._vertices):
-                    row[j] = float(weight(u, v))
-            self._matrix = matrix
-        return self._matrix
-
-    @property
-    def _row_lists(self) -> List[List[float]]:
-        """The weight matrix as nested Python lists (fast small-tour gathers)."""
-        if self._matrix_rows is None:
-            self._matrix_rows = self.matrix.tolist()
-        return self._matrix_rows
-
-    def _block(self, cluster_a: int, cluster_b: int) -> np.ndarray:
-        """Contiguous weight submatrix between two clusters, cached per pair.
-
-        The DP touches the same cluster-pair blocks thousands of times per
-        solve; one ``np.ix_`` extraction per pair (instead of per query)
-        keeps the vectorized reductions allocation-light.
-        """
-        key = (cluster_a, cluster_b)
-        block = self._blocks.get(key)
-        if block is None:
-            block = self.matrix[
-                np.ix_(self._cluster_rows[cluster_a], self._cluster_rows[cluster_b])
-            ]
-            self._blocks[key] = block
-        return block
+        """The dense float64 weight matrix: a view of the padded buffer."""
+        n = self.n_vertices
+        return self._weights[:n, :n]
 
     def tour_cost(self, tour: Sequence[Tuple[int, Vertex]]) -> float:
         """Cost of the closed tour (single-cluster tours cost zero)."""
@@ -166,16 +167,16 @@ class GtspProblem:
             raise ValueError("tour must visit every cluster exactly once")
         if len(tour) <= 1:
             return 0.0
-        rows = self._tour_rows(tour)
+        rows = self.tour_rows(tour)
         if rows is not None:
-            return self._rows_cost(rows)
+            return self._rows_costs(np.array([rows], dtype=np.intp))[0]
         # Vertices outside their declared cluster: legacy scalar fallback.
         cost = 0.0
         for (_, u), (_, v) in zip(tour, list(tour[1:]) + [tour[0]]):
             cost += float(self.weight(u, v))
         return cost
 
-    def _tour_rows(self, tour: Sequence[Tuple[int, Vertex]]) -> Optional[List[int]]:
+    def tour_rows(self, tour: Sequence[Tuple[int, Vertex]]) -> Optional[List[int]]:
         """Global rows of a ``(cluster, vertex)`` tour, or None on foreign vertices."""
         rows: List[int] = []
         for cluster, vertex in tour:
@@ -185,24 +186,18 @@ class GtspProblem:
             rows.append(row)
         return rows
 
-    def _rows_cost(self, rows: Sequence[int]) -> float:
-        """Closed-cycle cost of a tour given as global vertex rows.
+    def _rows_costs(self, rows: np.ndarray) -> List[float]:
+        """Closed-cycle costs of tours given as a ``(B, m)`` array of global rows.
 
-        Row-indexed gathers from the densified matrix instead of one
-        ``weight`` call per edge; the edge costs are accumulated
-        left-to-right in tour order, so the result is bit-identical to the
-        scalar loop.
+        One gather of every tour edge, then a sequential ``np.add.accumulate``
+        from ``0.0`` along each tour: the edge costs are added left to right
+        in tour order, so each result is bit-identical to the scalar loop.
         """
-        if len(rows) <= 1:
-            return 0.0
-        row_lists = self._row_lists
-        cost = 0.0
-        previous = rows[0]
-        for current in rows[1:]:
-            cost += row_lists[previous][current]
-            previous = current
-        cost += row_lists[previous][rows[0]]
-        return cost
+        if rows.shape[1] <= 1:
+            return [0.0] * rows.shape[0]
+        edges = np.zeros((rows.shape[0], rows.shape[1] + 1))
+        edges[:, 1:] = self._weights[rows, np.roll(rows, -1, axis=1)]
+        return np.add.accumulate(edges, axis=1)[:, -1].tolist()
 
 
 @dataclass
@@ -235,15 +230,15 @@ class _Chromosome:
             for cluster in self.order
         )
 
-    def rows(self, problem: GtspProblem) -> List[int]:
-        """Global vertex rows of this chromosome's tour, in tour order."""
-        cluster_rows = problem._cluster_rows
-        choices = self.choices
-        return [cluster_rows[c][choices[c]] for c in self.order]
 
-    def cost(self, problem: GtspProblem) -> float:
-        """Closed-tour cost via the dense matrix (no per-edge ``weight`` calls)."""
-        return problem._rows_cost(self.rows(problem))
+def _tour_costs(chromosomes: Sequence[_Chromosome], problem: GtspProblem) -> List[float]:
+    """Closed-tour costs of a batch of chromosomes (see ``_rows_costs``)."""
+    if not chromosomes:
+        return []
+    orders = np.array([chromosome.order for chromosome in chromosomes], dtype=np.intp)
+    choices = np.array([chromosome.choices for chromosome in chromosomes], dtype=np.intp)
+    rows = problem._padded_rows[orders, np.take_along_axis(choices, orders, axis=1)]
+    return problem._rows_costs(rows)
 
 
 def _random_chromosome(problem: GtspProblem, rng: np.random.Generator) -> _Chromosome:
@@ -261,11 +256,14 @@ def _ordered_crossover(
         return _Chromosome(list(parent_a.order), list(parent_a.choices))
     cut_a, cut_b = sorted(rng.choice(n, size=2, replace=False))
     segment = parent_a.order[cut_a:cut_b + 1]
-    remainder = [c for c in parent_b.order if c not in segment]
+    in_segment = set(segment)
+    remainder = [c for c in parent_b.order if c not in in_segment]
     order = remainder[:cut_a] + segment + remainder[cut_a:]
+    # One vector draw yields the same doubles as one scalar draw per cluster.
+    coins = rng.random(len(parent_a.choices)).tolist()
     choices = [
-        parent_a.choices[c] if rng.random() < 0.5 else parent_b.choices[c]
-        for c in range(len(parent_a.choices))
+        a if coin < 0.5 else b
+        for coin, a, b in zip(coins, parent_a.choices, parent_b.choices)
     ]
     return _Chromosome(order, choices)
 
@@ -289,51 +287,63 @@ def _mutate(
         chromosome.order[i:j + 1] = reversed(chromosome.order[i:j + 1])
 
 
-def _cluster_optimization(
-    chromosome: _Chromosome, problem: GtspProblem
+def _optimize_clusters(
+    chromosomes: Sequence[_Chromosome], problem: GtspProblem
 ) -> None:
-    """Exact DP choosing the best vertex per cluster for the fixed cluster order.
+    """Exact DP choosing the best vertex per cluster, for a batch of chromosomes.
 
-    For every candidate start vertex in the first cluster of the order, a
-    forward dynamic program computes the cheapest path through the remaining
-    clusters and closes the cycle; the overall best assignment is written back
-    into the chromosome.  All starts advance through one chained
-    ``costs[:, :, None] + W[np.ix_(...)]`` reduction per layer; each candidate
-    cost is a single addition of the same float64 pair the scalar
-    implementation added, and every ``argmin`` takes the first minimum, so the
-    chosen assignment is bit-identical to the historical per-edge version.
+    For each chromosome's fixed cluster order and every candidate start
+    vertex in its first cluster, a forward dynamic program computes the
+    cheapest path through the remaining clusters and closes the cycle; the
+    overall best assignment is written back into the chromosome's choices.
+
+    Clusters are padded to the widest cluster ``K`` with the ``+inf``
+    sentinel vertex, so one fancy index gathers the layer steps of all ``B``
+    chromosomes and each layer is one ``(B, K, K, K)`` reduction over its
+    last, contiguous axis (the previous layer's vertex).  Each candidate
+    cost is a single addition of the same float64 pair the scalar DP added;
+    padded vertices come last and never win against a finite cost, so every
+    first-minimum ``argmin`` picks the same real vertex and the assignment
+    is bit-identical to optimizing each chromosome alone with the scalar DP.
     """
-    order = chromosome.order
-    m = len(order)
-    if m == 1:
+    m = problem.n_clusters
+    if m == 1 or not chromosomes:
         return
-    block = problem._block
-    first = order[0]
+    weights = problem._weights
+    orders = np.array([chromosome.order for chromosome in chromosomes], dtype=np.intp)
+    rows = problem._padded_rows[orders]                 # (B, m, K)
+    # steps[b, l, k, j]: weight from vertex j of layer l to vertex k of l + 1.
+    steps = weights[rows[:, :-1, None, :], rows[:, 1:, :, None]]
 
-    # costs[s, k]: best cost from start vertex s to vertex k of the current layer.
-    costs = block(first, order[1])
-    parents: List[np.ndarray] = [np.zeros(costs.shape, dtype=np.int64)]
-    for layer in range(2, m):
-        step = block(order[layer - 1], order[layer])
-        candidates = costs[:, :, None] + step[None, :, :]
-        # np.min yields the value at np.argmin's (first-minimum) index, so the
-        # two reductions stay mutually consistent and match the scalar DP.
-        parents.append(np.argmin(candidates, axis=1))
-        costs = np.min(candidates, axis=1)
-    closing = costs + block(order[-1], first).T
-    best_last = np.argmin(closing, axis=1)
-    totals = np.min(closing, axis=1)
+    # costs[b, s, k]: best cost from start vertex s to vertex k of the layer.
+    costs = steps[:, 0].transpose(0, 2, 1)
+    # Flat offset of every (b, s, k) row of a layer's candidates.
+    offsets = np.arange(costs.size).reshape(costs.shape) * costs.shape[2]
+    parents: List[np.ndarray] = []
+    for layer in range(1, m - 1):
+        candidates = costs[:, :, None, :] + steps[:, layer, None]
+        best = candidates.argmin(axis=3)
+        parents.append(best)
+        # The value at argmin's (first-minimum) index is the minimum.
+        costs = candidates.take(offsets + best)
+    # closing[b, s, k] adds the edge from last-layer vertex k back to start s.
+    closing = costs + weights[rows[:, -1, None, :], rows[:, 0, :, None]]
+    best_last = closing.argmin(axis=2)
+    starts = closing.min(axis=2).argmin(axis=1)
 
-    start_index = int(np.argmin(totals))
-    assignment = [0] * m
-    assignment[0] = start_index
-    k = int(best_last[start_index])
+    batch = np.arange(len(chromosomes))
+    assignment = np.empty((len(chromosomes), m), dtype=np.intp)
+    assignment[:, 0] = starts
+    k = best_last[batch, starts]
     for layer in range(m - 1, 0, -1):
-        assignment[layer] = k
-        k = int(parents[layer - 1][start_index, k])
+        assignment[:, layer] = k
+        if layer > 1:
+            k = parents[layer - 2][batch, starts, k]
 
-    for layer, cluster in enumerate(order):
-        chromosome.choices[cluster] = assignment[layer]
+    choices = np.empty_like(assignment)
+    choices[batch[:, None], orders] = assignment
+    for chromosome, row in zip(chromosomes, choices.tolist()):
+        chromosome.choices[:] = row
 
 
 def _chromosome_from_tour(
@@ -378,11 +388,18 @@ def solve_gtsp(
     result is deterministic for a fixed seed.
 
     Costs are evaluated incrementally: every chromosome's cost is computed
-    exactly once when it is created or re-optimized and carried alongside it,
-    instead of re-deriving the whole population's costs each generation.  The
+    exactly once, in one batch per generation after its cluster optimization,
+    and carried alongside it instead of re-deriving the whole population's
+    costs each generation.  The
     carried values equal a full re-evaluation bit-for-bit (the cost function
     is deterministic), so selection — and hence the returned tour — is
     unchanged for any seed.
+
+    Cluster optimization runs once per generation on every child that drew
+    the optimization coin (and once on the whole initial population), after
+    the generation is bred.  The DP draws nothing from the rng and
+    tournament selection reads only the previous generation's costs, so the
+    deferral leaves every draw and every chromosome unchanged.
     """
     rng = rng or np.random.default_rng()
     if population_size < 2:
@@ -396,9 +413,8 @@ def solve_gtsp(
     if initial_tours:
         seeds = [_chromosome_from_tour(problem, tour) for tour in initial_tours]
         population[: len(seeds)] = seeds[:population_size]
-    for chromosome in population:
-        _cluster_optimization(chromosome, problem)
-    costs = [chromosome.cost(problem) for chromosome in population]
+    _optimize_clusters(population, problem)
+    costs = _tour_costs(population, problem)
 
     n_elite = max(1, int(elite_fraction * population_size))
     best_index = min(range(population_size), key=costs.__getitem__)
@@ -411,7 +427,7 @@ def solve_gtsp(
         next_population: List[_Chromosome] = [
             _Chromosome(list(c.order), list(c.choices)) for c in elites
         ]
-        next_costs: List[float] = list(elite_costs)
+        optimize: List[_Chromosome] = []
         while len(next_population) < population_size:
             # Tournament selection of two parents.
             contenders = rng.choice(population_size, size=min(4, population_size), replace=False)
@@ -419,11 +435,11 @@ def solve_gtsp(
             child = _ordered_crossover(population[parents[0]], population[parents[1]], rng)
             _mutate(child, problem, rng, mutation_rate)
             if rng.random() < cluster_optimization_rate:
-                _cluster_optimization(child, problem)
+                optimize.append(child)
             next_population.append(child)
-            next_costs.append(child.cost(problem))
+        _optimize_clusters(optimize, problem)
         population = next_population
-        costs = next_costs
+        costs = elite_costs + _tour_costs(population[n_elite:], problem)
         generation_best = min(range(population_size), key=costs.__getitem__)
         if costs[generation_best] < best_cost:
             best_chromosome = population[generation_best]
@@ -431,8 +447,8 @@ def solve_gtsp(
 
     # Final polish on the best individual.
     best_chromosome = _Chromosome(list(best_chromosome.order), list(best_chromosome.choices))
-    _cluster_optimization(best_chromosome, problem)
-    final_cost = best_chromosome.cost(problem)
+    _optimize_clusters([best_chromosome], problem)
+    (final_cost,) = _tour_costs([best_chromosome], problem)
     if final_cost < best_cost:
         best_cost = final_cost
     return GtspResult(

@@ -1,10 +1,12 @@
-"""Differential tests: matrix-form GTSP kernels vs the seed scalar-weight path.
+"""Differential tests: matrix-form GTSP kernels vs the scalar-weight path.
 
-The dense-matrix rewrite of :mod:`repro.optimizers.gtsp` claims *bit-identical*
-behavior: same tour costs, same DP vertex assignments, same solver output per
-seed.  This suite checks the claim against faithful copies of the seed
-implementation (scalar ``weight`` calls, ``np.argmin`` over Python lists) on
-hypothesis-generated random problems and on a real advanced-sorting instance.
+The dense-matrix, population-batched :mod:`repro.optimizers.gtsp` claims
+*bit-identical* behavior: same tour costs, same DP vertex assignments, same
+solver output and rng stream per seed.  This suite checks the claim against
+faithful copies of the earlier implementations — the scalar DP (``weight``
+calls, ``np.argmin`` over Python lists), the per-child solver loop and the
+scalar-draw crossover — on hypothesis-generated random problems and on a
+real advanced-sorting instance.
 """
 
 import numpy as np
@@ -12,12 +14,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.optimizers import GtspProblem, solve_gtsp
-from repro.optimizers.gtsp import _Chromosome, _cluster_optimization
+from repro.optimizers import GtspProblem, GtspResult, solve_gtsp
+from repro.optimizers.gtsp import (
+    _Chromosome,
+    _chromosome_from_tour,
+    _mutate,
+    _optimize_clusters,
+    _ordered_crossover,
+    _random_chromosome,
+)
 
 
 # ----------------------------------------------------------------------
-# Seed reference implementation (scalar weight calls, list-based DP)
+# Reference implementations (scalar weight calls, list-based DP, per-child
+# solver loop, scalar-draw crossover)
 # ----------------------------------------------------------------------
 def legacy_tour_cost(problem, tour):
     if len(tour) <= 1:
@@ -73,6 +83,97 @@ def legacy_cluster_optimization(order, choices, problem):
     if best_assignment is not None:
         for layer, cluster in enumerate(order):
             choices[cluster] = best_assignment[layer]
+
+
+def reference_crossover(parent_a, parent_b, rng):
+    """Ordered crossover with a list-scan remainder and one scalar coin per cluster."""
+    n = len(parent_a.order)
+    if n == 1:
+        return _Chromosome(list(parent_a.order), list(parent_a.choices))
+    cut_a, cut_b = sorted(rng.choice(n, size=2, replace=False))
+    segment = parent_a.order[cut_a:cut_b + 1]
+    remainder = [c for c in parent_b.order if c not in segment]
+    order = remainder[:cut_a] + segment + remainder[cut_a:]
+    choices = [
+        parent_a.choices[c] if rng.random() < 0.5 else parent_b.choices[c]
+        for c in range(len(parent_a.choices))
+    ]
+    return _Chromosome(order, choices)
+
+
+def reference_solve_gtsp(
+    problem,
+    population_size=40,
+    generations=60,
+    mutation_rate=0.3,
+    elite_fraction=0.2,
+    cluster_optimization_rate=0.25,
+    rng=None,
+    initial_tours=None,
+    max_generations=None,
+):
+    """The per-child solver: each child is optimized as soon as it is bred.
+
+    Optimization, costs and crossover are the scalar references above; the
+    random chromosome, mutation and seed-tour helpers are the solver's own.
+    """
+
+    def optimize(chromosome):
+        legacy_cluster_optimization(chromosome.order, chromosome.choices, problem)
+
+    def cost(chromosome):
+        return legacy_tour_cost(problem, chromosome.tour(problem))
+
+    degraded = max_generations is not None and max_generations < generations
+    n_generations = (
+        min(max_generations, generations) if max_generations is not None else generations
+    )
+    population = [_random_chromosome(problem, rng) for _ in range(population_size)]
+    if initial_tours:
+        seeds = [_chromosome_from_tour(problem, tour) for tour in initial_tours]
+        population[: len(seeds)] = seeds[:population_size]
+    for chromosome in population:
+        optimize(chromosome)
+    costs = [cost(chromosome) for chromosome in population]
+
+    n_elite = max(1, int(elite_fraction * population_size))
+    best_index = min(range(population_size), key=costs.__getitem__)
+    best_chromosome, best_cost = population[best_index], costs[best_index]
+    for _ in range(n_generations):
+        ranked = sorted(range(population_size), key=costs.__getitem__)
+        next_population = [
+            _Chromosome(list(population[i].order), list(population[i].choices))
+            for i in ranked[:n_elite]
+        ]
+        next_costs = [costs[i] for i in ranked[:n_elite]]
+        while len(next_population) < population_size:
+            contenders = rng.choice(
+                population_size, size=min(4, population_size), replace=False
+            )
+            parents = sorted(contenders, key=lambda i: costs[i])[:2]
+            child = reference_crossover(population[parents[0]], population[parents[1]], rng)
+            _mutate(child, problem, rng, mutation_rate)
+            if rng.random() < cluster_optimization_rate:
+                optimize(child)
+            next_population.append(child)
+            next_costs.append(cost(child))
+        population, costs = next_population, next_costs
+        generation_best = min(range(population_size), key=costs.__getitem__)
+        if costs[generation_best] < best_cost:
+            best_chromosome = population[generation_best]
+            best_cost = costs[generation_best]
+
+    best_chromosome = _Chromosome(list(best_chromosome.order), list(best_chromosome.choices))
+    optimize(best_chromosome)
+    final_cost = cost(best_chromosome)
+    if final_cost < best_cost:
+        best_cost = final_cost
+    return GtspResult(
+        tour=best_chromosome.tour(problem),
+        cost=best_cost,
+        generations=n_generations,
+        degraded=degraded,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -175,9 +276,112 @@ class TestClusterOptimization:
 
         for problem in (scalar, dense):
             chromosome = _Chromosome(list(order), list(choices))
-            _cluster_optimization(chromosome, problem)
+            _optimize_clusters([chromosome], problem)
             assert chromosome.choices == legacy_choices
             assert chromosome.order == order
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10_000),   # instance seed
+        st.integers(min_value=1, max_value=7),        # clusters
+        st.integers(min_value=1, max_value=6),        # max cluster size
+        st.sampled_from(["float", "integer", "equal"]),
+        st.integers(min_value=1, max_value=8),        # batch size
+        st.integers(min_value=0, max_value=10_000),   # chromosome seed
+    )
+    def test_batched_dp_matches_scalar_dp_per_chromosome(
+        self, seed, n_clusters, max_size, weights, batch_size, chromosome_seed
+    ):
+        scalar, dense = random_problem_pair(seed, n_clusters, max_size, weights == "integer")
+        if weights == "equal":
+            n = dense.n_vertices
+            scalar = GtspProblem(clusters=scalar.clusters, weight=lambda u, v: 2.0)
+            dense = GtspProblem(clusters=dense.clusters, weight_matrix=np.full((n, n), 2.0))
+        rng = np.random.default_rng(chromosome_seed)
+        batch = [_random_chromosome(dense, rng) for _ in range(batch_size)]
+        expected = []
+        for chromosome in batch:
+            choices = list(chromosome.choices)
+            legacy_cluster_optimization(chromosome.order, choices, scalar)
+            expected.append(choices)
+
+        for problem in (scalar, dense):
+            copies = [_Chromosome(list(c.order), list(c.choices)) for c in batch]
+            _optimize_clusters(copies, problem)
+            assert [c.choices for c in copies] == expected
+            assert [c.order for c in copies] == [c.order for c in batch]
+
+    @pytest.mark.parametrize("n_clusters", [1, 2])
+    def test_batched_dp_on_one_and_two_clusters(self, n_clusters):
+        clusters = [[(c, i) for i in range(2 + 2 * c)] for c in range(n_clusters)]
+        n = sum(len(cluster) for cluster in clusters)
+        matrix = np.random.default_rng(n_clusters).integers(-3, 4, size=(n, n)).astype(float)
+        problem = GtspProblem(clusters=clusters, weight_matrix=matrix)
+        orders = [list(range(n_clusters)), list(reversed(range(n_clusters)))]
+        batch = [_Chromosome(order, [0] * n_clusters) for order in orders]
+        expected = []
+        for chromosome in batch:
+            choices = list(chromosome.choices)
+            legacy_cluster_optimization(chromosome.order, choices, problem)
+            expected.append(choices)
+        _optimize_clusters(batch, problem)
+        assert [c.choices for c in batch] == expected
+
+    def test_empty_batch_is_a_no_op(self):
+        _, dense = random_problem_pair(5, 3, 3)
+        _optimize_clusters([], dense)
+
+
+class TestCrossover:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    def test_crossover_matches_reference_and_rng_state(self, n_clusters, seed):
+        setup = np.random.default_rng(seed)
+        parents = [
+            _Chromosome(
+                [int(c) for c in setup.permutation(n_clusters)],
+                [int(v) for v in setup.integers(5, size=n_clusters)],
+            )
+            for _ in range(2)
+        ]
+        rng = np.random.default_rng(seed + 1)
+        reference_rng = np.random.default_rng(seed + 1)
+        child = _ordered_crossover(parents[0], parents[1], rng)
+        expected = reference_crossover(parents[0], parents[1], reference_rng)
+        assert child.order == expected.order
+        assert child.choices == expected.choices
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+class TestNonFiniteWeights:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_weight_matrix_rejected_at_ingest(self, bad):
+        matrix = np.zeros((3, 3))
+        matrix[0, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            GtspProblem(clusters=[["a", "b"], ["c"]], weight_matrix=matrix)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_weight_callable_rejected_at_densification(self, bad):
+        problem = GtspProblem(
+            clusters=[["a", "b"], ["c"]],
+            weight=lambda u, v: bad if (u, v) == ("c", "a") else 1.0,
+        )
+        with pytest.raises(ValueError, match="finite"):
+            problem.matrix
+        with pytest.raises(ValueError, match="finite"):
+            solve_gtsp(problem, population_size=4, generations=2,
+                       rng=np.random.default_rng(0))
+
+    def test_matrix_is_a_view_of_the_padded_buffer(self):
+        _, dense = random_problem_pair(9, 3, 3)
+        n = dense.n_vertices
+        assert dense.matrix.base is dense._weights
+        assert np.isposinf(dense._weights[n]).all()
+        assert np.isposinf(dense._weights[:, n]).all()
 
 
 class TestSolverSeedIdentity:
@@ -196,6 +400,44 @@ class TestSolverSeedIdentity:
         assert result_scalar.cost == result_dense.cost
         # The reported cost is exactly the legacy accumulation over the tour.
         assert result_scalar.cost == legacy_tour_cost(scalar, result_scalar.tour)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        problem_shapes,
+        st.integers(min_value=0, max_value=10_000),
+        st.booleans(),                                # seed tours
+        st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
+    )
+    def test_batched_solver_matches_per_child_oracle(
+        self, shape, solver_seed, seeded, max_generations
+    ):
+        seed, n_clusters, max_size, integer_weights = shape
+        scalar, dense = random_problem_pair(seed, n_clusters, max_size, integer_weights)
+        initial_tours = None
+        if seeded:
+            tour_rng = np.random.default_rng(seed)
+            initial_tours = [
+                [
+                    (c, dense.clusters[c][int(tour_rng.integers(len(dense.clusters[c])))])
+                    for c in tour_rng.permutation(n_clusters)
+                ]
+                for _ in range(2)
+            ]
+        kwargs = dict(
+            population_size=7,
+            generations=5,
+            initial_tours=initial_tours,
+            max_generations=max_generations,
+        )
+        reference_rng = np.random.default_rng(solver_seed)
+        expected = reference_solve_gtsp(scalar, rng=reference_rng, **kwargs)
+        rng = np.random.default_rng(solver_seed)
+        result = solve_gtsp(dense, rng=rng, **kwargs)
+        assert result.tour == expected.tour
+        assert result.cost == expected.cost
+        assert result.generations == expected.generations
+        assert result.degraded == expected.degraded
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     def test_all_equal_weights_tie_breaking(self):
         clusters = [[(c, i) for i in range(3)] for c in range(4)]
