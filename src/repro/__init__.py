@@ -112,53 +112,22 @@ class CompilationReport:
         return 1.0 - self.advanced_cnot_count / self.baseline_cnot_count
 
 
-#: Sentinel telling a legacy keyword of compile_molecule_ansatz apart from an
-#: explicitly passed value (so conflicts with ``config`` can be rejected).
-_UNSET = object()
-
-
 def compile_molecule_ansatz(
     molecule_name: str,
     n_terms: int,
     n_frozen_spatial_orbitals: int = 1,
-    seed=_UNSET,
-    baseline_pso_iterations=_UNSET,
     config: Optional[CompilerConfig] = None,
     cache: Optional[CompileCache] = None,
     workers: int = 1,
-    **advanced_options,
 ) -> CompilationReport:
     """End-to-end convenience API: molecule name in, Table-I-style row out.
 
     Runs Hartree-Fock, selects the ``n_terms`` most important HMP2 excitation
     terms, and compiles them through :func:`repro.api.compile_batch` with the
     four flows compared in Table I of the paper (JW, BK, prior-art baseline,
-    and this work's advanced pipeline).  Pass ``config`` to control every
-    knob of every flow; the legacy ``seed`` (default 0) /
-    ``baseline_pso_iterations`` (default 0) / keyword style still works and
-    builds the config for you, but cannot be combined with an explicit
-    ``config``.  On the legacy path the keyword options scope to the advanced
-    flow only (as they always did): the GT column keeps the prior art's own
-    compression setting, so ablating the advanced pipeline never silently
-    moves the baseline it is compared against.
+    and this work's advanced pipeline).  ``config`` (default
+    ``CompilerConfig()``) controls every knob of every flow.
     """
-    if config is None:
-        config = CompilerConfig(
-            seed=0 if seed is _UNSET else seed,
-            baseline_pso_iterations=(
-                0 if baseline_pso_iterations is _UNSET else baseline_pso_iterations
-            ),
-            **advanced_options,
-        )
-        baseline_config = config.replace(use_bosonic_encoding=True)
-    elif advanced_options or seed is not _UNSET or baseline_pso_iterations is not _UNSET:
-        raise TypeError(
-            "pass either config or the legacy seed/baseline_pso_iterations/"
-            "keyword options, not both"
-        )
-    else:
-        baseline_config = config
-
     molecule = make_molecule(molecule_name)
     frozen = n_frozen_spatial_orbitals if molecule_name != "H2" else 0
     scf = run_rhf(molecule)
@@ -166,31 +135,17 @@ def compile_molecule_ansatz(
     terms = select_ansatz_terms(hamiltonian, n_terms)
     n_qubits = hamiltonian.n_spin_orbitals
 
-    request = CompileRequest(terms=tuple(terms), n_qubits=n_qubits, config=config)
-    if baseline_config == config:
-        row = compile_batch(
-            [request],
-            backends=tuple(DEFAULT_BACKEND_NAMES),
-            workers=workers,
-            cache=cache,
-        ).results[0]
-        baseline_result = row["baseline"]
-    else:
-        # Legacy path with advanced ablation kwargs: the GT column compiles
-        # under its own (prior-art) config, so it needs a separate request.
-        baseline_request = CompileRequest(
-            terms=tuple(terms), n_qubits=n_qubits, config=baseline_config
-        )
-        shared_cache = cache if cache is not None else CompileCache()
-        row = compile_batch(
-            [request],
-            backends=("jordan-wigner", "bravyi-kitaev", "advanced"),
-            workers=workers,
-            cache=shared_cache,
-        ).results[0]
-        baseline_result = compile_batch(
-            [baseline_request], backends=("baseline",), workers=workers, cache=shared_cache
-        ).results[0]["baseline"]
+    request = CompileRequest(
+        terms=tuple(terms),
+        n_qubits=n_qubits,
+        config=config if config is not None else CompilerConfig(),
+    )
+    row = compile_batch(
+        [request],
+        backends=tuple(DEFAULT_BACKEND_NAMES),
+        workers=workers,
+        cache=cache,
+    ).results[0]
 
     return CompilationReport(
         molecule=molecule_name,
@@ -198,7 +153,7 @@ def compile_molecule_ansatz(
         n_qubits=n_qubits,
         jordan_wigner_cnot_count=row["jordan-wigner"].cnot_count,
         bravyi_kitaev_cnot_count=row["bravyi-kitaev"].cnot_count,
-        baseline_cnot_count=baseline_result.cnot_count,
+        baseline_cnot_count=row["baseline"].cnot_count,
         advanced_cnot_count=row["advanced"].cnot_count,
         terms=list(terms),
     )

@@ -12,9 +12,11 @@ The subpackage provides:
 * :func:`~repro.circuits.optimizer.optimize_circuit` — an exact peephole pass
   realizing cancellations at the gate level;
 * :mod:`~repro.circuits.kak` — two-qubit invariants certifying minimal CNOT
-  costs of residual interface blocks;
-* :func:`~repro.circuits.linear_reversible.linear_reversible_circuit` — CNOT
-  synthesis of GF(2) matrices (Γ circuits).
+  costs of residual interface blocks.
+
+Γ circuits are not synthesized: the paper treats Γ as a compile-time
+relabeling, and :class:`repro.transforms.LinearEncodingTransform` applies
+it as a matrix.
 """
 
 from repro.circuits.circuit import Circuit
@@ -46,7 +48,6 @@ from repro.circuits.kak import (
     is_local_gate,
     makhlin_invariants,
 )
-from repro.circuits.linear_reversible import circuit_to_matrix, linear_reversible_circuit
 from repro.circuits.optimizer import (
     gates_commute,
     optimize_circuit,
@@ -92,6 +93,4 @@ __all__ = [
     "gamma_matrix",
     "is_local_gate",
     "interface_block_cost",
-    "linear_reversible_circuit",
-    "circuit_to_matrix",
 ]

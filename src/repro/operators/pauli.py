@@ -17,7 +17,7 @@ makes the Γ-search and GTSP cost scans tractable at molecule scale (see
 Phase convention: a :class:`PauliString` itself is always phaseless — the
 represented operator is exactly ``⊗_q σ_q`` with ``σ(x=1, z=1) = Y`` (not
 ``XZ``).  Operations that can produce phases (:meth:`multiply`, Clifford
-conjugation in :mod:`repro.transforms.clifford`) return the phase separately,
+conjugation in :mod:`repro.verify.tableau`) return the phase separately,
 so ``P1 · P2 = phase · P3`` with ``phase ∈ {±1, ±i}``.
 
 The public label API is unchanged: labels read qubit 0 first, matrix exports

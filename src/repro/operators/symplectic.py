@@ -17,7 +17,8 @@ pairwise quantities as whole-matrix numpy bit operations:
   weights of :mod:`repro.core.advanced_sorting`),
 * :func:`linear_encoding_image` — the strings conjugated by the CNOT
   circuit of a linear encoding Γ, as a GF(2) map of the planes (the Γ-search
-  objective of :mod:`repro.core.gamma_search` applies one per candidate),
+  objective of :mod:`repro.core.gamma_search` applies one per candidate,
+  and :class:`~repro.transforms.LinearEncodingTransform` adds the sign),
 * :func:`lexicographic_order` — the :class:`PauliString` sort order.
 
 All functions accept either a :class:`PackedPaulis` or any iterable of
@@ -37,6 +38,11 @@ from repro.operators.pauli import PauliString
 WORD_BITS = 64
 
 _WORD_MASK = (1 << WORD_BITS) - 1
+
+
+def _n_words(n_qubits: int) -> int:
+    """Packed words per plane for ``n_qubits`` qubits (at least one)."""
+    return max(1, -(-n_qubits // WORD_BITS))
 
 
 def _pack_masks(masks: Sequence[int], n_words: int) -> np.ndarray:
@@ -73,7 +79,7 @@ class PackedPaulis:
         for string in strings:
             if string.n_qubits != n:
                 raise ValueError("all strings must act on the same register size")
-        n_words = max(1, -(-n // WORD_BITS))
+        n_words = _n_words(n)
         return cls(
             n_qubits=n,
             x=_pack_masks([s.x_mask for s in strings], n_words),
@@ -177,27 +183,26 @@ def linear_encoding_image(
 
     Conjugation by a CNOT circuit acts linearly on the symplectic planes
     (Aaronson & Gottesman, arXiv:quant-ph/0406196): the X plane maps to
-    ``Γ x`` and the Z plane to ``Γ^{-T} z``.  The ±1 sign that
-    :func:`repro.transforms.clifford.conjugate_by_cnot_network` also tracks is
-    dropped; supports and labels do not depend on it.  ``gamma_inverse`` is
-    the GF(2) inverse of the 0/1 matrix ``gamma``; both are ``n × n`` for
-    strings on ``n`` qubits, any ``n``.
+    ``Γ x`` and the Z plane to ``Γ^{-T} z``.  This is the only map of Pauli
+    planes by Γ in the package.  The ±1 sign is dropped; supports and labels
+    do not depend on it, and :class:`repro.transforms.LinearEncodingTransform`
+    restores it from the Y counts.  ``gamma_inverse`` is the GF(2) inverse
+    of the 0/1 matrix ``gamma``; both are ``n × n`` for strings on ``n``
+    qubits, any ``n``.  An empty collection carries no register size and
+    maps to the empty collection on Γ's.
     """
     packed = _as_packed(strings)
-    n = packed.n_qubits
     gamma = np.asarray(gamma, dtype=np.uint8)
     gamma_inverse = np.asarray(gamma_inverse, dtype=np.uint8)
+    n = packed.n_qubits if len(packed) else gamma.shape[0]
     if gamma.shape != (n, n) or gamma_inverse.shape != (n, n):
         raise ValueError(f"Γ and its inverse must be {n}×{n} for {n}-qubit strings")
     # Row-vector form: x' = x Γ^T and z' = z Γ^{-1}.  uint8 products wrap
     # modulo 256, which keeps the parity the mod-2 sum needs.
     x = (_unpack_planes(packed.x, n) @ gamma.T) & 1
     z = (_unpack_planes(packed.z, n) @ gamma_inverse) & 1
-    return PackedPaulis(
-        n_qubits=n,
-        x=_pack_planes(x, packed.n_words),
-        z=_pack_planes(z, packed.n_words),
-    )
+    n_words = _n_words(n)
+    return PackedPaulis(n_qubits=n, x=_pack_planes(x, n_words), z=_pack_planes(z, n_words))
 
 
 def lexicographic_order(

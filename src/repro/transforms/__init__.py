@@ -1,15 +1,15 @@
-"""Fermion-to-qubit transformations and GF(2) linear-reversible machinery.
+"""Fermion-to-qubit transformations and the GF(2) matrices behind them.
 
 Exports the Jordan-Wigner, Bravyi-Kitaev, parity, ternary-tree and generalized
 (Γ-conjugated) transforms along with the binary-matrix utilities they are
-built from.
+built from.  A linear encoding applies Γ to the Jordan-Wigner image as a
+signed GF(2) map of the Pauli planes; no CNOT network is built or walked.
 """
 
 from repro.transforms.base import FermionQubitTransform, relabel_modes
 from repro.transforms.binary import (
     block_diagonal,
     bravyi_kitaev_matrix,
-    cnot_cost,
     cnot_network_matrix,
     embed_block,
     gf2_inverse,
@@ -23,14 +23,6 @@ from repro.transforms.binary import (
     parity_matrix,
     random_invertible_matrix,
     random_upper_triangular_matrix,
-    synthesize_cnot_network,
-    synthesize_cnot_network_pmh,
-)
-from repro.transforms.clifford import (
-    cnot_sign_flip,
-    conjugate_by_cnot_network,
-    conjugate_pauli_by_cnot,
-    conjugate_pauli_by_cnot_network,
 )
 from repro.transforms.jordan_wigner import JordanWignerTransform, jordan_wigner
 from repro.transforms.linear_encoding import (
@@ -55,10 +47,6 @@ __all__ = [
     "bravyi_kitaev",
     "parity_transform",
     "generalized_transform",
-    "cnot_sign_flip",
-    "conjugate_by_cnot_network",
-    "conjugate_pauli_by_cnot",
-    "conjugate_pauli_by_cnot_network",
     "identity_matrix",
     "jordan_wigner_matrix",
     "parity_matrix",
@@ -73,8 +61,5 @@ __all__ = [
     "is_upper_triangular",
     "random_invertible_matrix",
     "random_upper_triangular_matrix",
-    "synthesize_cnot_network",
-    "synthesize_cnot_network_pmh",
     "cnot_network_matrix",
-    "cnot_cost",
 ]

@@ -8,15 +8,17 @@ fermion-to-qubit transformation.  This module provides:
 
 * basic GF(2) matrix operations (multiplication, inversion, rank),
 * random sampling of invertible matrices (used by simulated annealing moves),
-* CNOT-network synthesis of a matrix by Gaussian elimination and by the
-  Patel-Markov-Hayes (PMH) partitioned algorithm [26 in the paper],
 * construction of structured encoding matrices (Bravyi-Kitaev / Fenwick-tree,
-  parity encoding, block-diagonal assembly).
+  parity encoding, block-diagonal assembly),
+* the matrix of a given CNOT network (:func:`cnot_network_matrix`).
+
+Γ is applied as a matrix, never as a circuit: the paper treats it as a
+compile-time relabeling, so no CNOT network is synthesized for it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -220,7 +222,7 @@ def embed_block(n: int, indices: Sequence[int], block: np.ndarray) -> np.ndarray
 
 
 # ----------------------------------------------------------------------
-# CNOT-network synthesis
+# CNOT networks
 # ----------------------------------------------------------------------
 def cnot_network_matrix(n: int, cnots: Sequence[CnotPair]) -> np.ndarray:
     """Return the GF(2) matrix implemented by a sequence of CNOT gates.
@@ -236,114 +238,3 @@ def cnot_network_matrix(n: int, cnots: Sequence[CnotPair]) -> np.ndarray:
             raise ValueError("CNOT control and target must differ")
         matrix[target] ^= matrix[control]
     return matrix
-
-
-def synthesize_cnot_network(matrix: np.ndarray) -> List[CnotPair]:
-    """Synthesize a CNOT sequence implementing the invertible GF(2) matrix.
-
-    Plain Gauss-Jordan elimination: returns a list of ``(control, target)``
-    pairs such that ``cnot_network_matrix(n, result) == matrix``.
-    """
-    m = as_gf2(matrix).copy()
-    n = m.shape[0]
-    if not is_invertible(m):
-        raise ValueError("matrix is not invertible over GF(2)")
-    gates: List[CnotPair] = []
-    # Reduce m to the identity by row operations; each row operation
-    # row[t] ^= row[c] corresponds to a CNOT(c, t) applied *before* the ones
-    # already found (we build the inverse circuit and reverse at the end).
-    for col in range(n):
-        if not m[col, col]:
-            pivot = next(row for row in range(col + 1, n) if m[row, col])
-            m[col] ^= m[pivot]
-            gates.append((pivot, col))
-        for row in range(n):
-            if row != col and m[row, col]:
-                m[row] ^= m[col]
-                gates.append((col, row))
-    # The recorded operations transform `matrix` into the identity when applied
-    # in order, i.e. G_k ... G_1 * matrix = I, so matrix = G_1^-1 ... G_k^-1.
-    # Each CNOT is its own inverse, hence the circuit for `matrix` is the
-    # reversed gate list.
-    return list(reversed(gates))
-
-
-def synthesize_cnot_network_pmh(
-    matrix: np.ndarray, section_size: Optional[int] = None
-) -> List[CnotPair]:
-    """Patel-Markov-Hayes synthesis of a linear reversible circuit.
-
-    Asymptotically O(n^2 / log n) CNOT gates; for the modest sizes used in the
-    paper it mainly serves as a better-than-Gaussian-elimination baseline.
-    Returns gates in application order.
-    """
-    m = as_gf2(matrix).copy()
-    n = m.shape[0]
-    if not is_invertible(m):
-        raise ValueError("matrix is not invertible over GF(2)")
-    if section_size is None:
-        section_size = max(1, int(np.log2(max(n, 2))))
-
-    def lower_synth(mat: np.ndarray) -> List[CnotPair]:
-        """Reduce ``mat`` to upper triangular, returning the row-ops performed."""
-        ops: List[CnotPair] = []
-        num_sections = int(np.ceil(mat.shape[0] / section_size))
-        for section in range(num_sections):
-            start = section * section_size
-            stop = min(start + section_size, mat.shape[0])
-            # Step A: eliminate duplicate sub-rows within the section.
-            patterns: dict = {}
-            for row in range(start, mat.shape[0]):
-                pattern = tuple(mat[row, start:stop])
-                if not any(pattern):
-                    continue
-                if pattern in patterns:
-                    base = patterns[pattern]
-                    mat[row] ^= mat[base]
-                    ops.append((base, row))
-                else:
-                    patterns[pattern] = row
-            # Step B: Gaussian elimination below the diagonal of the section.
-            for col in range(start, stop):
-                if not mat[col, col]:
-                    pivot = next(
-                        (row for row in range(col + 1, mat.shape[0]) if mat[row, col]),
-                        None,
-                    )
-                    if pivot is None:
-                        continue
-                    mat[col] ^= mat[pivot]
-                    ops.append((pivot, col))
-                for row in range(col + 1, mat.shape[0]):
-                    if mat[row, col]:
-                        mat[row] ^= mat[col]
-                        ops.append((col, row))
-        return ops
-
-    # Lower-triangular part.
-    ops_lower = lower_synth(m)
-    # Upper-triangular part: synthesize on the transpose.
-    m_t = m.T.copy()
-    ops_upper_t = lower_synth(m_t)
-    # Row operation (c, t) on the transpose is the column operation, i.e. the
-    # CNOT with control and target exchanged on the original matrix.
-    ops_upper = [(t, c) for c, t in ops_upper_t]
-
-    # We performed  L_ops * matrix * (R_ops)^T = I  in the sense below; combine:
-    # following Patel-Markov-Hayes, the circuit is the reversed lower ops after
-    # the upper ops reversed.  Verify by construction in tests.
-    gates = list(reversed(ops_lower)) + [
-        (c, t) for (c, t) in reversed(ops_upper)
-    ]
-    # Fall back to plain Gaussian elimination if the bookkeeping above failed
-    # to reproduce the matrix (guards against edge cases in sectioning).
-    if not np.array_equal(cnot_network_matrix(n, gates), as_gf2(matrix)):
-        return synthesize_cnot_network(matrix)
-    return gates
-
-
-def cnot_cost(matrix: np.ndarray) -> int:
-    """Number of CNOT gates used by the best available synthesis of ``matrix``."""
-    gaussian = synthesize_cnot_network(matrix)
-    pmh = synthesize_cnot_network_pmh(matrix)
-    return min(len(gaussian), len(pmh))

@@ -7,32 +7,37 @@ transforms correspond to structured choices of ``Γ``; the paper's *advanced
 fermion-to-qubit transformation* searches over block-diagonal ``Γ`` with
 simulated annealing.
 
-Operationally, the transform of an operator is obtained by first applying
-Jordan-Wigner and then conjugating by the CNOT-only Clifford circuit ``U_Γ``
-that implements ``Γ`` on computational basis states.  Because CNOT circuits
-map Pauli strings to Pauli strings, the result is again a sum of Pauli
-strings with unchanged spectrum.
+The transform of an operator is its Jordan-Wigner image conjugated by the
+CNOT-only Clifford ``U_Γ: |x⟩ ↦ |Γx⟩``.  No circuit is built: conjugation
+maps the symplectic planes linearly (x → Γx, z → Γ^{-T}z, see
+:func:`repro.operators.linear_encoding_image`) and fixes the sign in closed
+form.  Writing a string as ``i^{|x∧z|} X^x Z^z``, ``U_Γ`` maps ``X^x Z^z`` to
+``X^{x'} Z^{z'}`` with no phase, so ``U_Γ P U_Γ† = i^{|x∧z| − |x'∧z'|} P'``.
+The exponent is even (``x·z`` is invariant mod 2), so the sign is −1 exactly
+when the Y count changes by 2 mod 4.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from repro.operators import FermionOperator, QubitOperator
+from repro.operators import FermionOperator, PackedPaulis, QubitOperator, linear_encoding_image
 from repro.transforms.base import FermionQubitTransform
 from repro.transforms.binary import (
-    CnotPair,
     as_gf2,
     bravyi_kitaev_matrix,
+    gf2_inverse,
     identity_matrix,
-    is_invertible,
     parity_matrix,
-    synthesize_cnot_network,
 )
-from repro.transforms.clifford import conjugate_by_cnot_network
 from repro.transforms.jordan_wigner import JordanWignerTransform
+
+
+def _y_counts(packed: PackedPaulis) -> np.ndarray:
+    """Number of Y factors of every string, as an ``(m,)`` int array."""
+    return np.bitwise_count(packed.x & packed.z).sum(axis=-1, dtype=np.int64)
 
 
 class LinearEncodingTransform(FermionQubitTransform):
@@ -47,19 +52,11 @@ class LinearEncodingTransform(FermionQubitTransform):
 
     def __init__(self, gamma: np.ndarray):
         gamma = as_gf2(gamma)
-        if gamma.shape[0] != gamma.shape[1]:
-            raise ValueError("Γ must be square")
-        if not is_invertible(gamma):
-            raise ValueError("Γ must be invertible over GF(2)")
+        # Raises ValueError unless Γ is square and invertible over GF(2).
+        self._gamma_inverse = gf2_inverse(gamma)
         super().__init__(gamma.shape[0])
         self.gamma = gamma
-        self._cnot_network: List[CnotPair] = synthesize_cnot_network(gamma)
         self._jordan_wigner = JordanWignerTransform(self.n_modes)
-
-    @property
-    def cnot_network(self) -> List[CnotPair]:
-        """CNOT gates (application order) implementing ``U_Γ`` on basis states."""
-        return list(self._cnot_network)
 
     @property
     def is_identity_encoding(self) -> bool:
@@ -67,21 +64,33 @@ class LinearEncodingTransform(FermionQubitTransform):
         return bool(np.array_equal(self.gamma, identity_matrix(self.n_modes)))
 
     def annihilation_operator(self, mode: int) -> QubitOperator:
-        jw_image = self._jordan_wigner.annihilation_operator(mode)
-        if self.is_identity_encoding:
-            return jw_image
-        return conjugate_by_cnot_network(jw_image, self._cnot_network)
+        return self.conjugate(self._jordan_wigner.annihilation_operator(mode))
 
     def transform(self, operator: FermionOperator) -> QubitOperator:
         # Conjugating the full JW image once is cheaper than conjugating each
         # ladder-operator factor separately.
-        jw_image = self._jordan_wigner.transform(operator)
+        return self.conjugate(self._jordan_wigner.transform(operator))
+
+    def conjugate(self, operator: QubitOperator) -> QubitOperator:
+        """``U_Γ O U_Γ†``, term by term in input order, signed by the Y-count rule."""
         if self.is_identity_encoding:
-            return jw_image
-        return conjugate_by_cnot_network(jw_image, self._cnot_network)
+            return operator
+        strings = PackedPaulis.from_strings(operator.terms)
+        image = linear_encoding_image(strings, self.gamma, self._gamma_inverse)
+        y_shifts = _y_counts(strings) - _y_counts(image)
+        # Conjugation permutes the Pauli strings, so no two terms collide.
+        return QubitOperator(
+            operator.n_qubits,
+            {
+                string: (-1 if y_shift & 2 else 1) * coefficient
+                for string, y_shift, coefficient in zip(
+                    image.to_strings(), y_shifts, operator.terms.values()
+                )
+            },
+        )
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(n_modes={self.n_modes}, cnot_cost={len(self._cnot_network)})"
+        return f"{type(self).__name__}(n_modes={self.n_modes})"
 
 
 class BravyiKitaevTransform(LinearEncodingTransform):

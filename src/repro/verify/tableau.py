@@ -15,10 +15,9 @@ a scalar.  Tableau equality is therefore exactly the verdict of
 ``Circuit.equals_up_to_global_phase`` — at ``O(n²)`` bits instead of
 ``O(4**n)`` amplitudes.
 
-The CNOT sign rule is shared with :mod:`repro.transforms.clifford`
-(:func:`~repro.transforms.clifford.cnot_sign_flip`), so the conjugation
-semantics pinned by the transform tests are inherited verbatim; the
-single-qubit rules are golden-tested against direct matrix conjugation in
+The verifier shares no conjugation code with the compiler it checks: every
+gate rule, the CNOT sign rule :func:`cnot_sign_flip` included, lives here
+and is golden-tested against direct matrix conjugation in
 ``tests/verify/test_clifford_golden.py``.
 
 Rotation gates at multiples of ``π/2`` (within :data:`CLIFFORD_ANGLE_ATOL`)
@@ -38,7 +37,6 @@ from repro.circuits.circuit import Circuit
 from repro.circuits.gates import Gate
 from repro.operators.pauli import PauliString
 from repro.operators.symplectic import WORD_BITS
-from repro.transforms.clifford import cnot_sign_flip
 
 #: Parameter-free gate names with native tableau update rules.
 CLIFFORD_GATE_NAMES = frozenset(
@@ -59,6 +57,16 @@ _RZ_DECOMP = {0: (), 1: ("S",), 2: ("Z",), 3: ("SDG",)}
 _RX_DECOMP = {0: (), 1: ("SQRTX",), 2: ("X",), 3: ("SQRTXDG",)}
 _RY_DECOMP = {k: (("SDG",) + _RX_DECOMP[k] + ("S",)) if k else () for k in range(4)}
 _ROTATION_DECOMP = {"RZ": _RZ_DECOMP, "RX": _RX_DECOMP, "RY": _RY_DECOMP}
+
+
+def cnot_sign_flip(x_c, z_c, x_t, z_t):
+    """Sign-flip indicator of CNOT conjugation on 0/1 component bits.
+
+    Evaluates ``x_c z_t (x_t ⊕ z_c ⊕ 1)``: under ``X_c → X_c X_t`` and
+    ``Z_t → Z_c Z_t`` only ``X⊗Z → −Y⊗Y`` and ``Y⊗Y → −X⊗Z`` pick up a sign.
+    Pure bit arithmetic, so it works on Python ints and on numpy 0/1 arrays.
+    """
+    return x_c & z_t & (x_t ^ z_c ^ 1)
 
 
 class NotCliffordError(ValueError):
@@ -373,9 +381,7 @@ def conjugate_pauli_by_clifford_gate(
 ) -> Tuple[int, PauliString]:
     """Return ``(sign, G P G†)`` for a single Clifford gate ``G``.
 
-    The generalization of
-    :func:`repro.transforms.clifford.conjugate_pauli_by_cnot` to every
-    supported Clifford gate, evaluated through the tableau rules.
+    Any supported Clifford gate, evaluated through the tableau rules.
     """
     tableau = CliffordTableau.identity(string.n_qubits)
     tableau.apply_gate(gate, atol)

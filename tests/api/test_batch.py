@@ -292,30 +292,6 @@ class TestMultiBackendBatches:
         )
 
 
-class TestConvenienceApiGuards:
-    def test_config_conflicts_with_legacy_keywords(self):
-        from repro import compile_molecule_ansatz
-
-        for kwargs in ({"seed": 42}, {"baseline_pso_iterations": 2}, {"gamma_steps": 3}):
-            with pytest.raises(TypeError, match="config"):
-                compile_molecule_ansatz(
-                    "H2", n_terms=2, config=CompilerConfig(), **kwargs
-                )
-
-    def test_legacy_ablation_kwargs_do_not_move_the_baseline_column(self):
-        """On the legacy path the keyword options scope to the advanced flow:
-        disabling the advanced pipeline's compression must leave the GT
-        column (the prior art as published) untouched."""
-        from repro import compile_molecule_ansatz
-
-        fast = dict(gamma_steps=5, sorting_population=8, sorting_generations=5)
-        full = compile_molecule_ansatz("H2", n_terms=3, **fast)
-        ablated = compile_molecule_ansatz(
-            "H2", n_terms=3, use_bosonic_encoding=False, **fast
-        )
-        assert ablated.baseline_cnot_count == full.baseline_cnot_count
-
-
 class TestParallelWorkers:
     def test_process_pool_matches_serial_results(self):
         requests = [make_request(), make_request(shift=1), make_request(shift=2)]

@@ -1,18 +1,24 @@
-"""Layering: the compilation API sits below the compile service.
+"""Layering: which packages may not import which.
 
-``repro.service`` builds on ``repro.api`` (stores, job runner, batch layer);
-the reverse edge would be an import cycle.  The scan walks every import in
-every module under ``repro/api`` — module level, inside functions and
-behind ``TYPE_CHECKING`` guards alike — so a lazily imported service module
-cannot hide from it.
+* ``repro.service`` builds on ``repro.api`` (stores, job runner, batch
+  layer); the reverse edge would be an import cycle.
+* ``repro.verify`` checks what the compiler in ``repro.transforms`` produced,
+  so it must not share the compiler's conjugation code: a shared sign rule
+  would make a sign error invisible to the verifier.
+
+The scan walks every import in every module of a package — module level,
+inside functions and behind ``TYPE_CHECKING`` guards alike — so a lazily
+imported module cannot hide from it.
 """
 
 import ast
 from pathlib import Path
 
 import repro.api
+import repro.verify
 
 API_DIR = Path(repro.api.__file__).parent
+VERIFY_DIR = Path(repro.verify.__file__).parent
 
 
 def imported_modules(path: Path):
@@ -24,13 +30,23 @@ def imported_modules(path: Path):
             yield node.module
 
 
-def test_no_api_module_imports_the_service():
-    paths = sorted(API_DIR.rglob("*.py"))
-    assert any(path.name == "batch.py" for path in paths)  # the scan sees the package
-    offenders = {
+def offending_imports(package_dir: Path, forbidden: str):
+    """``"file: module"`` for every import of ``forbidden`` or its submodules."""
+    return {
         f"{path.name}: {name}"
-        for path in paths
+        for path in sorted(package_dir.rglob("*.py"))
         for name in imported_modules(path)
-        if name == "repro.service" or name.startswith("repro.service.")
+        if name == forbidden or name.startswith(forbidden + ".")
     }
+
+
+def test_no_api_module_imports_the_service():
+    assert (API_DIR / "batch.py").exists()  # the scan sees the package
+    offenders = offending_imports(API_DIR, "repro.service")
     assert not offenders, f"repro.api must not import repro.service: {sorted(offenders)}"
+
+
+def test_no_verify_module_imports_the_transforms():
+    assert (VERIFY_DIR / "tableau.py").exists()  # the scan sees the package
+    offenders = offending_imports(VERIFY_DIR, "repro.transforms")
+    assert not offenders, f"repro.verify must not import repro.transforms: {sorted(offenders)}"

@@ -88,7 +88,9 @@ class TestAdvancedPipeline:
 class TestEndToEndMoleculeApi:
     def test_h2_report_shape(self):
         report = compile_molecule_ansatz(
-            "H2", n_terms=3, gamma_steps=5, sorting_population=8, sorting_generations=5
+            "H2", n_terms=3, config=CompilerConfig(
+                gamma_steps=5, sorting_population=8, sorting_generations=5
+            ),
         )
         assert report.n_qubits == 4
         assert report.advanced_cnot_count <= report.baseline_cnot_count
@@ -99,7 +101,9 @@ class TestEndToEndMoleculeApi:
 
     def test_lih_advanced_beats_jw_and_bk(self):
         report = compile_molecule_ansatz(
-            "LiH", n_terms=4, gamma_steps=5, sorting_population=8, sorting_generations=5
+            "LiH", n_terms=4, config=CompilerConfig(
+                gamma_steps=5, sorting_population=8, sorting_generations=5
+            ),
         )
         assert report.advanced_cnot_count < report.jordan_wigner_cnot_count
         assert report.advanced_cnot_count < report.bravyi_kitaev_cnot_count

@@ -111,7 +111,9 @@ class TestMoleculeLevelConsistency:
 
     def test_full_report_is_self_consistent(self):
         report = compile_molecule_ansatz(
-            "H2", n_terms=2, gamma_steps=5, sorting_population=8, sorting_generations=5
+            "H2", n_terms=2, config=CompilerConfig(
+                gamma_steps=5, sorting_population=8, sorting_generations=5
+            ),
         )
         assert report.n_terms == 2
         assert report.advanced_cnot_count > 0

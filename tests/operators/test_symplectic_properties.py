@@ -14,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from repro.circuits import Circuit, cnot
 from repro.operators import (
     PackedPaulis,
     PauliString,
-    QubitOperator,
     commutation_matrix,
     interface_reduction_matrix,
     lexicographic_order,
@@ -26,12 +26,8 @@ from repro.operators import (
     weight_vector,
 )
 from repro.operators.pauli import PAULI_MATRICES, _PAULI_PRODUCTS
-from repro.transforms import (
-    LinearEncodingTransform,
-    conjugate_by_cnot_network,
-    gf2_inverse,
-    random_invertible_matrix,
-)
+from repro.transforms import cnot_network_matrix, gf2_inverse
+from repro.verify import CliffordTableau
 
 
 # ----------------------------------------------------------------------
@@ -218,7 +214,7 @@ class TestBatchedAgainstScalar:
 
 
 # ----------------------------------------------------------------------
-# Linear-encoding map on bit-planes vs CNOT-network conjugation
+# Linear-encoding map on bit-planes vs the Clifford tableau
 # ----------------------------------------------------------------------
 class TestLinearEncodingImage:
     @given(
@@ -230,23 +226,26 @@ class TestLinearEncodingImage:
         )
     )
     @settings(max_examples=40, deadline=None)
-    def test_matches_cnot_network_conjugation(self, case):
-        """x -> Γx, z -> Γ^{-T}z equals conjugating by U_Γ's CNOT network."""
+    def test_matches_tableau_conjugation(self, case):
+        """x -> Γx, z -> Γ^{-T}z equals conjugating by a CNOT circuit for Γ."""
         seed, label_list = case
         n = len(label_list[0])
-        gamma = random_invertible_matrix(n, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        cnots = [tuple(int(q) for q in rng.choice(n, 2, replace=False)) for _ in range(2 * n)]
+        gamma = cnot_network_matrix(n, cnots)
         strings = [PauliString(label) for label in label_list]
         image = linear_encoding_image(strings, gamma, gf2_inverse(gamma))
 
-        operator = QubitOperator(n, {string: 1.0 for string in strings})
-        network = LinearEncodingTransform(gamma).cnot_network
-        # Conjugation permutes the Pauli basis, so the output keeps the input
-        # order string for string.
-        expected = list(conjugate_by_cnot_network(operator, network).terms)
-        assert [(s.x_mask, s.z_mask) for s in image.to_strings()] == [
-            (s.x_mask, s.z_mask) for s in expected
-        ]
+        tableau = CliffordTableau.from_circuit(Circuit(n, [cnot(c, t) for c, t in cnots]))
+        expected = [tableau.conjugate(string)[1] for string in strings]
+        assert image.to_strings() == expected
         assert image.n_words == PackedPaulis.from_strings(strings).n_words
+
+    @pytest.mark.parametrize("n", [3, 64, 100])
+    def test_empty_collection_keeps_the_register(self, n):
+        identity = np.eye(n, dtype=np.uint8)
+        image = linear_encoding_image([], identity, identity)
+        assert (len(image), image.n_qubits, image.n_words) == (0, n, -(-n // 64))
 
     def test_identity_is_a_no_op(self):
         strings = [PauliString("XYZI"), PauliString("ZZIX")]

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.operators import FermionOperator, QubitOperator
+from repro.operators import FermionOperator, PauliString, QubitOperator
 from repro.transforms import (
     BravyiKitaevTransform,
     JordanWignerTransform,
     LinearEncodingTransform,
     ParityTransform,
     bravyi_kitaev,
+    cnot_network_matrix,
     generalized_transform,
     jordan_wigner,
     parity_transform,
@@ -47,9 +48,33 @@ class TestConstruction:
         op = FermionOperator.double_excitation(0, 1, 2, 0, 0.5).anti_hermitian_part()
         assert transform.transform(op) == jordan_wigner(op, n_modes=3)
 
-    def test_cnot_network_exposed(self):
-        transform = ParityTransform(4)
-        assert len(transform.cnot_network) > 0
+
+class TestEmptyImages:
+    """An operator whose JW image has no strings keeps its register size."""
+
+    @pytest.fixture(
+        params=[
+            lambda: BravyiKitaevTransform(4),
+            lambda: ParityTransform(4),
+            lambda: LinearEncodingTransform(cnot_network_matrix(70, [(0, 69), (3, 66)])),
+        ],
+        ids=["bravyi-kitaev", "parity", "70-qubit-gamma"],
+    )
+    def transform(self, request):
+        return request.param()
+
+    def test_vanishing_product(self, transform):
+        image = transform.transform(FermionOperator(((0, True), (0, True))))
+        assert (image.n_qubits, image.terms) == (transform.n_modes, {})
+
+    def test_zero_operator(self, transform):
+        image = transform.transform(FermionOperator.zero())
+        assert (image.n_qubits, image.terms) == (transform.n_modes, {})
+
+    def test_constant_only_operator(self, transform):
+        n = transform.n_modes
+        image = transform.transform(FermionOperator.identity(-0.75))
+        assert (image.n_qubits, image.terms) == (n, {PauliString.identity(n): -0.75})
 
 
 class TestCanonicalAnticommutation:

@@ -1,13 +1,13 @@
 """Golden cross-check of Clifford conjugation rules against dense matrices.
 
-The tableau engine (and, through the shared ``cnot_sign_flip`` rule, the
-CNOT-network conjugation in :mod:`repro.transforms.clifford`) rests on a
-table of per-gate sign/update rules.  A sign error there silently corrupts
-every verdict of the new verifier, so this suite pins the rules exhaustively:
-every supported one-qubit Clifford on *all* 16 two-qubit Pauli strings and
-every two-qubit Clifford on the same 16 strings, signs included, against
-direct ``U P U†`` matrix conjugation — plus hypothesis sweeps over random
-packed Paulis and random Clifford words.
+The tableau engine rests on a table of per-gate sign/update rules.  A sign
+error there silently corrupts every verdict of the verifier, and the
+tableau is also the reference the linear-encoding sign rule is checked
+against, so this suite pins the rules exhaustively: every supported
+one-qubit Clifford on *all* 16 two-qubit Pauli strings and every two-qubit
+Clifford on the same 16 strings, signs included, against direct ``U P U†``
+matrix conjugation — plus hypothesis sweeps over random packed Paulis and
+random Clifford words.
 """
 
 import itertools
@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.gates import Gate
-from repro.operators import PauliString
-from repro.transforms import conjugate_pauli_by_cnot
+from repro.operators import PauliString, QubitOperator
+from repro.transforms import LinearEncodingTransform, cnot_network_matrix
 from repro.verify import CliffordTableau, conjugate_pauli_by_clifford_gate
 
 ONE_QUBIT_CLIFFORDS = ["I", "X", "Y", "Z", "H", "S", "SDG", "SQRTX", "SQRTXDG"]
@@ -66,13 +66,13 @@ class TestExhaustiveGolden:
         assert_golden(Gate(name, (0,), angle), label)
 
     @pytest.mark.parametrize("label", ALL_TWO_QUBIT_PAULIS)
-    def test_cnot_agrees_with_transforms_engine(self, label):
-        """The tableau CNOT and transforms/clifford must be bit-identical."""
+    def test_cnot_agrees_with_linear_encoding_matrix_form(self, label):
+        """The tableau CNOT and the Γ = CNOT(0, 1) encoding agree, sign included."""
         string = PauliString(label)
-        tab_sign, tab_image = conjugate_pauli_by_clifford_gate(string, Gate("CNOT", (0, 1)))
-        ref_sign, ref_image = conjugate_pauli_by_cnot(string, 0, 1)
-        assert tab_sign == ref_sign
-        assert tab_image == ref_image
+        sign, image = conjugate_pauli_by_clifford_gate(string, Gate("CNOT", (0, 1)))
+        encoding = LinearEncodingTransform(cnot_network_matrix(2, [(0, 1)]))
+        expected = encoding.conjugate(QubitOperator.from_pauli_string(string))
+        assert expected.terms == {image: sign}
 
 
 @st.composite
