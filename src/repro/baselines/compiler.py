@@ -1,50 +1,57 @@
 """Prior-art baseline compiler ([8], [9] in the paper).
 
-Reproduces the compilation strategy the paper improves upon:
+Reproduces the compilation strategy the paper improves upon, the "GT"
+(generalized transformation) column of Table I:
 
 * **Bosonic encoding only** — a double excitation whose creation *and*
   annihilation index pairs are both same-spatial-orbital spin pairs is
   compiled in compressed form at 2 CNOTs; hybrid terms are not compressed.
-* **Intra-excitation term ordering** — the Pauli strings of one excitation
-  term are ordered to maximize cancellations (exhaustively for small terms,
-  with a 2-opt tour heuristic otherwise).
-* **Target qubit choice** — all Pauli strings of the same excitation term
-  share a single target qubit.
-* **Inter-excitation term ordering** — a doubly-greedy pass groups terms with
-  the same target and greedily orders terms inside each group.
+* **Term-block order** — every other term is expanded into Pauli strings
+  that share one target qubit, ordered inside the term and chained greedily
+  between terms grouped by target.  The rule lives in one kernel on packed
+  bit-planes, :func:`repro.core.advanced_sorting.term_block_order`.
 * **Fermion-to-qubit transformation matrix** — an upper-triangular GL(N,2)
-  matrix searched with binary particle swarm optimization.
+  matrix searched with binary particle swarm optimization, scored by
+  :class:`repro.core.gamma_search.TermBlockCost`.
 
-Together these produce the "GT" (generalized transformation) column of
-Table I; running it with the identity transformation and no compression gives
-the plain JW/BK columns.
+The plain JW/BK columns (:func:`naive_rotation_sequence`) run the same
+kernel unordered: no compression, terms and strings in expansion order.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.circuits import interface_cnot_reduction, sequence_cnot_count
+from repro.core.advanced_sorting import term_block_order
+from repro.core.gamma_search import TermBlockCost
+from repro.core.hybrid_encoding import BOSONIC_TERM_CNOT_COST
 from repro.core.terms_to_paulis import PauliRotation, required_qubits, terms_to_rotations
-from repro.operators import PauliString
-from repro.optimizers import binary_particle_swarm, solve_tsp
-from repro.transforms import (
-    FermionQubitTransform,
-    JordanWignerTransform,
-    LinearEncodingTransform,
-    identity_matrix,
-)
+from repro.operators import PackedPaulis, PauliString
+from repro.optimizers import binary_particle_swarm
+from repro.transforms import FermionQubitTransform, LinearEncodingTransform, identity_matrix
 from repro.vqe import ExcitationTerm
 
-#: CNOT cost of a compressed ("bosonic") double excitation, from [8].
-BOSONIC_TERM_CNOT_COST = 2
+#: One compiled exponential: (string, angle, target).
+TargetedRotation = Tuple[PauliString, float, int]
 
-#: Maximum number of Pauli strings for which intra-term ordering is exhaustive.
-EXHAUSTIVE_ORDERING_LIMIT = 5
+
+def _term_block_sequence(
+    rotations: Sequence[PauliRotation], ordered: bool
+) -> Tuple[List[TargetedRotation], int]:
+    """The rotations in :func:`term_block_order`, with the sequence's CNOTs."""
+    order = term_block_order(
+        PackedPaulis.from_strings(rotation.string for rotation in rotations),
+        [rotation.term_index for rotation in rotations],
+        ordered=ordered,
+    )
+    sequence = [
+        (rotations[row].string, rotations[row].angle, target)
+        for row, target in zip(order.rows.tolist(), order.targets.tolist())
+    ]
+    return sequence, order.cnot_count
 
 
 @dataclass
@@ -60,94 +67,11 @@ class BaselineCompilationResult:
     #: The same sequence as ``ordered_rotations`` with the rotation angles
     #: included, shaped for :func:`repro.circuits.exponential_sequence_circuit`
     #: so differential tests can synthesize the compiled unitary.
-    ordered_exponentials: List[Tuple[PauliString, float, int]] = field(
-        default_factory=list
-    )
+    ordered_exponentials: List[TargetedRotation] = field(default_factory=list)
 
     @property
     def n_compressed_terms(self) -> int:
         return len(self.bosonic_terms)
-
-
-def _shared_target(rotations: Sequence[PauliRotation]) -> Optional[int]:
-    """Highest-index qubit common to the support of every rotation, if any."""
-    if not rotations:
-        return None
-    common = set(rotations[0].string.support)
-    for rotation in rotations[1:]:
-        common &= set(rotation.string.support)
-    return max(common) if common else None
-
-
-#: One targeted rotation with its angle: (string, target, angle).
-_TargetedRotation = Tuple[PauliString, int, float]
-
-
-def _order_rotations_within_term(
-    rotations: List[PauliRotation], target: Optional[int]
-) -> List[_TargetedRotation]:
-    """Order one term's rotations to maximize internal cancellations.
-
-    All rotations share ``target`` when possible (the baseline's target-qubit
-    rule); rotations whose support misses the target fall back to their own
-    highest support qubit.
-    """
-    def targeted(rotation: PauliRotation) -> _TargetedRotation:
-        support = rotation.string.support
-        chosen = target if target is not None and target in support else support[-1]
-        return (rotation.string, chosen, rotation.angle)
-
-    entries = [targeted(r) for r in rotations]
-    if len(entries) <= 1:
-        return entries
-    if len(entries) <= EXHAUSTIVE_ORDERING_LIMIT:
-        best = min(
-            itertools.permutations(entries),
-            key=lambda order: sequence_cnot_count([(p, t) for p, t, _ in order]),
-        )
-        return list(best)
-
-    indices = list(range(len(entries)))
-
-    def weight(i: int, j: int) -> float:
-        (p1, t1, _), (p2, t2, _) = entries[i], entries[j]
-        return -float(interface_cnot_reduction(p1, t1, p2, t2))
-
-    tour = solve_tsp(indices, weight, rng=np.random.default_rng(0))
-    return [entries[i] for i in tour]
-
-
-def _greedy_inter_term_order(
-    term_blocks: List[List[_TargetedRotation]]
-) -> List[_TargetedRotation]:
-    """Doubly-greedy inter-term ordering.
-
-    Terms are grouped by their shared target; inside each group a greedy
-    nearest-neighbour pass orders the terms by the cancellation between the
-    last rotation of one block and the first rotation of the next.
-    """
-    groups: Dict[int, List[List[_TargetedRotation]]] = {}
-    for block in term_blocks:
-        if not block:
-            continue
-        groups.setdefault(block[0][1], []).append(block)
-
-    ordered: List[_TargetedRotation] = []
-    for target in sorted(groups):
-        blocks = list(groups[target])
-        current = blocks.pop(0)
-        sequence = list(current)
-        while blocks:
-            last_string, last_target = sequence[-1][0], sequence[-1][1]
-            best_index = max(
-                range(len(blocks)),
-                key=lambda i: interface_cnot_reduction(
-                    last_string, last_target, blocks[i][0][0], blocks[i][0][1]
-                ),
-            )
-            sequence.extend(blocks.pop(best_index))
-        ordered.extend(sequence)
-    return ordered
 
 
 class BaselineCompiler:
@@ -191,39 +115,32 @@ class BaselineCompiler:
             gamma = identity_matrix(n_qubits)
         else:
             gamma = np.asarray(self.transform_matrix, dtype=np.uint8)
-        transform: FermionQubitTransform = LinearEncodingTransform(gamma)
 
         bosonic_terms: List[ExcitationTerm] = []
-        uncompressed: List[Tuple[int, ExcitationTerm]] = []
+        uncompressed: List[ExcitationTerm] = []
+        uncompressed_parameters: List[float] = []
         for index, term in enumerate(terms):
             if self.use_bosonic_encoding and term.encoding_class == "bosonic":
                 bosonic_terms.append(term)
             else:
-                uncompressed.append((index, term))
-
+                uncompressed.append(term)
+                uncompressed_parameters.append(
+                    1.0 if parameters is None else parameters[index]
+                )
         bosonic_cnots = BOSONIC_TERM_CNOT_COST * len(bosonic_terms)
 
-        term_blocks: List[List[_TargetedRotation]] = []
-        for index, term in uncompressed:
-            parameter = 1.0 if parameters is None else parameters[index]
-            rotations = terms_to_rotations([term], transform, [parameter])
-            target = _shared_target(rotations)
-            term_blocks.append(_order_rotations_within_term(rotations, target))
-
-        ordered = _greedy_inter_term_order(term_blocks)
-        ordered_rotations = [(string, target) for string, target, _ in ordered]
-        rotation_cnots = sequence_cnot_count(ordered_rotations)
-
+        rotations = terms_to_rotations(
+            uncompressed, LinearEncodingTransform(gamma), uncompressed_parameters
+        )
+        ordered, rotation_cnots = _term_block_sequence(rotations, ordered=True)
         return BaselineCompilationResult(
             cnot_count=bosonic_cnots + rotation_cnots,
             bosonic_terms=bosonic_terms,
             bosonic_cnot_count=bosonic_cnots,
-            ordered_rotations=ordered_rotations,
+            ordered_rotations=[(string, target) for string, _, target in ordered],
             rotation_cnot_count=rotation_cnots,
             transform_matrix=gamma,
-            ordered_exponentials=[
-                (string, angle, target) for string, target, angle in ordered
-            ],
+            ordered_exponentials=ordered,
         )
 
     # ------------------------------------------------------------------
@@ -253,15 +170,9 @@ class BaselineCompiler:
                 matrix[i, j] = int(bit)
             return matrix
 
-        def objective(bits: np.ndarray) -> float:
-            compiler = BaselineCompiler(
-                use_bosonic_encoding=self.use_bosonic_encoding,
-                transform_matrix=bits_to_matrix(bits),
-            )
-            return float(compiler.compile(terms, n_qubits=n_qubits).cnot_count)
-
+        cost = TermBlockCost(terms, n_qubits, self.use_bosonic_encoding)
         result = binary_particle_swarm(
-            objective,
+            lambda bits: cost(bits_to_matrix(bits)),
             n_bits=len(upper_indices),
             n_particles=n_particles,
             iterations=iterations,
@@ -276,26 +187,18 @@ def naive_rotation_sequence(
     terms: Sequence[ExcitationTerm],
     transform: FermionQubitTransform,
     parameters: Optional[Sequence[float]] = None,
-) -> List[Tuple[PauliString, float, int]]:
+) -> List[TargetedRotation]:
     """The exact ``(string, angle, target)`` sequence the naive flow compiles.
 
     Terms are Trotterized in the given order, every Pauli string of a term
     shares the term's common target qubit, and strings keep their
-    deterministic expansion order.  The sequence feeds straight into
+    deterministic expansion order: the unordered :func:`term_block_order`.
+    The sequence feeds straight into
     :func:`repro.circuits.exponential_sequence_circuit`, which is how the
     differential tests reconstruct the JW/BK reference unitaries.
     """
-    terms = list(terms)
-    sequence: List[Tuple[PauliString, float, int]] = []
-    for index, term in enumerate(terms):
-        parameter = 1.0 if parameters is None else parameters[index]
-        rotations = terms_to_rotations([term], transform, [parameter])
-        target = _shared_target(rotations)
-        for rotation in rotations:
-            support = rotation.string.support
-            chosen = target if target is not None and target in support else support[-1]
-            sequence.append((rotation.string, rotation.angle, chosen))
-    return sequence
+    rotations = terms_to_rotations(list(terms), transform, parameters)
+    return _term_block_sequence(rotations, ordered=False)[0]
 
 
 def naive_cnot_count(
@@ -308,8 +211,5 @@ def naive_cnot_count(
     No compression and no ordering optimization: only cancellations between
     consecutive rotations of :func:`naive_rotation_sequence` are credited.
     """
-    terms = list(terms)
-    if not terms:
-        return 0
-    sequence = naive_rotation_sequence(terms, transform, parameters)
-    return sequence_cnot_count([(string, target) for string, _, target in sequence])
+    rotations = terms_to_rotations(list(terms), transform, parameters)
+    return _term_block_sequence(rotations, ordered=False)[1]

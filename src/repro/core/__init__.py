@@ -3,7 +3,7 @@
 * :mod:`~repro.core.hybrid_encoding` — Sec. III-A (parity-symmetry
   classification, directed-graph reduction, graph-coloring scheduling);
 * :mod:`~repro.core.advanced_sorting` — Sec. III-B (GTSP over Pauli rotations
-  with per-rotation target qubits);
+  with per-rotation target qubits), plus the prior art's term-block order;
 * :mod:`~repro.core.gamma_search` — Sec. III-C (block-diagonal GL(N,2)
   transformation search via simulated annealing);
 * :mod:`~repro.core.pipeline` — the full Fig. 2 flow combining the three.
@@ -18,12 +18,13 @@ from repro.core.advanced_sorting import (
     greedy_walk,
     result_to_tour,
     routed_sequence_cost_estimate,
-    term_block_tour,
+    term_block_order,
 )
 from repro.core.config import CompilerConfig
 from repro.core.gamma_search import (
     GammaSearchResult,
     GreedySortingCost,
+    TermBlockCost,
     assemble_gamma,
     excitation_topology_blocks,
     search_block_diagonal_gamma,
@@ -75,7 +76,7 @@ __all__ = [
     "naive_sort_stage",
     "account_stage",
     "result_to_tour",
-    "term_block_tour",
+    "term_block_order",
     "HybridSchedule",
     "classify_terms",
     "schedule_hybrid_terms",
@@ -94,6 +95,7 @@ __all__ = [
     "routed_sequence_cost_estimate",
     "GammaSearchResult",
     "GreedySortingCost",
+    "TermBlockCost",
     "search_block_diagonal_gamma",
     "excitation_topology_blocks",
     "assemble_gamma",

@@ -8,12 +8,19 @@ whose clusters are the rotations and whose vertices are the admissible
 cancellation at the interface of consecutive exponentials.  The GTSP is solved
 with the genetic algorithm of :mod:`repro.optimizers.gtsp`, the resulting tour
 is cut at its weakest edge and the path cost is the compiled CNOT count.
+
+The module also holds the prior art's fixed construction,
+:func:`term_block_order` (one shared target per term): the baseline and
+JW/BK flows compile with it, the baseline's Γ search scores with it, and it
+seeds the GTSP population.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,11 +28,14 @@ from repro.circuits import interface_cnot_reduction, sequence_cnot_count
 from repro.core.terms_to_paulis import PauliRotation
 from repro.hardware.topology import Topology
 from repro.operators import (
+    PackedPaulis,
     PauliString,
     interface_reduction_matrix,
     routed_vertex_cost_vector,
+    support_matrix,
+    weight_vector,
 )
-from repro.optimizers import GtspProblem, solve_gtsp
+from repro.optimizers import GtspProblem, solve_gtsp, solve_tsp
 
 #: A GTSP vertex: (rotation index, target qubit).
 SortingVertex = Tuple[int, int]
@@ -153,30 +163,103 @@ def build_sorting_problem(
     return GtspProblem(clusters=clusters, weight_matrix=matrix)
 
 
-def term_block_tour(rotations: Sequence[PauliRotation]) -> List[SortingVertex]:
-    """Baseline-style tour: per-term blocks with a shared target per term.
+#: Terms of at most this many strings are ordered exhaustively; larger ones
+#: by a TSP heuristic.
+EXHAUSTIVE_ORDERING_LIMIT = 5
 
-    Rotations are grouped by originating excitation term (ascending
-    ``term_index``); inside a block every rotation uses the block's common
-    support qubit when one exists, its own last support qubit otherwise.  Used
-    to seed the GTSP population with the construction the prior art builds by
-    hand, so target freedom can only improve on it.
+
+@dataclass(frozen=True)
+class TermBlockOrder:
+    """A term-block sequence: string rows, their targets and the CNOT count."""
+
+    rows: np.ndarray
+    targets: np.ndarray
+    cnot_count: int
+
+
+@lru_cache(maxsize=None)
+def _permutation_table(size: int) -> np.ndarray:
+    """Every permutation of ``range(size)`` in ``itertools.permutations`` order."""
+    return np.array(list(itertools.permutations(range(size))), dtype=np.intp)
+
+
+def _order_block(savings: np.ndarray) -> List[int]:
+    """Order one term's strings from its diagonal block of the savings matrix.
+
+    Small blocks try every permutation and keep the first maximum of the
+    summed consecutive savings; larger ones take a seeded TSP tour with
+    weight ``-savings[i, j]``.
     """
-    blocks: dict = {}
-    for index, rotation in enumerate(rotations):
-        blocks.setdefault(rotation.term_index, []).append(index)
-    tour: List[SortingVertex] = []
-    for term_index in sorted(blocks):
-        members = blocks[term_index]
-        common = set(rotations[members[0]].string.support)
-        for index in members[1:]:
-            common &= set(rotations[index].string.support)
-        shared = max(common) if common else None
-        for index in members:
-            support = rotations[index].string.support
-            target = shared if shared is not None and shared in support else support[-1]
-            tour.append((index, target))
-    return tour
+    size = savings.shape[0]
+    if size <= 1:
+        return list(range(size))
+    if size <= EXHAUSTIVE_ORDERING_LIMIT:
+        table = _permutation_table(size)
+        scores = savings[table[:, :-1], table[:, 1:]].sum(axis=1)
+        return table[int(np.argmax(scores))].tolist()
+    weights = (-savings).tolist()
+    return solve_tsp(
+        range(size), lambda i, j: weights[i][j], rng=np.random.default_rng(0)
+    )
+
+
+def term_block_order(
+    strings: PackedPaulis, term_index: Sequence[int], ordered: bool = True
+) -> TermBlockOrder:
+    """The prior art's term-block order ([8], [9]; the "GT" column of Table I).
+
+    Strings are grouped by ``term_index`` (ascending, input order inside a
+    term).  Every string of a term shares one target: the highest qubit in
+    the support of all of them, else each string's own last support qubit.
+    Without ``ordered`` the blocks follow one another as they are.  With
+    it, each block is first reordered to maximize its internal savings
+    (exhaustively up to :data:`EXHAUSTIVE_ORDERING_LIMIT` strings, by
+    :func:`repro.optimizers.solve_tsp` beyond it), then the blocks are grouped
+    by the target of their first string, groups in ascending target order,
+    and each group is chained greedily: next comes the block whose first
+    string saves the most after the last string so far, the first such
+    block on ties.  All savings come from one
+    :func:`repro.operators.interface_reduction_matrix`.  ``rows`` index
+    ``strings`` in compiled order; ``cnot_count`` is Σ 2 (w - 1) minus the
+    savings between consecutive strings.
+    """
+    term_index = np.asarray(term_index, dtype=np.int64)
+    if len(strings) != term_index.shape[0]:
+        raise ValueError("one term index per string is required")
+    if not len(strings):
+        empty = np.zeros(0, dtype=np.int64)
+        return TermBlockOrder(rows=empty, targets=empty, cnot_count=0)
+
+    rows = np.argsort(term_index, kind="stable")
+    starts = np.flatnonzero(np.diff(term_index[rows], prepend=-1))
+    support = support_matrix(strings)[rows]
+    n = support.shape[1]
+    last_support = n - 1 - np.argmax(support[:, ::-1], axis=1)
+    common = np.logical_and.reduceat(support, starts, axis=0)
+    shared = np.where(common.any(axis=1), n - 1 - np.argmax(common[:, ::-1], axis=1), -1)
+    shared = np.repeat(shared, np.diff(np.append(starts, len(rows))))
+    sorted_targets = np.where(shared >= 0, shared, last_support)
+    targets = np.empty_like(sorted_targets)
+    targets[rows] = sorted_targets
+    savings = interface_reduction_matrix(strings, targets)
+
+    if ordered:
+        groups: Dict[int, List[np.ndarray]] = {}
+        for block in np.split(rows, starts[1:]):
+            block = block[_order_block(savings[np.ix_(block, block)])]
+            groups.setdefault(int(targets[block[0]]), []).append(block)
+        chained: List[np.ndarray] = []
+        for target in sorted(groups):
+            blocks = groups[target]
+            chained.append(blocks.pop(0))
+            while blocks:
+                firsts = [block[0] for block in blocks]
+                chained.append(blocks.pop(int(np.argmax(savings[chained[-1][-1], firsts]))))
+        rows = np.concatenate(chained)
+
+    weights = weight_vector(strings)
+    cnot_count = 2 * int((weights - 1).sum()) - int(savings[rows[:-1], rows[1:]].sum())
+    return TermBlockOrder(rows=rows, targets=targets[rows], cnot_count=cnot_count)
 
 
 def result_to_tour(

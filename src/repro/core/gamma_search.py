@@ -14,6 +14,8 @@ candidate Γ, evaluated on packed bit-planes.  The Jordan-Wigner images are
 built once; a candidate only applies the GF(2) map of its CNOT circuit to
 them (:func:`repro.operators.linear_encoding_image`), re-sorts each term's
 strings, builds the same-target savings and walks the greedy path.
+:class:`TermBlockCost` shares that per-candidate encoding and scores the
+baseline's term-block order instead; it is the baseline's PSO objective.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import networkx as nx
 import numpy as np
 
-from repro.core.advanced_sorting import greedy_walk
+from repro.core.advanced_sorting import greedy_walk, term_block_order
+from repro.core.hybrid_encoding import BOSONIC_TERM_CNOT_COST
 from repro.core.terms_to_paulis import terms_to_rotations
 from repro.hardware.topology import Topology
 from repro.operators import (
@@ -117,20 +120,45 @@ def _random_elementary_update(
     return updated
 
 
-class GreedySortingCost:
+class _EncodedImages:
+    """Rotation strings of excitation terms, re-encoded per candidate Γ.
+
+    The Jordan-Wigner rotations are expanded once, through
+    :func:`~repro.core.terms_to_paulis.terms_to_rotations`, so its
+    anti-hermiticity check and angle-drop rule apply unchanged.  Conjugation
+    by ``U_Γ`` only flips signs, so the dropped rotations do not depend on Γ.
+    :meth:`encode` maps the bit-planes (x → Γx, z → Γ^{-T}z) and re-sorts
+    each term's strings in :class:`~repro.operators.PauliString` order:
+    exactly the strings, in the order, that ``terms_to_rotations`` yields
+    under ``LinearEncodingTransform(Γ)``.
+    """
+
+    def __init__(
+        self,
+        terms: Sequence[ExcitationTerm],
+        n_qubits: int,
+        parameters: Optional[Sequence[float]] = None,
+    ):
+        rotations = terms_to_rotations(terms, JordanWignerTransform(n_qubits), parameters)
+        self._images = PackedPaulis.from_strings(rotation.string for rotation in rotations)
+        #: Originating term of every string, ascending.
+        self.term_index = np.array([rotation.term_index for rotation in rotations])
+
+    def encode(self, gamma: np.ndarray) -> PackedPaulis:
+        image = linear_encoding_image(self._images, gamma, gf2_inverse(gamma))
+        order = lexicographic_order(image, groups=self.term_index)
+        return PackedPaulis(image.n_qubits, image.x[order], image.z[order])
+
+
+class GreedySortingCost(_EncodedImages):
     """The Γ-search objective: greedy-sort cost of the terms encoded under Γ.
 
     ``GreedySortingCost(terms, n, parameters, topology)(Γ)`` equals
     ``greedy_sort(terms_to_rotations(terms, LinearEncodingTransform(Γ),
     parameters), topology).objective()`` — the all-to-all CNOT count, or the
     distance-weighted estimate under a ``topology`` — without building the
-    transform.  The Jordan-Wigner rotations are expanded once, through
-    :func:`~repro.core.terms_to_paulis.terms_to_rotations`, so its
-    anti-hermiticity check and angle-drop rule apply unchanged.  Conjugation
-    by ``U_Γ`` only flips signs, so the dropped rotations do not depend on Γ.
-    Per candidate the cost maps the bit-planes (x → Γx, z → Γ^{-T}z),
-    re-sorts each term's strings in :class:`~repro.operators.PauliString`
-    order (the greedy tie-breaks depend on it), and walks
+    transform.  Per candidate it encodes the strings (:class:`_EncodedImages`;
+    the greedy tie-breaks depend on their order) and walks
     :func:`~repro.core.advanced_sorting.greedy_walk` over the vertex savings.
     """
 
@@ -141,21 +169,19 @@ class GreedySortingCost:
         parameters: Optional[Sequence[float]] = None,
         topology: Optional[Topology] = None,
     ):
-        rotations = terms_to_rotations(terms, JordanWignerTransform(n_qubits), parameters)
-        self._images = PackedPaulis.from_strings(rotation.string for rotation in rotations)
-        self._term_index = np.array([rotation.term_index for rotation in rotations])
+        super().__init__(terms, n_qubits, parameters)
         self._distance = None if topology is None else topology.distance_matrix
 
     def __call__(self, gamma: np.ndarray) -> float:
-        if not len(self._images):
+        if not len(self.term_index):
             return 0.0
-        image = linear_encoding_image(self._images, gamma, gf2_inverse(gamma))
-        order = lexicographic_order(image, groups=self._term_index)
+        image = self.encode(gamma)
         # GTSP vertices in (rotation, ascending target) order, as vertex_savings
         # enumerates them.
-        vertex_rotation, targets = np.nonzero(support_matrix(image)[order])
-        rows = order[vertex_rotation]
-        vertices = PackedPaulis(image.n_qubits, image.x[rows], image.z[rows])
+        vertex_rotation, targets = np.nonzero(support_matrix(image))
+        vertices = PackedPaulis(
+            image.n_qubits, image.x[vertex_rotation], image.z[vertex_rotation]
+        )
         savings = interface_reduction_matrix(vertices, targets)
         if self._distance is None:
             costs = 2 * (weight_vector(vertices) - 1)
@@ -167,6 +193,36 @@ class GreedySortingCost:
         start = int(np.searchsorted(vertex_rotation, 1)) - 1
         path = np.array(greedy_walk(preference, vertex_rotation, start))
         return float(costs[path].sum() - savings[path[:-1], path[1:]].sum())
+
+
+class TermBlockCost(_EncodedImages):
+    """The baseline's PSO objective: its CNOT count under a candidate Γ.
+
+    ``TermBlockCost(terms, n, use_bosonic_encoding)(Γ)`` equals
+    ``BaselineCompiler(use_bosonic_encoding, transform_matrix=Γ).compile(
+    terms, n).cnot_count`` without building the transform: the bosonic
+    terms' fixed cost plus the ordered
+    :func:`~repro.core.advanced_sorting.term_block_order` of the other
+    terms' encoded strings (:class:`_EncodedImages`).
+    """
+
+    def __init__(
+        self,
+        terms: Sequence[ExcitationTerm],
+        n_qubits: int,
+        use_bosonic_encoding: bool = True,
+    ):
+        terms = list(terms)
+        uncompressed = [
+            term for term in terms
+            if not (use_bosonic_encoding and term.encoding_class == "bosonic")
+        ]
+        super().__init__(uncompressed, n_qubits)
+        self._bosonic_cnots = BOSONIC_TERM_CNOT_COST * (len(terms) - len(uncompressed))
+
+    def __call__(self, gamma: np.ndarray) -> float:
+        order = term_block_order(self.encode(gamma), self.term_index)
+        return float(self._bosonic_cnots + order.cnot_count)
 
 
 def search_block_diagonal_gamma(

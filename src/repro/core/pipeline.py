@@ -46,7 +46,7 @@ from repro.core.advanced_sorting import (
     baseline_order_cnot_count,
     greedy_sort,
     result_to_tour,
-    term_block_tour,
+    term_block_order,
     vertex_savings,
 )
 from repro.core.config import CompilerConfig
@@ -59,6 +59,7 @@ from repro.core.hybrid_encoding import (
     schedule_hybrid_terms,
 )
 from repro.core.terms_to_paulis import PauliRotation, required_qubits, terms_to_rotations
+from repro.operators import PackedPaulis
 from repro.transforms import LinearEncodingTransform, identity_matrix
 from repro.vqe import ExcitationTerm
 
@@ -320,9 +321,14 @@ def sort_stage(context: StageContext) -> None:
     greedy = greedy_sort(context.rotations, topology=config.topology, savings=savings)
     seed_tours = None
     if config.sorting_seed_tours:
+        blocks = term_block_order(
+            PackedPaulis.from_strings(rotation.string for rotation in context.rotations),
+            [rotation.term_index for rotation in context.rotations],
+            ordered=False,
+        )
         seed_tours = [
             result_to_tour(context.rotations, greedy),
-            term_block_tour(context.rotations),
+            list(zip(blocks.rows.tolist(), blocks.targets.tolist())),
         ]
     sorting = advanced_sort(
         context.rotations,

@@ -13,10 +13,8 @@ fixed cluster order, picks the best vertex inside every cluster.
 Edge weights live in one dense float64 buffer of shape ``(V + 1, V + 1)``:
 the ``(V, V)`` weight matrix indexed by global vertex row (clusters
 flattened in order) plus a sentinel row and column of ``+inf``.  Callers
-that already own the matrix — the advanced sorting builds it in one batched
-symplectic scan — pass it as ``weight_matrix``; the scalar ``weight(u, v)``
-callable remains supported and is densified lazily on first use.  Weights
-must be finite.
+pass the matrix as ``weight_matrix`` (the advanced sorting builds it in one
+batched symplectic scan).  Weights must be finite.
 
 The cluster-optimization DP runs on a whole batch of chromosomes at once:
 every cluster is padded to the widest cluster ``K`` with the sentinel
@@ -35,8 +33,8 @@ right in tour order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,63 +52,48 @@ class GtspProblem:
     clusters:
         Non-empty list of non-empty vertex lists; exactly one vertex per
         cluster is visited.
-    weight:
-        Edge cost ``weight(u, v)`` between two vertices from *different*
-        clusters.  The tour cost is the sum of consecutive edge costs around
-        the closed cycle; the solver minimizes it.  Optional when
-        ``weight_matrix`` is given (a compatible shim is synthesized).
     weight_matrix:
         Dense edge-cost matrix indexed by global vertex rows, clusters
-        flattened in order (cluster 0's vertices first).  When omitted it is
-        built lazily from ``weight`` — once per problem, not once per query.
-        Every weight must be finite; NaN or infinite entries raise
-        ``ValueError``.
+        flattened in order (cluster 0's vertices first).  The tour cost is
+        the sum of consecutive edge costs around the closed cycle; the
+        solver minimizes it.  Every weight must be finite; NaN or infinite
+        entries raise ``ValueError``.
     """
 
     clusters: Sequence[Sequence[Vertex]]
-    weight: Optional[Callable[[Vertex, Vertex], float]] = None
-    weight_matrix: Optional[np.ndarray] = None
-    _buffer: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-    _row_in_cluster: List[Dict[Vertex, int]] = field(
-        default_factory=list, init=False, repr=False
-    )
+    weight_matrix: np.ndarray
 
     def __post_init__(self):
         if not self.clusters:
             raise ValueError("GTSP instance needs at least one cluster")
         if any(len(cluster) == 0 for cluster in self.clusters):
             raise ValueError("every cluster must contain at least one vertex")
-        if self.weight is None and self.weight_matrix is None:
-            raise ValueError("provide a weight callable or a weight_matrix")
 
         n = sum(len(cluster) for cluster in self.clusters)
         width = max(len(cluster) for cluster in self.clusters)
         # _padded_rows[c, i]: global row of vertex i of cluster c, padded to
         # the widest cluster with the sentinel row n of the weight buffer.
         self._padded_rows = np.full((len(self.clusters), width), n, dtype=np.intp)
-        self._vertices: List[Vertex] = []
-        self._row_in_cluster = []
+        self._row_in_cluster: List[Dict[Vertex, int]] = []
         row = 0
         for index, cluster in enumerate(self.clusters):
             self._padded_rows[index, :len(cluster)] = range(row, row + len(cluster))
             self._row_in_cluster.append(
                 {vertex: row + position for position, vertex in enumerate(cluster)}
             )
-            self._vertices.extend(cluster)
             row += len(cluster)
 
-        if self.weight_matrix is not None:
-            matrix = np.asarray(self.weight_matrix, dtype=np.float64)
-            if matrix.shape != (row, row):
-                raise ValueError(
-                    f"weight_matrix must be ({row}, {row}) for {row} vertices, "
-                    f"got {matrix.shape}"
-                )
-            # Copied into the buffer on ingest: later in-place mutation of
-            # the caller's array cannot reach the solver.
-            self._fill_buffer(matrix)
-            if self.weight is None:
-                self.weight = self._matrix_weight
+        matrix = np.asarray(self.weight_matrix, dtype=np.float64)
+        if matrix.shape != (n, n):
+            raise ValueError(
+                f"weight_matrix must be ({n}, {n}) for {n} vertices, got {matrix.shape}"
+            )
+        if not np.isfinite(matrix).all():
+            raise ValueError("GTSP weights must be finite (got NaN or infinity)")
+        # Copied into the buffer on ingest: later in-place mutation of the
+        # caller's array cannot reach the solver.
+        self._weights = np.full((n + 1, n + 1), np.inf)
+        self._weights[:n, :n] = matrix
 
     @property
     def n_clusters(self) -> int:
@@ -118,40 +101,7 @@ class GtspProblem:
 
     @property
     def n_vertices(self) -> int:
-        return len(self._vertices)
-
-    def _matrix_weight(self, u: Vertex, v: Vertex) -> float:
-        """Scalar compatibility shim over the dense matrix."""
-        return float(self.matrix[self._row_of(u), self._row_of(v)])
-
-    def _row_of(self, vertex: Vertex) -> int:
-        for mapping in self._row_in_cluster:
-            row = mapping.get(vertex)
-            if row is not None:
-                return row
-        raise KeyError(f"vertex {vertex!r} is not part of this problem")
-
-    def _fill_buffer(self, matrix: np.ndarray) -> None:
-        """Store ``matrix`` in a buffer with a ``+inf`` sentinel row and column."""
-        if not np.isfinite(matrix).all():
-            raise ValueError("GTSP weights must be finite (got NaN or infinity)")
-        n = self.n_vertices
-        buffer = np.full((n + 1, n + 1), np.inf)
-        buffer[:n, :n] = matrix
-        self._buffer = buffer
-
-    @property
-    def _weights(self) -> np.ndarray:
-        """The padded ``(V + 1, V + 1)`` weight buffer (densified on first use)."""
-        if self._buffer is None:
-            weight = self.weight
-            self._fill_buffer(
-                np.array(
-                    [[float(weight(u, v)) for v in self._vertices] for u in self._vertices],
-                    dtype=np.float64,
-                )
-            )
-        return self._buffer
+        return self._weights.shape[0] - 1
 
     @property
     def matrix(self) -> np.ndarray:
@@ -161,28 +111,17 @@ class GtspProblem:
 
     def tour_cost(self, tour: Sequence[Tuple[int, Vertex]]) -> float:
         """Cost of the closed tour (single-cluster tours cost zero)."""
-        if len(tour) != self.n_clusters:
-            raise ValueError("tour must visit every cluster exactly once")
         if sorted(c for c, _ in tour) != list(range(self.n_clusters)):
             raise ValueError("tour must visit every cluster exactly once")
-        if len(tour) <= 1:
-            return 0.0
-        rows = self.tour_rows(tour)
-        if rows is not None:
-            return self._rows_costs(np.array([rows], dtype=np.intp))[0]
-        # Vertices outside their declared cluster: legacy scalar fallback.
-        cost = 0.0
-        for (_, u), (_, v) in zip(tour, list(tour[1:]) + [tour[0]]):
-            cost += float(self.weight(u, v))
-        return cost
+        return self._rows_costs(np.array([self.tour_rows(tour)], dtype=np.intp))[0]
 
-    def tour_rows(self, tour: Sequence[Tuple[int, Vertex]]) -> Optional[List[int]]:
-        """Global rows of a ``(cluster, vertex)`` tour, or None on foreign vertices."""
+    def tour_rows(self, tour: Sequence[Tuple[int, Vertex]]) -> List[int]:
+        """Global rows of a ``(cluster, vertex)`` tour."""
         rows: List[int] = []
         for cluster, vertex in tour:
             row = self._row_in_cluster[cluster].get(vertex)
             if row is None:
-                return None
+                raise ValueError(f"vertex {vertex!r} is not in cluster {cluster}")
             rows.append(row)
         return rows
 

@@ -1,8 +1,8 @@
 """Simple TSP heuristics: nearest neighbor construction and 2-opt improvement.
 
-These are used as light-weight ordering heuristics for the baseline compiler
-(greedy intra/inter excitation-term ordering) and as a sanity baseline against
-the GTSP genetic algorithm in ablation benchmarks.
+The term-block order uses them to order the strings of large excitation
+terms (:func:`repro.core.advanced_sorting.term_block_order`); ablation
+benchmarks use them as a sanity baseline against the GTSP genetic algorithm.
 """
 
 from __future__ import annotations
@@ -53,9 +53,8 @@ def two_opt(
     tour: Sequence[Vertex],
     weight: Callable[[Vertex, Vertex], float],
     max_passes: int = 10,
-    cyclic: bool = True,
 ) -> List[Vertex]:
-    """Improve a tour with 2-opt segment reversals until no improvement is found."""
+    """Improve a closed tour with 2-opt segment reversals until none improves it."""
     tour = list(tour)
     n = len(tour)
     if n < 4:
@@ -64,8 +63,6 @@ def two_opt(
         improved = False
         for i in range(n - 1):
             for j in range(i + 2, n):
-                if not cyclic and j == n - 1 and i == 0:
-                    pass
                 a, b = tour[i], tour[i + 1]
                 c, d = tour[j], tour[(j + 1) % n]
                 if (j + 1) % n == i:

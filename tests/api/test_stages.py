@@ -125,7 +125,11 @@ class TestTransformStage:
 class TestSortStage:
     @pytest.mark.parametrize("seed_tours", [False, True])
     def test_savings_matrix_built_once(self, mixed_terms, monkeypatch, seed_tours):
-        """The greedy construction and the GTSP instance share one matrix."""
+        """The greedy construction and the GTSP instance share one matrix.
+
+        The term-block seed tour targets its strings differently and builds
+        its own same-target matrix inside ``term_block_order``.
+        """
         import repro.core.advanced_sorting as advanced_sorting
 
         config = FAST.replace(sorting_seed_tours=seed_tours)
@@ -142,7 +146,7 @@ class TestSortStage:
 
         monkeypatch.setattr(advanced_sorting, "interface_reduction_matrix", counting)
         sort_stage(context)
-        assert len(calls) == 1
+        assert len(calls) == 1 + seed_tours
         assert len(context.sorting.ordered_rotations) == len(context.rotations)
 
     def test_sorted_count_not_worse_than_naive(self, mixed_terms):
@@ -168,9 +172,10 @@ class TestSortStage:
             baseline_order_cnot_count,
             greedy_sort,
             result_to_tour,
-            term_block_tour,
+            term_block_order,
         )
         from repro.circuits import sequence_cnot_count
+        from repro.operators import PackedPaulis
 
         context = run_stages(
             make_context(mixed_terms),
@@ -178,10 +183,16 @@ class TestSortStage:
         )
         rotations = context.rotations
         greedy = greedy_sort(rotations)
-        block_tour = term_block_tour(rotations)
+        blocks = term_block_order(
+            PackedPaulis.from_strings(rotation.string for rotation in rotations),
+            [rotation.term_index for rotation in rotations],
+            ordered=False,
+        )
+        block_tour = list(zip(blocks.rows.tolist(), blocks.targets.tolist()))
         block_count = sequence_cnot_count(
             [(rotations[index].string, target) for index, target in block_tour]
         )
+        assert block_count == blocks.cnot_count
         seeded = advanced_sort(
             rotations,
             population_size=10,

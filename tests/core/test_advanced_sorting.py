@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuits import interface_cnot_reduction
+import repro.core.advanced_sorting as advanced_sorting
+from repro.circuits import interface_cnot_reduction, sequence_cnot_count
 from repro.core import (
     PauliRotation,
     advanced_sort,
@@ -13,9 +14,10 @@ from repro.core import (
     build_sorting_problem,
     greedy_sort,
     greedy_walk,
+    term_block_order,
 )
 from repro.hardware import Topology
-from repro.operators import PauliString, routed_vertex_cost_vector
+from repro.operators import PackedPaulis, PauliString, routed_vertex_cost_vector
 
 
 def rotation(label, angle=0.1, term_index=0):
@@ -41,8 +43,9 @@ class TestSortingProblem:
         """The weight of ([P0, t=3], [P1, t=3]) is minus four saved CNOTs."""
         rotations = [rotation("IIXXYXII"), rotation("IIXXXYII")]
         problem = build_sorting_problem(rotations)
-        weight = problem.weight((0, 2), (1, 2))
-        assert weight == -4.0
+        # Rows 0..3 are rotation 0 on targets 2..5, row 4 is rotation 1 on 2.
+        assert problem.clusters[0][0] == (0, 2) and problem.clusters[1][0] == (1, 2)
+        assert problem.matrix[0, 4] == -4.0
 
     def test_identity_rotation_rejected(self):
         with pytest.raises(ValueError):
@@ -185,3 +188,84 @@ class TestGreedyWalk:
         )
         vertex_rotation = np.array([0, 1, 1, 2])
         assert greedy_walk(preference, vertex_rotation, 0) == [0, 2, 3]
+
+
+def block_order(labels, term_index, ordered=True):
+    strings = [PauliString(label) for label in labels]
+    order = term_block_order(PackedPaulis.from_strings(strings), term_index, ordered)
+    sequence = [(strings[row], target) for row, target in zip(order.rows, order.targets)]
+    return order, sequence
+
+
+@st.composite
+def term_blocks(draw):
+    n = draw(st.integers(2, 6))
+    label = st.text("IXYZ", min_size=n, max_size=n).filter(lambda l: set(l) != {"I"})
+    labels = draw(st.lists(label, min_size=1, max_size=14))
+    term_index = draw(
+        st.lists(st.integers(0, 3), min_size=len(labels), max_size=len(labels))
+    )
+    return labels, term_index
+
+
+class TestTermBlockOrder:
+    def test_empty_input(self):
+        order = term_block_order(PackedPaulis.from_strings([]), [])
+        assert order.rows.tolist() == [] and order.targets.tolist() == []
+        assert order.cnot_count == 0
+
+    def test_permutation_tie_takes_first_permutation(self):
+        """Orders (0, 2, 1) and (1, 2, 0) both save 3 on target 0; the first
+        in ``itertools.permutations`` order wins."""
+        labels = ["YIZI", "XYIY", "ZXYY"]
+        strings = [PauliString(label) for label in labels]
+        saved = {
+            order: sum(
+                interface_cnot_reduction(strings[a], 0, strings[b], 0)
+                for a, b in zip(order, order[1:])
+            )
+            for order in [(0, 2, 1), (1, 2, 0)]
+        }
+        assert saved == {(0, 2, 1): 3, (1, 2, 0): 3}
+        order, sequence = block_order(labels, [0, 0, 0])
+        assert order.rows.tolist() == [0, 2, 1]
+        assert order.targets.tolist() == [0, 0, 0]
+        assert order.cnot_count == sequence_cnot_count(sequence)
+
+    def test_no_common_support_falls_back_to_last_support(self):
+        """Term 0 shares no qubit: each string keeps its last support qubit,
+        and the block's group key is its first string's target (3), so the
+        shared-target term 1 (key 2) is chained first."""
+        order, _ = block_order(["IIZZ", "XXII", "IXXI", "ZIYI"], [0, 0, 1, 1])
+        assert order.rows.tolist() == [2, 3, 0, 1]
+        assert order.targets.tolist() == [2, 2, 3, 1]
+        unordered, _ = block_order(["IIZZ", "XXII", "IXXI", "ZIYI"], [0, 0, 1, 1], False)
+        assert unordered.rows.tolist() == [0, 1, 2, 3]
+        assert unordered.targets.tolist() == [3, 1, 2, 2]
+
+    def test_large_term_takes_tsp_path(self, monkeypatch):
+        labels = ["XXXY", "XXYX", "XYXX", "YXXX", "YYYX", "YYXY", "XYYY"]
+        tours = []
+        solve_tsp = advanced_sorting.solve_tsp
+
+        def recording(vertices, weight, rng=None):
+            tours.append(solve_tsp(vertices, weight, rng=rng))
+            return tours[-1]
+
+        monkeypatch.setattr(advanced_sorting, "solve_tsp", recording)
+        order, sequence = block_order(labels, [0] * len(labels))
+        (tour,) = tours
+        assert sorted(tour) == list(range(len(labels)))
+        assert order.rows.tolist() == tour
+        assert order.targets.tolist() == [3] * len(labels)
+        assert order.cnot_count == sequence_cnot_count(sequence)
+
+    @given(term_blocks(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_count_is_the_sequence_cost(self, case, ordered):
+        labels, term_index = case
+        order, sequence = block_order(labels, term_index, ordered)
+        assert sorted(order.rows.tolist()) == list(range(len(labels)))
+        assert order.cnot_count == sequence_cnot_count(sequence)
+        if not ordered:
+            assert order.rows.tolist() == np.argsort(term_index, kind="stable").tolist()

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import BaselineCompiler
 from repro.core import (
     GreedySortingCost,
+    TermBlockCost,
     assemble_gamma,
     excitation_topology_blocks,
     greedy_sort,
@@ -15,6 +17,7 @@ from repro.core import (
 )
 from repro.hardware import Topology
 from repro.transforms import LinearEncodingTransform, is_invertible, random_invertible_matrix
+from repro.operators import FermionOperator
 from repro.vqe import ExcitationTerm
 
 
@@ -109,6 +112,13 @@ def excitation_terms(draw, n_qubits):
     return term(indices[:rank], indices[rank:])
 
 
+class VanishingTerm(ExcitationTerm):
+    """An excitation whose generator is zero: it expands to no rotations."""
+
+    def generator(self, parameter=1.0):
+        return FermionOperator.zero()
+
+
 @st.composite
 def gamma_cost_cases(draw):
     n = draw(st.integers(4, 10))
@@ -145,6 +155,24 @@ class TestGreedySortingCost:
         assert cost(gamma) == sorting_cost_oracle(terms, gamma, parameters, topology)
         identity = np.eye(n, dtype=np.uint8)
         assert cost(identity) == sorting_cost_oracle(terms, identity, parameters, topology)
+
+    @given(gamma_cost_cases(), st.booleans(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_term_block_cost_matches_baseline_compiler(self, case, bosonic, vanishing):
+        """The baseline PSO objective equals a full baseline compile under Γ:
+        random upper-triangular Γ (the PSO's search space), with and without
+        bosonic compression, with a spin-paired double that compresses and
+        optionally a term that expands to no rotations."""
+        n, terms, _, seed, _ = case
+        terms = [*terms, term((2, 3), (0, 1))]
+        if vanishing:
+            terms.insert(0, VanishingTerm(creation=(1,), annihilation=(0,)))
+        rng = np.random.default_rng(seed)
+        upper = np.triu(rng.integers(0, 2, (n, n)), 1).astype(np.uint8)
+        cost = TermBlockCost(terms, n, use_bosonic_encoding=bosonic)
+        for gamma in (upper | np.eye(n, dtype=np.uint8), np.eye(n, dtype=np.uint8)):
+            compiler = BaselineCompiler(use_bosonic_encoding=bosonic, transform_matrix=gamma)
+            assert cost(gamma) == compiler.compile(terms, n).cnot_count
 
     def test_all_rotations_dropped_costs_zero(self):
         terms = [term((4, 6), (0, 2)), term((5,), (1,))]

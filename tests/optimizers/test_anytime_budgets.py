@@ -27,21 +27,12 @@ def anneal(seed=0, max_steps=None, n_steps=40):
 
 
 def small_problem():
-    points = {
-        (0, 0): (0.0, 0.0),
-        (0, 1): (0.0, 1.0),
-        (1, 0): (5.0, 0.0),
-        (1, 1): (5.0, 1.0),
-        (2, 0): (2.0, 8.0),
-        (2, 1): (3.0, 9.0),
-    }
-
-    def weight(u, v):
-        (ux, uy), (vx, vy) = points[u], points[v]
-        return float(np.hypot(ux - vx, uy - vy))
-
+    points = np.array([(0.0, 0.0), (0.0, 1.0), (5.0, 0.0), (5.0, 1.0), (2.0, 8.0), (3.0, 9.0)])
+    offsets = points[:, None, :] - points[None, :, :]
     clusters = [[(0, 0), (0, 1)], [(1, 0), (1, 1)], [(2, 0), (2, 1)]]
-    return GtspProblem(clusters=clusters, weight=weight)
+    return GtspProblem(
+        clusters=clusters, weight_matrix=np.hypot(offsets[..., 0], offsets[..., 1])
+    )
 
 
 class TestAnnealingBudget:

@@ -8,42 +8,38 @@ from repro.optimizers import GtspProblem, brute_force_gtsp, solve_gtsp
 
 def euclidean_problem(points_by_cluster):
     """Build a GTSP instance from clusters of 2D points."""
-    clusters = [list(range_start) for range_start in points_by_cluster]
+    clusters = [
+        [(cluster_index, point_index) for point_index in range(len(points))]
+        for cluster_index, points in enumerate(points_by_cluster)
+    ]
+    points = np.array([point for points in points_by_cluster for point in points], dtype=float)
+    distances = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
+    return GtspProblem(clusters=clusters, weight_matrix=distances)
 
-    coordinates = {}
-    clusters = []
-    for cluster_index, points in enumerate(points_by_cluster):
-        cluster = []
-        for point_index, point in enumerate(points):
-            vertex = (cluster_index, point_index)
-            coordinates[vertex] = np.asarray(point, dtype=float)
-            cluster.append(vertex)
-        clusters.append(cluster)
 
-    def weight(u, v):
-        return float(np.linalg.norm(coordinates[u] - coordinates[v]))
-
-    return GtspProblem(clusters=clusters, weight=weight)
+def constant_problem(clusters, value):
+    n = sum(len(cluster) for cluster in clusters)
+    return GtspProblem(clusters=clusters, weight_matrix=np.full((n, n), value))
 
 
 class TestProblemValidation:
     def test_empty_clusters_rejected(self):
         with pytest.raises(ValueError):
-            GtspProblem(clusters=[], weight=lambda u, v: 0.0)
+            GtspProblem(clusters=[], weight_matrix=np.zeros((0, 0)))
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError):
-            GtspProblem(clusters=[[1], []], weight=lambda u, v: 0.0)
+            GtspProblem(clusters=[[1], []], weight_matrix=np.zeros((1, 1)))
 
     def test_tour_cost_checks_coverage(self):
-        problem = GtspProblem(clusters=[[0], [1]], weight=lambda u, v: 1.0)
+        problem = constant_problem([[0], [1]], 1.0)
         with pytest.raises(ValueError):
             problem.tour_cost([(0, 0)])
         with pytest.raises(ValueError):
             problem.tour_cost([(0, 0), (0, 0)])
 
     def test_single_cluster_tour_costs_zero(self):
-        problem = GtspProblem(clusters=[["a", "b"]], weight=lambda u, v: 5.0)
+        problem = constant_problem([["a", "b"]], 5.0)
         assert problem.tour_cost([(0, "a")]) == 0.0
 
 
@@ -74,29 +70,25 @@ class TestSolver:
     def test_negative_weights_supported(self):
         # The advanced-sorting use case negates CNOT savings, so weights are <= 0.
         rng = np.random.default_rng(2)
-        savings = rng.integers(0, 5, size=(8, 8))
-
-        def weight(u, v):
-            return -float(savings[u[1], v[1]])
-
+        savings = rng.integers(0, 5, size=(6, 6))
         clusters = [[(c, v) for v in range(c, c + 2)] for c in range(0, 6, 2)]
-        problem = GtspProblem(clusters=clusters, weight=weight)
+        problem = GtspProblem(clusters=clusters, weight_matrix=-savings)
         result = solve_gtsp(problem, population_size=16, generations=20, rng=rng)
         assert result.cost <= 0.0
 
     def test_single_cluster_instance(self):
-        problem = GtspProblem(clusters=[["a", "b", "c"]], weight=lambda u, v: 1.0)
+        problem = constant_problem([["a", "b", "c"]], 1.0)
         result = solve_gtsp(problem, population_size=4, generations=3, rng=np.random.default_rng(0))
         assert result.cost == 0.0
         assert len(result.tour) == 1
 
     def test_invalid_population_size(self):
-        problem = GtspProblem(clusters=[["a"]], weight=lambda u, v: 1.0)
+        problem = constant_problem([["a"]], 1.0)
         with pytest.raises(ValueError):
             solve_gtsp(problem, population_size=1)
 
     def test_brute_force_size_guard(self):
-        problem = GtspProblem(clusters=[[i] for i in range(9)], weight=lambda u, v: 1.0)
+        problem = constant_problem([[i] for i in range(9)], 1.0)
         with pytest.raises(ValueError):
             brute_force_gtsp(problem)
 

@@ -1,12 +1,13 @@
-"""Differential tests: matrix-form GTSP kernels vs the scalar-weight path.
+"""Differential tests: matrix-form GTSP kernels vs scalar reference loops.
 
 The dense-matrix, population-batched :mod:`repro.optimizers.gtsp` claims
 *bit-identical* behavior: same tour costs, same DP vertex assignments, same
 solver output and rng stream per seed.  This suite checks the claim against
-faithful copies of the earlier implementations — the scalar DP (``weight``
-calls, ``np.argmin`` over Python lists), the per-child solver loop and the
-scalar-draw crossover — on hypothesis-generated random problems and on a
-real advanced-sorting instance.
+faithful copies of the earlier implementations — the scalar DP (one weight
+lookup per edge, ``np.argmin`` over Python lists), the per-child solver loop
+and the scalar-draw crossover — on hypothesis-generated random problems and
+on a real advanced-sorting instance.  The references read each weight as a
+scalar from ``problem.matrix``.
 """
 
 import numpy as np
@@ -26,15 +27,26 @@ from repro.optimizers.gtsp import (
 
 
 # ----------------------------------------------------------------------
-# Reference implementations (scalar weight calls, list-based DP, per-child
-# solver loop, scalar-draw crossover)
+# Reference implementations (scalar weight lookups, list-based DP,
+# per-child solver loop, scalar-draw crossover)
 # ----------------------------------------------------------------------
+def scalar_weight(problem):
+    """``weight(u, v)``: one ``problem.matrix`` entry per vertex pair."""
+    row_of = {}
+    for cluster in problem.clusters:
+        for vertex in cluster:
+            row_of[vertex] = len(row_of)
+    matrix = problem.matrix
+    return lambda u, v: float(matrix[row_of[u], row_of[v]])
+
+
 def legacy_tour_cost(problem, tour):
     if len(tour) <= 1:
         return 0.0
+    weight = scalar_weight(problem)
     cost = 0.0
     for (_, u), (_, v) in zip(tour, list(tour[1:]) + [tour[0]]):
-        cost += float(problem.weight(u, v))
+        cost += float(weight(u, v))
     return cost
 
 
@@ -44,7 +56,7 @@ def legacy_cluster_optimization(order, choices, problem):
     if m == 1:
         return
     clusters = [list(problem.clusters[c]) for c in order]
-    weight = problem.weight
+    weight = scalar_weight(problem)
 
     best_total = None
     best_assignment = None
@@ -179,8 +191,8 @@ def reference_solve_gtsp(
 # ----------------------------------------------------------------------
 # Random problem generation
 # ----------------------------------------------------------------------
-def random_problem_pair(seed, n_clusters, max_cluster_size, integer_weights=False):
-    """The same instance twice: scalar-weight built and matrix built."""
+def random_problem(seed, n_clusters, max_cluster_size, integer_weights=False):
+    """A random instance with float or (tie-heavy) integer weights."""
     rng = np.random.default_rng(seed)
     clusters = [
         [(c, i) for i in range(int(rng.integers(1, max_cluster_size + 1)))]
@@ -191,19 +203,7 @@ def random_problem_pair(seed, n_clusters, max_cluster_size, integer_weights=Fals
         matrix = rng.integers(-6, 7, size=(n_vertices, n_vertices)).astype(float)
     else:
         matrix = rng.uniform(-5.0, 5.0, size=(n_vertices, n_vertices))
-    row_of = {}
-    row = 0
-    for cluster in clusters:
-        for vertex in cluster:
-            row_of[vertex] = row
-            row += 1
-
-    def weight(u, v):
-        return float(matrix[row_of[u], row_of[v]])
-
-    scalar = GtspProblem(clusters=clusters, weight=weight)
-    dense = GtspProblem(clusters=clusters, weight_matrix=matrix)
-    return scalar, dense
+    return GtspProblem(clusters=clusters, weight_matrix=matrix)
 
 
 problem_shapes = st.tuples(
@@ -219,44 +219,31 @@ class TestTourCost:
     @given(problem_shapes, st.integers(min_value=0, max_value=10_000))
     def test_matrix_tour_cost_equals_scalar_exactly(self, shape, tour_seed):
         seed, n_clusters, max_size, integer_weights = shape
-        scalar, dense = random_problem_pair(seed, n_clusters, max_size, integer_weights)
+        problem = random_problem(seed, n_clusters, max_size, integer_weights)
         rng = np.random.default_rng(tour_seed)
         order = [int(c) for c in rng.permutation(n_clusters)]
         tour = [
-            (c, scalar.clusters[c][int(rng.integers(len(scalar.clusters[c])))])
+            (c, problem.clusters[c][int(rng.integers(len(problem.clusters[c])))])
             for c in order
         ]
-        expected = legacy_tour_cost(scalar, tour)
-        assert scalar.tour_cost(tour) == expected
-        assert dense.tour_cost(tour) == expected
-
-    def test_matrix_problem_weight_shim(self):
-        _, dense = random_problem_pair(3, 3, 3)
-        u = dense.clusters[0][0]
-        v = dense.clusters[2][-1]
-        # The shim serves exactly the matrix entry for any vertex pair.
-        assert dense.weight(u, v) == float(
-            dense.matrix[dense._row_of(u), dense._row_of(v)]
-        )
-
-    def test_lazy_matrix_matches_weight_calls(self):
-        scalar, dense = random_problem_pair(7, 4, 3)
-        assert np.array_equal(scalar.matrix, dense.matrix)
+        assert problem.tour_cost(tour) == legacy_tour_cost(problem, tour)
 
     def test_bad_matrix_shape_rejected(self):
         with pytest.raises(ValueError):
             GtspProblem(clusters=[["a"], ["b"]], weight_matrix=np.zeros((3, 3)))
 
-    def test_problem_without_weight_or_matrix_rejected(self):
-        with pytest.raises(ValueError):
+    def test_problem_without_matrix_rejected(self):
+        with pytest.raises(TypeError):
             GtspProblem(clusters=[["a"], ["b"]])
 
-    def test_foreign_vertex_falls_back_to_weight_callable(self):
-        scalar, _ = random_problem_pair(11, 2, 2)
-        # Seed behavior: tour_cost accepted any vertex the weight callable
-        # understood, even outside the declared cluster list.
-        foreign_tour = [(0, scalar.clusters[0][0]), (1, scalar.clusters[1][0])]
-        assert scalar.tour_cost(foreign_tour) == legacy_tour_cost(scalar, foreign_tour)
+    def test_foreign_vertex_raises(self):
+        problem = random_problem(11, 2, 2)
+        # A vertex of cluster 0 placed in cluster 1 belongs to no row there.
+        foreign_tour = [(0, problem.clusters[0][0]), (1, problem.clusters[0][0])]
+        with pytest.raises(ValueError, match="not in cluster 1"):
+            problem.tour_cost(foreign_tour)
+        with pytest.raises(ValueError, match="not in cluster 1"):
+            problem.tour_rows(foreign_tour)
 
 
 class TestClusterOptimization:
@@ -264,21 +251,20 @@ class TestClusterOptimization:
     @given(problem_shapes, st.integers(min_value=0, max_value=10_000))
     def test_vectorized_dp_matches_scalar_dp_exactly(self, shape, chromosome_seed):
         seed, n_clusters, max_size, integer_weights = shape
-        scalar, dense = random_problem_pair(seed, n_clusters, max_size, integer_weights)
+        problem = random_problem(seed, n_clusters, max_size, integer_weights)
         rng = np.random.default_rng(chromosome_seed)
         order = [int(c) for c in rng.permutation(n_clusters)]
         choices = [
-            int(rng.integers(len(cluster))) for cluster in scalar.clusters
+            int(rng.integers(len(cluster))) for cluster in problem.clusters
         ]
 
         legacy_choices = list(choices)
-        legacy_cluster_optimization(order, legacy_choices, scalar)
+        legacy_cluster_optimization(order, legacy_choices, problem)
 
-        for problem in (scalar, dense):
-            chromosome = _Chromosome(list(order), list(choices))
-            _optimize_clusters([chromosome], problem)
-            assert chromosome.choices == legacy_choices
-            assert chromosome.order == order
+        chromosome = _Chromosome(list(order), list(choices))
+        _optimize_clusters([chromosome], problem)
+        assert chromosome.choices == legacy_choices
+        assert chromosome.order == order
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -292,24 +278,22 @@ class TestClusterOptimization:
     def test_batched_dp_matches_scalar_dp_per_chromosome(
         self, seed, n_clusters, max_size, weights, batch_size, chromosome_seed
     ):
-        scalar, dense = random_problem_pair(seed, n_clusters, max_size, weights == "integer")
+        problem = random_problem(seed, n_clusters, max_size, weights == "integer")
         if weights == "equal":
-            n = dense.n_vertices
-            scalar = GtspProblem(clusters=scalar.clusters, weight=lambda u, v: 2.0)
-            dense = GtspProblem(clusters=dense.clusters, weight_matrix=np.full((n, n), 2.0))
+            n = problem.n_vertices
+            problem = GtspProblem(clusters=problem.clusters, weight_matrix=np.full((n, n), 2.0))
         rng = np.random.default_rng(chromosome_seed)
-        batch = [_random_chromosome(dense, rng) for _ in range(batch_size)]
+        batch = [_random_chromosome(problem, rng) for _ in range(batch_size)]
         expected = []
         for chromosome in batch:
             choices = list(chromosome.choices)
-            legacy_cluster_optimization(chromosome.order, choices, scalar)
+            legacy_cluster_optimization(chromosome.order, choices, problem)
             expected.append(choices)
 
-        for problem in (scalar, dense):
-            copies = [_Chromosome(list(c.order), list(c.choices)) for c in batch]
-            _optimize_clusters(copies, problem)
-            assert [c.choices for c in copies] == expected
-            assert [c.order for c in copies] == [c.order for c in batch]
+        copies = [_Chromosome(list(c.order), list(c.choices)) for c in batch]
+        _optimize_clusters(copies, problem)
+        assert [c.choices for c in copies] == expected
+        assert [c.order for c in copies] == [c.order for c in batch]
 
     @pytest.mark.parametrize("n_clusters", [1, 2])
     def test_batched_dp_on_one_and_two_clusters(self, n_clusters):
@@ -328,8 +312,7 @@ class TestClusterOptimization:
         assert [c.choices for c in batch] == expected
 
     def test_empty_batch_is_a_no_op(self):
-        _, dense = random_problem_pair(5, 3, 3)
-        _optimize_clusters([], dense)
+        _optimize_clusters([], random_problem(5, 3, 3))
 
 
 class TestCrossover:
@@ -364,20 +347,8 @@ class TestNonFiniteWeights:
         with pytest.raises(ValueError, match="finite"):
             GtspProblem(clusters=[["a", "b"], ["c"]], weight_matrix=matrix)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_weight_callable_rejected_at_densification(self, bad):
-        problem = GtspProblem(
-            clusters=[["a", "b"], ["c"]],
-            weight=lambda u, v: bad if (u, v) == ("c", "a") else 1.0,
-        )
-        with pytest.raises(ValueError, match="finite"):
-            problem.matrix
-        with pytest.raises(ValueError, match="finite"):
-            solve_gtsp(problem, population_size=4, generations=2,
-                       rng=np.random.default_rng(0))
-
     def test_matrix_is_a_view_of_the_padded_buffer(self):
-        _, dense = random_problem_pair(9, 3, 3)
+        dense = random_problem(9, 3, 3)
         n = dense.n_vertices
         assert dense.matrix.base is dense._weights
         assert np.isposinf(dense._weights[n]).all()
@@ -387,19 +358,18 @@ class TestNonFiniteWeights:
 class TestSolverSeedIdentity:
     @settings(max_examples=25, deadline=None)
     @given(problem_shapes, st.integers(min_value=0, max_value=10_000))
-    def test_scalar_and_matrix_problems_solve_identically(self, shape, solver_seed):
+    def test_reported_cost_is_the_scalar_tour_cost(self, shape, solver_seed):
         seed, n_clusters, max_size, integer_weights = shape
-        scalar, dense = random_problem_pair(seed, n_clusters, max_size, integer_weights)
-        result_scalar = solve_gtsp(
-            scalar, population_size=8, generations=5, rng=np.random.default_rng(solver_seed)
+        problem = random_problem(seed, n_clusters, max_size, integer_weights)
+        result = solve_gtsp(
+            problem, population_size=8, generations=5, rng=np.random.default_rng(solver_seed)
         )
-        result_dense = solve_gtsp(
-            dense, population_size=8, generations=5, rng=np.random.default_rng(solver_seed)
+        again = solve_gtsp(
+            problem, population_size=8, generations=5, rng=np.random.default_rng(solver_seed)
         )
-        assert result_scalar.tour == result_dense.tour
-        assert result_scalar.cost == result_dense.cost
+        assert (result.tour, result.cost) == (again.tour, again.cost)
         # The reported cost is exactly the legacy accumulation over the tour.
-        assert result_scalar.cost == legacy_tour_cost(scalar, result_scalar.tour)
+        assert result.cost == legacy_tour_cost(problem, result.tour)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -412,7 +382,7 @@ class TestSolverSeedIdentity:
         self, shape, solver_seed, seeded, max_generations
     ):
         seed, n_clusters, max_size, integer_weights = shape
-        scalar, dense = random_problem_pair(seed, n_clusters, max_size, integer_weights)
+        dense = random_problem(seed, n_clusters, max_size, integer_weights)
         initial_tours = None
         if seeded:
             tour_rng = np.random.default_rng(seed)
@@ -430,7 +400,7 @@ class TestSolverSeedIdentity:
             max_generations=max_generations,
         )
         reference_rng = np.random.default_rng(solver_seed)
-        expected = reference_solve_gtsp(scalar, rng=reference_rng, **kwargs)
+        expected = reference_solve_gtsp(dense, rng=reference_rng, **kwargs)
         rng = np.random.default_rng(solver_seed)
         result = solve_gtsp(dense, rng=rng, **kwargs)
         assert result.tour == expected.tour
@@ -442,13 +412,12 @@ class TestSolverSeedIdentity:
     def test_all_equal_weights_tie_breaking(self):
         clusters = [[(c, i) for i in range(3)] for c in range(4)]
         n = sum(len(c) for c in clusters)
-        dense = GtspProblem(clusters=clusters, weight_matrix=np.ones((n, n)))
-        scalar = GtspProblem(clusters=clusters, weight=lambda u, v: 1.0)
+        problem = GtspProblem(clusters=clusters, weight_matrix=np.ones((n, n)))
         for seed in range(3):
-            a = solve_gtsp(dense, population_size=6, generations=4,
-                           rng=np.random.default_rng(seed))
-            b = solve_gtsp(scalar, population_size=6, generations=4,
-                           rng=np.random.default_rng(seed))
+            kwargs = dict(population_size=6, generations=4)
+            a = solve_gtsp(problem, rng=np.random.default_rng(seed), **kwargs)
+            reference_rng = np.random.default_rng(seed)
+            b = reference_solve_gtsp(problem, rng=reference_rng, **kwargs)
             assert a.tour == b.tour
             assert a.cost == b.cost == 4.0
 
@@ -458,9 +427,9 @@ class TestRealSortingProblem:
         """Regression: the real Sec. III-B instance, new solver vs seed DP path.
 
         Builds the H2 sorting problem the advanced backend compiles, then
-        cross-checks the matrix solver against a scalar-weight twin of the
-        same instance for several seeds (the per-seed bit-identity the golden
-        Table-I counts rely on).
+        cross-checks the matrix solver against the per-child scalar oracle
+        on the same instance for several seeds (the per-seed bit-identity
+        the golden Table-I counts rely on).
         """
         from repro.core.advanced_sorting import build_sorting_problem
         from repro.core.pipeline import DEFAULT_STAGES, AdvancedPipeline
@@ -478,16 +447,13 @@ class TestRealSortingProblem:
             stage(context)
         problem = build_sorting_problem(context.rotations)
 
-        scalar_twin = GtspProblem(
-            clusters=problem.clusters, weight=problem.weight
-        )
         for seed in range(3):
             dense = solve_gtsp(
                 problem, population_size=8, generations=6,
                 rng=np.random.default_rng(seed),
             )
-            scalar = solve_gtsp(
-                scalar_twin, population_size=8, generations=6,
+            scalar = reference_solve_gtsp(
+                problem, population_size=8, generations=6,
                 rng=np.random.default_rng(seed),
             )
             assert dense.tour == scalar.tour
