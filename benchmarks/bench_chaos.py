@@ -114,9 +114,7 @@ BATCH_KILL_SPEC = f"seed={BATCH_KILL_SEED};pool.worker=kill:0.15"
 
 def workload_requests():
     """10 distinct fast requests (small config sizes keep the gate quick)."""
-    config = CompilerConfig(
-        gamma_steps=5, sorting_population=8, sorting_generations=5, seed=0
-    )
+    config = CompilerConfig(gamma_steps=5, seed=0)
     return [
         CompileRequest(
             terms=(
@@ -218,9 +216,7 @@ async def run_workload(cache_dir: str, plan_spec: str = None) -> dict:
 
 def batch_requests():
     """50 distinct tiny advanced-pipeline jobs (distinct seeds, shared terms)."""
-    config = CompilerConfig(
-        gamma_steps=1, sorting_population=2, sorting_generations=1, coloring_orders=1
-    )
+    config = CompilerConfig(gamma_steps=1, coloring_orders=1)
     terms = (
         ExcitationTerm(creation=(4, 7), annihilation=(0, 3)),
         ExcitationTerm(creation=(6,), annihilation=(2,)),

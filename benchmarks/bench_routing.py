@@ -53,9 +53,7 @@ TOPOLOGY_KINDS = ("all-to-all", "line", "ring", "grid", "heavy-hex")
 BACKENDS = ("jw", "bk", "gt", "adv")
 
 #: Deterministic fast settings (matches tools/make_golden.py).
-BASE_CONFIG = CompilerConfig(
-    gamma_steps=20, sorting_population=16, sorting_generations=20, seed=0
-)
+BASE_CONFIG = CompilerConfig(gamma_steps=20, seed=0)
 
 
 def case_terms(molecule_name: str, n_frozen: int, n_terms):

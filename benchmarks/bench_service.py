@@ -1,6 +1,6 @@
 """Compile-service benchmark: tier hit rates, tail latency, dedup, backpressure.
 
-Where ``bench_compile.py`` measures single-call compile latency, this harness
+Where ``perfbench`` measures single-call compile latency, this harness
 measures the **service** quantities the ``repro.service`` layer exists for —
 what repeat traffic costs once results persist across processes:
 

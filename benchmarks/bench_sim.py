@@ -1,6 +1,6 @@
 """Simulation-engine benchmark: tensor-contraction vs the legacy embed engine.
 
-Where ``bench_compile.py`` measures compile latency, this harness measures the
+Where ``perfbench`` measures compile latency, this harness measures the
 **verification** core — dense unitary construction and statevector
 application, the operations every differential harness, hypothesis suite and
 golden check in this repo runs through — and pins the tensor-contraction
@@ -8,11 +8,10 @@ engine's speedup in CI:
 
 * ``unitary_build`` — ``Circuit.to_unitary`` on a 10-qubit, 200-gate circuit:
   the seed's per-gate ``_embed`` + dense-matmul engine (a faithful copy kept
-  below, exactly like ``bench_compile.py`` keeps the scalar GTSP solver) vs
-  the fused tensordot engine.  The circuit draws only from gates whose matrix
-  entries lie in ``{0, ±1, ±i}``, so every intermediate product is exact and
-  the two engines must agree **bit-identically**; the enforced floor is a
-  >= 10x speedup.
+  below) vs the fused tensordot engine.  The circuit draws only from gates
+  whose matrix entries lie in ``{0, ±1, ±i}``, so every intermediate product
+  is exact and the two engines must agree **bit-identically**; the enforced
+  floor is a >= 10x speedup.
 * ``generic_engine`` — an 8-qubit circuit including H and rotations:
   unitaries agree to 1e-10 and the statevector paths have fidelity 1.
 * ``statevector_apply`` — ``apply_to_statevector`` vs multiplying by the

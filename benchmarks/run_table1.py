@@ -98,9 +98,7 @@ PAPER_TABLE1 = {
 
 def build_requests(cases, seed: int, topology_kind=None):
     """One ``(molecule, request)`` pair per Table-I row."""
-    config = CompilerConfig(
-        gamma_steps=30, sorting_population=20, sorting_generations=25, seed=seed
-    )
+    config = CompilerConfig(gamma_steps=30, seed=seed)
     labeled = []
     for molecule_name, frozen, term_counts in cases:
         scf = run_rhf(make_molecule(molecule_name))

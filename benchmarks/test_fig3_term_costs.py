@@ -60,7 +60,6 @@ class TestPerTermCosts:
         result = benchmark.pedantic(
             advanced_sort,
             args=(rotations,),
-            kwargs={"rng": np.random.default_rng(0)},
             rounds=1,
             iterations=1,
         )

@@ -6,7 +6,6 @@ qubit it compiles to 8.  The advanced sorting must discover the better choice
 automatically.
 """
 
-import numpy as np
 import pytest
 
 from repro.core import PauliRotation, advanced_sort
@@ -34,7 +33,6 @@ def test_fig4_advanced_sorting_finds_best_target(benchmark):
     result = benchmark.pedantic(
         advanced_sort,
         args=(rotations,),
-        kwargs={"rng": np.random.default_rng(0)},
         rounds=1,
         iterations=1,
     )

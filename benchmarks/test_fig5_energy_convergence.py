@@ -76,9 +76,7 @@ def test_fig5_energies_unaffected_by_compilation(water_series):
     n_qubits = hamiltonian.n_spin_orbitals
 
     baseline = BaselineCompiler().compile(terms, n_qubits=n_qubits)
-    advanced = AdvancedPipeline(CompilerConfig(
-        gamma_steps=10, sorting_population=12, sorting_generations=10, seed=0
-    )).run(terms, n_qubits=n_qubits)
+    advanced = AdvancedPipeline(CompilerConfig(gamma_steps=10, seed=0)).run(terms, n_qubits=n_qubits)
 
     print(f"\n[Fig. 5 companion] same ansatz, M={len(terms)}: "
           f"baseline={baseline.cnot_count} CNOTs, advanced={advanced.cnot_count} CNOTs, "

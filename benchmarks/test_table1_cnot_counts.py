@@ -35,9 +35,7 @@ CASES = [
     ("H2O", 8),
 ]
 
-CONFIG = CompilerConfig(
-    gamma_steps=20, sorting_population=16, sorting_generations=20, seed=0
-)
+CONFIG = CompilerConfig(gamma_steps=20, seed=0)
 
 
 def _compile_all(hamiltonian, terms):

@@ -49,9 +49,7 @@ def main() -> None:
     else:
         cases = DEFAULT_CASES
 
-    config = CompilerConfig(
-        gamma_steps=20, sorting_population=16, sorting_generations=20, seed=0
-    )
+    config = CompilerConfig(gamma_steps=20, seed=0)
     labeled = []
     for name, n_terms in cases:
         frozen = 1 if name != "H2" else 0

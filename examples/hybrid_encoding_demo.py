@@ -80,9 +80,7 @@ def main() -> None:
     # the fermionic remainder.
     request = CompileRequest(
         terms=tuple(term_list),
-        config=CompilerConfig(
-            gamma_steps=10, sorting_population=10, sorting_generations=10, seed=0
-        ),
+        config=CompilerConfig(gamma_steps=10, seed=0),
     )
     result = get_backend("advanced").compile(request)
     print(f"\nFull advanced compilation of the nine terms "

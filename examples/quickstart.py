@@ -47,9 +47,7 @@ def main() -> None:
     hamiltonian = build_molecular_hamiltonian(scf, n_frozen_spatial_orbitals=1)
     terms = select_ansatz_terms(hamiltonian, 4)
 
-    config = CompilerConfig(
-        gamma_steps=20, sorting_population=16, sorting_generations=20, seed=0
-    )
+    config = CompilerConfig(gamma_steps=20, seed=0)
     request = CompileRequest(
         terms=tuple(terms), n_qubits=hamiltonian.n_spin_orbitals, config=config
     )

@@ -48,9 +48,7 @@ def main() -> None:
         hamiltonian = build_molecular_hamiltonian(scf, n_frozen_spatial_orbitals=1)
         terms = tuple(hmp2_ranked_terms(hamiltonian)[:4])
     n_qubits = hamiltonian.n_spin_orbitals
-    base_config = CompilerConfig(
-        gamma_steps=20, sorting_population=16, sorting_generations=20, seed=0
-    )
+    base_config = CompilerConfig(gamma_steps=20, seed=0)
 
     print(
         f"{args.molecule}: {len(terms)} excitation terms on {n_qubits} qubits\n"

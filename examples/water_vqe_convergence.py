@@ -53,9 +53,7 @@ def main() -> None:
         hamiltonian, terms, max_terms=args.max_terms, exact_energy=exact
     )
 
-    config = CompilerConfig(
-        gamma_steps=10, sorting_population=10, sorting_generations=10, seed=0
-    )
+    config = CompilerConfig(gamma_steps=10, seed=0)
     requests = [
         CompileRequest(
             terms=tuple(terms[:m]), n_qubits=hamiltonian.n_spin_orbitals, config=config

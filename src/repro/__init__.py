@@ -11,8 +11,8 @@ The package is organised bottom-up:
   and generalized GL(N,2) fermion-to-qubit transformations;
 * :mod:`repro.circuits` — circuit IR, Pauli-exponential synthesis, CNOT
   cancellation accounting and peephole optimization;
-* :mod:`repro.optimizers` — simulated annealing, graph coloring, GTSP genetic
-  algorithm, particle swarm, TSP heuristics;
+* :mod:`repro.optimizers` — simulated annealing, graph coloring, GTSP local
+  search, particle swarm, TSP heuristics;
 * :mod:`repro.chemistry` — STO-3G integrals, Hartree-Fock, molecular
   Hamiltonians and MP2;
 * :mod:`repro.simulator` — exact statevector simulation and FCI references;

@@ -101,7 +101,7 @@ class CompileResult:
     report from it.
 
     ``degraded`` is True when any optimizer stage hit its anytime budget
-    (``CompilerConfig.gamma_budget_steps`` / ``sorting_budget_generations``)
+    (``CompilerConfig.gamma_budget_steps`` / ``sorting_budget_rounds``)
     and returned its best-so-far answer; ``degraded_stages`` names the
     truncated stages.  A degraded result is still a valid, verifiable
     circuit — the flag reports that the configured search effort was cut

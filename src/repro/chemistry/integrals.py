@@ -22,9 +22,9 @@ path returns exactly the floats the direct recursion returns):
   Coulomb recursion runs on whole quartet arrays) instead of one Python call
   per primitive quartet;
 * :func:`set_integral_caching` / :func:`clear_integral_caches` switch the
-  whole layer off (falling back to the seed's scalar recursion, used by the
-  ``benchmarks/bench_compile.py`` before/after comparison) and drop the
-  cached state.
+  whole layer off (falling back to the seed's scalar recursion, which
+  ``tests/chemistry/test_integral_caches.py`` compares against) and drop
+  the cached state.
 """
 
 from __future__ import annotations

@@ -4,15 +4,22 @@ Section III-B of the paper.  Every Pauli rotation may choose its own target
 qubit, and rotations from *different* excitation terms may interleave; both
 degrees of freedom are folded into one generalized traveling salesman problem
 whose clusters are the rotations and whose vertices are the admissible
-``(rotation, target)`` pairs, with edge weights equal to (minus) the CNOT
-cancellation at the interface of consecutive exponentials.  The GTSP is solved
-with the genetic algorithm of :mod:`repro.optimizers.gtsp`, the resulting tour
-is cut at its weakest edge and the path cost is the compiled CNOT count.
+``(rotation, target)`` pairs.  An edge costs the CNOTs of its head vertex's
+exponential minus the cancellation at the interface with its tail, and the
+first vertex pays its own CNOTs, so the cost of a path is the compiled CNOT
+count (or, under a topology, the routed estimate) exactly.
+
+The paper solves this GTSP with a genetic algorithm; :func:`advanced_sort`
+does not.  Following Gutin and Karapetyan's memetic GTSP (Natural Computing
+9, 2010), where the local search does the work, it runs the deterministic
+local search of :func:`repro.optimizers.solve_gtsp` from three seed tours:
+the greedy walk and the term-block order, chained and unchained.  It draws
+no random numbers and never returns worse than its best seed.
 
 The module also holds the prior art's fixed construction,
 :func:`term_block_order` (one shared target per term): the baseline and
 JW/BK flows compile with it, the baseline's Γ search scores with it, and it
-seeds the GTSP population.
+seeds the GTSP search.
 """
 
 from __future__ import annotations
@@ -74,9 +81,9 @@ class SortingResult:
     ``cnot_count`` is always the paper's all-to-all accounting;
     ``routed_cost_estimate`` is the distance-weighted cost of the same
     sequence when the sort ran against a topology (``None`` otherwise).
-    ``degraded`` is True when an iteration budget (``max_generations``)
-    truncated the GTSP search: the sequence is valid and best-so-far, but
-    the search stopped short of its configured effort.
+    ``degraded`` is True when a round budget (``max_rounds``) truncated
+    the GTSP search: the sequence is valid and best-so-far, but the search
+    stopped short of converging.
     """
 
     ordered_rotations: List[Tuple[PauliRotation, int]]
@@ -124,15 +131,14 @@ def build_sorting_problem(
 ) -> GtspProblem:
     """Build the GTSP instance of Sec. III-B for a list of Pauli rotations.
 
-    The edge weights are served from one precomputed pairwise matrix, so the
-    genetic algorithm's many repeated weight queries cost a dictionary lookup
-    each instead of a per-qubit scan.  Without a topology the weight is minus
-    the interface saving (the paper's objective); with one it is the
-    distance-weighted cost matrix
-    (:func:`repro.operators.distance_weighted_cost_matrix`), which folds the
-    per-target steered ladder cost into the incoming edge so target choices
-    trade connectivity against cancellation.  ``savings`` is the
-    :func:`vertex_savings` of ``rotations`` when the caller already built it.
+    Every vertex costs its exponential's CNOTs: ``2 (w - 1)`` for a weight-w
+    string, or under a ``topology`` the steered ladder cost
+    (:func:`repro.operators.routed_vertex_cost_vector`).  That cost is the
+    start weight of the vertex and is folded into each incoming edge, minus
+    the interface saving of the pair, so the path cost of a tour equals
+    :meth:`SortingResult.objective` of the sequence.  ``savings`` is the
+    :func:`vertex_savings` of ``rotations`` when the caller already built
+    it.
     """
     rotations = list(rotations)
     if not rotations:
@@ -145,22 +151,18 @@ def build_sorting_problem(
         clusters.append([(index, target) for target in support])
 
     vertices, savings = savings if savings is not None else vertex_savings(rotations)
+    strings = [rotations[index].string for index, _ in vertices]
     if topology is None:
-        matrix = -savings
+        costs = 2 * (np.array([len(string.support) for string in strings]) - 1)
     else:
-        # Reuse the savings matrix vertex_savings already built instead of
-        # letting distance_weighted_cost_matrix recompute it.
         costs = routed_vertex_cost_vector(
-            [rotations[index].string for index, _ in vertices],
-            [target for _, target in vertices],
-            topology.distance_matrix,
+            strings, [target for _, target in vertices], topology.distance_matrix
         )
-        matrix = costs[None, :] - savings
-
     # vertex_savings enumerates vertices in cluster-flattened order, which is
-    # exactly the global row order GtspProblem expects, so the matrix plugs in
-    # directly and the GA never pays a per-edge Python call.
-    return GtspProblem(clusters=clusters, weight_matrix=matrix)
+    # exactly the global row order GtspProblem expects.
+    return GtspProblem(
+        clusters=clusters, weight_matrix=costs[None, :] - savings, start_weights=costs
+    )
 
 
 #: Terms of at most this many strings are ordered exhaustively; larger ones
@@ -287,27 +289,41 @@ def _finalize_sorting(
     )
 
 
+def sort_seed_tours(
+    rotations: Sequence[PauliRotation],
+    topology: Optional[Topology] = None,
+    savings: Optional[VertexSavings] = None,
+) -> List[List[SortingVertex]]:
+    """The seed tours of :func:`advanced_sort`, in tie-breaking order.
+
+    The greedy walk (:func:`greedy_sort`), then the term-block order
+    (:func:`term_block_order`) chained, then unchained.
+    """
+    rotations = list(rotations)
+    greedy = greedy_sort(rotations, topology=topology, savings=savings)
+    strings = PackedPaulis.from_strings(rotation.string for rotation in rotations)
+    term_index = [rotation.term_index for rotation in rotations]
+    blocks = [term_block_order(strings, term_index, ordered) for ordered in (True, False)]
+    return [result_to_tour(rotations, greedy)] + [
+        list(zip(block.rows.tolist(), block.targets.tolist())) for block in blocks
+    ]
+
+
 def advanced_sort(
     rotations: Sequence[PauliRotation],
-    population_size: int = 24,
-    generations: int = 30,
-    rng: Optional[np.random.Generator] = None,
-    seed_tours: Optional[Sequence[Sequence[SortingVertex]]] = None,
     topology: Optional[Topology] = None,
-    max_generations: Optional[int] = None,
-    savings: Optional[VertexSavings] = None,
+    max_rounds: Optional[int] = None,
 ) -> SortingResult:
     """Order rotations and pick per-rotation targets to minimize the CNOT count.
 
-    ``seed_tours`` are ``(rotation index, target)`` sequences injected into
-    the genetic algorithm's starting population (see
-    :func:`repro.optimizers.solve_gtsp`); the search result is then never
-    worse, as a cycle, than the best seed.  With a ``topology`` the GTSP
-    weights and the seed comparison both use the distance-weighted routed
-    cost instead of the all-to-all CNOT count.  ``max_generations`` is the
-    anytime GA budget (see :func:`repro.optimizers.solve_gtsp`); a truncated
-    search marks the result ``degraded=True``.  ``savings`` is the
-    :func:`vertex_savings` of ``rotations`` when the caller already built it.
+    Runs :func:`repro.optimizers.solve_gtsp` on the
+    :func:`build_sorting_problem` instance from the seed tours of
+    :func:`sort_seed_tours`, so the result is never worse than any seed.
+    With a ``topology`` the search minimizes the distance-weighted routed
+    cost instead of the all-to-all CNOT count; either way the search's path
+    cost is the result's :meth:`~SortingResult.objective`.  ``max_rounds`` is
+    the anytime budget of the search; a truncated search marks the result
+    ``degraded=True``.
     """
     rotations = list(rotations)
     if not rotations:
@@ -316,51 +332,16 @@ def advanced_sort(
             cnot_count=0,
             routed_cost_estimate=None if topology is None else 0,
         )
-    rng = rng or np.random.default_rng()
-
-    if len(rotations) == 1:
-        rotation = rotations[0]
-        target = rotation.string.support[-1]
-        return _finalize_sorting([(rotation, target)], topology)
-
+    savings = vertex_savings(rotations)
+    seed_tours = sort_seed_tours(rotations, topology=topology, savings=savings)
     problem = build_sorting_problem(rotations, topology=topology, savings=savings)
-    initial_tours = None
-    if seed_tours:
-        initial_tours = [
-            [(index, (index, target)) for index, target in tour] for tour in seed_tours
-        ]
     solution = solve_gtsp(
         problem,
-        population_size=population_size,
-        generations=generations,
-        rng=rng,
-        initial_tours=initial_tours,
-        max_generations=max_generations,
+        [[(index, (index, target)) for index, target in tour] for tour in seed_tours],
+        max_rounds=max_rounds,
     )
-    # Determine the weakest edge of the cycle and cut there (path compilation):
-    # the edge with the least interface saving, or — under a topology — the
-    # largest distance-weighted edge weight.  Either way it is the largest
-    # GTSP weight; argmax takes the first maximum.
-    rows = problem.tour_rows(solution.tour)
-    n = len(rows)
-    cut = int(np.argmax(problem.matrix[rows, np.roll(rows, -1)]))
-    ordered: List[Tuple[PauliRotation, int]] = []
-    for step in range(n):
-        _, (index, target) = solution.tour[(cut + 1 + step) % n]
-        ordered.append((rotations[index], target))
-
-    result = _finalize_sorting(ordered, topology, degraded=solution.degraded)
-    # The weakest-edge cut minimizes the *cycle* cost, which does not strictly
-    # dominate every seed evaluated as a path; compare against the seeds
-    # directly so the result is never worse than one of them.  A seed that
-    # wins keeps the degraded flag: the truncated search is still the reason
-    # the sequence may fall short of the configured effort.
-    for tour in seed_tours or ():
-        seed_ordered = [(rotations[index], target) for index, target in tour]
-        seed_result = _finalize_sorting(seed_ordered, topology, degraded=solution.degraded)
-        if seed_result.objective() < result.objective():
-            result = seed_result
-    return result
+    ordered = [(rotations[index], target) for _, (index, target) in solution.tour]
+    return _finalize_sorting(ordered, topology, degraded=solution.degraded)
 
 
 def greedy_walk(
@@ -396,14 +377,14 @@ def greedy_sort(
     topology: Optional[Topology] = None,
     savings: Optional[VertexSavings] = None,
 ) -> SortingResult:
-    """Cheap nearest-neighbour alternative to the GTSP genetic algorithm.
+    """Nearest-neighbour construction: the first seed tour of :func:`advanced_sort`.
 
     Starting from the first rotation (with its default target), the next
     rotation/target pair is always the one with the largest interface
     cancellation — or, under a ``topology``, the smallest distance-weighted
-    cost (:func:`greedy_walk`).  The ablation reference for the full GTSP
-    solver and one of its seed tours; the Γ search evaluates the same walk
-    on bit-planes (:class:`repro.core.gamma_search.GreedySortingCost`).
+    cost (:func:`greedy_walk`).  Also the ablation reference for the GTSP
+    search; the Γ search evaluates the same walk on bit-planes
+    (:class:`repro.core.gamma_search.GreedySortingCost`).
     ``savings`` is the :func:`vertex_savings` of ``rotations`` when the
     caller already built it.
     """

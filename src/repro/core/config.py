@@ -9,6 +9,13 @@ worker processes without defensive copying.
 
 The class lives in :mod:`repro.core` because the pipeline stages consume it;
 the public import path is :mod:`repro.api`.
+
+The paper sorts with a genetic algorithm sized by a population and a
+generation count.  This compiler departs from it: following Gutin and
+Karapetyan's memetic GTSP (Natural Computing 9, 2010), where the local
+search does the work, the sort runs that local search alone from fixed seed
+tours (:mod:`repro.optimizers.gtsp`) and stops when it converges.  So its
+only knob is an optional round budget.
 """
 
 from __future__ import annotations
@@ -32,24 +39,18 @@ class CompilerConfig:
         ablation benchmarks.
     gamma_steps:
         Simulated-annealing proposals for the Γ search (Sec. III-C).
-    sorting_population, sorting_generations:
-        GTSP genetic-algorithm budget for the final sorting pass (Sec. III-B).
     coloring_orders:
         Randomized greedy orders tried by the hybrid-scheduling graph coloring.
-    sorting_seed_tours:
-        Seed the GTSP population with the greedy and per-term-block
-        constructions so the genetic search never starts worse than the known
-        heuristics.  Off by default to keep results bit-identical with the
-        historical pipeline.
-    gamma_budget_steps, sorting_budget_generations:
+    gamma_budget_steps, sorting_budget_rounds:
         Optional per-stage *anytime budgets* (``None`` = unbounded, the
         default).  ``gamma_budget_steps`` caps the Γ simulated-annealing
-        walk at that many proposals; ``sorting_budget_generations`` caps the
-        GTSP genetic algorithm at that many generations.  A stage that hits
-        its budget returns its best-so-far result and the compile is flagged
-        ``degraded=True`` (see ``CompileResult.degraded``) instead of
-        running unbounded.  Both budgets are iteration counts, not wall
-        time, so degraded outputs are bit-reproducible for a fixed seed.
+        walk at that many proposals; ``sorting_budget_rounds`` caps the
+        GTSP local search at that many improving rounds per seed tour.  A
+        stage that hits its budget returns its best-so-far result and the
+        compile is flagged ``degraded=True`` (see
+        ``CompileResult.degraded``) instead of running unbounded.  Both
+        budgets are iteration counts, not wall time, so degraded outputs
+        are bit-reproducible for a fixed seed.
     seed:
         Seed of the internal random generator (every flow is deterministic for
         a fixed seed).
@@ -71,12 +72,9 @@ class CompilerConfig:
     use_gamma_search: bool = True
     use_advanced_sorting: bool = True
     gamma_steps: int = 40
-    sorting_population: int = 24
-    sorting_generations: int = 30
     coloring_orders: int = 20
-    sorting_seed_tours: bool = False
     gamma_budget_steps: Optional[int] = None
-    sorting_budget_generations: Optional[int] = None
+    sorting_budget_rounds: Optional[int] = None
     seed: Optional[int] = 0
     baseline_pso_particles: int = 10
     baseline_pso_iterations: int = 0
@@ -89,22 +87,12 @@ class CompilerConfig:
             self.topology.require_connected()
         if self.gamma_steps < 0:
             raise ValueError("gamma_steps must be non-negative")
-        # The GA population constraint only binds when the GA actually runs;
-        # ablation configs with advanced sorting disabled never consult it
-        # (and the historical compiler accepted them).
-        if self.use_advanced_sorting and self.sorting_population < 2:
-            raise ValueError("sorting_population must be at least 2")
-        if self.sorting_generations < 0:
-            raise ValueError("sorting_generations must be non-negative")
         if self.coloring_orders < 1:
             raise ValueError("coloring_orders must be at least 1")
         if self.gamma_budget_steps is not None and self.gamma_budget_steps < 1:
             raise ValueError("gamma_budget_steps must be None or at least 1")
-        if (
-            self.sorting_budget_generations is not None
-            and self.sorting_budget_generations < 0
-        ):
-            raise ValueError("sorting_budget_generations must be None or non-negative")
+        if self.sorting_budget_rounds is not None and self.sorting_budget_rounds < 0:
+            raise ValueError("sorting_budget_rounds must be None or non-negative")
         if self.baseline_pso_particles < 1:
             raise ValueError("baseline_pso_particles must be at least 1")
         if self.baseline_pso_iterations < 0:

@@ -12,7 +12,8 @@ Given a set of HMP2-selected excitation terms the pipeline:
 4. **transform** — expands the fermionic class (plus folded hybrids and all
    singles) into targeted Pauli rotations under the chosen Γ;
 5. **sort** — orders the rotations with the GTSP-based advanced sorting
-   (Sec. III-B);
+   (Sec. III-B), by seeded local search rather than the paper's genetic
+   algorithm;
 6. **account** — totals the CNOT count and the per-segment breakdown.
 
 Every stage is an ordinary function mutating a shared :class:`StageContext`,
@@ -44,10 +45,6 @@ from repro.core.advanced_sorting import (
     SortingResult,
     advanced_sort,
     baseline_order_cnot_count,
-    greedy_sort,
-    result_to_tour,
-    term_block_order,
-    vertex_savings,
 )
 from repro.core.config import CompilerConfig
 from repro.core.gamma_search import GreedySortingCost, search_block_diagonal_gamma
@@ -59,7 +56,6 @@ from repro.core.hybrid_encoding import (
     schedule_hybrid_terms,
 )
 from repro.core.terms_to_paulis import PauliRotation, required_qubits, terms_to_rotations
-from repro.operators import PackedPaulis
 from repro.transforms import LinearEncodingTransform, identity_matrix
 from repro.vqe import ExcitationTerm
 
@@ -303,10 +299,16 @@ def transform_stage(context: StageContext) -> None:
 
 
 def sort_stage(context: StageContext) -> None:
-    """GTSP advanced sorting with a greedy fallback (Sec. III-B).
+    """GTSP advanced sorting by seeded local search (Sec. III-B).
 
-    Honors ``config.sorting_budget_generations``: a truncated GA records the
-    stage in ``context.degraded_stages`` and keeps the best tour seen so far.
+    The paper sorts with a genetic algorithm; this stage runs
+    :func:`~repro.core.advanced_sorting.advanced_sort` instead, the
+    deterministic local search of Gutin and Karapetyan's memetic GTSP
+    without the population, seeded with the greedy walk and the term-block
+    order (chained and unchained).  It draws nothing from ``context.rng``
+    and never returns worse than its best seed.  Honors
+    ``config.sorting_budget_rounds``: a truncated search records the stage
+    in ``context.degraded_stages`` and keeps the best tour found so far.
     """
     context.sorting = SortingResult(ordered_rotations=[], cnot_count=0)
     if not context.rotations:
@@ -316,40 +318,13 @@ def sort_stage(context: StageContext) -> None:
         naive_sort_stage(context)
         return
     faults.fire("stage.sort", n_rotations=len(context.rotations))
-    # The greedy construction and the GTSP instance share one savings matrix.
-    savings = vertex_savings(context.rotations)
-    greedy = greedy_sort(context.rotations, topology=config.topology, savings=savings)
-    seed_tours = None
-    if config.sorting_seed_tours:
-        blocks = term_block_order(
-            PackedPaulis.from_strings(rotation.string for rotation in context.rotations),
-            [rotation.term_index for rotation in context.rotations],
-            ordered=False,
-        )
-        seed_tours = [
-            result_to_tour(context.rotations, greedy),
-            list(zip(blocks.rows.tolist(), blocks.targets.tolist())),
-        ]
-    sorting = advanced_sort(
+    context.sorting = advanced_sort(
         context.rotations,
-        population_size=config.sorting_population,
-        generations=config.sorting_generations,
-        rng=context.rng,
-        seed_tours=seed_tours,
         topology=config.topology,
-        max_generations=config.sorting_budget_generations,
-        savings=savings,
+        max_rounds=config.sorting_budget_rounds,
     )
-    if sorting.degraded:
-        # The budget was hit regardless of whether the greedy construction
-        # ends up winning the comparison below: the configured search effort
-        # was not spent, which is what the flag reports.
+    if context.sorting.degraded:
         context.degraded_stages.append("sort")
-    # Both results expose the objective the sort ran under (all-to-all CNOTs,
-    # or the distance-weighted routed estimate when a topology is set).
-    if greedy.objective() < sorting.objective():
-        sorting = greedy
-    context.sorting = sorting
 
 
 def naive_sort_stage(context: StageContext) -> None:

@@ -4,8 +4,8 @@
   search of Sec. III-C.
 * :func:`~repro.optimizers.graph_coloring.randomized_greedy_coloring` — the
   GVCP solver of Sec. III-A / Sec. IV.
-* :func:`~repro.optimizers.gtsp.solve_gtsp` — the genetic-algorithm GTSP
-  solver of Sec. III-B / Sec. IV.
+* :func:`~repro.optimizers.gtsp.solve_gtsp` — the GTSP of Sec. III-B / Sec. IV,
+  by seeded local search (the paper uses a genetic algorithm).
 * :func:`~repro.optimizers.particle_swarm.binary_particle_swarm` — the
   baseline's PSO search (reproduced for the GT column and ablations).
 * :mod:`~repro.optimizers.tsp` — nearest-neighbor/2-opt heuristics used by the

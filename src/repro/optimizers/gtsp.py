@@ -1,38 +1,44 @@
-"""Genetic algorithm for the generalized traveling salesman problem (GTSP).
+"""Deterministic local search for the generalized traveling salesman problem (GTSP).
 
 The paper's *advanced sorting* maps Pauli-string ordering with per-string
 target-qubit freedom onto the GTSP: vertices are ``(string, target)`` pairs
 grouped into one cluster per string, and the tour must visit exactly one
-vertex per cluster while maximizing the summed CNOT cancellation (equivalently
-minimizing its negation).  Following the paper we solve the GTSP with a
-genetic algorithm in the style of Silberholz and Golden: ordered crossover on
-the cluster permutation, per-cluster vertex reassignment and swap mutations,
-and an exact dynamic-programming "cluster optimization" step that, for a
-fixed cluster order, picks the best vertex inside every cluster.
+vertex per cluster at the least total cost.  The paper solves it with a
+genetic algorithm.  This module departs from that on purpose: in the memetic
+GTSP of Gutin and Karapetyan (Natural Computing 9, 2010) the local search
+does the work, and on the compiler's instances a population added nothing
+over its best seed but time and a random stream.  So :func:`solve_gtsp`
+keeps only the local search, run from caller-supplied seed tours, and draws
+no random numbers.
 
-Edge weights live in one dense float64 buffer of shape ``(V + 1, V + 1)``:
+The compiled cost is a *path*, so the search minimizes the path cost: the
+start weight of the first vertex plus the weights of consecutive edges.
+From each seed it alternates two moves until a round improves nothing:
+
+* **cluster optimization** — an exact dynamic program (DP) that, for the
+  fixed cluster order, picks the cheapest vertex in every cluster;
+* **Or-opt** — a first-improvement pass that moves a run of 1–3 consecutive
+  clusters, with their vertices, to its cheapest other position.
+
+Every accepted Or-opt move and every kept round strictly lowers the path
+cost, so on integer weights (the compiler's CNOT counts) the search ends,
+and the result is never worse than any seed.  The cheapest result wins, the
+earliest seed on ties.
+
+Edge weights live in one dense float64 buffer of shape ``(V + 3, V + 3)``:
 the ``(V, V)`` weight matrix indexed by global vertex row (clusters
-flattened in order) plus a sentinel row and column of ``+inf``.  Callers
-pass the matrix as ``weight_matrix`` (the advanced sorting builds it in one
-batched symplectic scan).  Weights must be finite.
-
-The cluster-optimization DP runs on a whole batch of chromosomes at once:
-every cluster is padded to the widest cluster ``K`` with the sentinel
-vertex, so one fancy index gathers every layer's ``(B, K, K)`` step and
-each layer is one reduction over the batch; tour costs are one gather per
-batch.  The solver defers a generation's optimizations to one batch after
-all its children are bred.  That changes no result: the DP draws nothing
-from the rng and selection reads only the previous generation's costs, so
-every draw and every chromosome is the same as optimizing each child as
-soon as it is made.  Every kernel reproduces the scalar implementation bit
-for bit: candidate costs are single additions of the same float64 pairs,
-padded vertices come last and cost ``+inf`` so the first-minimum
-``argmin`` lands on the same real vertex, and tour costs accumulate left to
-right in tour order.
+flattened in order), a sentinel row and column of ``+inf``, and two virtual
+vertices that turn the path ends into ordinary edges: *begin*, whose edge
+to a vertex is that vertex's start weight, and *end*, which every vertex
+reaches at zero cost.  The DP pads every cluster to the widest one with the
+sentinel vertex, so one fancy index gathers all of its ``(K, K)`` layer
+steps, and Or-opt scores a whole block of moves with one gather per run
+length.  Weights must be finite.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -42,10 +48,15 @@ Vertex = Hashable
 #: A tour visits clusters in the listed order, using the chosen vertex in each.
 Tour = Tuple[Tuple[int, Vertex], ...]
 
+#: Or-opt moves runs of up to this many consecutive clusters.
+OR_OPT_MAX_RUN = 3
+#: Or-opt evaluates this many run starts at once.
+OR_OPT_BLOCK = 16
+
 
 @dataclass
 class GtspProblem:
-    """A GTSP instance.
+    """A GTSP instance on the path objective.
 
     Parameters
     ----------
@@ -54,14 +65,18 @@ class GtspProblem:
         cluster is visited.
     weight_matrix:
         Dense edge-cost matrix indexed by global vertex rows, clusters
-        flattened in order (cluster 0's vertices first).  The tour cost is
-        the sum of consecutive edge costs around the closed cycle; the
-        solver minimizes it.  Every weight must be finite; NaN or infinite
-        entries raise ``ValueError``.
+        flattened in order (cluster 0's vertices first).  Every weight must
+        be finite; NaN or infinite entries raise ``ValueError``.
+    start_weights:
+        Optional cost of starting the path at each vertex (zero when
+        omitted), by the same global rows.  The path cost of a tour is the
+        start weight of its first vertex plus the weights of its
+        consecutive edges.
     """
 
     clusters: Sequence[Sequence[Vertex]]
     weight_matrix: np.ndarray
+    start_weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if not self.clusters:
@@ -75,6 +90,12 @@ class GtspProblem:
         # the widest cluster with the sentinel row n of the weight buffer.
         self._padded_rows = np.full((len(self.clusters), width), n, dtype=np.intp)
         self._row_in_cluster: List[Dict[Vertex, int]] = []
+        self._cluster_of_row = np.repeat(
+            np.arange(len(self.clusters)), [len(cluster) for cluster in self.clusters]
+        )
+        self._vertex_of_row = [
+            (index, vertex) for index, cluster in enumerate(self.clusters) for vertex in cluster
+        ]
         row = 0
         for index, cluster in enumerate(self.clusters):
             self._padded_rows[index, :len(cluster)] = range(row, row + len(cluster))
@@ -88,12 +109,20 @@ class GtspProblem:
             raise ValueError(
                 f"weight_matrix must be ({n}, {n}) for {n} vertices, got {matrix.shape}"
             )
-        if not np.isfinite(matrix).all():
+        start = np.zeros(n) if self.start_weights is None else np.asarray(
+            self.start_weights, dtype=np.float64
+        )
+        if start.shape != (n,):
+            raise ValueError(f"start_weights must be ({n},) for {n} vertices, got {start.shape}")
+        if not (np.isfinite(matrix).all() and np.isfinite(start).all()):
             raise ValueError("GTSP weights must be finite (got NaN or infinity)")
         # Copied into the buffer on ingest: later in-place mutation of the
-        # caller's array cannot reach the solver.
-        self._weights = np.full((n + 1, n + 1), np.inf)
+        # caller's arrays cannot reach the solver.
+        self._begin, self._end = n + 1, n + 2
+        self._weights = np.full((n + 3, n + 3), np.inf)
         self._weights[:n, :n] = matrix
+        self._weights[self._begin, :n] = start
+        self._weights[:n, self._end] = 0.0
 
     @property
     def n_clusters(self) -> int:
@@ -101,7 +130,7 @@ class GtspProblem:
 
     @property
     def n_vertices(self) -> int:
-        return self._weights.shape[0] - 1
+        return len(self._vertex_of_row)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -110,13 +139,13 @@ class GtspProblem:
         return self._weights[:n, :n]
 
     def tour_cost(self, tour: Sequence[Tuple[int, Vertex]]) -> float:
-        """Cost of the closed tour (single-cluster tours cost zero)."""
-        if sorted(c for c, _ in tour) != list(range(self.n_clusters)):
-            raise ValueError("tour must visit every cluster exactly once")
-        return self._rows_costs(np.array([self.tour_rows(tour)], dtype=np.intp))[0]
+        """Path cost of the tour: its first vertex's start weight plus its edges."""
+        return self._path_cost(self.tour_rows(tour))
 
     def tour_rows(self, tour: Sequence[Tuple[int, Vertex]]) -> List[int]:
-        """Global rows of a ``(cluster, vertex)`` tour."""
+        """Global rows of a ``(cluster, vertex)`` tour that visits every cluster once."""
+        if sorted(cluster for cluster, _ in tour) != list(range(self.n_clusters)):
+            raise ValueError("tour must visit every cluster exactly once")
         rows: List[int] = []
         for cluster, vertex in tour:
             row = self._row_in_cluster[cluster].get(vertex)
@@ -125,297 +154,190 @@ class GtspProblem:
             rows.append(row)
         return rows
 
-    def _rows_costs(self, rows: np.ndarray) -> List[float]:
-        """Closed-cycle costs of tours given as a ``(B, m)`` array of global rows.
+    def _tour(self, rows: Sequence[int]) -> Tour:
+        return tuple(self._vertex_of_row[row] for row in rows)
 
-        One gather of every tour edge, then a sequential ``np.add.accumulate``
-        from ``0.0`` along each tour: the edge costs are added left to right
-        in tour order, so each result is bit-identical to the scalar loop.
-        """
-        if rows.shape[1] <= 1:
-            return [0.0] * rows.shape[0]
-        edges = np.zeros((rows.shape[0], rows.shape[1] + 1))
-        edges[:, 1:] = self._weights[rows, np.roll(rows, -1, axis=1)]
-        return np.add.accumulate(edges, axis=1)[:, -1].tolist()
+    def _path_cost(self, rows: Sequence[int]) -> float:
+        """Start weight plus edge weights, added left to right along the path."""
+        rows = np.asarray(rows, dtype=np.intp)
+        terms = np.empty(len(rows))
+        terms[0] = self._weights[self._begin, rows[0]]
+        terms[1:] = self._weights[rows[:-1], rows[1:]]
+        return float(np.add.accumulate(terms)[-1])
 
 
 @dataclass
 class GtspResult:
-    """Best tour found by the solver.
+    """Best tour found by the solver, with its path cost.
 
-    ``generations`` is the number of generations actually evolved; when a
-    ``max_generations`` budget stopped the search early, ``degraded`` is True
-    and the tour is the best individual seen so far (anytime semantics).
+    ``rounds`` counts the improving rounds the search kept, over all seeds.
+    ``degraded`` is True when a ``max_rounds`` budget stopped a seed's
+    search while its next round would still have improved it: the tour is
+    the best one found within the budget (anytime semantics).
     """
 
     tour: Tour
     cost: float
-    generations: int
+    rounds: int
     degraded: bool = False
 
 
-class _Chromosome:
-    """Cluster permutation plus a vertex choice per cluster."""
+def _optimize_vertices(problem: GtspProblem, rows: np.ndarray) -> np.ndarray:
+    """Exact DP: the cheapest vertex of every cluster for the cluster order of ``rows``.
 
-    __slots__ = ("order", "choices")
-
-    def __init__(self, order: List[int], choices: List[int]):
-        self.order = order          # permutation of cluster indices
-        self.choices = choices      # choices[c] = vertex index inside cluster c
-
-    def tour(self, problem: GtspProblem) -> Tour:
-        return tuple(
-            (cluster, problem.clusters[cluster][self.choices[cluster]])
-            for cluster in self.order
-        )
-
-
-def _tour_costs(chromosomes: Sequence[_Chromosome], problem: GtspProblem) -> List[float]:
-    """Closed-tour costs of a batch of chromosomes (see ``_rows_costs``)."""
-    if not chromosomes:
-        return []
-    orders = np.array([chromosome.order for chromosome in chromosomes], dtype=np.intp)
-    choices = np.array([chromosome.choices for chromosome in chromosomes], dtype=np.intp)
-    rows = problem._padded_rows[orders, np.take_along_axis(choices, orders, axis=1)]
-    return problem._rows_costs(rows)
-
-
-def _random_chromosome(problem: GtspProblem, rng: np.random.Generator) -> _Chromosome:
-    order = list(rng.permutation(problem.n_clusters))
-    choices = [int(rng.integers(len(cluster))) for cluster in problem.clusters]
-    return _Chromosome([int(c) for c in order], choices)
-
-
-def _ordered_crossover(
-    parent_a: _Chromosome, parent_b: _Chromosome, rng: np.random.Generator
-) -> _Chromosome:
-    """Ordered crossover (OX) on the cluster permutation; vertex choices mix uniformly."""
-    n = len(parent_a.order)
-    if n == 1:
-        return _Chromosome(list(parent_a.order), list(parent_a.choices))
-    cut_a, cut_b = sorted(rng.choice(n, size=2, replace=False))
-    segment = parent_a.order[cut_a:cut_b + 1]
-    in_segment = set(segment)
-    remainder = [c for c in parent_b.order if c not in in_segment]
-    order = remainder[:cut_a] + segment + remainder[cut_a:]
-    # One vector draw yields the same doubles as one scalar draw per cluster.
-    coins = rng.random(len(parent_a.choices)).tolist()
-    choices = [
-        a if coin < 0.5 else b
-        for coin, a, b in zip(coins, parent_a.choices, parent_b.choices)
-    ]
-    return _Chromosome(order, choices)
-
-
-def _mutate(
-    chromosome: _Chromosome,
-    problem: GtspProblem,
-    rng: np.random.Generator,
-    mutation_rate: float,
-) -> None:
-    n = problem.n_clusters
-    if n >= 2 and rng.random() < mutation_rate:
-        i, j = rng.choice(n, size=2, replace=False)
-        chromosome.order[i], chromosome.order[j] = chromosome.order[j], chromosome.order[i]
-    if rng.random() < mutation_rate:
-        cluster = int(rng.integers(n))
-        chromosome.choices[cluster] = int(rng.integers(len(problem.clusters[cluster])))
-    # Occasional 2-opt style segment reversal.
-    if n >= 3 and rng.random() < mutation_rate:
-        i, j = sorted(rng.choice(n, size=2, replace=False))
-        chromosome.order[i:j + 1] = reversed(chromosome.order[i:j + 1])
-
-
-def _optimize_clusters(
-    chromosomes: Sequence[_Chromosome], problem: GtspProblem
-) -> None:
-    """Exact DP choosing the best vertex per cluster, for a batch of chromosomes.
-
-    For each chromosome's fixed cluster order and every candidate start
-    vertex in its first cluster, a forward dynamic program computes the
-    cheapest path through the remaining clusters and closes the cycle; the
-    overall best assignment is written back into the chromosome's choices.
-
-    Clusters are padded to the widest cluster ``K`` with the ``+inf``
-    sentinel vertex, so one fancy index gathers the layer steps of all ``B``
-    chromosomes and each layer is one ``(B, K, K, K)`` reduction over its
-    last, contiguous axis (the previous layer's vertex).  Each candidate
-    cost is a single addition of the same float64 pair the scalar DP added;
-    padded vertices come last and never win against a finite cost, so every
-    first-minimum ``argmin`` picks the same real vertex and the assignment
-    is bit-identical to optimizing each chromosome alone with the scalar DP.
+    ``costs[k]`` is the cheapest path from the virtual start to vertex
+    ``k`` of the current layer; each layer is one ``(K, K)`` step gathered
+    from the padded buffer.  Sentinel vertices cost ``+inf`` and never win,
+    and ties go to the first vertex of a cluster.
     """
-    m = problem.n_clusters
-    if m == 1 or not chromosomes:
-        return
-    weights = problem._weights
-    orders = np.array([chromosome.order for chromosome in chromosomes], dtype=np.intp)
-    rows = problem._padded_rows[orders]                 # (B, m, K)
-    # steps[b, l, k, j]: weight from vertex j of layer l to vertex k of l + 1.
-    steps = weights[rows[:, :-1, None, :], rows[:, 1:, :, None]]
-
-    # costs[b, s, k]: best cost from start vertex s to vertex k of the layer.
-    costs = steps[:, 0].transpose(0, 2, 1)
-    # Flat offset of every (b, s, k) row of a layer's candidates.
-    offsets = np.arange(costs.size).reshape(costs.shape) * costs.shape[2]
+    layers = problem._padded_rows[problem._cluster_of_row[rows]]     # (m, K)
+    # steps[l, j, k]: weight from vertex j of layer l to vertex k of layer l + 1.
+    steps = problem._weights[layers[:-1, :, None], layers[1:, None, :]]
+    columns = np.arange(layers.shape[1])
+    costs = problem._weights[problem._begin, layers[0]]
     parents: List[np.ndarray] = []
-    for layer in range(1, m - 1):
-        candidates = costs[:, :, None, :] + steps[:, layer, None]
-        best = candidates.argmin(axis=3)
+    for step in steps:
+        candidates = costs[:, None] + step
+        best = candidates.argmin(axis=0)
         parents.append(best)
-        # The value at argmin's (first-minimum) index is the minimum.
-        costs = candidates.take(offsets + best)
-    # closing[b, s, k] adds the edge from last-layer vertex k back to start s.
-    closing = costs + weights[rows[:, -1, None, :], rows[:, 0, :, None]]
-    best_last = closing.argmin(axis=2)
-    starts = closing.min(axis=2).argmin(axis=1)
-
-    batch = np.arange(len(chromosomes))
-    assignment = np.empty((len(chromosomes), m), dtype=np.intp)
-    assignment[:, 0] = starts
-    k = best_last[batch, starts]
-    for layer in range(m - 1, 0, -1):
-        assignment[:, layer] = k
-        if layer > 1:
-            k = parents[layer - 2][batch, starts, k]
-
-    choices = np.empty_like(assignment)
-    choices[batch[:, None], orders] = assignment
-    for chromosome, row in zip(chromosomes, choices.tolist()):
-        chromosome.choices[:] = row
+        costs = candidates[best, columns]
+    choice = [int(costs.argmin())]
+    for best in reversed(parents):
+        choice.append(int(best[choice[-1]]))
+    return layers[np.arange(len(layers)), choice[::-1]]
 
 
-def _chromosome_from_tour(
-    problem: GtspProblem, tour: Sequence[Tuple[int, Vertex]]
-) -> _Chromosome:
-    """Build a chromosome from an explicit ``(cluster, vertex)`` tour."""
-    if sorted(cluster for cluster, _ in tour) != list(range(problem.n_clusters)):
-        raise ValueError("seed tour must visit every cluster exactly once")
-    order: List[int] = []
-    choices = [0] * problem.n_clusters
-    for cluster, vertex in tour:
-        vertices = list(problem.clusters[cluster])
-        if vertex not in vertices:
-            raise ValueError(f"seed tour vertex {vertex!r} is not in cluster {cluster}")
-        order.append(int(cluster))
-        choices[cluster] = vertices.index(vertex)
-    return _Chromosome(order, choices)
+def _first_move(
+    weights: np.ndarray, path: np.ndarray, lo: int, hi: int
+) -> Optional[Tuple[int, int, int]]:
+    """First improving Or-opt move ``(i, length, gap)`` with ``lo <= i < hi``.
+
+    ``path`` runs from the virtual begin to the virtual end vertex, so every
+    gap ``g`` (between ``path[g]`` and ``path[g + 1]``) is an ordinary edge.
+    Moves are ranked by run start ``i``, then run length; each run goes to
+    its cheapest gap, the first one on ties, outside the gaps ``i - 1 ..
+    i + length - 1`` it spans.  Every candidate is evaluated at once.
+    """
+    m = len(path) - 2
+    edges = weights[path[:-1], path[1:]]
+    starts = np.arange(lo, hi)
+    gaps = np.arange(m + 1)
+    improving = np.zeros((OR_OPT_MAX_RUN, len(starts)), dtype=bool)
+    best_gap = np.zeros((OR_OPT_MAX_RUN, len(starts)), dtype=np.intp)
+    for length in range(1, min(OR_OPT_MAX_RUN, m - 1) + 1):
+        i = starts[starts + length - 1 <= m]
+        j = i + length - 1
+        removal = weights[path[i - 1], path[j + 1]] - edges[i - 1] - edges[j]
+        insertion = (
+            weights[path[None, :-1], path[i, None]] + weights[path[j, None], path[None, 1:]] - edges
+        )
+        insertion[(gaps >= i[:, None] - 1) & (gaps <= j[:, None])] = np.inf
+        gap = insertion.argmin(axis=1)
+        rows = np.arange(len(i))
+        improving[length - 1, rows] = removal + insertion[rows, gap] < 0
+        best_gap[length - 1, rows] = gap
+    hits = improving.any(axis=0)
+    if not hits.any():
+        return None
+    k = int(hits.argmax())
+    length = int(improving[:, k].argmax()) + 1
+    return lo + k, length, int(best_gap[length - 1, k])
+
+
+def _or_opt(problem: GtspProblem, rows: np.ndarray) -> np.ndarray:
+    """One first-improvement Or-opt pass over the path ``rows``.
+
+    Applies the first improving move of :func:`_first_move` and starts the
+    scan over, until no run of 1..:data:`OR_OPT_MAX_RUN` clusters has a
+    gap that strictly lowers the path cost.  Run starts are scanned in
+    blocks of :data:`OR_OPT_BLOCK`, each evaluated at once.
+    """
+    path = np.concatenate(([problem._begin], rows, [problem._end]))
+    m = len(rows)
+    lo = 1
+    while lo <= m:
+        move = _first_move(problem._weights, path, lo, min(lo + OR_OPT_BLOCK, m + 1))
+        if move is None:
+            lo += OR_OPT_BLOCK
+            continue
+        i, length, gap = move
+        run = path[i:i + length]
+        rest = np.concatenate((path[:i], path[i + length:]))
+        at = gap + 1 if gap < i else gap + 1 - length
+        path = np.concatenate((rest[:at], run, rest[at:]))
+        lo = 1
+    return path[1:-1]
+
+
+def _descend(
+    problem: GtspProblem, rows: np.ndarray, max_rounds: Optional[int]
+) -> Tuple[np.ndarray, float, int, bool]:
+    """Local search from one seed: ``(rows, cost, rounds kept, degraded)``."""
+    cost = problem._path_cost(rows)
+    rounds = 0
+    while True:
+        candidate = _or_opt(problem, _optimize_vertices(problem, rows))
+        candidate_cost = problem._path_cost(candidate)
+        if not candidate_cost < cost:
+            return rows, cost, rounds, False
+        if max_rounds is not None and rounds >= max_rounds:
+            return rows, cost, rounds, True
+        rows, cost, rounds = candidate, candidate_cost, rounds + 1
 
 
 def solve_gtsp(
     problem: GtspProblem,
-    population_size: int = 40,
-    generations: int = 60,
-    mutation_rate: float = 0.3,
-    elite_fraction: float = 0.2,
-    cluster_optimization_rate: float = 0.25,
-    rng: Optional[np.random.Generator] = None,
-    initial_tours: Optional[Sequence[Sequence[Tuple[int, Vertex]]]] = None,
-    max_generations: Optional[int] = None,
+    initial_tours: Sequence[Sequence[Tuple[int, Vertex]]],
+    max_rounds: Optional[int] = None,
 ) -> GtspResult:
-    """Solve a GTSP instance with the genetic algorithm described above.
+    """Improve every seed tour by local search and return the cheapest path.
 
-    ``initial_tours`` seeds the starting population with known-good tours
-    (e.g. the greedy nearest-neighbour construction), so the search never
-    finishes worse than its best seed.  The random part of the population
-    draws the same generator stream with or without seeds.
+    Each round is a cluster-optimization DP followed by an Or-opt pass (see
+    the module docstring); a seed's search stops at the first round that
+    does not strictly lower its path cost.  The result is deterministic and
+    never costs more than any seed; ties go to the earliest seed.
 
-    ``max_generations`` is an anytime iteration budget: evolve at most this
-    many generations even when ``generations`` asks for more, returning the
-    best tour so far flagged ``degraded=True``.  The budgeted run consumes
-    the same rng stream as a prefix of the unbudgeted one, so the degraded
-    result is deterministic for a fixed seed.
-
-    Costs are evaluated incrementally: every chromosome's cost is computed
-    exactly once, in one batch per generation after its cluster optimization,
-    and carried alongside it instead of re-deriving the whole population's
-    costs each generation.  The
-    carried values equal a full re-evaluation bit-for-bit (the cost function
-    is deterministic), so selection — and hence the returned tour — is
-    unchanged for any seed.
-
-    Cluster optimization runs once per generation on every child that drew
-    the optimization coin (and once on the whole initial population), after
-    the generation is bred.  The DP draws nothing from the rng and
-    tournament selection reads only the previous generation's costs, so the
-    deferral leaves every draw and every chromosome unchanged.
+    ``max_rounds`` is an anytime budget: keep at most that many improving
+    rounds per seed.  A seed stopped by the budget while its next round
+    would still improve it marks the result ``degraded=True``; a budget at
+    or above the rounds the search actually uses changes nothing.
     """
-    rng = rng or np.random.default_rng()
-    if population_size < 2:
-        raise ValueError("population_size must be at least 2")
-    if max_generations is not None and max_generations < 0:
-        raise ValueError("max_generations must be None or non-negative")
-    degraded = max_generations is not None and max_generations < generations
-    n_generations = min(max_generations, generations) if max_generations is not None else generations
-
-    population = [_random_chromosome(problem, rng) for _ in range(population_size)]
-    if initial_tours:
-        seeds = [_chromosome_from_tour(problem, tour) for tour in initial_tours]
-        population[: len(seeds)] = seeds[:population_size]
-    _optimize_clusters(population, problem)
-    costs = _tour_costs(population, problem)
-
-    n_elite = max(1, int(elite_fraction * population_size))
-    best_index = min(range(population_size), key=costs.__getitem__)
-    best_chromosome, best_cost = population[best_index], costs[best_index]
-
-    for generation in range(n_generations):
-        ranked = sorted(range(population_size), key=costs.__getitem__)
-        elites = [population[i] for i in ranked[:n_elite]]
-        elite_costs = [costs[i] for i in ranked[:n_elite]]
-        next_population: List[_Chromosome] = [
-            _Chromosome(list(c.order), list(c.choices)) for c in elites
-        ]
-        optimize: List[_Chromosome] = []
-        while len(next_population) < population_size:
-            # Tournament selection of two parents.
-            contenders = rng.choice(population_size, size=min(4, population_size), replace=False)
-            parents = sorted(contenders, key=lambda i: costs[i])[:2]
-            child = _ordered_crossover(population[parents[0]], population[parents[1]], rng)
-            _mutate(child, problem, rng, mutation_rate)
-            if rng.random() < cluster_optimization_rate:
-                optimize.append(child)
-            next_population.append(child)
-        _optimize_clusters(optimize, problem)
-        population = next_population
-        costs = elite_costs + _tour_costs(population[n_elite:], problem)
-        generation_best = min(range(population_size), key=costs.__getitem__)
-        if costs[generation_best] < best_cost:
-            best_chromosome = population[generation_best]
-            best_cost = costs[generation_best]
-
-    # Final polish on the best individual.
-    best_chromosome = _Chromosome(list(best_chromosome.order), list(best_chromosome.choices))
-    _optimize_clusters([best_chromosome], problem)
-    (final_cost,) = _tour_costs([best_chromosome], problem)
-    if final_cost < best_cost:
-        best_cost = final_cost
+    if max_rounds is not None and max_rounds < 0:
+        raise ValueError("max_rounds must be None or non-negative")
+    if not initial_tours:
+        raise ValueError("solve_gtsp needs at least one seed tour")
+    best: Optional[Tuple[np.ndarray, float]] = None
+    rounds, degraded = 0, False
+    for tour in initial_tours:
+        seed = np.array(problem.tour_rows(tour), dtype=np.intp)
+        rows, cost, used, cut = _descend(problem, seed, max_rounds)
+        rounds += used
+        degraded = degraded or cut
+        if best is None or cost < best[1]:
+            best = (rows, cost)
     return GtspResult(
-        tour=best_chromosome.tour(problem),
-        cost=best_cost,
-        generations=n_generations,
-        degraded=degraded,
+        tour=problem._tour(best[0].tolist()), cost=best[1], rounds=rounds, degraded=degraded
     )
 
 
-def brute_force_gtsp(problem: GtspProblem) -> GtspResult:
-    """Exact GTSP solution by exhaustive enumeration (tiny instances only)."""
-    import itertools
+def brute_force_gtsp(
+    problem: GtspProblem, order: Optional[Sequence[int]] = None
+) -> GtspResult:
+    """Exact minimum path by exhaustive enumeration (tiny instances only).
 
+    Every cluster order (or only ``order`` when given) with every vertex
+    choice; the first minimum wins.
+    """
     n = problem.n_clusters
     if n > 7:
         raise ValueError("brute force is limited to at most 7 clusters")
+    orders = [tuple(order)] if order is not None else itertools.permutations(range(n))
     best_tour: Optional[Tour] = None
     best_cost = None
-    # Fix cluster 0 first in the permutation: tours are closed cycles, so this
-    # loses no generality and removes rotational duplicates.
-    for permutation in itertools.permutations(range(1, n)):
-        order = (0,) + permutation
-        for choice in itertools.product(*[range(len(c)) for c in problem.clusters]):
-            tour = tuple(
-                (cluster, problem.clusters[cluster][choice[cluster]]) for cluster in order
-            )
+    for cluster_order in orders:
+        for choice in itertools.product(*[problem.clusters[c] for c in cluster_order]):
+            tour = tuple(zip(cluster_order, choice))
             cost = problem.tour_cost(tour)
             if best_cost is None or cost < best_cost:
                 best_cost, best_tour = cost, tour
-    return GtspResult(tour=best_tour, cost=float(best_cost), generations=0)
+    return GtspResult(tour=best_tour, cost=float(best_cost), rounds=0)

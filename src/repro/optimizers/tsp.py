@@ -2,7 +2,7 @@
 
 The term-block order uses them to order the strings of large excitation
 terms (:func:`repro.core.advanced_sorting.term_block_order`); ablation
-benchmarks use them as a sanity baseline against the GTSP genetic algorithm.
+benchmarks use them as a sanity baseline against the GTSP search.
 """
 
 from __future__ import annotations

@@ -29,9 +29,7 @@ CHAOS_SPEC = f"seed={FAULT_SEED};pool.worker=kill:{KILL_PROBABILITY}"
 
 #: Tiny but real advanced-pipeline compiles; distinct seeds make 50 distinct
 #: cache keys while keeping each job a few milliseconds.
-TINY = CompilerConfig(
-    gamma_steps=1, sorting_population=2, sorting_generations=1, coloring_orders=1
-)
+TINY = CompilerConfig(gamma_steps=1, coloring_orders=1)
 
 
 def make_requests():

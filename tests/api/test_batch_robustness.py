@@ -35,7 +35,7 @@ def term(creation, annihilation):
     return ExcitationTerm(creation=tuple(creation), annihilation=tuple(annihilation))
 
 
-FAST = CompilerConfig(gamma_steps=5, sorting_population=8, sorting_generations=5, seed=0)
+FAST = CompilerConfig(gamma_steps=5, seed=0)
 
 
 def make_request(shift=0, config=FAST):

@@ -19,11 +19,11 @@ TERMS = (
     term((6,), (0,)),
 )
 
-FAST = CompilerConfig(gamma_steps=5, sorting_population=8, sorting_generations=5, seed=0)
+FAST = CompilerConfig(gamma_steps=5, seed=0)
 
-#: Both budgets strictly below the configured effort: every budgeted stage
-#: must truncate and flag itself.
-BUDGETED = FAST.replace(gamma_budget_steps=2, sorting_budget_generations=1)
+#: Both budgets strictly below the effort the stages would spend: every
+#: budgeted stage must truncate and flag itself.
+BUDGETED = FAST.replace(gamma_budget_steps=2, sorting_budget_rounds=0)
 
 
 def compile_with(config):
@@ -38,8 +38,8 @@ class TestConfigValidation:
             FAST.replace(gamma_budget_steps=0)
 
     def test_sorting_budget_must_be_non_negative(self):
-        with pytest.raises(ValueError, match="sorting_budget_generations"):
-            FAST.replace(sorting_budget_generations=-1)
+        with pytest.raises(ValueError, match="sorting_budget_rounds"):
+            FAST.replace(sorting_budget_rounds=-1)
 
     def test_budgets_change_the_fingerprint(self):
         assert BUDGETED.fingerprint != FAST.fingerprint
@@ -57,10 +57,10 @@ class TestDegradedFlag:
         assert result.degraded_stages is None
 
     def test_budget_matching_the_configured_effort_is_not_degradation(self):
-        exact = FAST.replace(gamma_budget_steps=5, sorting_budget_generations=5)
+        exact = FAST.replace(gamma_budget_steps=5, sorting_budget_rounds=50)
         result = compile_with(exact)
         assert not result.degraded
-        # Spending exactly the configured effort is the unbudgeted run.
+        # A budget the search never reaches is the unbudgeted run.
         assert result.cnot_count == compile_with(FAST).cnot_count
         assert result.breakdown == compile_with(FAST).breakdown
 

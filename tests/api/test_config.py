@@ -15,11 +15,13 @@ class TestDefaults:
         assert config.use_gamma_search
         assert config.use_advanced_sorting
         assert config.gamma_steps == 40
-        assert config.sorting_population == 24
-        assert config.sorting_generations == 30
         assert config.coloring_orders == 20
+        assert config.sorting_budget_rounds is None
         assert config.seed == 0
         assert config.baseline_pso_iterations == 0
+
+    def test_twelve_fields(self):
+        assert len(dataclasses.fields(CompilerConfig)) == 12
 
     def test_frozen(self):
         config = CompilerConfig()
@@ -32,8 +34,7 @@ class TestValidation:
         "field,value",
         [
             ("gamma_steps", -1),
-            ("sorting_population", 1),
-            ("sorting_generations", -2),
+            ("sorting_budget_rounds", -1),
             ("coloring_orders", 0),
             ("baseline_pso_particles", 0),
             ("baseline_pso_iterations", -1),
@@ -47,12 +48,7 @@ class TestValidation:
     def test_replace_revalidates(self):
         config = CompilerConfig()
         with pytest.raises(ValueError):
-            config.replace(sorting_population=0)
-
-    def test_population_unchecked_when_advanced_sorting_disabled(self):
-        # the historical compiler accepted this combination: the GA never runs
-        config = CompilerConfig(sorting_population=1, use_advanced_sorting=False)
-        assert config.sorting_population == 1
+            config.replace(gamma_steps=-1)
 
     def test_seed_none_allowed(self):
         assert CompilerConfig(seed=None).seed is None

@@ -35,7 +35,7 @@ def mixed_terms():
     ]
 
 
-FAST = CompilerConfig(gamma_steps=8, sorting_population=10, sorting_generations=8, seed=0)
+FAST = CompilerConfig(gamma_steps=8, seed=0)
 
 
 def make_context(terms, config=FAST, n_qubits=8):
@@ -123,18 +123,16 @@ class TestTransformStage:
 
 
 class TestSortStage:
-    @pytest.mark.parametrize("seed_tours", [False, True])
-    def test_savings_matrix_built_once(self, mixed_terms, monkeypatch, seed_tours):
-        """The greedy construction and the GTSP instance share one matrix.
+    def test_savings_matrix_built_once(self, mixed_terms, monkeypatch):
+        """The greedy seed and the GTSP instance share one matrix.
 
-        The term-block seed tour targets its strings differently and builds
-        its own same-target matrix inside ``term_block_order``.
+        The two term-block seed tours target their strings differently and
+        each builds its own same-target matrix inside ``term_block_order``.
         """
         import repro.core.advanced_sorting as advanced_sorting
 
-        config = FAST.replace(sorting_seed_tours=seed_tours)
         context = run_stages(
-            make_context(mixed_terms, config),
+            make_context(mixed_terms),
             classify_stage, schedule_hybrid_stage, gamma_search_stage, transform_stage,
         )
         calls = []
@@ -146,7 +144,7 @@ class TestSortStage:
 
         monkeypatch.setattr(advanced_sorting, "interface_reduction_matrix", counting)
         sort_stage(context)
-        assert len(calls) == 1 + seed_tours
+        assert len(calls) == 3
         assert len(context.sorting.ordered_rotations) == len(context.rotations)
 
     def test_sorted_count_not_worse_than_naive(self, mixed_terms):
@@ -164,14 +162,13 @@ class TestSortStage:
         assert len(context.sorting.ordered_rotations) == len(context.rotations)
 
     def test_seed_tours_never_lose_to_seeds(self, mixed_terms):
-        """With the greedy and per-term-block tours in its starting population,
-        the GTSP search cannot finish worse than either construction — even
-        with a zero-generation budget."""
+        """Seeded with the greedy and both term-block tours, the GTSP search
+        cannot finish worse than any construction — even with a zero-round
+        budget."""
         from repro.core import (
             advanced_sort,
             baseline_order_cnot_count,
             greedy_sort,
-            result_to_tour,
             term_block_order,
         )
         from repro.circuits import sequence_cnot_count
@@ -182,25 +179,20 @@ class TestSortStage:
             classify_stage, schedule_hybrid_stage, gamma_search_stage, transform_stage,
         )
         rotations = context.rotations
-        greedy = greedy_sort(rotations)
-        blocks = term_block_order(
-            PackedPaulis.from_strings(rotation.string for rotation in rotations),
-            [rotation.term_index for rotation in rotations],
-            ordered=False,
-        )
-        block_tour = list(zip(blocks.rows.tolist(), blocks.targets.tolist()))
-        block_count = sequence_cnot_count(
-            [(rotations[index].string, target) for index, target in block_tour]
-        )
-        assert block_count == blocks.cnot_count
-        seeded = advanced_sort(
-            rotations,
-            population_size=10,
-            generations=0,
-            rng=np.random.default_rng(0),
-            seed_tours=[result_to_tour(rotations, greedy), block_tour],
-        )
-        assert seeded.cnot_count <= min(greedy.cnot_count, block_count)
+        strings = PackedPaulis.from_strings(rotation.string for rotation in rotations)
+        term_index = [rotation.term_index for rotation in rotations]
+        block_counts = []
+        for ordered in (True, False):
+            blocks = term_block_order(strings, term_index, ordered)
+            block_counts.append(blocks.cnot_count)
+            assert blocks.cnot_count == sequence_cnot_count(
+                [
+                    (rotations[index].string, target)
+                    for index, target in zip(blocks.rows.tolist(), blocks.targets.tolist())
+                ]
+            )
+        seeded = advanced_sort(rotations, max_rounds=0)
+        assert seeded.cnot_count <= min(greedy_sort(rotations).cnot_count, *block_counts)
         assert seeded.cnot_count <= baseline_order_cnot_count(rotations)
 
 

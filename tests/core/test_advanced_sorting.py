@@ -40,12 +40,13 @@ class TestSortingProblem:
         assert targets[2] == [0, 1, 6, 7]
 
     def test_appendix_b_edge_weight(self):
-        """The weight of ([P0, t=3], [P1, t=3]) is minus four saved CNOTs."""
+        """The edge ([P0, t=2], [P1, t=2]) costs P1's 6 CNOTs minus 4 saved ones."""
         rotations = [rotation("IIXXYXII"), rotation("IIXXXYII")]
         problem = build_sorting_problem(rotations)
         # Rows 0..3 are rotation 0 on targets 2..5, row 4 is rotation 1 on 2.
         assert problem.clusters[0][0] == (0, 2) and problem.clusters[1][0] == (1, 2)
-        assert problem.matrix[0, 4] == -4.0
+        assert problem.matrix[0, 4] == 6.0 - 4.0
+        assert problem.start_weights.tolist() == [6] * 8
 
     def test_identity_rotation_rejected(self):
         with pytest.raises(ValueError):
@@ -58,38 +59,51 @@ class TestSortingProblem:
 
 class TestAdvancedSort:
     def test_single_rotation(self):
-        result = advanced_sort([rotation("XXYZ")], rng=np.random.default_rng(0))
+        result = advanced_sort([rotation("XXYZ")])
         assert result.cnot_count == 6
         assert len(result.ordered_rotations) == 1
 
     def test_empty_input(self):
-        result = advanced_sort([], rng=np.random.default_rng(0))
+        result = advanced_sort([])
         assert result.cnot_count == 0
 
     def test_figure_four_pair_prefers_shared_fourth_target(self):
         """Advanced sorting discovers the 7-CNOT solution of Fig. 4(a)."""
         rotations = [rotation("XXXY"), rotation("XXYX")]
-        result = advanced_sort(rotations, rng=np.random.default_rng(0))
+        result = advanced_sort(rotations)
         assert result.cnot_count == 7
 
     def test_never_worse_than_naive_order(self):
-        rng = np.random.default_rng(3)
         labels = ["XXZI", "XYZI", "IZZX", "ZZXX", "XXII"]
         rotations = [rotation(label, term_index=i) for i, label in enumerate(labels)]
-        result = advanced_sort(rotations, rng=rng)
+        result = advanced_sort(rotations)
         assert result.cnot_count <= baseline_order_cnot_count(rotations)
 
     def test_sorted_sequence_covers_all_rotations(self):
         labels = ["XXZI", "XYZI", "IZZX"]
         rotations = [rotation(label, term_index=i) for i, label in enumerate(labels)]
-        result = advanced_sort(rotations, rng=np.random.default_rng(1))
+        result = advanced_sort(rotations)
         sorted_labels = sorted(r.string.to_label() for r, _ in result.ordered_rotations)
         assert sorted_labels == sorted(labels)
+
+    @pytest.mark.parametrize("on_line", [False, True])
+    def test_cost_is_the_objective_and_never_worse_than_a_seed(self, on_line):
+        labels = ["XXZI", "IYZX", "ZIIX", "XIYI", "ZXXZ", "YYII"]
+        rotations = [rotation(label, term_index=i // 2) for i, label in enumerate(labels)]
+        topology = Topology.line(4) if on_line else None
+        result = advanced_sort(rotations, topology=topology)
+        assert result.cnot_count == sequence_cnot_count(result.targeted_strings())
+        assert sorted(id(r) for r, _ in result.ordered_rotations) == sorted(map(id, rotations))
+        for tour in advanced_sorting.sort_seed_tours(rotations, topology=topology):
+            seed = advanced_sorting._finalize_sorting(
+                [(rotations[index], target) for index, target in tour], topology
+            )
+            assert result.objective() <= seed.objective()
 
     def test_targets_always_in_support(self):
         labels = ["XXZI", "IYZX", "ZIIX", "XIYI"]
         rotations = [rotation(label, term_index=i) for i, label in enumerate(labels)]
-        result = advanced_sort(rotations, rng=np.random.default_rng(2))
+        result = advanced_sort(rotations)
         for rot, target in result.ordered_rotations:
             assert target in rot.string.support
 
@@ -98,7 +112,7 @@ class TestGreedySort:
     def test_matches_advanced_on_identical_strings(self):
         rotations = [rotation("XXZZ", term_index=i) for i in range(3)]
         greedy = greedy_sort(rotations)
-        advanced = advanced_sort(rotations, rng=np.random.default_rng(0))
+        advanced = advanced_sort(rotations)
         # Three identical exponentials merge into one: 6 CNOTs total.
         assert greedy.cnot_count == 6
         assert advanced.cnot_count == 6

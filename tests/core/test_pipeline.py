@@ -27,7 +27,7 @@ def mixed_terms():
 
 
 def fast_compiler(**overrides):
-    options = dict(gamma_steps=8, sorting_population=10, sorting_generations=8, seed=0)
+    options = dict(gamma_steps=8, seed=0)
     options.update(overrides)
     return AdvancedPipeline(CompilerConfig(**options))
 
@@ -89,7 +89,7 @@ class TestEndToEndMoleculeApi:
     def test_h2_report_shape(self):
         report = compile_molecule_ansatz(
             "H2", n_terms=3, config=CompilerConfig(
-                gamma_steps=5, sorting_population=8, sorting_generations=5
+                gamma_steps=5
             ),
         )
         assert report.n_qubits == 4
@@ -102,7 +102,7 @@ class TestEndToEndMoleculeApi:
     def test_lih_advanced_beats_jw_and_bk(self):
         report = compile_molecule_ansatz(
             "LiH", n_terms=4, config=CompilerConfig(
-                gamma_steps=5, sorting_population=8, sorting_generations=5
+                gamma_steps=5
             ),
         )
         assert report.advanced_cnot_count < report.jordan_wigner_cnot_count

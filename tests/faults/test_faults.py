@@ -286,9 +286,7 @@ class TestSiteIntegration:
         # Non-adjacent index pairs: classifies fermionic, so the Γ-search and
         # sort stages actually run (bosonic/hybrid terms bypass them).
         terms = (ExcitationTerm(creation=(4, 7), annihilation=(0, 3)),)
-        config = CompilerConfig(
-            gamma_steps=2, sorting_population=2, sorting_generations=1, seed=0
-        )
+        config = CompilerConfig(gamma_steps=2, seed=0)
         with inject("stage.gamma=error:1.0"):
             with pytest.raises(StageFailure) as info:
                 AdvancedPipeline(config).run(terms, n_qubits=8)
@@ -303,9 +301,7 @@ class TestSiteIntegration:
         # Non-adjacent index pairs: classifies fermionic, so the Γ-search and
         # sort stages actually run (bosonic/hybrid terms bypass them).
         terms = (ExcitationTerm(creation=(4, 7), annihilation=(0, 3)),)
-        config = CompilerConfig(
-            gamma_steps=2, sorting_population=2, sorting_generations=1, seed=0
-        )
+        config = CompilerConfig(gamma_steps=2, seed=0)
         with inject("stage.sort=error:1.0"):
             with pytest.raises(StageFailure) as info:
                 AdvancedPipeline(config).run(terms, n_qubits=8)

@@ -44,8 +44,6 @@ ADV_CONFIG = CompilerConfig(
     use_bosonic_encoding=False,
     use_hybrid_encoding=False,
     gamma_steps=5,
-    sorting_population=8,
-    sorting_generations=6,
     seed=0,
 )
 

@@ -40,7 +40,7 @@ class TestCircuitEmissionConsistency:
         excitation = term((2, 4), (0, 1))
         pipeline = AdvancedPipeline(CompilerConfig(
             use_gamma_search=False, use_hybrid_encoding=False, use_bosonic_encoding=False,
-            sorting_population=10, sorting_generations=10, seed=0,
+            seed=0,
         ))
         result = pipeline.run([excitation], n_qubits=5, parameters=[0.37])
         circuit = result.fermionic_circuit()
@@ -112,7 +112,7 @@ class TestMoleculeLevelConsistency:
     def test_full_report_is_self_consistent(self):
         report = compile_molecule_ansatz(
             "H2", n_terms=2, config=CompilerConfig(
-                gamma_steps=5, sorting_population=8, sorting_generations=5
+                gamma_steps=5
             ),
         )
         assert report.n_terms == 2

@@ -24,12 +24,12 @@ PINS = {
     ("H2O", 20): (
         "3b01dcf7f72e44938662ed870e54c45de2a913c2ea55c96cc38c63527d8e7154",
         151.0,
-        179,
+        175,
     ),
     ("NH3", 30): (
         "63a438f243b5cbb5ac9316fe23335d8ee2734374b3f6895f07c9978879c92632",
         260.0,
-        298,
+        270,
     ),
 }
 

@@ -51,8 +51,6 @@ def compression_free_config(topology):
         use_bosonic_encoding=False,
         use_hybrid_encoding=False,
         gamma_steps=5,
-        sorting_population=8,
-        sorting_generations=6,
         seed=0,
         topology=topology,
     )

@@ -7,14 +7,15 @@ float.hex(angle), target)`` sequence plus the backend's CNOT count:
 * JW, BK and the baseline (Γ = I) on LiH/20, H2O/20 and NH3/30;
 * the baseline with a short binary-PSO Γ search at config seed 0 on LiH/8
   and NH3/8, together with the SHA-256 of the Γ bytes (uint8) it picks;
-* the advanced backend with ``sorting_seed_tours=True`` on H2O/20, whose
-  GTSP population is seeded with the term-block tour.
+* the advanced backend on H2O/20, whose GTSP search is seeded with both
+  term-block tours.
 
 All of these flows run the term-block order of
-:func:`repro.core.term_block_order`: the baseline ordered, JW/BK and the
-GTSP seed unordered, the PSO objective on Γ-mapped planes.  A change to the
-shared-target rule, the within-term order, the inter-term chaining or the
-PSO objective fails here even when a count survives.
+:func:`repro.core.term_block_order`: the baseline ordered, JW/BK
+unordered, the GTSP seeds both ways, the PSO objective on Γ-mapped
+planes.  A change to the shared-target rule, the within-term order, the
+inter-term chaining or the PSO objective fails here even when a count
+survives.
 """
 
 import hashlib
@@ -83,10 +84,10 @@ PSO_PINS = {
     ),
 }
 
-#: The advanced backend with seeded GTSP tours on H2O/20 at seed 0.
+#: The advanced backend (GTSP seeded with the term-block tours) on H2O/20 at seed 0.
 SEEDED_ADVANCED_PIN = (
-    "7ab57358e8a91dd3aa52e901a779b938f6669a6e803159083e11cee9b37e107b",
-    179,
+    "c629958098c3e7789ba955860c07a4c9953eb8463edcc024c6f7b1c9da8e30fe",
+    175,
 )
 
 
@@ -136,7 +137,5 @@ def test_baseline_pso_is_pinned(pin):
 
 
 def test_seeded_advanced_sort_is_pinned():
-    result, sequence = compile_cell(
-        "H2O", 20, "advanced", CompilerConfig(seed=0, sorting_seed_tours=True)
-    )
+    result, sequence = compile_cell("H2O", 20, "advanced", CompilerConfig(seed=0))
     assert (sequence_digest(sequence), result.cnot_count) == SEEDED_ADVANCED_PIN

@@ -29,7 +29,7 @@ from repro.service import CompileService
 from repro.verify import check_equivalence
 from repro.vqe import ExcitationTerm
 
-FAST = CompilerConfig(gamma_steps=5, sorting_population=8, sorting_generations=5, seed=0)
+FAST = CompilerConfig(gamma_steps=5, seed=0)
 
 #: The six Fig. 2 stages the pipeline must cover in every trace.
 PIPELINE_STAGES = (

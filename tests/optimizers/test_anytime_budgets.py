@@ -1,9 +1,9 @@
 """Anytime iteration budgets of the annealing and GTSP optimizers.
 
-Both optimizers accept an optional budget (``max_steps`` /
-``max_generations``) that truncates the search while keeping it an exact
-prefix of the unbudgeted walk for the same rng — the foundation of the
-deterministic ``degraded`` compiles in the pipeline layer.
+Both optimizers accept an optional budget (``max_steps`` / ``max_rounds``)
+that truncates the search while keeping it an exact prefix of the
+unbudgeted one — the foundation of the deterministic ``degraded`` compiles
+in the pipeline layer.
 """
 
 import numpy as np
@@ -27,12 +27,16 @@ def anneal(seed=0, max_steps=None, n_steps=40):
 
 
 def small_problem():
-    points = np.array([(0.0, 0.0), (0.0, 1.0), (5.0, 0.0), (5.0, 1.0), (2.0, 8.0), (3.0, 9.0)])
-    offsets = points[:, None, :] - points[None, :, :]
-    clusters = [[(0, 0), (0, 1)], [(1, 0), (1, 1)], [(2, 0), (2, 1)]]
+    """Ten two-vertex clusters; from :func:`identity_tour` the search keeps two rounds."""
+    rng = np.random.default_rng(2)
+    clusters = [[(c, i) for i in range(2)] for c in range(10)]
     return GtspProblem(
-        clusters=clusters, weight_matrix=np.hypot(offsets[..., 0], offsets[..., 1])
+        clusters=clusters, weight_matrix=rng.integers(0, 10, size=(20, 20)).astype(float)
     )
+
+
+def identity_tour(problem):
+    return [(c, cluster[0]) for c, cluster in enumerate(problem.clusters)]
 
 
 class TestAnnealingBudget:
@@ -63,62 +67,51 @@ class TestAnnealingBudget:
 
 
 class TestGtspBudget:
-    def test_budget_truncates_and_flags(self):
-        result = solve_gtsp(
-            small_problem(),
-            population_size=8,
-            generations=10,
-            rng=np.random.default_rng(0),
-            max_generations=3,
-        )
-        assert result.degraded
-        assert result.generations == 3
-
-    def test_budget_at_schedule_is_not_truncation(self):
-        result = solve_gtsp(
-            small_problem(),
-            population_size=8,
-            generations=10,
-            rng=np.random.default_rng(0),
-            max_generations=10,
-        )
+    def test_unbudgeted_search_uses_two_rounds(self):
+        result = solve_gtsp(small_problem(), [identity_tour(small_problem())])
+        assert result.rounds == 2
         assert not result.degraded
-        assert result.generations == 10
 
-    def test_zero_budget_still_returns_a_valid_tour(self):
+    def test_budget_truncates_and_flags(self):
         problem = small_problem()
-        result = solve_gtsp(
-            problem,
-            population_size=8,
-            generations=10,
-            rng=np.random.default_rng(0),
-            max_generations=0,
-        )
+        full = solve_gtsp(problem, [identity_tour(problem)])
+        cut = solve_gtsp(problem, [identity_tour(problem)], max_rounds=1)
+        assert cut.degraded
+        assert cut.rounds == 1
+        assert full.cost < cut.cost < problem.tour_cost(identity_tour(problem))
+
+    def test_zero_budget_returns_the_best_seed_flagged_degraded(self):
+        problem = small_problem()
+        seeds = [identity_tour(problem), identity_tour(problem)[::-1]]
+        best = min(seeds, key=problem.tour_cost)
+        result = solve_gtsp(problem, seeds, max_rounds=0)
         assert result.degraded
-        assert result.generations == 0
-        # Anytime contract: best-of-initial-population, still a legal tour.
-        assert problem.tour_cost(result.tour) == pytest.approx(result.cost)
+        assert result.rounds == 0
+        assert result.tour == tuple(best)
+        assert result.cost == problem.tour_cost(best)
+
+    def test_zero_budget_on_a_converged_seed_is_not_degradation(self):
+        problem = small_problem()
+        converged = solve_gtsp(problem, [identity_tour(problem)])
+        result = solve_gtsp(problem, [converged.tour], max_rounds=0)
+        assert not result.degraded
+        assert (result.tour, result.cost) == (converged.tour, converged.cost)
+
+    @pytest.mark.parametrize("max_rounds", [2, 3, 100])
+    def test_budget_at_or_above_rounds_used_is_not_truncation(self, max_rounds):
+        problem = small_problem()
+        full = solve_gtsp(problem, [identity_tour(problem)])
+        result = solve_gtsp(problem, [identity_tour(problem)], max_rounds=max_rounds)
+        assert not result.degraded
+        assert (result.tour, result.cost, result.rounds) == (full.tour, full.cost, full.rounds)
 
     def test_budgeted_run_is_deterministic(self):
         runs = [
-            solve_gtsp(
-                small_problem(),
-                population_size=8,
-                generations=10,
-                rng=np.random.default_rng(7),
-                max_generations=4,
-            )
+            solve_gtsp(small_problem(), [identity_tour(small_problem())], max_rounds=1)
             for _ in range(2)
         ]
-        assert runs[0].tour == runs[1].tour
-        assert runs[0].cost == pytest.approx(runs[1].cost)
+        assert runs[0] == runs[1]
 
     def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError, match="max_generations"):
-            solve_gtsp(
-                small_problem(),
-                population_size=8,
-                generations=10,
-                rng=np.random.default_rng(0),
-                max_generations=-1,
-            )
+        with pytest.raises(ValueError, match="max_rounds"):
+            solve_gtsp(small_problem(), [identity_tour(small_problem())], max_rounds=-1)

@@ -1,7 +1,11 @@
-"""Unit tests for the GTSP genetic algorithm."""
+"""Unit tests for the seeded GTSP local search."""
+
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.optimizers import GtspProblem, brute_force_gtsp, solve_gtsp
 
@@ -20,6 +24,43 @@ def euclidean_problem(points_by_cluster):
 def constant_problem(clusters, value):
     n = sum(len(cluster) for cluster in clusters)
     return GtspProblem(clusters=clusters, weight_matrix=np.full((n, n), value))
+
+
+def random_problem(seed, n_clusters, max_cluster_size, integer_weights):
+    """A random instance with start weights; integer weights are tie-heavy."""
+    rng = np.random.default_rng(seed)
+    clusters = [
+        [(c, i) for i in range(int(rng.integers(1, max_cluster_size + 1)))]
+        for c in range(n_clusters)
+    ]
+    n = sum(len(cluster) for cluster in clusters)
+    if integer_weights:
+        matrix = rng.integers(-6, 7, size=(n, n)).astype(float)
+        start = rng.integers(0, 5, size=n).astype(float)
+    else:
+        matrix = rng.uniform(-5.0, 5.0, size=(n, n))
+        start = rng.uniform(0.0, 3.0, size=n)
+    return GtspProblem(clusters=clusters, weight_matrix=matrix, start_weights=start)
+
+
+def random_tour(problem, seed):
+    rng = np.random.default_rng(seed)
+    return [
+        (int(c), problem.clusters[c][int(rng.integers(len(problem.clusters[c])))])
+        for c in rng.permutation(problem.n_clusters)
+    ]
+
+
+def identity_tour(problem):
+    return [(c, cluster[0]) for c, cluster in enumerate(problem.clusters)]
+
+
+problem_shapes = st.tuples(
+    st.integers(min_value=0, max_value=10_000),   # rng seed for the instance
+    st.integers(min_value=1, max_value=7),        # clusters
+    st.integers(min_value=1, max_value=4),        # max cluster size
+    st.booleans(),                                # integer weights (tie-heavy)
+)
 
 
 class TestProblemValidation:
@@ -42,58 +83,98 @@ class TestProblemValidation:
         problem = constant_problem([["a", "b"]], 5.0)
         assert problem.tour_cost([(0, "a")]) == 0.0
 
+    def test_start_weights_shape_and_finiteness_checked(self):
+        with pytest.raises(ValueError, match="start_weights"):
+            GtspProblem(clusters=[["a"], ["b"]], weight_matrix=np.zeros((2, 2)),
+                        start_weights=np.zeros(3))
+        with pytest.raises(ValueError, match="finite"):
+            GtspProblem(clusters=[["a"], ["b"]], weight_matrix=np.zeros((2, 2)),
+                        start_weights=np.array([0.0, np.nan]))
+
+
+class TestPathCost:
+    def test_path_cost_is_start_weight_plus_edges(self):
+        problem = GtspProblem(
+            clusters=[["a"], ["b"], ["c"]],
+            weight_matrix=np.arange(9.0).reshape(3, 3),
+            start_weights=np.array([10.0, 20.0, 30.0]),
+        )
+        # Start at c (30), then c->a (6), a->b (1); no closing edge.
+        assert problem.tour_cost([(2, "c"), (0, "a"), (1, "b")]) == 37.0
+
+    def test_single_cluster_costs_its_start_weight(self):
+        problem = GtspProblem(
+            clusters=[["a", "b"]], weight_matrix=np.zeros((2, 2)),
+            start_weights=np.array([4.0, 3.0]),
+        )
+        result = solve_gtsp(problem, [[(0, "a")]])
+        assert result.tour == ((0, "b"),)
+        assert result.cost == 3.0
+
 
 class TestSolver:
-    def test_matches_brute_force_on_small_instance(self):
-        problem = euclidean_problem(
-            [
-                [(0, 0), (0, 1)],
-                [(5, 0), (5, 1)],
-                [(10, 0), (10, 5)],
-                [(2, 8), (3, 9)],
-            ]
-        )
-        exact = brute_force_gtsp(problem)
-        found = solve_gtsp(
-            problem, population_size=30, generations=40, rng=np.random.default_rng(0)
-        )
-        assert found.cost <= exact.cost + 1e-9
+    @settings(max_examples=60, deadline=None)
+    @given(problem_shapes, st.lists(st.integers(0, 10_000), min_size=1, max_size=3))
+    def test_cost_is_the_tour_cost_and_beats_every_seed(self, shape, tour_seeds):
+        problem = random_problem(*shape)
+        seeds = [random_tour(problem, seed) for seed in tour_seeds]
+        result = solve_gtsp(problem, seeds)
+        assert result.cost == problem.tour_cost(result.tour)
+        assert sorted(c for c, _ in result.tour) == list(range(problem.n_clusters))
+        for seed in seeds:
+            assert result.cost <= problem.tour_cost(seed)
 
-    def test_tour_visits_every_cluster_once(self):
-        problem = euclidean_problem([[(i, j) for j in range(3)] for i in range(6)])
-        result = solve_gtsp(
-            problem, population_size=20, generations=20, rng=np.random.default_rng(1)
-        )
-        visited = sorted(cluster for cluster, _ in result.tour)
-        assert visited == list(range(6))
+    def test_or_opt_moves_a_run_to_the_front(self):
+        # Line points visited 1, 2, 3, 0: one move of cluster 0 gives the
+        # optimal path 0, 1, 2, 3 of length 3.
+        problem = euclidean_problem([[(x, 0)] for x in range(4)])
+        result = solve_gtsp(problem, [[(c, (c, 0)) for c in (1, 2, 3, 0)]])
+        assert [c for c, _ in result.tour] in ([0, 1, 2, 3], [3, 2, 1, 0])
+        assert result.cost == 3.0
 
     def test_negative_weights_supported(self):
-        # The advanced-sorting use case negates CNOT savings, so weights are <= 0.
+        # The advanced-sorting use case subtracts CNOT savings from edge weights.
         rng = np.random.default_rng(2)
         savings = rng.integers(0, 5, size=(6, 6))
         clusters = [[(c, v) for v in range(c, c + 2)] for c in range(0, 6, 2)]
         problem = GtspProblem(clusters=clusters, weight_matrix=-savings)
-        result = solve_gtsp(problem, population_size=16, generations=20, rng=rng)
+        result = solve_gtsp(problem, [identity_tour(problem)])
         assert result.cost <= 0.0
 
-    def test_single_cluster_instance(self):
-        problem = constant_problem([["a", "b", "c"]], 1.0)
-        result = solve_gtsp(problem, population_size=4, generations=3, rng=np.random.default_rng(0))
-        assert result.cost == 0.0
-        assert len(result.tour) == 1
+    def test_earliest_seed_wins_ties(self):
+        problem = constant_problem([[(c, i) for i in range(2)] for c in range(4)], 1.0)
+        seeds = [random_tour(problem, seed) for seed in range(3)]
+        result = solve_gtsp(problem, seeds)
+        assert result.tour == tuple(seeds[0])
+        assert result.rounds == 0
 
-    def test_invalid_population_size(self):
-        problem = constant_problem([["a"]], 1.0)
-        with pytest.raises(ValueError):
-            solve_gtsp(problem, population_size=1)
+    def test_seeds_are_required_and_checked(self):
+        problem = constant_problem([["a"], ["b"]], 1.0)
+        with pytest.raises(ValueError, match="seed"):
+            solve_gtsp(problem, [])
+        with pytest.raises(ValueError, match="every cluster"):
+            solve_gtsp(problem, [[(0, "a")]])
+        with pytest.raises(ValueError, match="not in cluster"):
+            solve_gtsp(problem, [[(0, "a"), (1, "a")]])
 
-    def test_brute_force_size_guard(self):
+    def test_deterministic(self):
+        problem = random_problem(9, 7, 3, False)
+        seeds = [random_tour(problem, seed) for seed in range(2)]
+        a, b = solve_gtsp(problem, seeds), solve_gtsp(problem, seeds)
+        assert (a.tour, a.cost, a.rounds) == (b.tour, b.cost, b.rounds)
+
+
+class TestBruteForce:
+    def test_size_guard(self):
         problem = constant_problem([[i] for i in range(9)], 1.0)
         with pytest.raises(ValueError):
             brute_force_gtsp(problem)
 
-    def test_deterministic_with_seed(self):
-        problem = euclidean_problem([[(i, 0), (i, 2)] for i in range(5)])
-        a = solve_gtsp(problem, population_size=12, generations=15, rng=np.random.default_rng(9))
-        b = solve_gtsp(problem, population_size=12, generations=15, rng=np.random.default_rng(9))
-        assert a.cost == b.cost
+    def test_enumerates_every_path(self):
+        problem = random_problem(4, 4, 2, True)
+        best = min(
+            problem.tour_cost(list(zip(order, choice)))
+            for order in itertools.permutations(range(4))
+            for choice in itertools.product(*[problem.clusters[c] for c in order])
+        )
+        assert brute_force_gtsp(problem).cost == best

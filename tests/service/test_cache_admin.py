@@ -16,7 +16,7 @@ from repro.api import CompileCache, CompileRequest, CompileResult, CompilerConfi
 from repro.service import PersistentCompileCache
 from repro.vqe import ExcitationTerm
 
-FAST = CompilerConfig(gamma_steps=5, sorting_population=8, sorting_generations=5, seed=0)
+FAST = CompilerConfig(gamma_steps=5, seed=0)
 
 
 def populate(root, n_entries=3, version="V"):

@@ -37,7 +37,7 @@ from repro.service import (
 )
 from repro.vqe import ExcitationTerm
 
-FAST = CompilerConfig(gamma_steps=5, sorting_population=8, sorting_generations=5, seed=0)
+FAST = CompilerConfig(gamma_steps=5, seed=0)
 
 #: 50 jobs over 10 distinct requests: repeats exercise dedup/memory/disk.
 N_JOBS = 50

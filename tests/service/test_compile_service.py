@@ -23,7 +23,7 @@ from repro.service import (
 )
 from repro.vqe import ExcitationTerm
 
-FAST = CompilerConfig(gamma_steps=5, sorting_population=8, sorting_generations=5, seed=0)
+FAST = CompilerConfig(gamma_steps=5, seed=0)
 
 
 def make_request(index=0):

@@ -20,7 +20,7 @@ from repro.obs.tracer import tracing
 from repro.service import CompileService, RetryPolicy
 from repro.vqe import ExcitationTerm
 
-FAST = CompilerConfig(gamma_steps=5, sorting_population=8, sorting_generations=5, seed=0)
+FAST = CompilerConfig(gamma_steps=5, seed=0)
 
 #: One attempt, no backoff: the fallback chain engages immediately, keeping
 #: these tests fast and focused on the chain itself.

@@ -46,7 +46,7 @@ from repro.vqe import ExcitationTerm
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
 from serve import submit_with_backoff  # noqa: E402
 
-FAST = CompilerConfig(gamma_steps=5, sorting_population=8, sorting_generations=5, seed=0)
+FAST = CompilerConfig(gamma_steps=5, seed=0)
 
 
 def make_request(index=0):

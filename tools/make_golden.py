@@ -25,9 +25,7 @@ from repro.hardware import route_circuit, topology_for
 from repro.vqe import hmp2_ranked_terms
 
 #: The deterministic fast-tier configuration (matches benchmarks/test_table1_cnot_counts.py).
-GOLDEN_CONFIG = CompilerConfig(
-    gamma_steps=20, sorting_population=16, sorting_generations=20, seed=0
-)
+GOLDEN_CONFIG = CompilerConfig(gamma_steps=20, seed=0)
 
 #: (case name, molecule, frozen spatial orbitals, number of HMP2 terms or None for all).
 GOLDEN_CASES = [
@@ -119,8 +117,6 @@ def main() -> None:
     golden = {
         "config": {
             "gamma_steps": GOLDEN_CONFIG.gamma_steps,
-            "sorting_population": GOLDEN_CONFIG.sorting_population,
-            "sorting_generations": GOLDEN_CONFIG.sorting_generations,
             "seed": GOLDEN_CONFIG.seed,
         },
         "cases": {

@@ -69,9 +69,7 @@ def build_requests(molecule: str, n_terms: int, seed: int):
     """One request per ansatz size 1..n_terms, like a client sweep would send."""
     hamiltonian = build_molecular_hamiltonian(run_rhf(make_molecule(molecule)))
     ranked = hmp2_ranked_terms(hamiltonian)
-    config = CompilerConfig(
-        gamma_steps=10, sorting_population=8, sorting_generations=10, seed=seed
-    )
+    config = CompilerConfig(gamma_steps=10, seed=seed)
     return [
         CompileRequest(
             terms=tuple(ranked[: min(size, len(ranked))]),
