@@ -36,7 +36,6 @@ from repro.circuits.gates import (
 from repro.circuits.interface import (
     GOOD_TARGET_COLLISIONS,
     MATCHING_CONTROL_COLLISIONS,
-    best_sequence_from_cycle,
     interface_cnot_reduction,
     pair_cnot_count,
     sequence_cnot_count,
@@ -81,7 +80,6 @@ __all__ = [
     "interface_cnot_reduction",
     "pair_cnot_count",
     "sequence_cnot_count",
-    "best_sequence_from_cycle",
     "GOOD_TARGET_COLLISIONS",
     "MATCHING_CONTROL_COLLISIONS",
     "optimize_circuit",

@@ -100,55 +100,15 @@ def pair_cnot_count(
     )
 
 
-def sequence_cnot_count(
-    sequence: Sequence[TargetedString], cyclic: bool = False
-) -> int:
+def sequence_cnot_count(sequence: Sequence[TargetedString]) -> int:
     """CNOT count of an ordered sequence of targeted Pauli exponentials.
 
-    Parameters
-    ----------
-    sequence:
-        Ordered ``(PauliString, target)`` pairs.
-    cyclic:
-        If True, also credit the cancellation between the last and first
-        element (the GTSP tour cost); circuits are linear, so the default is
-        the path cost.
+    ``sequence`` holds ordered ``(PauliString, target)`` pairs; the count is
+    the path cost, crediting each adjacent pair's interface cancellation.
     """
     if not sequence:
         return 0
     total = sum(pauli_exponential_cnot_count(string) for string, _ in sequence)
     for (p1, t1), (p2, t2) in zip(sequence, sequence[1:]):
         total -= interface_cnot_reduction(p1, t1, p2, t2)
-    if cyclic and len(sequence) > 1:
-        p_last, t_last = sequence[-1]
-        p_first, t_first = sequence[0]
-        total -= interface_cnot_reduction(p_last, t_last, p_first, t_first)
     return total
-
-
-def best_sequence_from_cycle(
-    cycle: Sequence[TargetedString],
-) -> Tuple[Tuple[TargetedString, ...], int]:
-    """Convert a GTSP cycle into the cheapest linear sequence.
-
-    The GTSP solver returns a closed tour; a circuit is a path, so the tour is
-    cut at the edge with the smallest cancellation.  Returns the rotated
-    sequence and its path CNOT count.
-    """
-    if not cycle:
-        return tuple(), 0
-    n = len(cycle)
-    if n == 1:
-        return tuple(cycle), sequence_cnot_count(cycle)
-    # Find the edge (i, i+1) with the least saving and cut there.
-    worst_edge = 0
-    worst_saving = None
-    for i in range(n):
-        p1, t1 = cycle[i]
-        p2, t2 = cycle[(i + 1) % n]
-        saving = interface_cnot_reduction(p1, t1, p2, t2)
-        if worst_saving is None or saving < worst_saving:
-            worst_saving = saving
-            worst_edge = i
-    rotated = tuple(cycle[(worst_edge + 1 + k) % n] for k in range(n))
-    return rotated, sequence_cnot_count(rotated)

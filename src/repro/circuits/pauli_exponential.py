@@ -54,6 +54,45 @@ def validate_target(string: PauliString, target: Optional[int]) -> int:
     return target
 
 
+def ladder_exponential_gates(
+    string: PauliString, angle: float, target: int, ladder: Sequence[Gate]
+) -> List[Gate]:
+    """``M · ladder · Rz(angle) · ladder⁻¹ · M†`` in circuit order, as a list.
+
+    The frame shared by the all-to-all star and the topology-steered ladder.
+    """
+    pre_gates: List[Gate] = []
+    post_gates: List[Gate] = []
+    for qubit in string.support:
+        pre, post = basis_change_gates(string[qubit], qubit)
+        pre_gates.extend(pre)
+        post_gates.extend(post)
+    return [*pre_gates, *ladder, rz(target, angle), *reversed(ladder), *post_gates]
+
+
+def _exponential_gates(
+    string: PauliString,
+    angle: float,
+    target: Optional[int] = None,
+    control_order: Optional[Sequence[int]] = None,
+) -> List[Gate]:
+    """Gate list of :func:`pauli_exponential_circuit` (empty for the identity)."""
+    if string.is_identity:
+        # exp(-i θ/2 I) is a global phase; nothing to synthesize.
+        return []
+    target = validate_target(string, target)
+    controls = [q for q in string.support if q != target]
+    if control_order is not None:
+        control_order = [int(q) for q in control_order]
+        if sorted(control_order) != sorted(controls):
+            raise ValueError(
+                f"control_order {control_order} must be a permutation of {controls}"
+            )
+        controls = control_order
+    star = [cnot(control, target) for control in controls]
+    return ladder_exponential_gates(string, angle, target, star)
+
+
 def pauli_exponential_circuit(
     string: PauliString,
     angle: float,
@@ -81,36 +120,9 @@ def pauli_exponential_circuit(
     Circuit
         A circuit on ``string.n_qubits`` qubits using ``2 (w - 1)`` CNOTs.
     """
-    n = string.n_qubits
-    circuit = Circuit(n)
-    if string.is_identity:
-        # exp(-i θ/2 I) is a global phase; nothing to synthesize.
-        return circuit
-    target = validate_target(string, target)
-    controls = [q for q in string.support if q != target]
-    if control_order is not None:
-        control_order = [int(q) for q in control_order]
-        if sorted(control_order) != sorted(controls):
-            raise ValueError(
-                f"control_order {control_order} must be a permutation of {controls}"
-            )
-        controls = control_order
-
-    pre_gates: List[Gate] = []
-    post_gates: List[Gate] = []
-    for qubit in string.support:
-        pre, post = basis_change_gates(string[qubit], qubit)
-        pre_gates.extend(pre)
-        post_gates.extend(post)
-
-    circuit.extend(pre_gates)
-    for control in controls:
-        circuit.append(cnot(control, target))
-    circuit.append(rz(target, angle))
-    for control in reversed(controls):
-        circuit.append(cnot(control, target))
-    circuit.extend(post_gates)
-    return circuit
+    return Circuit(
+        string.n_qubits, _exponential_gates(string, angle, target, control_order)
+    )
 
 
 def pauli_exponential_cnot_count(string: PauliString) -> int:
@@ -125,6 +137,8 @@ def exponential_sequence_circuit(
 ) -> Circuit:
     """Concatenate exponential circuits for an ordered list of ``(P, θ, target)``.
 
+    Linear in the gate count: the circuit is built once from one gate list.
+
     No inter-term optimization is applied here; run the peephole optimizer
     (:mod:`repro.circuits.optimizer`) on the result to realize the gate
     cancellations the paper's advanced sorting exposes.
@@ -133,9 +147,9 @@ def exponential_sequence_circuit(
         raise ValueError("term list is empty")
     if n_qubits is None:
         n_qubits = terms[0][0].n_qubits
-    circuit = Circuit(n_qubits)
+    gates: List[Gate] = []
     for string, angle, target in terms:
         if string.n_qubits != n_qubits:
             raise ValueError("all strings must act on the same register size")
-        circuit = circuit.compose(pauli_exponential_circuit(string, angle, target))
-    return circuit
+        gates.extend(_exponential_gates(string, angle, target))
+    return Circuit(n_qubits, gates)

@@ -253,7 +253,10 @@ def _route_circuit_sabre(
     # scans over the full layout.
     inverse = list(_inverse_layout(layout, n_physical))
     rng = np.random.default_rng(0 if seed is None else seed)
-    distance = topology.distance_matrix
+    # Nested lists: the SWAP score reads ~10^5 hop counts per circuit, and a
+    # list index is far cheaper than a numpy scalar lookup.
+    distance = topology.distance_matrix.tolist()
+    moved = list(range(n_physical))
     if max_stall is None:
         max_stall = max(4, 2 * n_physical)
 
@@ -378,19 +381,19 @@ def _route_circuit_sabre(
             candidates.remove(last_swap)  # never undo the SWAP just inserted
 
         def score(edge: Tuple[int, int]) -> float:
+            # Hops after the SWAP; int sums are exact, so the scores (and the
+            # tie sets and seeded draws) match per-pair float sums bit for bit.
             a, b = edge
-
-            def moved(p: int) -> int:
-                return b if p == a else a if p == b else p
-
-            front_cost = sum(
-                float(distance[moved(p), moved(q)]) for p, q in front_pairs
+            moved[a], moved[b] = b, a
+            front_cost = float(
+                sum(distance[moved[p]][moved[q]] for p, q in front_pairs)
             )
             if window_pairs:
-                ahead = sum(
-                    float(distance[moved(p), moved(q)]) for p, q in window_pairs
+                ahead = float(
+                    sum(distance[moved[p]][moved[q]] for p, q in window_pairs)
                 )
                 front_cost += lookahead_weight * ahead / len(window_pairs)
+            moved[a], moved[b] = a, b
             return front_cost
 
         # Builtin min/list comprehension instead of np.argmin-style reductions

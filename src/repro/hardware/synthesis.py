@@ -30,8 +30,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.circuits.circuit import Circuit
-from repro.circuits.gates import Gate, cnot, rz
-from repro.circuits.pauli_exponential import basis_change_gates, validate_target
+from repro.circuits.gates import Gate, cnot
+from repro.circuits.pauli_exponential import ladder_exponential_gates, validate_target
 from repro.hardware.topology import Topology
 from repro.obs.tracer import get_tracer
 from repro.operators import PauliString
@@ -93,6 +93,25 @@ def _steered_ladder(
     return ladder
 
 
+def _routed_exponential_gates(
+    string: PauliString,
+    angle: float,
+    topology: Topology,
+    target: Optional[int] = None,
+) -> List[Gate]:
+    """Gate list of :func:`routed_pauli_exponential_circuit`."""
+    if topology.n_qubits < string.n_qubits:
+        raise ValueError(
+            f"topology {topology.name!r} has {topology.n_qubits} qubits but "
+            f"the Pauli string acts on {string.n_qubits}"
+        )
+    if string.is_identity:
+        return []
+    target = validate_target(string, target)
+    ladder = _steered_ladder(string, topology, target)
+    return ladder_exponential_gates(string, angle, target, ladder)
+
+
 def routed_pauli_exponential_circuit(
     string: PauliString,
     angle: float,
@@ -105,30 +124,9 @@ def routed_pauli_exponential_circuit(
     qubit ``q`` on physical qubit ``q`` (identity embedding); it contains only
     topology-edge CNOTs, and the layout after the circuit is unchanged.
     """
-    if topology.n_qubits < string.n_qubits:
-        raise ValueError(
-            f"topology {topology.name!r} has {topology.n_qubits} qubits but "
-            f"the Pauli string acts on {string.n_qubits}"
-        )
-    circuit = Circuit(topology.n_qubits)
-    if string.is_identity:
-        return circuit
-    target = validate_target(string, target)
-
-    pre_gates: List[Gate] = []
-    post_gates: List[Gate] = []
-    for qubit in string.support:
-        pre, post = basis_change_gates(string[qubit], qubit)
-        pre_gates.extend(pre)
-        post_gates.extend(post)
-
-    ladder = _steered_ladder(string, topology, target)
-    circuit.extend(pre_gates)
-    circuit.extend(ladder)
-    circuit.append(rz(target, angle))
-    circuit.extend(reversed(ladder))
-    circuit.extend(post_gates)
-    return circuit
+    return Circuit(
+        topology.n_qubits, _routed_exponential_gates(string, angle, topology, target)
+    )
 
 
 def routed_pauli_exponential_cnot_count(
@@ -147,6 +145,8 @@ def routed_exponential_sequence_circuit(
 ) -> Circuit:
     """Concatenated steered exponentials for ``(P, θ, target)`` terms.
 
+    Linear in the gate count: the circuit is built once from one gate list.
+
     The result lives on the physical register and is connectivity-legal with
     the identity layout throughout; run
     :func:`repro.circuits.optimize_circuit` on it to realize the gate-level
@@ -159,10 +159,9 @@ def routed_exponential_sequence_circuit(
         n_terms=len(sequence),
         n_qubits=topology.n_qubits,
     ) as span:
-        circuit = Circuit(topology.n_qubits)
+        gates: List[Gate] = []
         for string, angle, target in sequence:
-            circuit = circuit.compose(
-                routed_pauli_exponential_circuit(string, angle, topology, target)
-            )
-        span.set_attribute("n_gates", len(circuit.gates))
+            gates.extend(_routed_exponential_gates(string, angle, topology, target))
+        circuit = Circuit(topology.n_qubits, gates)
+        span.set_attribute("n_gates", len(circuit))
     return circuit

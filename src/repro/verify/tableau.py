@@ -29,7 +29,7 @@ any other rotation — and ``T``/``TDG`` — raises :class:`NotCliffordError`.
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -322,25 +322,20 @@ class CliffordTableau:
             self._append_elementary_right(name, qubits)
 
     def _append_elementary_right(self, name: str, qubits: Tuple[int, ...]) -> None:
+        """Push the gate's memoized local generator images through the tableau."""
         if name == "I":
             return
         k = len(qubits)
-        scratch = CliffordTableau.identity(k)
-        scratch._apply_elementary(name, tuple(range(k)))
         updates: List[Tuple[int, int, int, int]] = []
-        for local_row in range(2 * k):
-            local_qubit = local_row % k
-            is_z = local_row >= k
-            global_row = qubits[local_qubit] + (self.n_qubits if is_z else 0)
-            lx, lz = scratch._row_masks(local_row)
+        for local_row, (lx, lz, local_sign) in enumerate(_local_images(name, k)):
+            global_row = qubits[local_row % k] + (self.n_qubits if local_row >= k else 0)
             gx = 0
             gz = 0
             for position, qubit in enumerate(qubits):
                 gx |= ((lx >> position) & 1) << qubit
                 gz |= ((lz >> position) & 1) << qubit
             sign, cx, cz = self.conjugate_masks(gx, gz)
-            sign_bit = (1 if sign < 0 else 0) ^ int(scratch.sign[local_row])
-            updates.append((global_row, sign_bit, cx, cz))
+            updates.append((global_row, (1 if sign < 0 else 0) ^ local_sign, cx, cz))
         for row, sign_bit, cx, cz in updates:
             self._set_row(row, sign_bit, cx, cz)
 
@@ -374,6 +369,23 @@ class CliffordTableau:
 
     def __repr__(self) -> str:
         return f"CliffordTableau(n_qubits={self.n_qubits})"
+
+
+#: ``(name, k)`` -> the ``(x, z, sign)`` images of ``X_0..X_{k-1}, Z_0..Z_{k-1}``.
+_LOCAL_IMAGES: Dict[Tuple[str, int], Tuple[Tuple[int, int, int], ...]] = {}
+
+
+def _local_images(name: str, k: int) -> Tuple[Tuple[int, int, int], ...]:
+    """An elementary gate's images on its own ``k`` qubits, from its tableau rule."""
+    images = _LOCAL_IMAGES.get((name, k))
+    if images is None:
+        scratch = CliffordTableau.identity(k)
+        scratch._apply_elementary(name, tuple(range(k)))
+        images = tuple(
+            (*scratch._row_masks(row), int(scratch.sign[row])) for row in range(2 * k)
+        )
+        _LOCAL_IMAGES[(name, k)] = images
+    return images
 
 
 def conjugate_pauli_by_clifford_gate(

@@ -5,7 +5,6 @@ import pytest
 
 from repro.circuits import (
     Circuit,
-    best_sequence_from_cycle,
     cnot,
     cnot_cost,
     exponential_sequence_circuit,
@@ -121,29 +120,3 @@ class TestSequenceCost:
             - interface_cnot_reduction(p2, 2, p3, 2)
         )
         assert sequence_cnot_count(sequence) == expected
-
-    def test_cyclic_cost_not_larger_than_path(self):
-        p1, p2 = PauliString("XXZ"), PauliString("XYZ")
-        path = sequence_cnot_count([(p1, 2), (p2, 2)])
-        cyclic = sequence_cnot_count([(p1, 2), (p2, 2)], cyclic=True)
-        assert cyclic <= path
-
-    def test_best_sequence_from_cycle(self):
-        cycle = [
-            (PauliString("XXZ"), 2),
-            (PauliString("ZZZ"), 2),
-            (PauliString("XYZ"), 2),
-        ]
-        rotated, cost = best_sequence_from_cycle(cycle)
-        assert sorted(p.to_label() for p, _ in rotated) == sorted(
-            p.to_label() for p, _ in cycle
-        )
-        assert cost == sequence_cnot_count(list(rotated))
-        # Cutting at the weakest edge is at least as good as any rotation.
-        n = len(cycle)
-        for shift in range(n):
-            rotation = [cycle[(shift + k) % n] for k in range(n)]
-            assert cost <= sequence_cnot_count(rotation)
-
-    def test_empty_cycle(self):
-        assert best_sequence_from_cycle([]) == (tuple(), 0)

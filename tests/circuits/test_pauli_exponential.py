@@ -7,9 +7,15 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from repro.circuits import (
+    Circuit,
     exponential_sequence_circuit,
     pauli_exponential_circuit,
     pauli_exponential_cnot_count,
+)
+from repro.hardware import (
+    Topology,
+    routed_exponential_sequence_circuit,
+    routed_pauli_exponential_circuit,
 )
 from repro.operators import PauliString
 
@@ -117,3 +123,51 @@ class TestSequences:
             exponential_sequence_circuit(
                 [(PauliString("XX"), 0.1, None), (PauliString("XXX"), 0.1, None)]
             )
+
+
+LINE_8 = Topology.line(8)
+
+#: (sequence builder, single-term builder) pairs sharing one signature.
+SEQUENCE_BUILDERS = {
+    "all-to-all": (exponential_sequence_circuit, pauli_exponential_circuit),
+    "line": (
+        lambda terms: routed_exponential_sequence_circuit(terms, LINE_8),
+        lambda string, angle, target: routed_pauli_exponential_circuit(
+            string, angle, LINE_8, target
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(SEQUENCE_BUILDERS))
+def test_sequence_synthesis_appends_each_gate_once(builder, monkeypatch):
+    """A sequence is built in one pass: one ``Circuit.append`` per gate."""
+    build_sequence, build_term = SEQUENCE_BUILDERS[builder]
+    rng = np.random.default_rng(7)
+    terms = []
+    while len(terms) < 200:
+        label = "".join(rng.choice(list("IXYZ"), size=8))
+        string = PauliString(label)
+        if string.is_identity:
+            continue
+        target = int(rng.choice(string.support))
+        terms.append((string, float(rng.uniform(-1, 1)), target))
+
+    calls = []
+    append = Circuit.append
+
+    def counting_append(self, gate):
+        calls.append(gate)
+        return append(self, gate)
+
+    monkeypatch.setattr(Circuit, "append", counting_append)
+    circuit = build_sequence(terms)
+    n_calls = len(calls)
+    monkeypatch.undo()
+
+    assert n_calls == len(circuit)
+    expected = tuple(
+        gate for string, angle, target in terms
+        for gate in build_term(string, angle, target).gates
+    )
+    assert circuit.gates == expected
