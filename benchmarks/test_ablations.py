@@ -1,10 +1,10 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for the paper's design choices (Fig. 2, Sec. III).
 
-Each ablation switches one ingredient of the advanced pipeline off — by
-replacing the relevant :class:`~repro.api.CompilerConfig` field or by
-substituting a pipeline stage (:meth:`~repro.core.AdvancedPipeline.with_stage`)
-— and measures the CNOT count on the same LiH / H2O ansatz, quantifying what
-each technique buys:
+Each ablation switches one ingredient of the advanced pipeline off by
+substituting a pipeline stage (:meth:`~repro.core.AdvancedPipeline.with_stage`
+with ``fold_bosonic_stage``, ``fold_hybrid_stage``, ``identity_gamma_stage``
+or ``naive_sort_stage``) and measures the CNOT count on the same LiH / H2O
+ansatz, quantifying what each technique buys:
 
 * hybrid encoding on/off (Sec. III-A),
 * GTSP advanced sorting vs naive per-term ordering (Sec. III-B),
@@ -16,11 +16,15 @@ each technique buys:
 import pytest
 
 from repro.api import CompileRequest, CompilerConfig, get_backend
+from repro.baselines import BaselineCompiler
 from repro.core import (
     AdvancedPipeline,
     advanced_sort,
     baseline_order_cnot_count,
+    fold_bosonic_stage,
+    fold_hybrid_stage,
     greedy_sort,
+    identity_gamma_stage,
     naive_sort_stage,
     terms_to_rotations,
 )
@@ -29,8 +33,12 @@ from repro.transforms import JordanWignerTransform
 BASE_CONFIG = CompilerConfig(gamma_steps=15, seed=0)
 
 
-def make_pipeline(**overrides):
-    return AdvancedPipeline(BASE_CONFIG.replace(**overrides))
+def make_pipeline(**substitutions):
+    """The advanced pipeline with ``slot=stage`` substitutions applied."""
+    pipeline = AdvancedPipeline(BASE_CONFIG)
+    for name, stage in substitutions.items():
+        pipeline = pipeline.with_stage(name, stage)
+    return pipeline
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +60,7 @@ class TestHybridEncodingAblation:
 
         def run():
             full = make_pipeline().run(terms, n_qubits=n_qubits).cnot_count
-            no_hybrid = make_pipeline(use_hybrid_encoding=False).run(
+            no_hybrid = make_pipeline(schedule_hybrid=fold_hybrid_stage).run(
                 terms, n_qubits=n_qubits
             ).cnot_count
             return full, no_hybrid
@@ -97,14 +105,12 @@ class TestSortingAblation:
         hamiltonian, terms = water_case
         n_qubits = hamiltonian.n_spin_orbitals
         advanced = make_pipeline(
-            use_bosonic_encoding=False, use_hybrid_encoding=False, use_gamma_search=False
+            classify=fold_bosonic_stage,
+            schedule_hybrid=fold_hybrid_stage,
+            gamma_search=identity_gamma_stage,
         ).run(terms, n_qubits=n_qubits).cnot_count
-        shared_target = get_backend("baseline").compile(
-            CompileRequest(
-                terms=tuple(terms),
-                n_qubits=n_qubits,
-                config=BASE_CONFIG.replace(use_bosonic_encoding=False),
-            )
+        shared_target = BaselineCompiler(use_bosonic_encoding=False).compile(
+            terms, n_qubits=n_qubits
         ).cnot_count
         print(f"\n[Ablation/targets] H2O(6): per-string targets={advanced}, "
               f"shared targets={shared_target}")
@@ -118,7 +124,7 @@ class TestGammaAblation:
 
         def run():
             with_gamma = make_pipeline().run(terms, n_qubits=n_qubits).cnot_count
-            without_gamma = make_pipeline(use_gamma_search=False).run(
+            without_gamma = make_pipeline(gamma_search=identity_gamma_stage).run(
                 terms, n_qubits=n_qubits
             ).cnot_count
             return with_gamma, without_gamma

@@ -55,17 +55,13 @@ The molecule-level convenience API returns a Table-I-style row:
 >>> report.advanced_cnot_count <= report.jordan_wigner_cnot_count
 True
 
-Migrating from the pre-API entry points
----------------------------------------
-The keyword arguments of the old kwarg-style compiler entry points are
-fields of the frozen :class:`~repro.api.CompilerConfig`
-(``AdvancedPipeline(CompilerConfig(...)).run(terms)`` runs the flow
-directly), and the monolithic compile body is now explicit stages on
-:class:`~repro.core.AdvancedPipeline` (substitute one with
-``pipeline.with_stage(name, fn)`` instead of flipping booleans).
-``BaselineCompiler().compile(terms)`` is ``get_backend("baseline")``, and
-``naive_cnot_count(terms, transform)`` is ``get_backend("jw")`` /
-``get_backend("bk")``.
+Ablations
+---------
+An ablation swaps one stage of the Fig. 2 flow; the config has no switches:
+
+>>> from repro.core import AdvancedPipeline, identity_gamma_stage
+>>> pipeline = AdvancedPipeline().with_stage("gamma_search", identity_gamma_stage)
+>>> pipeline.run(terms).cnot_count
 """
 
 from dataclasses import dataclass
@@ -126,7 +122,9 @@ def compile_molecule_ansatz(
     terms, and compiles them through :func:`repro.api.compile_batch` with the
     four flows compared in Table I of the paper (JW, BK, prior-art baseline,
     and this work's advanced pipeline).  ``config`` (default
-    ``CompilerConfig()``) controls every knob of every flow.
+    ``CompilerConfig()``) controls every knob of every flow; each flow runs
+    in full, so an ablation runs :class:`~repro.core.AdvancedPipeline` with
+    a substituted stage instead.
     """
     molecule = make_molecule(molecule_name)
     frozen = n_frozen_spatial_orbitals if molecule_name != "H2" else 0

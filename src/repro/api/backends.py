@@ -160,10 +160,11 @@ class NaiveTransformBackend:
 class BaselineBackend:
     """The prior-art compiler (bosonic compression + shared targets + PSO Γ).
 
+    Bosonic terms always compile compressed, as in the prior art.
     ``config.baseline_pso_iterations > 0`` runs the binary-PSO transformation
     search (seeded from ``config.seed``) before compiling; the default of 0
-    compiles under the identity transformation, matching the historical
-    ``BaselineCompiler()`` behavior.
+    compiles under the identity transformation.  The compression-free flow
+    is ``BaselineCompiler(use_bosonic_encoding=False)``, called directly.
     """
 
     name = "baseline"
@@ -176,9 +177,7 @@ class BaselineBackend:
         with get_tracer().span(
             "compile.baseline", n_terms=len(terms), n_qubits=n_qubits
         ) as compile_span:
-            compiler = BaselineCompiler(
-                use_bosonic_encoding=config.use_bosonic_encoding
-            )
+            compiler = BaselineCompiler()
             if config.baseline_pso_iterations > 0:
                 compiler.search_transform(
                     terms,

@@ -48,7 +48,10 @@ from repro.core.pipeline import (
     StageFailure,
     account_stage,
     classify_stage,
+    fold_bosonic_stage,
+    fold_hybrid_stage,
     gamma_search_stage,
+    identity_gamma_stage,
     naive_sort_stage,
     schedule_hybrid_stage,
     sort_stage,
@@ -74,6 +77,9 @@ __all__ = [
     "transform_stage",
     "sort_stage",
     "naive_sort_stage",
+    "fold_bosonic_stage",
+    "fold_hybrid_stage",
+    "identity_gamma_stage",
     "account_stage",
     "result_to_tour",
     "term_block_order",

@@ -31,12 +31,11 @@ from repro.hardware.topology import Topology
 class CompilerConfig:
     """Immutable knobs shared by every compilation backend.
 
+    It holds no feature switches: every backend runs its full flow, and an
+    ablation substitutes a pipeline stage (see :mod:`repro.core.pipeline`).
+
     Parameters
     ----------
-    use_bosonic_encoding, use_hybrid_encoding, use_gamma_search,
-    use_advanced_sorting:
-        Feature switches used both by the headline pipeline (all True) and the
-        ablation benchmarks.
     gamma_steps:
         Simulated-annealing proposals for the Γ search (Sec. III-C).
     coloring_orders:
@@ -67,10 +66,6 @@ class CompilerConfig:
         accounting bit-identical.
     """
 
-    use_bosonic_encoding: bool = True
-    use_hybrid_encoding: bool = True
-    use_gamma_search: bool = True
-    use_advanced_sorting: bool = True
     gamma_steps: int = 40
     coloring_orders: int = 20
     gamma_budget_steps: Optional[int] = None

@@ -18,10 +18,11 @@ Given a set of HMP2-selected excitation terms the pipeline:
 
 Every stage is an ordinary function mutating a shared :class:`StageContext`,
 so ablations and experiments are *stage substitutions*
-(:meth:`AdvancedPipeline.with_stage`) rather than boolean flags, and each
-stage is unit-testable in isolation.  All knobs live in one frozen
-:class:`~repro.core.config.CompilerConfig`; most callers go through
-``repro.api`` (``get_backend("advanced").compile(request)``).
+(:meth:`AdvancedPipeline.with_stage`) rather than boolean flags: the
+``fold_bosonic``, ``fold_hybrid``, ``identity_gamma`` and ``naive_sort``
+stages, one per slot.  Each stage is unit-testable in isolation.  All knobs
+live in one frozen :class:`~repro.core.config.CompilerConfig`; most callers
+go through ``repro.api`` (``get_backend("advanced").compile(request)``).
 
 The result object also knows how to emit an explicit gate-level circuit for
 the fermionic segment (the compressed segments are accounted for with their
@@ -164,7 +165,6 @@ class StageContext:
     rng: np.random.Generator
     parameters: Optional[Sequence[float]] = None
     # classify
-    classes: Dict[str, List[ExcitationTerm]] = field(default_factory=dict)
     bosonic_terms: List[ExcitationTerm] = field(default_factory=list)
     bosonic_cnot_count: int = 0
     hybrid_terms: List[ExcitationTerm] = field(default_factory=list)
@@ -195,30 +195,27 @@ Stage = Callable[[StageContext], None]
 
 
 def classify_stage(context: StageContext) -> None:
-    """Partition terms into bosonic / hybrid / fermionic and cost the bosonic ones.
-
-    Terms of a *disabled* compressed class fold back into the fermionic path
-    in their original positions: the greedy sorter and the Γ cost function are
-    order-sensitive, so ablation flows must see the caller's HMP2 ordering,
-    not a reshuffled one.
-    """
-    config = context.config
-    context.classes = classify_terms(context.terms)
-    context.bosonic_terms = (
-        list(context.classes["bosonic"]) if config.use_bosonic_encoding else []
-    )
-    context.hybrid_terms = (
-        list(context.classes["hybrid"]) if config.use_hybrid_encoding else []
-    )
-    kept = {"fermionic"}
-    if not config.use_bosonic_encoding:
-        kept.add("bosonic")
-    if not config.use_hybrid_encoding:
-        kept.add("hybrid")
-    context.fermionic_terms = [
-        term for term in context.terms if term.encoding_class in kept
-    ]
+    """Partition terms into bosonic / hybrid / fermionic and cost the bosonic ones."""
+    classes = classify_terms(context.terms)
+    context.bosonic_terms = classes["bosonic"]
+    context.hybrid_terms = classes["hybrid"]
+    context.fermionic_terms = classes["fermionic"]
     context.bosonic_cnot_count = BOSONIC_TERM_CNOT_COST * len(context.bosonic_terms)
+
+
+def _fold_into_fermionic(context: StageContext, folded: List[ExcitationTerm]) -> None:
+    """Return ``folded`` to the fermionic list in the caller's (HMP2) term order,
+    which the order-sensitive greedy sort and Γ cost function must see."""
+    kept = {id(term) for term in context.fermionic_terms + folded}
+    context.fermionic_terms = [term for term in context.terms if id(term) in kept]
+
+
+def fold_bosonic_stage(context: StageContext) -> None:
+    """Ablation for the ``classify`` slot: bosonic terms stay uncompressed."""
+    classify_stage(context)
+    _fold_into_fermionic(context, context.bosonic_terms)
+    context.bosonic_terms = []
+    context.bosonic_cnot_count = 0
 
 
 def schedule_hybrid_stage(context: StageContext) -> None:
@@ -236,6 +233,12 @@ def schedule_hybrid_stage(context: StageContext) -> None:
         schedule = HybridSchedule([], [], [], [], n_colors=0)
     context.hybrid_schedule = schedule
     context.hybrid_cnot_count = HYBRID_TERM_CNOT_COST * schedule.n_compressed
+
+
+def fold_hybrid_stage(context: StageContext) -> None:
+    """Ablation for the ``schedule_hybrid`` slot: hybrid terms stay uncompressed."""
+    _fold_into_fermionic(context, context.hybrid_terms)
+    context.hybrid_terms = []
 
 
 def _resolve_term_parameters(context: StageContext) -> Optional[List[float]]:
@@ -261,7 +264,7 @@ def gamma_search_stage(context: StageContext) -> None:
     Γ seen so far.
     """
     context.gamma = identity_matrix(context.n_qubits)
-    if not context.fermionic_terms or not context.config.use_gamma_search:
+    if not context.fermionic_terms:
         return
     faults.fire("stage.gamma", n_terms=len(context.fermionic_terms))
 
@@ -282,6 +285,11 @@ def gamma_search_stage(context: StageContext) -> None:
     context.gamma = search.gamma
     if search.degraded:
         context.degraded_stages.append("gamma_search")
+
+
+def identity_gamma_stage(context: StageContext) -> None:
+    """Ablation for the ``gamma_search`` slot: plain Jordan-Wigner (Γ = I)."""
+    context.gamma = identity_matrix(context.n_qubits)
 
 
 def transform_stage(context: StageContext) -> None:
@@ -314,9 +322,6 @@ def sort_stage(context: StageContext) -> None:
     if not context.rotations:
         return
     config = context.config
-    if not config.use_advanced_sorting:
-        naive_sort_stage(context)
-        return
     faults.fire("stage.sort", n_rotations=len(context.rotations))
     context.sorting = advanced_sort(
         context.rotations,
@@ -328,7 +333,7 @@ def sort_stage(context: StageContext) -> None:
 
 
 def naive_sort_stage(context: StageContext) -> None:
-    """Ablation reference: naive term order with default (last-support) targets."""
+    """Ablation for the ``sort`` slot: naive term order, last-support targets."""
     if not context.rotations:
         context.sorting = SortingResult(ordered_rotations=[], cnot_count=0)
         return
@@ -400,10 +405,6 @@ class AdvancedPipeline:
     @property
     def stage_names(self) -> List[str]:
         return [name for name, _ in self.stages]
-
-    def with_config(self, **changes) -> "AdvancedPipeline":
-        """A pipeline with the same stages and an updated config."""
-        return AdvancedPipeline(self.config.replace(**changes), self.stages)
 
     def with_stage(self, name: str, stage: Stage) -> "AdvancedPipeline":
         """A pipeline with the named stage substituted (ablations, experiments)."""

@@ -345,8 +345,3 @@ def _normal_ordered_term(term: FermionTerm, coefficient: complex) -> FermionOper
 def normal_ordered(operator: FermionOperator) -> FermionOperator:
     """Module-level convenience wrapper around :meth:`FermionOperator.normal_ordered`."""
     return operator.normal_ordered()
-
-
-def hermitian_conjugated(operator: FermionOperator) -> FermionOperator:
-    """Module-level convenience wrapper around :meth:`FermionOperator.hermitian_conjugate`."""
-    return operator.hermitian_conjugate()

@@ -10,18 +10,19 @@ from repro.api import CompilerConfig
 class TestDefaults:
     def test_default_matches_historical_pipeline_knobs(self):
         config = CompilerConfig()
-        assert config.use_bosonic_encoding
-        assert config.use_hybrid_encoding
-        assert config.use_gamma_search
-        assert config.use_advanced_sorting
         assert config.gamma_steps == 40
         assert config.coloring_orders == 20
         assert config.sorting_budget_rounds is None
         assert config.seed == 0
         assert config.baseline_pso_iterations == 0
 
-    def test_twelve_fields(self):
-        assert len(dataclasses.fields(CompilerConfig)) == 12
+    def test_eight_fields(self):
+        assert len(dataclasses.fields(CompilerConfig)) == 8
+
+    def test_no_feature_switches(self):
+        # Ablations are stage substitutions, never config fields.
+        names = {field.name for field in dataclasses.fields(CompilerConfig)}
+        assert not {name for name in names if name.startswith("use_")}
 
     def test_frozen(self):
         config = CompilerConfig()
@@ -70,7 +71,7 @@ class TestHashability:
 
     def test_replace_returns_new_config(self):
         config = CompilerConfig()
-        ablated = config.replace(use_hybrid_encoding=False)
-        assert config.use_hybrid_encoding
-        assert not ablated.use_hybrid_encoding
-        assert ablated != config
+        changed = config.replace(coloring_orders=5)
+        assert config.coloring_orders == 20
+        assert changed.coloring_orders == 5
+        assert changed != config

@@ -10,7 +10,10 @@ from repro.core import (
     StageContext,
     account_stage,
     classify_stage,
+    fold_bosonic_stage,
+    fold_hybrid_stage,
     gamma_search_stage,
+    identity_gamma_stage,
     naive_sort_stage,
     schedule_hybrid_stage,
     sort_stage,
@@ -56,24 +59,33 @@ class TestClassifyStage:
         assert len(context.fermionic_terms) == 2  # fermionic double + single
         assert context.bosonic_cnot_count == 2 * 2
 
-    def test_disabled_classes_fold_back_in_original_order(self, mixed_terms):
-        config = FAST.replace(use_bosonic_encoding=False, use_hybrid_encoding=False)
-        context = run_stages(make_context(mixed_terms, config), classify_stage)
+    def test_fold_bosonic_keeps_original_order(self, mixed_terms):
+        context = run_stages(make_context(mixed_terms), fold_bosonic_stage)
+        assert context.bosonic_terms == []
+        assert context.bosonic_cnot_count == 0
+        assert context.hybrid_terms == [mixed_terms[1]]
+        # Original HMP2 ordering is preserved, not fermionic-first reshuffled.
+        assert context.fermionic_terms == [mixed_terms[i] for i in (0, 2, 3, 4)]
+
+    def test_both_folds_restore_the_caller_order(self, mixed_terms):
+        context = run_stages(
+            make_context(mixed_terms), fold_bosonic_stage, fold_hybrid_stage
+        )
         assert context.bosonic_terms == []
         assert context.hybrid_terms == []
-        # Original HMP2 ordering is preserved, not fermionic-first reshuffled.
         assert context.fermionic_terms == mixed_terms
         assert context.bosonic_cnot_count == 0
 
 
 class TestScheduleHybridStage:
-    def test_empty_hybrid_class_schedules_nothing(self, mixed_terms):
-        config = FAST.replace(use_hybrid_encoding=False)
+    def test_fold_hybrid_schedules_nothing(self, mixed_terms):
         context = run_stages(
-            make_context(mixed_terms, config), classify_stage, schedule_hybrid_stage
+            make_context(mixed_terms), classify_stage, fold_hybrid_stage
         )
+        assert context.hybrid_terms == []
         assert context.hybrid_schedule.n_compressed == 0
         assert context.hybrid_cnot_count == 0
+        assert context.fermionic_terms == [mixed_terms[i] for i in (1, 3, 4)]
 
     def test_compressed_hybrids_cost_seven_each(self, mixed_terms):
         context = run_stages(
@@ -85,11 +97,10 @@ class TestScheduleHybridStage:
 
 
 class TestGammaSearchStage:
-    def test_disabled_search_keeps_identity(self, mixed_terms):
-        config = FAST.replace(use_gamma_search=False)
+    def test_identity_gamma_stage_keeps_identity(self, mixed_terms):
         context = run_stages(
-            make_context(mixed_terms, config),
-            classify_stage, schedule_hybrid_stage, gamma_search_stage,
+            make_context(mixed_terms),
+            classify_stage, schedule_hybrid_stage, identity_gamma_stage,
         )
         assert np.array_equal(context.gamma, identity_matrix(8))
 
@@ -240,18 +251,22 @@ class TestPipelineComposition:
     def test_substituted_gamma_stage_keeps_parameters(self, mixed_terms):
         """Variational parameters are resolved by transform_stage, so swapping
         the Γ stage cannot silently drop them."""
-        def identity_gamma_stage(context):
+        from repro.core import terms_to_rotations
+        from repro.transforms import LinearEncodingTransform
+
+        def custom_gamma_stage(context):
             context.gamma = identity_matrix(context.n_qubits)
 
-        pipeline = AdvancedPipeline(FAST).with_stage("gamma_search", identity_gamma_stage)
+        pipeline = AdvancedPipeline(FAST).with_stage("gamma_search", custom_gamma_stage)
         parameters = [0.5] * len(mixed_terms)
         result = pipeline.run(mixed_terms, n_qubits=8, parameters=parameters)
         angles = {rotation.angle for rotation, _ in result.sorting.ordered_rotations}
-        reference = AdvancedPipeline(FAST.replace(use_gamma_search=False)).run(
-            mixed_terms, n_qubits=8, parameters=parameters
+        reference = terms_to_rotations(
+            result.fermionic_terms,
+            LinearEncodingTransform(identity_matrix(8)),
+            [0.5] * len(result.fermionic_terms),
         )
-        reference_angles = {r.angle for r, _ in reference.sorting.ordered_rotations}
-        assert angles == reference_angles
+        assert angles == {rotation.angle for rotation in reference}
         full_angles = {
             r.angle
             for r, _ in pipeline.run(mixed_terms, n_qubits=8).sorting.ordered_rotations

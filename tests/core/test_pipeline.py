@@ -6,8 +6,15 @@ import pytest
 from repro import compile_molecule_ansatz
 from repro.baselines import BaselineCompiler, naive_cnot_count
 from repro.api import CompilerConfig
-from repro.core import AdvancedPipeline
+from repro.core import (
+    AdvancedPipeline,
+    fold_bosonic_stage,
+    fold_hybrid_stage,
+    identity_gamma_stage,
+    naive_sort_stage,
+)
 from repro.transforms import JordanWignerTransform
+from repro.verify import assert_implements_rotations
 from repro.vqe import ExcitationTerm
 
 
@@ -65,12 +72,19 @@ class TestAdvancedPipeline:
         second = fast_compiler(seed=7).run(mixed_terms, n_qubits=8).cnot_count
         assert first == second
 
-    def test_feature_switches(self, mixed_terms):
-        full = fast_compiler().run(mixed_terms, n_qubits=8)
-        no_hybrid = fast_compiler(use_hybrid_encoding=False).run(mixed_terms, n_qubits=8)
-        no_bosonic = fast_compiler(use_bosonic_encoding=False).run(mixed_terms, n_qubits=8)
-        no_sorting = fast_compiler(use_advanced_sorting=False, use_gamma_search=False).run(
+    def test_ablation_stages(self, mixed_terms):
+        pipeline = fast_compiler()
+        full = pipeline.run(mixed_terms, n_qubits=8)
+        no_hybrid = pipeline.with_stage("schedule_hybrid", fold_hybrid_stage).run(
             mixed_terms, n_qubits=8
+        )
+        no_bosonic = pipeline.with_stage("classify", fold_bosonic_stage).run(
+            mixed_terms, n_qubits=8
+        )
+        no_sorting = (
+            pipeline.with_stage("gamma_search", identity_gamma_stage)
+            .with_stage("sort", naive_sort_stage)
+            .run(mixed_terms, n_qubits=8)
         )
         assert no_hybrid.hybrid_cnot_count == 0
         assert no_bosonic.bosonic_cnot_count == 0
@@ -82,7 +96,13 @@ class TestAdvancedPipeline:
         result = fast_compiler().run(mixed_terms, n_qubits=8)
         circuit = result.fermionic_circuit()
         assert circuit.n_qubits == 8
-        assert circuit.cnot_count >= result.fermionic_cnot_count or len(circuit) >= 0
+        # Raw emission keeps the CNOTs the accounting cancels between neighbours.
+        assert circuit.cnot_count >= result.fermionic_cnot_count > 0
+        rotations = [
+            (rotation.string, rotation.angle)
+            for rotation, _ in result.sorting.ordered_rotations
+        ]
+        assert_implements_rotations(circuit, rotations)
 
 
 class TestEndToEndMoleculeApi:

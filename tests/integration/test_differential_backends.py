@@ -18,7 +18,11 @@ transform (up to global phase):
 
 Compression (bosonic/hybrid) is disabled throughout: compressed segments are
 cost-accounted, not synthesized, so only the uncompressed flows have a full
-circuit to check.
+circuit to check.  The registered ``gt`` and ``adv`` backends always
+compress, so their uncompressed flows run directly:
+``BaselineCompiler(use_bosonic_encoding=False)`` and the advanced pipeline
+with both classes folded back by the ``fold_bosonic_stage`` /
+``fold_hybrid_stage`` substitutions.
 """
 
 import numpy as np
@@ -26,8 +30,14 @@ import pytest
 from scipy.linalg import expm
 
 from repro.api import CompileRequest, CompilerConfig, get_backend
-from repro.baselines import naive_rotation_sequence
+from repro.baselines import BaselineCompiler, naive_rotation_sequence
 from repro.circuits import exponential_sequence_circuit, sequence_cnot_count
+from repro.core import (
+    AdvancedPipeline,
+    fold_bosonic_stage,
+    fold_hybrid_stage,
+    naive_sort_stage,
+)
 from repro.core.terms_to_paulis import terms_to_rotations
 from repro.transforms import (
     BravyiKitaevTransform,
@@ -39,15 +49,12 @@ from repro.vqe import ExcitationTerm
 
 N_MODES = 4
 
-#: Deterministic, fast advanced-pipeline settings with compression disabled.
-ADV_CONFIG = CompilerConfig(
-    use_bosonic_encoding=False,
-    use_hybrid_encoding=False,
-    gamma_steps=5,
-    seed=0,
+#: Deterministic, fast advanced pipeline with compression disabled.
+ADV_PIPELINE = (
+    AdvancedPipeline(CompilerConfig(gamma_steps=5, seed=0))
+    .with_stage("classify", fold_bosonic_stage)
+    .with_stage("schedule_hybrid", fold_hybrid_stage)
 )
-
-GT_CONFIG = CompilerConfig(use_bosonic_encoding=False, seed=0)
 
 
 def random_terms(seed: int):
@@ -118,7 +125,7 @@ def reference_multiset(terms, parameters, transform):
 
 
 def compiled_sequence(backend_name, terms, parameters):
-    """The backend's compiled ``(string, angle, target)`` sequence + its CompileResult."""
+    """The backend's compiled ``(string, angle, target)`` sequence + its result."""
     if backend_name in ("jw", "bk"):
         transform = (
             JordanWignerTransform(N_MODES)
@@ -130,23 +137,17 @@ def compiled_sequence(backend_name, terms, parameters):
         sequence = naive_rotation_sequence(list(terms), transform, list(parameters))
         return sequence, result, transform
     if backend_name == "gt":
-        request = CompileRequest(
-            terms=terms, n_qubits=N_MODES, parameters=parameters, config=GT_CONFIG
+        result = BaselineCompiler(use_bosonic_encoding=False).compile(
+            list(terms), n_qubits=N_MODES, parameters=list(parameters)
         )
-        result = get_backend(backend_name).compile(request)
-        details = result.details
-        transform = LinearEncodingTransform(details.transform_matrix)
-        return list(details.ordered_exponentials), result, transform
+        transform = LinearEncodingTransform(result.transform_matrix)
+        return list(result.ordered_exponentials), result, transform
     if backend_name == "adv":
-        request = CompileRequest(
-            terms=terms, n_qubits=N_MODES, parameters=parameters, config=ADV_CONFIG
-        )
-        result = get_backend(backend_name).compile(request)
-        details = result.details
-        transform = LinearEncodingTransform(details.gamma)
+        result = ADV_PIPELINE.run(terms, n_qubits=N_MODES, parameters=parameters)
+        transform = LinearEncodingTransform(result.gamma)
         sequence = [
             (rotation.string, rotation.angle, target)
-            for rotation, target in details.sorting.ordered_rotations
+            for rotation, target in result.sorting.ordered_rotations
         ]
         return sequence, result, transform
     raise AssertionError(backend_name)
@@ -301,19 +302,16 @@ def test_large_register_angle_drift_detected(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_advanced_without_sorting_matches_expm_reference(seed):
-    """With advanced sorting disabled the pipeline preserves term order, so the
-    full Γ-encoded circuit must match the expm reference products."""
+    """With the naive sort stage substituted the pipeline preserves term
+    order, so the full Γ-encoded circuit must match the expm reference products."""
     terms, parameters = random_terms(seed)
-    config = ADV_CONFIG.replace(use_advanced_sorting=False)
-    request = CompileRequest(
-        terms=terms, n_qubits=N_MODES, parameters=parameters, config=config
+    result = ADV_PIPELINE.with_stage("sort", naive_sort_stage).run(
+        terms, n_qubits=N_MODES, parameters=parameters
     )
-    result = get_backend("adv").compile(request)
-    details = result.details
-    transform = LinearEncodingTransform(details.gamma)
+    transform = LinearEncodingTransform(result.gamma)
     sequence = [
         (rotation.string, rotation.angle, target)
-        for rotation, target in details.sorting.ordered_rotations
+        for rotation, target in result.sorting.ordered_rotations
     ]
     circuit = exponential_sequence_circuit(sequence, n_qubits=N_MODES)
     assert_equal_up_to_global_phase(

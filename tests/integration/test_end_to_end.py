@@ -16,7 +16,13 @@ from repro import compile_molecule_ansatz
 from repro.chemistry import build_molecular_hamiltonian, make_molecule, run_rhf
 from repro.circuits import optimize_circuit, sequence_cnot_count
 from repro.api import CompilerConfig
-from repro.core import AdvancedPipeline, terms_to_rotations
+from repro.core import (
+    AdvancedPipeline,
+    fold_bosonic_stage,
+    fold_hybrid_stage,
+    identity_gamma_stage,
+    terms_to_rotations,
+)
 from repro.operators import QubitOperator
 from repro.simulator import expectation_value, fci_ground_state_energy, hartree_fock_state
 from repro.transforms import JordanWignerTransform, LinearEncodingTransform
@@ -38,10 +44,12 @@ class TestCircuitEmissionConsistency:
         """The emitted circuit of one fermionic term equals exp(θ(T - T†)) exactly
         (all Pauli strings of one term commute, so reordering is harmless)."""
         excitation = term((2, 4), (0, 1))
-        pipeline = AdvancedPipeline(CompilerConfig(
-            use_gamma_search=False, use_hybrid_encoding=False, use_bosonic_encoding=False,
-            seed=0,
-        ))
+        pipeline = (
+            AdvancedPipeline(CompilerConfig(seed=0))
+            .with_stage("classify", fold_bosonic_stage)
+            .with_stage("schedule_hybrid", fold_hybrid_stage)
+            .with_stage("gamma_search", identity_gamma_stage)
+        )
         result = pipeline.run([excitation], n_qubits=5, parameters=[0.37])
         circuit = result.fermionic_circuit()
 

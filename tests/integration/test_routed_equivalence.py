@@ -5,7 +5,11 @@ a device topology must produce a routed circuit that (a) only uses
 topology-edge two-qubit gates and (b) implements exactly the same unitary as
 the unrouted synthesis of the same rotation sequence (the steered synthesis
 keeps the identity permutation, so the comparison is direct).  Compression is
-disabled so the full flow is synthesized.  A SABRE cross-check routes the
+disabled so the full flow is synthesized: the registered ``gt`` and ``adv``
+backends always compress, so their compression-free flows run directly
+(``BaselineCompiler(use_bosonic_encoding=False)`` and the advanced pipeline
+with both fold stages) and are routed by the backends' own
+``sequence_routing_metrics``.  A SABRE cross-check routes the
 naive all-to-all circuit and verifies equivalence up to the reported
 permutation.
 
@@ -21,9 +25,11 @@ import numpy as np
 import pytest
 
 from repro.api import CompileRequest, CompilerConfig, get_backend
-from repro.baselines import naive_rotation_sequence
+from repro.api.backends import sequence_routing_metrics
+from repro.baselines import BaselineCompiler, naive_rotation_sequence
 from repro.chemistry import build_molecular_hamiltonian, make_molecule, run_rhf
 from repro.circuits import Circuit, exponential_sequence_circuit, optimize_circuit
+from repro.core import AdvancedPipeline, fold_bosonic_stage, fold_hybrid_stage
 from repro.hardware import Topology, route_circuit, routed_exponential_sequence_circuit
 from repro.operators import PauliString
 from repro.transforms import (
@@ -47,37 +53,42 @@ def h2_terms():
 
 
 def compression_free_config(topology):
-    return CompilerConfig(
-        use_bosonic_encoding=False,
-        use_hybrid_encoding=False,
-        gamma_steps=5,
-        seed=0,
-        topology=topology,
-    )
+    return CompilerConfig(gamma_steps=5, seed=0, topology=topology)
 
 
 def compiled_sequence(backend_name, terms, config):
-    request = CompileRequest(terms=terms, n_qubits=4, config=config)
-    result = get_backend(backend_name).compile(request)
+    """The compression-free ``(string, angle, target)`` sequence + its routing."""
     if backend_name in ("jw", "bk"):
+        request = CompileRequest(terms=terms, n_qubits=4, config=config)
+        result = get_backend(backend_name).compile(request)
         transform = (
             JordanWignerTransform(4) if backend_name == "jw" else BravyiKitaevTransform(4)
         )
-        return naive_rotation_sequence(list(terms), transform), result
+        return naive_rotation_sequence(list(terms), transform), result.routing
     if backend_name == "gt":
-        return list(result.details.ordered_exponentials), result
-    sequence = [
-        (rotation.string, rotation.angle, target)
-        for rotation, target in result.details.sorting.ordered_rotations
-    ]
-    return sequence, result
+        result = BaselineCompiler(use_bosonic_encoding=False).compile(
+            list(terms), n_qubits=4
+        )
+        sequence = list(result.ordered_exponentials)
+    else:
+        result = (
+            AdvancedPipeline(config)
+            .with_stage("classify", fold_bosonic_stage)
+            .with_stage("schedule_hybrid", fold_hybrid_stage)
+            .run(terms, n_qubits=4)
+        )
+        sequence = [
+            (rotation.string, rotation.angle, target)
+            for rotation, target in result.sorting.ordered_rotations
+        ]
+    return sequence, sequence_routing_metrics(sequence, config)
 
 
 @pytest.mark.parametrize("topology", TOPOLOGIES, ids=lambda t: t.name)
 @pytest.mark.parametrize("backend_name", BACKENDS)
 def test_routed_h2_is_legal_and_equivalent(backend_name, topology, h2_terms):
     config = compression_free_config(topology)
-    sequence, result = compiled_sequence(backend_name, h2_terms, config)
+    sequence, metrics = compiled_sequence(backend_name, h2_terms, config)
     assert sequence, "compilation produced no rotations"
 
     unrouted = exponential_sequence_circuit(sequence, n_qubits=4)
@@ -91,7 +102,6 @@ def test_routed_h2_is_legal_and_equivalent(backend_name, topology, h2_terms):
     assert report.exact  # n=4 dispatches to the dense engine: a proof
 
     # The reported metrics describe exactly this executable circuit.
-    metrics = result.routing
     assert metrics.cnot_count == routed.cnot_count
     assert metrics.depth == routed.depth()
     assert metrics.two_qubit_depth == routed.two_qubit_depth()
@@ -127,8 +137,8 @@ def test_line_ladders_cost_at_least_all_to_all_before_optimization(
 def test_steered_beats_or_matches_sabre_on_line(h2_terms):
     """Steering ladders along the line never loses to routing the star ladder."""
     line = Topology.line(4)
-    sequence, result = compiled_sequence("adv", h2_terms, compression_free_config(line))
-    steered_cnots = result.routing.cnot_count
+    sequence, metrics = compiled_sequence("adv", h2_terms, compression_free_config(line))
+    steered_cnots = metrics.cnot_count
     unrouted = exponential_sequence_circuit(sequence, n_qubits=4)
     sabre = route_circuit(optimize_circuit(unrouted), line, seed=0)
     assert steered_cnots <= sabre.metrics().cnot_count
