@@ -5,6 +5,8 @@ normally relies on:
 
 * :mod:`~repro.chemistry.basis` — STO-3G basis data and molecular geometry
   containers;
+* :mod:`~repro.chemistry.hermite` — Hermite expansion coefficients and the
+  primitive overlap, shared by the basis normalization and the integrals;
 * :mod:`~repro.chemistry.integrals` — McMurchie-Davidson molecular integrals;
 * :mod:`~repro.chemistry.hartree_fock` — restricted Hartree-Fock SCF;
 * :mod:`~repro.chemistry.hamiltonian` — spin-orbital second-quantized
@@ -36,7 +38,6 @@ from repro.chemistry.hartree_fock import (
 )
 from repro.chemistry.integrals import (
     clear_integral_caches,
-    set_integral_caching,
     shell_pair_data,
 )
 from repro.chemistry.molecules import (
@@ -68,7 +69,6 @@ __all__ = [
     "clear_scf_cache",
     "molecule_fingerprint",
     "clear_integral_caches",
-    "set_integral_caching",
     "shell_pair_data",
     "MolecularHamiltonian",
     "build_molecular_hamiltonian",

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
+from repro.chemistry.hermite import primitive_overlap
 
 #: Conversion factor from Angstrom to Bohr radii.
 ANGSTROM_TO_BOHR = 1.8897259886
@@ -183,8 +183,6 @@ class BasisFunction:
 
     def _raw_self_overlap(self) -> float:
         """Self overlap with the current (primitive-normalized) coefficients."""
-        from repro.chemistry.integrals import primitive_overlap
-
         total = 0.0
         for exp_a, coeff_a in zip(self.exponents, self.normalized_coefficients):
             for exp_b, coeff_b in zip(self.exponents, self.normalized_coefficients):

@@ -195,6 +195,9 @@ def run_rhf(
                 delta = integrals_after[name] - integrals_before[name]
                 if delta:
                     scf_span.set_attribute(f"integrals.{name}", delta)
+        # How many unique ERI quartets shared how many Hermite-Coulomb tables.
+        for name in ("eri.quartets", "eri.coulomb_tables"):
+            scf_span.set_attribute(name, integrals_after[name] - integrals_before[name])
     if cache_key is not None:
         # Cached regardless of convergence: the partial solution is the
         # deterministic outcome of these settings, so a retry with identical

@@ -1,123 +1,65 @@
 """Molecular integrals over contracted Cartesian Gaussians.
 
-McMurchie-Davidson scheme: overlaps, kinetic energy, nuclear attraction and
-electron repulsion integrals (ERIs) are assembled from Hermite Gaussian
-expansion coefficients and Boys functions.  This is the computational kernel
-that replaces PySCF/Psi4 in this offline reproduction; it is exact (not an
-approximation) and validated against known Hartree-Fock energies in the test
-suite.
+McMurchie-Davidson scheme (J. Comput. Phys. 26, 218, 1978): overlaps,
+kinetic energy, nuclear attraction and electron repulsion integrals (ERIs)
+are assembled from Hermite expansion coefficients ``E_t^{ij}`` and Hermite
+Coulomb integrals ``R^n_{tuv}``.  This replaces PySCF/Psi4 in this offline
+reproduction; it is exact and validated against known Hartree-Fock energies.
 
-Performance layer (caches are bit-transparent — every cached or vectorized
-path returns exactly the floats the direct recursion returns):
+``R^n_{tuv}`` depends only on the *primitive geometry* (centres and
+exponents), which STO-3G's 2s and 2p functions share: NH3's 666 unique ERI
+quartets sit on 121 geometry quartets.  So:
 
-* :func:`hermite_expansion`, :func:`boys_function` and
-  :func:`hermite_coulomb` are memoized — the expansion coefficients depend
-  only on the Gaussian *pair*, so one shell pair's table is computed once and
-  reused across every quartet it appears in instead of once per quartet;
-* a shell-pair data cache (:func:`shell_pair_data`) stores the pairwise
-  composite exponents/centers and the full Hermite expansion tables as numpy
-  arrays, keyed by the pair of contracted functions;
-* :func:`electron_repulsion` evaluates all primitive quartets of a contracted
-  ERI in one vectorized sweep over the ``(Ka, Kb, Kc, Kd)`` grid (the Hermite
-  Coulomb recursion runs on whole quartet arrays) instead of one Python call
-  per primitive quartet;
-* :func:`set_integral_caching` / :func:`clear_integral_caches` switch the
-  whole layer off (falling back to the seed's scalar recursion, which
-  ``tests/chemistry/test_integral_caches.py`` compares against) and drop
-  the cached state.
+* :func:`shell_pair_data` caches, per function pair and as arrays over the
+  ``(Ka, Kb)`` primitive grid, the composite exponents and centres, the
+  nonzero Hermite expansion tables and the contraction weights;
+* a :class:`HermiteCoulombTable` holds one geometry's reduced exponent,
+  separation, Boys argument, prefactor and lazily filled ``R^n_{tuv}``.
+  :func:`build_electron_repulsion_tensor` visits the unique quartets grouped
+  by geometry quartet and :func:`build_nuclear_matrix` the pairs grouped by
+  geometry pair, one table per group and one group at a time;
+  :func:`electron_repulsion` and :func:`nuclear_attraction` are one-quartet
+  and one-pair calls into the same kernels.
+
+The scalar ``primitive_*`` functions and :func:`electron_repulsion_scalar`
+are the reference: every array element follows their operation order,
+integer powers use Python's float pow and contractions are summed left to
+right, so the results are bit-identical.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy.special import hyp1f1
 
 from repro.chemistry.basis import BasisFunction, Molecule
+from repro.chemistry.hermite import hermite_expansion, primitive_overlap
 from repro.obs.metrics import get_metrics
 
-#: Whether the memoization/vectorization layer is active (see
-#: :func:`set_integral_caching`).
-_CACHING_ENABLED = True
-
-#: Shell-pair cache traffic, in the global obs registry (cached objects:
-#: one attribute add per event, no registry lookup on the hot path).
+#: Integral-engine traffic, in the global obs registry (cached objects: one
+#: attribute add per event, no registry lookup on the hot path).
 _PAIR_HITS = get_metrics().counter("chemistry.integrals.shell_pair.hits")
 _PAIR_MISSES = get_metrics().counter("chemistry.integrals.shell_pair.misses")
+_ERI_QUARTETS = get_metrics().counter("chemistry.integrals.eri.quartets")
+_ERI_TABLES = get_metrics().counter("chemistry.integrals.eri.coulomb_tables")
 
 
+@lru_cache(maxsize=1 << 18)
 def boys_function(n: int, x: float) -> float:
     """Boys function ``F_n(x)`` via the confluent hypergeometric function."""
-    if _CACHING_ENABLED:
-        return _boys_function_cached(n, x)
-    return _boys_function_direct(n, x)
-
-
-def _boys_function_direct(n: int, x: float) -> float:
     return float(hyp1f1(n + 0.5, n + 1.5, -x) / (2.0 * n + 1.0))
 
 
-_boys_function_cached = lru_cache(maxsize=1 << 18)(_boys_function_direct)
-
-
-def hermite_expansion(
-    i: int, j: int, t: int, separation: float, alpha: float, beta: float
-) -> float:
-    """Hermite Gaussian expansion coefficient ``E_t^{ij}`` (one dimension).
-
-    Recursion of McMurchie and Davidson for the product of two Gaussians with
-    exponents ``alpha`` and ``beta`` separated by ``separation`` along one
-    Cartesian axis.  The coefficient depends only on the Gaussian *pair*, so
-    it is memoized: one shell pair's coefficients are computed once and
-    served from cache across the many integral quartets the pair appears in.
-    """
-    if _CACHING_ENABLED:
-        return _hermite_expansion_cached(i, j, t, separation, alpha, beta)
-    return _hermite_expansion_direct(i, j, t, separation, alpha, beta)
-
-
-def _hermite_expansion_direct(
-    i: int, j: int, t: int, separation: float, alpha: float, beta: float
-) -> float:
-    p = alpha + beta
-    q = alpha * beta / p
-    if t < 0 or t > i + j:
-        return 0.0
-    if i == j == t == 0:
-        return math.exp(-q * separation * separation)
-    if j == 0:
-        return (
-            (1.0 / (2.0 * p)) * hermite_expansion(i - 1, j, t - 1, separation, alpha, beta)
-            - (q * separation / alpha) * hermite_expansion(i - 1, j, t, separation, alpha, beta)
-            + (t + 1) * hermite_expansion(i - 1, j, t + 1, separation, alpha, beta)
-        )
-    return (
-        (1.0 / (2.0 * p)) * hermite_expansion(i, j - 1, t - 1, separation, alpha, beta)
-        + (q * separation / beta) * hermite_expansion(i, j - 1, t, separation, alpha, beta)
-        + (t + 1) * hermite_expansion(i, j - 1, t + 1, separation, alpha, beta)
-    )
-
-
-# Bounded: keys contain continuous separations/exponents, so a geometry sweep
-# would otherwise grow the table without limit.
-_hermite_expansion_cached = lru_cache(maxsize=1 << 20)(_hermite_expansion_direct)
-
-
+@lru_cache(maxsize=1 << 18)
 def hermite_coulomb(
     t: int, u: int, v: int, n: int, p: float, x: float, y: float, z: float, distance_sq: float
 ) -> float:
     """Hermite Coulomb auxiliary integral ``R^n_{tuv}``."""
-    if _CACHING_ENABLED:
-        return _hermite_coulomb_cached(t, u, v, n, p, x, y, z, distance_sq)
-    return _hermite_coulomb_direct(t, u, v, n, p, x, y, z, distance_sq)
-
-
-def _hermite_coulomb_direct(
-    t: int, u: int, v: int, n: int, p: float, x: float, y: float, z: float, distance_sq: float
-) -> float:
     if t < 0 or u < 0 or v < 0:
         return 0.0
     if t == u == v == 0:
@@ -141,7 +83,9 @@ def _hermite_coulomb_direct(
     return value
 
 
-_hermite_coulomb_cached = lru_cache(maxsize=1 << 18)(_hermite_coulomb_direct)
+#: The uncached functions (one recursion step; deeper terms come from cache).
+_boys_function_direct = boys_function.__wrapped__
+_hermite_coulomb_direct = hermite_coulomb.__wrapped__
 
 
 # ----------------------------------------------------------------------
@@ -150,30 +94,32 @@ _hermite_coulomb_cached = lru_cache(maxsize=1 << 18)(_hermite_coulomb_direct)
 class ShellPairData:
     """Pairwise primitive data of two contracted Gaussians, as numpy arrays.
 
-    Everything here depends only on the *pair* ``(a, b)`` — composite
-    exponents ``p``, composite centers ``P`` and the one-dimensional Hermite
-    expansion tables — so it is computed once per pair and reused by every
-    integral quartet containing the pair.  All entries reproduce the scalar
-    recursion bit-for-bit (the tables are filled from the memoized scalar
-    :func:`hermite_expansion`; the composite arithmetic performs the same
-    IEEE float64 operations elementwise).
+    Everything here depends only on the *pair* ``(a, b)``, so it is computed
+    once and reused by every integral containing the pair; ``geometry`` (the
+    two centres and exponent sets) is the part the Coulomb tables depend on.
+    Entries equal the scalar recursion's bit for bit: the tables come from
+    the memoized :func:`hermite_expansion` and the composite arithmetic does
+    the same float64 operations elementwise.
     """
 
-    __slots__ = ("p", "composite", "expansion", "lmn_a", "lmn_b")
+    __slots__ = ("geometry", "p", "composite", "terms", "hermite", "coefficients", "weights")
 
     def __init__(self, function_a: BasisFunction, function_b: BasisFunction):
+        self.geometry = (
+            function_a.center, function_a.exponents, function_b.center, function_b.exponents
+        )
         exps_a = np.asarray(function_a.exponents, dtype=np.float64)
         exps_b = np.asarray(function_b.exponents, dtype=np.float64)
-        self.lmn_a = function_a.lmn
-        self.lmn_b = function_b.lmn
         self.p = exps_a[:, None] + exps_b[None, :]
         self.composite = [
             (exps_a[:, None] * function_a.center[axis]
              + exps_b[None, :] * function_b.center[axis]) / self.p
             for axis in range(3)
         ]
-        # expansion[axis][t][i, j] = E_t^{l1 l2} for primitives (i, j).
-        self.expansion = []
+        # terms[axis] = [(t, E_t^{l1 l2} over the primitive grid)], keeping
+        # only the tables with a nonzero entry: an all-zero table adds
+        # nothing to any integral, so it is skipped once here.
+        self.terms: List[List[Tuple[int, np.ndarray]]] = []
         for axis in range(3):
             l1 = function_a.lmn[axis]
             l2 = function_b.lmn[axis]
@@ -184,17 +130,22 @@ class ShellPairData:
                 for i, alpha in enumerate(function_a.exponents):
                     for j, beta in enumerate(function_b.exponents):
                         table[i, j] = hermite_expansion(l1, l2, t, separation, alpha, beta)
-                tables.append(table)
-            self.expansion.append(tables)
-
-
-def _basis_function_key(function: BasisFunction) -> Tuple:
-    return (
-        function.center,
-        function.lmn,
-        function.exponents,
-        function.normalized_coefficients,
-    )
+                if table.any():
+                    tables.append((t, table))
+            self.terms.append(tables)
+        #: ``((t, u, v), E_t^x E_u^y E_v^z)`` over the nonzero tables, in the
+        #: scalar loops' order.
+        self.hermite = [
+            ((t, u, v), ex * ey * ez)
+            for t, ex in self.terms[0]
+            for u, ey in self.terms[1]
+            for v, ez in self.terms[2]
+        ]
+        self.coefficients = (
+            np.asarray(function_a.normalized_coefficients, dtype=np.float64),
+            np.asarray(function_b.normalized_coefficients, dtype=np.float64),
+        )
+        self.weights = self.coefficients[0][:, None] * self.coefficients[1][None, :]
 
 
 #: Bounded (FIFO): pair keys contain continuous centers/exponents, so a
@@ -205,15 +156,16 @@ _SHELL_PAIR_CACHE_MAX_ENTRIES = 4096
 
 def shell_pair_data(function_a: BasisFunction, function_b: BasisFunction) -> ShellPairData:
     """The (cached) :class:`ShellPairData` of a contracted-function pair."""
-    key = (_basis_function_key(function_a), _basis_function_key(function_b))
+    key = tuple(
+        (f.center, f.lmn, f.exponents, f.normalized_coefficients) for f in (function_a, function_b)
+    )
     data = _SHELL_PAIR_CACHE.get(key)
     if data is None:
         _PAIR_MISSES.inc()
         data = ShellPairData(function_a, function_b)
-        if _CACHING_ENABLED:
-            while len(_SHELL_PAIR_CACHE) >= _SHELL_PAIR_CACHE_MAX_ENTRIES:
-                _SHELL_PAIR_CACHE.pop(next(iter(_SHELL_PAIR_CACHE)))
-            _SHELL_PAIR_CACHE[key] = data
+        while len(_SHELL_PAIR_CACHE) >= _SHELL_PAIR_CACHE_MAX_ENTRIES:
+            _SHELL_PAIR_CACHE.pop(next(iter(_SHELL_PAIR_CACHE)))
+        _SHELL_PAIR_CACHE[key] = data
     else:
         _PAIR_HITS.inc()
     return data
@@ -221,24 +173,25 @@ def shell_pair_data(function_a: BasisFunction, function_b: BasisFunction) -> She
 
 def clear_integral_caches() -> None:
     """Drop every memoized integral quantity (Hermite, Boys, shell pairs)."""
-    _hermite_expansion_cached.cache_clear()
-    _hermite_coulomb_cached.cache_clear()
-    _boys_function_cached.cache_clear()
+    hermite_expansion.cache_clear()
+    hermite_coulomb.cache_clear()
+    boys_function.cache_clear()
     _SHELL_PAIR_CACHE.clear()
 
 
 def integral_cache_stats() -> Dict[str, int]:
-    """Hit/miss/size counters of every integral cache, one JSON-ready dict.
+    """Cache and ERI-build counters of the integral engine, one JSON-ready dict.
 
     The SCF span records the *delta* of this dict across a solve, so a trace
-    shows exactly how much integral work the chemistry front end served from
-    cache versus recomputed.
+    shows how much integral work the chemistry front end served from cache
+    versus recomputed, and how many ERI quartets shared how many Coulomb
+    tables.
     """
     stats: Dict[str, int] = {}
     for name, cached in (
-        ("boys", _boys_function_cached),
-        ("hermite_expansion", _hermite_expansion_cached),
-        ("hermite_coulomb", _hermite_coulomb_cached),
+        ("boys", boys_function),
+        ("hermite_expansion", hermite_expansion),
+        ("hermite_coulomb", hermite_coulomb),
     ):
         info = cached.cache_info()
         stats[f"{name}.hits"] = info.hits
@@ -247,46 +200,14 @@ def integral_cache_stats() -> Dict[str, int]:
     stats["shell_pair.hits"] = _PAIR_HITS.value
     stats["shell_pair.misses"] = _PAIR_MISSES.value
     stats["shell_pair.size"] = len(_SHELL_PAIR_CACHE)
+    stats["eri.quartets"] = _ERI_QUARTETS.value
+    stats["eri.coulomb_tables"] = _ERI_TABLES.value
     return stats
 
 
-def set_integral_caching(enabled: bool) -> bool:
-    """Enable/disable the caching + vectorization layer; returns the old flag.
-
-    Disabling clears every cache and routes :func:`hermite_expansion`,
-    :func:`boys_function`, :func:`hermite_coulomb` and
-    :func:`electron_repulsion` through the direct scalar recursion — the
-    seed-era behavior the compile benchmark measures as its "before" state.
-    Both modes produce bit-identical integrals.
-    """
-    global _CACHING_ENABLED
-    previous = _CACHING_ENABLED
-    _CACHING_ENABLED = bool(enabled)
-    clear_integral_caches()
-    return previous
-
-
 # ----------------------------------------------------------------------
-# Primitive integrals
+# Primitive integrals (the scalar reference)
 # ----------------------------------------------------------------------
-def primitive_overlap(
-    alpha: float,
-    lmn1: Sequence[int],
-    center_a: Sequence[float],
-    beta: float,
-    lmn2: Sequence[int],
-    center_b: Sequence[float],
-) -> float:
-    """Overlap of two primitive Cartesian Gaussians."""
-    p = alpha + beta
-    value = (math.pi / p) ** 1.5
-    for axis in range(3):
-        value *= hermite_expansion(
-            lmn1[axis], lmn2[axis], 0, center_a[axis] - center_b[axis], alpha, beta
-        )
-    return value
-
-
 def primitive_kinetic(
     alpha: float,
     lmn1: Sequence[int],
@@ -415,53 +336,158 @@ def primitive_electron_repulsion(
 
 
 # ----------------------------------------------------------------------
+# Hermite Coulomb tables (one per primitive geometry)
+# ----------------------------------------------------------------------
+def _integer_power(base: np.ndarray, exponent: int) -> np.ndarray:
+    """Elementwise ``base ** exponent`` via Python's float pow.
+
+    ``np.power`` and CPython's ``float.__pow__`` may round differently in the
+    last ulp for integer exponents; the scalar recursion uses the latter, so
+    the array kernels must too for bit-identical integrals.
+    """
+    if exponent == 0:
+        return np.ones_like(base)
+    return np.array(
+        [value ** exponent for value in base.ravel().tolist()], dtype=np.float64
+    ).reshape(base.shape)
+
+
+class HermiteCoulombTable:
+    """``R^n_{tuv}`` over a primitive grid for one primitive geometry.
+
+    ``exponent`` is the reduced exponent of a geometry quartet (electron
+    repulsion) or the composite exponent of a geometry pair (nuclear
+    attraction); ``(x, y, z)`` is the matching separation ``P - Q`` or
+    ``P - C``.  Entries are filled on first use and memoized, and every
+    element follows :func:`hermite_coulomb`'s operation order.
+    """
+
+    __slots__ = ("exponent", "x", "y", "z", "boys_argument", "prefactor", "_values")
+
+    def __init__(self, exponent, x, y, z, prefactor):
+        self.exponent = exponent
+        self.x, self.y, self.z = x, y, z
+        self.boys_argument = exponent * (x * x + y * y + z * z)
+        self.prefactor = prefactor
+        self._values: Dict[Tuple[int, int, int, int], np.ndarray] = {}
+
+    def __call__(self, t: int, u: int, v: int, n: int = 0) -> np.ndarray:
+        key = (t, u, v, n)
+        value = self._values.get(key)
+        if value is not None:
+            return value
+        if t == u == v == 0:
+            value = _integer_power(-2.0 * self.exponent, n) * (
+                hyp1f1(n + 0.5, n + 1.5, -self.boys_argument) / (2.0 * n + 1.0)
+            )
+        elif t > 0:
+            value = 0.0
+            if t > 1:
+                value += (t - 1) * self(t - 2, u, v, n + 1)
+            value += self.x * self(t - 1, u, v, n + 1)
+        elif u > 0:
+            value = 0.0
+            if u > 1:
+                value += (u - 1) * self(t, u - 2, v, n + 1)
+            value += self.y * self(t, u - 1, v, n + 1)
+        else:
+            value = 0.0
+            if v > 1:
+                value += (v - 1) * self(t, u, v - 2, n + 1)
+            value += self.z * self(t, u, v - 1, n + 1)
+        self._values[key] = value
+        return value
+
+
+def _nuclear_table(pair: ShellPairData, nucleus: Sequence[float]) -> HermiteCoulombTable:
+    """The table of one geometry pair and one nucleus, over ``(Ka, Kb)``."""
+    x, y, z = (pair.composite[axis] - nucleus[axis] for axis in range(3))
+    return HermiteCoulombTable(pair.p, x, y, z, 2.0 * math.pi / pair.p)
+
+
+def _repulsion_table(bra: ShellPairData, ket: ShellPairData) -> HermiteCoulombTable:
+    """The table of one geometry quartet, over ``(Ka, Kb, Kc, Kd)``."""
+    p = bra.p[:, :, None, None]
+    q = ket.p[None, None, :, :]
+    x, y, z = (
+        bra.composite[axis][:, :, None, None] - ket.composite[axis][None, None, :, :]
+        for axis in range(3)
+    )
+    return HermiteCoulombTable(
+        p * q / (p + q), x, y, z, 2.0 * math.pi ** 2.5 / (p * q * np.sqrt(p + q))
+    )
+
+
+def _contract(weights: np.ndarray, primitives: np.ndarray) -> float:
+    """``Σ weights·primitives``, summed left to right in C order like the scalar loops."""
+    return reduce(add, (weights * primitives).ravel().tolist(), 0.0)
+
+
+def _contracted_nuclear(pair: ShellPairData, table: HermiteCoulombTable) -> float:
+    """One pair's contracted attraction to the table's unit-charge nucleus."""
+    value = 0.0
+    for (t, u, v), product in pair.hermite:
+        value += product * table(t, u, v)
+    return _contract(pair.weights, table.prefactor * value)
+
+
+def _contracted_repulsion(
+    bra: ShellPairData, ket: ShellPairData, table: HermiteCoulombTable
+) -> float:
+    """One contracted ``(ab|cd)`` on its geometry quartet's table."""
+    value = 0.0
+    for (t, u, v), product in bra.hermite:
+        e_bra = product[:, :, None, None]
+        for tau, ex2 in ket.terms[0]:
+            e4 = e_bra * ex2
+            for nu, ey2 in ket.terms[1]:
+                e5 = e4 * ey2
+                for phi, ez2 in ket.terms[2]:
+                    # The scalar multiplies by (-1)^(τ+ν+φ) before R; negating
+                    # is exact, so subtracting the unsigned term is identical.
+                    term = e5 * ez2 * table(t + tau, u + nu, v + phi)
+                    if (tau + nu + phi) % 2:
+                        value -= term
+                    else:
+                        value += term
+    weights = bra.weights[:, :, None, None] * ket.coefficients[0][:, None] * ket.coefficients[1]
+    return _contract(weights, value * table.prefactor)
+
+
+# ----------------------------------------------------------------------
 # Contracted integrals
 # ----------------------------------------------------------------------
 def _contract_pair(function_a: BasisFunction, function_b: BasisFunction, primitive) -> float:
+    """``Σ c_a c_b primitive(a, b)`` over the two functions' primitives, scalar."""
     total = 0.0
     for exp_a, coeff_a in zip(function_a.exponents, function_a.normalized_coefficients):
         for exp_b, coeff_b in zip(function_b.exponents, function_b.normalized_coefficients):
-            total += coeff_a * coeff_b * primitive(exp_a, exp_b)
+            total += coeff_a * coeff_b * primitive(
+                exp_a, function_a.lmn, function_a.center, exp_b, function_b.lmn, function_b.center
+            )
     return total
 
 
 def overlap(function_a: BasisFunction, function_b: BasisFunction) -> float:
     """Contracted overlap integral."""
-    return _contract_pair(
-        function_a,
-        function_b,
-        lambda a, b: primitive_overlap(
-            a, function_a.lmn, function_a.center, b, function_b.lmn, function_b.center
-        ),
-    )
+    return _contract_pair(function_a, function_b, primitive_overlap)
 
 
 def kinetic(function_a: BasisFunction, function_b: BasisFunction) -> float:
     """Contracted kinetic-energy integral."""
-    return _contract_pair(
-        function_a,
-        function_b,
-        lambda a, b: primitive_kinetic(
-            a, function_a.lmn, function_a.center, b, function_b.lmn, function_b.center
-        ),
-    )
+    return _contract_pair(function_a, function_b, primitive_kinetic)
 
 
 def nuclear_attraction(
     function_a: BasisFunction, function_b: BasisFunction, molecule: Molecule
 ) -> float:
     """Contracted nuclear-attraction integral summed over all nuclei (with charges)."""
+    pair = shell_pair_data(function_a, function_b)
     total = 0.0
     for atom in molecule.atoms:
-        contribution = _contract_pair(
-            function_a,
-            function_b,
-            lambda a, b, nucleus=atom.position: primitive_nuclear(
-                a, function_a.lmn, function_a.center,
-                b, function_b.lmn, function_b.center, nucleus,
-            ),
+        total -= atom.atomic_number * _contracted_nuclear(
+            pair, _nuclear_table(pair, atom.position)
         )
-        total -= atom.atomic_number * contribution
     return total
 
 
@@ -473,9 +499,7 @@ def electron_repulsion_scalar(
 ) -> float:
     """Contracted ``(ab|cd)`` via one Python call per primitive quartet.
 
-    The seed implementation, kept as the reference the vectorized path is
-    differential-tested against (and as the "before" half of the compile
-    benchmark).
+    The reference the table kernel is tested against.
     """
     total = 0.0
     for exp_a, coeff_a in zip(function_a.exponents, function_a.normalized_coefficients):
@@ -494,129 +518,6 @@ def electron_repulsion_scalar(
     return total
 
 
-def _integer_power(base: np.ndarray, exponent: int) -> np.ndarray:
-    """Elementwise ``base ** exponent`` via Python's float pow.
-
-    ``np.power`` and CPython's ``float.__pow__`` may round differently in the
-    last ulp for integer exponents; the scalar recursion uses the latter, so
-    the vectorized path must too for bit-identical integrals.
-    """
-    if exponent == 0:
-        return np.ones_like(base)
-    return np.array(
-        [value ** exponent for value in base.ravel().tolist()], dtype=np.float64
-    ).reshape(base.shape)
-
-
-def _electron_repulsion_vectorized(
-    function_a: BasisFunction,
-    function_b: BasisFunction,
-    function_c: BasisFunction,
-    function_d: BasisFunction,
-) -> float:
-    """Contracted ``(ab|cd)`` over the whole primitive-quartet grid at once.
-
-    All per-quartet composite quantities and the Hermite Coulomb recursion are
-    evaluated on ``(Ka, Kb, Kc, Kd)`` numpy arrays.  Every elementwise
-    operation replicates the scalar implementation's operation order exactly
-    (single IEEE additions/multiplications in the same sequence; the Boys
-    ufunc applied to an array equals its scalar application per element), so
-    the result is bit-identical to :func:`electron_repulsion_scalar`.
-    """
-    bra = shell_pair_data(function_a, function_b)
-    ket = shell_pair_data(function_c, function_d)
-
-    p = bra.p[:, :, None, None]
-    q = ket.p[None, None, :, :]
-    reduced = p * q / (p + q)
-    deltas = [
-        bra.composite[axis][:, :, None, None] - ket.composite[axis][None, None, :, :]
-        for axis in range(3)
-    ]
-    x, y, z = deltas
-    distance_sq = x * x + y * y + z * z
-    boys_argument = reduced * distance_sq
-
-    coulomb_cache: Dict[Tuple[int, int, int, int], np.ndarray] = {}
-
-    def coulomb(t: int, u: int, v: int, n: int):
-        """Grid-valued ``R^n_{tuv}``; mirrors the scalar recursion term order."""
-        if t < 0 or u < 0 or v < 0:
-            return 0.0
-        key = (t, u, v, n)
-        cached = coulomb_cache.get(key)
-        if cached is not None:
-            return cached
-        if t == u == v == 0:
-            value = _integer_power(-2.0 * reduced, n) * (
-                hyp1f1(n + 0.5, n + 1.5, -boys_argument) / (2.0 * n + 1.0)
-            )
-        elif t > 0:
-            value = 0.0
-            if t > 1:
-                value += (t - 1) * coulomb(t - 2, u, v, n + 1)
-            value += x * coulomb(t - 1, u, v, n + 1)
-        elif u > 0:
-            value = 0.0
-            if u > 1:
-                value += (u - 1) * coulomb(t, u - 2, v, n + 1)
-            value += y * coulomb(t, u - 1, v, n + 1)
-        else:
-            value = 0.0
-            if v > 1:
-                value += (v - 1) * coulomb(t, u, v - 2, n + 1)
-            value += z * coulomb(t, u, v - 1, n + 1)
-        coulomb_cache[key] = value
-        return value
-
-    value = np.zeros_like(reduced)
-    for t, ex1_t in enumerate(bra.expansion[0]):
-        if not ex1_t.any():
-            continue
-        for u, ey1_u in enumerate(bra.expansion[1]):
-            if not ey1_u.any():
-                continue
-            e12 = ex1_t * ey1_u
-            for v, ez1_v in enumerate(bra.expansion[2]):
-                if not ez1_v.any():
-                    continue
-                e_bra = (e12 * ez1_v)[:, :, None, None]
-                for tau, ex2_t in enumerate(ket.expansion[0]):
-                    if not ex2_t.any():
-                        continue
-                    e4 = e_bra * ex2_t[None, None, :, :]
-                    for nu, ey2_u in enumerate(ket.expansion[1]):
-                        if not ey2_u.any():
-                            continue
-                        e5 = e4 * ey2_u[None, None, :, :]
-                        for phi, ez2_v in enumerate(ket.expansion[2]):
-                            if not ez2_v.any():
-                                continue
-                            sign = (-1.0) ** (tau + nu + phi)
-                            value += (
-                                e5 * ez2_v[None, None, :, :] * sign
-                                * coulomb(t + tau, u + nu, v + phi, 0)
-                            )
-    value = value * (2.0 * math.pi ** 2.5 / (p * q * np.sqrt(p + q)))
-
-    coeff_a = np.asarray(function_a.normalized_coefficients, dtype=np.float64)
-    coeff_b = np.asarray(function_b.normalized_coefficients, dtype=np.float64)
-    coeff_c = np.asarray(function_c.normalized_coefficients, dtype=np.float64)
-    coeff_d = np.asarray(function_d.normalized_coefficients, dtype=np.float64)
-    contributions = (
-        (coeff_a[:, None] * coeff_b[None, :])[:, :, None, None]
-        * coeff_c[None, None, :, None]
-        * coeff_d[None, None, None, :]
-        * value
-    )
-    # Sequential left-to-right accumulation in the scalar loop's (a, b, c, d)
-    # order (C-order ravel), so the contraction rounds identically.
-    total = 0.0
-    for contribution in contributions.ravel().tolist():
-        total += contribution
-    return total
-
-
 def electron_repulsion(
     function_a: BasisFunction,
     function_b: BasisFunction,
@@ -624,43 +525,54 @@ def electron_repulsion(
     function_d: BasisFunction,
 ) -> float:
     """Contracted two-electron integral ``(ab|cd)`` in chemists' notation."""
-    if _CACHING_ENABLED:
-        return _electron_repulsion_vectorized(
-            function_a, function_b, function_c, function_d
-        )
-    return electron_repulsion_scalar(function_a, function_b, function_c, function_d)
+    bra = shell_pair_data(function_a, function_b)
+    ket = shell_pair_data(function_c, function_d)
+    return _contracted_repulsion(bra, ket, _repulsion_table(bra, ket))
 
 
 # ----------------------------------------------------------------------
 # Full integral tensors
 # ----------------------------------------------------------------------
-def build_overlap_matrix(basis: Sequence[BasisFunction]) -> np.ndarray:
-    """Overlap matrix S in the AO basis."""
+def _pair_matrix(basis: Sequence[BasisFunction], element) -> np.ndarray:
+    """Symmetric AO matrix with ``element(basis[i], basis[j])`` for ``i <= j``."""
     n = len(basis)
     matrix = np.zeros((n, n))
     for i in range(n):
         for j in range(i, n):
-            matrix[i, j] = matrix[j, i] = overlap(basis[i], basis[j])
+            matrix[i, j] = matrix[j, i] = element(basis[i], basis[j])
     return matrix
+
+
+def build_overlap_matrix(basis: Sequence[BasisFunction]) -> np.ndarray:
+    """Overlap matrix S in the AO basis."""
+    return _pair_matrix(basis, overlap)
 
 
 def build_kinetic_matrix(basis: Sequence[BasisFunction]) -> np.ndarray:
     """Kinetic-energy matrix T in the AO basis."""
-    n = len(basis)
-    matrix = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            matrix[i, j] = matrix[j, i] = kinetic(basis[i], basis[j])
-    return matrix
+    return _pair_matrix(basis, kinetic)
 
 
 def build_nuclear_matrix(basis: Sequence[BasisFunction], molecule: Molecule) -> np.ndarray:
-    """Nuclear-attraction matrix V in the AO basis."""
+    """Nuclear-attraction matrix V in the AO basis.
+
+    One Coulomb table per (geometry pair, nucleus); every function pair on
+    the geometry pair is contracted from it, nuclei in molecule order.
+    """
     n = len(basis)
-    matrix = np.zeros((n, n))
+    by_geometry: Dict[Tuple, List[Tuple[int, int, ShellPairData]]] = {}
     for i in range(n):
         for j in range(i, n):
-            matrix[i, j] = matrix[j, i] = nuclear_attraction(basis[i], basis[j], molecule)
+            pair = shell_pair_data(basis[i], basis[j])
+            by_geometry.setdefault(pair.geometry, []).append((i, j, pair))
+    matrix = np.zeros((n, n))
+    for pairs in by_geometry.values():
+        for atom in molecule.atoms:
+            table = _nuclear_table(pairs[0][2], atom.position)
+            for i, j, pair in pairs:
+                matrix[i, j] -= atom.atomic_number * _contracted_nuclear(pair, table)
+        for i, j, _ in pairs:
+            matrix[j, i] = matrix[i, j]
     return matrix
 
 
@@ -670,21 +582,36 @@ def build_core_hamiltonian(basis: Sequence[BasisFunction], molecule: Molecule) -
 
 
 def build_electron_repulsion_tensor(basis: Sequence[BasisFunction]) -> np.ndarray:
-    """Full ERI tensor ``(ij|kl)`` in chemists' notation, using 8-fold symmetry."""
+    """Full ERI tensor ``(ij|kl)`` in chemists' notation, using 8-fold symmetry.
+
+    The unique quartets ``ij >= kl`` are visited grouped by geometry quartet:
+    each group shares one :class:`HermiteCoulombTable`, which is dropped
+    before the next group's is built.
+    """
     n = len(basis)
+    pairs = [
+        (i, j, shell_pair_data(basis[i], basis[j])) for i in range(n) for j in range(i + 1)
+    ]
+    by_geometry: Dict[Tuple, List[Tuple]] = {}
+    for ij, bra_entry in enumerate(pairs):
+        for ket_entry in pairs[: ij + 1]:
+            key = bra_entry[2].geometry + ket_entry[2].geometry
+            by_geometry.setdefault(key, []).append(bra_entry + ket_entry)
+    indices: List[Tuple[int, int, int, int]] = []
+    values: List[float] = []
+    for quartets in by_geometry.values():
+        table = _repulsion_table(quartets[0][2], quartets[0][5])
+        for i, j, bra, k, l, ket in quartets:
+            indices.append((i, j, k, l))
+            values.append(_contracted_repulsion(bra, ket, table))
+    _ERI_QUARTETS.inc(len(values))
+    _ERI_TABLES.inc(len(by_geometry))
+
     tensor = np.zeros((n, n, n, n))
-    for i in range(n):
-        for j in range(i + 1):
-            ij = i * (i + 1) // 2 + j
-            for k in range(n):
-                for l in range(k + 1):
-                    kl = k * (k + 1) // 2 + l
-                    if ij < kl:
-                        continue
-                    value = electron_repulsion(basis[i], basis[j], basis[k], basis[l])
-                    for a, b, c, d in (
-                        (i, j, k, l), (j, i, k, l), (i, j, l, k), (j, i, l, k),
-                        (k, l, i, j), (l, k, i, j), (k, l, j, i), (l, k, j, i),
-                    ):
-                        tensor[a, b, c, d] = value
+    i, j, k, l = np.array(indices, dtype=int).reshape(-1, 4).T
+    for a, b, c, d in (
+        (i, j, k, l), (j, i, k, l), (i, j, l, k), (j, i, l, k),
+        (k, l, i, j), (l, k, i, j), (k, l, j, i), (l, k, j, i),
+    ):
+        tensor[a, b, c, d] = values
     return tensor

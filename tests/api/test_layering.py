@@ -5,6 +5,9 @@
 * ``repro.verify`` checks what the compiler in ``repro.transforms`` produced,
   so it must not share the compiler's conjugation code: a shared sign rule
   would make a sign error invisible to the verifier.
+* ``repro.chemistry.integrals`` builds on basis functions, so
+  ``repro.chemistry.basis`` must not import it back: both take the Hermite
+  expansion and primitive overlap from the leaf ``repro.chemistry.hermite``.
 
 The scan walks every import in every module of a package — module level,
 inside functions and behind ``TYPE_CHECKING`` guards alike — so a lazily
@@ -15,9 +18,11 @@ import ast
 from pathlib import Path
 
 import repro.api
+import repro.chemistry
 import repro.verify
 
 API_DIR = Path(repro.api.__file__).parent
+CHEMISTRY_DIR = Path(repro.chemistry.__file__).parent
 VERIFY_DIR = Path(repro.verify.__file__).parent
 
 
@@ -50,3 +55,11 @@ def test_no_verify_module_imports_the_transforms():
     assert (VERIFY_DIR / "tableau.py").exists()  # the scan sees the package
     offenders = offending_imports(VERIFY_DIR, "repro.transforms")
     assert not offenders, f"repro.verify must not import repro.transforms: {sorted(offenders)}"
+
+
+def test_basis_does_not_import_the_integrals():
+    basis_imports = set(imported_modules(CHEMISTRY_DIR / "basis.py"))
+    assert "repro.chemistry.hermite" in basis_imports  # the scan sees the import
+    assert "repro.chemistry.integrals" not in basis_imports
+    leaf_imports = set(imported_modules(CHEMISTRY_DIR / "hermite.py"))
+    assert not {name for name in leaf_imports if name.startswith("repro.")}

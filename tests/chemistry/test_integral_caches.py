@@ -1,4 +1,4 @@
-"""Cached/vectorized integral engine: bit-identity and memoization behavior."""
+"""Integral engine: bit-identity of the cached and table kernels, memoization."""
 
 import numpy as np
 
@@ -10,17 +10,17 @@ from repro.chemistry import (
     make_molecule,
     molecule_fingerprint,
     run_rhf,
-    set_integral_caching,
     shell_pair_data,
 )
+from repro.chemistry.hermite import _hermite_expansion_direct, hermite_expansion
 from repro.chemistry.integrals import (
-    _electron_repulsion_vectorized,
+    _boys_function_direct,
+    _hermite_coulomb_direct,
     boys_function,
     build_electron_repulsion_tensor,
     electron_repulsion,
     electron_repulsion_scalar,
     hermite_coulomb,
-    hermite_expansion,
 )
 
 
@@ -37,45 +37,19 @@ class TestVectorizedElectronRepulsion:
             for b in functions:
                 for c in functions:
                     for d in functions:
-                        vectorized = _electron_repulsion_vectorized(a, b, c, d)
-                        scalar = electron_repulsion_scalar(a, b, c, d)
-                        assert vectorized == scalar
+                        assert electron_repulsion(a, b, c, d) == electron_repulsion_scalar(a, b, c, d)
 
-    def test_caching_toggle_is_bit_transparent(self):
-        basis = build_sto3g_basis(make_molecule("H2"))
-        clear_integral_caches()
-        cached_tensor = build_electron_repulsion_tensor(basis)
-        previous = set_integral_caching(False)
-        try:
-            assert previous is True
-            plain_tensor = build_electron_repulsion_tensor(basis)
-        finally:
-            set_integral_caching(True)
-        assert np.array_equal(cached_tensor, plain_tensor)
+    def test_empty_basis_gives_empty_tensor(self):
+        assert build_electron_repulsion_tensor([]).shape == (0, 0, 0, 0)
 
-    def test_scalar_kernels_bit_transparent_under_toggle(self):
+    def test_memoized_kernels_equal_direct_recursion(self):
         args_expansion = (1, 1, 1, 0.7, 5.0, 1.3)
         args_coulomb = (1, 0, 1, 0, 2.0, 0.1, -0.2, 0.3, 0.14)
-        cached = (
-            hermite_expansion(*args_expansion),
-            hermite_coulomb(*args_coulomb),
-            boys_function(2, 0.8),
-        )
-        set_integral_caching(False)
-        try:
-            direct = (
-                hermite_expansion(*args_expansion),
-                hermite_coulomb(*args_coulomb),
-                boys_function(2, 0.8),
-            )
-        finally:
-            set_integral_caching(True)
-        assert cached == direct
-
-    def test_dispatch_uses_vectorized_path_when_enabled(self):
-        basis = build_sto3g_basis(make_molecule("H2"))
-        value = electron_repulsion(basis[0], basis[0], basis[1], basis[1])
-        assert value == electron_repulsion_scalar(basis[0], basis[0], basis[1], basis[1])
+        clear_integral_caches()
+        for _ in range(2):  # computed, then served from cache
+            assert hermite_expansion(*args_expansion) == _hermite_expansion_direct(*args_expansion)
+            assert hermite_coulomb(*args_coulomb) == _hermite_coulomb_direct(*args_coulomb)
+            assert boys_function(2, 0.8) == _boys_function_direct(2, 0.8)
 
 
 class TestShellPairCache:
@@ -102,17 +76,22 @@ class TestShellPairCache:
 
     def test_pair_tables_match_scalar_expansion(self):
         basis = lih_basis()
-        fa, fb = basis[1], basis[2]  # s-p pair: non-trivial expansion tables
+        fa, fb = basis[1], basis[2]  # s-p pair on one centre: the x axis has a zero table
         pair = shell_pair_data(fa, fb)
         for axis in range(3):
             l1, l2 = fa.lmn[axis], fb.lmn[axis]
             separation = fa.center[axis] - fb.center[axis]
-            for t, table in enumerate(pair.expansion[axis]):
-                for i, alpha in enumerate(fa.exponents):
-                    for j, beta in enumerate(fb.exponents):
-                        assert table[i, j] == hermite_expansion(
-                            l1, l2, t, separation, alpha, beta
-                        )
+            tables = dict(pair.terms[axis])
+            for t in range(l1 + l2 + 1):
+                expected = [
+                    [hermite_expansion(l1, l2, t, separation, alpha, beta) for beta in fb.exponents]
+                    for alpha in fa.exponents
+                ]
+                if t in tables:
+                    assert tables[t].tolist() == expected
+                else:  # only all-zero tables are dropped
+                    assert not np.any(expected)
+        assert [t for t, _ in pair.terms[0]] == [1]
 
 
 class TestScfMemoization:

@@ -135,6 +135,14 @@ class TestChemistryInstrumentation:
         assert span.attributes["n_iterations"] >= 1
         assert any(key.startswith("integrals.") for key in span.attributes)
 
+    def test_scf_span_carries_eri_table_sharing(self):
+        # LiH/STO-3G: 231 unique function quartets on 22 geometry quartets.
+        with tracing() as tracer:
+            run_rhf(make_molecule("LiH"), use_cache=False)
+        (span,) = [s for r in tracer.roots for s in r.walk() if s.name == "chemistry.scf"]
+        assert span.attributes["eri.quartets"] == 231
+        assert span.attributes["eri.coulomb_tables"] == 22
+
     def test_scf_cache_counters(self):
         hits = get_metrics().counter("chemistry.scf.cache_hits")
         misses = get_metrics().counter("chemistry.scf.cache_misses")
