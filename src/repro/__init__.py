@@ -7,8 +7,8 @@ arXiv:2303.03460).
 The package is organised bottom-up:
 
 * :mod:`repro.operators` — fermionic and Pauli/qubit operator algebra;
-* :mod:`repro.transforms` — Jordan-Wigner, Bravyi-Kitaev, parity, ternary-tree
-  and generalized GL(N,2) fermion-to-qubit transformations;
+* :mod:`repro.transforms` — Jordan-Wigner, Bravyi-Kitaev, parity and
+  generalized GL(N,2) fermion-to-qubit transformations;
 * :mod:`repro.circuits` — circuit IR, Pauli-exponential synthesis, CNOT
   cancellation accounting and peephole optimization;
 * :mod:`repro.optimizers` — simulated annealing, graph coloring, GTSP local

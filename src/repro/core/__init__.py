@@ -15,8 +15,6 @@ from repro.core.advanced_sorting import (
     baseline_order_cnot_count,
     build_sorting_problem,
     greedy_sort,
-    greedy_walk,
-    result_to_tour,
     routed_sequence_cost_estimate,
     term_block_order,
 )
@@ -81,7 +79,6 @@ __all__ = [
     "fold_hybrid_stage",
     "identity_gamma_stage",
     "account_stage",
-    "result_to_tour",
     "term_block_order",
     "HybridSchedule",
     "classify_terms",
@@ -95,7 +92,6 @@ __all__ = [
     "SortingResult",
     "advanced_sort",
     "greedy_sort",
-    "greedy_walk",
     "baseline_order_cnot_count",
     "build_sorting_problem",
     "routed_sequence_cost_estimate",

@@ -37,6 +37,7 @@ from repro.hardware.topology import Topology
 from repro.operators import (
     PackedPaulis,
     PauliString,
+    SameTargetSavings,
     interface_reduction_matrix,
     routed_vertex_cost_vector,
     support_matrix,
@@ -46,32 +47,6 @@ from repro.optimizers import GtspProblem, solve_gtsp, solve_tsp
 
 #: A GTSP vertex: (rotation index, target qubit).
 SortingVertex = Tuple[int, int]
-
-#: The vertices of a rotation list and their pairwise savings matrix, as
-#: :func:`vertex_savings` returns them.
-VertexSavings = Tuple[List[SortingVertex], np.ndarray]
-
-
-def vertex_savings(rotations: Sequence[PauliRotation]) -> VertexSavings:
-    """All ``(rotation, target)`` vertices plus their pairwise savings matrix.
-
-    Vertices are enumerated in (rotation index, ascending target) order; the
-    matrix entry ``[a, b]`` is the interface CNOT saving of implementing
-    vertex ``b`` right after vertex ``a``, computed in one batched symplectic
-    scan (:func:`repro.operators.interface_reduction_matrix`) instead of one
-    Python loop per GTSP edge query.
-    """
-    vertices: List[SortingVertex] = []
-    for index, rotation in enumerate(rotations):
-        for target in rotation.string.support:
-            vertices.append((index, target))
-    if not vertices:
-        return [], np.zeros((0, 0), dtype=np.int64)
-    matrix = interface_reduction_matrix(
-        [rotations[index].string for index, _ in vertices],
-        [target for _, target in vertices],
-    )
-    return vertices, matrix
 
 
 @dataclass
@@ -127,7 +102,6 @@ def routed_sequence_cost_estimate(
 def build_sorting_problem(
     rotations: Sequence[PauliRotation],
     topology: Optional[Topology] = None,
-    savings: Optional[VertexSavings] = None,
 ) -> GtspProblem:
     """Build the GTSP instance of Sec. III-B for a list of Pauli rotations.
 
@@ -136,9 +110,7 @@ def build_sorting_problem(
     (:func:`repro.operators.routed_vertex_cost_vector`).  That cost is the
     start weight of the vertex and is folded into each incoming edge, minus
     the interface saving of the pair, so the path cost of a tour equals
-    :meth:`SortingResult.objective` of the sequence.  ``savings`` is the
-    :func:`vertex_savings` of ``rotations`` when the caller already built
-    it.
+    :meth:`SortingResult.objective` of the sequence.
     """
     rotations = list(rotations)
     if not rotations:
@@ -150,16 +122,16 @@ def build_sorting_problem(
             raise ValueError("identity rotations cannot be sorted into circuits")
         clusters.append([(index, target) for target in support])
 
-    vertices, savings = savings if savings is not None else vertex_savings(rotations)
+    # Vertices in cluster-flattened order: the global row order GtspProblem
+    # expects.
+    vertices = [vertex for cluster in clusters for vertex in cluster]
     strings = [rotations[index].string for index, _ in vertices]
+    targets = [target for _, target in vertices]
+    savings = interface_reduction_matrix(strings, targets)
     if topology is None:
         costs = 2 * (np.array([len(string.support) for string in strings]) - 1)
     else:
-        costs = routed_vertex_cost_vector(
-            strings, [target for _, target in vertices], topology.distance_matrix
-        )
-    # vertex_savings enumerates vertices in cluster-flattened order, which is
-    # exactly the global row order GtspProblem expects.
+        costs = routed_vertex_cost_vector(strings, targets, topology.distance_matrix)
     return GtspProblem(
         clusters=clusters, weight_matrix=costs[None, :] - savings, start_weights=costs
     )
@@ -264,14 +236,6 @@ def term_block_order(
     return TermBlockOrder(rows=rows, targets=targets[rows], cnot_count=cnot_count)
 
 
-def result_to_tour(
-    rotations: Sequence[PauliRotation], result: "SortingResult"
-) -> List[SortingVertex]:
-    """Re-express a :class:`SortingResult` as a ``(rotation index, target)`` tour."""
-    index_of = {id(rotation): index for index, rotation in enumerate(rotations)}
-    return [(index_of[id(rotation)], target) for rotation, target in result.ordered_rotations]
-
-
 def _finalize_sorting(
     ordered: List[Tuple[PauliRotation, int]],
     topology: Optional[Topology],
@@ -290,21 +254,20 @@ def _finalize_sorting(
 
 
 def sort_seed_tours(
-    rotations: Sequence[PauliRotation],
-    topology: Optional[Topology] = None,
-    savings: Optional[VertexSavings] = None,
+    rotations: Sequence[PauliRotation], topology: Optional[Topology] = None
 ) -> List[List[SortingVertex]]:
     """The seed tours of :func:`advanced_sort`, in tie-breaking order.
 
-    The greedy walk (:func:`greedy_sort`), then the term-block order
-    (:func:`term_block_order`) chained, then unchained.
+    The greedy walk (:func:`greedy_walk`, as :func:`greedy_sort` takes it),
+    then the term-block order (:func:`term_block_order`) chained, then
+    unchained.
     """
     rotations = list(rotations)
-    greedy = greedy_sort(rotations, topology=topology, savings=savings)
     strings = PackedPaulis.from_strings(rotation.string for rotation in rotations)
+    greedy = greedy_walk(strings, None if topology is None else topology.distance_matrix)
     term_index = [rotation.term_index for rotation in rotations]
     blocks = [term_block_order(strings, term_index, ordered) for ordered in (True, False)]
-    return [result_to_tour(rotations, greedy)] + [
+    return [list(zip(greedy.rows, greedy.targets))] + [
         list(zip(block.rows.tolist(), block.targets.tolist())) for block in blocks
     ]
 
@@ -332,9 +295,8 @@ def advanced_sort(
             cnot_count=0,
             routed_cost_estimate=None if topology is None else 0,
         )
-    savings = vertex_savings(rotations)
-    seed_tours = sort_seed_tours(rotations, topology=topology, savings=savings)
-    problem = build_sorting_problem(rotations, topology=topology, savings=savings)
+    seed_tours = sort_seed_tours(rotations, topology=topology)
+    problem = build_sorting_problem(rotations, topology=topology)
     solution = solve_gtsp(
         problem,
         [[(index, (index, target)) for index, target in tour] for tour in seed_tours],
@@ -344,38 +306,86 @@ def advanced_sort(
     return _finalize_sorting(ordered, topology, degraded=solution.degraded)
 
 
-def greedy_walk(
-    preference: np.ndarray, vertex_rotation: np.ndarray, start: int
-) -> List[int]:
-    """Nearest-neighbour path through the GTSP clusters, as vertex rows.
+@dataclass(frozen=True)
+class GreedyWalk:
+    """A greedy path: string rows, their targets and the path cost."""
 
-    ``vertex_rotation[row]`` names the rotation of each row; a rotation's
-    rows are contiguous.  From ``start``, step to the vertex of a not yet
-    visited rotation with the largest ``preference[current, row]`` until
-    every rotation is visited.  Ties go to the lowest row, as ``argmax``
-    returns the first maximum.
+    rows: List[int]
+    targets: List[int]
+    cost: int
+
+
+def greedy_walk(
+    strings: PackedPaulis, distance_matrix: Optional[np.ndarray] = None
+) -> GreedyWalk:
+    """Nearest-neighbour path through the GTSP clusters of Sec. III-B.
+
+    Vertices are ``(string, target)`` pairs in (string, ascending target)
+    order.  The walk starts at the first string's last support qubit and
+    visits every string once.  Each step takes the first vertex, in that
+    order, of a not yet visited string that maximizes the interface saving
+    after the current vertex, or with a ``distance_matrix`` the saving minus
+    the vertex's routed ladder cost
+    (:func:`repro.operators.routed_vertex_cost_vector`).  Only same-target
+    vertices save, so without a distance matrix the walk takes the best
+    same-target saving when it is positive and otherwise the lowest
+    unvisited string's lowest support qubit.  The savings after the current
+    vertex are one :meth:`~repro.operators.SameTargetSavings.row`; no
+    vertex-pair matrix is built.  ``cost`` is the path's CNOT count, or its
+    routed estimate with a distance matrix.
     """
-    n_rows = len(vertex_rotation)
-    stops = np.flatnonzero(np.diff(vertex_rotation)) + 1
-    run_start = [0, *stops.tolist()]
-    run_stop = [*stops.tolist(), n_rows]
-    run_of_row = np.repeat(
-        np.arange(len(run_start)), np.subtract(run_stop, run_start)
-    ).tolist()
-    alive = np.ones(n_rows, dtype=bool)
-    floor = np.iinfo(preference.dtype).min
-    path = [start]
-    for _ in range(len(run_start) - 1):
-        run = run_of_row[path[-1]]
-        alive[run_start[run]:run_stop[run]] = False
-        path.append(int(np.argmax(np.where(alive, preference[path[-1]], floor))))
-    return path
+    m = len(strings)
+    if not m:
+        return GreedyWalk(rows=[], targets=[], cost=0)
+    support = support_matrix(strings)
+    if not support.any(axis=1).all():
+        raise ValueError("identity rotations cannot be sorted into circuits")
+    savings = SameTargetSavings(strings)
+    vertex_costs = np.zeros(support.shape, dtype=np.int64)
+    if distance_matrix is not None:
+        rows, columns = np.nonzero(support)
+        vertex_costs[rows, columns] = routed_vertex_cost_vector(
+            PackedPaulis(strings.n_qubits, strings.x[rows], strings.z[rows]),
+            columns,
+            distance_matrix,
+        )
+    # Scores of the open vertices, before any saving.  Closed ones (visited
+    # strings, qubits off the support) sit so low that no saving lifts them
+    # to an open score.
+    closed = -(1 << 40)
+    scores = np.where(support, -vertex_costs, closed)
+    n = support.shape[1]
+    source, target = 0, int(n - 1 - np.argmax(support[0, ::-1]))
+    path_rows, path_targets = [source], [target]
+    saved = 0
+    first = int(scores.argmax())
+    for _ in range(m - 1):
+        scores[source] = closed
+        # Closing a row moves the first maximum only if it held it.
+        if source == first // n:
+            first = int(scores.argmax())
+        # The next vertex is the first maximum of the scores, unless the
+        # saving lifts a vertex on the current target at least as high and
+        # that vertex comes first.
+        gains = scores[:, target] + savings.row(source, target)
+        best = int(gains.argmax())
+        gain, score = int(gains[best]), int(scores.flat[first])
+        if gain > score or (gain == score and best * n + target < first):
+            saved += gain - int(scores[best, target])
+            source = best
+        else:
+            source, target = divmod(first, n)
+        path_rows.append(source)
+        path_targets.append(target)
+    if distance_matrix is None:
+        cost = 2 * (int(support.sum()) - m) - saved
+    else:
+        cost = int(vertex_costs[path_rows, path_targets].sum()) - saved
+    return GreedyWalk(rows=path_rows, targets=path_targets, cost=cost)
 
 
 def greedy_sort(
-    rotations: Sequence[PauliRotation],
-    topology: Optional[Topology] = None,
-    savings: Optional[VertexSavings] = None,
+    rotations: Sequence[PauliRotation], topology: Optional[Topology] = None
 ) -> SortingResult:
     """Nearest-neighbour construction: the first seed tour of :func:`advanced_sort`.
 
@@ -383,39 +393,15 @@ def greedy_sort(
     rotation/target pair is always the one with the largest interface
     cancellation — or, under a ``topology``, the smallest distance-weighted
     cost (:func:`greedy_walk`).  Also the ablation reference for the GTSP
-    search; the Γ search evaluates the same walk on bit-planes
+    search; the Γ search scores candidates with the same walk
     (:class:`repro.core.gamma_search.GreedySortingCost`).
-    ``savings`` is the :func:`vertex_savings` of ``rotations`` when the
-    caller already built it.
     """
     rotations = list(rotations)
-    if not rotations:
-        return SortingResult(
-            ordered_rotations=[],
-            cnot_count=0,
-            routed_cost_estimate=None if topology is None else 0,
-        )
-    if any(rotation.string.is_identity for rotation in rotations):
-        raise ValueError("identity rotations cannot be sorted into circuits")
-    vertices, savings = savings if savings is not None else vertex_savings(rotations)
-    if topology is None:
-        preference = savings  # maximize the interface saving
-    else:
-        # minimize cost[v] - savings[u, v]; savings is reused, not recomputed
-        costs = routed_vertex_cost_vector(
-            [rotations[index].string for index, _ in vertices],
-            [target for _, target in vertices],
-            topology.distance_matrix,
-        )
-        preference = savings - costs[None, :]
-    vertex_rotation = np.array([index for index, _ in vertices], dtype=np.int64)
-    # Vertices are enumerated in (rotation index, target) order, so the first
-    # rotation's default (last-support) target is the last vertex of its run.
-    start = len(rotations[0].string.support) - 1
-    ordered = [
-        (rotations[vertices[row][0]], vertices[row][1])
-        for row in greedy_walk(preference, vertex_rotation, start)
-    ]
+    walk = greedy_walk(
+        PackedPaulis.from_strings(rotation.string for rotation in rotations),
+        None if topology is None else topology.distance_matrix,
+    )
+    ordered = [(rotations[row], target) for row, target in zip(walk.rows, walk.targets)]
     return _finalize_sorting(ordered, topology)
 
 

@@ -7,15 +7,20 @@ annihilation-side index pairs of every double excitation define a graph on the
 spin orbitals whose connected components become the blocks.  Each block is an
 independent invertible matrix searched with simulated annealing, with the
 objective being the CNOT count reported by a caller-supplied cost function.
+The search memoizes that objective on the Γ bit pattern and reports how many
+distinct candidates it scored.
 
 In the full pipeline that cost is :class:`GreedySortingCost`: the greedy-sort
 CNOT count ("subroutine 1" of Fig. 2) of the terms transformed under the
 candidate Γ, evaluated on packed bit-planes.  The Jordan-Wigner images are
-built once; a candidate only applies the GF(2) map of its CNOT circuit to
-them (:func:`repro.operators.linear_encoding_image`), re-sorts each term's
-strings, builds the same-target savings and walks the greedy path.
-:class:`TermBlockCost` shares that per-candidate encoding and scores the
-baseline's term-block order instead; it is the baseline's PSO objective.
+built once.  A candidate applies the GF(2) map of its CNOT circuit to them
+(:func:`repro.operators.linear_encoding_image`), re-sorts each term's
+strings and walks :func:`repro.core.advanced_sorting.greedy_walk`, the walk
+``greedy_sort`` takes.  The walk reads its savings from string-pair tables
+(:class:`repro.operators.SameTargetSavings`), one row per step, so no
+candidate builds a vertex-pair matrix.  :class:`TermBlockCost` shares the
+per-candidate encoding and scores the baseline's term-block order instead;
+it is the baseline's PSO objective.
 """
 
 from __future__ import annotations
@@ -30,15 +35,7 @@ from repro.core.advanced_sorting import greedy_walk, term_block_order
 from repro.core.hybrid_encoding import BOSONIC_TERM_CNOT_COST
 from repro.core.terms_to_paulis import terms_to_rotations
 from repro.hardware.topology import Topology
-from repro.operators import (
-    PackedPaulis,
-    interface_reduction_matrix,
-    lexicographic_order,
-    linear_encoding_image,
-    routed_vertex_cost_vector,
-    support_matrix,
-    weight_vector,
-)
+from repro.operators import PackedPaulis, lexicographic_order, linear_encoding_image
 from repro.optimizers import AnnealingSchedule, simulated_annealing
 from repro.transforms import (
     JordanWignerTransform,
@@ -87,7 +84,9 @@ class GammaSearchResult:
 
     ``degraded`` is True when a ``max_steps`` budget truncated the annealing
     walk before its schedule finished: the Γ is the best seen so far, valid
-    but possibly short of the unbudgeted optimum.
+    but possibly short of the unbudgeted optimum.  ``n_evaluations`` counts
+    the distinct Γ the objective scored and ``n_cache_hits`` the revisits
+    served from the search's memo.
     """
 
     gamma: np.ndarray
@@ -95,6 +94,8 @@ class GammaSearchResult:
     blocks: List[List[int]]
     n_steps: int
     degraded: bool = False
+    n_evaluations: int = 0
+    n_cache_hits: int = 0
 
 
 def assemble_gamma(
@@ -157,9 +158,11 @@ class GreedySortingCost(_EncodedImages):
     ``greedy_sort(terms_to_rotations(terms, LinearEncodingTransform(Γ),
     parameters), topology).objective()`` — the all-to-all CNOT count, or the
     distance-weighted estimate under a ``topology`` — without building the
-    transform.  Per candidate it encodes the strings (:class:`_EncodedImages`;
-    the greedy tie-breaks depend on their order) and walks
-    :func:`~repro.core.advanced_sorting.greedy_walk` over the vertex savings.
+    transform.  Each candidate is scored from scratch: encode the strings
+    (:class:`_EncodedImages`; the greedy tie-breaks depend on their order),
+    then take :func:`~repro.core.advanced_sorting.greedy_walk`, the walk
+    ``greedy_sort`` takes, which reads its savings from string pairs one
+    row per step.
     """
 
     def __init__(
@@ -173,26 +176,7 @@ class GreedySortingCost(_EncodedImages):
         self._distance = None if topology is None else topology.distance_matrix
 
     def __call__(self, gamma: np.ndarray) -> float:
-        if not len(self.term_index):
-            return 0.0
-        image = self.encode(gamma)
-        # GTSP vertices in (rotation, ascending target) order, as vertex_savings
-        # enumerates them.
-        vertex_rotation, targets = np.nonzero(support_matrix(image))
-        vertices = PackedPaulis(
-            image.n_qubits, image.x[vertex_rotation], image.z[vertex_rotation]
-        )
-        savings = interface_reduction_matrix(vertices, targets)
-        if self._distance is None:
-            costs = 2 * (weight_vector(vertices) - 1)
-            preference = savings
-        else:
-            costs = routed_vertex_cost_vector(vertices, targets, self._distance)
-            preference = savings - costs[None, :]
-        # The walk starts at the first rotation's last support qubit.
-        start = int(np.searchsorted(vertex_rotation, 1)) - 1
-        path = np.array(greedy_walk(preference, vertex_rotation, start))
-        return float(costs[path].sum() - savings[path[:-1], path[1:]].sum())
+        return float(greedy_walk(self.encode(gamma), self._distance).cost)
 
 
 class TermBlockCost(_EncodedImages):
@@ -260,7 +244,11 @@ def search_block_diagonal_gamma(
     identity = identity_matrix(n_qubits)
     if not blocks:
         return GammaSearchResult(
-            gamma=identity, cnot_count=float(cost_function(identity)), blocks=[], n_steps=0
+            gamma=identity,
+            cnot_count=float(cost_function(identity)),
+            blocks=[],
+            n_steps=0,
+            n_evaluations=1,
         )
 
     initial_state: Tuple[np.ndarray, ...] = tuple(
@@ -271,14 +259,18 @@ def search_block_diagonal_gamma(
     # in Γ and by far the dominant expense, while the elementary-update walk
     # frequently revisits the same candidate; memoize on the Γ bit pattern.
     cost_cache: Dict[bytes, float] = {}
+    n_cache_hits = 0
 
     def energy(state: Tuple[np.ndarray, ...]) -> float:
+        nonlocal n_cache_hits
         gamma = assemble_gamma(n_qubits, blocks, state)
         key = gamma.tobytes()
         cached = cost_cache.get(key)
         if cached is None:
             cached = float(cost_function(gamma))
             cost_cache[key] = cached
+        else:
+            n_cache_hits += 1
         return cached
 
     def neighbor(
@@ -308,4 +300,6 @@ def search_block_diagonal_gamma(
         blocks=blocks,
         n_steps=result.n_steps,
         degraded=result.truncated,
+        n_evaluations=len(cost_cache),
+        n_cache_hits=n_cache_hits,
     )

@@ -39,7 +39,7 @@ import numpy as np
 
 from repro import faults
 from repro.obs.metrics import get_metrics
-from repro.obs.tracer import get_tracer
+from repro.obs.tracer import current_span, get_tracer
 
 from repro.circuits import Circuit, exponential_sequence_circuit, optimize_circuit
 from repro.core.advanced_sorting import (
@@ -261,7 +261,9 @@ def gamma_search_stage(context: StageContext) -> None:
     ``config.topology`` it is the same distance-weighted objective the
     sorting stage uses.  Honors ``config.gamma_budget_steps``: a truncated
     walk records the stage in ``context.degraded_stages`` and keeps the best
-    Γ seen so far.
+    Γ seen so far.  Under tracing, the stage's span carries the search
+    effort: ``evaluations`` (distinct objective calls) and ``cache_hits``
+    (memoized revisits).
     """
     context.gamma = identity_matrix(context.n_qubits)
     if not context.fermionic_terms:
@@ -283,6 +285,10 @@ def gamma_search_stage(context: StageContext) -> None:
         max_steps=context.config.gamma_budget_steps,
     )
     context.gamma = search.gamma
+    span = current_span()
+    if span is not None:
+        span.set_attribute("evaluations", search.n_evaluations)
+        span.set_attribute("cache_hits", search.n_cache_hits)
     if search.degraded:
         context.degraded_stages.append("gamma_search")
 

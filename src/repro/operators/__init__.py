@@ -20,6 +20,7 @@ from repro.operators.pauli import PauliString
 from repro.operators.qubit import QubitOperator
 from repro.operators.symplectic import (
     PackedPaulis,
+    SameTargetSavings,
     commutation_matrix,
     distance_weighted_cost_matrix,
     interface_reduction_matrix,
@@ -37,6 +38,7 @@ __all__ = [
     "PackedPaulis",
     "PauliString",
     "QubitOperator",
+    "SameTargetSavings",
     "commutation_matrix",
     "distance_weighted_cost_matrix",
     "interface_reduction_matrix",

@@ -15,6 +15,9 @@ pairwise quantities as whole-matrix numpy bit operations:
 * :func:`interface_reduction_matrix` — the ω-rule CNOT savings of
   Sec. III-B for every ordered pair of targeted strings (the GTSP edge
   weights of :mod:`repro.core.advanced_sorting`),
+* :class:`SameTargetSavings` — the same savings from string-pair tables,
+  one row of same-target vertices at a time (the greedy walk of
+  :mod:`repro.core.advanced_sorting` and the Γ-search objective),
 * :func:`linear_encoding_image` — the strings conjugated by the CNOT
   circuit of a linear encoding Γ, as a GF(2) map of the planes (the Γ-search
   objective of :mod:`repro.core.gamma_search` applies one per candidate,
@@ -363,3 +366,60 @@ def interface_reduction_matrix(
     matrix = np.zeros((m, m), dtype=np.int64)
     matrix[a, b] = np.minimum(saved, interface_cnots)
     return matrix
+
+
+class SameTargetSavings:
+    """The ω-rule savings between strings that share a target, from string pairs.
+
+    :func:`interface_reduction_matrix` scores every pair of targeted
+    vertices; here the savings come from two ``(m, m)`` string-pair tables
+    and one letter per string and qubit, and :meth:`row` assembles the
+    savings after one vertex on demand.  With ``B`` the support overlap of
+    strings ``i`` and ``j`` and ``E`` the number of qubits where both carry
+    the same non-identity letter:
+
+    * ``both[i, j] = B - 1`` — the shared qubits other than the target;
+    * ``equal[i, j] = E``;
+    * ``letters[q, i]`` — ``x + 2 z`` of string ``i`` on qubit ``q``, so
+      letters are equal iff the codes are, and its class is the X
+      component ``x``.
+
+    A target collision is good when both letters carry an X component or
+    both are exactly Z, i.e. the classes agree; then every matching shared
+    qubit but the target saves one more CNOT.  The saving of ``(j, t)``
+    after ``(i, t)`` is therefore ``both + equal - [letters equal on t]``
+    when the collision is good and ``both`` otherwise (unequal classes never
+    carry equal letters).  :func:`interface_reduction_matrix` caps a saving
+    at the interface CNOTs ``w_i + w_j - 2``; the cap never binds when ``t``
+    lies in both supports, since the saving is at most
+    ``2 both ≤ 2 (min(w_i, w_j) - 1) ≤ w_i + w_j - 2``.
+    """
+
+    def __init__(self, strings: Packable):
+        packed = _as_packed(strings)
+        x, z = packed.x, packed.z
+        support = x | z
+        shared = support[:, None, :] & support[None, :, :]
+        differ = (x[:, None, :] ^ x[None, :, :]) | (z[:, None, :] ^ z[None, :, :])
+        self.both = np.bitwise_count(shared).sum(axis=-1, dtype=np.int64) - 1
+        self.equal = np.bitwise_count(shared & ~differ).sum(axis=-1, dtype=np.int64)
+        classes = _unpack_planes(x, packed.n_qubits).T
+        self.letters = classes + 2 * _unpack_planes(z, packed.n_qubits).T
+        # [q, c, j]: string j's letter on q shares the class of / equals the
+        # letter code c, as 0/1 ints for the row arithmetic.
+        codes = np.arange(4)[:, None]
+        self._same_class = (classes[:, None, :] == (codes & 1)).astype(np.int64)
+        self._same_letter = (self.letters[:, None, :] == codes).astype(np.int64)
+
+    def row(self, source: int, target: int) -> np.ndarray:
+        """Saving of ``(j, target)`` right after ``(source, target)``, for every ``j``.
+
+        Entries are meaningful where ``target`` lies in the support of both
+        ``source`` and ``j``.
+        """
+        letter = self.letters[target, source]
+        return (
+            self.both[source]
+            + self.equal[source] * self._same_class[target, letter]
+            - self._same_letter[target, letter]
+        )

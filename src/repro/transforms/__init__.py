@@ -1,6 +1,6 @@
 """Fermion-to-qubit transformations and the GF(2) matrices behind them.
 
-Exports the Jordan-Wigner, Bravyi-Kitaev, parity, ternary-tree and generalized
+Exports the Jordan-Wigner, Bravyi-Kitaev, parity and generalized
 (Γ-conjugated) transforms along with the binary-matrix utilities they are
 built from.  A linear encoding applies Γ to the Jordan-Wigner image as a
 signed GF(2) map of the Pauli planes; no CNOT network is built or walked.
@@ -33,7 +33,6 @@ from repro.transforms.linear_encoding import (
     generalized_transform,
     parity_transform,
 )
-from repro.transforms.ternary_tree import TernaryTreeTransform
 
 __all__ = [
     "FermionQubitTransform",
@@ -43,7 +42,6 @@ __all__ = [
     "LinearEncodingTransform",
     "BravyiKitaevTransform",
     "ParityTransform",
-    "TernaryTreeTransform",
     "bravyi_kitaev",
     "parity_transform",
     "generalized_transform",

@@ -13,11 +13,15 @@ from repro.core import (
     baseline_order_cnot_count,
     build_sorting_problem,
     greedy_sort,
-    greedy_walk,
     term_block_order,
 )
+from repro.core.advanced_sorting import greedy_walk
 from repro.hardware import Topology
 from repro.operators import PackedPaulis, PauliString, routed_vertex_cost_vector
+
+
+def packed(*labels):
+    return PackedPaulis.from_strings(PauliString(label) for label in labels)
 
 
 def rotation(label, angle=0.1, term_index=0):
@@ -192,16 +196,30 @@ class TestGreedyWalk:
         assert result.ordered_rotations == nested_loop_greedy(rotations, topology)
 
     def test_ties_go_to_the_lowest_row(self):
-        preference = np.zeros((4, 4), dtype=np.int64)
-        vertex_rotation = np.array([0, 1, 1, 2])
-        assert greedy_walk(preference, vertex_rotation, 0) == [0, 1, 3]
+        # No two strings share a qubit, so every step saves nothing and takes
+        # the lowest unvisited string's lowest support qubit.
+        walk = greedy_walk(packed("ZIII", "IXXI", "IIIZ"))
+        assert (walk.rows, walk.targets) == ([0, 1, 2], [0, 1, 3])
+        assert walk.cost == 2
 
     def test_visits_one_vertex_per_rotation(self):
-        preference = np.array(
-            [[0, 1, 5, 2], [0, 0, 0, 9], [3, 0, 0, 4], [0, 7, 8, 0]], dtype=np.int64
-        )
-        vertex_rotation = np.array([0, 1, 1, 2])
-        assert greedy_walk(preference, vertex_rotation, 0) == [0, 2, 3]
+        # The start (0, 2) saves most before string 1's second vertex (1, 2).
+        # String 2 saves nothing after it, and string 1's first vertex, though
+        # first in vertex order, is closed once string 1 is visited.
+        walk = greedy_walk(packed("XXX", "XIX", "IZI"))
+        assert (walk.rows, walk.targets) == ([0, 1, 2], [2, 2, 1])
+        assert walk.cost == 6 - 2
+
+    def test_single_string(self):
+        walk = greedy_walk(packed("IXZY"))
+        assert (walk.rows, walk.targets, walk.cost) == ([0], [3], 4)
+        # On a line the ladder from qubit 0 to target 3 costs 2 (2·3 - 1).
+        routed = greedy_walk(packed("XIIY"), Topology.line(4).distance_matrix)
+        assert (routed.rows, routed.targets, routed.cost) == ([0], [3], 10)
+
+    def test_identity_string_rejected(self):
+        with pytest.raises(ValueError, match="identity"):
+            greedy_walk(packed("XZ", "II"))
 
 
 def block_order(labels, term_index, ordered=True):

@@ -16,8 +16,13 @@ from repro.core import (
     terms_to_rotations,
 )
 from repro.hardware import Topology
+from repro.operators import (
+    FermionOperator,
+    interface_reduction_matrix,
+    routed_vertex_cost_vector,
+    weight_vector,
+)
 from repro.transforms import LinearEncodingTransform, is_invertible, random_invertible_matrix
-from repro.operators import FermionOperator
 from repro.vqe import ExcitationTerm
 
 
@@ -95,6 +100,7 @@ class TestGammaSearch:
         )
         assert np.array_equal(result.gamma, np.eye(6, dtype=np.uint8))
         assert result.blocks == []
+        assert (result.n_evaluations, result.n_cache_hits) == (1, 0)
 
     def test_reported_cost_matches_gamma(self):
         result = search_block_diagonal_gamma(
@@ -134,16 +140,49 @@ def gamma_cost_cases(draw):
     return n, terms, parameters, draw(st.integers(0, 2**32 - 1)), draw(st.booleans())
 
 
-def sorting_cost_oracle(terms, gamma, parameters, topology):
-    """The Γ cost through the transform: signed rotations, then greedy_sort."""
-    rotations = terms_to_rotations(terms, LinearEncodingTransform(gamma), parameters)
-    return float(greedy_sort(rotations, topology=topology).objective())
+def vertex_matrix_walk(rotations, topology):
+    """Reference greedy walk over the dense vertex savings matrix.
+
+    Vertices are (rotation, ascending target) pairs and their savings come
+    from one :func:`interface_reduction_matrix`.  From the first rotation's
+    last support qubit, each step takes the first maximum of the savings row
+    (minus the routed vertex costs under a ``topology``) over the vertices of
+    unvisited rotations.  Returns the ordered ``(rotation, target)`` pairs
+    and the path cost.
+    """
+    vertices = [
+        (index, target)
+        for index, rotation in enumerate(rotations)
+        for target in rotation.string.support
+    ]
+    strings = [rotations[index].string for index, _ in vertices]
+    targets = [target for _, target in vertices]
+    savings = interface_reduction_matrix(strings, targets)
+    if topology is None:
+        costs = 2 * (weight_vector(strings) - 1)
+        preference = savings
+    else:
+        costs = routed_vertex_cost_vector(strings, targets, topology.distance_matrix)
+        preference = savings - costs[None, :]
+    path = [len(rotations[0].string.support) - 1]
+    visited = {0}
+    while len(visited) < len(rotations):
+        open_rows = [row for row, (index, _) in enumerate(vertices) if index not in visited]
+        scores = preference[path[-1], open_rows]
+        path.append(open_rows[int(np.argmax(scores))])
+        visited.add(vertices[path[-1]][0])
+    cost = costs[path].sum() - savings[path[:-1], path[1:]].sum()
+    ordered = [(rotations[vertices[row][0]], vertices[row][1]) for row in path]
+    return ordered, float(cost)
 
 
 class TestGreedySortingCost:
     @given(gamma_cost_cases())
     @settings(max_examples=80, deadline=None)
     def test_matches_transform_and_greedy_sort(self, case):
+        """The objective and ``greedy_sort`` both equal the vertex-matrix walk
+        over the rotations the transform yields, at a random block-diagonal
+        Γ and at I."""
         n, terms, parameters, seed, on_line = case
         rng = np.random.default_rng(seed)
         blocks = excitation_topology_blocks(terms, n)
@@ -152,9 +191,18 @@ class TestGreedySortingCost:
         )
         topology = Topology.line(n) if on_line else None
         cost = GreedySortingCost(terms, n, parameters, topology=topology)
-        assert cost(gamma) == sorting_cost_oracle(terms, gamma, parameters, topology)
-        identity = np.eye(n, dtype=np.uint8)
-        assert cost(identity) == sorting_cost_oracle(terms, identity, parameters, topology)
+        for candidate in (gamma, np.eye(n, dtype=np.uint8)):
+            rotations = terms_to_rotations(
+                terms, LinearEncodingTransform(candidate), parameters
+            )
+            if not rotations:
+                assert cost(candidate) == 0.0
+                continue
+            ordered, expected = vertex_matrix_walk(rotations, topology)
+            assert cost(candidate) == expected
+            result = greedy_sort(rotations, topology=topology)
+            assert result.ordered_rotations == ordered
+            assert result.objective() == expected
 
     @given(gamma_cost_cases(), st.booleans(), st.booleans())
     @settings(max_examples=60, deadline=None)

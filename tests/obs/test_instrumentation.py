@@ -69,6 +69,28 @@ class TestCompileSpans:
         (root,) = tracer.roots
         assert root.attributes["cnot_count"] == result.cnot_count
 
+    def test_gamma_search_span_carries_the_search_effort(self):
+        """Every SA energy call is a distinct objective call or a memo hit:
+        the initial Γ plus one per proposal."""
+        request = CompileRequest(
+            terms=(
+                ExcitationTerm(creation=(4, 6), annihilation=(0, 2)),
+                ExcitationTerm(creation=(5, 7), annihilation=(1, 3)),
+                ExcitationTerm(creation=(4, 7), annihilation=(0, 3)),
+            ),
+            n_qubits=8,
+            config=FAST,
+        )
+        with tracing() as tracer:
+            get_backend("advanced").compile(request)
+        (span,) = [
+            s for root in tracer.roots for s in root.walk()
+            if s.name == "pipeline.gamma_search"
+        ]
+        evaluations = span.attributes["evaluations"]
+        assert evaluations >= 2
+        assert evaluations + span.attributes["cache_hits"] == FAST.gamma_steps + 1
+
     def test_stage_timings_on_the_result(self):
         result = get_backend("advanced").compile(small_request())
         assert result.stage_timings is not None

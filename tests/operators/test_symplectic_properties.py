@@ -18,6 +18,7 @@ from repro.circuits import Circuit, cnot
 from repro.operators import (
     PackedPaulis,
     PauliString,
+    SameTargetSavings,
     commutation_matrix,
     interface_reduction_matrix,
     lexicographic_order,
@@ -211,6 +212,31 @@ class TestBatchedAgainstScalar:
     def test_interface_matrix_rejects_bad_target(self):
         with pytest.raises(ValueError, match="not in support"):
             interface_reduction_matrix([PauliString("XI")], [1])
+
+    @given(st.integers(2, 70).flatmap(
+        lambda n: st.lists(labels(n, n), min_size=1, max_size=6)
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_same_target_rows_match_interface_matrix(self, label_list):
+        """String-pair rows equal the vertex matrix on every same-target pair,
+        across the 64-qubit word boundary, and the matrix's interface-CNOT
+        cap never binds there: a saving is at most 2 both ≤ w_i + w_j - 2."""
+        strings = [PauliString(label) for label in label_list]
+        vertices = [(i, t) for i, string in enumerate(strings) for t in string.support]
+        if not vertices:
+            return
+        matrix = interface_reduction_matrix(
+            [strings[i] for i, _ in vertices], [t for _, t in vertices]
+        )
+        savings = SameTargetSavings(PackedPaulis.from_strings(strings))
+        weights = weight_vector(strings)
+        for a, (i, t) in enumerate(vertices):
+            row = savings.row(i, t)
+            for b, (j, u) in enumerate(vertices):
+                if u != t:
+                    continue
+                assert row[j] == matrix[a, b]
+                assert row[j] <= 2 * savings.both[i, j] <= weights[i] + weights[j] - 2
 
 
 # ----------------------------------------------------------------------
