@@ -221,6 +221,20 @@ class TestGreedyWalk:
         with pytest.raises(ValueError, match="identity"):
             greedy_walk(packed("XZ", "II"))
 
+    def test_empty_input(self):
+        walk = greedy_walk(PackedPaulis.from_strings([]))
+        assert (walk.rows, walk.targets, walk.cost) == ([], [], 0)
+
+    def test_routed_walk_takes_the_cheaper_ladder(self):
+        # "ZZIZ" saves nothing after (0, 3) on any target, so the all-to-all
+        # walk takes its lowest support qubit; on a line the ladder to qubit 1
+        # (cost 8) beats those to qubits 0 (12) and 3 (16).
+        strings = packed("IIIZ", "ZZIZ")
+        walk = greedy_walk(strings)
+        assert (walk.rows, walk.targets, walk.cost) == ([0, 1], [3, 0], 4)
+        routed = greedy_walk(strings, Topology.line(4).distance_matrix)
+        assert (routed.rows, routed.targets, routed.cost) == ([0, 1], [3, 1], 8)
+
 
 def block_order(labels, term_index, ordered=True):
     strings = [PauliString(label) for label in labels]

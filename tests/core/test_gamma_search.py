@@ -102,6 +102,22 @@ class TestGammaSearch:
         assert result.blocks == []
         assert (result.n_evaluations, result.n_cache_hits) == (1, 0)
 
+    def test_search_effort_counts_every_energy_call(self):
+        """The initial Γ and every proposal are scored once each, either by
+        a distinct objective call or by a memo hit."""
+        calls = []
+
+        def cost(gamma):
+            calls.append(gamma.tobytes())
+            return self.cost(gamma)
+
+        result = search_block_diagonal_gamma(
+            self.terms, self.n_qubits, cost, n_steps=25,
+            rng=np.random.default_rng(4),
+        )
+        assert result.n_evaluations == len(calls) == len(set(calls))
+        assert result.n_evaluations + result.n_cache_hits == result.n_steps + 1
+
     def test_reported_cost_matches_gamma(self):
         result = search_block_diagonal_gamma(
             self.terms, self.n_qubits, self.cost, n_steps=15,

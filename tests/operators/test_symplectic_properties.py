@@ -239,6 +239,46 @@ class TestBatchedAgainstScalar:
                 assert row[j] <= 2 * savings.both[i, j] <= weights[i] + weights[j] - 2
 
 
+class TestSameTargetSavings:
+    @pytest.mark.parametrize(
+        "source, other, target, saving",
+        [
+            # Good collision, equal letters on the target and the other qubit.
+            ("XX", "XX", 0, 2),
+            # X against Z on the target: bad, only the shared qubit saves.
+            ("XX", "ZX", 0, 1),
+            ("ZZ", "ZZ", 1, 2),
+            # Y and X both carry an X component: good, the equal Z saves too.
+            ("YZ", "XZ", 0, 2),
+            ("XYZ", "XXX", 0, 2),
+        ],
+    )
+    def test_worked_rows(self, source, other, target, saving):
+        savings = SameTargetSavings([PauliString(source), PauliString(other)])
+        assert savings.row(0, target)[1] == saving
+
+    def test_tables_on_the_diagonal(self):
+        strings = [PauliString(label) for label in ("XIZY", "IIZI", "YYYY")]
+        savings = SameTargetSavings(strings)
+        weights = weight_vector(strings)
+        assert np.array_equal(np.diag(savings.both), weights - 1)
+        assert np.array_equal(np.diag(savings.equal), weights)
+        assert np.array_equal(savings.both, savings.both.T)
+        assert np.array_equal(savings.equal, savings.equal.T)
+
+    def test_letter_codes(self):
+        savings = SameTargetSavings([PauliString("IXZY")])
+        assert savings.letters[:, 0].tolist() == [0, 1, 2, 3]
+
+    def test_pauli_strings_and_packed_planes_agree(self):
+        strings = [PauliString(label) for label in ("XYZI", "ZZXX", "IYIY")]
+        direct = SameTargetSavings(strings)
+        packed = SameTargetSavings(PackedPaulis.from_strings(strings))
+        for name in ("both", "equal", "letters"):
+            assert np.array_equal(getattr(direct, name), getattr(packed, name))
+        assert np.array_equal(direct.row(1, 2), packed.row(1, 2))
+
+
 # ----------------------------------------------------------------------
 # Linear-encoding map on bit-planes vs the Clifford tableau
 # ----------------------------------------------------------------------
