@@ -8,7 +8,9 @@ The subpackage provides:
   Fig. 3(b) template with a selectable target qubit;
 * :func:`~repro.circuits.interface.interface_cnot_reduction` and
   :func:`~repro.circuits.interface.sequence_cnot_count` — the Sec. III-B
-  cancellation accounting that feeds the GTSP edge weights;
+  cancellation accounting one pair at a time: the scalar reference for the
+  batched :class:`repro.operators.SameTargetSavings` behind the GTSP edge
+  weights, and the CNOT count of a sorted sequence;
 * :func:`~repro.circuits.optimizer.optimize_circuit` — an exact peephole pass
   realizing cancellations at the gate level;
 * :mod:`~repro.circuits.kak` — two-qubit invariants certifying minimal CNOT
@@ -34,8 +36,6 @@ from repro.circuits.gates import (
     sdg_gate,
 )
 from repro.circuits.interface import (
-    GOOD_TARGET_COLLISIONS,
-    MATCHING_CONTROL_COLLISIONS,
     interface_cnot_reduction,
     pair_cnot_count,
     sequence_cnot_count,
@@ -80,8 +80,6 @@ __all__ = [
     "interface_cnot_reduction",
     "pair_cnot_count",
     "sequence_cnot_count",
-    "GOOD_TARGET_COLLISIONS",
-    "MATCHING_CONTROL_COLLISIONS",
     "optimize_circuit",
     "optimized_cnot_count",
     "remove_identity_rotations",

@@ -15,8 +15,9 @@ the saving is ``Σ_i ω_i`` over non-target qubits ``i``:
   CNOT-equivalent two-qubit block).
 
 With different targets no cancellation is counted, matching the paper.
-These weights are exactly what the generalized-TSP edge weights are built
-from; the resulting sequence cost is
+The generalized-TSP edge weights are built from these savings, evaluated in
+batch by :class:`repro.operators.SameTargetSavings`; this module is the
+scalar reference it is checked against.  The resulting sequence cost is
 ``Σ_k 2 (w_k - 1) - Σ_k savings(P_k, P_{k+1})``.
 """
 
@@ -26,16 +27,6 @@ from typing import Optional, Sequence, Tuple
 
 from repro.circuits.pauli_exponential import pauli_exponential_cnot_count
 from repro.operators import PauliString
-
-#: Target-qubit Pauli collisions after which the residual basis-change gate on
-#: the target is X-diagonal (or trivial) and therefore commutes through the
-#: interface CNOTs.
-GOOD_TARGET_COLLISIONS = {
-    ("X", "Y"), ("Y", "X"), ("X", "X"), ("Y", "Y"), ("Z", "Z"),
-}
-
-#: Control-qubit collisions whose basis-change gates cancel exactly.
-MATCHING_CONTROL_COLLISIONS = {("X", "X"), ("Y", "Y"), ("Z", "Z")}
 
 #: A Pauli string together with its chosen target qubit.
 TargetedString = Tuple[PauliString, int]

@@ -15,7 +15,6 @@ from repro.core.advanced_sorting import (
     baseline_order_cnot_count,
     build_sorting_problem,
     greedy_sort,
-    routed_sequence_cost_estimate,
     term_block_order,
 )
 from repro.core.config import CompilerConfig
@@ -94,7 +93,6 @@ __all__ = [
     "greedy_sort",
     "baseline_order_cnot_count",
     "build_sorting_problem",
-    "routed_sequence_cost_estimate",
     "GammaSearchResult",
     "GreedySortingCost",
     "TermBlockCost",

@@ -31,14 +31,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.circuits import interface_cnot_reduction, sequence_cnot_count
+from repro.circuits import pauli_exponential_cnot_count, sequence_cnot_count
 from repro.core.terms_to_paulis import PauliRotation
 from repro.hardware.topology import Topology
 from repro.operators import (
     PackedPaulis,
     PauliString,
     SameTargetSavings,
-    interface_reduction_matrix,
     routed_vertex_cost_vector,
     support_matrix,
     weight_vector,
@@ -77,28 +76,6 @@ class SortingResult:
         return self.cnot_count
 
 
-def routed_sequence_cost_estimate(
-    sequence: Sequence[Tuple[PauliString, int]], topology: Topology
-) -> int:
-    """Distance-weighted CNOT estimate of a targeted sequence on a device.
-
-    Sum of the steered per-vertex ladder costs
-    (:func:`repro.operators.routed_vertex_cost_vector`) minus the Sec. III-B
-    interface savings between consecutive exponentials — the path cost the
-    distance-weighted GTSP optimizes.  On all-to-all distances this equals
-    :func:`repro.circuits.sequence_cnot_count` exactly.
-    """
-    if not sequence:
-        return 0
-    strings = [string for string, _ in sequence]
-    targets = [target for _, target in sequence]
-    costs = routed_vertex_cost_vector(strings, targets, topology.distance_matrix)
-    total = int(costs.sum())
-    for (p1, t1), (p2, t2) in zip(sequence, sequence[1:]):
-        total -= interface_cnot_reduction(p1, t1, p2, t2)
-    return total
-
-
 def build_sorting_problem(
     rotations: Sequence[PauliRotation],
     topology: Optional[Topology] = None,
@@ -124,14 +101,17 @@ def build_sorting_problem(
 
     # Vertices in cluster-flattened order: the global row order GtspProblem
     # expects.
-    vertices = [vertex for cluster in clusters for vertex in cluster]
-    strings = [rotations[index].string for index, _ in vertices]
-    targets = [target for _, target in vertices]
-    savings = interface_reduction_matrix(strings, targets)
+    rows, targets = np.array([vertex for cluster in clusters for vertex in cluster]).T
+    strings = PackedPaulis.from_strings(rotation.string for rotation in rotations)
     if topology is None:
-        costs = 2 * (np.array([len(string.support) for string in strings]) - 1)
+        costs = 2 * (weight_vector(strings)[rows] - 1)
     else:
-        costs = routed_vertex_cost_vector(strings, targets, topology.distance_matrix)
+        costs = routed_vertex_cost_vector(
+            PackedPaulis(strings.n_qubits, strings.x[rows], strings.z[rows]),
+            targets,
+            topology.distance_matrix,
+        )
+    savings = SameTargetSavings(strings).pairs(rows, targets)
     return GtspProblem(
         clusters=clusters, weight_matrix=costs[None, :] - savings, start_weights=costs
     )
@@ -193,9 +173,9 @@ def term_block_order(
     and each group is chained greedily: next comes the block whose first
     string saves the most after the last string so far, the first such
     block on ties.  All savings come from one
-    :func:`repro.operators.interface_reduction_matrix`.  ``rows`` index
-    ``strings`` in compiled order; ``cnot_count`` is Σ 2 (w - 1) minus the
-    savings between consecutive strings.
+    :meth:`repro.operators.SameTargetSavings.pairs` matrix over the strings.
+    ``rows`` index ``strings`` in compiled order; ``cnot_count`` is
+    Σ 2 (w - 1) minus the savings between consecutive strings.
     """
     term_index = np.asarray(term_index, dtype=np.int64)
     if len(strings) != term_index.shape[0]:
@@ -215,7 +195,7 @@ def term_block_order(
     sorted_targets = np.where(shared >= 0, shared, last_support)
     targets = np.empty_like(sorted_targets)
     targets[rows] = sorted_targets
-    savings = interface_reduction_matrix(strings, targets)
+    savings = SameTargetSavings(strings).pairs(np.arange(len(strings)), targets)
 
     if ordered:
         groups: Dict[int, List[np.ndarray]] = {}
@@ -241,14 +221,28 @@ def _finalize_sorting(
     topology: Optional[Topology],
     degraded: bool = False,
 ) -> SortingResult:
-    """Package a targeted sequence with its all-to-all and routed costs."""
+    """Package a targeted sequence with its all-to-all and routed costs.
+
+    The routed estimate swaps each exponential's template CNOTs for its
+    steered ladder cost (:func:`repro.operators.routed_vertex_cost_vector`)
+    and keeps the interface savings ``cnot_count`` already credits, so the
+    savings are summed once.  It is the path cost the distance-weighted
+    GTSP optimizes, and equals ``cnot_count`` on all-to-all distances.
+    """
     sequence = [(rotation.string, target) for rotation, target in ordered]
+    cnot_count = sequence_cnot_count(sequence)
+    routed = None
+    if topology is not None:
+        strings = [string for string, _ in sequence]
+        saved = sum(pauli_exponential_cnot_count(string) for string in strings) - cnot_count
+        ladders = routed_vertex_cost_vector(
+            strings, [target for _, target in sequence], topology.distance_matrix
+        )
+        routed = int(ladders.sum()) - saved
     return SortingResult(
         ordered_rotations=ordered,
-        cnot_count=sequence_cnot_count(sequence),
-        routed_cost_estimate=(
-            None if topology is None else routed_sequence_cost_estimate(sequence, topology)
-        ),
+        cnot_count=cnot_count,
+        routed_cost_estimate=routed,
         degraded=degraded,
     )
 

@@ -10,7 +10,9 @@ structures that every other layer of the library builds on:
   string (tensor product of I/X/Y/Z) stored symplectically (bit-packed X/Z
   masks) with multiplication, commutation and sparse-matrix export.
 * :class:`~repro.operators.symplectic.PackedPaulis` — many strings packed
-  into ``uint64`` bit-planes for vectorized pairwise commutation/cost scans.
+  into ``uint64`` bit-planes for vectorized scans, among them
+  :class:`~repro.operators.symplectic.SameTargetSavings`, the batched
+  Sec. III-B interface savings every sort decision reads.
 * :class:`~repro.operators.qubit.QubitOperator` — complex linear combinations
   of Pauli strings with full algebra.
 """
@@ -21,12 +23,8 @@ from repro.operators.qubit import QubitOperator
 from repro.operators.symplectic import (
     PackedPaulis,
     SameTargetSavings,
-    commutation_matrix,
-    distance_weighted_cost_matrix,
-    interface_reduction_matrix,
     lexicographic_order,
     linear_encoding_image,
-    overlap_matrix,
     routed_vertex_cost_vector,
     support_matrix,
     weight_vector,
@@ -39,12 +37,8 @@ __all__ = [
     "PauliString",
     "QubitOperator",
     "SameTargetSavings",
-    "commutation_matrix",
-    "distance_weighted_cost_matrix",
-    "interface_reduction_matrix",
     "lexicographic_order",
     "linear_encoding_image",
-    "overlap_matrix",
     "routed_vertex_cost_vector",
     "support_matrix",
     "weight_vector",

@@ -1,23 +1,22 @@
 """Batched symplectic (bit-packed) Pauli operations over numpy.
 
 :class:`~repro.operators.pauli.PauliString` stores one string as two
-arbitrary-precision bit-mask integers.  The compilation hot paths — pairwise
-commutation scans, the GTSP interface-cancellation cost matrices of the
-advanced sorting, and the Γ-search inner loop — need those operations over
-*many* strings at once.  This module packs a string collection into
-``(m, words)`` ``uint64`` arrays (64 qubits per word) and evaluates the
-pairwise quantities as whole-matrix numpy bit operations:
+arbitrary-precision bit-mask integers.  The compilation hot paths — the GTSP
+edge weights of the advanced sorting, its seed tours and the Γ-search inner
+loop — need those operations over *many* strings at once.  This module
+packs a string collection into ``(m, words)`` ``uint64`` arrays (64 qubits
+per word) and evaluates them as whole-array numpy bit operations:
 
-* :func:`commutation_matrix` — the symplectic inner product
-  ``x_a·z_b + z_a·x_b (mod 2)`` for every pair,
-* :func:`weight_vector` / :func:`overlap_matrix` — Pauli weights and
-  support-overlap sizes,
-* :func:`interface_reduction_matrix` — the ω-rule CNOT savings of
-  Sec. III-B for every ordered pair of targeted strings (the GTSP edge
-  weights of :mod:`repro.core.advanced_sorting`),
-* :class:`SameTargetSavings` — the same savings from string-pair tables,
-  one row of same-target vertices at a time (the greedy walk of
-  :mod:`repro.core.advanced_sorting` and the Γ-search objective),
+* :func:`weight_vector` / :func:`support_matrix` — Pauli weights and
+  supports,
+* :class:`SameTargetSavings` — the ω-rule CNOT savings of Sec. III-B between
+  strings that share a target, from string-pair tables: one row of
+  same-target vertices at a time (the greedy walk of
+  :mod:`repro.core.advanced_sorting` and the Γ-search objective), or every
+  pair of targeted vertices at once (the GTSP edge weights and the
+  term-block orders),
+* :func:`routed_vertex_cost_vector` — the steered ladder cost of targeted
+  strings on a device,
 * :func:`linear_encoding_image` — the strings conjugated by the CNOT
   circuit of a linear encoding Γ, as a GF(2) map of the planes (the Γ-search
   objective of :mod:`repro.core.gamma_search` applies one per candidate,
@@ -31,7 +30,7 @@ All functions accept either a :class:`PackedPaulis` or any iterable of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -132,45 +131,10 @@ def _pack_planes(bits: np.ndarray, n_words: int) -> np.ndarray:
     return packed.view("<u8").astype(np.uint64, copy=False)
 
 
-def _popcount_pairwise(a: np.ndarray, b: np.ndarray, op) -> np.ndarray:
-    """Sum of per-word popcounts of ``op(a[i], b[j])`` for every pair (i, j)."""
-    combined = op(a[:, None, :], b[None, :, :])
-    return np.bitwise_count(combined).sum(axis=-1, dtype=np.int64)
-
-
 def weight_vector(strings: Packable) -> np.ndarray:
     """Pauli weight of every string, as an ``(m,)`` int array."""
     packed = _as_packed(strings)
     return np.bitwise_count(packed.x | packed.z).sum(axis=-1, dtype=np.int64)
-
-
-def commutation_matrix(
-    strings: Packable, others: Optional[Packable] = None
-) -> np.ndarray:
-    """Boolean matrix ``C[i, j] = strings[i] commutes with others[j]``.
-
-    ``others`` defaults to ``strings`` (the symmetric all-pairs scan).  Two
-    strings commute iff ``popcount((x_i ∧ z_j) ⊕ (z_i ∧ x_j))`` is even.
-    """
-    a = _as_packed(strings)
-    b = a if others is None else _as_packed(others)
-    if a.n_qubits != b.n_qubits:
-        raise ValueError("cannot compare Pauli strings on different qubit counts")
-    anti = np.bitwise_count(
-        (a.x[:, None, :] & b.z[None, :, :]) ^ (a.z[:, None, :] & b.x[None, :, :])
-    ).sum(axis=-1, dtype=np.int64)
-    return (anti & 1) == 0
-
-
-def overlap_matrix(
-    strings: Packable, others: Optional[Packable] = None
-) -> np.ndarray:
-    """Pairwise support-overlap sizes ``|supp(i) ∩ supp(j)|`` as an int matrix."""
-    a = _as_packed(strings)
-    b = a if others is None else _as_packed(others)
-    if a.n_qubits != b.n_qubits:
-        raise ValueError("cannot compare Pauli strings on different qubit counts")
-    return _popcount_pairwise(a.x | a.z, b.x | b.z, np.bitwise_and)
 
 
 def support_matrix(strings: Packable) -> np.ndarray:
@@ -267,116 +231,15 @@ def routed_vertex_cost_vector(
     return 2 * per_qubit.sum(axis=1)
 
 
-def distance_weighted_cost_matrix(
-    strings: Packable,
-    targets: Sequence[int],
-    distance_matrix: np.ndarray,
-) -> np.ndarray:
-    """GTSP edge weights steering the advanced sorting by topology distance.
-
-    Entry ``[a, b]`` is the estimated CNOT cost of implementing vertex ``b``
-    right after vertex ``a`` on the device: the distance-weighted ladder cost
-    of ``b`` (:func:`routed_vertex_cost_vector`) minus the Sec. III-B
-    interface savings (:func:`interface_reduction_matrix`).  On all-to-all
-    distances this equals ``2 (w_b - 1) - savings[a, b]``, i.e. the paper's
-    objective shifted by a per-cluster constant, so the optimal tour is
-    unchanged there.
-    """
-    packed = _as_packed(strings)
-    cost = routed_vertex_cost_vector(packed, targets, distance_matrix)
-    savings = interface_reduction_matrix(packed, targets)
-    return cost[None, :] - savings
-
-
-def interface_reduction_matrix(
-    strings: Packable, targets: Sequence[int]
-) -> np.ndarray:
-    """Pairwise interface CNOT savings for targeted strings (Sec. III-B ω-rule).
-
-    Entry ``[a, b]`` is the number of CNOTs saved by implementing the targeted
-    exponential ``(strings[b], targets[b])`` immediately after
-    ``(strings[a], targets[a])`` — exactly
-    :func:`repro.circuits.interface.interface_cnot_reduction` evaluated for
-    every ordered pair at once.  Pairs with different targets save zero,
-    matching the paper, so only the same-target blocks are evaluated: one
-    vectorized pass over the pairs that share a target.
-
-    The strings/targets arguments are "vertices" in the GTSP sense: the same
-    Pauli string may appear several times with different targets.
-    """
-    packed = _as_packed(strings)
-    targets_arr = np.asarray(list(targets), dtype=np.int64)
-    m = len(packed)
-    if m != targets_arr.shape[0]:
-        raise ValueError("one target per string is required")
-    if m == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-
-    non_identity = packed.x | packed.z
-    rows = np.arange(m)
-    word_index = targets_arr // WORD_BITS
-    target_bit = np.uint64(1) << (targets_arr % WORD_BITS).astype(np.uint64)
-    on_target = (non_identity[rows, word_index] & target_bit) != 0
-    if not on_target.all():
-        bad = int(np.argmin(on_target))
-        raise ValueError(
-            f"target {int(targets_arr[bad])} not in support of "
-            f"{packed.to_strings()[bad].to_label()}"
-        )
-
-    # Per-vertex masks with the own target bit cleared.
-    cleared = non_identity.copy()
-    cleared[rows, word_index] &= ~target_bit
-    # Per-vertex scalars in one code: bit 0 = X component on the own target,
-    # bit 1 = exactly Z there, the rest = Pauli weight.  Good collisions on
-    # the shared target: both carry an X component (X/Y against X/Y), or
-    # both are exactly Z, i.e. the two codes share a low bit.
-    x_at = (packed.x[rows, word_index] & target_bit) != 0
-    z_at = (packed.z[rows, word_index] & target_bit) != 0
-    weights = np.bitwise_count(non_identity).sum(axis=-1, dtype=np.int64)
-    code = x_at | ((z_at & ~x_at).astype(np.int64) << 1) | (weights << 2)
-
-    # Every ordered same-target pair (a, b): group the vertices by target and
-    # pair each one with every member of its group.
-    order = np.argsort(targets_arr, kind="stable")
-    _, starts, sizes = np.unique(
-        targets_arr[order], return_index=True, return_counts=True
-    )
-    pairs_per_position = np.repeat(sizes, sizes)
-    a = np.repeat(order, pairs_per_position)
-    first_pair = np.cumsum(pairs_per_position) - pairs_per_position
-    offset = np.arange(a.size) - np.repeat(first_pair, pairs_per_position)
-    b = order[np.repeat(np.repeat(starts, sizes), pairs_per_position) + offset]
-
-    # ω = 1 for every qubit where both strings are non-identity (target
-    # excluded) ...
-    shared = np.take(cleared, a, axis=0) & np.take(cleared, b, axis=0)
-    both = np.bitwise_count(shared).sum(axis=-1, dtype=np.int64)
-    # ... plus 1 more where the collision is matching (equal non-identity
-    # labels) *and* the target collision is good.
-    differ = (np.take(packed.x, a, axis=0) ^ np.take(packed.x, b, axis=0)) | (
-        np.take(packed.z, a, axis=0) ^ np.take(packed.z, b, axis=0)
-    )
-    matching = np.bitwise_count(shared & ~differ).sum(axis=-1, dtype=np.int64)
-    code_a, code_b = code[a], code[b]
-    saved = both + np.where(code_a & code_b & 3, matching, 0)
-
-    # The saving can never exceed the CNOTs present at the interface.
-    interface_cnots = np.maximum((code_a >> 2) + (code_b >> 2) - 2, 0)
-    matrix = np.zeros((m, m), dtype=np.int64)
-    matrix[a, b] = np.minimum(saved, interface_cnots)
-    return matrix
-
-
 class SameTargetSavings:
     """The ω-rule savings between strings that share a target, from string pairs.
 
-    :func:`interface_reduction_matrix` scores every pair of targeted
-    vertices; here the savings come from two ``(m, m)`` string-pair tables
-    and one letter per string and qubit, and :meth:`row` assembles the
-    savings after one vertex on demand.  With ``B`` the support overlap of
-    strings ``i`` and ``j`` and ``E`` the number of qubits where both carry
-    the same non-identity letter:
+    The savings of every targeted vertex pair come from two ``(m, m)``
+    string-pair tables and one letter per string and qubit: :meth:`row`
+    assembles the savings after one vertex, :meth:`pairs` those between
+    every pair of a vertex list.  With ``B`` the support overlap of strings
+    ``i`` and ``j`` and ``E`` the number of qubits where both carry the same
+    non-identity letter:
 
     * ``both[i, j] = B - 1`` — the shared qubits other than the target;
     * ``equal[i, j] = E``;
@@ -389,9 +252,10 @@ class SameTargetSavings:
     qubit but the target saves one more CNOT.  The saving of ``(j, t)``
     after ``(i, t)`` is therefore ``both + equal - [letters equal on t]``
     when the collision is good and ``both`` otherwise (unequal classes never
-    carry equal letters).  :func:`interface_reduction_matrix` caps a saving
-    at the interface CNOTs ``w_i + w_j - 2``; the cap never binds when ``t``
-    lies in both supports, since the saving is at most
+    carry equal letters).  The scalar reference
+    :func:`repro.circuits.interface_cnot_reduction` caps a saving at the
+    interface CNOTs ``w_i + w_j - 2``; the cap never binds when ``t`` lies
+    in both supports, since the saving is at most
     ``2 both ≤ 2 (min(w_i, w_j) - 1) ≤ w_i + w_j - 2``.
     """
 
@@ -423,3 +287,42 @@ class SameTargetSavings:
             + self.equal[source] * self._same_class[target, letter]
             - self._same_letter[target, letter]
         )
+
+    def pairs(self, rows: Sequence[int], targets: Sequence[int]) -> np.ndarray:
+        """Savings between the targeted vertices ``(rows[k], targets[k])``.
+
+        Entry ``[a, b]`` is the saving of vertex ``b`` right after vertex
+        ``a``, and 0 when their targets differ.  A string may appear in
+        several vertices with different targets.  Every target must lie in
+        its string's support.  Only the same-target pairs are evaluated, as
+        ``both + equal·[classes agree on t] - [letters equal on t]``.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        targets = np.asarray(targets, dtype=np.intp)
+        if rows.shape != targets.shape:
+            raise ValueError("one target per row is required")
+        codes = np.zeros(rows.shape, dtype=self.letters.dtype)
+        on_register = (targets >= 0) & (targets < self.letters.shape[0])
+        codes[on_register] = self.letters[targets[on_register], rows[on_register]]
+        if not codes.all():
+            bad = int(np.argmin(codes))
+            label = "".join("IXZY"[code] for code in self.letters[:, rows[bad]])
+            raise ValueError(f"target {int(targets[bad])} not in support of {label}")
+        # Every ordered same-target pair (a, b): sort the vertices by target
+        # and pair each one with every member of its group.
+        order = np.argsort(targets, kind="stable")
+        starts = np.flatnonzero(np.diff(targets[order], prepend=-1))
+        sizes = np.diff(np.append(starts, rows.size))
+        per_vertex = np.repeat(sizes, sizes)
+        a = np.repeat(order, per_vertex)
+        offset = np.arange(a.size) - np.repeat(np.cumsum(per_vertex) - per_vertex, per_vertex)
+        b = order[np.repeat(np.repeat(starts, sizes), per_vertex) + offset]
+        strings = rows[a] * len(self.both) + rows[b]
+        code_a, code_b = codes[a], codes[b]
+        matrix = np.zeros((rows.size, rows.size), dtype=np.int64)
+        matrix.flat[a * rows.size + b] = (
+            self.both.take(strings)
+            + self.equal.take(strings) * ((code_a & 1) == (code_b & 1))
+            - (code_a == code_b)
+        )
+        return matrix

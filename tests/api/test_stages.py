@@ -134,12 +134,10 @@ class TestTransformStage:
 
 
 class TestSortStage:
-    def test_savings_matrix_built_once(self, mixed_terms, monkeypatch):
-        """The greedy seed and the GTSP instance share one matrix.
-
-        The two term-block seed tours target their strings differently and
-        each builds its own same-target matrix inside ``term_block_order``.
-        """
+    def test_savings_tables_built_per_construction(self, mixed_terms, monkeypatch):
+        """One sort builds four string-pair savings tables: the greedy seed
+        walk, the two term-block seed tours and the GTSP instance each read
+        their own :class:`~repro.operators.SameTargetSavings`."""
         import repro.core.advanced_sorting as advanced_sorting
 
         context = run_stages(
@@ -147,15 +145,15 @@ class TestSortStage:
             classify_stage, schedule_hybrid_stage, gamma_search_stage, transform_stage,
         )
         calls = []
-        original = advanced_sorting.interface_reduction_matrix
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        class CountingSavings(advanced_sorting.SameTargetSavings):
+            def __init__(self, strings):
+                calls.append(len(strings))
+                super().__init__(strings)
 
-        monkeypatch.setattr(advanced_sorting, "interface_reduction_matrix", counting)
+        monkeypatch.setattr(advanced_sorting, "SameTargetSavings", CountingSavings)
         sort_stage(context)
-        assert len(calls) == 3
+        assert calls == [len(context.rotations)] * 4
         assert len(context.sorting.ordered_rotations) == len(context.rotations)
 
     def test_sorted_count_not_worse_than_naive(self, mixed_terms):

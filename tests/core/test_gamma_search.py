@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import BaselineCompiler
+from repro.circuits import interface_cnot_reduction
 from repro.core import (
     GreedySortingCost,
     TermBlockCost,
@@ -18,7 +19,6 @@ from repro.core import (
 from repro.hardware import Topology
 from repro.operators import (
     FermionOperator,
-    interface_reduction_matrix,
     routed_vertex_cost_vector,
     weight_vector,
 )
@@ -160,7 +160,8 @@ def vertex_matrix_walk(rotations, topology):
     """Reference greedy walk over the dense vertex savings matrix.
 
     Vertices are (rotation, ascending target) pairs and their savings come
-    from one :func:`interface_reduction_matrix`.  From the first rotation's
+    from the scalar :func:`interface_cnot_reduction`, pair by pair, so the
+    oracle shares no code with the batched kernel the walk reads.  From the first rotation's
     last support qubit, each step takes the first maximum of the savings row
     (minus the routed vertex costs under a ``topology``) over the vertices of
     unvisited rotations.  Returns the ordered ``(rotation, target)`` pairs
@@ -173,7 +174,12 @@ def vertex_matrix_walk(rotations, topology):
     ]
     strings = [rotations[index].string for index, _ in vertices]
     targets = [target for _, target in vertices]
-    savings = interface_reduction_matrix(strings, targets)
+    savings = np.array(
+        [
+            [interface_cnot_reduction(a, s, b, t) for b, t in zip(strings, targets)]
+            for a, s in zip(strings, targets)
+        ]
+    )
     if topology is None:
         costs = 2 * (weight_vector(strings) - 1)
         preference = savings

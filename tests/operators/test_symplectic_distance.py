@@ -1,16 +1,16 @@
-"""Distance-weighted cost matrices: vectorized vs scalar reference."""
+"""Distance-weighted costs and GTSP weights: vectorized vs scalar reference."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.circuits import interface_cnot_reduction
+from repro.core import PauliRotation, build_sorting_problem
 from repro.hardware import Topology
 from repro.operators import (
     PackedPaulis,
     PauliString,
-    distance_weighted_cost_matrix,
-    interface_reduction_matrix,
     routed_vertex_cost_vector,
     support_matrix,
 )
@@ -93,29 +93,39 @@ class TestRoutedVertexCost:
         assert routed_vertex_cost_vector([], [], line.distance_matrix).shape == (0,)
 
 
-class TestDistanceWeightedCostMatrix:
-    def test_combines_cost_and_savings(self):
-        line = Topology.line(5)
-        strings = [PauliString("XZYXI"), PauliString("IZZXI"), PauliString("ZIIIZ")]
-        targets = [3, 3, 4]
-        matrix = distance_weighted_cost_matrix(strings, targets, line.distance_matrix)
-        costs = routed_vertex_cost_vector(strings, targets, line.distance_matrix)
-        savings = interface_reduction_matrix(strings, targets)
-        np.testing.assert_array_equal(matrix, costs[None, :] - savings)
-
-    def test_all_to_all_orders_like_pure_savings(self):
-        """On all-to-all distances the weights equal 2(w_b - 1) - savings."""
-        full = Topology.all_to_all(4)
-        strings = [PauliString("XZYX"), PauliString("IZZX"), PauliString("ZZII")]
-        targets = [3, 3, 1]
-        matrix = distance_weighted_cost_matrix(strings, targets, full.distance_matrix)
-        savings = interface_reduction_matrix(strings, targets)
-        weights = np.array([2 * (s.weight - 1) for s in strings])
-        np.testing.assert_array_equal(matrix, weights[None, :] - savings)
+class TestSortingProblemWeights:
+    @pytest.mark.parametrize(
+        "topology",
+        [Topology.line(6), Topology.ring(6), Topology.grid(2, 3), Topology.all_to_all(6)],
+        ids=lambda t: t.name,
+    )
+    def test_routed_cost_minus_scalar_savings(self, topology):
+        """Edge ``[a, b]`` costs vertex b's steered ladder minus the ω-rule
+        saving of b right after a, for every vertex pair."""
+        rng = np.random.default_rng(1)
+        rotations = []
+        for term_index in range(6):
+            label = "".join(rng.choice(list("IXYZ"), size=6))
+            if set(label) == {"I"}:
+                label = "Y" + label[1:]
+            rotations.append(PauliRotation(PauliString(label), 0.1, term_index))
+        problem = build_sorting_problem(rotations, topology=topology)
+        vertices = [vertex for cluster in problem.clusters for vertex in cluster]
+        costs = [
+            scalar_vertex_cost(rotations[index].string, target, topology.distance_matrix)
+            for index, target in vertices
+        ]
+        np.testing.assert_array_equal(problem.start_weights, costs)
+        for a, (i, t) in enumerate(vertices):
+            for b, (j, u) in enumerate(vertices):
+                saving = interface_cnot_reduction(
+                    rotations[i].string, t, rotations[j].string, u
+                )
+                assert problem.weight_matrix[a, b] == costs[b] - saving
 
 
 class TestPackedInputs:
-    """Every cost function takes a PackedPaulis as well as PauliStrings."""
+    """The routed cost takes a PackedPaulis as well as PauliStrings."""
 
     def test_packed_matches_strings(self):
         line = Topology.line(70)
@@ -126,21 +136,11 @@ class TestPackedInputs:
         assert packed.n_words == 2
         distance = line.distance_matrix
         np.testing.assert_array_equal(
-            interface_reduction_matrix(packed, targets),
-            interface_reduction_matrix(strings, targets),
-        )
-        np.testing.assert_array_equal(
             routed_vertex_cost_vector(packed, targets, distance),
             routed_vertex_cost_vector(strings, targets, distance),
-        )
-        np.testing.assert_array_equal(
-            distance_weighted_cost_matrix(packed, targets, distance),
-            distance_weighted_cost_matrix(strings, targets, distance),
         )
 
     def test_packed_validation(self):
         packed = PackedPaulis.from_strings([PauliString("XI")])
-        with pytest.raises(ValueError, match="not in support of XI"):
-            interface_reduction_matrix(packed, [1])
         with pytest.raises(ValueError, match="one target per string"):
             routed_vertex_cost_vector(packed, [0, 1], Topology.line(2).distance_matrix)

@@ -14,16 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from repro.circuits import Circuit, cnot
+from repro.circuits import Circuit, cnot, interface_cnot_reduction
 from repro.operators import (
     PackedPaulis,
     PauliString,
     SameTargetSavings,
-    commutation_matrix,
-    interface_reduction_matrix,
     lexicographic_order,
     linear_encoding_image,
-    overlap_matrix,
     weight_vector,
 )
 from repro.operators.pauli import PAULI_MATRICES, _PAULI_PRODUCTS
@@ -166,69 +163,64 @@ class TestBatchedAgainstScalar:
         lambda n: st.lists(labels(n, n), min_size=1, max_size=6)
     ))
     @settings(max_examples=60, deadline=None)
-    def test_commutation_weight_overlap_matrices(self, label_list):
+    def test_packing_and_weight_vector(self, label_list):
         strings = [PauliString(label) for label in label_list]
         packed = PackedPaulis.from_strings(strings)
         assert [s.to_label() for s in packed.to_strings()] == label_list
+        assert weight_vector(packed).tolist() == [s.weight for s in strings]
 
-        commuting = commutation_matrix(packed)
-        overlaps = overlap_matrix(packed)
-        weights = weight_vector(packed)
-        for i, a in enumerate(strings):
-            assert weights[i] == a.weight
-            for j, b in enumerate(strings):
-                assert commuting[i, j] == a.commutes_with(b)
-                assert overlaps[i, j] == len(a.overlap(b))
-
-    @given(st.integers(2, 66).flatmap(
+    @given(st.integers(2, 70).flatmap(
         lambda n: st.lists(labels(n, n), min_size=1, max_size=5)
     ))
     @settings(max_examples=60, deadline=None)
-    def test_interface_matrix_matches_scalar_rule(self, label_list):
-        from repro.circuits.interface import interface_cnot_reduction
-
-        # Every (string, support qubit) vertex, as the GTSP enumerates them,
-        # so several vertices share each target and the same-target blocks
-        # hold more than one string.
-        strings = []
-        targets = []
-        for label in label_list:
-            string = PauliString(label)
-            for target in string.support:
-                strings.append(string)
-                targets.append(target)
-        if not strings:
+    def test_pairs_match_scalar_rule(self, label_list):
+        """Every ordered pair of (string, support qubit) vertices, as the GTSP
+        enumerates them: the diagonal, the same-target blocks and the zeros
+        between different targets, across the 64-qubit word boundary."""
+        strings = [PauliString(label) for label in label_list]
+        vertices = [(i, t) for i, string in enumerate(strings) for t in string.support]
+        if not vertices:
             return
-        matrix = interface_reduction_matrix(strings, targets)
-        assert np.array_equal(
-            matrix, interface_reduction_matrix(PackedPaulis.from_strings(strings), targets)
-        )
-        for i, a in enumerate(strings):
-            for j, b in enumerate(strings):
-                assert matrix[i, j] == interface_cnot_reduction(
-                    a, targets[i], b, targets[j]
+        rows, targets = zip(*vertices)
+        matrix = SameTargetSavings(strings).pairs(rows, targets)
+        packed = SameTargetSavings(PackedPaulis.from_strings(strings))
+        assert np.array_equal(matrix, packed.pairs(rows, targets))
+        for a, (i, t) in enumerate(vertices):
+            for b, (j, u) in enumerate(vertices):
+                assert matrix[a, b] == interface_cnot_reduction(
+                    strings[i], t, strings[j], u
                 )
 
-    def test_interface_matrix_rejects_bad_target(self):
-        with pytest.raises(ValueError, match="not in support"):
-            interface_reduction_matrix([PauliString("XI")], [1])
+    @pytest.mark.parametrize(
+        "target", [1, -1, 2, 64], ids=["off-support", "negative", "at-n-qubits", "past-n-qubits"]
+    )
+    def test_pairs_reject_bad_targets(self, target):
+        savings = SameTargetSavings([PauliString("XZ"), PauliString("XI")])
+        with pytest.raises(ValueError, match=f"target {target} not in support of XI"):
+            savings.pairs([0, 1], [0, target])
+        with pytest.raises(ValueError, match="not in support of XI"):
+            interface_cnot_reduction(PauliString("XZ"), 0, PauliString("XI"), target)
+
+    def test_pairs_shapes(self):
+        savings = SameTargetSavings([PauliString("XZ")])
+        assert savings.pairs([], []).shape == (0, 0)
+        with pytest.raises(ValueError, match="one target per row"):
+            savings.pairs([0], [0, 1])
 
     @given(st.integers(2, 70).flatmap(
         lambda n: st.lists(labels(n, n), min_size=1, max_size=6)
     ))
     @settings(max_examples=60, deadline=None)
-    def test_same_target_rows_match_interface_matrix(self, label_list):
-        """String-pair rows equal the vertex matrix on every same-target pair,
-        across the 64-qubit word boundary, and the matrix's interface-CNOT
-        cap never binds there: a saving is at most 2 both ≤ w_i + w_j - 2."""
+    def test_rows_match_pairs(self, label_list):
+        """One-vertex rows equal the pair matrix on every same-target pair,
+        and the scalar rule's interface-CNOT cap never binds there: a saving
+        is at most 2 both ≤ w_i + w_j - 2."""
         strings = [PauliString(label) for label in label_list]
         vertices = [(i, t) for i, string in enumerate(strings) for t in string.support]
         if not vertices:
             return
-        matrix = interface_reduction_matrix(
-            [strings[i] for i, _ in vertices], [t for _, t in vertices]
-        )
         savings = SameTargetSavings(PackedPaulis.from_strings(strings))
+        matrix = savings.pairs(*zip(*vertices))
         weights = weight_vector(strings)
         for a, (i, t) in enumerate(vertices):
             row = savings.row(i, t)
