@@ -16,6 +16,7 @@ New encodings plug in by registering a backend; no caller changes needed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Protocol, Tuple, runtime_checkable
 
@@ -48,6 +49,8 @@ class CompileRequest:
             parameters = tuple(float(p) for p in self.parameters)
             if len(parameters) != len(self.terms):
                 raise ValueError("one parameter per excitation term is required")
+            if not all(math.isfinite(p) for p in parameters):
+                raise ValueError(f"parameters must be finite, got {parameters}")
             object.__setattr__(self, "parameters", parameters)
         if not isinstance(self.config, CompilerConfig):
             raise TypeError("config must be a CompilerConfig")

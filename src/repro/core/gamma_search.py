@@ -33,12 +33,11 @@ import numpy as np
 
 from repro.core.advanced_sorting import greedy_walk, term_block_order
 from repro.core.hybrid_encoding import BOSONIC_TERM_CNOT_COST
-from repro.core.terms_to_paulis import terms_to_rotations
+from repro.core.terms_to_paulis import jordan_wigner_rotations
 from repro.hardware.topology import Topology
 from repro.operators import PackedPaulis, lexicographic_order, linear_encoding_image
 from repro.optimizers import AnnealingSchedule, simulated_annealing
 from repro.transforms import (
-    JordanWignerTransform,
     embed_block,
     gf2_inverse,
     gf2_matmul,
@@ -124,11 +123,12 @@ def _random_elementary_update(
 class _EncodedImages:
     """Rotation strings of excitation terms, re-encoded per candidate Γ.
 
-    The Jordan-Wigner rotations are expanded once, through
-    :func:`~repro.core.terms_to_paulis.terms_to_rotations`, so its
+    The Jordan-Wigner rotation planes come once from
+    :func:`~repro.core.terms_to_paulis.jordan_wigner_rotations`, the kernel
+    behind :func:`~repro.core.terms_to_paulis.terms_to_rotations`, so its
     anti-hermiticity check and angle-drop rule apply unchanged.  Conjugation
     by ``U_Γ`` only flips signs, so the dropped rotations do not depend on Γ.
-    :meth:`encode` maps the bit-planes (x → Γx, z → Γ^{-T}z) and re-sorts
+    :meth:`encode` maps the bit-planes (x → Γx, z → Γ^{-T}z) and sorts
     each term's strings in :class:`~repro.operators.PauliString` order:
     exactly the strings, in the order, that ``terms_to_rotations`` yields
     under ``LinearEncodingTransform(Γ)``.
@@ -140,10 +140,10 @@ class _EncodedImages:
         n_qubits: int,
         parameters: Optional[Sequence[float]] = None,
     ):
-        rotations = terms_to_rotations(terms, JordanWignerTransform(n_qubits), parameters)
-        self._images = PackedPaulis.from_strings(rotation.string for rotation in rotations)
+        rotations = jordan_wigner_rotations(terms, n_qubits, parameters)
+        self._images = rotations.strings
         #: Originating term of every string, ascending.
-        self.term_index = np.array([rotation.term_index for rotation in rotations])
+        self.term_index = rotations.term_index
 
     def encode(self, gamma: np.ndarray) -> PackedPaulis:
         image = linear_encoding_image(self._images, gamma, gf2_inverse(gamma))

@@ -2,24 +2,64 @@
 
 Both the baseline and the advanced compiler Trotterize each excitation term's
 anti-hermitian generator into a product of Pauli-string exponentials.  This
-module performs the conversion under any fermion-to-qubit transform and keeps
-track of the rotation angles (the variational parameters θ only rescale the
-angles, so the CNOT counts are parameter-independent).
+module performs the conversion under any linear-encoding fermion-to-qubit
+transform and keeps track of the rotation angles (the variational parameters
+θ only rescale the angles, so the CNOT counts are parameter-independent).
+
+:func:`excitation_to_rotations` is the scalar reference: it builds the
+generator ``θ (T − T†)`` as a :class:`~repro.operators.FermionOperator` and
+multiplies its :class:`~repro.operators.QubitOperator` image out.
+:func:`terms_to_rotations`, which every compiler calls, multiplies nothing.
+Under Jordan-Wigner a ladder operator is ``½ (X ± i Y)`` on its mode times a
+Z chain below it, so the product of the ``k`` ladder images of ``T`` (k = 2
+or 4) is a sum of ``2^k`` Pauli strings, one per choice of X or Y at every
+factor.  :func:`jordan_wigner_rotations` writes each string's bit-masks and
+its phase, an integer power of i, in closed form (:func:`_ladder_product`),
+and does the same for ``T†``.
+
+**Exactness.**  Every ladder half is ±½ or ±½i, so a string's coefficient in
+``θ (T − T†)`` is ``θ 2^{-k} (i^{e_T} − i^{e_D})`` with integer phases
+``e_T``, ``e_D``.  Where the two terms cancel (``e_T = e_D``) the string
+drops; where ``e_T`` is odd and ``e_D = e_T + 2`` the coefficient is
+``±2i θ 2^{-k}`` and the angle ``−2 Im`` is ``∓θ 2^{2−k}``, one product of
+θ with a power of two.  The reference path
+only ever scales θ by powers of two and adds exact zeros or equal halves, so
+both paths yield the same float bit for bit (angles at or below
+:data:`ANGLE_TOLERANCE`, where the reference also drops coefficients under
+its own 1e-12 cut, are dropped either way).  A real part would mean the
+generator is not anti-hermitian; it raises :class:`ValueError` as the
+reference does.
+
+**Linear encodings only.**  A transform must be a
+:class:`~repro.transforms.JordanWignerTransform` or a
+:class:`~repro.transforms.LinearEncodingTransform`.  For ``Γ ≠ I`` the whole
+request's Jordan-Wigner planes are mapped by one
+:meth:`~repro.transforms.LinearEncodingTransform.conjugate_planes` call,
+which applies the Y-count sign rule; every term's strings are then put in
+:class:`~repro.operators.PauliString` order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.operators import PauliString, QubitOperator
-from repro.transforms import FermionQubitTransform, JordanWignerTransform
+from repro.operators import PackedPaulis, PauliString, lexicographic_order
+from repro.transforms import (
+    FermionQubitTransform,
+    JordanWignerTransform,
+    LinearEncodingTransform,
+)
 from repro.vqe import ExcitationTerm
 
 #: Imaginary-coefficient tolerance when extracting rotation angles.
 ANGLE_TOLERANCE = 1e-10
+
+#: ``i^e`` as (real, imaginary) integers, indexed by ``e mod 4``.
+_POWERS_OF_I = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
 @dataclass(frozen=True)
@@ -55,7 +95,9 @@ def excitation_to_rotations(
     The anti-hermitian generator maps to a sum ``Σ_k i c_k P_k`` with real
     ``c_k``; each summand contributes the rotation ``exp(-i (-2 c_k)/2 P_k)``.
     The returned rotations all mutually commute for a single excitation term,
-    so their relative order is a pure compilation degree of freedom.
+    so their relative order is a pure compilation degree of freedom.  This
+    is the scalar reference of :func:`terms_to_rotations`; it accepts any
+    transform.
     """
     generator = term.generator(parameter)
     qubit_generator = transform.transform(generator)
@@ -74,22 +116,151 @@ def excitation_to_rotations(
     return rotations
 
 
+def _ladder_product(ladders: Sequence[Tuple[int, bool]]) -> Tuple[int, int, int, int]:
+    """The Jordan-Wigner image of a product of ladder operators on distinct modes.
+
+    ``ladders`` lists ``(mode, is_creation)`` left to right.  Factor ``f`` is
+    ``½ (X_m + c_f i Y_m) Z_{<m}`` with ``c_f = −1`` for a creation and ``+1``
+    for an annihilation operator.  Choosing Y at the factors of a mode set
+    ``S`` gives the string with planes ``(x, z ⊕ S)``, where ``(x, z)`` is
+    the all-X choice, and the coefficient ``2^{-k} i^e``.  Summing the
+    phase rule of :meth:`~repro.operators.PauliString.multiply`,
+    ``|Y_1| + |Y_2| − |Y_{12}| + 2 |z_1 ∧ x_2|``, over the product gives
+    ``e = Σ_f (b_f (c_f + 1) + 2 |z_{<f} ∧ x_f|) − |x ∧ (z ⊕ S)|`` with
+    ``b_f = [m_f ∈ S]``.  On distinct modes the cross term does not depend
+    on ``S`` and ``c_f + 1`` is 0 for a creation and 2 for an annihilation,
+    so ``e = base + 2 |S ∧ annihilated| − |x ∧ (z ⊕ S)|``.
+
+    Returns ``(x, z, base, annihilated)``.
+    """
+    x = z = base = annihilated = 0
+    for mode, is_creation in ladders:
+        base += 2 * ((z >> mode) & 1)
+        bit = 1 << mode
+        x |= bit
+        z ^= bit - 1
+        if not is_creation:
+            annihilated |= bit
+    return x, z, base, annihilated
+
+
+@dataclass(frozen=True)
+class RotationPlanes:
+    """Pauli rotations on packed bit-planes: row ``i`` of ``strings`` rotates by ``angles[i]``.
+
+    ``term_index[i]`` is the excitation term that produced row ``i``; rows
+    are grouped by term, ascending.
+    """
+
+    strings: PackedPaulis
+    angles: np.ndarray
+    term_index: np.ndarray
+
+
+def jordan_wigner_rotations(
+    terms: Sequence[ExcitationTerm],
+    n_qubits: int,
+    parameters: Optional[Sequence[float]] = None,
+) -> RotationPlanes:
+    """The Jordan-Wigner rotations of ``terms``, each term's strings in expansion order.
+
+    The strings, angles and drops are those of :func:`terms_to_rotations`
+    under ``JordanWignerTransform(n_qubits)``; only the order inside a term
+    differs.  ``parameters`` defaults to θ = 1 for every term and must be
+    finite.  Raises :class:`ValueError` before any work if a term acts on a
+    mode ≥ ``n_qubits`` or the parameter count is not the term count.
+    """
+    if parameters is None:
+        parameters = [1.0] * len(terms)
+    if len(parameters) != len(terms):
+        raise ValueError("one parameter per excitation term is required")
+    top = max((term.max_spin_orbital() for term in terms), default=-1)
+    if top >= n_qubits:
+        raise ValueError(
+            f"operator acts on mode {top} but transform covers only {n_qubits} modes"
+        )
+    x_masks: List[int] = []
+    z_masks: List[int] = []
+    angles: List[float] = []
+    term_index: List[int] = []
+    for index, (term, theta) in enumerate(zip(terms, parameters)):
+        if not math.isfinite(theta):
+            raise ValueError(f"parameter {theta!r} of term {index} is not finite")
+        # T = a†_p (a†_q) (a_s) a_r as in ExcitationTerm.excitation_operator,
+        # and T† reverses it with every dagger flipped.
+        ladders = [(mode, True) for mode in term.creation]
+        ladders += [(mode, False) for mode in reversed(term.annihilation)]
+        x, z, base_t, annihilated_t = _ladder_product(ladders)
+        _, _, base_d, annihilated_d = _ladder_product(
+            [(mode, not is_creation) for mode, is_creation in reversed(ladders)]
+        )
+        unit = 2.0 ** -len(ladders)
+        selection = 0
+        while True:
+            string_z = z ^ selection
+            y_count = (x & string_z).bit_count()
+            t_real, t_imag = _POWERS_OF_I[
+                (base_t + 2 * (selection & annihilated_t).bit_count() - y_count) & 3
+            ]
+            # −T†: the minus sign is the extra 2 in the exponent.
+            d_real, d_imag = _POWERS_OF_I[
+                (base_d + 2 * (selection & annihilated_d).bit_count() - y_count + 2) & 3
+            ]
+            real, imag = t_real + d_real, t_imag + d_imag
+            if real and abs(theta * unit * real) > ANGLE_TOLERANCE:
+                coefficient = complex(theta * unit * real, theta * unit * imag)
+                raise ValueError(
+                    f"generator of {term} produced a non-anti-hermitian coefficient {coefficient}"
+                )
+            angle = theta * (-2 * imag * unit)
+            if abs(angle) > ANGLE_TOLERANCE:
+                x_masks.append(x)
+                z_masks.append(string_z)
+                angles.append(angle)
+                term_index.append(index)
+            # Next subset of the mode set x.
+            selection = (selection - x) & x
+            if not selection:
+                break
+    return RotationPlanes(
+        strings=PackedPaulis.from_masks(n_qubits, x_masks, z_masks),
+        angles=np.array(angles, dtype=np.float64),
+        term_index=np.array(term_index, dtype=np.int64),
+    )
+
+
 def terms_to_rotations(
     terms: Sequence[ExcitationTerm],
     transform: FermionQubitTransform,
     parameters: Optional[Sequence[float]] = None,
 ) -> List[PauliRotation]:
-    """Expand an ordered list of excitation terms into Pauli rotations."""
-    if parameters is None:
-        parameters = [1.0] * len(terms)
-    if len(parameters) != len(terms):
-        raise ValueError("one parameter per excitation term is required")
-    rotations: List[PauliRotation] = []
-    for index, (term, parameter) in enumerate(zip(terms, parameters)):
-        rotations.extend(
-            excitation_to_rotations(term, transform, parameter=parameter, term_index=index)
+    """Expand an ordered list of excitation terms into Pauli rotations.
+
+    Returns what concatenating :func:`excitation_to_rotations` over the
+    terms returns — the same strings, angles, term indices and order — from
+    the closed-form kernel :func:`jordan_wigner_rotations`.  ``transform``
+    must be a linear encoding (a :class:`~repro.transforms.JordanWignerTransform`
+    or :class:`~repro.transforms.LinearEncodingTransform`); any other
+    transform raises :class:`TypeError`.
+    """
+    if not isinstance(transform, (JordanWignerTransform, LinearEncodingTransform)):
+        raise TypeError(
+            f"terms_to_rotations needs a linear encoding, not {type(transform).__name__}; "
+            "use excitation_to_rotations per term"
         )
-    return rotations
+    rotations = jordan_wigner_rotations(terms, transform.n_modes, parameters)
+    strings, angles = rotations.strings, rotations.angles
+    if isinstance(transform, LinearEncodingTransform) and not transform.is_identity_encoding:
+        strings, signs = transform.conjugate_planes(strings)
+        angles = signs * angles
+    order = lexicographic_order(strings, groups=rotations.term_index).tolist()
+    paulis = strings.to_strings()
+    angle_list = angles.tolist()
+    term_index = rotations.term_index.tolist()
+    return [
+        PauliRotation(string=paulis[row], angle=angle_list[row], term_index=term_index[row])
+        for row in order
+    ]
 
 
 def required_qubits(terms: Sequence[ExcitationTerm]) -> int:

@@ -39,8 +39,6 @@ from repro.operators.pauli import PauliString
 #: Qubits per packed word.
 WORD_BITS = 64
 
-_WORD_MASK = (1 << WORD_BITS) - 1
-
 
 def _n_words(n_qubits: int) -> int:
     """Packed words per plane for ``n_qubits`` qubits (at least one)."""
@@ -49,14 +47,17 @@ def _n_words(n_qubits: int) -> int:
 
 def _pack_masks(masks: Sequence[int], n_words: int) -> np.ndarray:
     """Pack arbitrary-precision bit-mask ints into an ``(m, n_words)`` uint64 array."""
-    out = np.zeros((len(masks), n_words), dtype=np.uint64)
-    for row, mask in enumerate(masks):
-        word = 0
-        while mask:
-            out[row, word] = mask & _WORD_MASK
-            mask >>= WORD_BITS
-            word += 1
-    return out
+    width = 8 * n_words
+    raw = b"".join(mask.to_bytes(width, "little") for mask in masks)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(masks), n_words).astype(np.uint64)
+
+
+def _unpack_masks(plane: np.ndarray) -> List[int]:
+    """An ``(m, n_words)`` uint64 plane as ``m`` arbitrary-precision bit-mask ints."""
+    width = 8 * plane.shape[1]
+    raw = np.ascontiguousarray(plane, dtype="<u8").tobytes()
+    return [int.from_bytes(raw[start:start + width], "little")
+            for start in range(0, len(raw), width)]
 
 
 @dataclass(frozen=True)
@@ -81,11 +82,22 @@ class PackedPaulis:
         for string in strings:
             if string.n_qubits != n:
                 raise ValueError("all strings must act on the same register size")
-        n_words = _n_words(n)
+        return cls.from_masks(n, [s.x_mask for s in strings], [s.z_mask for s in strings])
+
+    @classmethod
+    def from_masks(
+        cls, n_qubits: int, x_masks: Sequence[int], z_masks: Sequence[int]
+    ) -> "PackedPaulis":
+        """Pack the strings with symplectic bit-masks ``(x_masks[i], z_masks[i])``.
+
+        Every mask must be non-negative and fit the register (unchecked
+        beyond the packed word count).
+        """
+        n_words = _n_words(n_qubits)
         return cls(
-            n_qubits=n,
-            x=_pack_masks([s.x_mask for s in strings], n_words),
-            z=_pack_masks([s.z_mask for s in strings], n_words),
+            n_qubits=n_qubits,
+            x=_pack_masks(x_masks, n_words),
+            z=_pack_masks(z_masks, n_words),
         )
 
     def __len__(self) -> int:
@@ -97,15 +109,10 @@ class PackedPaulis:
 
     def to_strings(self) -> List[PauliString]:
         """Unpack back into :class:`PauliString` objects."""
-        result = []
-        for row in range(len(self)):
-            x = 0
-            z = 0
-            for word in range(self.n_words - 1, -1, -1):
-                x = (x << WORD_BITS) | int(self.x[row, word])
-                z = (z << WORD_BITS) | int(self.z[row, word])
-            result.append(PauliString.from_bitmasks(self.n_qubits, x, z))
-        return result
+        return [
+            PauliString.from_bitmasks(self.n_qubits, x, z)
+            for x, z in zip(_unpack_masks(self.x), _unpack_masks(self.z))
+        ]
 
 
 Packable = Union[PackedPaulis, Iterable[PauliString]]

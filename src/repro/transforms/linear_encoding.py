@@ -19,7 +19,7 @@ when the Y count changes by 2 mod 4.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -75,19 +75,23 @@ class LinearEncodingTransform(FermionQubitTransform):
         """``U_Γ O U_Γ†``, term by term in input order, signed by the Y-count rule."""
         if self.is_identity_encoding:
             return operator
-        strings = PackedPaulis.from_strings(operator.terms)
-        image = linear_encoding_image(strings, self.gamma, self._gamma_inverse)
-        y_shifts = _y_counts(strings) - _y_counts(image)
+        image, signs = self.conjugate_planes(PackedPaulis.from_strings(operator.terms))
         # Conjugation permutes the Pauli strings, so no two terms collide.
         return QubitOperator(
             operator.n_qubits,
             {
-                string: (-1 if y_shift & 2 else 1) * coefficient
-                for string, y_shift, coefficient in zip(
-                    image.to_strings(), y_shifts, operator.terms.values()
+                string: sign * coefficient
+                for string, sign, coefficient in zip(
+                    image.to_strings(), signs.tolist(), operator.terms.values()
                 )
             },
         )
+
+    def conjugate_planes(self, strings: PackedPaulis) -> Tuple[PackedPaulis, np.ndarray]:
+        """``U_Γ P U_Γ† = ± P'`` for every string: the planes of ``P'`` and the ±1 signs."""
+        image = linear_encoding_image(strings, self.gamma, self._gamma_inverse)
+        y_shifts = _y_counts(strings) - _y_counts(image)
+        return image, 1 - (y_shifts & 2)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n_modes={self.n_modes})"

@@ -60,6 +60,8 @@ class ExcitationTerm:
             raise ValueError("repeated indices in an excitation term")
         if set(creation) & set(annihilation):
             raise ValueError("creation and annihilation indices must be disjoint")
+        if min(creation + annihilation) < 0:
+            raise ValueError("spin-orbital indices must be non-negative")
         object.__setattr__(self, "creation", creation)
         object.__setattr__(self, "annihilation", annihilation)
 

@@ -83,6 +83,13 @@ class TestRequestFingerprint:
         with pytest.raises(ValueError):
             CompileRequest(terms=(term((2,), (0,)),), parameters=(1.0, 2.0))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_parameters_rejected(self, bad):
+        # A bosonic term is never expanded, so only the request can catch it.
+        bosonic = term((4, 5), (0, 1))
+        with pytest.raises(ValueError, match="parameters must be finite"):
+            CompileRequest(terms=(bosonic, term((2,), (0,))), parameters=(bad, 0.3))
+
 
 class TestCacheHits:
     def test_warm_cache_skips_recompilation(self, counting):

@@ -34,6 +34,16 @@ class TestExcitationTerm:
         with pytest.raises(ValueError):
             ExcitationTerm(creation=(1, 2), annihilation=(0,))
 
+    @pytest.mark.parametrize("creation, annihilation", [
+        ((-1,), (0,)),
+        ((0,), (-1,)),
+        ((2, -3), (0, 1)),
+        ((2, 3), (-1, 1)),
+    ])
+    def test_negative_indices_rejected(self, creation, annihilation):
+        with pytest.raises(ValueError, match="non-negative"):
+            ExcitationTerm(creation=creation, annihilation=annihilation)
+
     def test_encoding_classes(self):
         bosonic = ExcitationTerm(creation=(2, 3), annihilation=(0, 1))
         hybrid = ExcitationTerm(creation=(2, 3), annihilation=(0, 5))
