@@ -6,11 +6,12 @@ qubit it compiles to 8.  The advanced sorting must discover the better choice
 automatically.
 """
 
+import numpy as np
 import pytest
 
-from repro.core import PauliRotation, advanced_sort
+from repro.core import RotationPlanes, advanced_sort
 from repro.circuits import pair_cnot_count
-from repro.operators import PauliString
+from repro.operators import PackedPaulis, PauliString
 
 P1 = PauliString("XXXY")
 P2 = PauliString("XXYX")
@@ -26,10 +27,9 @@ def test_fig4_pair_costs():
 
 
 def test_fig4_advanced_sorting_finds_best_target(benchmark):
-    rotations = [
-        PauliRotation(string=P1, angle=0.3, term_index=0),
-        PauliRotation(string=P2, angle=0.4, term_index=1),
-    ]
+    rotations = RotationPlanes(
+        PackedPaulis.from_strings([P1, P2]), np.array([0.3, 0.4]), np.array([0, 1])
+    )
     result = benchmark.pedantic(
         advanced_sort,
         args=(rotations,),

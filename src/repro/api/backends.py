@@ -24,8 +24,8 @@ import numpy as np
 
 from repro.api.backend import CompileRequest, CompileResult, register_backend
 from repro.obs.tracer import get_tracer
-from repro.baselines import BaselineCompiler, naive_rotation_sequence
-from repro.circuits import optimize_circuit, sequence_cnot_count
+from repro.baselines import BaselineCompiler, naive_cnot_count, naive_rotation_sequence
+from repro.circuits import optimize_circuit
 from repro.core import AdvancedPipeline
 from repro.core.config import CompilerConfig
 from repro.hardware import (
@@ -135,17 +135,15 @@ class NaiveTransformBackend:
             parameters = (
                 list(request.parameters) if request.parameters is not None else None
             )
-            # One Trotterization serves both the count and the routed synthesis
-            # (naive_cnot_count is exactly the analytic cost of this sequence).
-            sequence = naive_rotation_sequence(
-                list(request.terms), transform, parameters
-            )
-            count = sequence_cnot_count(
-                [(string, target) for string, _, target in sequence]
-            )
+            # naive_cnot_count is exactly the analytic cost of
+            # naive_rotation_sequence; the sequence is built only to route it.
+            terms = list(request.terms)
+            count = naive_cnot_count(terms, transform, parameters)
             routing = None
             if request.config.topology is not None:
-                routing = sequence_routing_metrics(sequence, request.config)
+                routing = sequence_routing_metrics(
+                    naive_rotation_sequence(terms, transform, parameters), request.config
+                )
             compile_span.set_attribute("cnot_count", count)
         return CompileResult(
             backend=self._name,

@@ -28,8 +28,8 @@ import numpy as np
 from repro.core.advanced_sorting import term_block_order
 from repro.core.gamma_search import TermBlockCost
 from repro.core.hybrid_encoding import BOSONIC_TERM_CNOT_COST
-from repro.core.terms_to_paulis import PauliRotation, required_qubits, terms_to_rotations
-from repro.operators import PackedPaulis, PauliString
+from repro.core.terms_to_paulis import RotationPlanes, required_qubits, terms_to_rotations
+from repro.operators import PauliString
 from repro.optimizers import binary_particle_swarm
 from repro.transforms import FermionQubitTransform, LinearEncodingTransform, identity_matrix
 from repro.vqe import ExcitationTerm
@@ -39,14 +39,10 @@ TargetedRotation = Tuple[PauliString, float, int]
 
 
 def _term_block_sequence(
-    rotations: Sequence[PauliRotation], ordered: bool
+    rotations: RotationPlanes, ordered: bool
 ) -> Tuple[List[TargetedRotation], int]:
     """The rotations in :func:`term_block_order`, with the sequence's CNOTs."""
-    order = term_block_order(
-        PackedPaulis.from_strings(rotation.string for rotation in rotations),
-        [rotation.term_index for rotation in rotations],
-        ordered=ordered,
-    )
+    order = term_block_order(rotations.strings, rotations.term_index, ordered=ordered)
     sequence = [
         (rotations[row].string, rotations[row].angle, target)
         for row, target in zip(order.rows.tolist(), order.targets.tolist())
@@ -212,4 +208,4 @@ def naive_cnot_count(
     consecutive rotations of :func:`naive_rotation_sequence` are credited.
     """
     rotations = terms_to_rotations(list(terms), transform, parameters)
-    return _term_block_sequence(rotations, ordered=False)[1]
+    return term_block_order(rotations.strings, rotations.term_index, ordered=False).cnot_count

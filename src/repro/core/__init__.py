@@ -56,6 +56,7 @@ from repro.core.pipeline import (
 )
 from repro.core.terms_to_paulis import (
     PauliRotation,
+    RotationPlanes,
     excitation_to_rotations,
     required_qubits,
     terms_to_rotations,
@@ -100,6 +101,7 @@ __all__ = [
     "excitation_topology_blocks",
     "assemble_gamma",
     "PauliRotation",
+    "RotationPlanes",
     "excitation_to_rotations",
     "terms_to_rotations",
     "required_qubits",

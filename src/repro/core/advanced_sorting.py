@@ -16,6 +16,11 @@ local search of :func:`repro.optimizers.solve_gtsp` from three seed tours:
 the greedy walk and the term-block order, chained and unchained.  It draws
 no random numbers and never returns worse than its best seed.
 
+The sorts take :class:`~repro.core.terms_to_paulis.RotationPlanes` and read
+only their packed strings: the seeds, the GTSP instance and the final count
+share the one :class:`~repro.operators.SameTargetSavings` memoized on them,
+and :class:`PauliRotation` items are unpacked only for the result.
+
 The module also holds the prior art's fixed construction,
 :func:`term_block_order` (one shared target per term): the baseline and
 JW/BK flows compile with it, the baseline's Γ search scores with it, and it
@@ -31,13 +36,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.circuits import pauli_exponential_cnot_count, sequence_cnot_count
-from repro.core.terms_to_paulis import PauliRotation
+from repro.circuits import sequence_cnot_count
+from repro.core.terms_to_paulis import PauliRotation, RotationPlanes
 from repro.hardware.topology import Topology
 from repro.operators import (
     PackedPaulis,
     PauliString,
-    SameTargetSavings,
     routed_vertex_cost_vector,
     support_matrix,
     weight_vector,
@@ -77,41 +81,39 @@ class SortingResult:
 
 
 def build_sorting_problem(
-    rotations: Sequence[PauliRotation],
+    rotations: RotationPlanes,
     topology: Optional[Topology] = None,
 ) -> GtspProblem:
-    """Build the GTSP instance of Sec. III-B for a list of Pauli rotations.
+    """Build the GTSP instance of Sec. III-B for a set of Pauli rotations.
 
-    Every vertex costs its exponential's CNOTs: ``2 (w - 1)`` for a weight-w
-    string, or under a ``topology`` the steered ladder cost
+    Cluster ``i`` holds the vertices ``(i, t)`` of rotation ``i``, one per
+    qubit ``t`` of its support, ascending.  Every vertex costs its
+    exponential's CNOTs: ``2 (w - 1)`` for a weight-w string, or under a
+    ``topology`` the steered ladder cost
     (:func:`repro.operators.routed_vertex_cost_vector`).  That cost is the
     start weight of the vertex and is folded into each incoming edge, minus
     the interface saving of the pair, so the path cost of a tour equals
     :meth:`SortingResult.objective` of the sequence.
     """
-    rotations = list(rotations)
-    if not rotations:
+    strings = rotations.strings
+    if not len(strings):
         raise ValueError("cannot build a sorting problem from zero rotations")
-    clusters: List[List[SortingVertex]] = []
-    for index, rotation in enumerate(rotations):
-        support = rotation.string.support
-        if not support:
-            raise ValueError("identity rotations cannot be sorted into circuits")
-        clusters.append([(index, target) for target in support])
-
-    # Vertices in cluster-flattened order: the global row order GtspProblem
-    # expects.
-    rows, targets = np.array([vertex for cluster in clusters for vertex in cluster]).T
-    strings = PackedPaulis.from_strings(rotation.string for rotation in rotations)
+    support = support_matrix(strings)
+    if not support.any(axis=1).all():
+        raise ValueError("identity rotations cannot be sorted into circuits")
+    clusters = [
+        [(i, t) for t in np.flatnonzero(row).tolist()] for i, row in enumerate(support)
+    ]
+    # The vertices in (row, ascending target) order, as the clusters list
+    # them: the global row order GtspProblem expects.
+    rows, targets = np.nonzero(support)
     if topology is None:
         costs = 2 * (weight_vector(strings)[rows] - 1)
     else:
         costs = routed_vertex_cost_vector(
-            PackedPaulis(strings.n_qubits, strings.x[rows], strings.z[rows]),
-            targets,
-            topology.distance_matrix,
+            strings.take(rows), targets, topology.distance_matrix
         )
-    savings = SameTargetSavings(strings).pairs(rows, targets)
+    savings = strings.same_target_savings.pairs(rows, targets)
     return GtspProblem(
         clusters=clusters, weight_matrix=costs[None, :] - savings, start_weights=costs
     )
@@ -195,7 +197,7 @@ def term_block_order(
     sorted_targets = np.where(shared >= 0, shared, last_support)
     targets = np.empty_like(sorted_targets)
     targets[rows] = sorted_targets
-    savings = SameTargetSavings(strings).pairs(np.arange(len(strings)), targets)
+    savings = strings.same_target_savings.pairs(np.arange(len(strings)), targets)
 
     if ordered:
         groups: Dict[int, List[np.ndarray]] = {}
@@ -217,30 +219,33 @@ def term_block_order(
 
 
 def _finalize_sorting(
-    ordered: List[Tuple[PauliRotation, int]],
+    rotations: RotationPlanes,
+    tour: Sequence[SortingVertex],
     topology: Optional[Topology],
     degraded: bool = False,
 ) -> SortingResult:
-    """Package a targeted sequence with its all-to-all and routed costs.
+    """Package a targeted tour of the rotations with its all-to-all and routed costs.
 
-    The routed estimate swaps each exponential's template CNOTs for its
-    steered ladder cost (:func:`repro.operators.routed_vertex_cost_vector`)
-    and keeps the interface savings ``cnot_count`` already credits, so the
-    savings are summed once.  It is the path cost the distance-weighted
-    GTSP optimizes, and equals ``cnot_count`` on all-to-all distances.
+    The CNOT count is Σ 2 (w - 1) minus the savings between consecutive
+    vertices, read from the strings' memoized
+    :class:`~repro.operators.SameTargetSavings`.  The routed estimate swaps
+    each exponential's template CNOTs for its steered ladder cost
+    (:func:`repro.operators.routed_vertex_cost_vector`) and keeps the same
+    savings.  It is the path cost the distance-weighted GTSP optimizes, and
+    equals ``cnot_count`` on all-to-all distances.
     """
-    sequence = [(rotation.string, target) for rotation, target in ordered]
-    cnot_count = sequence_cnot_count(sequence)
+    strings = rotations.strings
+    rows, targets = np.array(tour, dtype=np.intp).reshape(-1, 2).T
+    saved = int(np.diagonal(strings.same_target_savings.pairs(rows, targets), 1).sum())
+    cnot_count = 2 * int((weight_vector(strings)[rows] - 1).sum()) - saved
     routed = None
     if topology is not None:
-        strings = [string for string, _ in sequence]
-        saved = sum(pauli_exponential_cnot_count(string) for string in strings) - cnot_count
         ladders = routed_vertex_cost_vector(
-            strings, [target for _, target in sequence], topology.distance_matrix
+            strings.take(rows), targets, topology.distance_matrix
         )
         routed = int(ladders.sum()) - saved
     return SortingResult(
-        ordered_rotations=ordered,
+        ordered_rotations=[(rotations[row], target) for row, target in tour],
         cnot_count=cnot_count,
         routed_cost_estimate=routed,
         degraded=degraded,
@@ -248,7 +253,7 @@ def _finalize_sorting(
 
 
 def sort_seed_tours(
-    rotations: Sequence[PauliRotation], topology: Optional[Topology] = None
+    rotations: RotationPlanes, topology: Optional[Topology] = None
 ) -> List[List[SortingVertex]]:
     """The seed tours of :func:`advanced_sort`, in tie-breaking order.
 
@@ -256,18 +261,18 @@ def sort_seed_tours(
     then the term-block order (:func:`term_block_order`) chained, then
     unchained.
     """
-    rotations = list(rotations)
-    strings = PackedPaulis.from_strings(rotation.string for rotation in rotations)
+    strings = rotations.strings
     greedy = greedy_walk(strings, None if topology is None else topology.distance_matrix)
-    term_index = [rotation.term_index for rotation in rotations]
-    blocks = [term_block_order(strings, term_index, ordered) for ordered in (True, False)]
+    blocks = [
+        term_block_order(strings, rotations.term_index, ordered) for ordered in (True, False)
+    ]
     return [list(zip(greedy.rows, greedy.targets))] + [
         list(zip(block.rows.tolist(), block.targets.tolist())) for block in blocks
     ]
 
 
 def advanced_sort(
-    rotations: Sequence[PauliRotation],
+    rotations: RotationPlanes,
     topology: Optional[Topology] = None,
     max_rounds: Optional[int] = None,
 ) -> SortingResult:
@@ -282,8 +287,7 @@ def advanced_sort(
     the anytime budget of the search; a truncated search marks the result
     ``degraded=True``.
     """
-    rotations = list(rotations)
-    if not rotations:
+    if not len(rotations):
         return SortingResult(
             ordered_rotations=[],
             cnot_count=0,
@@ -296,8 +300,8 @@ def advanced_sort(
         [[(index, (index, target)) for index, target in tour] for tour in seed_tours],
         max_rounds=max_rounds,
     )
-    ordered = [(rotations[index], target) for _, (index, target) in solution.tour]
-    return _finalize_sorting(ordered, topology, degraded=solution.degraded)
+    tour = [vertex for _, vertex in solution.tour]
+    return _finalize_sorting(rotations, tour, topology, degraded=solution.degraded)
 
 
 @dataclass(frozen=True)
@@ -334,14 +338,12 @@ def greedy_walk(
     support = support_matrix(strings)
     if not support.any(axis=1).all():
         raise ValueError("identity rotations cannot be sorted into circuits")
-    savings = SameTargetSavings(strings)
+    savings = strings.same_target_savings
     vertex_costs = np.zeros(support.shape, dtype=np.int64)
     if distance_matrix is not None:
         rows, columns = np.nonzero(support)
         vertex_costs[rows, columns] = routed_vertex_cost_vector(
-            PackedPaulis(strings.n_qubits, strings.x[rows], strings.z[rows]),
-            columns,
-            distance_matrix,
+            strings.take(rows), columns, distance_matrix
         )
     # Scores of the open vertices, before any saving.  Closed ones (visited
     # strings, qubits off the support) sit so low that no saving lifts them
@@ -379,7 +381,7 @@ def greedy_walk(
 
 
 def greedy_sort(
-    rotations: Sequence[PauliRotation], topology: Optional[Topology] = None
+    rotations: RotationPlanes, topology: Optional[Topology] = None
 ) -> SortingResult:
     """Nearest-neighbour construction: the first seed tour of :func:`advanced_sort`.
 
@@ -390,13 +392,10 @@ def greedy_sort(
     search; the Γ search scores candidates with the same walk
     (:class:`repro.core.gamma_search.GreedySortingCost`).
     """
-    rotations = list(rotations)
     walk = greedy_walk(
-        PackedPaulis.from_strings(rotation.string for rotation in rotations),
-        None if topology is None else topology.distance_matrix,
+        rotations.strings, None if topology is None else topology.distance_matrix
     )
-    ordered = [(rotations[row], target) for row, target in zip(walk.rows, walk.targets)]
-    return _finalize_sorting(ordered, topology)
+    return _finalize_sorting(rotations, list(zip(walk.rows, walk.targets)), topology)
 
 
 def baseline_order_cnot_count(rotations: Sequence[PauliRotation]) -> int:

@@ -12,15 +12,17 @@ distinct candidates it scored.
 
 In the full pipeline that cost is :class:`GreedySortingCost`: the greedy-sort
 CNOT count ("subroutine 1" of Fig. 2) of the terms transformed under the
-candidate Γ, evaluated on packed bit-planes.  The Jordan-Wigner images are
-built once.  A candidate applies the GF(2) map of its CNOT circuit to them
-(:func:`repro.operators.linear_encoding_image`), re-sorts each term's
-strings and walks :func:`repro.core.advanced_sorting.greedy_walk`, the walk
-``greedy_sort`` takes.  The walk reads its savings from string-pair tables
+candidate Γ, evaluated on packed bit-planes.  The Jordan-Wigner rotation
+planes are built once.  A candidate re-encodes them with
+:meth:`repro.core.terms_to_paulis.RotationPlanes.encoded` — the step
+``terms_to_rotations`` takes, so the strings and their order are those the
+transform stage compiles — and walks
+:func:`repro.core.advanced_sorting.greedy_walk`, the walk ``greedy_sort``
+takes.  The walk reads its savings from string-pair tables
 (:class:`repro.operators.SameTargetSavings`), one row per step, so no
-candidate builds a vertex-pair matrix.  :class:`TermBlockCost` shares the
-per-candidate encoding and scores the baseline's term-block order instead;
-it is the baseline's PSO objective.
+candidate builds a vertex-pair matrix.  :class:`TermBlockCost` encodes the
+same way and scores the baseline's term-block order instead; it is the
+baseline's PSO objective.
 """
 
 from __future__ import annotations
@@ -35,11 +37,10 @@ from repro.core.advanced_sorting import greedy_walk, term_block_order
 from repro.core.hybrid_encoding import BOSONIC_TERM_CNOT_COST
 from repro.core.terms_to_paulis import jordan_wigner_rotations
 from repro.hardware.topology import Topology
-from repro.operators import PackedPaulis, lexicographic_order, linear_encoding_image
 from repro.optimizers import AnnealingSchedule, simulated_annealing
 from repro.transforms import (
+    LinearEncodingTransform,
     embed_block,
-    gf2_inverse,
     gf2_matmul,
     identity_matrix,
     is_invertible,
@@ -120,49 +121,19 @@ def _random_elementary_update(
     return updated
 
 
-class _EncodedImages:
-    """Rotation strings of excitation terms, re-encoded per candidate Γ.
-
-    The Jordan-Wigner rotation planes come once from
-    :func:`~repro.core.terms_to_paulis.jordan_wigner_rotations`, the kernel
-    behind :func:`~repro.core.terms_to_paulis.terms_to_rotations`, so its
-    anti-hermiticity check and angle-drop rule apply unchanged.  Conjugation
-    by ``U_Γ`` only flips signs, so the dropped rotations do not depend on Γ.
-    :meth:`encode` maps the bit-planes (x → Γx, z → Γ^{-T}z) and sorts
-    each term's strings in :class:`~repro.operators.PauliString` order:
-    exactly the strings, in the order, that ``terms_to_rotations`` yields
-    under ``LinearEncodingTransform(Γ)``.
-    """
-
-    def __init__(
-        self,
-        terms: Sequence[ExcitationTerm],
-        n_qubits: int,
-        parameters: Optional[Sequence[float]] = None,
-    ):
-        rotations = jordan_wigner_rotations(terms, n_qubits, parameters)
-        self._images = rotations.strings
-        #: Originating term of every string, ascending.
-        self.term_index = rotations.term_index
-
-    def encode(self, gamma: np.ndarray) -> PackedPaulis:
-        image = linear_encoding_image(self._images, gamma, gf2_inverse(gamma))
-        order = lexicographic_order(image, groups=self.term_index)
-        return PackedPaulis(image.n_qubits, image.x[order], image.z[order])
-
-
-class GreedySortingCost(_EncodedImages):
+class GreedySortingCost:
     """The Γ-search objective: greedy-sort cost of the terms encoded under Γ.
 
     ``GreedySortingCost(terms, n, parameters, topology)(Γ)`` equals
     ``greedy_sort(terms_to_rotations(terms, LinearEncodingTransform(Γ),
     parameters), topology).objective()`` — the all-to-all CNOT count, or the
-    distance-weighted estimate under a ``topology`` — without building the
-    transform.  Each candidate is scored from scratch: encode the strings
-    (:class:`_EncodedImages`; the greedy tie-breaks depend on their order),
-    then take :func:`~repro.core.advanced_sorting.greedy_walk`, the walk
-    ``greedy_sort`` takes, which reads its savings from string pairs one
-    row per step.
+    distance-weighted estimate under a ``topology``.  The Jordan-Wigner
+    planes are expanded once; each candidate is scored from scratch:
+    :meth:`~repro.core.terms_to_paulis.RotationPlanes.encoded` re-encodes
+    them under Γ (the greedy tie-breaks depend on the row order), then
+    :func:`~repro.core.advanced_sorting.greedy_walk`, the walk
+    ``greedy_sort`` takes, reads its savings from string pairs one row per
+    step.
     """
 
     def __init__(
@@ -172,22 +143,23 @@ class GreedySortingCost(_EncodedImages):
         parameters: Optional[Sequence[float]] = None,
         topology: Optional[Topology] = None,
     ):
-        super().__init__(terms, n_qubits, parameters)
+        self._planes = jordan_wigner_rotations(terms, n_qubits, parameters)
         self._distance = None if topology is None else topology.distance_matrix
 
     def __call__(self, gamma: np.ndarray) -> float:
-        return float(greedy_walk(self.encode(gamma), self._distance).cost)
+        planes = self._planes.encoded(LinearEncodingTransform(gamma))
+        return float(greedy_walk(planes.strings, self._distance).cost)
 
 
-class TermBlockCost(_EncodedImages):
+class TermBlockCost:
     """The baseline's PSO objective: its CNOT count under a candidate Γ.
 
     ``TermBlockCost(terms, n, use_bosonic_encoding)(Γ)`` equals
     ``BaselineCompiler(use_bosonic_encoding, transform_matrix=Γ).compile(
-    terms, n).cnot_count`` without building the transform: the bosonic
-    terms' fixed cost plus the ordered
+    terms, n).cnot_count``: the bosonic terms' fixed cost plus the ordered
     :func:`~repro.core.advanced_sorting.term_block_order` of the other
-    terms' encoded strings (:class:`_EncodedImages`).
+    terms' rotations, expanded once and re-encoded per candidate by
+    :meth:`~repro.core.terms_to_paulis.RotationPlanes.encoded`.
     """
 
     def __init__(
@@ -201,11 +173,12 @@ class TermBlockCost(_EncodedImages):
             term for term in terms
             if not (use_bosonic_encoding and term.encoding_class == "bosonic")
         ]
-        super().__init__(uncompressed, n_qubits)
+        self._planes = jordan_wigner_rotations(uncompressed, n_qubits)
         self._bosonic_cnots = BOSONIC_TERM_CNOT_COST * (len(terms) - len(uncompressed))
 
     def __call__(self, gamma: np.ndarray) -> float:
-        order = term_block_order(self.encode(gamma), self.term_index)
+        planes = self._planes.encoded(LinearEncodingTransform(gamma))
+        order = term_block_order(planes.strings, planes.term_index)
         return float(self._bosonic_cnots + order.cnot_count)
 
 

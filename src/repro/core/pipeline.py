@@ -177,8 +177,8 @@ class StageContext:
     # gamma_search
     term_parameters: Optional[List[float]] = None
     gamma: Optional[np.ndarray] = None
-    # transform
-    rotations: List[PauliRotation] = field(default_factory=list)
+    # transform: the RotationPlanes of the fermionic class (empty until then)
+    rotations: Sequence[PauliRotation] = field(default_factory=list)
     # sort
     sorting: SortingResult = field(
         default_factory=lambda: SortingResult(ordered_rotations=[], cnot_count=0)

@@ -9,13 +9,16 @@ transform and keeps track of the rotation angles (the variational parameters
 :func:`excitation_to_rotations` is the scalar reference: it builds the
 generator ``θ (T − T†)`` as a :class:`~repro.operators.FermionOperator` and
 multiplies its :class:`~repro.operators.QubitOperator` image out.
-:func:`terms_to_rotations`, which every compiler calls, multiplies nothing.
-Under Jordan-Wigner a ladder operator is ``½ (X ± i Y)`` on its mode times a
-Z chain below it, so the product of the ``k`` ladder images of ``T`` (k = 2
-or 4) is a sum of ``2^k`` Pauli strings, one per choice of X or Y at every
-factor.  :func:`jordan_wigner_rotations` writes each string's bit-masks and
-its phase, an integer power of i, in closed form (:func:`_ladder_product`),
-and does the same for ``T†``.
+:func:`terms_to_rotations`, which every compiler calls, multiplies nothing
+and returns :class:`RotationPlanes`, the rotations on packed bit-planes that
+the sorts and the Γ search read; they unpack into :class:`PauliRotation`
+items only where a caller reads items.  Under Jordan-Wigner a ladder
+operator is ``½ (X ± i Y)`` on its mode times a Z chain below it, so the
+product of the ``k`` ladder images of ``T`` (k = 2 or 4) is a sum of ``2^k``
+Pauli strings, one per choice of X or Y at every factor.
+:func:`jordan_wigner_rotations` writes each string's bit-masks and its
+phase, an integer power of i, in closed form (:func:`_ladder_product`), and
+does the same for ``T†``.
 
 **Exactness.**  Every ladder half is ±½ or ±½i, so a string's coefficient in
 ``θ (T − T†)`` is ``θ 2^{-k} (i^{e_T} − i^{e_D})`` with integer phases
@@ -36,14 +39,16 @@ reference does.
 request's Jordan-Wigner planes are mapped by one
 :meth:`~repro.transforms.LinearEncodingTransform.conjugate_planes` call,
 which applies the Y-count sign rule; every term's strings are then put in
-:class:`~repro.operators.PauliString` order.
+:class:`~repro.operators.PauliString` order.  That step is
+:meth:`RotationPlanes.encoded`; the Γ-search objectives run it per candidate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -73,15 +78,6 @@ class PauliRotation:
     string: PauliString
     angle: float
     term_index: int
-
-    @property
-    def weight(self) -> int:
-        return self.string.weight
-
-    @property
-    def cnot_cost(self) -> int:
-        """CNOT count of the rotation on its own (no cancellation)."""
-        return 0 if self.weight <= 1 else 2 * (self.weight - 1)
 
 
 def excitation_to_rotations(
@@ -144,17 +140,48 @@ def _ladder_product(ladders: Sequence[Tuple[int, bool]]) -> Tuple[int, int, int,
     return x, z, base, annihilated
 
 
-@dataclass(frozen=True)
-class RotationPlanes:
+@dataclass(frozen=True, eq=False)
+class RotationPlanes(Sequence[PauliRotation]):
     """Pauli rotations on packed bit-planes: row ``i`` of ``strings`` rotates by ``angles[i]``.
 
     ``term_index[i]`` is the excitation term that produced row ``i``; rows
-    are grouped by term, ascending.
+    are grouped by term, ascending.  As a read-only sequence, item ``i`` is
+    row ``i`` as a :class:`PauliRotation` (Python ``float`` angle, ``int``
+    term index), all unpacked on first access and cached.
     """
 
     strings: PackedPaulis
     angles: np.ndarray
     term_index: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.strings)
+
+    def __getitem__(self, index):
+        return self._rotations[index]
+
+    @cached_property
+    def _rotations(self) -> List[PauliRotation]:
+        columns = (self.strings.to_strings(), self.angles.tolist(), self.term_index.tolist())
+        return list(map(PauliRotation, *columns))
+
+    def encoded(
+        self, transform: Union[JordanWignerTransform, LinearEncodingTransform]
+    ) -> "RotationPlanes":
+        """Jordan-Wigner planes mapped by Γ, each term's rows in label order.
+
+        For ``Γ ≠ I`` the planes go through one
+        :meth:`~repro.transforms.LinearEncodingTransform.conjugate_planes`
+        call and the angles take its signs; conjugation only flips signs, so
+        the dropped rotations do not depend on Γ.  The result is what
+        :func:`terms_to_rotations` returns under ``transform``.
+        """
+        strings, angles = self.strings, self.angles
+        if isinstance(transform, LinearEncodingTransform) and not transform.is_identity_encoding:
+            strings, signs = transform.conjugate_planes(strings)
+            angles = signs * angles
+        order = lexicographic_order(strings, groups=self.term_index)
+        return RotationPlanes(strings.take(order), angles[order], self.term_index[order])
 
 
 def jordan_wigner_rotations(
@@ -233,34 +260,24 @@ def terms_to_rotations(
     terms: Sequence[ExcitationTerm],
     transform: FermionQubitTransform,
     parameters: Optional[Sequence[float]] = None,
-) -> List[PauliRotation]:
+) -> RotationPlanes:
     """Expand an ordered list of excitation terms into Pauli rotations.
 
-    Returns what concatenating :func:`excitation_to_rotations` over the
-    terms returns — the same strings, angles, term indices and order — from
-    the closed-form kernel :func:`jordan_wigner_rotations`.  ``transform``
-    must be a linear encoding (a :class:`~repro.transforms.JordanWignerTransform`
-    or :class:`~repro.transforms.LinearEncodingTransform`); any other
-    transform raises :class:`TypeError`.
+    Returns, as :class:`RotationPlanes`, what concatenating
+    :func:`excitation_to_rotations` over the terms returns — the same
+    strings, angles, term indices and order — from the closed-form kernel
+    :func:`jordan_wigner_rotations` and :meth:`RotationPlanes.encoded`.
+    ``transform`` must be a linear encoding (a
+    :class:`~repro.transforms.JordanWignerTransform` or
+    :class:`~repro.transforms.LinearEncodingTransform`); any other transform
+    raises :class:`TypeError`.
     """
     if not isinstance(transform, (JordanWignerTransform, LinearEncodingTransform)):
         raise TypeError(
             f"terms_to_rotations needs a linear encoding, not {type(transform).__name__}; "
             "use excitation_to_rotations per term"
         )
-    rotations = jordan_wigner_rotations(terms, transform.n_modes, parameters)
-    strings, angles = rotations.strings, rotations.angles
-    if isinstance(transform, LinearEncodingTransform) and not transform.is_identity_encoding:
-        strings, signs = transform.conjugate_planes(strings)
-        angles = signs * angles
-    order = lexicographic_order(strings, groups=rotations.term_index).tolist()
-    paulis = strings.to_strings()
-    angle_list = angles.tolist()
-    term_index = rotations.term_index.tolist()
-    return [
-        PauliRotation(string=paulis[row], angle=angle_list[row], term_index=term_index[row])
-        for row in order
-    ]
+    return jordan_wigner_rotations(terms, transform.n_modes, parameters).encoded(transform)
 
 
 def required_qubits(terms: Sequence[ExcitationTerm]) -> int:

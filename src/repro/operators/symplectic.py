@@ -13,14 +13,17 @@ per word) and evaluates them as whole-array numpy bit operations:
   strings that share a target, from string-pair tables: one row of
   same-target vertices at a time (the greedy walk of
   :mod:`repro.core.advanced_sorting` and the Γ-search objective), or every
-  pair of targeted vertices at once (the GTSP edge weights and the
-  term-block orders),
+  pair of targeted vertices at once (the GTSP edge weights, the term-block
+  orders and the sorted sequence's count).  The tables are built once per
+  :class:`PackedPaulis` (:attr:`PackedPaulis.same_target_savings`), so every
+  reader of one string set shares them,
 * :func:`routed_vertex_cost_vector` — the steered ladder cost of targeted
   strings on a device,
 * :func:`linear_encoding_image` — the strings conjugated by the CNOT
-  circuit of a linear encoding Γ, as a GF(2) map of the planes (the Γ-search
-  objective of :mod:`repro.core.gamma_search` applies one per candidate,
-  and :class:`~repro.transforms.LinearEncodingTransform` adds the sign),
+  circuit of a linear encoding Γ, as a GF(2) map of the planes; its caller,
+  :meth:`~repro.transforms.LinearEncodingTransform.conjugate_planes`, adds
+  the sign, and :meth:`repro.core.terms_to_paulis.RotationPlanes.encoded`
+  (every compile and every Γ-search candidate) goes through it,
 * :func:`lexicographic_order` — the :class:`PauliString` sort order.
 
 All functions accept either a :class:`PackedPaulis` or any iterable of
@@ -30,6 +33,7 @@ All functions accept either a :class:`PackedPaulis` or any iterable of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
@@ -106,6 +110,15 @@ class PackedPaulis:
     @property
     def n_words(self) -> int:
         return self.x.shape[1]
+
+    def take(self, rows: Sequence[int]) -> "PackedPaulis":
+        """The strings at ``rows``, in that order (repeats allowed)."""
+        return PackedPaulis(self.n_qubits, self.x[rows], self.z[rows])
+
+    @cached_property
+    def same_target_savings(self) -> "SameTargetSavings":
+        """The :class:`SameTargetSavings` tables of these strings, built once."""
+        return SameTargetSavings(self)
 
     def to_strings(self) -> List[PauliString]:
         """Unpack back into :class:`PauliString` objects."""

@@ -122,7 +122,7 @@ class TestTransformStage:
             make_context(bosonic_only),
             classify_stage, schedule_hybrid_stage, gamma_search_stage, transform_stage,
         )
-        assert context.rotations == []
+        assert len(context.rotations) == 0
 
     def test_rotations_generated_for_fermionic_terms(self, mixed_terms):
         context = run_stages(
@@ -135,10 +135,11 @@ class TestTransformStage:
 
 class TestSortStage:
     def test_savings_tables_built_per_construction(self, mixed_terms, monkeypatch):
-        """One sort builds four string-pair savings tables: the greedy seed
-        walk, the two term-block seed tours and the GTSP instance each read
-        their own :class:`~repro.operators.SameTargetSavings`."""
-        import repro.core.advanced_sorting as advanced_sorting
+        """One sort builds one string-pair savings table: the greedy seed
+        walk, the two term-block seed tours, the GTSP instance and the final
+        count all read the :class:`~repro.operators.SameTargetSavings`
+        memoized on the rotations' planes."""
+        import repro.operators.symplectic as symplectic
 
         context = run_stages(
             make_context(mixed_terms),
@@ -146,14 +147,14 @@ class TestSortStage:
         )
         calls = []
 
-        class CountingSavings(advanced_sorting.SameTargetSavings):
+        class CountingSavings(symplectic.SameTargetSavings):
             def __init__(self, strings):
                 calls.append(len(strings))
                 super().__init__(strings)
 
-        monkeypatch.setattr(advanced_sorting, "SameTargetSavings", CountingSavings)
+        monkeypatch.setattr(symplectic, "SameTargetSavings", CountingSavings)
         sort_stage(context)
-        assert calls == [len(context.rotations)] * 4
+        assert calls == [len(context.rotations)]
         assert len(context.sorting.ordered_rotations) == len(context.rotations)
 
     def test_sorted_count_not_worse_than_naive(self, mixed_terms):
@@ -181,18 +182,15 @@ class TestSortStage:
             term_block_order,
         )
         from repro.circuits import sequence_cnot_count
-        from repro.operators import PackedPaulis
 
         context = run_stages(
             make_context(mixed_terms),
             classify_stage, schedule_hybrid_stage, gamma_search_stage, transform_stage,
         )
         rotations = context.rotations
-        strings = PackedPaulis.from_strings(rotation.string for rotation in rotations)
-        term_index = [rotation.term_index for rotation in rotations]
         block_counts = []
         for ordered in (True, False):
-            blocks = term_block_order(strings, term_index, ordered)
+            blocks = term_block_order(rotations.strings, rotations.term_index, ordered)
             block_counts.append(blocks.cnot_count)
             assert blocks.cnot_count == sequence_cnot_count(
                 [

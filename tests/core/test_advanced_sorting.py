@@ -9,6 +9,7 @@ import repro.core.advanced_sorting as advanced_sorting
 from repro.circuits import interface_cnot_reduction, sequence_cnot_count
 from repro.core import (
     PauliRotation,
+    RotationPlanes,
     advanced_sort,
     baseline_order_cnot_count,
     build_sorting_problem,
@@ -28,14 +29,24 @@ def rotation(label, angle=0.1, term_index=0):
     return PauliRotation(string=PauliString(label), angle=angle, term_index=term_index)
 
 
+def planes(rotations):
+    """Hand-built rotations on packed bit-planes, the sort's input."""
+    rotations = list(rotations)
+    return RotationPlanes(
+        PackedPaulis.from_strings(r.string for r in rotations),
+        np.array([r.angle for r in rotations], dtype=np.float64),
+        np.array([r.term_index for r in rotations], dtype=np.int64),
+    )
+
+
 class TestSortingProblem:
     def test_appendix_b_clusters(self):
         """Appendix B: three 8-qubit strings and their valid target sets."""
-        rotations = [
+        rotations = planes([
             rotation("IIXXYXII"),
             rotation("IIXXXYII"),
             rotation("XXIIIIXY"),
-        ]
+        ])
         problem = build_sorting_problem(rotations)
         assert problem.n_clusters == 3
         targets = [sorted(t for _, t in cluster) for cluster in problem.clusters]
@@ -45,7 +56,7 @@ class TestSortingProblem:
 
     def test_appendix_b_edge_weight(self):
         """The edge ([P0, t=2], [P1, t=2]) costs P1's 6 CNOTs minus 4 saved ones."""
-        rotations = [rotation("IIXXYXII"), rotation("IIXXXYII")]
+        rotations = planes([rotation("IIXXYXII"), rotation("IIXXXYII")])
         problem = build_sorting_problem(rotations)
         # Rows 0..3 are rotation 0 on targets 2..5, row 4 is rotation 1 on 2.
         assert problem.clusters[0][0] == (0, 2) and problem.clusters[1][0] == (1, 2)
@@ -54,38 +65,38 @@ class TestSortingProblem:
 
     def test_identity_rotation_rejected(self):
         with pytest.raises(ValueError):
-            build_sorting_problem([rotation("III")])
+            build_sorting_problem(planes([rotation("III")]))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            build_sorting_problem([])
+            build_sorting_problem(planes([]))
 
 
 class TestAdvancedSort:
     def test_single_rotation(self):
-        result = advanced_sort([rotation("XXYZ")])
+        result = advanced_sort(planes([rotation("XXYZ")]))
         assert result.cnot_count == 6
         assert len(result.ordered_rotations) == 1
 
     def test_empty_input(self):
-        result = advanced_sort([])
+        result = advanced_sort(planes([]))
         assert result.cnot_count == 0
 
     def test_figure_four_pair_prefers_shared_fourth_target(self):
         """Advanced sorting discovers the 7-CNOT solution of Fig. 4(a)."""
-        rotations = [rotation("XXXY"), rotation("XXYX")]
+        rotations = planes([rotation("XXXY"), rotation("XXYX")])
         result = advanced_sort(rotations)
         assert result.cnot_count == 7
 
     def test_never_worse_than_naive_order(self):
         labels = ["XXZI", "XYZI", "IZZX", "ZZXX", "XXII"]
-        rotations = [rotation(label, term_index=i) for i, label in enumerate(labels)]
+        rotations = planes(rotation(label, term_index=i) for i, label in enumerate(labels))
         result = advanced_sort(rotations)
         assert result.cnot_count <= baseline_order_cnot_count(rotations)
 
     def test_sorted_sequence_covers_all_rotations(self):
         labels = ["XXZI", "XYZI", "IZZX"]
-        rotations = [rotation(label, term_index=i) for i, label in enumerate(labels)]
+        rotations = planes(rotation(label, term_index=i) for i, label in enumerate(labels))
         result = advanced_sort(rotations)
         sorted_labels = sorted(r.string.to_label() for r, _ in result.ordered_rotations)
         assert sorted_labels == sorted(labels)
@@ -93,20 +104,18 @@ class TestAdvancedSort:
     @pytest.mark.parametrize("on_line", [False, True])
     def test_cost_is_the_objective_and_never_worse_than_a_seed(self, on_line):
         labels = ["XXZI", "IYZX", "ZIIX", "XIYI", "ZXXZ", "YYII"]
-        rotations = [rotation(label, term_index=i // 2) for i, label in enumerate(labels)]
+        rotations = planes(rotation(label, term_index=i // 2) for i, label in enumerate(labels))
         topology = Topology.line(4) if on_line else None
         result = advanced_sort(rotations, topology=topology)
         assert result.cnot_count == sequence_cnot_count(result.targeted_strings())
         assert sorted(id(r) for r, _ in result.ordered_rotations) == sorted(map(id, rotations))
         for tour in advanced_sorting.sort_seed_tours(rotations, topology=topology):
-            seed = advanced_sorting._finalize_sorting(
-                [(rotations[index], target) for index, target in tour], topology
-            )
+            seed = advanced_sorting._finalize_sorting(rotations, tour, topology)
             assert result.objective() <= seed.objective()
 
     def test_targets_always_in_support(self):
         labels = ["XXZI", "IYZX", "ZIIX", "XIYI"]
-        rotations = [rotation(label, term_index=i) for i, label in enumerate(labels)]
+        rotations = planes(rotation(label, term_index=i) for i, label in enumerate(labels))
         result = advanced_sort(rotations)
         for rot, target in result.ordered_rotations:
             assert target in rot.string.support
@@ -114,7 +123,7 @@ class TestAdvancedSort:
 
 class TestGreedySort:
     def test_matches_advanced_on_identical_strings(self):
-        rotations = [rotation("XXZZ", term_index=i) for i in range(3)]
+        rotations = planes(rotation("XXZZ", term_index=i) for i in range(3))
         greedy = greedy_sort(rotations)
         advanced = advanced_sort(rotations)
         # Three identical exponentials merge into one: 6 CNOTs total.
@@ -122,23 +131,23 @@ class TestGreedySort:
         assert advanced.cnot_count == 6
 
     def test_empty(self):
-        assert greedy_sort([]).cnot_count == 0
+        assert greedy_sort(planes([])).cnot_count == 0
 
     def test_never_worse_than_naive(self):
         rng = np.random.default_rng(5)
         labels = ["XXZI", "XYZI", "IZZX", "ZZXX"]
-        rotations = [rotation(label, term_index=i) for i, label in enumerate(labels)]
+        rotations = planes(rotation(label, term_index=i) for i, label in enumerate(labels))
         assert greedy_sort(rotations).cnot_count <= baseline_order_cnot_count(rotations)
 
     def test_covers_all_rotations(self):
         labels = ["XXZI", "XYZI", "IZZX", "ZZXX"]
-        rotations = [rotation(label, term_index=i) for i, label in enumerate(labels)]
+        rotations = planes(rotation(label, term_index=i) for i, label in enumerate(labels))
         result = greedy_sort(rotations)
         assert len(result.ordered_rotations) == len(labels)
 
     def test_identity_rotation_rejected(self):
         with pytest.raises(ValueError, match="identity"):
-            greedy_sort([rotation("XZ"), rotation("II")])
+            greedy_sort(planes([rotation("XZ"), rotation("II")]))
 
 
 def nested_loop_greedy(rotations, topology=None):
@@ -190,7 +199,7 @@ class TestGreedyWalk:
     )
     @settings(max_examples=80, deadline=None)
     def test_greedy_sort_matches_nested_loop(self, labels, on_line):
-        rotations = [rotation(label, term_index=i) for i, label in enumerate(labels)]
+        rotations = planes(rotation(label, term_index=i) for i, label in enumerate(labels))
         topology = Topology.line(len(labels[0])) if on_line else None
         result = greedy_sort(rotations, topology=topology)
         assert result.ordered_rotations == nested_loop_greedy(rotations, topology)

@@ -17,7 +17,12 @@ from hypothesis import strategies as st
 
 from repro.core import excitation_to_rotations, terms_to_rotations
 from repro.core import terms_to_paulis
-from repro.core.terms_to_paulis import ANGLE_TOLERANCE, jordan_wigner_rotations
+from repro.core.terms_to_paulis import (
+    ANGLE_TOLERANCE,
+    PauliRotation,
+    RotationPlanes,
+    jordan_wigner_rotations,
+)
 from repro.operators import PackedPaulis
 from repro.transforms import (
     BravyiKitaevTransform,
@@ -108,8 +113,17 @@ class TestAgainstScalarReference:
     @settings(max_examples=300, deadline=None)
     def test_bit_identical(self, request):
         terms, transform, thetas = request
-        assert fingerprint(terms_to_rotations(terms, transform, thetas)) == fingerprint(
-            reference(terms, transform, thetas)
+        rotations = terms_to_rotations(terms, transform, thetas)
+        expected = fingerprint(reference(terms, transform, thetas))
+        # The planes read as a sequence: indexing, then iteration, of items
+        # typed as the scalar path types them.
+        assert isinstance(rotations, RotationPlanes)
+        assert len(rotations) == len(expected)
+        assert fingerprint(rotations[i] for i in range(len(rotations))) == expected
+        assert fingerprint(rotations) == expected
+        assert all(
+            type(rotation) is PauliRotation and type(rotation.term_index) is int
+            for rotation in rotations
         )
 
     @pytest.mark.parametrize("transform", [
@@ -183,8 +197,8 @@ class TestCallContract:
         LinearEncodingTransform(cnot_network_matrix(5, [(0, 3), (4, 1)])),
     ], ids=["jw", "bk", "gamma"])
     def test_empty_term_list(self, transform):
-        assert terms_to_rotations([], transform) == []
-        assert terms_to_rotations([], transform, []) == []
+        assert len(terms_to_rotations([], transform)) == 0
+        assert len(terms_to_rotations([], transform, [])) == 0
 
     def test_parameter_count_must_match(self):
         terms = [ExcitationTerm(creation=(2,), annihilation=(0,))]
@@ -210,7 +224,7 @@ class TestCallContract:
         with pytest.raises(ValueError, match="non-anti-hermitian"):
             terms_to_rotations(terms, JordanWignerTransform(5))
         # Below the tolerance a real part is as negligible as an imaginary one.
-        assert terms_to_rotations(terms, JordanWignerTransform(5), [1e-11]) == []
+        assert len(terms_to_rotations(terms, JordanWignerTransform(5), [1e-11])) == 0
 
 
 class TestConjugatePlanes:

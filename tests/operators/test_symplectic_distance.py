@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import interface_cnot_reduction
-from repro.core import PauliRotation, build_sorting_problem
+from repro.core import RotationPlanes, build_sorting_problem
 from repro.hardware import Topology
 from repro.operators import (
     PackedPaulis,
@@ -103,12 +103,15 @@ class TestSortingProblemWeights:
         """Edge ``[a, b]`` costs vertex b's steered ladder minus the ω-rule
         saving of b right after a, for every vertex pair."""
         rng = np.random.default_rng(1)
-        rotations = []
-        for term_index in range(6):
+        strings = []
+        for _ in range(6):
             label = "".join(rng.choice(list("IXYZ"), size=6))
             if set(label) == {"I"}:
                 label = "Y" + label[1:]
-            rotations.append(PauliRotation(PauliString(label), 0.1, term_index))
+            strings.append(PauliString(label))
+        rotations = RotationPlanes(
+            PackedPaulis.from_strings(strings), np.full(6, 0.1), np.arange(6)
+        )
         problem = build_sorting_problem(rotations, topology=topology)
         vertices = [vertex for cluster in problem.clusters for vertex in cluster]
         costs = [
