@@ -140,22 +140,36 @@ def _permutation_table(size: int) -> np.ndarray:
 
 
 def _order_block(savings: np.ndarray) -> List[int]:
-    """Order one term's strings from its diagonal block of the savings matrix.
+    """Order one term's strings from its ``(k, k)`` block of int64 savings.
 
     Small blocks try every permutation and keep the first maximum of the
     summed consecutive savings; larger ones take a seeded TSP tour with
-    weight ``-savings[i, j]``.
+    weight ``-savings[i, j]``.  The order is a pure function of the block,
+    so it is memoized on the block's bytes (:func:`_block_order`); every
+    call returns a fresh list.
     """
-    size = savings.shape[0]
+    savings = np.ascontiguousarray(savings, dtype=np.int64)
+    return list(_block_order(savings.shape[0], savings.tobytes()))
+
+
+#: Distinct term blocks whose order :func:`_block_order` keeps: a block of
+#: at most 8 strings keys on ≤ 512 bytes, so the memo stays under ~3 MB.
+BLOCK_ORDER_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=BLOCK_ORDER_CACHE_SIZE)
+def _block_order(size: int, savings: bytes) -> Tuple[int, ...]:
+    """:func:`_order_block` of the ``(size, size)`` int64 block with these bytes."""
     if size <= 1:
-        return list(range(size))
+        return tuple(range(size))
+    block = np.frombuffer(savings, dtype=np.int64).reshape(size, size)
     if size <= EXHAUSTIVE_ORDERING_LIMIT:
         table = _permutation_table(size)
-        scores = savings[table[:, :-1], table[:, 1:]].sum(axis=1)
-        return table[int(np.argmax(scores))].tolist()
-    weights = (-savings).tolist()
-    return solve_tsp(
-        range(size), lambda i, j: weights[i][j], rng=np.random.default_rng(0)
+        scores = block[table[:, :-1], table[:, 1:]].sum(axis=1)
+        return tuple(table[int(np.argmax(scores))].tolist())
+    weights = (-block).tolist()
+    return tuple(
+        solve_tsp(range(size), lambda i, j: weights[i][j], rng=np.random.default_rng(0))
     )
 
 
@@ -170,14 +184,16 @@ def term_block_order(
     Without ``ordered`` the blocks follow one another as they are.  With
     it, each block is first reordered to maximize its internal savings
     (exhaustively up to :data:`EXHAUSTIVE_ORDERING_LIMIT` strings, by
-    :func:`repro.optimizers.solve_tsp` beyond it), then the blocks are grouped
-    by the target of their first string, groups in ascending target order,
-    and each group is chained greedily: next comes the block whose first
-    string saves the most after the last string so far, the first such
-    block on ties.  All savings come from one
-    :meth:`repro.operators.SameTargetSavings.pairs` matrix over the strings.
+    :func:`repro.optimizers.solve_tsp` beyond it, memoized per block), then
+    the blocks are grouped by the target of their first string, groups in
+    ascending target order, and each group is chained greedily: next comes
+    the block whose first string saves the most after the last string so
+    far, the first such block on ties.  Blocks and chaining read only the
+    savings they compare (:meth:`~repro.operators.SameTargetSavings.blocks`).
     ``rows`` index ``strings`` in compiled order; ``cnot_count`` is
-    Σ 2 (w - 1) minus the savings between consecutive strings.
+    Σ 2 (w - 1) minus the
+    :meth:`~repro.operators.SameTargetSavings.consecutive` savings, so the
+    unordered order builds no savings matrix at all.
     """
     term_index = np.asarray(term_index, dtype=np.int64)
     if len(strings) != term_index.shape[0]:
@@ -197,24 +213,40 @@ def term_block_order(
     sorted_targets = np.where(shared >= 0, shared, last_support)
     targets = np.empty_like(sorted_targets)
     targets[rows] = sorted_targets
-    savings = strings.same_target_savings.pairs(np.arange(len(strings)), targets)
+    savings = strings.same_target_savings
 
     if ordered:
+        sizes = np.diff(np.append(starts, len(rows)))
+        vertices = (rows, targets[rows])
         groups: Dict[int, List[np.ndarray]] = {}
-        for block in np.split(rows, starts[1:]):
-            block = block[_order_block(savings[np.ix_(block, block)])]
+        for block, matrix in zip(
+            np.split(rows, starts[1:]), savings.blocks(vertices, vertices, sizes)
+        ):
+            block = block[_order_block(matrix)]
             groups.setdefault(int(targets[block[0]]), []).append(block)
+        # Chaining reads, per group, the savings of every block's first
+        # string after every block's last string.
+        ordered_groups = [groups[target] for target in sorted(groups)]
+        lasts = np.array([block[-1] for blocks in ordered_groups for block in blocks])
+        firsts = np.array([block[0] for blocks in ordered_groups for block in blocks])
+        chains = savings.blocks(
+            (lasts, targets[lasts]),
+            (firsts, targets[firsts]),
+            [len(blocks) for blocks in ordered_groups],
+        )
         chained: List[np.ndarray] = []
-        for target in sorted(groups):
-            blocks = groups[target]
-            chained.append(blocks.pop(0))
-            while blocks:
-                firsts = [block[0] for block in blocks]
-                chained.append(blocks.pop(int(np.argmax(savings[chained[-1][-1], firsts]))))
+        for blocks, matrix in zip(ordered_groups, chains):
+            remaining = list(range(1, len(blocks)))
+            pick = 0
+            chained.append(blocks[pick])
+            while remaining:
+                pick = remaining.pop(int(np.argmax(matrix[pick, remaining])))
+                chained.append(blocks[pick])
         rows = np.concatenate(chained)
 
     weights = weight_vector(strings)
-    cnot_count = 2 * int((weights - 1).sum()) - int(savings[rows[:-1], rows[1:]].sum())
+    saved = int(savings.consecutive(rows, targets[rows]).sum())
+    cnot_count = 2 * int((weights - 1).sum()) - saved
     return TermBlockOrder(rows=rows, targets=targets[rows], cnot_count=cnot_count)
 
 
@@ -227,8 +259,8 @@ def _finalize_sorting(
     """Package a targeted tour of the rotations with its all-to-all and routed costs.
 
     The CNOT count is Σ 2 (w - 1) minus the savings between consecutive
-    vertices, read from the strings' memoized
-    :class:`~repro.operators.SameTargetSavings`.  The routed estimate swaps
+    vertices (:meth:`~repro.operators.SameTargetSavings.consecutive` of the
+    strings' memoized savings).  The routed estimate swaps
     each exponential's template CNOTs for its steered ladder cost
     (:func:`repro.operators.routed_vertex_cost_vector`) and keeps the same
     savings.  It is the path cost the distance-weighted GTSP optimizes, and
@@ -236,7 +268,7 @@ def _finalize_sorting(
     """
     strings = rotations.strings
     rows, targets = np.array(tour, dtype=np.intp).reshape(-1, 2).T
-    saved = int(np.diagonal(strings.same_target_savings.pairs(rows, targets), 1).sum())
+    saved = int(strings.same_target_savings.consecutive(rows, targets).sum())
     cnot_count = 2 * int((weight_vector(strings)[rows] - 1).sum()) - saved
     routed = None
     if topology is not None:

@@ -72,13 +72,31 @@ def breaks_symmetry(breaker: ExcitationTerm, protected: ExcitationTerm) -> bool:
 
 
 def build_symmetry_graph(hybrid_terms: Sequence[ExcitationTerm]) -> nx.DiGraph:
-    """Directed graph with an edge ``i -> j`` when term ``i`` breaks term ``j``'s symmetry."""
+    """Directed graph with an edge ``i -> j`` when term ``i`` breaks term ``j``'s symmetry.
+
+    The criterion of :func:`breaks_symmetry`, on bit masks: ``parity[i]``
+    flips bit ``k`` once per ladder index ``k`` of term ``i``, ``pair[j]``
+    holds term ``j``'s symmetric pair (0 without one), and ``i`` breaks
+    ``j`` iff ``parity[i] & pair[j]`` has an odd number of bits.  Edges are
+    added ``i``-major, ``j``-minor, the order the coloring's draws follow.
+    """
+    parity = []
+    pair_masks = []
+    for term in hybrid_terms:
+        mask = 0
+        for index in (*term.creation, *term.annihilation):
+            mask ^= 1 << index
+        parity.append(mask)
+        pair = symmetric_pair(term)
+        pair_masks.append(0 if pair is None else (1 << pair[0]) | (1 << pair[1]))
     graph = nx.DiGraph()
     graph.add_nodes_from(range(len(hybrid_terms)))
-    for i, term_i in enumerate(hybrid_terms):
-        for j, term_j in enumerate(hybrid_terms):
-            if i != j and breaks_symmetry(term_i, term_j):
-                graph.add_edge(i, j)
+    graph.add_edges_from(
+        (i, j)
+        for i, flips in enumerate(parity)
+        for j, pair in enumerate(pair_masks)
+        if i != j and (flips & pair).bit_count() & 1
+    )
     return graph
 
 

@@ -10,13 +10,15 @@ per word) and evaluates them as whole-array numpy bit operations:
 * :func:`weight_vector` / :func:`support_matrix` — Pauli weights and
   supports,
 * :class:`SameTargetSavings` — the ω-rule CNOT savings of Sec. III-B between
-  strings that share a target, from string-pair tables: one row of
+  strings that share a target, from string-pair counts: one row of
   same-target vertices at a time (the greedy walk of
-  :mod:`repro.core.advanced_sorting` and the Γ-search objective), or every
-  pair of targeted vertices at once (the GTSP edge weights, the term-block
-  orders and the sorted sequence's count).  The tables are built once per
-  :class:`PackedPaulis` (:attr:`PackedPaulis.same_target_savings`), so every
-  reader of one string set shares them,
+  :mod:`repro.core.advanced_sorting` and the Γ-search objective), every
+  pair of targeted vertices at once (the GTSP edge weights), the pairs
+  inside runs of vertices (the term-block order) or the consecutive pairs
+  of a sequence (every sequence's count).  One instance per
+  :class:`PackedPaulis` (:attr:`PackedPaulis.same_target_savings`) is
+  shared by every reader of one string set; its ``(m, m)`` tables are built
+  only for the row reads,
 * :func:`routed_vertex_cost_vector` — the steered ladder cost of targeted
   strings on a device,
 * :func:`linear_encoding_image` — the strings conjugated by the CNOT
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -117,7 +119,7 @@ class PackedPaulis:
 
     @cached_property
     def same_target_savings(self) -> "SameTargetSavings":
-        """The :class:`SameTargetSavings` tables of these strings, built once."""
+        """The :class:`SameTargetSavings` of these strings, built once (its tables lazily)."""
         return SameTargetSavings(self)
 
     def to_strings(self) -> List[PauliString]:
@@ -251,15 +253,26 @@ def routed_vertex_cost_vector(
     return 2 * per_qubit.sum(axis=1)
 
 
+def _run_pairs(sizes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Positions ``(a, b)`` of every ordered pair inside each run of positions.
+
+    The positions ``0 .. sum(sizes) - 1`` are cut into consecutive runs of
+    ``sizes``; the pairs come run by run, row-major inside a run.
+    """
+    per_vertex = np.repeat(sizes, sizes)
+    a = np.repeat(np.arange(per_vertex.size), per_vertex)
+    offset = np.arange(a.size) - np.repeat(np.cumsum(per_vertex) - per_vertex, per_vertex)
+    b = np.repeat(np.repeat(np.cumsum(sizes) - sizes, sizes), per_vertex) + offset
+    return a, b
+
+
 class SameTargetSavings:
     """The ω-rule savings between strings that share a target, from string pairs.
 
-    The savings of every targeted vertex pair come from two ``(m, m)``
-    string-pair tables and one letter per string and qubit: :meth:`row`
-    assembles the savings after one vertex, :meth:`pairs` those between
-    every pair of a vertex list.  With ``B`` the support overlap of strings
-    ``i`` and ``j`` and ``E`` the number of qubits where both carry the same
-    non-identity letter:
+    With ``B`` the support overlap of strings ``i`` and ``j`` and ``E`` the
+    number of qubits where both carry the same non-identity letter, the
+    savings of targeted vertex pairs come from two string-pair counts and
+    one letter per string and qubit:
 
     * ``both[i, j] = B - 1`` — the shared qubits other than the target;
     * ``equal[i, j] = E``;
@@ -277,23 +290,62 @@ class SameTargetSavings:
     interface CNOTs ``w_i + w_j - 2``; the cap never binds when ``t`` lies
     in both supports, since the saving is at most
     ``2 both ≤ 2 (min(w_i, w_j) - 1) ≤ w_i + w_j - 2``.
+
+    Four readers, by how many pairs they need:
+
+    * :meth:`row` — the savings after one vertex (the greedy walk);
+    * :meth:`pairs` — every pair of a vertex list (the GTSP edge weights);
+    * :meth:`blocks` — the pairs inside runs of vertices (the term-block
+      order's blocks and chaining);
+    * :meth:`consecutive` — the ``m - 1`` savings along a sequence (every
+      sequence's CNOT count).
+
+    :meth:`row` reads the ``(m, m)`` tables ``both`` and ``equal``
+    (:attr:`tables`), built on its first call; the other three count only
+    the pairs they return, from the planes, and build no table.
     """
 
     def __init__(self, strings: Packable):
         packed = _as_packed(strings)
-        x, z = packed.x, packed.z
-        support = x | z
-        shared = support[:, None, :] & support[None, :, :]
-        differ = (x[:, None, :] ^ x[None, :, :]) | (z[:, None, :] ^ z[None, :, :])
-        self.both = np.bitwise_count(shared).sum(axis=-1, dtype=np.int64) - 1
-        self.equal = np.bitwise_count(shared & ~differ).sum(axis=-1, dtype=np.int64)
-        classes = _unpack_planes(x, packed.n_qubits).T
-        self.letters = classes + 2 * _unpack_planes(z, packed.n_qubits).T
-        # [q, c, j]: string j's letter on q shares the class of / equals the
-        # letter code c, as 0/1 ints for the row arithmetic.
+        # The planes, not the PackedPaulis: it memoizes this object, and a
+        # reference back would leave both to the cyclic garbage collector.
+        self._x, self._z = packed.x, packed.z
+        n = packed.n_qubits
+        self.letters = (_unpack_planes(self._x, n) + 2 * _unpack_planes(self._z, n)).T
+
+    def _counts(self, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(both, equal)`` of the string pairs ``(a, b)``, broadcast row indices."""
+        x, z = self._x, self._z
+        shared = (x[a] | z[a]) & (x[b] | z[b])
+        differ = (x[a] ^ x[b]) | (z[a] ^ z[b])
+        return (
+            np.bitwise_count(shared).sum(axis=-1, dtype=np.int64) - 1,
+            np.bitwise_count(shared & ~differ).sum(axis=-1, dtype=np.int64),
+        )
+
+    @cached_property
+    def tables(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(m, m)`` string-pair tables ``(both, equal)``, built once on first read."""
+        rows = np.arange(len(self._x))
+        return self._counts(rows[:, None], rows[None, :])
+
+    @property
+    def both(self) -> np.ndarray:
+        return self.tables[0]
+
+    @property
+    def equal(self) -> np.ndarray:
+        return self.tables[1]
+
+    @cached_property
+    def _letter_matches(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``[q, c, j]``: string j's letter on q shares the class of / equals the
+        letter code c, as 0/1 ints for the row arithmetic."""
         codes = np.arange(4)[:, None]
-        self._same_class = (classes[:, None, :] == (codes & 1)).astype(np.int64)
-        self._same_letter = (self.letters[:, None, :] == codes).astype(np.int64)
+        return (
+            ((self.letters[:, None, :] & 1) == (codes & 1)).astype(np.int64),
+            (self.letters[:, None, :] == codes).astype(np.int64),
+        )
 
     def row(self, source: int, target: int) -> np.ndarray:
         """Saving of ``(j, target)`` right after ``(source, target)``, for every ``j``.
@@ -301,21 +353,18 @@ class SameTargetSavings:
         Entries are meaningful where ``target`` lies in the support of both
         ``source`` and ``j``.
         """
+        both, equal = self.tables
+        same_class, same_letter = self._letter_matches
         letter = self.letters[target, source]
-        return (
-            self.both[source]
-            + self.equal[source] * self._same_class[target, letter]
-            - self._same_letter[target, letter]
-        )
+        return both[source] + equal[source] * same_class[target, letter] - same_letter[target, letter]
 
-    def pairs(self, rows: Sequence[int], targets: Sequence[int]) -> np.ndarray:
-        """Savings between the targeted vertices ``(rows[k], targets[k])``.
+    def _codes(
+        self, rows: Sequence[int], targets: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, targets, letter codes)`` of targeted vertices, validated.
 
-        Entry ``[a, b]`` is the saving of vertex ``b`` right after vertex
-        ``a``, and 0 when their targets differ.  A string may appear in
-        several vertices with different targets.  Every target must lie in
-        its string's support.  Only the same-target pairs are evaluated, as
-        ``both + equal·[classes agree on t] - [letters equal on t]``.
+        Raises ``ValueError`` unless every target lies in its string's
+        support (negative and off-register targets included).
         """
         rows = np.asarray(rows, dtype=np.intp)
         targets = np.asarray(targets, dtype=np.intp)
@@ -328,21 +377,82 @@ class SameTargetSavings:
             bad = int(np.argmin(codes))
             label = "".join("IXZY"[code] for code in self.letters[:, rows[bad]])
             raise ValueError(f"target {int(targets[bad])} not in support of {label}")
+        return rows, targets, codes
+
+    def pairs(self, rows: Sequence[int], targets: Sequence[int]) -> np.ndarray:
+        """Savings between the targeted vertices ``(rows[k], targets[k])``.
+
+        Entry ``[a, b]`` is the saving of vertex ``b`` right after vertex
+        ``a``, and 0 when their targets differ.  A string may appear in
+        several vertices with different targets.  Every target must lie in
+        its string's support.  Only the same-target pairs are evaluated, as
+        ``both + equal·[classes agree on t] - [letters equal on t]``.
+        """
+        rows, targets, codes = self._codes(rows, targets)
         # Every ordered same-target pair (a, b): sort the vertices by target
         # and pair each one with every member of its group.
         order = np.argsort(targets, kind="stable")
         starts = np.flatnonzero(np.diff(targets[order], prepend=-1))
         sizes = np.diff(np.append(starts, rows.size))
-        per_vertex = np.repeat(sizes, sizes)
-        a = np.repeat(order, per_vertex)
-        offset = np.arange(a.size) - np.repeat(np.cumsum(per_vertex) - per_vertex, per_vertex)
-        b = order[np.repeat(np.repeat(starts, sizes), per_vertex) + offset]
-        strings = rows[a] * len(self.both) + rows[b]
-        code_a, code_b = codes[a], codes[b]
+        a, b = (order[positions] for positions in _run_pairs(sizes))
         matrix = np.zeros((rows.size, rows.size), dtype=np.int64)
-        matrix.flat[a * rows.size + b] = (
-            self.both.take(strings)
-            + self.equal.take(strings) * ((code_a & 1) == (code_b & 1))
-            - (code_a == code_b)
-        )
+        matrix.flat[a * rows.size + b] = self._saving(rows[a], codes[a], rows[b], codes[b], True)
         return matrix
+
+    def _saving(
+        self,
+        rows_a: np.ndarray,
+        codes_a: np.ndarray,
+        rows_b: np.ndarray,
+        codes_b: np.ndarray,
+        same_target: np.ndarray,
+    ) -> np.ndarray:
+        """Element-wise saving of ``(rows_b, t)`` right after ``(rows_a, t)``, from the planes."""
+        both, equal = self._counts(rows_a, rows_b)
+        saving = both + equal * ((codes_a & 1) == (codes_b & 1)) - (codes_a == codes_b)
+        return np.where(same_target, saving, 0)
+
+    def blocks(
+        self,
+        tails: Tuple[Sequence[int], Sequence[int]],
+        heads: Tuple[Sequence[int], Sequence[int]],
+        sizes: Sequence[int],
+    ) -> List[np.ndarray]:
+        """Savings inside runs of vertices: one ``(k, k)`` matrix per run.
+
+        ``tails`` and ``heads`` are ``(rows, targets)`` vertex lists of one
+        length, cut into consecutive runs of ``sizes``.  Entry ``[i, j]`` of
+        a run's matrix is the saving of head vertex ``j`` right after tail
+        vertex ``i`` of that run, 0 when their targets differ; with
+        ``heads == tails`` it is the run's diagonal block of
+        :meth:`pairs`.  Targets are validated as in :meth:`pairs`; only the
+        pairs inside runs are counted, from the planes.
+        """
+        tail_rows, tail_targets, tail_codes = self._codes(*tails)
+        head_rows, head_targets, head_codes = self._codes(*heads)
+        sizes = np.asarray(sizes, dtype=np.intp)
+        if not tail_rows.size == head_rows.size == sizes.sum():
+            raise ValueError("tails and heads must each list sum(sizes) vertices")
+        a, b = _run_pairs(sizes)
+        flat = self._saving(
+            tail_rows[a], tail_codes[a], head_rows[b], head_codes[b],
+            tail_targets[a] == head_targets[b],
+        )
+        matrices = []
+        offset = 0
+        for size in sizes.tolist():
+            matrices.append(flat[offset:offset + size * size].reshape(size, size))
+            offset += size * size
+        return matrices
+
+    def consecutive(self, rows: Sequence[int], targets: Sequence[int]) -> np.ndarray:
+        """The ``m - 1`` savings along the sequence ``(rows[k], targets[k])``.
+
+        Entry ``k`` is the saving of vertex ``k + 1`` right after vertex
+        ``k``: the superdiagonal of ``pairs(rows, targets)``, with the same
+        target validation, counted from the planes for these pairs only.
+        """
+        rows, targets, codes = self._codes(rows, targets)
+        return self._saving(
+            rows[:-1], codes[:-1], rows[1:], codes[1:], targets[:-1] == targets[1:]
+        )

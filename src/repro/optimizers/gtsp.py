@@ -23,7 +23,12 @@ From each seed it alternates two moves until a round improves nothing:
 Every accepted Or-opt move and every kept round strictly lowers the path
 cost, so on integer weights (the compiler's CNOT counts) the search ends,
 and the result is never worse than any seed.  The cheapest result wins, the
-earliest seed on ties.
+earliest seed on ties.  Two shortcuts skip work whose outcome is known:
+
+* a kept round ends on an Or-opt fixpoint, so when the next round's DP
+  returns the same path the search stops without scanning it again;
+* a seed tour equal to an earlier seed is not searched again; it counts
+  that seed's rounds and degraded flag once more, as a second search would.
 
 Edge weights live in one dense float64 buffer of shape ``(V + 3, V + 3)``:
 the ``(V, V)`` weight matrix indexed by global vertex row (clusters
@@ -32,8 +37,10 @@ vertices that turn the path ends into ordinary edges: *begin*, whose edge
 to a vertex is that vertex's start weight, and *end*, which every vertex
 reaches at zero cost.  The DP pads every cluster to the widest one with the
 sentinel vertex, so one fancy index gathers all of its ``(K, K)`` layer
-steps, and Or-opt scores a whole block of moves with one gather per run
-length.  Weights must be finite.
+steps.  Or-opt scores a block of run starts at every run length at once:
+the cost of entering each gap through a run's head is gathered once for
+the block, and the cost of leaving it through a run's tail once per run
+end.  Weights must be finite.
 """
 
 from __future__ import annotations
@@ -216,32 +223,36 @@ def _first_move(
     gap ``g`` (between ``path[g]`` and ``path[g + 1]``) is an ordinary edge.
     Moves are ranked by run start ``i``, then run length; each run goes to
     its cheapest gap, the first one on ties, outside the gaps ``i - 1 ..
-    i + length - 1`` it spans.  Every candidate is evaluated at once.
+    i + length - 1`` it spans.  Every candidate is evaluated at once: a run
+    enters a gap through its head ``path[i]`` whatever its length, so the
+    ``(run start, gap)`` entry costs are gathered once for all lengths, and
+    the exit costs once per run end.
     """
     m = len(path) - 2
+    longest = min(OR_OPT_MAX_RUN, m - 1)
+    if longest < 1:
+        return None
     edges = weights[path[:-1], path[1:]]
     starts = np.arange(lo, hi)
+    # ends[s, l]: last position of the run of length l + 1 from starts[s],
+    # clipped to the path; runs past the path end are masked out below.
+    ends = starts[:, None] + np.arange(longest)
+    fits = ends <= m
+    ends = np.minimum(ends, m)
+    enter = weights[path[None, :-1], path[starts, None]]                 # (S, m + 1)
+    leave = weights[path[ends, None], path[None, None, 1:]]              # (S, L, m + 1)
+    insertion = (enter[:, None, :] + leave) - edges
     gaps = np.arange(m + 1)
-    improving = np.zeros((OR_OPT_MAX_RUN, len(starts)), dtype=bool)
-    best_gap = np.zeros((OR_OPT_MAX_RUN, len(starts)), dtype=np.intp)
-    for length in range(1, min(OR_OPT_MAX_RUN, m - 1) + 1):
-        i = starts[starts + length - 1 <= m]
-        j = i + length - 1
-        removal = weights[path[i - 1], path[j + 1]] - edges[i - 1] - edges[j]
-        insertion = (
-            weights[path[None, :-1], path[i, None]] + weights[path[j, None], path[None, 1:]] - edges
-        )
-        insertion[(gaps >= i[:, None] - 1) & (gaps <= j[:, None])] = np.inf
-        gap = insertion.argmin(axis=1)
-        rows = np.arange(len(i))
-        improving[length - 1, rows] = removal + insertion[rows, gap] < 0
-        best_gap[length - 1, rows] = gap
-    hits = improving.any(axis=0)
-    if not hits.any():
+    insertion[(gaps >= starts[:, None, None] - 1) & (gaps <= ends[:, :, None])] = np.inf
+    removal = (
+        weights[path[starts - 1, None], path[ends + 1]] - edges[starts - 1, None] - edges[ends]
+    )
+    # The minimum is the entry at the first cheapest gap, bit for bit.
+    hits = np.flatnonzero(fits & (removal + insertion.min(axis=2) < 0))
+    if not hits.size:
         return None
-    k = int(hits.argmax())
-    length = int(improving[:, k].argmax()) + 1
-    return lo + k, length, int(best_gap[length - 1, k])
+    k, length = divmod(int(hits[0]), longest)
+    return lo + k, length + 1, int(insertion[k, length].argmin())
 
 
 def _or_opt(problem: GtspProblem, rows: np.ndarray) -> np.ndarray:
@@ -272,11 +283,18 @@ def _or_opt(problem: GtspProblem, rows: np.ndarray) -> np.ndarray:
 def _descend(
     problem: GtspProblem, rows: np.ndarray, max_rounds: Optional[int]
 ) -> Tuple[np.ndarray, float, int, bool]:
-    """Local search from one seed: ``(rows, cost, rounds kept, degraded)``."""
+    """Local search from one seed: ``(rows, cost, rounds kept, degraded)``.
+
+    After a kept round ``rows`` is an Or-opt fixpoint, so a round whose DP
+    leaves ``rows`` unchanged cannot improve and ends the search unscanned.
+    """
     cost = problem._path_cost(rows)
     rounds = 0
     while True:
-        candidate = _or_opt(problem, _optimize_vertices(problem, rows))
+        optimized = _optimize_vertices(problem, rows)
+        if rounds and np.array_equal(optimized, rows):
+            return rows, cost, rounds, False
+        candidate = _or_opt(problem, optimized)
         candidate_cost = problem._path_cost(candidate)
         if not candidate_cost < cost:
             return rows, cost, rounds, False
@@ -295,7 +313,9 @@ def solve_gtsp(
     Each round is a cluster-optimization DP followed by an Or-opt pass (see
     the module docstring); a seed's search stops at the first round that
     does not strictly lower its path cost.  The result is deterministic and
-    never costs more than any seed; ties go to the earliest seed.
+    never costs more than any seed; ties go to the earliest seed.  A seed
+    whose rows repeat an earlier seed's is not searched again: it counts
+    that seed's rounds and degraded flag once more.
 
     ``max_rounds`` is an anytime budget: keep at most that many improving
     rounds per seed.  A seed stopped by the budget while its next round
@@ -308,9 +328,12 @@ def solve_gtsp(
         raise ValueError("solve_gtsp needs at least one seed tour")
     best: Optional[Tuple[np.ndarray, float]] = None
     rounds, degraded = 0, False
+    searched: Dict[Tuple[int, ...], Tuple[np.ndarray, float, int, bool]] = {}
     for tour in initial_tours:
-        seed = np.array(problem.tour_rows(tour), dtype=np.intp)
-        rows, cost, used, cut = _descend(problem, seed, max_rounds)
+        seed = tuple(problem.tour_rows(tour))
+        if seed not in searched:
+            searched[seed] = _descend(problem, np.array(seed, dtype=np.intp), max_rounds)
+        rows, cost, used, cut = searched[seed]
         rounds += used
         degraded = degraded or cut
         if best is None or cost < best[1]:

@@ -90,6 +90,9 @@ def gf2_inverse(matrix: np.ndarray) -> np.ndarray:
     Indices whose row and column both equal the identity's form an identity
     block of the inverse, so only the remaining submatrix is eliminated —
     for the sparse block-diagonal Γ of the Γ search that is a few rows.
+    The elimination runs on one Python-int bit mask per row: bits ``0 ..
+    n - 1`` hold the row of the submatrix and bits ``n .. 2n - 1`` the row
+    of the growing inverse.
 
     Raises
     ------
@@ -104,20 +107,30 @@ def gf2_inverse(matrix: np.ndarray) -> np.ndarray:
     off_identity = m ^ inverse
     active = np.flatnonzero(off_identity.any(axis=0) | off_identity.any(axis=1))
     n = active.size
+    if not n:
+        return inverse
     block = np.ix_(active, active)
-    augmented = np.concatenate([m[block], identity_matrix(n)], axis=1)
+    width = (2 * n + 7) // 8
+    packed = np.packbits(m[block], axis=1, bitorder="little")
+    augmented = [
+        int.from_bytes(row.tobytes(), "little") | (1 << (n + index))
+        for index, row in enumerate(packed)
+    ]
     for col in range(n):
-        candidates = np.flatnonzero(augmented[col:, col])
-        if candidates.size == 0:
+        bit = 1 << col
+        pivot = next((row for row in range(col, n) if augmented[row] & bit), None)
+        if pivot is None:
             raise ValueError("matrix is singular over GF(2)")
-        pivot = col + int(candidates[0])
-        if pivot != col:
-            augmented[[col, pivot]] = augmented[[pivot, col]]
-        # Clear the column everywhere else with one row-block XOR.
-        hits = augmented[:, col].astype(bool)
-        hits[col] = False
-        augmented[hits] ^= augmented[col]
-    inverse[block] = augmented[:, n:]
+        augmented[col], augmented[pivot] = augmented[pivot], augmented[col]
+        pivot_mask = augmented[col]
+        for row in range(n):
+            if row != col and augmented[row] & bit:
+                augmented[row] ^= pivot_mask
+    raw = b"".join(mask.to_bytes(width, "little") for mask in augmented)
+    bits = np.unpackbits(
+        np.frombuffer(raw, dtype=np.uint8).reshape(n, width), axis=1, bitorder="little"
+    )
+    inverse[block] = bits[:, n:2 * n]
     return inverse
 
 

@@ -138,24 +138,43 @@ class TestSortStage:
         """One sort builds one string-pair savings table: the greedy seed
         walk, the two term-block seed tours, the GTSP instance and the final
         count all read the :class:`~repro.operators.SameTargetSavings`
-        memoized on the rotations' planes."""
+        memoized on the rotations' planes.  A default JW or BK compile reads
+        only consecutive pairs and builds no table at all."""
+        from functools import cached_property
+
         import repro.operators.symplectic as symplectic
+        from repro.api import CompileRequest, get_backend
 
         context = run_stages(
             make_context(mixed_terms),
             classify_stage, schedule_hybrid_stage, gamma_search_stage, transform_stage,
         )
         calls = []
+        tables = []
+        build_tables = symplectic.SameTargetSavings.tables.func
 
         class CountingSavings(symplectic.SameTargetSavings):
             def __init__(self, strings):
                 calls.append(len(strings))
                 super().__init__(strings)
 
+            @cached_property
+            def tables(self):
+                tables.append(self.letters.shape[1])
+                return build_tables(self)
+
         monkeypatch.setattr(symplectic, "SameTargetSavings", CountingSavings)
         sort_stage(context)
         assert calls == [len(context.rotations)]
+        assert tables == [len(context.rotations)]
         assert len(context.sorting.ordered_rotations) == len(context.rotations)
+
+        request = CompileRequest(terms=tuple(mixed_terms), n_qubits=8)
+        for backend in ("jordan-wigner", "bravyi-kitaev"):
+            calls.clear()
+            tables.clear()
+            get_backend(backend).compile(request)
+            assert calls and tables == []
 
     def test_sorted_count_not_worse_than_naive(self, mixed_terms):
         context = run_stages(

@@ -1,5 +1,7 @@
 """Tests for the GTSP-based advanced sorting (Sec. III-B, Appendix B)."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -308,12 +310,51 @@ class TestTermBlockOrder:
             return tours[-1]
 
         monkeypatch.setattr(advanced_sorting, "solve_tsp", recording)
+        # A block ordered earlier in the process would come from the memo.
+        advanced_sorting._block_order.cache_clear()
         order, sequence = block_order(labels, [0] * len(labels))
         (tour,) = tours
         assert sorted(tour) == list(range(len(labels)))
         assert order.rows.tolist() == tour
         assert order.targets.tolist() == [3] * len(labels)
         assert order.cnot_count == sequence_cnot_count(sequence)
+
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda size: st.tuples(
+                st.just(size),
+                st.lists(st.integers(-3, 6), min_size=size * size, max_size=size * size),
+            )
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_block_order_memo_matches_the_unmemoized_order(self, case):
+        size, values = case
+        block = np.array(values, dtype=np.int64).reshape(size, size)
+        expected = list(advanced_sorting._block_order.__wrapped__(size, block.tobytes()))
+        assert sorted(expected) == list(range(size))
+        if size <= advanced_sorting.EXHAUSTIVE_ORDERING_LIMIT:
+            scores = {
+                order: sum(block[a, b] for a, b in zip(order, order[1:]))
+                for order in itertools.permutations(range(size))
+            }
+            assert scores[tuple(expected)] == max(scores.values())
+            assert tuple(expected) == next(
+                order for order, score in scores.items() if score == max(scores.values())
+            )
+        first = advanced_sorting._order_block(block)
+        assert first == expected
+        first.reverse()  # a caller's list is its own; the memo keeps its order
+        assert advanced_sorting._order_block(block) == expected
+        assert advanced_sorting._order_block(block.astype(np.int32)) == expected
+
+    def test_block_order_memo_is_bounded(self):
+        bound = advanced_sorting.BLOCK_ORDER_CACHE_SIZE
+        for value in range(bound + 10):
+            advanced_sorting._order_block(np.array([[value]]))
+        info = advanced_sorting._block_order.cache_info()
+        assert info.maxsize == bound
+        assert info.currsize == bound
 
     @given(term_blocks(), st.booleans())
     @settings(max_examples=60, deadline=None)

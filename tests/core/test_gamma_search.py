@@ -244,6 +244,34 @@ class TestGreedySortingCost:
             compiler = BaselineCompiler(use_bosonic_encoding=bosonic, transform_matrix=gamma)
             assert cost(gamma) == compiler.compile(terms, n).cnot_count
 
+    @given(gamma_cost_cases(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_term_block_cost_memo_is_exact_on_block_diagonal_walks(self, case, bosonic):
+        """Along a random walk of elementary row additions inside the blocks
+        of a block-diagonal Γ, the memoized within-term orders score every
+        candidate exactly as the unmemoized solve does."""
+        from unittest import mock
+
+        import repro.core.advanced_sorting as advanced_sorting
+
+        n, terms, _, seed, _ = case
+        rng = np.random.default_rng(seed)
+        cuts = sorted(rng.choice(np.arange(1, n), size=int(rng.integers(0, 3)), replace=False))
+        blocks = [block for block in np.split(np.arange(n), cuts) if len(block) > 1]
+        cost = TermBlockCost(terms, n, use_bosonic_encoding=bosonic)
+        gamma = np.eye(n, dtype=np.uint8)
+        walk = [gamma.copy()]
+        for _ in range(6 if blocks else 0):
+            block = blocks[int(rng.integers(len(blocks)))]
+            target, source = rng.choice(block, size=2, replace=False)
+            gamma[target] ^= gamma[source]
+            walk.append(gamma.copy())
+        memoized = [cost(candidate) for candidate in walk + walk[::-1]]
+        unmemoized_order = advanced_sorting._block_order.__wrapped__
+        with mock.patch.object(advanced_sorting, "_block_order", unmemoized_order):
+            solved = [cost(candidate) for candidate in walk + walk[::-1]]
+        assert memoized == solved
+
     def test_all_rotations_dropped_costs_zero(self):
         terms = [term((4, 6), (0, 2)), term((5,), (1,))]
         cost = GreedySortingCost(terms, 8, parameters=[0.0, 0.0])

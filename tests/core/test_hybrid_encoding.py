@@ -18,7 +18,8 @@ from repro.core import (
     schedule_hybrid_terms,
     symmetric_pair,
 )
-from repro.vqe import ExcitationTerm
+from repro.chemistry import build_molecular_hamiltonian, make_molecule, run_rhf
+from repro.vqe import ExcitationTerm, select_ansatz_terms
 
 
 def term(creation, annihilation):
@@ -132,6 +133,27 @@ class TestGraphConstructionAndReduction:
             frozenset(("h5", "h6")),
             frozenset(("h6", "h7")),
         }
+
+    @pytest.mark.parametrize("molecule", ["LiH", "BeH2", "H2O", "NH3"])
+    def test_graph_matches_scalar_rule(self, molecule):
+        """The bit-mask graph has exactly the edges of the scalar
+        :func:`breaks_symmetry`, in the scalar loop's i-major, j-minor order,
+        over every hybrid term of the molecule's HMP2 ranking."""
+        hamiltonian = build_molecular_hamiltonian(
+            run_rhf(make_molecule(molecule)), n_frozen_spatial_orbitals=1
+        )
+        hybrid = classify_terms(select_ansatz_terms(hamiltonian))["hybrid"]
+        assert hybrid
+        for terms in (hybrid, hybrid[::-1], [APPENDIX_TERMS[name] for name in APPENDIX_ORDER]):
+            expected = [
+                (i, j)
+                for i, breaker in enumerate(terms)
+                for j, protected in enumerate(terms)
+                if i != j and breaks_symmetry(breaker, protected)
+            ]
+            graph = build_symmetry_graph(terms)
+            assert list(graph.nodes) == list(range(len(terms)))
+            assert list(graph.edges) == expected
 
     def test_empty_graph_reduction(self):
         sinks, sources, core = reduce_graph(nx.DiGraph())

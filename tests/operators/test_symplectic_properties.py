@@ -231,6 +231,107 @@ class TestBatchedAgainstScalar:
                 assert row[j] <= 2 * savings.both[i, j] <= weights[i] + weights[j] - 2
 
 
+    @given(
+        st.integers(2, 70).flatmap(
+            lambda n: st.lists(labels(n, n), min_size=1, max_size=6)
+        ),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_consecutive_is_the_pairs_superdiagonal(self, label_list, data):
+        """Any vertex sequence, repeats and target changes included."""
+        strings = [PauliString(label) for label in label_list]
+        vertices = [(i, t) for i, string in enumerate(strings) for t in string.support]
+        if not vertices:
+            return
+        sequence = data.draw(st.lists(st.sampled_from(vertices), max_size=12), label="sequence")
+        rows = [row for row, _ in sequence]
+        targets = [target for _, target in sequence]
+        savings = SameTargetSavings(PackedPaulis.from_strings(strings))
+        consecutive = savings.consecutive(rows, targets)
+        assert consecutive.dtype == np.int64 and consecutive.shape == (max(len(rows) - 1, 0),)
+        assert np.array_equal(consecutive, np.diagonal(savings.pairs(rows, targets), 1))
+
+    @pytest.mark.parametrize(
+        "target", [1, -1, 2, 64], ids=["off-support", "negative", "at-n-qubits", "past-n-qubits"]
+    )
+    def test_consecutive_rejects_bad_targets_as_pairs_does(self, target):
+        savings = SameTargetSavings([PauliString("XZ"), PauliString("XI")])
+        with pytest.raises(ValueError, match=f"target {target} not in support of XI"):
+            savings.consecutive([0, 1], [0, target])
+        with pytest.raises(ValueError, match="one target per row"):
+            savings.consecutive([0], [0, 1])
+
+    @given(
+        st.integers(2, 70).flatmap(
+            lambda n: st.lists(labels(n, n), min_size=1, max_size=6)
+        ),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_read_the_pairs_matrix(self, label_list, data):
+        """Each run's matrix is the tail-rows × head-columns block of the
+        pairs matrix over tails followed by heads."""
+        strings = [PauliString(label) for label in label_list]
+        vertices = [(i, t) for i, string in enumerate(strings) for t in string.support]
+        if not vertices:
+            return
+        sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4), label="sizes")
+        count = sum(sizes)
+        vertex_lists = st.lists(st.sampled_from(vertices), min_size=count, max_size=count)
+        tails = data.draw(vertex_lists, label="tails")
+        heads = data.draw(st.one_of(st.just(tails), vertex_lists), label="heads")
+        savings = SameTargetSavings(PackedPaulis.from_strings(strings))
+        tail_vertices, head_vertices = tuple(zip(*tails)), tuple(zip(*heads))
+        blocks = savings.blocks(tail_vertices, head_vertices, sizes)
+        matrix = savings.pairs(*zip(*(tails + heads)))
+        offset = 0
+        for size, block in zip(sizes, blocks):
+            run = slice(offset, offset + size)
+            head_run = slice(count + offset, count + offset + size)
+            assert np.array_equal(block, matrix[run, head_run])
+            offset += size
+        assert len(blocks) == len(sizes)
+
+    def test_blocks_reject_bad_targets_and_lengths(self):
+        savings = SameTargetSavings([PauliString("XZ"), PauliString("XI")])
+        with pytest.raises(ValueError, match="target 1 not in support of XI"):
+            savings.blocks(([0], [0]), ([1], [1]), [1])
+        with pytest.raises(ValueError, match="sum\\(sizes\\) vertices"):
+            savings.blocks(([0, 1], [0, 0]), ([1], [0]), [1])
+        with pytest.raises(ValueError, match="sum\\(sizes\\) vertices"):
+            savings.blocks(([0, 1], [0, 0]), ([1, 0], [0, 0]), [3])
+
+    def test_memoized_savings_leave_no_reference_cycle(self):
+        """Strings and their memoized savings are freed by reference counting
+        alone; a cycle would hold the tables until a collector pass."""
+        import gc
+        import weakref
+
+        packed = PackedPaulis.from_strings([PauliString("XZ"), PauliString("ZX")])
+        packed.same_target_savings.row(0, 0)
+        alive = weakref.ref(packed)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del packed
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_tables_built_for_rows_only(self):
+        """``pairs``, ``blocks`` and ``consecutive`` count their pairs from
+        the planes; the (m, m) tables appear on the first ``row``."""
+        savings = SameTargetSavings([PauliString("XZ"), PauliString("XX"), PauliString("ZX")])
+        savings.consecutive([0, 1, 2], [0, 0, 1])
+        savings.blocks(([0, 1], [0, 0]), ([1, 0], [0, 0]), [2])
+        savings.pairs([0, 1, 2], [0, 0, 1])
+        assert "tables" not in vars(savings)
+        savings.row(0, 0)
+        assert "tables" in vars(savings)
+
+
 class TestSameTargetSavings:
     @pytest.mark.parametrize(
         "source, other, target, saving",

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.optimizers import GtspProblem, brute_force_gtsp, solve_gtsp
+from repro.optimizers.gtsp import OR_OPT_MAX_RUN, _first_move, _or_opt
 
 
 def euclidean_problem(points_by_cluster):
@@ -162,6 +163,107 @@ class TestSolver:
         seeds = [random_tour(problem, seed) for seed in range(2)]
         a, b = solve_gtsp(problem, seeds), solve_gtsp(problem, seeds)
         assert (a.tour, a.cost, a.rounds) == (b.tour, b.cost, b.rounds)
+
+
+def scalar_first_move(weights, path, lo, hi):
+    """Reference for ``_first_move``: every move scored on its own, in rank order."""
+    m = len(path) - 2
+
+    def weight(a, b):
+        return weights[path[a], path[b]]
+
+    for i in range(lo, hi):
+        for length in range(1, min(OR_OPT_MAX_RUN, m - 1) + 1):
+            j = i + length - 1
+            if j > m:
+                break
+            removal = weight(i - 1, j + 1) - weight(i - 1, i) - weight(j, j + 1)
+            best = None
+            for gap in range(m + 1):
+                if i - 1 <= gap <= j:
+                    continue
+                insertion = (weight(gap, i) + weight(j, gap + 1)) - weight(gap, gap + 1)
+                if best is None or insertion < best[0]:
+                    best = (insertion, gap)
+            if removal + best[0] < 0:
+                return i, length, best[1]
+    return None
+
+
+def full_path(problem, rows):
+    return np.array([problem._begin, *rows, problem._end], dtype=np.intp)
+
+
+class TestFirstMove:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 10_000), st.integers(2, 20), st.integers(1, 3), st.booleans(), st.data()
+    )
+    def test_matches_scalar_enumeration(self, seed, m, width, integer_weights, data):
+        """Random paths, tie-heavy integer or float weights, and run-start
+        blocks anywhere, including blocks whose longer runs cross the path
+        end."""
+        problem = random_problem(seed, m, width, integer_weights)
+        path = full_path(problem, problem.tour_rows(random_tour(problem, seed + 1)))
+        lo = data.draw(st.integers(1, m), label="lo")
+        hi = data.draw(st.integers(lo + 1, m + 1), label="hi")
+        expected = scalar_first_move(problem._weights, path, lo, hi)
+        assert _first_move(problem._weights, path, lo, hi) == expected
+
+    def test_single_cluster_has_no_move(self):
+        problem = random_problem(0, 1, 2, True)
+        assert _first_move(problem._weights, full_path(problem, [0]), 1, 2) is None
+
+    def test_run_crossing_the_path_end_is_skipped(self):
+        # On a line visited 0, 1, 3, 2 the only improving move starts at the
+        # last cluster; its runs of length 2 and 3 would cross the path end.
+        problem = euclidean_problem([[(x, 0)] for x in range(4)])
+        path = full_path(problem, [0, 1, 3, 2])
+        expected = scalar_first_move(problem._weights, path, 4, 5)
+        assert expected is not None and expected[1] == 1
+        assert _first_move(problem._weights, path, 4, 5) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem_shapes.filter(lambda shape: shape[1] >= 2), st.integers(0, 10_000))
+    def test_or_opt_ends_on_a_fixpoint(self, shape, tour_seed):
+        """After an Or-opt pass no run has an improving move: the fact that
+        lets a round whose DP changes nothing stop without a scan."""
+        problem = random_problem(*shape)
+        rows = np.array(problem.tour_rows(random_tour(problem, tour_seed)), dtype=np.intp)
+        rows = _or_opt(problem, rows)
+        path = full_path(problem, rows)
+        assert _first_move(problem._weights, path, 1, len(rows) + 1) is None
+        assert np.array_equal(_or_opt(problem, rows), rows)
+
+
+class TestRepeatedSeeds:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        problem_shapes,
+        st.lists(st.integers(0, 3), min_size=1, max_size=6),
+        st.sampled_from([None, 0, 1, 2]),
+    )
+    def test_counts_like_separate_searches(self, shape, tour_seeds, max_rounds):
+        """Repeated seed tours are searched once but counted every time:
+        rounds, degraded flag, tour and cost equal those of searching each
+        seed on its own, with and without a round budget."""
+        problem = random_problem(*shape)
+        seeds = [random_tour(problem, seed) for seed in tour_seeds]
+        result = solve_gtsp(problem, seeds, max_rounds=max_rounds)
+        alone = [solve_gtsp(problem, [seed], max_rounds=max_rounds) for seed in seeds]
+        assert result.rounds == sum(single.rounds for single in alone)
+        assert result.degraded == any(single.degraded for single in alone)
+        best = min(alone, key=lambda single: single.cost)
+        assert (result.tour, result.cost) == (best.tour, best.cost)
+
+    def test_repeat_counts_its_rounds_again(self):
+        problem = euclidean_problem([[(x, 0)] for x in range(6)])
+        seed = [(c, (c, 0)) for c in (3, 1, 5, 0, 4, 2)]
+        once = solve_gtsp(problem, [seed])
+        assert once.rounds > 0
+        twice = solve_gtsp(problem, [seed, list(seed)])
+        assert twice.rounds == 2 * once.rounds
+        assert (twice.tour, twice.cost) == (once.tour, once.cost)
 
 
 class TestBruteForce:

@@ -66,6 +66,43 @@ class TestBasicOperations:
         with pytest.raises(ValueError, match="singular"):
             binary.gf2_inverse([[1, 0, 0], [0, 0, 0], [0, 0, 1]])
 
+    @given(st.integers(1, 20), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_inverse_on_random_and_block_diagonal_matrices(self, n, seed, block_diagonal):
+        """Γ·Γ⁻¹ = Γ⁻¹·Γ = I on invertible matrices, dense or block-diagonal
+        like the Γ search's candidates; a 0/1 uint8 result of Γ's shape."""
+        rng = np.random.default_rng(seed)
+        if block_diagonal:
+            matrix = np.eye(n, dtype=np.uint8)
+            start = 0
+            while start < n:
+                size = int(rng.integers(1, min(6, n - start) + 1))
+                span = slice(start, start + size)
+                matrix[span, span] = binary.random_invertible_matrix(size, rng)
+                start += size
+        else:
+            matrix = binary.random_invertible_matrix(n, rng)
+        inverse = binary.gf2_inverse(matrix)
+        assert inverse.dtype == np.uint8 and inverse.shape == (n, n)
+        identity = np.eye(n, dtype=np.uint8)
+        assert np.array_equal(binary.gf2_matmul(matrix, inverse), identity)
+        assert np.array_equal(binary.gf2_matmul(inverse, matrix), identity)
+
+    @given(st.integers(1, 20), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_singular_matrices_raise(self, n, seed):
+        """A random matrix raises exactly when its GF(2) rank is short."""
+        rng = np.random.default_rng(seed)
+        matrix = rng.integers(0, 2, size=(n, n), dtype=np.uint8)
+        if n > 2 and rng.integers(2):
+            matrix[0] = matrix[1] ^ matrix[2]  # a dependent row
+        if binary.gf2_rank(matrix) == n:
+            inverse = binary.gf2_inverse(matrix)
+            assert np.array_equal(binary.gf2_matmul(matrix, inverse), np.eye(n, dtype=np.uint8))
+        else:
+            with pytest.raises(ValueError, match="matrix is singular over GF\\(2\\)"):
+                binary.gf2_inverse(matrix)
+
     def test_is_upper_triangular(self):
         assert binary.is_upper_triangular([[1, 1], [0, 1]])
         assert not binary.is_upper_triangular([[1, 0], [1, 1]])

@@ -1,0 +1,100 @@
+"""One SHA-256 over every deterministic compile output on a fixed input set.
+
+A change that claims bit-identical outputs runs this on the old and the new
+tree and compares the two lines.  The digest covers, for every compile:
+
+* the backend, CNOT count, qubit count, breakdown and degraded flags;
+* the compiled ``(label, repr(angle), target)`` sequence
+  (:func:`repro.api.compiled_rotation_sequence`);
+* the advanced flow's Γ and the baseline's transformation matrix.
+
+Wall-clock fields (``wall_time_s``, ``stage_timings``) are left out.
+
+The inputs are all four backends on the Table-I grid (LiH/BeH2/H2O/NH3 ×
+8/20/30 HMP2 terms), the LiH 1..30 sweep and BeH2 4..12, at config seeds
+0–2, with one frozen core orbital as the benchmark uses.
+
+Usage:
+    PYTHONPATH=src python tools/output_digest.py
+    PYTHONPATH=src python tools/output_digest.py --seeds 0 --verbose
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+from typing import Iterator, List, Sequence, Tuple
+
+import numpy as np
+
+from repro.api import (
+    DEFAULT_BACKEND_NAMES,
+    CompileRequest,
+    CompileResult,
+    CompilerConfig,
+    compiled_rotation_sequence,
+    get_backend,
+)
+from repro.chemistry import build_molecular_hamiltonian, make_molecule, run_rhf
+from repro.vqe import select_ansatz_terms
+
+FROZEN_CORE = 1
+GRID = [(m, n) for m in ("LiH", "BeH2", "H2O", "NH3") for n in (8, 20, 30)]
+SWEEPS = [("LiH", n) for n in range(1, 31)] + [("BeH2", n) for n in range(4, 13)]
+
+
+def ranked_terms(molecule: str) -> Tuple[int, list]:
+    """``(n_qubits, whole HMP2 ranking)`` of a molecule."""
+    hamiltonian = build_molecular_hamiltonian(
+        run_rhf(make_molecule(molecule)), n_frozen_spatial_orbitals=FROZEN_CORE
+    )
+    return hamiltonian.n_spin_orbitals, select_ansatz_terms(hamiltonian, None)
+
+
+def result_lines(result: CompileResult, terms: Sequence) -> Iterator[str]:
+    """The deterministic fields of one compile result, one line each."""
+    yield f"{result.backend} {result.cnot_count} {result.n_qubits}"
+    yield repr(sorted(result.breakdown.items()))
+    yield f"degraded {result.degraded} {result.degraded_stages}"
+    for string, angle, target in compiled_rotation_sequence(result, terms):
+        yield f"{string.to_label()} {angle!r} {target}"
+    details = result.details
+    for name in ("gamma", "transform_matrix"):
+        matrix = getattr(details, name, None)
+        if matrix is not None:
+            matrix = np.asarray(matrix)
+            yield f"{name} {matrix.shape} {matrix.astype(np.uint8).tobytes().hex()}"
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
+    parser.add_argument(
+        "--verbose", action="store_true", help="also print one digest per cell"
+    )
+    args = parser.parse_args()
+
+    cells: List[Tuple[str, int]] = list(dict.fromkeys(GRID + SWEEPS))
+    rankings = {molecule: ranked_terms(molecule) for molecule, _ in cells}
+    total = hashlib.sha256()
+    compiles = 0
+    for seed in args.seeds:
+        config = CompilerConfig(seed=seed)
+        for molecule, n_terms in cells:
+            n_qubits, ranking = rankings[molecule]
+            terms = tuple(ranking[:n_terms])
+            request = CompileRequest(terms=terms, n_qubits=n_qubits, config=config)
+            cell = hashlib.sha256()
+            for name in DEFAULT_BACKEND_NAMES:
+                result = get_backend(name).compile(request)
+                for line in result_lines(result, terms):
+                    cell.update(line.encode() + b"\n")
+                compiles += 1
+            total.update(cell.digest())
+            if args.verbose:
+                print(f"seed {seed} {molecule}/{n_terms} {cell.hexdigest()[:16]}")
+    print(f"{total.hexdigest()}  ({compiles} compiles, config seeds {args.seeds})")
+
+
+if __name__ == "__main__":
+    main()
