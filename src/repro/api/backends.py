@@ -90,10 +90,7 @@ def compiled_rotation_sequence(
     if result.backend == "baseline":
         return list(result.details.ordered_exponentials)
     if result.backend == "advanced":
-        return [
-            (rotation.string, rotation.angle, target)
-            for rotation, target in result.details.sorting.ordered_rotations
-        ]
+        return result.details.sorting.exponentials()
     raise ValueError(
         f"no rotation-sequence extraction rule for backend {result.backend!r}"
     )
@@ -234,11 +231,9 @@ class AdvancedBackend:
             )
             routing = None
             if request.config.topology is not None:
-                sequence = [
-                    (rotation.string, rotation.angle, target)
-                    for rotation, target in result.sorting.ordered_rotations
-                ]
-                routing = sequence_routing_metrics(sequence, request.config)
+                routing = sequence_routing_metrics(
+                    result.sorting.exponentials(), request.config
+                )
             compile_span.set_attribute("cnot_count", result.cnot_count)
             if result.degraded:
                 compile_span.set_attribute("degraded", True)

@@ -73,6 +73,13 @@ class SortingResult:
         """The ``(PauliString, target)`` pairs in compiled order."""
         return [(rotation.string, target) for rotation, target in self.ordered_rotations]
 
+    def exponentials(self) -> List[Tuple[PauliString, float, int]]:
+        """The ``(PauliString, angle, target)`` exponentials in compiled order."""
+        return [
+            (rotation.string, rotation.angle, target)
+            for rotation, target in self.ordered_rotations
+        ]
+
     def objective(self) -> int:
         """The cost the sort optimized: routed estimate if present, else CNOTs."""
         if self.routed_cost_estimate is not None:

@@ -139,11 +139,9 @@ class AdvancedCompilationResult:
         """Explicit gate-level circuit of the fermionic (uncompressed) segment."""
         if not self.sorting.ordered_rotations:
             return Circuit(max(self.n_qubits, 1))
-        terms = [
-            (rotation.string, rotation.angle, target)
-            for rotation, target in self.sorting.ordered_rotations
-        ]
-        circuit = exponential_sequence_circuit(terms, n_qubits=self.n_qubits)
+        circuit = exponential_sequence_circuit(
+            self.sorting.exponentials(), n_qubits=self.n_qubits
+        )
         return optimize_circuit(circuit) if optimize else circuit
 
 

@@ -6,7 +6,7 @@ built from.  A linear encoding applies Γ to the Jordan-Wigner image as a
 signed GF(2) map of the Pauli planes; no CNOT network is built or walked.
 """
 
-from repro.transforms.base import FermionQubitTransform, relabel_modes
+from repro.transforms.base import FermionQubitTransform
 from repro.transforms.binary import (
     block_diagonal,
     bravyi_kitaev_matrix,
@@ -36,7 +36,6 @@ from repro.transforms.linear_encoding import (
 
 __all__ = [
     "FermionQubitTransform",
-    "relabel_modes",
     "JordanWignerTransform",
     "jordan_wigner",
     "LinearEncodingTransform",

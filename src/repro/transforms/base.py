@@ -1,9 +1,8 @@
-"""Base interface for fermion-to-qubit transformations and mode relabeling."""
+"""Base interface for fermion-to-qubit transformations."""
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, Sequence
 
 from repro.operators import FermionOperator, QubitOperator
 
@@ -59,35 +58,3 @@ class FermionQubitTransform(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n_modes={self.n_modes})"
-
-
-def relabel_modes(
-    operator: FermionOperator, permutation: Sequence[int] | Dict[int, int]
-) -> FermionOperator:
-    """Relabel fermionic modes according to a permutation.
-
-    This implements the baseline's *fermionic level labeling* degree of
-    freedom: the embedding of electronic sites onto qubits is itself a choice
-    that changes downstream circuit costs.
-
-    Parameters
-    ----------
-    operator:
-        The operator to relabel.
-    permutation:
-        Either a sequence where ``permutation[old] = new`` or an equivalent
-        mapping.  Modes not mentioned in a mapping are left unchanged.
-    """
-    if isinstance(permutation, dict):
-        mapping = dict(permutation)
-    else:
-        mapping = {old: new for old, new in enumerate(permutation)}
-    values = list(mapping.values())
-    if len(set(values)) != len(values):
-        raise ValueError("permutation must be one-to-one")
-
-    result = FermionOperator()
-    for term, coefficient in operator.terms.items():
-        new_term = tuple((mapping.get(mode, mode), dagger) for mode, dagger in term)
-        result += FermionOperator(new_term, coefficient)
-    return result

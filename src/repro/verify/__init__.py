@@ -4,9 +4,10 @@ Dense ``Circuit.to_unitary`` comparison caps differential testing at ~12
 qubits.  This package provides the engine tier that pushes the repo's
 routed-equivalence and cross-backend harnesses to 20-50 qubits:
 
-* :class:`~repro.verify.tableau.CliffordTableau` — a bit-packed
-  Clifford/stabilizer tableau simulator over the ``uint64`` bit-plane layout
-  of :mod:`repro.operators.symplectic`, with phase tracking.  Two Clifford
+* :class:`~repro.verify.tableau.CliffordTableau` — a Clifford/stabilizer
+  tableau simulator with phase tracking.  Its rows are Python-int
+  ``(x, z, sign)`` generator images, every gate rule comes from one
+  generator-image table, and gates compose on the right only.  Two Clifford
   circuits are equal up to global phase iff their tableaus are equal.
 * :func:`~repro.verify.pauli_prop.rotation_product_form` — Pauli-propagation
   canonicalization of arbitrary circuits in the CNOT + single-qubit gate set

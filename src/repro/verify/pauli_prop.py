@@ -104,28 +104,31 @@ def _reduce_angle(angle: float) -> float:
     return math.remainder(angle, _TAU)
 
 
+def _conjugate_by_rotation(
+    x: int, z: int, w_x: int, w_z: int, k: int
+) -> Tuple[int, int, int]:
+    """``W P W† = (-1)^flip · P'`` for ``W = exp(-i kπ/4 P_w)`` (``k ∈ {1, 2, 3}``).
+
+    Returns ``(flip, x', z')``.  A commuting ``P`` is untouched; an
+    anticommuting one maps to ``-P`` (k=2) or ``∓i P_w P`` (k=1 / k=3),
+    which is again ``±`` a Hermitian Pauli.
+    """
+    if ((w_x & z).bit_count() + (w_z & x).bit_count()) % 2 == 0:
+        return 0, x, z
+    if k == 2:
+        return 1, x, z
+    exponent = _multiply_phase_exponent(w_x, w_z, x, z)
+    # -i · i^e is ±1 because P_w and P anticommute (e is odd).
+    flip = 0 if (exponent - 1) % 4 == 0 else 1
+    return flip ^ (k == 3), x ^ w_x, z ^ w_z
+
+
 def _conjugate_rotation(
     rotation: PauliRotation, w_x: int, w_z: int, k: int
 ) -> PauliRotation:
-    """``W R W†`` for ``W = exp(-i kπ/4 P_w)`` Clifford (``k ∈ {1, 2, 3}``).
-
-    Commuting axes are untouched; anticommuting axes map to ``-Q`` (k=2) or
-    ``∓i P_w Q`` (k=1 / k=3), which is again a Hermitian Pauli, so only the
-    angle sign and the axis change.
-    """
-    anticommutes = ((w_x & rotation.z).bit_count() + (w_z & rotation.x).bit_count()) % 2
-    if not anticommutes:
-        return rotation
-    if k == 2:
-        return PauliRotation(rotation.x, rotation.z, -rotation.angle)
-    exponent = _multiply_phase_exponent(w_x, w_z, rotation.x, rotation.z)
-    # -i · i^e is ±1 because P_w and the axis anticommute (e is odd).
-    sign = 1 if (exponent - 1) % 4 == 0 else -1
-    if k == 3:
-        sign = -sign
-    return PauliRotation(
-        rotation.x ^ w_x, rotation.z ^ w_z, sign * rotation.angle
-    )
+    """``W R W†`` for a Clifford-angle Pauli rotation ``W``: new axis, angle sign."""
+    flip, x, z = _conjugate_by_rotation(rotation.x, rotation.z, w_x, w_z, k)
+    return PauliRotation(x, z, -rotation.angle if flip else rotation.angle)
 
 
 def _fold_rotation_into_frame(
@@ -133,22 +136,13 @@ def _fold_rotation_into_frame(
 ) -> None:
     """Frame ← ``W · frame`` for a Clifford-angle Pauli rotation ``W``.
 
-    Each stored generator image ``±Q`` becomes ``±W Q W†``, by the same rule
-    as :func:`_conjugate_rotation` (sign tracked in the tableau's sign bit).
+    Each stored generator image ``±Q`` becomes ``±W Q W†``.
     """
-    for row in range(2 * frame.n_qubits):
-        rx, rz = frame._row_masks(row)
-        anticommutes = ((w_x & rz).bit_count() + (w_z & rx).bit_count()) % 2
-        if not anticommutes:
-            continue
-        if k == 2:
-            frame.sign[row] ^= 1
-            continue
-        exponent = _multiply_phase_exponent(w_x, w_z, rx, rz)
-        sign_bit = 0 if (exponent - 1) % 4 == 0 else 1
-        if k == 3:
-            sign_bit ^= 1
-        frame._set_row(row, int(frame.sign[row]) ^ sign_bit, rx ^ w_x, rz ^ w_z)
+    rows = []
+    for x, z, sign in frame.rows:
+        flip, x, z = _conjugate_by_rotation(x, z, w_x, w_z, k)
+        rows.append((x, z, sign ^ flip))
+    frame.rows = rows
 
 
 def _rotation_key(rotation: PauliRotation) -> Tuple[int, int, float]:

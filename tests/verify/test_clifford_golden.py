@@ -7,7 +7,8 @@ against, so this suite pins the rules exhaustively: every supported
 one-qubit Clifford on *all* 16 two-qubit Pauli strings and every two-qubit
 Clifford on the same 16 strings, signs included, against direct ``U P U†``
 matrix conjugation — plus hypothesis sweeps over random packed Paulis and
-random Clifford words.
+random Clifford words.  The two-qubit cases are repeated on a qubit pair
+that straddles bit 64 of the packed masks, against the relabelled images.
 """
 
 import itertools
@@ -28,6 +29,9 @@ ONE_QUBIT_CLIFFORDS = ["I", "X", "Y", "Z", "H", "S", "SDG", "SQRTX", "SQRTXDG"]
 TWO_QUBIT_CLIFFORDS = ["CNOT", "CZ", "SWAP"]
 CLIFFORD_ANGLES = [math.pi / 2, math.pi, -math.pi / 2, 3 * math.pi / 2]
 ALL_TWO_QUBIT_PAULIS = ["".join(p) for p in itertools.product("IXYZ", repeat=2)]
+#: A 71-qubit register and qubit pairs on either side of bit 64, both orders.
+WIDE_QUBITS = 71
+WIDE_PAIRS = [(3, 70), (70, 3)]
 
 
 def embed_gate(gate, n):
@@ -46,6 +50,24 @@ def assert_golden(gate, label):
     )
 
 
+def dense_image(gate, label):
+    """``(sign, label')`` with ``U P U† = sign · P'``, by dense trace overlaps."""
+    unitary = embed_gate(gate, len(label))
+    expected = unitary @ PauliString(label).to_dense() @ unitary.conj().T
+    for candidate in ALL_TWO_QUBIT_PAULIS:
+        overlap = np.trace(PauliString(candidate).to_dense() @ expected).real / 4
+        if abs(abs(overlap) - 1) < 1e-12:
+            return int(round(overlap)), candidate
+    raise AssertionError(f"{gate} maps {label} outside the Pauli group")
+
+
+def widen(label, qubits):
+    """A two-qubit label with its qubits 0, 1 placed on ``qubits`` of the wide register."""
+    return PauliString.from_dict(
+        WIDE_QUBITS, {q: c for q, c in zip(qubits, label) if c != "I"}
+    )
+
+
 class TestExhaustiveGolden:
     @pytest.mark.parametrize("label", ALL_TWO_QUBIT_PAULIS)
     @pytest.mark.parametrize("name", ONE_QUBIT_CLIFFORDS)
@@ -58,6 +80,31 @@ class TestExhaustiveGolden:
     @pytest.mark.parametrize("qubits", [(0, 1), (1, 0)])
     def test_two_qubit_cliffords(self, name, qubits, label):
         assert_golden(Gate(name, qubits), label)
+
+    @pytest.mark.parametrize("label", ALL_TWO_QUBIT_PAULIS)
+    @pytest.mark.parametrize("name", TWO_QUBIT_CLIFFORDS)
+    @pytest.mark.parametrize("qubits", WIDE_PAIRS)
+    def test_two_qubit_cliffords_across_word_boundary(self, name, qubits, label):
+        sign, image = dense_image(Gate(name, (0, 1)), label)
+        got = conjugate_pauli_by_clifford_gate(widen(label, qubits), Gate(name, qubits))
+        assert got == (sign, widen(image, qubits))
+
+    @pytest.mark.parametrize("name", TWO_QUBIT_CLIFFORDS)
+    @pytest.mark.parametrize("qubits", WIDE_PAIRS)
+    def test_two_qubit_generator_images_across_word_boundary(self, name, qubits):
+        """Rows of the gate's qubits hold the relabelled golden images; others stay."""
+        n = WIDE_QUBITS
+        tableau = CliffordTableau.from_circuit(Circuit(n, [Gate(name, qubits)]))
+        images = tableau.generator_images()
+        for offset, pauli in ((0, "X"), (n, "Z")):
+            for qubit in range(n):
+                generator = PauliString.from_dict(n, {qubit: pauli})
+                expected = (1, generator)
+                if qubit in qubits:
+                    local = "".join(pauli if q == qubit else "I" for q in qubits)
+                    sign, image = dense_image(Gate(name, (0, 1)), local)
+                    expected = (sign, widen(image, qubits))
+                assert images[offset + qubit] == expected, (name, qubits, pauli, qubit)
 
     @pytest.mark.parametrize("label", ALL_TWO_QUBIT_PAULIS)
     @pytest.mark.parametrize("name", ["RZ", "RX", "RY"])

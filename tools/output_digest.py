@@ -10,6 +10,11 @@ tree and compares the two lines.  The digest covers, for every compile:
 
 Wall-clock fields (``wall_time_s``, ``stage_timings``) are left out.
 
+A second line hashes what the verifier sees: for every advanced compile on
+the grid, the canonical :func:`repro.verify.rotation_product_form` of its
+fermionic circuit — each rotation's ``(x, z, repr(angle))`` and the Clifford
+frame's ``generator_images()``.
+
 The inputs are all four backends on the Table-I grid (LiH/BeH2/H2O/NH3 ×
 8/20/30 HMP2 terms), the LiH 1..30 sweep and BeH2 4..12, at config seeds
 0–2, with one frozen core orbital as the benchmark uses.
@@ -36,6 +41,7 @@ from repro.api import (
     get_backend,
 )
 from repro.chemistry import build_molecular_hamiltonian, make_molecule, run_rhf
+from repro.verify import rotation_product_form
 from repro.vqe import select_ansatz_terms
 
 FROZEN_CORE = 1
@@ -66,6 +72,15 @@ def result_lines(result: CompileResult, terms: Sequence) -> Iterator[str]:
             yield f"{name} {matrix.shape} {matrix.astype(np.uint8).tobytes().hex()}"
 
 
+def verify_lines(result: CompileResult) -> Iterator[str]:
+    """The canonical rotation-product form of an advanced compile, one line each."""
+    form = rotation_product_form(result.details.fermionic_circuit())
+    for rotation in form.rotations:
+        yield f"{rotation.x} {rotation.z} {rotation.angle!r}"
+    for sign, image in form.frame.generator_images():
+        yield f"{sign} {image.to_label()}"
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
@@ -77,7 +92,9 @@ def main() -> None:
     cells: List[Tuple[str, int]] = list(dict.fromkeys(GRID + SWEEPS))
     rankings = {molecule: ranked_terms(molecule) for molecule, _ in cells}
     total = hashlib.sha256()
+    verified = hashlib.sha256()
     compiles = 0
+    forms = 0
     for seed in args.seeds:
         config = CompilerConfig(seed=seed)
         for molecule, n_terms in cells:
@@ -90,10 +107,15 @@ def main() -> None:
                 for line in result_lines(result, terms):
                     cell.update(line.encode() + b"\n")
                 compiles += 1
+                if name == "advanced" and (molecule, n_terms) in GRID:
+                    for line in verify_lines(result):
+                        verified.update(line.encode() + b"\n")
+                    forms += 1
             total.update(cell.digest())
             if args.verbose:
                 print(f"seed {seed} {molecule}/{n_terms} {cell.hexdigest()[:16]}")
     print(f"{total.hexdigest()}  ({compiles} compiles, config seeds {args.seeds})")
+    print(f"{verified.hexdigest()}  ({forms} grid rotation-product forms)")
 
 
 if __name__ == "__main__":
