@@ -63,10 +63,11 @@ class Circuit:
         """Append a gate, validating its qubits fit in the register."""
         if not isinstance(gate, Gate):
             raise TypeError(f"expected Gate, got {type(gate).__name__}")
-        if any(q >= self.n_qubits or q < 0 for q in gate.qubits):
-            raise ValueError(
-                f"gate {gate} acts outside a register of {self.n_qubits} qubits"
-            )
+        for qubit in gate.qubits:
+            if not 0 <= qubit < self.n_qubits:
+                raise ValueError(
+                    f"gate {gate} acts outside a register of {self.n_qubits} qubits"
+                )
         self._gates.append(gate)
         if self._metrics:
             self._metrics.clear()

@@ -238,6 +238,23 @@ class Gate:
         return f"{self.name}({self.parameter:.6g}){self.qubits}"
 
 
+def _trusted_gate(
+    name: str, qubits: Tuple[int, ...], parameter: Optional[float] = None
+) -> Gate:
+    """A :class:`Gate` built without ``__post_init__``, for already valid input.
+
+    Internal: the caller guarantees an upper-case known ``name``, a tuple of
+    distinct Python ints of its arity and an angle for the rotations; the
+    result is then ``==`` to ``Gate(name, qubits, parameter)``, hash and repr too.
+    """
+    gate = object.__new__(Gate)
+    fields = gate.__dict__
+    fields["name"] = name
+    fields["qubits"] = qubits
+    fields["parameter"] = parameter
+    return gate
+
+
 # ----------------------------------------------------------------------
 # Convenience constructors
 # ----------------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.circuits.circuit import Circuit
-from repro.circuits.gates import Gate, cnot, hadamard, rz, s_gate, sdg_gate
+from repro.circuits.gates import Gate, _trusted_gate, rz
 from repro.operators import PauliString
 
 
@@ -31,17 +31,21 @@ def basis_change_gates(label: str, qubit: int) -> Tuple[List[Gate], List[Gate]]:
     The pre gates are applied before the Z-basis rotation (circuit order) and
     the post gates after, such that ``post · Rz · pre = exp(-i θ/2 σ_label)``.
     """
+    qubits = (int(qubit),)
     if label == "X":
-        return [hadamard(qubit)], [hadamard(qubit)]
+        hadamard = _trusted_gate("H", qubits)
+        return [hadamard], [hadamard]
     if label == "Y":
-        return [sdg_gate(qubit), hadamard(qubit)], [hadamard(qubit), s_gate(qubit)]
+        hadamard = _trusted_gate("H", qubits)
+        pre = [_trusted_gate("SDG", qubits), hadamard]
+        return pre, [hadamard, _trusted_gate("S", qubits)]
     if label == "Z":
         return [], []
     raise ValueError(f"no basis change for Pauli label {label!r}")
 
 
 def validate_target(string: PauliString, target: Optional[int]) -> int:
-    """Check (or choose) a valid target qubit for exponentiating ``string``."""
+    """Check (or choose) a valid target qubit (a Python int) for ``string``."""
     support = string.support
     if not support:
         raise ValueError("cannot exponentiate the identity string into a circuit")
@@ -51,7 +55,7 @@ def validate_target(string: PauliString, target: Optional[int]) -> int:
         raise ValueError(
             f"target qubit {target} is not in the support {support} of {string.to_label()}"
         )
-    return target
+    return int(target)
 
 
 def ladder_exponential_gates(
@@ -89,7 +93,7 @@ def _exponential_gates(
                 f"control_order {control_order} must be a permutation of {controls}"
             )
         controls = control_order
-    star = [cnot(control, target) for control in controls]
+    star = [_trusted_gate("CNOT", (control, target)) for control in controls]
     return ladder_exponential_gates(string, angle, target, star)
 
 

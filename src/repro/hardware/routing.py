@@ -8,6 +8,13 @@ sums the front-layer distances plus a decayed lookahead over the next
 two-qubit gates.  A stall counter forces shortest-path progress on the oldest
 blocked gate if the heuristic ping-pongs, so routing always terminates.
 
+The router keeps its state between SWAPs: the front layer, the oldest
+blocked gate and the lookahead window are rebuilt only after a gate
+executes, and a SWAP re-checks only the blocked gates on its two qubits.
+Every SWAP re-sums the whole score over the front and window; re-summing
+only the pairs a candidate touches (delta scoring) was measured slower,
+since the front and window hold only a few pairs.
+
 Guarantees (covered by tests/hardware/test_routing.py):
 
 * every two-qubit gate of the routed circuit lies on a topology edge;
@@ -15,8 +22,10 @@ Guarantees (covered by tests/hardware/test_routing.py):
   physical permutation (``RoutingResult.undo_permutation_circuit`` closes the
   loop exactly);
 * the result is a deterministic function of ``(circuit, topology, seed,
-  initial_layout, lookahead)`` — ties between equal-score SWAPs are broken by
-  the seeded generator, everything else is order-deterministic.
+  initial_layout, lookahead, lookahead_weight, max_stall)`` — ties between
+  equal-score SWAPs are broken by the seeded generator, everything else is
+  order-deterministic (tests/hardware/test_sabre_differential.py pins it to
+  a from-scratch formulation, result for result).
 
 :func:`naive_route_circuit` is the reference nearest-neighbour strategy (swap
 the control next to the target along a shortest path, execute, swap back); it
@@ -26,13 +35,15 @@ routing-overhead baseline in ``benchmarks/bench_routing.py``.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.circuits.circuit import Circuit
-from repro.circuits.gates import Gate, cnot
+from repro.circuits.gates import Gate, _trusted_gate
 from repro.hardware.topology import Topology
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
@@ -52,7 +63,8 @@ def decompose_swaps(circuit: Circuit) -> Circuit:
     for gate in circuit:
         if gate.name == "SWAP":
             a, b = gate.qubits
-            out.extend([cnot(a, b), cnot(b, a), cnot(a, b)])
+            forward = _trusted_gate("CNOT", (a, b))
+            out.extend([forward, _trusted_gate("CNOT", (b, a)), forward])
         else:
             out.append(gate)
     return out
@@ -197,9 +209,11 @@ def route_circuit(
         deterministic.  ``None`` falls back to seed 0 (routing never draws
         from entropy).
     lookahead:
-        Number of upcoming two-qubit gates scored beyond the front layer.
+        Number of upcoming two-qubit gates scored beyond the front layer
+        (``0``: the front layer only).  Must be non-negative.
     lookahead_weight:
-        Relative weight of the lookahead term in the SWAP score.
+        Relative weight of the lookahead term in the SWAP score; finite and
+        non-negative.
     initial_layout:
         Logical-to-physical placement; identity when omitted.
     max_stall:
@@ -245,6 +259,12 @@ def _route_circuit_sabre(
             f"topology {topology.name!r} has {n_physical} qubits but the "
             f"circuit needs {n_logical}"
         )
+    if lookahead < 0:
+        raise ValueError(f"lookahead must be >= 0, got {lookahead}")
+    if not (math.isfinite(lookahead_weight) and lookahead_weight >= 0):
+        raise ValueError(
+            f"lookahead_weight must be finite and >= 0, got {lookahead_weight}"
+        )
     topology.require_connected()
     layout = _resolve_layout(n_logical, n_physical, initial_layout)
     initial = tuple(layout)
@@ -257,69 +277,126 @@ def _route_circuit_sabre(
     # list index is far cheaper than a numpy scalar lookup.
     distance = topology.distance_matrix.tolist()
     moved = list(range(n_physical))
+    # Coupling read once: a neighbor set per physical qubit for the
+    # executability test, and its sorted incident edges for the candidates.
+    neighbors = [topology.neighbors(p) for p in range(n_physical)]
+    adjacent = [set(ns) for ns in neighbors]
+    incident = [
+        tuple((min(p, q), max(p, q)) for q in ns) for p, ns in enumerate(neighbors)
+    ]
     if max_stall is None:
         max_stall = max(4, 2 * n_physical)
 
     gates = list(circuit.gates)
+    operands = [gate.qubits for gate in gates]
     n_gates = len(gates)
     successors: List[List[int]] = [[] for _ in range(n_gates)]
     indegree = [0] * n_gates
     last_on_qubit: Dict[int, int] = {}
-    for index, gate in enumerate(gates):
-        for qubit in gate.qubits:
+    for index, qubits in enumerate(operands):
+        for qubit in qubits:
             previous = last_on_qubit.get(qubit)
             if previous is not None:
                 successors[previous].append(index)
                 indegree[index] += 1
             last_on_qubit[qubit] = index
-    ready = sorted(i for i in range(n_gates) if indegree[i] == 0)
 
-    routed = Circuit(n_physical)
+    routed: List[Gate] = []
     executed = 0
     n_swaps = 0
     stall = 0
     last_swap: Optional[Tuple[int, int]] = None
+    # Released gates still blocked; a gate leaves only by executing.
+    waiting = set()
+    released = [i for i in range(n_gates) if indegree[i] == 0]
 
-    def emit(index: int) -> None:
-        gate = gates[index]
-        routed.append(
-            Gate(gate.name, tuple(layout[q] for q in gate.qubits), gate.parameter)
-        )
+    # The unexecuted two-qubit gates in index order (an executed one is
+    # deleted): the lookahead window is their first `lookahead` entries
+    # outside the front, all within the first `lookahead + len(front)`.
+    pending = [i for i, qubits in enumerate(operands) if len(qubits) == 2]
 
-    def release(index: int) -> None:
-        for successor in successors[index]:
-            indegree[successor] -= 1
-            if indegree[successor] == 0:
-                ready.append(successor)
+    rebuild = True
+    while True:
+        # A gate blocked in one pass stays blocked until the next SWAP, so
+        # each pass checks only what the previous pass (or the SWAP) freed,
+        # in index order, which emits exactly what a full rescan would.
+        while released:
+            freed = []
+            for index in released:
+                qubits = operands[index]
+                if len(qubits) == 1:
+                    physical = (layout[qubits[0]],)
+                else:
+                    physical = (layout[qubits[0]], layout[qubits[1]])
+                    if physical[1] not in adjacent[physical[0]]:
+                        waiting.add(index)
+                        continue
+                    waiting.discard(index)
+                    del pending[bisect_left(pending, index)]
+                gate = gates[index]
+                routed.append(_trusted_gate(gate.name, physical, gate.parameter))
+                indegree[index] = -1  # sentinel: executed
+                for successor in successors[index]:
+                    indegree[successor] -= 1
+                    if indegree[successor] == 0:
+                        freed.append(successor)
+                executed += 1
+                rebuild = True
+            released = sorted(freed)
+        if executed == n_gates:
+            break
 
-    # Static order of two-qubit gates plus a monotone cursor past the
-    # executed prefix, so collecting the lookahead window no longer rescans
-    # every gate of the circuit per inserted SWAP.
-    two_qubit_order = [i for i, gate in enumerate(gates) if gate.is_two_qubit]
-    two_qubit_cursor = 0
+        if rebuild:
+            # Front, oldest blocked gate and lookahead window change only
+            # when a gate executes; between SWAPs only their images move.
+            rebuild = False
+            stall = 0
+            last_swap = None
+            front = sorted(waiting)
+            front_logical = [operands[i] for i in front]
+            window = [i for i in pending[: lookahead + len(front)] if i not in waiting]
+            window_logical = [operands[i] for i in window[:lookahead]]
 
-    def lookahead_window() -> List[int]:
-        nonlocal two_qubit_cursor
-        while (
-            two_qubit_cursor < len(two_qubit_order)
-            and indegree[two_qubit_order[two_qubit_cursor]] < 0
-        ):
-            two_qubit_cursor += 1
-        window = []
-        blocked = set(ready)
-        for position in range(two_qubit_cursor, len(two_qubit_order)):
-            index = two_qubit_order[position]
-            if indegree[index] < 0 or index in blocked:
-                continue
-            window.append(index)
-            if len(window) >= lookahead:
-                break
-        return window
+        if stall >= max_stall:
+            # Forced progress: walk the oldest blocked gate's control one
+            # step along a shortest path toward its target.
+            control, target = front_logical[0]
+            path = topology.shortest_path(layout[control], layout[target])
+            swap = (path[0], path[1])
+        else:
+            front_pairs = [(layout[p], layout[q]) for p, q in front_logical]
+            window_pairs = [(layout[p], layout[q]) for p, q in window_logical]
+            candidates = sorted(
+                {edge for pair in front_pairs for p in pair for edge in incident[p]}
+            )
+            if last_swap in candidates and len(candidates) > 1:
+                candidates.remove(last_swap)  # never undo the SWAP just inserted
+            # Hops after each SWAP; int sums are exact, so the scores (and the
+            # tie sets and seeded draws) match per-pair float sums bit for bit.
+            # Re-summing only the pairs a SWAP touches was measured slower:
+            # the front and window hold only a few pairs.
+            scores = []
+            for a, b in candidates:
+                moved[a], moved[b] = b, a
+                cost = float(
+                    sum([distance[moved[p]][moved[q]] for p, q in front_pairs])
+                )
+                if window_pairs:
+                    ahead = float(
+                        sum([distance[moved[p]][moved[q]] for p, q in window_pairs])
+                    )
+                    cost += lookahead_weight * ahead / len(window_pairs)
+                moved[a], moved[b] = a, b
+                scores.append(cost)
+            # Builtin min/list comprehension instead of np.argmin-style
+            # reductions on a small Python list; the tie set and the seeded
+            # tie-break draw are unchanged.
+            minimum = min(scores)
+            best = [i for i, value in enumerate(scores) if value == minimum]
+            swap = candidates[best[0] if len(best) == 1 else int(rng.choice(best))]
 
-    def apply_swap(edge: Tuple[int, int]) -> None:
-        nonlocal n_swaps, stall, last_swap
-        a, b = edge
-        routed.append(Gate("SWAP", (a, b)))
+        a, b = swap
+        routed.append(_trusted_gate("SWAP", swap))
         logical_a, logical_b = inverse[a], inverse[b]
         if logical_a >= 0:
             layout[logical_a] = b
@@ -328,85 +405,16 @@ def _route_circuit_sabre(
         inverse[a], inverse[b] = logical_b, logical_a
         n_swaps += 1
         stall += 1
-        last_swap = edge
-
-    while executed < n_gates:
-        progressed = True
-        while progressed:
-            progressed = False
-            for index in sorted(ready):
-                gate = gates[index]
-                runnable = gate.is_single_qubit or topology.is_edge(
-                    layout[gate.qubits[0]], layout[gate.qubits[1]]
-                )
-                if runnable:
-                    emit(index)
-                    ready.remove(index)
-                    indegree[index] = -1  # sentinel: executed
-                    release(index)
-                    executed += 1
-                    progressed = True
-                    stall = 0
-                    last_swap = None
-        if executed == n_gates:
-            break
-
-        front = sorted(ready)
-        if stall >= max_stall:
-            # Forced progress: walk the oldest blocked gate's control one
-            # step along a shortest path toward its target.
-            gate = gates[front[0]]
-            path = topology.shortest_path(
-                layout[gate.qubits[0]], layout[gate.qubits[1]]
-            )
-            apply_swap((path[0], path[1]))
-            continue
-
-        front_pairs = [
-            (layout[gates[i].qubits[0]], layout[gates[i].qubits[1]]) for i in front
+        last_swap = swap
+        # Only the blocked gates on the two swapped qubits can have become
+        # executable.
+        released = [
+            i for i, qubits in zip(front, front_logical)
+            if logical_a in qubits or logical_b in qubits
         ]
-        window = lookahead_window()
-        window_pairs = [
-            (layout[gates[i].qubits[0]], layout[gates[i].qubits[1]]) for i in window
-        ]
-        candidates = sorted(
-            {
-                tuple(sorted((p, neighbor)))
-                for pair in front_pairs
-                for p in pair
-                for neighbor in topology.neighbors(p)
-            }
-        )
-        if last_swap in candidates and len(candidates) > 1:
-            candidates.remove(last_swap)  # never undo the SWAP just inserted
-
-        def score(edge: Tuple[int, int]) -> float:
-            # Hops after the SWAP; int sums are exact, so the scores (and the
-            # tie sets and seeded draws) match per-pair float sums bit for bit.
-            a, b = edge
-            moved[a], moved[b] = b, a
-            front_cost = float(
-                sum(distance[moved[p]][moved[q]] for p, q in front_pairs)
-            )
-            if window_pairs:
-                ahead = float(
-                    sum(distance[moved[p]][moved[q]] for p, q in window_pairs)
-                )
-                front_cost += lookahead_weight * ahead / len(window_pairs)
-            moved[a], moved[b] = a, b
-            return front_cost
-
-        # Builtin min/list comprehension instead of np.argmin-style reductions
-        # on a small Python list (the ndarray conversion costs more than the
-        # scan); the tie set and the seeded tie-break draw are unchanged.
-        scores = [score(edge) for edge in candidates]
-        minimum = min(scores)
-        best = [i for i, value in enumerate(scores) if value == minimum]
-        choice = best[0] if len(best) == 1 else int(rng.choice(best))
-        apply_swap(candidates[choice])
 
     return RoutingResult(
-        circuit=routed,
+        circuit=Circuit(n_physical, routed),
         topology=topology,
         initial_layout=initial,
         final_layout=tuple(layout),

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.circuits.circuit import Circuit
-from repro.circuits.gates import Gate, cnot
+from repro.circuits.gates import Gate, _trusted_gate
 from repro.circuits.pauli_exponential import ladder_exponential_gates, validate_target
 from repro.hardware.topology import Topology
 from repro.obs.tracer import get_tracer
@@ -85,9 +85,9 @@ def _steered_ladder(
             continue
         up = parent[node]
         if up not in mask:
-            ladder.append(cnot(up, node))  # fold the relay qubit into the mask
+            ladder.append(_trusted_gate("CNOT", (up, node)))  # fold the relay in
             mask.add(up)
-        ladder.append(cnot(node, up))
+        ladder.append(_trusted_gate("CNOT", (node, up)))
         mask.remove(node)
     assert mask == {target}, "parity ladder failed to reduce onto the target"
     return ladder

@@ -1,9 +1,24 @@
 """Unit tests for gate primitives."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.circuits import Gate, cnot, hadamard, rx, ry, rz, s_gate, sdg_gate
+from repro.circuits.gates import (
+    _FIXED_SINGLE_QUBIT_MATRICES,
+    _FIXED_TWO_QUBIT_MATRICES,
+    _PARAMETRIZED_MATRICES,
+    _trusted_gate,
+)
+
+#: Every known gate name at its arity, with an angle for the rotations.
+KNOWN_GATES = (
+    [(name, (3,), None) for name in _FIXED_SINGLE_QUBIT_MATRICES]
+    + [(name, (5, 2), None) for name in _FIXED_TWO_QUBIT_MATRICES]
+    + [(name, (1,), -0.375) for name in _PARAMETRIZED_MATRICES]
+)
 
 
 class TestConstruction:
@@ -125,5 +140,28 @@ class TestInverses:
 
     def test_gate_is_immutable(self):
         gate = hadamard(0)
+        with pytest.raises(Exception):
+            gate.name = "X"
+
+
+class TestTrustedConstructor:
+    """The internal constructor builds what the public one builds, unchecked."""
+
+    @pytest.mark.parametrize("name,qubits,parameter", KNOWN_GATES)
+    def test_matches_public_constructor(self, name, qubits, parameter):
+        trusted = _trusted_gate(name, qubits, parameter)
+        public = Gate(name, qubits, parameter)
+        assert type(trusted) is Gate
+        assert trusted == public and public == trusted
+        assert hash(trusted) == hash(public)
+        assert repr(trusted) == repr(public)
+        assert trusted.matrix() is public.matrix()
+        assert trusted.inverse() == public.inverse()
+        round_trip = pickle.loads(pickle.dumps(trusted))
+        assert round_trip == public and hash(round_trip) == hash(public)
+        assert repr(round_trip) == repr(public)
+
+    def test_trusted_gate_is_immutable(self):
+        gate = _trusted_gate("H", (0,))
         with pytest.raises(Exception):
             gate.name = "X"

@@ -15,6 +15,11 @@ the grid, the canonical :func:`repro.verify.rotation_product_form` of its
 fermionic circuit — each rotation's ``(x, z, repr(angle))`` and the Clifford
 frame's ``generator_images()``.
 
+A third line hashes the SWAP router: every advanced grid compile's fermionic
+circuit is routed by :func:`repro.hardware.route_circuit` at its config seed
+on a line, a ring and a 2-row grid of the register's size, and each result's
+gates, SWAP count and final layout enter the digest.
+
 The inputs are all four backends on the Table-I grid (LiH/BeH2/H2O/NH3 ×
 8/20/30 HMP2 terms), the LiH 1..30 sweep and BeH2 4..12, at config seeds
 0–2, with one frozen core orbital as the benchmark uses.
@@ -41,6 +46,7 @@ from repro.api import (
     get_backend,
 )
 from repro.chemistry import build_molecular_hamiltonian, make_molecule, run_rhf
+from repro.hardware import Topology, route_circuit
 from repro.verify import rotation_product_form
 from repro.vqe import select_ansatz_terms
 
@@ -81,6 +87,17 @@ def verify_lines(result: CompileResult) -> Iterator[str]:
         yield f"{sign} {image.to_label()}"
 
 
+def routing_lines(result: CompileResult, seed: int) -> Iterator[str]:
+    """SABRE results of an advanced compile on a line, a ring and a 2-row grid."""
+    circuit = result.details.fermionic_circuit()
+    n = circuit.n_qubits
+    for topology in (Topology.line(n), Topology.ring(n), Topology.grid(2, n // 2)):
+        routed = route_circuit(circuit, topology, seed=seed)
+        yield f"{topology.name} {routed.n_swaps} {routed.final_layout}"
+        for gate in routed.circuit:
+            yield f"{gate.name} {gate.qubits} {gate.parameter!r}"
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
@@ -93,6 +110,7 @@ def main() -> None:
     rankings = {molecule: ranked_terms(molecule) for molecule, _ in cells}
     total = hashlib.sha256()
     verified = hashlib.sha256()
+    routings = hashlib.sha256()
     compiles = 0
     forms = 0
     for seed in args.seeds:
@@ -110,12 +128,15 @@ def main() -> None:
                 if name == "advanced" and (molecule, n_terms) in GRID:
                     for line in verify_lines(result):
                         verified.update(line.encode() + b"\n")
+                    for line in routing_lines(result, seed):
+                        routings.update(line.encode() + b"\n")
                     forms += 1
             total.update(cell.digest())
             if args.verbose:
                 print(f"seed {seed} {molecule}/{n_terms} {cell.hexdigest()[:16]}")
     print(f"{total.hexdigest()}  ({compiles} compiles, config seeds {args.seeds})")
     print(f"{verified.hexdigest()}  ({forms} grid rotation-product forms)")
+    print(f"{routings.hexdigest()}  ({forms} grid circuits x line/ring/2-row grid)")
 
 
 if __name__ == "__main__":
