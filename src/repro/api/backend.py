@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.api.config import CompilerConfig
+from repro.core.config import fields_state
 from repro.core.terms_to_paulis import required_qubits
 from repro.hardware.routing import RoutingMetrics
 from repro.vqe import ExcitationTerm
@@ -69,21 +71,25 @@ class CompileRequest:
             return self.n_qubits
         return required_qubits(list(self.terms))
 
-    @property
+    @cached_property
     def input_fingerprint(self) -> Tuple:
         """Hashable identity of the compilation input, config excluded.
 
-        Cache key for backends that declare ``uses_config = False`` (the
-        naive JW/BK flows): their result depends only on the terms, so config
-        sweeps can share one cache entry per term list.
+        Cache keys of backends that declare a ``cache_config`` narrower than
+        the whole config (the naive JW/BK flows, the baseline without PSO)
+        pair it with that part, so config sweeps share one cache entry per
+        term list.  Computed once per request, like :attr:`fingerprint`.
         """
         terms_key = tuple((term.creation, term.annihilation) for term in self.terms)
         return (terms_key, self.n_qubits, self.parameters)
 
-    @property
+    @cached_property
     def fingerprint(self) -> Tuple:
         """Hashable identity of the compilation input (backend-independent)."""
         return self.input_fingerprint + (self.config.fingerprint,)
+
+    def __getstate__(self):
+        return fields_state(self)
 
 
 @dataclass(frozen=True)
@@ -130,7 +136,12 @@ class CompileResult:
 
 @runtime_checkable
 class CompilerBackend(Protocol):
-    """Anything that compiles a :class:`CompileRequest` into a :class:`CompileResult`."""
+    """Anything that compiles a :class:`CompileRequest` into a :class:`CompileResult`.
+
+    A backend may also define ``cache_config(config)``, returning the part of
+    the config its result depends on; :meth:`repro.api.CompileCache.key`
+    keys on that part instead of the whole config.
+    """
 
     @property
     def name(self) -> str:

@@ -18,7 +18,7 @@ canonical name            alias    flow
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -102,13 +102,9 @@ class NaiveTransformBackend:
     The JW and BK reference columns of Table I: no compression, no reordering,
     only cancellations between consecutive rotations are credited.  The flow
     reads nothing from the request config except the device topology
-    (``uses_config = False``; the cache key re-adds the topology), so cache
-    entries are shared across sweeps of the pipeline knobs.
+    (:meth:`cache_config`), so cache entries are shared across sweeps of the
+    pipeline knobs.
     """
-
-    #: Apart from the topology (kept in the cache key), this backend
-    #: compiles identically under every CompilerConfig.
-    uses_config = False
 
     def __init__(
         self,
@@ -121,6 +117,11 @@ class NaiveTransformBackend:
     @property
     def name(self) -> str:
         return self._name
+
+    @staticmethod
+    def cache_config(config: CompilerConfig) -> Any:
+        """The config this flow reads, for :meth:`~repro.api.CompileCache.key`."""
+        return config.topology
 
     def compile(self, request: CompileRequest) -> CompileResult:
         start = time.perf_counter()
@@ -158,11 +159,25 @@ class BaselineBackend:
     Bosonic terms always compile compressed, as in the prior art.
     ``config.baseline_pso_iterations > 0`` runs the binary-PSO transformation
     search (seeded from ``config.seed``) before compiling; the default of 0
-    compiles under the identity transformation.  The compression-free flow
-    is ``BaselineCompiler(use_bosonic_encoding=False)``, called directly.
+    compiles under the identity transformation, reads only the topology
+    (:meth:`cache_config`) and so shares cache entries across seeds and
+    pipeline knobs.  The compression-free flow is
+    ``BaselineCompiler(use_bosonic_encoding=False)``, called directly.
     """
 
     name = "baseline"
+
+    @staticmethod
+    def cache_config(config: CompilerConfig) -> Any:
+        """The config this flow reads, for :meth:`~repro.api.CompileCache.key`."""
+        if config.baseline_pso_iterations == 0:
+            return config.topology
+        return (
+            config.topology,
+            config.baseline_pso_particles,
+            config.baseline_pso_iterations,
+            config.seed,
+        )
 
     def compile(self, request: CompileRequest) -> CompileResult:
         start = time.perf_counter()

@@ -2,9 +2,10 @@
 
 :func:`compile_batch` runs many :class:`~repro.api.backend.CompileRequest`
 jobs across one or more backends in a single call.  Identical jobs — same
-terms fingerprint, backend and config — are compiled once and served from a
-:class:`~repro.api.store.CompileCache`, which can be kept across calls so
-warm batches skip recompilation entirely.  With ``workers > 1`` the
+terms fingerprint, backend and the part of the config that backend reads
+(:meth:`~repro.api.store.CompileCache.key`) — are compiled once and served
+from a :class:`~repro.api.store.CompileCache`, which can be kept across
+calls so warm batches skip recompilation entirely.  With ``workers > 1`` the
 outstanding jobs fan out over a process pool (every flow is CPU-bound pure
 Python, so threads would not help).
 

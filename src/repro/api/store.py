@@ -1,7 +1,9 @@
 """Compile-result stores: the in-memory and the on-disk tier, one key space.
 
 :class:`CompileCache` memoizes :class:`~repro.api.CompileResult` objects in
-memory under ``CompileCache.key(request, backend)``.
+memory under ``CompileCache.key(request, backend)``: the request's terms,
+register size and parameters plus the part of the config the backend reads
+(the whole config unless the backend declares a narrower ``cache_config``).
 :class:`PersistentCompileCache` stores them on disk content-addressed by the
 same keys, so the two tiers agree on identity by construction.  The disk
 store is also the :func:`~repro.api.compile_batch` checkpoint journal.
@@ -90,18 +92,21 @@ class CompileCache:
 
     @staticmethod
     def key(request: CompileRequest, backend_name: str) -> CacheKey:
-        """Memoization key; config is mostly excluded for config-blind backends.
+        """Memoization key: the request's input plus the config the backend reads.
 
-        A backend declaring ``uses_config = False`` (the naive JW/BK flows)
-        compiles identically under every config, so sweeps over pipeline
-        knobs share its cache entries.  The one exception is the device
-        ``topology``: even the naive flows route against it, so it stays in
-        the key.
+        A backend may declare ``cache_config(config)``, the part of the
+        config its result depends on; without it, or when it returns the
+        whole config, the key holds the whole config fingerprint.  The
+        naive JW/BK flows return the topology and the baseline returns it
+        too unless its PSO search runs, so sweeps over pipeline knobs and
+        seeds share their entries.
         """
         backend = get_backend(backend_name)
-        if getattr(backend, "uses_config", True):
+        cache_config = getattr(backend, "cache_config", None)
+        read = request.config if cache_config is None else cache_config(request.config)
+        if read is request.config:
             return (request.fingerprint, backend.name)
-        return (request.input_fingerprint, request.config.topology, backend.name)
+        return (request.input_fingerprint, read, backend.name)
 
     def get(self, key: CacheKey) -> Optional[CompileResult]:
         result = self._store.get(key)

@@ -12,9 +12,7 @@ The subpackage provides:
   batched :class:`repro.operators.SameTargetSavings` behind the GTSP edge
   weights, and the CNOT count of a sorted sequence;
 * :func:`~repro.circuits.optimizer.optimize_circuit` — an exact peephole pass
-  realizing cancellations at the gate level;
-* :mod:`~repro.circuits.kak` — two-qubit invariants certifying minimal CNOT
-  costs of residual interface blocks.
+  realizing cancellations at the gate level.
 
 Γ circuits are not synthesized: the paper treats Γ as a compile-time
 relabeling, and :class:`repro.transforms.LinearEncodingTransform` applies
@@ -39,13 +37,6 @@ from repro.circuits.interface import (
     interface_cnot_reduction,
     pair_cnot_count,
     sequence_cnot_count,
-)
-from repro.circuits.kak import (
-    cnot_cost,
-    gamma_matrix,
-    interface_block_cost,
-    is_local_gate,
-    makhlin_invariants,
 )
 from repro.circuits.optimizer import (
     gates_commute,
@@ -84,9 +75,4 @@ __all__ = [
     "optimized_cnot_count",
     "remove_identity_rotations",
     "gates_commute",
-    "cnot_cost",
-    "makhlin_invariants",
-    "gamma_matrix",
-    "is_local_gate",
-    "interface_block_cost",
 ]

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from functools import cached_property
+from typing import Any, Dict, Optional, Tuple
 
 from repro.hardware.topology import Topology
 
@@ -99,7 +100,21 @@ class CompilerConfig:
         """A copy with the given fields changed (validation re-runs)."""
         return dataclasses.replace(self, **changes)
 
-    @property
+    @cached_property
     def fingerprint(self) -> Tuple:
-        """Hashable identity of the config, used in compilation cache keys."""
+        """Hashable identity of the config, used in compilation cache keys.
+
+        Computed once per instance; :func:`fields_state` keeps it out of
+        pickles.
+        """
         return dataclasses.astuple(self)
+
+    def __getstate__(self):
+        return fields_state(self)
+
+
+def fields_state(instance) -> Dict[str, Any]:
+    """Pickle state of a frozen dataclass: its fields, not its cached properties."""
+    return {
+        field.name: getattr(instance, field.name) for field in dataclasses.fields(instance)
+    }

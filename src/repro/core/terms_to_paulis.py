@@ -18,7 +18,11 @@ product of the ``k`` ladder images of ``T`` (k = 2 or 4) is a sum of ``2^k``
 Pauli strings, one per choice of X or Y at every factor.
 :func:`jordan_wigner_rotations` writes each string's bit-masks and its
 phase, an integer power of i, in closed form (:func:`_ladder_product`), and
-does the same for ``T†``.
+does the same for ``T†``.  A term expands independently of the others, so
+each term's rows are memoized per ``(term, θ, packed word count)``
+(:func:`_term_planes`) and a request concatenates them: a sweep that
+compiles the same terms on every backend, prefix and config seed runs the
+closed form once per term.
 
 **Exactness.**  Every ladder half is ±½ or ±½i, so a string's coefficient in
 ``θ (T − T†)`` is ``θ 2^{-k} (i^{e_T} − i^{e_D})`` with integer phases
@@ -47,12 +51,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.operators import PackedPaulis, PauliString, lexicographic_order
+from repro.operators.symplectic import WORD_BITS
 from repro.transforms import (
     FermionQubitTransform,
     JordanWignerTransform,
@@ -184,6 +189,65 @@ class RotationPlanes(Sequence[PauliRotation]):
         return RotationPlanes(strings.take(order), angles[order], self.term_index[order])
 
 
+#: Distinct ``(term, θ, word count)`` expansions :func:`_term_planes` keeps:
+#: an entry holds at most 16 strings, so the memo stays under ~4 MB.
+TERM_PLANES_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=TERM_PLANES_CACHE_SIZE, typed=True)
+def _term_planes(
+    creation: Tuple[int, ...], annihilation: Tuple[int, ...], theta: float, n_words: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One term's Jordan-Wigner ``(x, z, angles)`` rows, read-only, in expansion order.
+
+    A term expands independently of the others, so every compile of it at
+    this θ and packed width shares one expansion (``typed``: equal θ of
+    different types, such as ``float`` and ``numpy.float32``, are distinct
+    keys, as their products may round differently).  A real part above
+    :data:`ANGLE_TOLERANCE` raises :class:`ValueError`, which the caller
+    prefixes with the term.
+    """
+    # T = a†_p (a†_q) (a_s) a_r as in ExcitationTerm.excitation_operator,
+    # and T† reverses it with every dagger flipped.
+    ladders = [(mode, True) for mode in creation]
+    ladders += [(mode, False) for mode in reversed(annihilation)]
+    x, z, base_t, annihilated_t = _ladder_product(ladders)
+    _, _, base_d, annihilated_d = _ladder_product(
+        [(mode, not is_creation) for mode, is_creation in reversed(ladders)]
+    )
+    unit = 2.0 ** -len(ladders)
+    z_masks: List[int] = []
+    angles: List[float] = []
+    selection = 0
+    while True:
+        string_z = z ^ selection
+        y_count = (x & string_z).bit_count()
+        t_real, t_imag = _POWERS_OF_I[
+            (base_t + 2 * (selection & annihilated_t).bit_count() - y_count) & 3
+        ]
+        # −T†: the minus sign is the extra 2 in the exponent.
+        d_real, d_imag = _POWERS_OF_I[
+            (base_d + 2 * (selection & annihilated_d).bit_count() - y_count + 2) & 3
+        ]
+        real, imag = t_real + d_real, t_imag + d_imag
+        if real and abs(theta * unit * real) > ANGLE_TOLERANCE:
+            coefficient = complex(theta * unit * real, theta * unit * imag)
+            raise ValueError(f"produced a non-anti-hermitian coefficient {coefficient}")
+        angle = theta * (-2 * imag * unit)
+        if abs(angle) > ANGLE_TOLERANCE:
+            z_masks.append(string_z)
+            angles.append(angle)
+        # Next subset of the mode set x.
+        selection = (selection - x) & x
+        if not selection:
+            break
+    packed = PackedPaulis.from_masks(WORD_BITS * n_words, [x] * len(z_masks), z_masks)
+    rows = (packed.x, packed.z, np.array(angles, dtype=np.float64))
+    for row in rows:
+        row.flags.writeable = False
+    return rows
+
+
 def jordan_wigner_rotations(
     terms: Sequence[ExcitationTerm],
     n_qubits: int,
@@ -195,7 +259,9 @@ def jordan_wigner_rotations(
     under ``JordanWignerTransform(n_qubits)``; only the order inside a term
     differs.  ``parameters`` defaults to θ = 1 for every term and must be
     finite.  Raises :class:`ValueError` before any work if a term acts on a
-    mode ≥ ``n_qubits`` or the parameter count is not the term count.
+    mode ≥ ``n_qubits`` or the parameter count is not the term count.  Each
+    term's rows come from the per-term memo :func:`_term_planes`; the
+    returned arrays are fresh.
     """
     if parameters is None:
         parameters = [1.0] * len(terms)
@@ -206,53 +272,24 @@ def jordan_wigner_rotations(
         raise ValueError(
             f"operator acts on mode {top} but transform covers only {n_qubits} modes"
         )
-    x_masks: List[int] = []
-    z_masks: List[int] = []
-    angles: List[float] = []
-    term_index: List[int] = []
-    for index, (term, theta) in enumerate(zip(terms, parameters)):
+    for index, theta in enumerate(parameters):
         if not math.isfinite(theta):
             raise ValueError(f"parameter {theta!r} of term {index} is not finite")
-        # T = a†_p (a†_q) (a_s) a_r as in ExcitationTerm.excitation_operator,
-        # and T† reverses it with every dagger flipped.
-        ladders = [(mode, True) for mode in term.creation]
-        ladders += [(mode, False) for mode in reversed(term.annihilation)]
-        x, z, base_t, annihilated_t = _ladder_product(ladders)
-        _, _, base_d, annihilated_d = _ladder_product(
-            [(mode, not is_creation) for mode, is_creation in reversed(ladders)]
-        )
-        unit = 2.0 ** -len(ladders)
-        selection = 0
-        while True:
-            string_z = z ^ selection
-            y_count = (x & string_z).bit_count()
-            t_real, t_imag = _POWERS_OF_I[
-                (base_t + 2 * (selection & annihilated_t).bit_count() - y_count) & 3
-            ]
-            # −T†: the minus sign is the extra 2 in the exponent.
-            d_real, d_imag = _POWERS_OF_I[
-                (base_d + 2 * (selection & annihilated_d).bit_count() - y_count + 2) & 3
-            ]
-            real, imag = t_real + d_real, t_imag + d_imag
-            if real and abs(theta * unit * real) > ANGLE_TOLERANCE:
-                coefficient = complex(theta * unit * real, theta * unit * imag)
-                raise ValueError(
-                    f"generator of {term} produced a non-anti-hermitian coefficient {coefficient}"
-                )
-            angle = theta * (-2 * imag * unit)
-            if abs(angle) > ANGLE_TOLERANCE:
-                x_masks.append(x)
-                z_masks.append(string_z)
-                angles.append(angle)
-                term_index.append(index)
-            # Next subset of the mode set x.
-            selection = (selection - x) & x
-            if not selection:
-                break
+    n_words = max(1, -(-n_qubits // WORD_BITS))
+    # An empty first row fixes the width and dtypes when no term is given.
+    empty = np.zeros((0, n_words), dtype=np.uint64)
+    rows = [(empty, empty, np.zeros(0))]
+    for term, theta in zip(terms, parameters):
+        try:
+            rows.append(_term_planes(term.creation, term.annihilation, theta, n_words))
+        except ValueError as error:
+            raise ValueError(f"generator of {term} {error}") from None
+    x, z, angles = (np.concatenate(column) for column in zip(*rows))
+    counts = [len(term_angles) for _, _, term_angles in rows[1:]]
     return RotationPlanes(
-        strings=PackedPaulis.from_masks(n_qubits, x_masks, z_masks),
-        angles=np.array(angles, dtype=np.float64),
-        term_index=np.array(term_index, dtype=np.int64),
+        strings=PackedPaulis(n_qubits, x, z),
+        angles=angles,
+        term_index=np.repeat(np.arange(len(terms), dtype=np.int64), counts),
     )
 
 

@@ -1,9 +1,10 @@
-"""Two-qubit gate invariants and minimal CNOT costs.
+"""Two-qubit gate invariants and minimal CNOT costs: a test-side certificate.
 
-The paper's interface accounting credits one saved CNOT when the residual
-two-qubit block left at the interface of two Pauli exponentials is locally
-equivalent to a single CNOT.  This module certifies such claims from first
-principles: given any two-qubit unitary it computes the local-equivalence
+The tests import it as ``kak`` (pytest puts this directory on ``sys.path``);
+the compiler never reads it.  The paper's interface accounting credits one
+saved CNOT when the residual two-qubit block left at the interface of two
+Pauli exponentials is locally equivalent to a single CNOT.  This module
+certifies such claims from first principles: given any two-qubit unitary it computes the local-equivalence
 invariants (Makhlin invariants / the spectrum of the ``γ`` matrix of
 Shende-Bullock-Markov) and from them the minimal number of CNOT gates needed
 to implement the unitary together with arbitrary single-qubit gates:
@@ -97,8 +98,3 @@ def cnot_cost(unitary: np.ndarray, tolerance: float = 1e-8) -> int:
     if abs(np.imag(np.trace(gamma_matrix(unitary)))) <= tolerance:
         return 2
     return 3
-
-
-def interface_block_cost(block_unitary: np.ndarray) -> int:
-    """Alias of :func:`cnot_cost` used when certifying interface savings."""
-    return cnot_cost(block_unitary)

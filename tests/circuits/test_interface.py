@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from kak import cnot_cost
 from repro.circuits import (
     Circuit,
     cnot,
-    cnot_cost,
     exponential_sequence_circuit,
     hadamard,
     interface_cnot_reduction,

@@ -5,15 +5,8 @@ import pytest
 from scipy.linalg import expm
 from scipy.stats import unitary_group
 
-from repro.circuits import (
-    Circuit,
-    cnot,
-    cnot_cost,
-    hadamard,
-    is_local_gate,
-    makhlin_invariants,
-    rz,
-)
+from kak import cnot_cost, is_local_gate, makhlin_invariants
+from repro.circuits import Circuit, cnot, hadamard, rz
 from repro.circuits.gates import Gate
 from repro.operators import PauliString
 
@@ -124,3 +117,19 @@ class TestCnotCost:
         costs = [cnot_cost(unitary_group.rvs(4, random_state=rng)) for _ in range(5)]
         assert all(c <= 3 for c in costs)
         assert max(costs) == 3  # a Haar-random gate almost surely needs three
+
+
+class TestFigureThreeBosonicTerm:
+    """Sec. III-A / Fig. 3: a compressed bosonic double excitation costs 2 CNOTs."""
+
+    @staticmethod
+    def bosonic_givens_unitary(theta: float) -> np.ndarray:
+        """Compressed bosonic double excitation exp(θ(σ+σ- - σ-σ+)) on two qubits."""
+        generator = 0.5j * theta * (
+            PauliString("YX").to_dense() - PauliString("XY").to_dense()
+        )
+        return expm(generator)
+
+    @pytest.mark.parametrize("theta", [0.17, 0.73, 1.91])
+    def test_bosonic_term_costs_exactly_two_cnots(self, theta):
+        assert cnot_cost(self.bosonic_givens_unitary(theta)) == 2

@@ -164,6 +164,90 @@ class TestAgainstScalarReference:
         )
 
 
+@pytest.fixture
+def fresh_memo():
+    """An empty per-term memo before and after the test."""
+    terms_to_paulis._term_planes.cache_clear()
+    yield terms_to_paulis._term_planes
+    terms_to_paulis._term_planes.cache_clear()
+
+
+@st.composite
+def repeated_requests(draw):
+    """Terms drawn with repeats from a small pool, at a few θ values including 0.
+
+    Every term fits 64 qubits, so the request compiles on one packed word
+    (64 qubits) and on two (65) alike.
+    """
+    pool = draw(st.lists(excitation_terms(64), min_size=1, max_size=3))
+    thetas = st.sampled_from([0.0, -0.0, 1.0, 0.3, -0.3, 1e-11])
+    pairs = draw(st.lists(st.tuples(st.sampled_from(pool), thetas), max_size=8))
+    return [term for term, _ in pairs], [theta for _, theta in pairs]
+
+
+class TestTermMemo:
+    """Each term's expansion is memoized per (term, θ, packed word count)."""
+
+    @given(repeated_requests(), st.sampled_from([64, 65]))
+    @settings(max_examples=150, deadline=None)
+    def test_memoized_expansion_matches_the_scalar_reference(self, request, n_qubits):
+        terms, thetas = request
+        transform = JordanWignerTransform(n_qubits)
+        expected = fingerprint(reference(terms, transform, thetas))
+        # Twice: the second call is served entirely from the memo.
+        for _ in range(2):
+            assert fingerprint(terms_to_rotations(terms, transform, thetas)) == expected
+            planes = jordan_wigner_rotations(terms, n_qubits, thetas)
+            assert planes.strings.n_words == (n_qubits + 63) // 64
+            assert sorted(fingerprint(planes)) == sorted(expected)
+
+    def test_one_term_under_two_thetas_and_widths(self, fresh_memo):
+        term = ExcitationTerm(creation=(40, 63), annihilation=(2, 5))
+        for n_qubits in (64, 65):
+            for theta in (0.5, -2.0):
+                expected = reference([term], JordanWignerTransform(n_qubits), [theta])
+                rotations = terms_to_rotations([term], JordanWignerTransform(n_qubits), [theta])
+                assert fingerprint(rotations) == fingerprint(expected)
+        assert fresh_memo.cache_info().misses == 4
+
+    def test_closed_form_runs_once_per_distinct_term(self, fresh_memo):
+        single = ExcitationTerm(creation=(3,), annihilation=(0,))
+        double = ExcitationTerm(creation=(4, 5), annihilation=(0, 1))
+        terms = [single, double, single, double, single]
+        thetas = [1.0, 1.0, 1.0, 0.0, 1.0]
+        first = jordan_wigner_rotations(terms, 6, thetas)
+        second = jordan_wigner_rotations(terms, 8, thetas)
+        info = fresh_memo.cache_info()
+        assert (info.misses, info.hits) == (3, 7)
+        # θ = 0 drops every string of the fourth term.
+        assert first.term_index.tolist() == [0] * 2 + [1] * 8 + [2] * 2 + [4] * 2
+        np.testing.assert_array_equal(first.strings.x, second.strings.x)
+        assert (first.strings.n_qubits, second.strings.n_qubits) == (6, 8)
+
+    def test_writing_into_returned_planes_changes_no_later_result(self, fresh_memo):
+        terms = [ExcitationTerm(creation=(4, 5), annihilation=(0, 1))] * 2
+        thetas = [0.7, 0.7]
+        expected = fingerprint(reference(terms, JordanWignerTransform(6), thetas))
+        for planes in (
+            jordan_wigner_rotations(terms, 6, thetas),
+            terms_to_rotations(terms, JordanWignerTransform(6), thetas),
+        ):
+            planes.strings.x[:] = 0
+            planes.strings.z[:] = 0
+            planes.angles[:] = 0.0
+            planes.term_index[:] = 9
+        assert fingerprint(terms_to_rotations(terms, JordanWignerTransform(6), thetas)) == (
+            expected
+        )
+        for row in fresh_memo((4, 5), (0, 1), 0.7, 1):
+            assert not row.flags.writeable
+
+    def test_empty_request_keeps_dtypes_and_width(self):
+        planes = jordan_wigner_rotations([], 70)
+        assert planes.strings.x.shape == (0, 2) and planes.strings.x.dtype == np.uint64
+        assert planes.angles.dtype == np.float64 and planes.term_index.dtype == np.int64
+
+
 class _DoublingTransform(FermionQubitTransform):
     """A transform that is not a linear encoding: JW ladder images scaled by two."""
 
@@ -177,6 +261,7 @@ class TestCallContract:
             raise AssertionError("expanded a term before validating the register")
 
         monkeypatch.setattr(terms_to_paulis, "_ladder_product", no_work)
+        monkeypatch.setattr(terms_to_paulis, "_term_planes", no_work)
         terms = [
             ExcitationTerm(creation=(2,), annihilation=(0,)),
             ExcitationTerm(creation=(4, 6), annihilation=(0, 1)),
@@ -211,7 +296,7 @@ class TestCallContract:
         with pytest.raises(ValueError, match="of term 1 is not finite"):
             terms_to_rotations(terms, BravyiKitaevTransform(3), [0.5, theta])
 
-    def test_non_anti_hermitian_generator_raises(self, monkeypatch):
+    def test_non_anti_hermitian_generator_raises(self, monkeypatch, fresh_memo):
         """A phase slip of one power of i turns the coefficients real; it must not compile."""
         ladder_product = terms_to_paulis._ladder_product
 
@@ -220,9 +305,14 @@ class TestCallContract:
             return x, z, base + 1, annihilated
 
         monkeypatch.setattr(terms_to_paulis, "_ladder_product", slipped)
-        terms = [ExcitationTerm(creation=(3, 4), annihilation=(0, 1))]
-        with pytest.raises(ValueError, match="non-anti-hermitian"):
+        terms = [ExcitationTerm(creation=(3, 4), annihilation=(0, 1), importance=0.5)]
+        message = (
+            "generator of ExcitationTerm(a^3 a^4 a0 a1, class=hybrid) "
+            "produced a non-anti-hermitian coefficient (0.125+0j)"
+        )
+        with pytest.raises(ValueError) as raised:
             terms_to_rotations(terms, JordanWignerTransform(5))
+        assert str(raised.value) == message
         # Below the tolerance a real part is as negligible as an imaginary one.
         assert len(terms_to_rotations(terms, JordanWignerTransform(5), [1e-11])) == 0
 

@@ -20,19 +20,27 @@ circuit is routed by :func:`repro.hardware.route_circuit` at its config seed
 on a line, a ring and a 2-row grid of the register's size, and each result's
 gates, SWAP count and final layout enter the digest.
 
+One more line per backend hashes that backend's compile lines alone, so a
+changed first line names the backend that moved.
+
 The inputs are all four backends on the Table-I grid (LiH/BeH2/H2O/NH3 ×
 8/20/30 HMP2 terms), the LiH 1..30 sweep and BeH2 4..12, at config seeds
 0–2, with one frozen core orbital as the benchmark uses.
 
+``--check FILE`` compares the printed lines with a recorded set (CI checks
+``tests/golden/output_digest.txt``) and exits 1 on any difference.
+
 Usage:
     PYTHONPATH=src python tools/output_digest.py
     PYTHONPATH=src python tools/output_digest.py --seeds 0 --verbose
+    PYTHONPATH=src python tools/output_digest.py --check tests/golden/output_digest.txt
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import sys
 from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -104,6 +112,9 @@ def main() -> None:
     parser.add_argument(
         "--verbose", action="store_true", help="also print one digest per cell"
     )
+    parser.add_argument(
+        "--check", metavar="FILE", help="exit 1 unless the digest lines equal FILE's"
+    )
     args = parser.parse_args()
 
     cells: List[Tuple[str, int]] = list(dict.fromkeys(GRID + SWEEPS))
@@ -111,6 +122,7 @@ def main() -> None:
     total = hashlib.sha256()
     verified = hashlib.sha256()
     routings = hashlib.sha256()
+    backends = {name: hashlib.sha256() for name in DEFAULT_BACKEND_NAMES}
     compiles = 0
     forms = 0
     for seed in args.seeds:
@@ -124,6 +136,7 @@ def main() -> None:
                 result = get_backend(name).compile(request)
                 for line in result_lines(result, terms):
                     cell.update(line.encode() + b"\n")
+                    backends[name].update(line.encode() + b"\n")
                 compiles += 1
                 if name == "advanced" and (molecule, n_terms) in GRID:
                     for line in verify_lines(result):
@@ -134,9 +147,23 @@ def main() -> None:
             total.update(cell.digest())
             if args.verbose:
                 print(f"seed {seed} {molecule}/{n_terms} {cell.hexdigest()[:16]}")
-    print(f"{total.hexdigest()}  ({compiles} compiles, config seeds {args.seeds})")
-    print(f"{verified.hexdigest()}  ({forms} grid rotation-product forms)")
-    print(f"{routings.hexdigest()}  ({forms} grid circuits x line/ring/2-row grid)")
+    lines = [
+        f"{total.hexdigest()}  ({compiles} compiles, config seeds {args.seeds})",
+        f"{verified.hexdigest()}  ({forms} grid rotation-product forms)",
+        f"{routings.hexdigest()}  ({forms} grid circuits x line/ring/2-row grid)",
+    ]
+    per_backend = compiles // len(backends)
+    lines += [
+        f"{digest.hexdigest()}  ({per_backend} {name} compiles)"
+        for name, digest in backends.items()
+    ]
+    print("\n".join(lines))
+    if args.check is not None:
+        with open(args.check, encoding="utf-8") as recorded:
+            expected = recorded.read().splitlines()
+        if lines != expected:
+            missing = [line for line in expected if line not in lines]
+            sys.exit(f"output digest differs from {args.check}; not reproduced: {missing}")
 
 
 if __name__ == "__main__":
