@@ -38,7 +38,8 @@ class CompilerConfig:
     Parameters
     ----------
     gamma_steps:
-        Simulated-annealing proposals for the Γ search (Sec. III-C).
+        Simulated-annealing proposals for the Γ search (Sec. III-C); 0 keeps
+        Γ = I.
     coloring_orders:
         Randomized greedy orders tried by the hybrid-scheduling graph coloring.
     gamma_budget_steps, sorting_budget_rounds:

@@ -5,10 +5,13 @@ large, so the candidate Γ is restricted to a block-diagonal form derived from
 the *topology* of the excitation terms: the creation-side and
 annihilation-side index pairs of every double excitation define a graph on the
 spin orbitals whose connected components become the blocks.  Each block is an
-independent invertible matrix searched with simulated annealing, with the
-objective being the CNOT count reported by a caller-supplied cost function.
-The search memoizes that objective on the Γ bit pattern and reports how many
-distinct candidates it scored.
+invertible matrix, and one simulated-annealing walk updates a random block per
+step, with the objective being the CNOT count reported by a caller-supplied
+cost function.  The walk is the plain Metropolis loop of
+:func:`search_block_diagonal_gamma` with a geometric cooling schedule
+(``INITIAL_TEMPERATURE`` to ``FINAL_TEMPERATURE``).  The search memoizes the
+objective on the Γ bit pattern and reports how many distinct candidates it
+scored.
 
 In the full pipeline that cost is :class:`GreedySortingCost`: the greedy-sort
 CNOT count ("subroutine 1" of Fig. 2) of the terms transformed under the
@@ -27,8 +30,9 @@ baseline's PSO objective.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import networkx as nx
 import numpy as np
@@ -37,19 +41,18 @@ from repro.core.advanced_sorting import greedy_walk, term_block_order
 from repro.core.hybrid_encoding import BOSONIC_TERM_CNOT_COST
 from repro.core.terms_to_paulis import jordan_wigner_rotations
 from repro.hardware.topology import Topology
-from repro.optimizers import AnnealingSchedule, simulated_annealing
-from repro.transforms import (
-    LinearEncodingTransform,
-    embed_block,
-    gf2_matmul,
-    identity_matrix,
-    is_invertible,
-)
+from repro.transforms import LinearEncodingTransform, identity_matrix
 from repro.vqe import ExcitationTerm
+
+# The annealing schedule: T cools geometrically from the first to the last
+# proposal.  Topology components larger than MAX_BLOCK_SIZE are split.
+INITIAL_TEMPERATURE = 2.0
+FINAL_TEMPERATURE = 2e-3
+MAX_BLOCK_SIZE = 6
 
 
 def excitation_topology_blocks(
-    terms: Sequence[ExcitationTerm], n_qubits: int, max_block_size: int = 6
+    terms: Sequence[ExcitationTerm], n_qubits: int, max_block_size: int = MAX_BLOCK_SIZE
 ) -> List[List[int]]:
     """Connected index clusters formed by the excitation terms (Appendix C).
 
@@ -101,10 +104,14 @@ class GammaSearchResult:
 def assemble_gamma(
     n_qubits: int, blocks: Sequence[Sequence[int]], block_matrices: Sequence[np.ndarray]
 ) -> np.ndarray:
-    """Embed per-block invertible matrices into the full N×N identity."""
+    """Write per-block invertible matrices into the full N×N identity.
+
+    The blocks are disjoint, so each is written in place on its rows and
+    columns.
+    """
     gamma = identity_matrix(n_qubits)
     for indices, matrix in zip(blocks, block_matrices):
-        gamma = gf2_matmul(embed_block(n_qubits, indices, matrix), gamma)
+        gamma[np.ix_(indices, indices)] = matrix
     return gamma
 
 
@@ -187,12 +194,16 @@ def search_block_diagonal_gamma(
     n_qubits: int,
     cost_function: Callable[[np.ndarray], float],
     n_steps: int = 60,
-    initial_temperature: float = 2.0,
-    max_block_size: int = 6,
     rng: Optional[np.random.Generator] = None,
     max_steps: Optional[int] = None,
 ) -> GammaSearchResult:
     """Simulated-annealing search over block-diagonal Γ matrices.
+
+    A Metropolis walk from Γ = I: each step picks a block, applies a random
+    elementary row addition to it and accepts a worse candidate with
+    probability ``exp(-delta / T)``, drawing ``rng.random()`` only then.  T
+    cools geometrically from ``INITIAL_TEMPERATURE`` to
+    ``FINAL_TEMPERATURE`` over the ``n_steps`` proposals.
 
     Parameters
     ----------
@@ -205,28 +216,17 @@ def search_block_diagonal_gamma(
         "subroutine 1" of Fig. 2 (advanced sorting + generic circuit
         compiler).  The pipeline passes a :class:`GreedySortingCost`.
     n_steps:
-        Number of SA proposals.
+        Number of SA proposals; 0 scores Γ = I alone.
     max_steps:
         Anytime iteration budget: stop the walk after this many proposals,
         returning the best Γ so far flagged ``degraded=True``.  Deterministic
         for a fixed rng — the truncated walk is an exact prefix of the
         unbudgeted one.
     """
+    if max_steps is not None and max_steps < 1:
+        raise ValueError("max_steps must be None or at least 1")
     rng = rng or np.random.default_rng()
-    blocks = excitation_topology_blocks(terms, n_qubits, max_block_size=max_block_size)
-    identity = identity_matrix(n_qubits)
-    if not blocks:
-        return GammaSearchResult(
-            gamma=identity,
-            cnot_count=float(cost_function(identity)),
-            blocks=[],
-            n_steps=0,
-            n_evaluations=1,
-        )
-
-    initial_state: Tuple[np.ndarray, ...] = tuple(
-        identity_matrix(len(block)) for block in blocks
-    )
+    blocks = excitation_topology_blocks(terms, n_qubits, max_block_size=MAX_BLOCK_SIZE)
 
     # The cost function (bit-plane transform + greedy walk) is deterministic
     # in Γ and by far the dominant expense, while the elementary-update walk
@@ -234,7 +234,7 @@ def search_block_diagonal_gamma(
     cost_cache: Dict[bytes, float] = {}
     n_cache_hits = 0
 
-    def energy(state: Tuple[np.ndarray, ...]) -> float:
+    def energy(state: List[np.ndarray]) -> float:
         nonlocal n_cache_hits
         gamma = assemble_gamma(n_qubits, blocks, state)
         key = gamma.tobytes()
@@ -246,33 +246,31 @@ def search_block_diagonal_gamma(
             n_cache_hits += 1
         return cached
 
-    def neighbor(
-        state: Tuple[np.ndarray, ...], generator: np.random.Generator
-    ) -> Tuple[np.ndarray, ...]:
-        index = int(generator.integers(len(state)))
-        updated = list(state)
-        updated[index] = _random_elementary_update(state[index], generator)
-        return tuple(updated)
-
-    schedule = AnnealingSchedule(
-        initial_temperature=initial_temperature,
-        final_temperature=max(initial_temperature * 1e-3, 1e-6),
-        n_steps=n_steps,
-    )
-    result = simulated_annealing(
-        initial_state, energy, neighbor, schedule=schedule, rng=rng, max_steps=max_steps
-    )
-    best_gamma = assemble_gamma(n_qubits, blocks, result.best_state)
-    if not is_invertible(best_gamma):
-        # Elementary updates preserve invertibility, so this should never
-        # trigger; guard against silent corruption regardless.
-        best_gamma = identity
+    current = [identity_matrix(len(block)) for block in blocks]
+    current_energy = energy(current)
+    best, best_energy = current, current_energy
+    if not blocks:
+        n_steps = 0
+    n_run = n_steps if max_steps is None else min(n_steps, max_steps)
+    ratio = FINAL_TEMPERATURE / INITIAL_TEMPERATURE
+    for step in range(n_run):
+        fraction = step / (n_steps - 1) if n_steps > 1 else 0.0
+        temperature = INITIAL_TEMPERATURE * ratio ** fraction
+        index = int(rng.integers(len(blocks)))
+        candidate = list(current)
+        candidate[index] = _random_elementary_update(current[index], rng)
+        candidate_energy = energy(candidate)
+        delta = candidate_energy - current_energy
+        if delta <= 0 or rng.random() < math.exp(-delta / temperature):
+            current, current_energy = candidate, candidate_energy
+            if current_energy < best_energy:
+                best, best_energy = current, current_energy
     return GammaSearchResult(
-        gamma=best_gamma,
-        cnot_count=float(result.best_energy),
+        gamma=assemble_gamma(n_qubits, blocks, best),
+        cnot_count=best_energy,
         blocks=blocks,
-        n_steps=result.n_steps,
-        degraded=result.truncated,
+        n_steps=n_run,
+        degraded=n_run < n_steps,
         n_evaluations=len(cost_cache),
         n_cache_hits=n_cache_hits,
     )

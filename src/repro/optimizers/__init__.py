@@ -1,7 +1,9 @@
 """Classical optimization solvers backing the compilation pipeline.
 
-* :func:`~repro.optimizers.simulated_annealing.simulated_annealing` — the Γ
-  search of Sec. III-C.
+The Γ search of Sec. III-C runs its own simulated-annealing walk in
+:func:`repro.core.gamma_search.search_block_diagonal_gamma`; the solvers here
+are the other searches:
+
 * :func:`~repro.optimizers.graph_coloring.randomized_greedy_coloring` — the
   GVCP solver of Sec. III-A / Sec. IV.
 * :func:`~repro.optimizers.gtsp.solve_gtsp` — the GTSP of Sec. III-B / Sec. IV,
@@ -20,17 +22,9 @@ from repro.optimizers.graph_coloring import (
 )
 from repro.optimizers.gtsp import GtspProblem, GtspResult, brute_force_gtsp, solve_gtsp
 from repro.optimizers.particle_swarm import PsoResult, binary_particle_swarm
-from repro.optimizers.simulated_annealing import (
-    AnnealingResult,
-    AnnealingSchedule,
-    simulated_annealing,
-)
 from repro.optimizers.tsp import nearest_neighbor_tour, solve_tsp, tour_length, two_opt
 
 __all__ = [
-    "AnnealingResult",
-    "AnnealingSchedule",
-    "simulated_annealing",
     "ColoringResult",
     "greedy_coloring",
     "randomized_greedy_coloring",

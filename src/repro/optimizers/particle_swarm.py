@@ -15,6 +15,10 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
+INERTIA = 0.7
+COGNITIVE = 1.4
+SOCIAL = 1.4
+
 
 @dataclass
 class PsoResult:
@@ -31,9 +35,6 @@ def binary_particle_swarm(
     n_bits: int,
     n_particles: int = 20,
     iterations: int = 50,
-    inertia: float = 0.7,
-    cognitive: float = 1.4,
-    social: float = 1.4,
     rng: Optional[np.random.Generator] = None,
     initial_position: Optional[np.ndarray] = None,
 ) -> PsoResult:
@@ -68,9 +69,9 @@ def binary_particle_swarm(
         r_cognitive = rng.random(size=(n_particles, n_bits))
         r_social = rng.random(size=(n_particles, n_bits))
         velocities = (
-            inertia * velocities
-            + cognitive * r_cognitive * (personal_best - positions)
-            + social * r_social * (global_best - positions)
+            INERTIA * velocities
+            + COGNITIVE * r_cognitive * (personal_best - positions)
+            + SOCIAL * r_social * (global_best - positions)
         )
         flip_probabilities = 1.0 / (1.0 + np.exp(-velocities))
         positions = (rng.random(size=positions.shape) < flip_probabilities).astype(np.uint8)

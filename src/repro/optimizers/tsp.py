@@ -13,6 +13,9 @@ import numpy as np
 
 Vertex = Hashable
 
+TWO_OPT_MAX_PASSES = 10
+TSP_RESTARTS = 3
+
 
 def tour_length(
     tour: Sequence[Vertex], weight: Callable[[Vertex, Vertex], float], cyclic: bool = True
@@ -52,14 +55,13 @@ def nearest_neighbor_tour(
 def two_opt(
     tour: Sequence[Vertex],
     weight: Callable[[Vertex, Vertex], float],
-    max_passes: int = 10,
 ) -> List[Vertex]:
     """Improve a closed tour with 2-opt segment reversals until none improves it."""
     tour = list(tour)
     n = len(tour)
     if n < 4:
         return tour
-    for _ in range(max_passes):
+    for _ in range(TWO_OPT_MAX_PASSES):
         improved = False
         for i in range(n - 1):
             for j in range(i + 2, n):
@@ -81,7 +83,6 @@ def solve_tsp(
     vertices: Sequence[Vertex],
     weight: Callable[[Vertex, Vertex], float],
     rng: Optional[np.random.Generator] = None,
-    restarts: int = 3,
 ) -> List[Vertex]:
     """Nearest-neighbor + 2-opt with a few random restarts; returns the best tour."""
     if not vertices:
@@ -90,7 +91,7 @@ def solve_tsp(
     vertices = list(vertices)
     best_tour: Optional[List[Vertex]] = None
     best_length = None
-    for restart in range(max(1, restarts)):
+    for restart in range(TSP_RESTARTS):
         start = vertices[int(rng.integers(len(vertices)))] if restart else vertices[0]
         tour = two_opt(nearest_neighbor_tour(vertices, weight, start=start), weight)
         length = tour_length(tour, weight)

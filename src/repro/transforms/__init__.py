@@ -11,7 +11,6 @@ from repro.transforms.binary import (
     block_diagonal,
     bravyi_kitaev_matrix,
     cnot_network_matrix,
-    embed_block,
     gf2_inverse,
     gf2_matmul,
     gf2_matvec,
@@ -49,7 +48,6 @@ __all__ = [
     "parity_matrix",
     "bravyi_kitaev_matrix",
     "block_diagonal",
-    "embed_block",
     "gf2_matmul",
     "gf2_matvec",
     "gf2_inverse",

@@ -216,24 +216,6 @@ def block_diagonal(blocks: Sequence[np.ndarray]) -> np.ndarray:
     return matrix
 
 
-def embed_block(n: int, indices: Sequence[int], block: np.ndarray) -> np.ndarray:
-    """Embed a small invertible block acting on ``indices`` into an ``n x n`` identity.
-
-    This is how the paper's block-diagonal Γ candidates are assembled from the
-    excitation-term topology: each connected cluster of orbital indices gets
-    its own block while all other modes are left untouched.
-    """
-    block = as_gf2(block)
-    indices = list(indices)
-    if block.shape != (len(indices), len(indices)):
-        raise ValueError("block shape must match the number of indices")
-    matrix = identity_matrix(n)
-    for i, row in enumerate(indices):
-        for j, col in enumerate(indices):
-            matrix[row, col] = block[i, j]
-    return matrix
-
-
 # ----------------------------------------------------------------------
 # CNOT networks
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the block-diagonal Γ simulated-annealing search (Sec. III-C)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,18 @@ from repro.operators import (
     routed_vertex_cost_vector,
     weight_vector,
 )
-from repro.transforms import LinearEncodingTransform, is_invertible, random_invertible_matrix
+from repro.core.gamma_search import (
+    FINAL_TEMPERATURE,
+    INITIAL_TEMPERATURE,
+    MAX_BLOCK_SIZE,
+    _random_elementary_update,
+)
+from repro.transforms import (
+    LinearEncodingTransform,
+    gf2_matmul,
+    is_invertible,
+    random_invertible_matrix,
+)
 from repro.vqe import ExcitationTerm
 
 
@@ -61,6 +74,47 @@ class TestTopologyBlocks:
         gamma = assemble_gamma(6, blocks, matrices)
         assert is_invertible(gamma)
         assert gamma[0, 1] == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_assemble_gamma_equals_product_of_embedded_blocks(self, seed):
+        """Writing disjoint blocks in place gives the same bytes as the GF(2)
+        product of one identity-embedded block per matrix."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 12))
+        order = rng.permutation(n)
+        cuts = sorted(rng.choice(np.arange(1, n), size=int(rng.integers(1, 4)), replace=False))
+        blocks = [sorted(int(i) for i in chunk) for chunk in np.split(order, cuts)]
+        blocks = [block for block in blocks if len(block) > 1]
+        matrices = [random_invertible_matrix(len(block), rng) for block in blocks]
+        expected = np.eye(n, dtype=np.uint8)
+        for block, matrix in zip(blocks, matrices):
+            embedded = np.eye(n, dtype=np.uint8)
+            for row, i in enumerate(block):
+                for col, j in enumerate(block):
+                    embedded[i, j] = matrix[row, col]
+            expected = gf2_matmul(embedded, expected)
+        gamma = assemble_gamma(n, blocks, matrices)
+        assert gamma.dtype == expected.dtype
+        assert gamma.tobytes() == expected.tobytes()
+
+
+class TestElementaryUpdate:
+    @pytest.mark.parametrize("size", range(2, MAX_BLOCK_SIZE + 1))
+    def test_adds_one_other_row_and_stays_invertible(self, size):
+        rng = np.random.default_rng(size)
+        matrix = random_invertible_matrix(size, rng)
+        for _ in range(20):
+            updated = _random_elementary_update(matrix, rng)
+            changed = np.flatnonzero((updated != matrix).any(axis=1))
+            assert len(changed) == 1
+            row = changed[0]
+            sources = [
+                col for col in range(size)
+                if col != row and np.array_equal(updated[row], matrix[row] ^ matrix[col])
+            ]
+            assert sources
+            assert is_invertible(updated)
+            matrix = updated
 
 
 class TestGammaSearch:
@@ -102,6 +156,23 @@ class TestGammaSearch:
         assert result.blocks == []
         assert (result.n_evaluations, result.n_cache_hits) == (1, 0)
 
+    def test_zero_steps_scores_the_identity_alone(self):
+        calls = []
+
+        def cost(gamma):
+            calls.append(gamma.copy())
+            return self.cost(gamma)
+
+        result = search_block_diagonal_gamma(
+            self.terms, self.n_qubits, cost, n_steps=0, rng=np.random.default_rng(0)
+        )
+        identity = np.eye(self.n_qubits, dtype=np.uint8)
+        assert result.blocks
+        assert np.array_equal(result.gamma, identity)
+        assert len(calls) == 1 and np.array_equal(calls[0], identity)
+        assert (result.n_steps, result.degraded) == (0, False)
+        assert result.cnot_count == self.cost(identity)
+
     def test_search_effort_counts_every_energy_call(self):
         """The initial Γ and every proposal are scored once each, either by
         a distinct objective call or by a memo hit."""
@@ -118,12 +189,107 @@ class TestGammaSearch:
         assert result.n_evaluations == len(calls) == len(set(calls))
         assert result.n_evaluations + result.n_cache_hits == result.n_steps + 1
 
+    def test_blocks_are_capped_at_the_module_size(self):
+        chain = [term((i + 8, i + 9), (i, i + 1)) for i in range(7)]
+        result = search_block_diagonal_gamma(
+            chain, 16, lambda gamma: float(gamma.sum()), n_steps=5,
+            rng=np.random.default_rng(5),
+        )
+        assert result.blocks == excitation_topology_blocks(chain, 16)
+        assert max(len(block) for block in result.blocks) == MAX_BLOCK_SIZE
+
+    def test_hot_walk_accepts_uphill_moves_but_keeps_the_best(self):
+        """Γ = I is the optimum of a cost counting ones; early, hot steps
+        still accept worse candidates, and the best stays the identity."""
+        scored = []
+
+        def cost(gamma):
+            scored.append(gamma.sum())
+            return float(gamma.sum())
+
+        result = search_block_diagonal_gamma(
+            self.terms, self.n_qubits, cost, n_steps=30, rng=np.random.default_rng(6)
+        )
+        assert max(scored) > self.n_qubits + 1
+        assert np.array_equal(result.gamma, np.eye(self.n_qubits, dtype=np.uint8))
+        assert result.cnot_count == self.n_qubits
+
     def test_reported_cost_matches_gamma(self):
         result = search_block_diagonal_gamma(
             self.terms, self.n_qubits, self.cost, n_steps=15,
             rng=np.random.default_rng(3),
         )
         assert np.isclose(result.cnot_count, self.cost(result.gamma))
+
+
+def reference_walk(blocks, n_qubits, cost, n_steps, rng):
+    """The documented Metropolis walk, re-derived without the memo.
+
+    Per step: the block index, the row and column of an elementary row
+    addition (the column redrawn while it equals the row), and a uniform
+    draw only for an uphill move; T = T0 (Tf/T0)^(step/(n_steps-1)).
+    Returns the best Γ, its cost and the Γ bytes of every proposal.
+    """
+    def full(matrices):
+        gamma = np.eye(n_qubits, dtype=np.uint8)
+        for block, matrix in zip(blocks, matrices):
+            for row, i in enumerate(block):
+                gamma[i, block] = matrix[row]
+        return gamma
+
+    current = [np.eye(len(block), dtype=np.uint8) for block in blocks]
+    current_cost = cost(full(current))
+    best, best_cost = full(current), current_cost
+    proposals = [best.tobytes()]
+    for step in range(n_steps):
+        fraction = step / (n_steps - 1) if n_steps > 1 else 0.0
+        temperature = INITIAL_TEMPERATURE * (FINAL_TEMPERATURE / INITIAL_TEMPERATURE) ** fraction
+        index = int(rng.integers(len(blocks)))
+        size = len(blocks[index])
+        row = rng.integers(size)
+        col = rng.integers(size)
+        while col == row:
+            col = rng.integers(size)
+        candidate = [matrix.copy() for matrix in current]
+        candidate[index][row] ^= candidate[index][col]
+        gamma = full(candidate)
+        proposals.append(gamma.tobytes())
+        delta = cost(gamma) - current_cost
+        if delta <= 0 or rng.random() < math.exp(-delta / temperature):
+            current, current_cost = candidate, current_cost + delta
+            if current_cost < best_cost:
+                best, best_cost = gamma, current_cost
+    return best, best_cost, proposals
+
+
+class TestAnnealingWalk:
+    TERMS = [term((4, 6), (0, 2)), term((5, 7), (1, 3)), term((4, 7), (0, 3))]
+    WEIGHTS = np.random.default_rng(99).integers(0, 4, (8, 8))
+
+    def cost(self, gamma):
+        return float((self.WEIGHTS * gamma).sum())
+
+    @pytest.mark.parametrize(
+        "seed, n_steps", [(0, 1), (1, 2), (2, 3), (3, 25), (4, 60), (5, 120)]
+    )
+    def test_matches_the_reference_walk_draw_for_draw(self, seed, n_steps):
+        scored = []
+
+        def cost(gamma):
+            scored.append(gamma.tobytes())
+            return self.cost(gamma)
+
+        rng = np.random.default_rng(seed)
+        result = search_block_diagonal_gamma(self.TERMS, 8, cost, n_steps=n_steps, rng=rng)
+        reference_rng = np.random.default_rng(seed)
+        best, best_cost, proposals = reference_walk(
+            result.blocks, 8, self.cost, n_steps, reference_rng
+        )
+        assert result.gamma.tobytes() == best.tobytes()
+        assert result.cnot_count == best_cost
+        assert scored == list(dict.fromkeys(proposals))
+        assert result.n_cache_hits == len(proposals) - len(scored)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 @st.composite

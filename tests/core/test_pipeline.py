@@ -6,6 +6,7 @@ import pytest
 from repro import compile_molecule_ansatz
 from repro.baselines import BaselineCompiler, naive_cnot_count
 from repro.api import CompilerConfig
+from repro.chemistry import build_molecular_hamiltonian, make_molecule, run_rhf
 from repro.core import (
     AdvancedPipeline,
     fold_bosonic_stage,
@@ -15,7 +16,7 @@ from repro.core import (
 )
 from repro.transforms import JordanWignerTransform
 from repro.verify import assert_implements_rotations
-from repro.vqe import ExcitationTerm
+from repro.vqe import ExcitationTerm, select_ansatz_terms
 
 
 def term(creation, annihilation):
@@ -103,6 +104,24 @@ class TestAdvancedPipeline:
             for rotation, _ in result.sorting.ordered_rotations
         ]
         assert_implements_rotations(circuit, rotations)
+
+    def test_zero_gamma_steps_keeps_the_identity(self):
+        """``gamma_steps=0`` scores Γ = I alone: on H2O/20, whose terms form
+        Γ blocks, it compiles to the identity-Γ ablation's output."""
+        hamiltonian = build_molecular_hamiltonian(
+            run_rhf(make_molecule("H2O")), n_frozen_spatial_orbitals=1
+        )
+        terms = select_ansatz_terms(hamiltonian, 20)
+        n = hamiltonian.n_spin_orbitals
+        pipeline = fast_compiler(gamma_steps=0)
+        result = pipeline.run(terms, n_qubits=n)
+        ablated = pipeline.with_stage("gamma_search", identity_gamma_stage).run(
+            terms, n_qubits=n
+        )
+        assert np.array_equal(result.gamma, np.eye(n, dtype=np.uint8))
+        assert not result.degraded
+        assert result.cnot_count == ablated.cnot_count
+        assert result.breakdown() == ablated.breakdown()
 
 
 class TestEndToEndMoleculeApi:

@@ -1,6 +1,6 @@
-"""Anytime iteration budgets of the annealing and GTSP optimizers.
+"""Anytime iteration budgets of the Γ annealing walk and the GTSP search.
 
-Both optimizers accept an optional budget (``max_steps`` / ``max_rounds``)
+Both searches accept an optional budget (``max_steps`` / ``max_rounds``)
 that truncates the search while keeping it an exact prefix of the
 unbudgeted one — the foundation of the deterministic ``degraded`` compiles
 in the pipeline layer.
@@ -9,21 +9,31 @@ in the pipeline layer.
 import numpy as np
 import pytest
 
+from repro.core import search_block_diagonal_gamma
 from repro.optimizers import GtspProblem, solve_gtsp
-from repro.optimizers.simulated_annealing import AnnealingSchedule, simulated_annealing
+from repro.vqe import ExcitationTerm
+
+N_STEPS = 40
+TERMS = [
+    ExcitationTerm(creation=(4, 6), annihilation=(0, 2)),
+    ExcitationTerm(creation=(5, 7), annihilation=(1, 3)),
+    ExcitationTerm(creation=(4, 7), annihilation=(0, 3)),
+]
 
 
-def anneal(seed=0, max_steps=None, n_steps=40):
-    """Minimize |x| over the integers with ±1 moves; deterministic per seed."""
-    return simulated_annealing(
-        12,
-        energy=lambda x: float(abs(x)),
-        neighbor=lambda x, rng: x + int(rng.choice([-1, 1])),
-        schedule=AnnealingSchedule(n_steps=n_steps),
-        rng=np.random.default_rng(seed),
-        record_trace=True,
+def anneal(seed=0, max_steps=None):
+    """Run the Γ search on 8 qubits; returns the result and the Γ bytes scored."""
+    scored = []
+
+    def cost(gamma):
+        scored.append(gamma.tobytes())
+        return float(gamma.sum() + 3 * gamma[:4, 4:].sum())
+
+    result = search_block_diagonal_gamma(
+        TERMS, 8, cost, n_steps=N_STEPS, rng=np.random.default_rng(seed),
         max_steps=max_steps,
     )
+    return result, scored
 
 
 def small_problem():
@@ -40,26 +50,30 @@ def identity_tour(problem):
 
 
 class TestAnnealingBudget:
-    def test_budget_truncates_and_flags(self):
-        result = anneal(max_steps=7)
-        assert result.truncated
-        assert result.n_steps == 7
+    @pytest.mark.parametrize("budget", [1, 2, 7, N_STEPS - 1, N_STEPS, N_STEPS + 1])
+    def test_budgeted_walk_is_a_flagged_prefix_of_the_full_walk(self, budget):
+        full, full_scored = anneal(seed=3)
+        cut, cut_scored = anneal(seed=3, max_steps=budget)
+        assert cut.degraded == (budget < N_STEPS)
+        assert cut.n_steps == min(budget, N_STEPS)
+        assert cut_scored == full_scored[: len(cut_scored)]
+        assert cut.n_evaluations == len(cut_scored)
+        if budget >= N_STEPS:
+            assert cut_scored == full_scored
+            assert cut.gamma.tobytes() == full.gamma.tobytes()
 
-    def test_budget_at_or_above_schedule_is_not_truncation(self):
-        assert not anneal(max_steps=40).truncated
-        assert not anneal(max_steps=41).truncated
-        assert not anneal().truncated
-
-    def test_truncated_walk_is_exact_prefix_of_full_walk(self):
-        full = anneal(seed=3)
-        cut = anneal(seed=3, max_steps=11)
-        assert cut.energy_trace == full.energy_trace[:11]
+    def test_unbudgeted_walk_is_not_degraded(self):
+        result, scored = anneal()
+        assert not result.degraded
+        assert result.n_steps == N_STEPS
+        assert len(scored) > 1
 
     def test_budgeted_run_is_deterministic(self):
-        one, two = anneal(seed=5, max_steps=9), anneal(seed=5, max_steps=9)
-        assert one.best_state == two.best_state
-        assert one.best_energy == two.best_energy
-        assert one.energy_trace == two.energy_trace
+        one, one_scored = anneal(seed=5, max_steps=9)
+        two, two_scored = anneal(seed=5, max_steps=9)
+        assert one_scored == two_scored
+        assert one.gamma.tobytes() == two.gamma.tobytes()
+        assert one.cnot_count == two.cnot_count
 
     def test_invalid_budget_rejected(self):
         with pytest.raises(ValueError, match="max_steps"):

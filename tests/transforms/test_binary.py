@@ -58,7 +58,8 @@ class TestBasicOperations:
         rng = np.random.default_rng(seed)
         indices = sorted(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
         block = binary.random_invertible_matrix(len(indices), rng)
-        matrix = binary.embed_block(n, indices, block) if indices else np.eye(n)
+        matrix = np.eye(n, dtype=np.uint8)
+        matrix[np.ix_(indices, indices)] = block
         inverse = binary.gf2_inverse(matrix)
         assert np.array_equal(binary.gf2_matmul(matrix, inverse), np.eye(n, dtype=np.uint8))
 
@@ -151,17 +152,6 @@ class TestStructuredMatrices:
     def test_block_diagonal_rejects_rectangular(self):
         with pytest.raises(ValueError):
             binary.block_diagonal([np.ones((1, 2))])
-
-    def test_embed_block(self):
-        block = np.array([[1, 1], [0, 1]])
-        embedded = binary.embed_block(4, [1, 3], block)
-        assert embedded[1, 3] == 1
-        assert embedded[3, 1] == 0
-        assert embedded[0, 0] == 1 and embedded[2, 2] == 1
-
-    def test_embed_block_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            binary.embed_block(4, [0], np.eye(2))
 
 
 class TestCnotNetworkMatrix:

@@ -23,6 +23,10 @@ gates, SWAP count and final layout enter the digest.
 One more line per backend hashes that backend's compile lines alone, so a
 changed first line names the backend that moved.
 
+A last line hashes budgeted advanced compiles: the 12 grid cells at config
+seed 0 with ``gamma_budget_steps=3`` and ``sorting_budget_rounds=1``, so the
+truncated Γ walk and the truncated sort are pinned too.
+
 The inputs are all four backends on the Table-I grid (LiH/BeH2/H2O/NH3 ×
 8/20/30 HMP2 terms), the LiH 1..30 sweep and BeH2 4..12, at config seeds
 0–2, with one frozen core orbital as the benchmark uses.
@@ -60,6 +64,7 @@ from repro.vqe import select_ansatz_terms
 
 FROZEN_CORE = 1
 GRID = [(m, n) for m in ("LiH", "BeH2", "H2O", "NH3") for n in (8, 20, 30)]
+BUDGETED = CompilerConfig(seed=0, gamma_budget_steps=3, sorting_budget_rounds=1)
 SWEEPS = [("LiH", n) for n in range(1, 31)] + [("BeH2", n) for n in range(4, 13)]
 
 
@@ -157,6 +162,19 @@ def main() -> None:
         f"{digest.hexdigest()}  ({per_backend} {name} compiles)"
         for name, digest in backends.items()
     ]
+    budgeted = hashlib.sha256()
+    for molecule, n_terms in GRID:
+        n_qubits, ranking = rankings[molecule]
+        terms = tuple(ranking[:n_terms])
+        request = CompileRequest(terms=terms, n_qubits=n_qubits, config=BUDGETED)
+        for line in result_lines(get_backend("advanced").compile(request), terms):
+            budgeted.update(line.encode() + b"\n")
+    lines.append(
+        f"{budgeted.hexdigest()}  ({len(GRID)} budgeted advanced grid compiles, "
+        f"gamma_budget_steps={BUDGETED.gamma_budget_steps}, "
+        f"sorting_budget_rounds={BUDGETED.sorting_budget_rounds}, "
+        f"config seed {BUDGETED.seed})"
+    )
     print("\n".join(lines))
     if args.check is not None:
         with open(args.check, encoding="utf-8") as recorded:
