@@ -244,11 +244,17 @@ class Molecule:
 
     @property
     def nuclear_repulsion(self) -> float:
-        """Nuclear-nuclear Coulomb repulsion energy in Hartree."""
+        """Nuclear-nuclear Coulomb repulsion energy in Hartree.
+
+        Raises ``ValueError`` naming both atoms when two share a position.
+        """
         energy = 0.0
         for i, atom_a in enumerate(self.atoms):
-            for atom_b in self.atoms[i + 1:]:
+            for j, atom_b in enumerate(self.atoms[i + 1:], i + 1):
                 distance = math.dist(atom_a.position, atom_b.position)
+                if distance == 0.0:
+                    raise ValueError(f"atoms {i} ({atom_a.symbol}) and {j} ({atom_b.symbol}) "
+                                     f"coincide at {atom_a.position} bohr")
                 energy += atom_a.atomic_number * atom_b.atomic_number / distance
         return energy
 

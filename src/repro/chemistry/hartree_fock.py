@@ -189,7 +189,7 @@ def run_rhf(
         scf_span.set_attribute("n_iterations", result.n_iterations)
         scf_span.set_attribute("converged", result.converged)
         integrals_after = integral_cache_stats()
-        for key in ("boys", "hermite_expansion", "hermite_coulomb", "shell_pair"):
+        for key in ("hermite_expansion", "shell_pair"):
             for event in ("hits", "misses"):
                 name = f"{key}.{event}"
                 delta = integrals_after[name] - integrals_before[name]
@@ -218,6 +218,7 @@ def _solve_rhf(
     damping: float,
 ) -> "ScfResult":
     """The actual SCF iteration (cache handling and tracing live in run_rhf)."""
+    nuclear_repulsion = molecule.nuclear_repulsion  # rejects coincident atoms up front
     basis = list(basis) if basis is not None else build_sto3g_basis(molecule)
     n_occupied = molecule.n_electrons // 2
     if n_occupied > len(basis):
@@ -242,7 +243,7 @@ def _solve_rhf(
             new_density = (1.0 - damping) * new_density + damping * density
 
         electronic_energy = 0.5 * np.sum(new_density * (core + fock))
-        new_energy = electronic_energy + molecule.nuclear_repulsion
+        new_energy = electronic_energy + nuclear_repulsion
 
         density_change = np.max(np.abs(new_density - density))
         energy_change = abs(new_energy - energy)
@@ -254,7 +255,7 @@ def _solve_rhf(
     # Recompute the energy consistently with the final density.
     fock = _build_fock_matrix(core, density, eri)
     electronic_energy = 0.5 * np.sum(density * (core + fock))
-    energy = electronic_energy + molecule.nuclear_repulsion
+    energy = electronic_energy + nuclear_repulsion
 
     result = ScfResult(
         molecule=molecule,

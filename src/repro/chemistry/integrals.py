@@ -6,39 +6,39 @@ are assembled from Hermite expansion coefficients ``E_t^{ij}`` and Hermite
 Coulomb integrals ``R^n_{tuv}``.  This replaces PySCF/Psi4 in this offline
 reproduction; it is exact and validated against known Hartree-Fock energies.
 
-``R^n_{tuv}`` depends only on the *primitive geometry* (centres and
-exponents), which STO-3G's 2s and 2p functions share: NH3's 666 unique ERI
-quartets sit on 121 geometry quartets.  So:
+Each of S, T, V and the ERI tensor is built in one batched pass per molecule:
 
-* :func:`shell_pair_data` caches, per function pair and as arrays over the
-  ``(Ka, Kb)`` primitive grid, the composite exponents and centres, the
-  nonzero Hermite expansion tables and the contraction weights;
-* a :class:`HermiteCoulombTable` holds one geometry's reduced exponent,
-  separation, Boys argument, prefactor and lazily filled ``R^n_{tuv}``.
-  :func:`build_electron_repulsion_tensor` visits the unique quartets grouped
-  by geometry quartet and :func:`build_nuclear_matrix` the pairs grouped by
-  geometry pair, one table per group and one group at a time;
-  :func:`electron_repulsion` and :func:`nuclear_attraction` are one-quartet
-  and one-pair calls into the same kernels.
+* the shell pairs of a basis are built in one batch (grids padded to the
+  longest contraction with zero-weight primitives): Hermite tables, composite
+  exponents and centres, and the contracted overlap and kinetic energy;
+* ``R^n_{tuv}`` depends only on the *primitive geometry* (centres and
+  exponents), which STO-3G's 2s and 2p functions share: NH3's 666 unique ERI
+  quartets sit on 121 geometry quartets.  One Hermite-Coulomb array holds
+  every geometry quartet (for V, every geometry pair x nucleus), in chunks of
+  ``_CHUNK_ROWS``; a row is carried only up to the order its integrals need,
+  and ``hyp1f1`` and ``(-2a)^n`` are evaluated once per distinct argument;
+* every (integral, Hermite index) product is gathered at once and summed per
+  integral in the scalar loops' order from ``0.0``; contractions are summed
+  left to right.
 
-The scalar ``primitive_*`` functions and :func:`electron_repulsion_scalar`
-are the reference: every array element follows their operation order,
-integer powers use Python's float pow and contractions are summed left to
-right, so the results are bit-identical.
+Every element follows the operation order of the scalar reference
+(``tests/chemistry/scalar_integrals.py``): powers use Python's float pow,
+nothing is summed pairwise, and a padded primitive or an all-zero table only
+adds ``±0.0`` to a sum that starts at ``+0.0``.  So the results are
+byte-identical.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from functools import lru_cache, reduce
-from operator import add
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy.special import hyp1f1
 
 from repro.chemistry.basis import BasisFunction, Molecule
-from repro.chemistry.hermite import hermite_expansion, primitive_overlap
+from repro.chemistry.hermite import hermite_expansion
 from repro.obs.metrics import get_metrics
 
 #: Integral-engine traffic, in the global obs registry (cached objects: one
@@ -48,44 +48,8 @@ _PAIR_MISSES = get_metrics().counter("chemistry.integrals.shell_pair.misses")
 _ERI_QUARTETS = get_metrics().counter("chemistry.integrals.eri.quartets")
 _ERI_TABLES = get_metrics().counter("chemistry.integrals.eri.coulomb_tables")
 
-
-@lru_cache(maxsize=1 << 18)
-def boys_function(n: int, x: float) -> float:
-    """Boys function ``F_n(x)`` via the confluent hypergeometric function."""
-    return float(hyp1f1(n + 0.5, n + 1.5, -x) / (2.0 * n + 1.0))
-
-
-@lru_cache(maxsize=1 << 18)
-def hermite_coulomb(
-    t: int, u: int, v: int, n: int, p: float, x: float, y: float, z: float, distance_sq: float
-) -> float:
-    """Hermite Coulomb auxiliary integral ``R^n_{tuv}``."""
-    if t < 0 or u < 0 or v < 0:
-        return 0.0
-    if t == u == v == 0:
-        return ((-2.0 * p) ** n) * boys_function(n, p * distance_sq)
-    if t > 0:
-        value = 0.0
-        if t > 1:
-            value += (t - 1) * hermite_coulomb(t - 2, u, v, n + 1, p, x, y, z, distance_sq)
-        value += x * hermite_coulomb(t - 1, u, v, n + 1, p, x, y, z, distance_sq)
-        return value
-    if u > 0:
-        value = 0.0
-        if u > 1:
-            value += (u - 1) * hermite_coulomb(t, u - 2, v, n + 1, p, x, y, z, distance_sq)
-        value += y * hermite_coulomb(t, u - 1, v, n + 1, p, x, y, z, distance_sq)
-        return value
-    value = 0.0
-    if v > 1:
-        value += (v - 1) * hermite_coulomb(t, u, v - 2, n + 1, p, x, y, z, distance_sq)
-    value += z * hermite_coulomb(t, u, v - 1, n + 1, p, x, y, z, distance_sq)
-    return value
-
-
-#: The uncached functions (one recursion step; deeper terms come from cache).
-_boys_function_direct = boys_function.__wrapped__
-_hermite_coulomb_direct = hermite_coulomb.__wrapped__
+#: Geometry quartets per batched ERI chunk.
+_CHUNK_ROWS = 128
 
 
 # ----------------------------------------------------------------------
@@ -97,55 +61,142 @@ class ShellPairData:
     Everything here depends only on the *pair* ``(a, b)``, so it is computed
     once and reused by every integral containing the pair; ``geometry`` (the
     two centres and exponent sets) is the part the Coulomb tables depend on.
-    Entries equal the scalar recursion's bit for bit: the tables come from
-    the memoized :func:`hermite_expansion` and the composite arithmetic does
-    the same float64 operations elementwise.
+    ``overlap`` and ``kinetic`` are the contracted integrals.
     """
 
-    __slots__ = ("geometry", "p", "composite", "terms", "hermite", "coefficients", "weights")
+    __slots__ = (
+        "geometry", "p", "composite", "terms", "hermite", "order", "coefficients",
+        "weights", "overlap", "kinetic",
+    )
 
-    def __init__(self, function_a: BasisFunction, function_b: BasisFunction):
-        self.geometry = (
-            function_a.center, function_a.exponents, function_b.center, function_b.exponents
-        )
-        exps_a = np.asarray(function_a.exponents, dtype=np.float64)
-        exps_b = np.asarray(function_b.exponents, dtype=np.float64)
-        self.p = exps_a[:, None] + exps_b[None, :]
-        self.composite = [
-            (exps_a[:, None] * function_a.center[axis]
-             + exps_b[None, :] * function_b.center[axis]) / self.p
-            for axis in range(3)
-        ]
-        # terms[axis] = [(t, E_t^{l1 l2} over the primitive grid)], keeping
-        # only the tables with a nonzero entry: an all-zero table adds
-        # nothing to any integral, so it is skipped once here.
-        self.terms: List[List[Tuple[int, np.ndarray]]] = []
-        for axis in range(3):
-            l1 = function_a.lmn[axis]
-            l2 = function_b.lmn[axis]
-            separation = function_a.center[axis] - function_b.center[axis]
-            tables = []
-            for t in range(l1 + l2 + 1):
-                table = np.empty_like(self.p)
-                for i, alpha in enumerate(function_a.exponents):
-                    for j, beta in enumerate(function_b.exponents):
-                        table[i, j] = hermite_expansion(l1, l2, t, separation, alpha, beta)
-                if table.any():
-                    tables.append((t, table))
-            self.terms.append(tables)
+    def __init__(self, geometry, p, composite, terms, coefficients, overlap, kinetic):
+        self.geometry = geometry
+        self.p = p
+        self.composite = composite
+        #: terms[axis] = [(t, E_t^{l1 l2} over the primitive grid)], keeping
+        #: only the tables with a nonzero entry: an all-zero table adds
+        #: nothing to any integral, so it is skipped once here.
+        self.terms: List[List[Tuple[int, np.ndarray]]] = terms
         #: ``((t, u, v), E_t^x E_u^y E_v^z)`` over the nonzero tables, in the
         #: scalar loops' order.
         self.hermite = [
-            ((t, u, v), ex * ey * ez)
-            for t, ex in self.terms[0]
-            for u, ey in self.terms[1]
-            for v, ez in self.terms[2]
+            ((t, u, v), ex * ey * ez) for (t, ex), (u, ey), (v, ez) in itertools.product(*terms)
         ]
-        self.coefficients = (
-            np.asarray(function_a.normalized_coefficients, dtype=np.float64),
-            np.asarray(function_b.normalized_coefficients, dtype=np.float64),
+        self.order = max((sum(tuv) for tuv, _ in self.hermite), default=0)
+        self.coefficients = coefficients
+        self.weights = coefficients[0][:, None] * coefficients[1][None, :]
+        self.overlap = overlap
+        self.kinetic = kinetic
+
+
+def _build_pairs(function_pairs: Sequence[Tuple[BasisFunction, BasisFunction]], size: int):
+    """:class:`ShellPairData` of each ``(a, b)``, all in one batched pass.
+
+    Both functions are padded to ``size`` primitives of exponent 1.0 and
+    weight 0.0, so every grid is ``size x size``.  The recursion of
+    :func:`~repro.chemistry.hermite.hermite_expansion` runs on arrays over
+    every pair's grid, and the primitive overlap and kinetic energy follow
+    the scalar reference's expressions.
+    """
+    padded = [
+        [tuple(f.exponents) + (1.0,) * (size - len(f.exponents)) for f in pair]
+        for pair in function_pairs
+    ]
+    coefficients = np.array([
+        [f.normalized_coefficients + (0.0,) * (size - len(f.exponents)) for f in pair]
+        for pair in function_pairs
+    ])
+    alpha, beta = np.array(padded)[:, 0, :, None], np.array(padded)[:, 1, None, :]
+    centers = np.array([[f.center for f in pair] for pair in function_pairs])
+    lmn = np.array([[f.lmn for f in pair] for pair in function_pairs])
+    p = alpha + beta
+    q = alpha * beta / p
+    composite = (
+        alpha[:, None] * centers[:, 0, :, None, None] + beta[:, None] * centers[:, 1, :, None, None]
+    ) / p[:, None]
+    separation = (centers[:, 0] - centers[:, 1])[:, :, None, None]
+    memo: Dict[Tuple[int, int, int, int], np.ndarray] = {}
+
+    def expansion(axis: int, i: int, j: int, t: int):
+        """``E_t^{ij}`` along ``axis`` over every pair's grid, memoized."""
+        if t < 0 or t > i + j:
+            return 0.0
+        key = (axis, i, j, t)
+        if key not in memo:
+            distance = separation[:, axis]
+            if i == j == t == 0:
+                memo[key] = _Distinct(-q * distance * distance).map(_elementwise(math.exp))
+            elif j == 0:
+                memo[key] = (
+                    (1.0 / (2.0 * p)) * expansion(axis, i - 1, j, t - 1)
+                    - (q * distance / alpha) * expansion(axis, i - 1, j, t)
+                    + (t + 1) * expansion(axis, i - 1, j, t + 1)
+                )
+            else:
+                memo[key] = (
+                    (1.0 / (2.0 * p)) * expansion(axis, i, j - 1, t - 1)
+                    + (q * distance / beta) * expansion(axis, i, j - 1, t)
+                    + (t + 1) * expansion(axis, i, j - 1, t + 1)
+                )
+        return memo[key]
+
+    def table(axis: int, t: int, shift: int = 0) -> np.ndarray:
+        """``E_t^{l1, l2+shift}`` of each pair along ``axis`` (``0.0`` out of range)."""
+        l1, l2 = lmn[:, 0, axis], lmn[:, 1, axis] + shift
+        stacked = np.zeros(p.shape)
+        for i, j in set(zip(l1.tolist(), l2.tolist())):
+            if j >= 0 and t <= i + j:
+                rows = (l1 == i) & (l2 == j)
+                stacked[rows] = expansion(axis, i, j, t)[rows]
+        return stacked
+
+    prefactor = _Distinct(math.pi / p).map(_elementwise(lambda x: x ** 1.5))
+    e0 = {(axis, shift): table(axis, 0, shift) for axis in range(3) for shift in (-2, 0, 2)}
+
+    def overlaps(axis: int = 0, shift: int = 0) -> np.ndarray:
+        """Primitive overlaps, ``b``'s angular momentum on ``axis`` shifted (``0.0`` below 0)."""
+        value = prefactor
+        for direction in range(3):
+            value = value * e0[direction, shift if direction == axis else 0]
+        value[lmn[:, 1, axis] + shift < 0] = 0.0
+        return value
+
+    # The scalar kinetic integral's integer factors, as exact floats.
+    l2 = lmn[:, 1, :, None, None]
+    falling = (l2 * (l2 - 1)).astype(np.float64)
+    overlap = overlaps()
+    term0 = beta * (2 * l2.sum(axis=1) + 3).astype(np.float64) * overlap
+    term1 = -2.0 * _Distinct(beta).map(_elementwise(lambda x: x ** 2)) * (
+        overlaps(0, 2) + overlaps(1, 2) + overlaps(2, 2)
+    )
+    term2 = -0.5 * (
+        falling[:, 0] * overlaps(0, -2)
+        + falling[:, 1] * overlaps(1, -2)
+        + falling[:, 2] * overlaps(2, -2)
+    )
+    weights = coefficients[:, 0, :, None] * coefficients[:, 1, None, :]
+    overlap, kinetic = _contract(weights, overlap), _contract(weights, term0 + term1 + term2)
+    tables = [
+        np.array([table(axis, t) for t in range(int(lmn[:, :, axis].sum(axis=1).max()) + 1)])
+        for axis in range(3)
+    ]
+    nonzero = [axis_tables.any(axis=(2, 3)) for axis_tables in tables]
+    return [
+        ShellPairData(
+            (fa.center, padded[index][0], fb.center, padded[index][1]),
+            p[index],
+            composite[index],
+            [
+                [(t, tables[axis][t, index]) for t in range(lmn[index, :, axis].sum() + 1)
+                 if nonzero[axis][t, index]]
+                for axis in range(3)
+            ],
+            coefficients[index],
+            float(overlap[index]),
+            float(kinetic[index]),
         )
-        self.weights = self.coefficients[0][:, None] * self.coefficients[1][None, :]
+        for index, (fa, fb) in enumerate(function_pairs)
+    ]
 
 
 #: Bounded (FIFO): pair keys contain continuous centers/exponents, so a
@@ -154,368 +205,330 @@ _SHELL_PAIR_CACHE: Dict[Tuple, ShellPairData] = {}
 _SHELL_PAIR_CACHE_MAX_ENTRIES = 4096
 
 
+def _shell_pairs(function_pairs: Sequence[Tuple[BasisFunction, ...]]) -> List[ShellPairData]:
+    """The (cached) shell pairs of ``(a, b)`` functions, padded to the longest contraction.
+
+    The pairs not yet cached are built in one :func:`_build_pairs` pass.
+    """
+    size = max(len(f.exponents) for pair in function_pairs for f in pair)
+    keys = [
+        (size,) + tuple((f.center, f.lmn, f.exponents, f.normalized_coefficients) for f in pair)
+        for pair in function_pairs
+    ]
+    found: Dict[Tuple, ShellPairData] = {}
+    missing: Dict[Tuple, Tuple[BasisFunction, BasisFunction]] = {}
+    for key, pair in zip(keys, function_pairs):
+        data = _SHELL_PAIR_CACHE.get(key)
+        if data is not None:
+            found[key] = data
+        else:
+            missing.setdefault(key, pair)
+    _PAIR_HITS.inc(len(keys) - len(missing))
+    _PAIR_MISSES.inc(len(missing))
+    if missing:
+        for key, data in zip(missing, _build_pairs(list(missing.values()), size)):
+            found[key] = data
+            while len(_SHELL_PAIR_CACHE) >= _SHELL_PAIR_CACHE_MAX_ENTRIES:
+                _SHELL_PAIR_CACHE.pop(next(iter(_SHELL_PAIR_CACHE)))
+            _SHELL_PAIR_CACHE[key] = data
+    return [found[key] for key in keys]
+
+
 def shell_pair_data(function_a: BasisFunction, function_b: BasisFunction) -> ShellPairData:
-    """The (cached) :class:`ShellPairData` of a contracted-function pair."""
-    key = tuple(
-        (f.center, f.lmn, f.exponents, f.normalized_coefficients) for f in (function_a, function_b)
-    )
-    data = _SHELL_PAIR_CACHE.get(key)
-    if data is None:
-        _PAIR_MISSES.inc()
-        data = ShellPairData(function_a, function_b)
-        while len(_SHELL_PAIR_CACHE) >= _SHELL_PAIR_CACHE_MAX_ENTRIES:
-            _SHELL_PAIR_CACHE.pop(next(iter(_SHELL_PAIR_CACHE)))
-        _SHELL_PAIR_CACHE[key] = data
-    else:
-        _PAIR_HITS.inc()
-    return data
+    """The (cached) :class:`ShellPairData` of one pair."""
+    return _shell_pairs([(function_a, function_b)])[0]
 
 
 def clear_integral_caches() -> None:
-    """Drop every memoized integral quantity (Hermite, Boys, shell pairs)."""
+    """Drop every memoized integral quantity (Hermite expansions, shell pairs)."""
     hermite_expansion.cache_clear()
-    hermite_coulomb.cache_clear()
-    boys_function.cache_clear()
     _SHELL_PAIR_CACHE.clear()
 
 
 def integral_cache_stats() -> Dict[str, int]:
     """Cache and ERI-build counters of the integral engine, one JSON-ready dict.
 
-    The SCF span records the *delta* of this dict across a solve, so a trace
-    shows how much integral work the chemistry front end served from cache
-    versus recomputed, and how many ERI quartets shared how many Coulomb
-    tables.
+    The SCF span records the *delta* of this dict across a solve: what the
+    chemistry front end served from cache, and how many ERI quartets sat on
+    how many geometry quartets.
     """
-    stats: Dict[str, int] = {}
-    for name, cached in (
-        ("boys", boys_function),
-        ("hermite_expansion", hermite_expansion),
-        ("hermite_coulomb", hermite_coulomb),
-    ):
-        info = cached.cache_info()
-        stats[f"{name}.hits"] = info.hits
-        stats[f"{name}.misses"] = info.misses
-        stats[f"{name}.size"] = info.currsize
-    stats["shell_pair.hits"] = _PAIR_HITS.value
-    stats["shell_pair.misses"] = _PAIR_MISSES.value
-    stats["shell_pair.size"] = len(_SHELL_PAIR_CACHE)
-    stats["eri.quartets"] = _ERI_QUARTETS.value
-    stats["eri.coulomb_tables"] = _ERI_TABLES.value
-    return stats
+    info = hermite_expansion.cache_info()
+    return {
+        "hermite_expansion.hits": info.hits,
+        "hermite_expansion.misses": info.misses,
+        "hermite_expansion.size": info.currsize,
+        "shell_pair.hits": _PAIR_HITS.value,
+        "shell_pair.misses": _PAIR_MISSES.value,
+        "shell_pair.size": len(_SHELL_PAIR_CACHE),
+        "eri.quartets": _ERI_QUARTETS.value,
+        "eri.coulomb_tables": _ERI_TABLES.value,
+    }
 
 
 # ----------------------------------------------------------------------
-# Primitive integrals (the scalar reference)
+# Batched kernels
 # ----------------------------------------------------------------------
-def primitive_kinetic(
-    alpha: float,
-    lmn1: Sequence[int],
-    center_a: Sequence[float],
-    beta: float,
-    lmn2: Sequence[int],
-    center_b: Sequence[float],
-) -> float:
-    """Kinetic-energy integral of two primitive Gaussians."""
-    l2, m2, n2 = lmn2
+class _Distinct:
+    """An array's distinct values, to evaluate a function once per distinct value."""
 
-    def shifted(dl: int, dm: int, dn: int) -> float:
-        shifted_lmn = (l2 + dl, m2 + dm, n2 + dn)
-        if min(shifted_lmn) < 0:
-            return 0.0
-        return primitive_overlap(alpha, lmn1, center_a, beta, shifted_lmn, center_b)
+    def __init__(self, values: np.ndarray):
+        self.values, index = np.unique(values, return_inverse=True)
+        self.index = index.reshape(values.shape)
 
-    term0 = beta * (2 * (l2 + m2 + n2) + 3) * shifted(0, 0, 0)
-    term1 = -2.0 * beta ** 2 * (shifted(2, 0, 0) + shifted(0, 2, 0) + shifted(0, 0, 2))
-    term2 = -0.5 * (
-        l2 * (l2 - 1) * shifted(-2, 0, 0)
-        + m2 * (m2 - 1) * shifted(0, -2, 0)
-        + n2 * (n2 - 1) * shifted(0, 0, -2)
-    )
-    return term0 + term1 + term2
+    def map(self, function: Callable[[np.ndarray], np.ndarray], rows=None) -> np.ndarray:
+        """``function`` of the leading ``rows`` elements, once per distinct value among them."""
+        index = self.index[:rows]
+        used = np.zeros(len(self.values), dtype=bool)
+        used[index] = True
+        mapped = np.zeros(len(self.values))
+        mapped[used] = function(self.values[used])
+        return mapped[index]
 
 
-def primitive_nuclear(
-    alpha: float,
-    lmn1: Sequence[int],
-    center_a: Sequence[float],
-    beta: float,
-    lmn2: Sequence[int],
-    center_b: Sequence[float],
-    nucleus: Sequence[float],
-) -> float:
-    """Nuclear-attraction integral of two primitives with a unit-charge nucleus."""
-    p = alpha + beta
-    composite = [
-        (alpha * center_a[axis] + beta * center_b[axis]) / p for axis in range(3)
-    ]
-    pc = [composite[axis] - nucleus[axis] for axis in range(3)]
-    distance_sq = sum(component * component for component in pc)
+def _elementwise(function: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """``function`` on each element as a Python float.
 
-    l1, m1, n1 = lmn1
-    l2, m2, n2 = lmn2
-    value = 0.0
-    for t in range(l1 + l2 + 1):
-        ex = hermite_expansion(l1, l2, t, center_a[0] - center_b[0], alpha, beta)
-        if ex == 0.0:
-            continue
-        for u in range(m1 + m2 + 1):
-            ey = hermite_expansion(m1, m2, u, center_a[1] - center_b[1], alpha, beta)
-            if ey == 0.0:
-                continue
-            for v in range(n1 + n2 + 1):
-                ez = hermite_expansion(n1, n2, v, center_a[2] - center_b[2], alpha, beta)
-                if ez == 0.0:
-                    continue
-                value += ex * ey * ez * hermite_coulomb(
-                    t, u, v, 0, p, pc[0], pc[1], pc[2], distance_sq
-                )
-    return 2.0 * math.pi / p * value
-
-
-def primitive_electron_repulsion(
-    alpha: float, lmn1: Sequence[int], center_a: Sequence[float],
-    beta: float, lmn2: Sequence[int], center_b: Sequence[float],
-    gamma: float, lmn3: Sequence[int], center_c: Sequence[float],
-    delta: float, lmn4: Sequence[int], center_d: Sequence[float],
-) -> float:
-    """Two-electron repulsion integral ``(ab|cd)`` over primitives (chemists' notation)."""
-    l1, m1, n1 = lmn1
-    l2, m2, n2 = lmn2
-    l3, m3, n3 = lmn3
-    l4, m4, n4 = lmn4
-    p = alpha + beta
-    q = gamma + delta
-    composite_p = [
-        (alpha * center_a[axis] + beta * center_b[axis]) / p for axis in range(3)
-    ]
-    composite_q = [
-        (gamma * center_c[axis] + delta * center_d[axis]) / q for axis in range(3)
-    ]
-    reduced = p * q / (p + q)
-    pq = [composite_p[axis] - composite_q[axis] for axis in range(3)]
-    distance_sq = sum(component * component for component in pq)
-
-    # Precompute the one-dimensional Hermite expansions for the bra and ket.
-    ex1 = [hermite_expansion(l1, l2, t, center_a[0] - center_b[0], alpha, beta) for t in range(l1 + l2 + 1)]
-    ey1 = [hermite_expansion(m1, m2, u, center_a[1] - center_b[1], alpha, beta) for u in range(m1 + m2 + 1)]
-    ez1 = [hermite_expansion(n1, n2, v, center_a[2] - center_b[2], alpha, beta) for v in range(n1 + n2 + 1)]
-    ex2 = [hermite_expansion(l3, l4, t, center_c[0] - center_d[0], gamma, delta) for t in range(l3 + l4 + 1)]
-    ey2 = [hermite_expansion(m3, m4, u, center_c[1] - center_d[1], gamma, delta) for u in range(m3 + m4 + 1)]
-    ez2 = [hermite_expansion(n3, n4, v, center_c[2] - center_d[2], gamma, delta) for v in range(n3 + n4 + 1)]
-
-    value = 0.0
-    for t, ex1_t in enumerate(ex1):
-        if ex1_t == 0.0:
-            continue
-        for u, ey1_u in enumerate(ey1):
-            if ey1_u == 0.0:
-                continue
-            for v, ez1_v in enumerate(ez1):
-                if ez1_v == 0.0:
-                    continue
-                for tau, ex2_t in enumerate(ex2):
-                    if ex2_t == 0.0:
-                        continue
-                    for nu, ey2_u in enumerate(ey2):
-                        if ey2_u == 0.0:
-                            continue
-                        for phi, ez2_v in enumerate(ez2):
-                            if ez2_v == 0.0:
-                                continue
-                            sign = (-1.0) ** (tau + nu + phi)
-                            value += (
-                                ex1_t * ey1_u * ez1_v * ex2_t * ey2_u * ez2_v * sign
-                                * hermite_coulomb(
-                                    t + tau, u + nu, v + phi, 0, reduced,
-                                    pq[0], pq[1], pq[2], distance_sq,
-                                )
-                            )
-    value *= 2.0 * math.pi ** 2.5 / (p * q * math.sqrt(p + q))
-    return value
-
-
-# ----------------------------------------------------------------------
-# Hermite Coulomb tables (one per primitive geometry)
-# ----------------------------------------------------------------------
-def _integer_power(base: np.ndarray, exponent: int) -> np.ndarray:
-    """Elementwise ``base ** exponent`` via Python's float pow.
-
-    ``np.power`` and CPython's ``float.__pow__`` may round differently in the
-    last ulp for integer exponents; the scalar recursion uses the latter, so
-    the array kernels must too for bit-identical integrals.
+    Where numpy may round differently (``np.power``, ``np.exp``), the scalar
+    reference's ``float.__pow__`` and ``math.exp`` are used.
     """
-    if exponent == 0:
-        return np.ones_like(base)
-    return np.array(
-        [value ** exponent for value in base.ravel().tolist()], dtype=np.float64
-    ).reshape(base.shape)
+    return lambda values: np.array([function(value) for value in values.tolist()])
 
 
-class HermiteCoulombTable:
-    """``R^n_{tuv}`` over a primitive grid for one primitive geometry.
+def _hermite_coulomb(exponent, pq, orders, keys) -> np.ndarray:
+    """``R^0_{tuv}`` of every row for each ``(t, u, v)`` in ``keys``, stacked.
 
-    ``exponent`` is the reduced exponent of a geometry quartet (electron
-    repulsion) or the composite exponent of a geometry pair (nuclear
-    attraction); ``(x, y, z)`` is the matching separation ``P - Q`` or
-    ``P - C``.  Entries are filled on first use and memoized, and every
-    element follows :func:`hermite_coulomb`'s operation order.
+    Rows (one primitive geometry each) come by non-increasing ``orders``, the
+    largest ``t+u+v`` the row's integrals read; ``R^n_{tuv}`` is carried over
+    the leading rows of order ``>= t+u+v+n`` only (the rest stay zero, unread).
     """
+    x, y, z = pq
+    arguments = _Distinct(exponent * (x * x + y * y + z * z))
+    powers = _Distinct(-2.0 * exponent)
+    rows_at = [int(np.count_nonzero(orders >= n)) for n in range(int(orders[0]) + 1)]
+    memo: Dict[Tuple[int, int, int, int], np.ndarray] = {}
 
-    __slots__ = ("exponent", "x", "y", "z", "boys_argument", "prefactor", "_values")
-
-    def __init__(self, exponent, x, y, z, prefactor):
-        self.exponent = exponent
-        self.x, self.y, self.z = x, y, z
-        self.boys_argument = exponent * (x * x + y * y + z * z)
-        self.prefactor = prefactor
-        self._values: Dict[Tuple[int, int, int, int], np.ndarray] = {}
-
-    def __call__(self, t: int, u: int, v: int, n: int = 0) -> np.ndarray:
-        key = (t, u, v, n)
-        value = self._values.get(key)
+    def coulomb(tuv: Tuple[int, int, int], n: int) -> np.ndarray:
+        value = memo.get(tuv + (n,))
         if value is not None:
             return value
-        if t == u == v == 0:
-            value = _integer_power(-2.0 * self.exponent, n) * (
-                hyp1f1(n + 0.5, n + 1.5, -self.boys_argument) / (2.0 * n + 1.0)
+        rows = rows_at[sum(tuv) + n]
+        if not any(tuv):
+            value = powers.map(_elementwise(lambda x: x ** n), rows) * arguments.map(
+                lambda distinct: hyp1f1(n + 0.5, n + 1.5, -distinct) / (2.0 * n + 1.0), rows
             )
-        elif t > 0:
-            value = 0.0
-            if t > 1:
-                value += (t - 1) * self(t - 2, u, v, n + 1)
-            value += self.x * self(t - 1, u, v, n + 1)
-        elif u > 0:
-            value = 0.0
-            if u > 1:
-                value += (u - 1) * self(t, u - 2, v, n + 1)
-            value += self.y * self(t, u - 1, v, n + 1)
         else:
+            axis = 0 if tuv[0] else 1 if tuv[1] else 2
+            index = tuv[axis]
+            lower = tuv[:axis] + (index - 1,) + tuv[axis + 1:]
             value = 0.0
-            if v > 1:
-                value += (v - 1) * self(t, u, v - 2, n + 1)
-            value += self.z * self(t, u, v - 1, n + 1)
-        self._values[key] = value
+            if index > 1:
+                lowest = tuv[:axis] + (index - 2,) + tuv[axis + 1:]
+                value += (index - 1) * coulomb(lowest, n + 1)[:rows]
+            value += pq[axis][:rows] * coulomb(lower, n + 1)
+        memo[tuv + (n,)] = value
         return value
 
-
-def _nuclear_table(pair: ShellPairData, nucleus: Sequence[float]) -> HermiteCoulombTable:
-    """The table of one geometry pair and one nucleus, over ``(Ka, Kb)``."""
-    x, y, z = (pair.composite[axis] - nucleus[axis] for axis in range(3))
-    return HermiteCoulombTable(pair.p, x, y, z, 2.0 * math.pi / pair.p)
-
-
-def _repulsion_table(bra: ShellPairData, ket: ShellPairData) -> HermiteCoulombTable:
-    """The table of one geometry quartet, over ``(Ka, Kb, Kc, Kd)``."""
-    p = bra.p[:, :, None, None]
-    q = ket.p[None, None, :, :]
-    x, y, z = (
-        bra.composite[axis][:, :, None, None] - ket.composite[axis][None, None, :, :]
-        for axis in range(3)
-    )
-    return HermiteCoulombTable(
-        p * q / (p + q), x, y, z, 2.0 * math.pi ** 2.5 / (p * q * np.sqrt(p + q))
-    )
+    stacked = np.zeros((len(keys),) + exponent.shape)
+    for index, tuv in enumerate(keys):
+        value = coulomb(tuv, 0)
+        stacked[index, : len(value)] = value
+    return stacked
 
 
-def _contract(weights: np.ndarray, primitives: np.ndarray) -> float:
-    """``Σ weights·primitives``, summed left to right in C order like the scalar loops."""
-    return reduce(add, (weights * primitives).ravel().tolist(), 0.0)
+def _term_positions(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(item, position)`` of every term when item ``i`` owns ``counts[i]`` terms."""
+    item = np.repeat(np.arange(len(counts)), counts)
+    return item, np.arange(len(item)) - (np.cumsum(counts) - counts)[item]
 
 
-def _contracted_nuclear(pair: ShellPairData, table: HermiteCoulombTable) -> float:
-    """One pair's contracted attraction to the table's unit-charge nucleus."""
-    value = 0.0
-    for (t, u, v), product in pair.hermite:
-        value += product * table(t, u, v)
-    return _contract(pair.weights, table.prefactor * value)
+def _hermite_sums(coefficients, codes, base, term_rows, counts, exponent, pq, orders):
+    """``Σ_h coefficient_h R^0_{key_h}`` per item, in term order from ``0.0``.
 
-
-def _contracted_repulsion(
-    bra: ShellPairData, ket: ShellPairData, table: HermiteCoulombTable
-) -> float:
-    """One contracted ``(ab|cd)`` on its geometry quartet's table."""
-    value = 0.0
-    for (t, u, v), product in bra.hermite:
-        e_bra = product[:, :, None, None]
-        for tau, ex2 in ket.terms[0]:
-            e4 = e_bra * ex2
-            for nu, ey2 in ket.terms[1]:
-                e5 = e4 * ey2
-                for phi, ez2 in ket.terms[2]:
-                    # The scalar multiplies by (-1)^(τ+ν+φ) before R; negating
-                    # is exact, so subtracting the unsigned term is identical.
-                    term = e5 * ez2 * table(t + tau, u + nu, v + phi)
-                    if (tau + nu + phi) % 2:
-                        value -= term
-                    else:
-                        value += term
-    weights = bra.weights[:, :, None, None] * ket.coefficients[0][:, None] * ket.coefficients[1]
-    return _contract(weights, value * table.prefactor)
-
-
-# ----------------------------------------------------------------------
-# Contracted integrals
-# ----------------------------------------------------------------------
-def _contract_pair(function_a: BasisFunction, function_b: BasisFunction, primitive) -> float:
-    """``Σ c_a c_b primitive(a, b)`` over the two functions' primitives, scalar."""
-    total = 0.0
-    for exp_a, coeff_a in zip(function_a.exponents, function_a.normalized_coefficients):
-        for exp_b, coeff_b in zip(function_b.exponents, function_b.normalized_coefficients):
-            total += coeff_a * coeff_b * primitive(
-                exp_a, function_a.lmn, function_a.center, exp_b, function_b.lmn, function_b.center
-            )
+    ``coefficients`` holds every item's terms consecutively, ``codes`` their
+    Hermite indices ``(t·base + u)·base + v`` and ``term_rows`` their rows of
+    ``exponent``/``pq``/``orders`` (non-increasing, see :func:`_rows`).
+    """
+    distinct, key_index = np.unique(codes, return_inverse=True)
+    keys = [(code // base // base, code // base % base, code % base) for code in distinct.tolist()]
+    table = _hermite_coulomb(exponent, pq, orders, keys)
+    terms = coefficients * table[key_index.reshape(-1), term_rows]
+    starts = np.cumsum(counts) - counts
+    total = np.zeros((len(counts), terms.shape[1]))
+    for position in range(int(counts.max(initial=0))):
+        active = np.flatnonzero(counts > position)
+        total[active] += terms[starts[active] + position]
     return total
 
 
+def _contract(weights: np.ndarray, primitives: np.ndarray) -> np.ndarray:
+    """``Σ weights·primitives`` per item, left to right in C order like the scalar loops."""
+    n = len(weights)
+    total = np.zeros(n)
+    for column in (weights.reshape(n, -1) * primitives.reshape(n, -1)).T:
+        total += column
+    return total
+
+
+class _PairStack:
+    """The arrays of a list of shell pairs (one grid shape), stacked for one pass.
+
+    Entry ``h`` is one ``(t, u, v)`` of one pair's ``hermite`` list, in the
+    scalar loop order.  As a bra it reads ``products[h]``; as a ket it reads
+    the per-axis ``tables[xyz[:, h]]`` and the sign ``(-1)^(t+u+v)``.  Hermite
+    indices are coded ``(t·base + u)·base + v``; ``base`` exceeds any index
+    sum, so a bra code plus a ket code is the code of the summed index.
+    """
+
+    def __init__(self, pairs: Sequence[ShellPairData]):
+        geometry_ids: Dict[Tuple, int] = {}
+        self.geometry = np.array(
+            [geometry_ids.setdefault(pair.geometry, len(geometry_ids)) for pair in pairs]
+        )
+        self.p = np.array([pair.p for pair in pairs])
+        self.composite = np.array([pair.composite for pair in pairs])
+        self.coefficients = np.array([pair.coefficients for pair in pairs])
+        self.weights = np.array([pair.weights for pair in pairs])
+        self.order = np.array([pair.order for pair in pairs])
+        self.count = np.array([len(pair.hermite) for pair in pairs], dtype=np.intp)
+        self.start = np.cumsum(self.count) - self.count
+        grid = (-1,) + pairs[0].p.shape
+        self.products = np.array([e for pair in pairs for _, e in pair.hermite]).reshape(grid)
+        tables: List[np.ndarray] = []
+        xyz: List[Tuple[int, int, int]] = []
+        for pair in pairs:
+            indices = []
+            for axis_terms in pair.terms:
+                indices.append(range(len(tables), len(tables) + len(axis_terms)))
+                tables.extend(table for _, table in axis_terms)
+            xyz.extend(itertools.product(*indices))
+        self.tables = np.array(tables).reshape(grid)
+        self.xyz = np.array(xyz, dtype=np.intp).reshape(-1, 3).T
+        tuv = np.array([tuv for pair in pairs for tuv, _ in pair.hermite]).reshape(-1, 3)
+        self.odd = tuv.sum(axis=1) % 2 == 1
+        self.base = 2 * int(self.order.max()) + 1
+        self.code = (tuv[:, 0] * self.base + tuv[:, 1]) * self.base + tuv[:, 2]
+
+
+def _rows(keys: np.ndarray, orders: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Items grouped by ``keys``: each item's row, a representative item per row, row orders.
+
+    A row's order is the largest of its items'; rows are numbered by
+    non-increasing order, as :func:`_hermite_coulomb` wants them.
+    """
+    distinct, rows = np.unique(keys, return_inverse=True)
+    row_orders = np.zeros(len(distinct), dtype=np.intp)
+    np.maximum.at(row_orders, rows.reshape(-1), orders)
+    ranked = np.argsort(-row_orders, kind="stable")
+    rank = np.empty_like(ranked)
+    rank[ranked] = np.arange(len(ranked))
+    rows = rank[rows.reshape(-1)]
+    representative = np.empty(len(distinct), dtype=np.intp)
+    representative[rows] = np.arange(len(rows))
+    return rows, representative, row_orders[ranked]
+
+
+def _repulsion_values(
+    pairs: Sequence[ShellPairData], bra: np.ndarray, ket: np.ndarray
+) -> Tuple[np.ndarray, int]:
+    """Contracted ``(ab|cd)`` of each quartet ``(pairs[bra[i]], pairs[ket[i]])``.
+
+    Returns the values and the number of geometry quartets they sit on, which
+    are processed ``_CHUNK_ROWS`` at a time.
+    """
+    stack = _PairStack(pairs)
+    rows, representative, orders = _rows(
+        stack.geometry[bra] * len(pairs) + stack.geometry[ket], stack.order[bra] + stack.order[ket]
+    )
+    values = np.empty(len(bra))
+    for start in range(0, len(representative), _CHUNK_ROWS):
+        chunk = np.flatnonzero((rows >= start) & (rows < start + _CHUNK_ROWS))
+        rows_of = slice(start, start + _CHUNK_ROWS)
+        values[chunk] = _repulsion_chunk(
+            stack, bra[chunk], ket[chunk], rows[chunk] - start,
+            bra[representative[rows_of]], ket[representative[rows_of]], orders[rows_of],
+        )
+    return values, len(representative)
+
+
+def _repulsion_chunk(stack: _PairStack, bra, ket, quartet_rows, row_bra, row_ket, orders):
+    """Contracted ERIs of the quartets on one chunk of geometry quartets."""
+    n_rows = len(orders)
+    p = stack.p[row_bra][:, :, :, None, None]
+    q = stack.p[row_ket][:, None, None, :, :]
+    pq = (
+        stack.composite[row_bra][:, :, :, :, None, None]
+        - stack.composite[row_ket][:, :, None, None, :, :]
+    ).swapaxes(0, 1).reshape(3, n_rows, -1)
+    prefactor = (2.0 * math.pi ** 2.5 / (p * q * np.sqrt(p + q))).reshape(n_rows, -1)
+    counts = stack.count[bra] * stack.count[ket]
+    item, position = _term_positions(counts)
+    ket_count = stack.count[ket][item]
+    b = stack.start[bra][item] + position // ket_count
+    k = stack.start[ket][item] + position % ket_count
+    x, y, z = (stack.tables[index][:, None, None] for index in stack.xyz[:, k])
+    coefficients = stack.products[b][:, :, :, None, None] * x * y * z
+    # The scalar multiplies by (-1)^(τ+ν+φ) before R; negating is exact.
+    np.negative(coefficients, out=coefficients, where=stack.odd[k][:, None, None, None, None])
+    sums = _hermite_sums(
+        coefficients.reshape(len(b), -1), stack.code[b] + stack.code[k], stack.base,
+        quartet_rows[item], counts, (p * q / (p + q)).reshape(n_rows, -1), pq, orders,
+    )
+    weights = (
+        stack.weights[bra][:, :, :, None, None]
+        * stack.coefficients[ket, 0][:, None, None, :, None]
+        * stack.coefficients[ket, 1][:, None, None, None, :]
+    )
+    return _contract(weights, sums * prefactor[quartet_rows])
+
+
+def _nuclear_values(pairs: Sequence[ShellPairData], molecule: Molecule) -> np.ndarray:
+    """``-Σ_C Z_C (a|1/r_C|b)`` for each pair, nuclei summed in molecule order.
+
+    One Hermite-Coulomb row per (geometry pair, nucleus); one item per
+    (pair, nucleus), with the pair's bra terms.
+    """
+    stack = _PairStack(pairs)
+    n_atoms = len(molecule.atoms)
+    rows, representative, orders = _rows(stack.geometry, stack.order)
+    exponent = np.repeat(stack.p[representative].reshape(len(representative), -1), n_atoms, axis=0)
+    nuclei = np.array([atom.position for atom in molecule.atoms])
+    pc = stack.composite[representative][:, None] - nuclei[None, :, :, None, None]
+    counts = np.repeat(stack.count, n_atoms)
+    item_rows = (rows[:, None] * n_atoms + np.arange(n_atoms)).reshape(-1)
+    item, position = _term_positions(counts)
+    b = np.repeat(stack.start, n_atoms)[item] + position
+    sums = _hermite_sums(
+        stack.products[b].reshape(len(b), -1), stack.code[b], stack.base, item_rows[item], counts,
+        exponent, pc.transpose(2, 0, 1, 3, 4).reshape(3, len(exponent), -1),
+        np.repeat(orders, n_atoms),
+    )
+    attraction = _contract(
+        np.repeat(stack.weights, n_atoms, axis=0), (2.0 * math.pi / exponent)[item_rows] * sums
+    ).reshape(len(pairs), n_atoms)
+    total = np.zeros(len(pairs))
+    for index, atom in enumerate(molecule.atoms):
+        total -= atom.atomic_number * attraction[:, index]
+    return total
+
+
+# ----------------------------------------------------------------------
+# Contracted integrals and full integral tensors
+# ----------------------------------------------------------------------
 def overlap(function_a: BasisFunction, function_b: BasisFunction) -> float:
     """Contracted overlap integral."""
-    return _contract_pair(function_a, function_b, primitive_overlap)
+    return shell_pair_data(function_a, function_b).overlap
 
 
 def kinetic(function_a: BasisFunction, function_b: BasisFunction) -> float:
     """Contracted kinetic-energy integral."""
-    return _contract_pair(function_a, function_b, primitive_kinetic)
+    return shell_pair_data(function_a, function_b).kinetic
 
 
 def nuclear_attraction(
     function_a: BasisFunction, function_b: BasisFunction, molecule: Molecule
 ) -> float:
     """Contracted nuclear-attraction integral summed over all nuclei (with charges)."""
-    pair = shell_pair_data(function_a, function_b)
-    total = 0.0
-    for atom in molecule.atoms:
-        total -= atom.atomic_number * _contracted_nuclear(
-            pair, _nuclear_table(pair, atom.position)
-        )
-    return total
-
-
-def electron_repulsion_scalar(
-    function_a: BasisFunction,
-    function_b: BasisFunction,
-    function_c: BasisFunction,
-    function_d: BasisFunction,
-) -> float:
-    """Contracted ``(ab|cd)`` via one Python call per primitive quartet.
-
-    The reference the table kernel is tested against.
-    """
-    total = 0.0
-    for exp_a, coeff_a in zip(function_a.exponents, function_a.normalized_coefficients):
-        for exp_b, coeff_b in zip(function_b.exponents, function_b.normalized_coefficients):
-            for exp_c, coeff_c in zip(function_c.exponents, function_c.normalized_coefficients):
-                for exp_d, coeff_d in zip(function_d.exponents, function_d.normalized_coefficients):
-                    total += (
-                        coeff_a * coeff_b * coeff_c * coeff_d
-                        * primitive_electron_repulsion(
-                            exp_a, function_a.lmn, function_a.center,
-                            exp_b, function_b.lmn, function_b.center,
-                            exp_c, function_c.lmn, function_c.center,
-                            exp_d, function_d.lmn, function_d.center,
-                        )
-                    )
-    return total
+    return float(_nuclear_values([shell_pair_data(function_a, function_b)], molecule)[0])
 
 
 def electron_repulsion(
@@ -525,55 +538,46 @@ def electron_repulsion(
     function_d: BasisFunction,
 ) -> float:
     """Contracted two-electron integral ``(ab|cd)`` in chemists' notation."""
-    bra = shell_pair_data(function_a, function_b)
-    ket = shell_pair_data(function_c, function_d)
-    return _contracted_repulsion(bra, ket, _repulsion_table(bra, ket))
+    pairs = _shell_pairs([(function_a, function_b), (function_c, function_d)])
+    values, _ = _repulsion_values(pairs, np.array([0]), np.array([1]))
+    return float(values[0])
 
 
-# ----------------------------------------------------------------------
-# Full integral tensors
-# ----------------------------------------------------------------------
-def _pair_matrix(basis: Sequence[BasisFunction], element) -> np.ndarray:
-    """Symmetric AO matrix with ``element(basis[i], basis[j])`` for ``i <= j``."""
+def _basis_pairs(basis: Sequence[BasisFunction], rows, cols) -> List[ShellPairData]:
+    """The shell pairs ``(basis[i], basis[j])``, padded to the basis' longest contraction.
+
+    Every ordered pair is fetched, so a cold basis builds both orientations in
+    one batch: S, T and V read ``i <= j`` and the ERI ``i >= j``, each as its
+    scalar reference does.
+    """
+    n = len(basis)
+    grid = _shell_pairs([(a, b) for a in basis for b in basis])
+    return [grid[i * n + j] for i, j in zip(rows.tolist(), cols.tolist())]
+
+
+def _pair_matrix(basis: Sequence[BasisFunction], values) -> np.ndarray:
+    """Symmetric AO matrix with ``values(pairs)`` for the pairs ``i <= j``."""
     n = len(basis)
     matrix = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            matrix[i, j] = matrix[j, i] = element(basis[i], basis[j])
+    if n:
+        rows, cols = np.triu_indices(n)
+        matrix[rows, cols] = matrix[cols, rows] = values(_basis_pairs(basis, rows, cols))
     return matrix
 
 
 def build_overlap_matrix(basis: Sequence[BasisFunction]) -> np.ndarray:
     """Overlap matrix S in the AO basis."""
-    return _pair_matrix(basis, overlap)
+    return _pair_matrix(basis, lambda pairs: [pair.overlap for pair in pairs])
 
 
 def build_kinetic_matrix(basis: Sequence[BasisFunction]) -> np.ndarray:
     """Kinetic-energy matrix T in the AO basis."""
-    return _pair_matrix(basis, kinetic)
+    return _pair_matrix(basis, lambda pairs: [pair.kinetic for pair in pairs])
 
 
 def build_nuclear_matrix(basis: Sequence[BasisFunction], molecule: Molecule) -> np.ndarray:
-    """Nuclear-attraction matrix V in the AO basis.
-
-    One Coulomb table per (geometry pair, nucleus); every function pair on
-    the geometry pair is contracted from it, nuclei in molecule order.
-    """
-    n = len(basis)
-    by_geometry: Dict[Tuple, List[Tuple[int, int, ShellPairData]]] = {}
-    for i in range(n):
-        for j in range(i, n):
-            pair = shell_pair_data(basis[i], basis[j])
-            by_geometry.setdefault(pair.geometry, []).append((i, j, pair))
-    matrix = np.zeros((n, n))
-    for pairs in by_geometry.values():
-        for atom in molecule.atoms:
-            table = _nuclear_table(pairs[0][2], atom.position)
-            for i, j, pair in pairs:
-                matrix[i, j] -= atom.atomic_number * _contracted_nuclear(pair, table)
-        for i, j, _ in pairs:
-            matrix[j, i] = matrix[i, j]
-    return matrix
+    """Nuclear-attraction matrix V in the AO basis."""
+    return _pair_matrix(basis, lambda pairs: _nuclear_values(pairs, molecule))
 
 
 def build_core_hamiltonian(basis: Sequence[BasisFunction], molecule: Molecule) -> np.ndarray:
@@ -584,31 +588,19 @@ def build_core_hamiltonian(basis: Sequence[BasisFunction], molecule: Molecule) -
 def build_electron_repulsion_tensor(basis: Sequence[BasisFunction]) -> np.ndarray:
     """Full ERI tensor ``(ij|kl)`` in chemists' notation, using 8-fold symmetry.
 
-    The unique quartets ``ij >= kl`` are visited grouped by geometry quartet:
-    each group shares one :class:`HermiteCoulombTable`, which is dropped
-    before the next group's is built.
+    The unique quartets ``ij >= kl`` are computed in one batched pass.
     """
     n = len(basis)
-    pairs = [
-        (i, j, shell_pair_data(basis[i], basis[j])) for i in range(n) for j in range(i + 1)
-    ]
-    by_geometry: Dict[Tuple, List[Tuple]] = {}
-    for ij, bra_entry in enumerate(pairs):
-        for ket_entry in pairs[: ij + 1]:
-            key = bra_entry[2].geometry + ket_entry[2].geometry
-            by_geometry.setdefault(key, []).append(bra_entry + ket_entry)
-    indices: List[Tuple[int, int, int, int]] = []
-    values: List[float] = []
-    for quartets in by_geometry.values():
-        table = _repulsion_table(quartets[0][2], quartets[0][5])
-        for i, j, bra, k, l, ket in quartets:
-            indices.append((i, j, k, l))
-            values.append(_contracted_repulsion(bra, ket, table))
-    _ERI_QUARTETS.inc(len(values))
-    _ERI_TABLES.inc(len(by_geometry))
-
     tensor = np.zeros((n, n, n, n))
-    i, j, k, l = np.array(indices, dtype=int).reshape(-1, 4).T
+    if not n:
+        return tensor
+    rows, cols = np.tril_indices(n)
+    pairs = _basis_pairs(basis, rows, cols)
+    bra, ket = np.tril_indices(len(pairs))
+    values, n_geometries = _repulsion_values(pairs, bra, ket)
+    _ERI_QUARTETS.inc(len(values))
+    _ERI_TABLES.inc(n_geometries)
+    i, j, k, l = rows[bra], cols[bra], rows[ket], cols[ket]
     for a, b, c, d in (
         (i, j, k, l), (j, i, k, l), (i, j, l, k), (j, i, l, k),
         (k, l, i, j), (l, k, i, j), (k, l, j, i), (l, k, j, i),

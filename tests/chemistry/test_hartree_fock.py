@@ -10,7 +10,17 @@ from repro.chemistry import (
     make_molecule,
     run_rhf,
 )
-from repro.chemistry.basis import Molecule
+from repro.chemistry.basis import Atom, Molecule
+from repro.chemistry.integrals import integral_cache_stats
+
+
+class TestInvalidInput:
+    def test_coincident_atoms_raise_value_error_before_integrals(self):
+        molecule = Molecule(atoms=[Atom("H", (0, 0, 0)), Atom("H", (0, 0, 0))], name="H2-collapsed")
+        built = integral_cache_stats()["shell_pair.misses"]
+        with pytest.raises(ValueError, match=r"atoms 0 \(H\) and 1 \(H\)"):
+            run_rhf(molecule, use_cache=False)
+        assert integral_cache_stats()["shell_pair.misses"] == built
 
 
 class TestRhfEnergies:

@@ -14,11 +14,15 @@ from repro.chemistry import (
 )
 from repro.chemistry.hermite import _hermite_expansion_direct, hermite_expansion
 from repro.chemistry.integrals import (
+    build_electron_repulsion_tensor,
+    electron_repulsion,
+    integral_cache_stats,
+)
+from repro.obs import tracing
+from scalar_integrals import (
     _boys_function_direct,
     _hermite_coulomb_direct,
     boys_function,
-    build_electron_repulsion_tensor,
-    electron_repulsion,
     electron_repulsion_scalar,
     hermite_coulomb,
 )
@@ -92,6 +96,44 @@ class TestShellPairCache:
                 else:  # only all-zero tables are dropped
                     assert not np.any(expected)
         assert [t for t, _ in pair.terms[0]] == [1]
+
+
+class TestColdCacheContract:
+    """``clear_integral_caches()`` before a solve must make it fully cold."""
+
+    @staticmethod
+    def cold_lih_solve():
+        clear_integral_caches()
+        with tracing() as tracer:
+            result = run_rhf(make_molecule("LiH"), use_cache=False)
+        (span,) = [s for r in tracer.roots for s in r.walk() if s.name == "chemistry.scf"]
+        return result, dict(span.attributes)
+
+    def test_clear_leaves_every_integral_memo_empty(self):
+        from repro.chemistry import integrals
+
+        self.cold_lih_solve()
+        sizes = {key: value for key, value in integral_cache_stats().items() if key.endswith(".size")}
+        assert set(sizes) == {"hermite_expansion.size", "shell_pair.size"}
+        assert all(sizes.values())
+        clear_integral_caches()
+        assert not any(
+            value for key, value in integral_cache_stats().items() if key.endswith(".size")
+        )
+        assert not integrals._SHELL_PAIR_CACHE
+        assert hermite_expansion.cache_info().currsize == 0
+
+    def test_second_cold_solve_repeats_bytes_and_span_deltas(self):
+        first, first_span = self.cold_lih_solve()
+        second, second_span = self.cold_lih_solve()
+        for name in ("overlap", "core_hamiltonian", "electron_repulsion", "orbital_coefficients"):
+            assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
+        assert first.energy == second.energy
+        assert first_span == second_span
+        # Unique function quartets, and the distinct geometry quartets they sit on.
+        assert second_span["eri.quartets"] == 231
+        assert second_span["eri.coulomb_tables"] == 22
+        assert second_span["integrals.shell_pair.misses"] == 36
 
 
 class TestScfMemoization:

@@ -8,7 +8,6 @@ import pytest
 from repro.chemistry import build_sto3g_basis, make_molecule
 from repro.chemistry.basis import BasisFunction, Molecule, Atom
 from repro.chemistry.integrals import (
-    boys_function,
     build_electron_repulsion_tensor,
     build_kinetic_matrix,
     build_nuclear_matrix,
@@ -18,6 +17,7 @@ from repro.chemistry.integrals import (
     kinetic,
     overlap,
 )
+from scalar_integrals import boys_function
 
 
 def s_function(exponent, center=(0.0, 0.0, 0.0)):

@@ -23,9 +23,14 @@ gates, SWAP count and final layout enter the digest.
 One more line per backend hashes that backend's compile lines alone, so a
 changed first line names the backend that moved.
 
-A last line hashes budgeted advanced compiles: the 12 grid cells at config
+A budgeted line hashes advanced compiles: the 12 grid cells at config
 seed 0 with ``gamma_budget_steps=3`` and ``sorting_budget_rounds=1``, so the
 truncated Γ walk and the truncated sort are pinned too.
+
+A last line pins the chemistry front end: for H2, LiH, BeH2, H2O and NH3,
+the bytes of S, H_core and the ERI tensor, the SCF energy and orbital
+coefficients, and the HMP2 ranking (terms with their importances, and the
+MP2 amplitudes behind them).
 
 The inputs are all four backends on the Table-I grid (LiH/BeH2/H2O/NH3 ×
 8/20/30 HMP2 terms), the LiH 1..30 sweep and BeH2 4..12, at config seeds
@@ -57,7 +62,12 @@ from repro.api import (
     compiled_rotation_sequence,
     get_backend,
 )
-from repro.chemistry import build_molecular_hamiltonian, make_molecule, run_rhf
+from repro.chemistry import (
+    build_molecular_hamiltonian,
+    make_molecule,
+    ranked_double_excitations,
+    run_rhf,
+)
 from repro.hardware import Topology, route_circuit
 from repro.verify import rotation_product_form
 from repro.vqe import select_ansatz_terms
@@ -66,6 +76,7 @@ FROZEN_CORE = 1
 GRID = [(m, n) for m in ("LiH", "BeH2", "H2O", "NH3") for n in (8, 20, 30)]
 BUDGETED = CompilerConfig(seed=0, gamma_budget_steps=3, sorting_budget_rounds=1)
 SWEEPS = [("LiH", n) for n in range(1, 31)] + [("BeH2", n) for n in range(4, 13)]
+CHEMISTRY = ("H2", "LiH", "BeH2", "H2O", "NH3")
 
 
 def ranked_terms(molecule: str) -> Tuple[int, list]:
@@ -74,6 +85,29 @@ def ranked_terms(molecule: str) -> Tuple[int, list]:
         run_rhf(make_molecule(molecule)), n_frozen_spatial_orbitals=FROZEN_CORE
     )
     return hamiltonian.n_spin_orbitals, select_ansatz_terms(hamiltonian, None)
+
+
+def chemistry_lines(molecule: str) -> Iterator[str]:
+    """A molecule's integrals, SCF solution and HMP2 ranking, one line each.
+
+    The core is frozen as in the compiles, except where it is the only
+    occupied orbital (H2).
+    """
+    scf = run_rhf(make_molecule(molecule))
+    yield molecule
+    for matrix in (scf.overlap, scf.core_hamiltonian, scf.electron_repulsion):
+        yield matrix.tobytes().hex()
+    yield repr(scf.energy)
+    yield scf.orbital_coefficients.tobytes().hex()
+    frozen = FROZEN_CORE if scf.n_occupied > FROZEN_CORE else 0
+    hamiltonian = build_molecular_hamiltonian(scf, n_frozen_spatial_orbitals=frozen)
+    for term in select_ansatz_terms(hamiltonian, None):
+        yield f"{term.creation} {term.annihilation} {term.importance!r}"
+    for amplitude in ranked_double_excitations(hamiltonian):
+        yield (
+            f"{amplitude.occupied} {amplitude.virtual} "
+            f"{amplitude.amplitude!r} {amplitude.energy!r}"
+        )
 
 
 def result_lines(result: CompileResult, terms: Sequence) -> Iterator[str]:
@@ -174,6 +208,14 @@ def main() -> None:
         f"gamma_budget_steps={BUDGETED.gamma_budget_steps}, "
         f"sorting_budget_rounds={BUDGETED.sorting_budget_rounds}, "
         f"config seed {BUDGETED.seed})"
+    )
+    chemistry = hashlib.sha256()
+    for molecule in CHEMISTRY:
+        for line in chemistry_lines(molecule):
+            chemistry.update(line.encode() + b"\n")
+    lines.append(
+        f"{chemistry.hexdigest()}  (S, H_core, ERI, SCF and HMP2 ranking of "
+        f"{', '.join(CHEMISTRY)})"
     )
     print("\n".join(lines))
     if args.check is not None:
