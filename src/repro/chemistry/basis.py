@@ -244,10 +244,7 @@ class Molecule:
 
     @property
     def nuclear_repulsion(self) -> float:
-        """Nuclear-nuclear Coulomb repulsion energy in Hartree.
-
-        Raises ``ValueError`` naming both atoms when two share a position.
-        """
+        """Nuclear-nuclear Coulomb repulsion energy in Hartree; two coincident atoms raise."""
         energy = 0.0
         for i, atom_a in enumerate(self.atoms):
             for j, atom_b in enumerate(self.atoms[i + 1:], i + 1):

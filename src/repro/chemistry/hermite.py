@@ -2,9 +2,8 @@
 
 The leaf of the chemistry package: :mod:`~repro.chemistry.basis` normalizes
 contracted functions with :func:`primitive_overlap`, and
-:mod:`~repro.chemistry.integrals` builds every integral on
-:func:`hermite_expansion`, so both import from here and neither imports the
-other's module for it.
+:mod:`~repro.chemistry.integrals` runs the :func:`hermite_expansion`
+recursion on arrays, element for element the same, and clears its memo.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ Each of S, T, V and the ERI tensor is built in one batched pass per molecule:
   exponents), which STO-3G's 2s and 2p functions share: NH3's 666 unique ERI
   quartets sit on 121 geometry quartets.  One Hermite-Coulomb array holds
   every geometry quartet (for V, every geometry pair x nucleus), in chunks of
-  ``_CHUNK_ROWS``; a row is carried only up to the order its integrals need,
+  ``_CHUNK_TERMS`` terms; a row is carried only up to the order it needs,
   and ``hyp1f1`` and ``(-2a)^n`` are evaluated once per distinct argument;
 * every (integral, Hermite index) product is gathered at once and summed per
   integral in the scalar loops' order from ``0.0``; contractions are summed
@@ -48,8 +48,9 @@ _PAIR_MISSES = get_metrics().counter("chemistry.integrals.shell_pair.misses")
 _ERI_QUARTETS = get_metrics().counter("chemistry.integrals.eri.quartets")
 _ERI_TABLES = get_metrics().counter("chemistry.integrals.eri.coulomb_tables")
 
-#: Geometry quartets per batched ERI chunk.
-_CHUNK_ROWS = 128
+#: (quartet, Hermite index) terms per batched ERI chunk, in whole geometry
+#: quartets: bounds the transient arrays.
+_CHUNK_TERMS = 512
 
 
 # ----------------------------------------------------------------------
@@ -295,11 +296,11 @@ def _elementwise(function: Callable[[float], float]) -> Callable[[np.ndarray], n
 
 
 def _hermite_coulomb(exponent, pq, orders, keys) -> np.ndarray:
-    """``R^0_{tuv}`` of every row for each ``(t, u, v)`` in ``keys``, stacked.
+    """``R^0_{tuv}`` for each ``(t, u, v)`` in ``keys``, over the rows that read it.
 
     Rows (one primitive geometry each) come by non-increasing ``orders``, the
     largest ``t+u+v`` the row's integrals read; ``R^n_{tuv}`` is carried over
-    the leading rows of order ``>= t+u+v+n`` only (the rest stay zero, unread).
+    the leading rows of order ``>= t+u+v+n`` only.
     """
     x, y, z = pq
     arguments = _Distinct(exponent * (x * x + y * y + z * z))
@@ -313,7 +314,7 @@ def _hermite_coulomb(exponent, pq, orders, keys) -> np.ndarray:
             return value
         rows = rows_at[sum(tuv) + n]
         if not any(tuv):
-            value = powers.map(_elementwise(lambda x: x ** n), rows) * arguments.map(
+            value = powers.map(_elementwise(lambda base: base ** n), rows) * arguments.map(
                 lambda distinct: hyp1f1(n + 0.5, n + 1.5, -distinct) / (2.0 * n + 1.0), rows
             )
         else:
@@ -328,11 +329,7 @@ def _hermite_coulomb(exponent, pq, orders, keys) -> np.ndarray:
         memo[tuv + (n,)] = value
         return value
 
-    stacked = np.zeros((len(keys),) + exponent.shape)
-    for index, tuv in enumerate(keys):
-        value = coulomb(tuv, 0)
-        stacked[index, : len(value)] = value
-    return stacked
+    return [coulomb(tuv, 0) for tuv in keys]
 
 
 def _term_positions(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -341,17 +338,18 @@ def _term_positions(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return item, np.arange(len(item)) - (np.cumsum(counts) - counts)[item]
 
 
-def _hermite_sums(coefficients, codes, base, term_rows, counts, exponent, pq, orders):
+def _hermite_sums(terms, codes, base, term_rows, counts, exponent, pq, orders):
     """``Σ_h coefficient_h R^0_{key_h}`` per item, in term order from ``0.0``.
 
-    ``coefficients`` holds every item's terms consecutively, ``codes`` their
-    Hermite indices ``(t·base + u)·base + v`` and ``term_rows`` their rows of
-    ``exponent``/``pq``/``orders`` (non-increasing, see :func:`_rows`).
+    ``terms`` holds each item's coefficients consecutively (multiplied by ``R``
+    in place), ``codes`` their ``(t·base + u)·base + v`` and ``term_rows`` their
+    rows of ``exponent``/``pq``/``orders`` (by non-increasing order, see _rows).
     """
     distinct, key_index = np.unique(codes, return_inverse=True)
     keys = [(code // base // base, code // base % base, code % base) for code in distinct.tolist()]
-    table = _hermite_coulomb(exponent, pq, orders, keys)
-    terms = coefficients * table[key_index.reshape(-1), term_rows]
+    tables = _hermite_coulomb(exponent, pq, orders, keys)
+    offsets = np.cumsum([0] + [len(table) for table in tables[:-1]])
+    terms *= np.concatenate(tables)[offsets[key_index.reshape(-1)] + term_rows]
     starts = np.cumsum(counts) - counts
     total = np.zeros((len(counts), terms.shape[1]))
     for position in range(int(counts.max(initial=0))):
@@ -361,12 +359,14 @@ def _hermite_sums(coefficients, codes, base, term_rows, counts, exponent, pq, or
 
 
 def _contract(weights: np.ndarray, primitives: np.ndarray) -> np.ndarray:
-    """``Σ weights·primitives`` per item, left to right in C order like the scalar loops."""
+    """``Σ weights·primitives`` per item, left to right in C order like the scalar loops.
+
+    ``add.accumulate`` adds in order from the first term, not ``0.0``: that can
+    only flip the sign of an all-zero sum, which the final ``+ 0.0`` settles.
+    """
     n = len(weights)
-    total = np.zeros(n)
-    for column in (weights.reshape(n, -1) * primitives.reshape(n, -1)).T:
-        total += column
-    return total
+    products = weights.reshape(n, -1) * primitives.reshape(n, -1)
+    return np.add.accumulate(products, axis=1)[:, -1] + 0.0
 
 
 class _PairStack:
@@ -412,8 +412,7 @@ class _PairStack:
 def _rows(keys: np.ndarray, orders: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Items grouped by ``keys``: each item's row, a representative item per row, row orders.
 
-    A row's order is the largest of its items'; rows are numbered by
-    non-increasing order, as :func:`_hermite_coulomb` wants them.
+    A row's order is its items' largest; rows go by non-increasing order.
     """
     distinct, rows = np.unique(keys, return_inverse=True)
     row_orders = np.zeros(len(distinct), dtype=np.intp)
@@ -432,20 +431,22 @@ def _repulsion_values(
 ) -> Tuple[np.ndarray, int]:
     """Contracted ``(ab|cd)`` of each quartet ``(pairs[bra[i]], pairs[ket[i]])``.
 
-    Returns the values and the number of geometry quartets they sit on, which
-    are processed ``_CHUNK_ROWS`` at a time.
+    Returns the values and the number of geometry quartets (rows) they sit on;
+    chunks of whole rows hold about ``_CHUNK_TERMS`` terms each.
     """
     stack = _PairStack(pairs)
     rows, representative, orders = _rows(
         stack.geometry[bra] * len(pairs) + stack.geometry[ket], stack.order[bra] + stack.order[ket]
     )
     values = np.empty(len(bra))
-    for start in range(0, len(representative), _CHUNK_ROWS):
-        chunk = np.flatnonzero((rows >= start) & (rows < start + _CHUNK_ROWS))
-        rows_of = slice(start, start + _CHUNK_ROWS)
+    terms = np.bincount(rows, stack.count[bra] * stack.count[ket])
+    first = (np.cumsum(terms) - terms) // _CHUNK_TERMS
+    starts = np.flatnonzero(np.diff(first, prepend=-1)).tolist() + [len(representative)]
+    for start, stop in zip(starts, starts[1:]):
+        chunk = np.flatnonzero((rows >= start) & (rows < stop))
         values[chunk] = _repulsion_chunk(
             stack, bra[chunk], ket[chunk], rows[chunk] - start,
-            bra[representative[rows_of]], ket[representative[rows_of]], orders[rows_of],
+            bra[representative[start:stop]], ket[representative[start:stop]], orders[start:stop],
         )
     return values, len(representative)
 
@@ -466,7 +467,9 @@ def _repulsion_chunk(stack: _PairStack, bra, ket, quartet_rows, row_bra, row_ket
     b = stack.start[bra][item] + position // ket_count
     k = stack.start[ket][item] + position % ket_count
     x, y, z = (stack.tables[index][:, None, None] for index in stack.xyz[:, k])
-    coefficients = stack.products[b][:, :, :, None, None] * x * y * z
+    coefficients = stack.products[b][:, :, :, None, None] * x
+    coefficients *= y
+    coefficients *= z
     # The scalar multiplies by (-1)^(τ+ν+φ) before R; negating is exact.
     np.negative(coefficients, out=coefficients, where=stack.odd[k][:, None, None, None, None])
     sums = _hermite_sums(
@@ -478,7 +481,8 @@ def _repulsion_chunk(stack: _PairStack, bra, ket, quartet_rows, row_bra, row_ket
         * stack.coefficients[ket, 0][:, None, None, :, None]
         * stack.coefficients[ket, 1][:, None, None, None, :]
     )
-    return _contract(weights, sums * prefactor[quartet_rows])
+    sums *= prefactor[quartet_rows]
+    return _contract(weights, sums)
 
 
 def _nuclear_values(pairs: Sequence[ShellPairData], molecule: Molecule) -> np.ndarray:

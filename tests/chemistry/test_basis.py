@@ -47,7 +47,8 @@ class TestAtomsAndMolecules:
         assert np.isclose(molecule.nuclear_repulsion, 1.0 / 1.4)
 
     def test_coincident_atoms_are_rejected_by_name(self):
-        molecule = Molecule(atoms=[Atom("Li", (0, 0, 0)), Atom("H", (0, 0, 3.0)), Atom("H", (0, 0, 3.0))])
+        atoms = [Atom("Li", (0, 0, 0)), Atom("H", (0, 0, 3.0)), Atom("H", (0, 0, 3.0))]
+        molecule = Molecule(atoms=atoms)
         with pytest.raises(ValueError, match=r"atoms 1 \(H\) and 2 \(H\)"):
             molecule.nuclear_repulsion
 

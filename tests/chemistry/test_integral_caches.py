@@ -113,13 +113,13 @@ class TestColdCacheContract:
         from repro.chemistry import integrals
 
         self.cold_lih_solve()
-        sizes = {key: value for key, value in integral_cache_stats().items() if key.endswith(".size")}
-        assert set(sizes) == {"hermite_expansion.size", "shell_pair.size"}
-        assert all(sizes.values())
+        def sizes():
+            return {k: v for k, v in integral_cache_stats().items() if k.endswith(".size")}
+
+        assert set(sizes()) == {"hermite_expansion.size", "shell_pair.size"}
+        assert all(sizes().values())
         clear_integral_caches()
-        assert not any(
-            value for key, value in integral_cache_stats().items() if key.endswith(".size")
-        )
+        assert not any(sizes().values())
         assert not integrals._SHELL_PAIR_CACHE
         assert hermite_expansion.cache_info().currsize == 0
 

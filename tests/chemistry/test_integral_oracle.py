@@ -49,10 +49,10 @@ def displaced_ammonia():
 
 def mixed_contractions():
     """s and p functions of 1, 2 and 3 primitives, several on each centre."""
-    molecule = Molecule(
-        atoms=[Atom("Li", (0.0, 0.0, 0.0)), Atom("H", (0.4, -0.3, 1.5)), Atom("He", (-1.1, 0.7, -0.6))],
-        name="mixed",
-    )
+    atoms = [
+        Atom("Li", (0.0, 0.0, 0.0)), Atom("H", (0.4, -0.3, 1.5)), Atom("He", (-1.1, 0.7, -0.6))
+    ]
+    molecule = Molecule(atoms=atoms, name="mixed")
     li, h, he = (atom.position for atom in molecule.atoms)
     functions = [
         (li, (0, 0, 0), (16.1, 2.9, 0.79), (0.15, 0.53, 0.44)),
