@@ -181,15 +181,16 @@ def _build_pairs(function_pairs: Sequence[Tuple[BasisFunction, BasisFunction]], 
         np.array([table(axis, t) for t in range(int(lmn[:, :, axis].sum(axis=1).max()) + 1)])
         for axis in range(3)
     ]
-    nonzero = [axis_tables.any(axis=(2, 3)) for axis_tables in tables]
+    nonzero = [axis_tables.any(axis=(2, 3)).tolist() for axis_tables in tables]
+    orders = (lmn[:, 0] + lmn[:, 1]).tolist()
     return [
         ShellPairData(
             (fa.center, padded[index][0], fb.center, padded[index][1]),
             p[index],
             composite[index],
             [
-                [(t, tables[axis][t, index]) for t in range(lmn[index, :, axis].sum() + 1)
-                 if nonzero[axis][t, index]]
+                [(t, tables[axis][t, index]) for t in range(orders[index][axis] + 1)
+                 if nonzero[axis][t][index]]
                 for axis in range(3)
             ],
             coefficients[index],
