@@ -56,14 +56,15 @@ def main() -> None:
         print(f"  {name}: {term!r}")
 
     graph = build_symmetry_graph(term_list)
-    print(f"\nSymmetry graph: {graph.number_of_nodes()} vertices, {graph.number_of_edges()} edges")
-    for u, v in sorted(graph.edges):
+    edges = [(u, v) for u, successors in graph.items() for v in successors]
+    print(f"\nSymmetry graph: {len(graph)} vertices, {len(edges)} edges")
+    for u, v in edges:
         print(f"  {names[u]} -> {names[v]}   ({names[u]} breaks the symmetry {names[v]} needs)")
 
     sinks, sources, core = reduce_graph(graph)
     print(f"\nSinks   (implemented first): {[names[i] for i in sinks]}")
     print(f"Sources (implemented last) : {[names[i] for i in sources]}")
-    print(f"Core vertices for coloring : {[names[i] for i in sorted(core.nodes)]}")
+    print(f"Core vertices for coloring : {[names[i] for i in core]}")
 
     schedule = schedule_hybrid_terms(term_list, rng=np.random.default_rng(0))
     index_of = {id(term): name for name, term in terms.items()}

@@ -30,7 +30,6 @@ from repro.core.hybrid_encoding import (
     BOSONIC_TERM_CNOT_COST,
     HYBRID_TERM_CNOT_COST,
     HybridSchedule,
-    breaks_symmetry,
     build_symmetry_graph,
     classify_terms,
     reduce_graph,
@@ -57,7 +56,6 @@ from repro.core.pipeline import (
 from repro.core.terms_to_paulis import (
     PauliRotation,
     RotationPlanes,
-    excitation_to_rotations,
     required_qubits,
     terms_to_rotations,
 )
@@ -85,7 +83,6 @@ __all__ = [
     "schedule_hybrid_terms",
     "build_symmetry_graph",
     "reduce_graph",
-    "breaks_symmetry",
     "symmetric_pair",
     "BOSONIC_TERM_CNOT_COST",
     "HYBRID_TERM_CNOT_COST",
@@ -102,7 +99,6 @@ __all__ = [
     "assemble_gamma",
     "PauliRotation",
     "RotationPlanes",
-    "excitation_to_rotations",
     "terms_to_rotations",
     "required_qubits",
 ]

@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.core.advanced_sorting import greedy_walk, term_block_order
@@ -61,16 +60,28 @@ def excitation_topology_blocks(
     ``max_block_size`` are split to keep the per-block search space manageable
     (the paper similarly relies on blocks staying small).
     Only components with at least two indices are returned — singleton modes
-    stay untouched by Γ.
+    stay untouched by Γ.  Components, found by union-find, come in the order
+    of their smallest index.
     """
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n_qubits))
+    parent = {index: index for index in range(n_qubits)}
+
+    def root(index: int) -> int:
+        while parent[index] != index:
+            parent[index] = parent[parent[index]]
+            index = parent[index]
+        return index
+
     for term in terms:
         if term.is_double:
-            graph.add_edge(*term.creation)
-            graph.add_edge(*term.annihilation)
+            for a, b in (term.creation, term.annihilation):
+                parent.setdefault(a, a)
+                parent.setdefault(b, b)
+                parent[root(a)] = root(b)
+    components: Dict[int, List[int]] = {}
+    for index in parent:
+        components.setdefault(root(index), []).append(index)
     blocks: List[List[int]] = []
-    for component in nx.connected_components(graph):
+    for component in components.values():
         indices = sorted(component)
         if len(indices) < 2:
             continue

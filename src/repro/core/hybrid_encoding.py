@@ -21,10 +21,9 @@ compilation path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.optimizers import randomized_greedy_coloring
@@ -53,32 +52,20 @@ def symmetric_pair(term: ExcitationTerm) -> Optional[Tuple[int, int]]:
     return None
 
 
-def breaks_symmetry(breaker: ExcitationTerm, protected: ExcitationTerm) -> bool:
-    """True if applying ``breaker`` destroys the pair symmetry ``protected`` relies on.
+def build_symmetry_graph(hybrid_terms: Sequence[ExcitationTerm]) -> Dict[int, List[int]]:
+    """Successor lists: ``graph[i]`` holds every ``j`` whose symmetry term ``i`` breaks.
 
-    The exact criterion: the exponential of ``breaker`` commutes with the
-    number-parity operator ``P_ab`` of ``protected``'s symmetric pair iff the
-    total number of ``breaker``'s ladder indices lying in ``{a, b}`` is even.
-    An odd count flips the parity and breaks the symmetry.  (The paper states
-    the equivalent sufficient condition specialized to its index convention.)
-    """
-    pair = symmetric_pair(protected)
-    if pair is None:
-        return False
-    pair_set = set(pair)
-    touches = sum(1 for index in breaker.creation if index in pair_set)
-    touches += sum(1 for index in breaker.annihilation if index in pair_set)
-    return touches % 2 == 1
-
-
-def build_symmetry_graph(hybrid_terms: Sequence[ExcitationTerm]) -> nx.DiGraph:
-    """Directed graph with an edge ``i -> j`` when term ``i`` breaks term ``j``'s symmetry.
-
-    The criterion of :func:`breaks_symmetry`, on bit masks: ``parity[i]``
+    Applying term ``i`` breaks term ``j``'s pair symmetry iff it flips the
+    number parity of ``j``'s symmetric pair ``{a, b}``, i.e. iff an odd
+    number of ``i``'s ladder indices lies in ``{a, b}``.  (The paper states
+    the equivalent sufficient condition in its index convention; the scalar
+    rule lives beside the differential test in
+    ``tests/core/test_hybrid_encoding.py``.)  On bit masks: ``parity[i]``
     flips bit ``k`` once per ladder index ``k`` of term ``i``, ``pair[j]``
     holds term ``j``'s symmetric pair (0 without one), and ``i`` breaks
-    ``j`` iff ``parity[i] & pair[j]`` has an odd number of bits.  Edges are
-    added ``i``-major, ``j``-minor, the order the coloring's draws follow.
+    ``j`` iff ``parity[i] & pair[j]`` has an odd number of bits.  Vertices
+    are ``0..n-1`` in order and each successor list is ascending, the order
+    the coloring's draws follow.
     """
     parity = []
     pair_masks = []
@@ -89,43 +76,54 @@ def build_symmetry_graph(hybrid_terms: Sequence[ExcitationTerm]) -> nx.DiGraph:
         parity.append(mask)
         pair = symmetric_pair(term)
         pair_masks.append(0 if pair is None else (1 << pair[0]) | (1 << pair[1]))
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(len(hybrid_terms)))
-    graph.add_edges_from(
-        (i, j)
+    return {
+        i: [j for j, pair in enumerate(pair_masks) if i != j and (flips & pair).bit_count() & 1]
         for i, flips in enumerate(parity)
-        for j, pair in enumerate(pair_masks)
-        if i != j and (flips & pair).bit_count() & 1
-    )
-    return graph
+    }
 
 
-def reduce_graph(graph: nx.DiGraph) -> Tuple[List[int], List[int], nx.DiGraph]:
+def _peel(
+    out_edges: Dict[int, Dict[int, None]], in_edges: Dict[int, Dict[int, None]]
+) -> List[int]:
+    """Remove every vertex without out-edges from both maps; return them sorted."""
+    peeled = [vertex for vertex, targets in out_edges.items() if not targets]
+    for vertex in peeled:
+        del out_edges[vertex]
+        for source in in_edges.pop(vertex):
+            del out_edges[source][vertex]
+    return sorted(peeled)
+
+
+def reduce_graph(
+    graph: Mapping[int, Iterable[int]],
+) -> Tuple[List[int], List[int], Dict[int, List[int]]]:
     """Iteratively peel sinks and sources off the symmetry graph.
 
-    Returns ``(sinks, sources, core)``: sink vertices (no outgoing edges — they
-    break nobody, so they are implemented first), source vertices (no incoming
-    edges — nobody breaks them, so they are implemented last) and the remaining
-    core graph.  Peeling repeats until no sink or source is left, as in the
-    paper's graph-reduction step.
+    ``graph`` maps each vertex to its successors (a networkx ``DiGraph``
+    reads the same way).  Returns ``(sinks, sources, core)``: sink vertices
+    (no outgoing edges — they break nobody, so they are implemented first),
+    source vertices (no incoming edges — nobody breaks them, so they are
+    implemented last) and the remaining core as successor lists, vertices
+    and successors in the order ``graph`` lists them.  Peeling repeats until
+    no sink or source is left, as in the paper's graph-reduction step.
     """
-    working = graph.copy()
+    successors: Dict[int, Dict[int, None]] = {vertex: {} for vertex in graph}
+    predecessors: Dict[int, Dict[int, None]] = {vertex: {} for vertex in graph}
+    for vertex in graph:
+        for target in graph[vertex]:
+            successors[vertex][target] = None
+            successors.setdefault(target, {})
+            predecessors.setdefault(target, {})[vertex] = None
     sinks: List[int] = []
     sources: List[int] = []
-    changed = True
-    while changed and working.number_of_nodes() > 0:
-        changed = False
-        sink_vertices = [v for v in working.nodes if working.out_degree(v) == 0]
-        if sink_vertices:
-            sinks.extend(sorted(sink_vertices))
-            working.remove_nodes_from(sink_vertices)
-            changed = True
-        source_vertices = [v for v in working.nodes if working.in_degree(v) == 0]
-        if source_vertices:
-            sources.extend(sorted(source_vertices))
-            working.remove_nodes_from(source_vertices)
-            changed = True
-    return sinks, sources, working
+    while successors:
+        sink_vertices = _peel(successors, predecessors)
+        source_vertices = _peel(predecessors, successors)
+        if not sink_vertices and not source_vertices:
+            break
+        sinks.extend(sink_vertices)
+        sources.extend(source_vertices)
+    return sinks, sources, {vertex: list(targets) for vertex, targets in successors.items()}
 
 
 @dataclass
@@ -182,11 +180,9 @@ def schedule_hybrid_terms(
 
     color_indices: List[int] = []
     n_colors = 0
-    remaining = set(core.nodes)
-    if core.number_of_nodes() > 0:
-        coloring = randomized_greedy_coloring(
-            core.to_undirected(), n_orders=n_coloring_orders, rng=rng
-        )
+    remaining = set(core)
+    if core:
+        coloring = randomized_greedy_coloring(core, n_orders=n_coloring_orders, rng=rng)
         n_colors = coloring.n_colors
         color_indices = sorted(coloring.largest_color_class())
         remaining -= set(color_indices)

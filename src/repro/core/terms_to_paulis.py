@@ -6,9 +6,10 @@ module performs the conversion under any linear-encoding fermion-to-qubit
 transform and keeps track of the rotation angles (the variational parameters
 θ only rescale the angles, so the CNOT counts are parameter-independent).
 
-:func:`excitation_to_rotations` is the scalar reference: it builds the
-generator ``θ (T − T†)`` as a :class:`~repro.operators.FermionOperator` and
-multiplies its :class:`~repro.operators.QubitOperator` image out.
+The scalar reference, ``excitation_to_rotations`` in
+``tests/core/test_terms_to_paulis.py``, builds the generator ``θ (T − T†)``
+as a :class:`~repro.operators.FermionOperator` and multiplies its
+:class:`~repro.operators.QubitOperator` image out.
 :func:`terms_to_rotations`, which every compiler calls, multiplies nothing
 and returns :class:`RotationPlanes`, the rotations on packed bit-planes that
 the sorts and the Γ search read; they unpack into :class:`PauliRotation`
@@ -83,38 +84,6 @@ class PauliRotation:
     string: PauliString
     angle: float
     term_index: int
-
-
-def excitation_to_rotations(
-    term: ExcitationTerm,
-    transform: FermionQubitTransform,
-    parameter: float = 1.0,
-    term_index: int = 0,
-) -> List[PauliRotation]:
-    """Expand ``exp(θ (T - T†))`` into Pauli rotations under ``transform``.
-
-    The anti-hermitian generator maps to a sum ``Σ_k i c_k P_k`` with real
-    ``c_k``; each summand contributes the rotation ``exp(-i (-2 c_k)/2 P_k)``.
-    The returned rotations all mutually commute for a single excitation term,
-    so their relative order is a pure compilation degree of freedom.  This
-    is the scalar reference of :func:`terms_to_rotations`; it accepts any
-    transform.
-    """
-    generator = term.generator(parameter)
-    qubit_generator = transform.transform(generator)
-    rotations: List[PauliRotation] = []
-    for string, coefficient in sorted(qubit_generator.terms.items(), key=lambda kv: kv[0]):
-        if string.is_identity:
-            continue
-        if abs(coefficient.real) > ANGLE_TOLERANCE:
-            raise ValueError(
-                f"generator of {term} produced a non-anti-hermitian coefficient {coefficient}"
-            )
-        angle = -2.0 * float(coefficient.imag)
-        if abs(angle) <= ANGLE_TOLERANCE:
-            continue
-        rotations.append(PauliRotation(string=string, angle=angle, term_index=term_index))
-    return rotations
 
 
 def _ladder_product(ladders: Sequence[Tuple[int, bool]]) -> Tuple[int, int, int, int]:
@@ -300,8 +269,8 @@ def terms_to_rotations(
 ) -> RotationPlanes:
     """Expand an ordered list of excitation terms into Pauli rotations.
 
-    Returns, as :class:`RotationPlanes`, what concatenating
-    :func:`excitation_to_rotations` over the terms returns — the same
+    Returns, as :class:`RotationPlanes`, what concatenating the scalar
+    reference (module docstring) over the terms returns — the same
     strings, angles, term indices and order — from the closed-form kernel
     :func:`jordan_wigner_rotations` and :meth:`RotationPlanes.encoded`.
     ``transform`` must be a linear encoding (a
@@ -311,8 +280,7 @@ def terms_to_rotations(
     """
     if not isinstance(transform, (JordanWignerTransform, LinearEncodingTransform)):
         raise TypeError(
-            f"terms_to_rotations needs a linear encoding, not {type(transform).__name__}; "
-            "use excitation_to_rotations per term"
+            f"terms_to_rotations needs a linear encoding, not {type(transform).__name__}"
         )
     return jordan_wigner_rotations(terms, transform.n_modes, parameters).encoded(transform)
 

@@ -30,10 +30,12 @@ deterministically when building circuits.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 #: The four single-qubit Pauli labels in canonical order.
 PAULI_LABELS = ("I", "X", "Y", "Z")
@@ -347,6 +349,8 @@ class PauliString:
         :meth:`signed_permutation` (one entry per column) instead of
         Kronecker products.
         """
+        from scipy import sparse
+
         dim = 1 << self._n
         rows, values = self.signed_permutation()
         return sparse.csr_matrix(

@@ -10,12 +10,14 @@ them to sparse matrices for exact energy evaluation.
 from __future__ import annotations
 
 import numbers
-from typing import Dict, Iterator, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from repro.operators.pauli import PauliString
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 #: Coefficients smaller than this magnitude are dropped during simplification.
 COEFFICIENT_TOLERANCE = 1e-12
@@ -229,6 +231,8 @@ class QubitOperator:
         — and lets the CSR conversion sum duplicates, instead of building and
         adding per-string Kronecker products.
         """
+        from scipy import sparse
+
         dim = 2 ** self.n_qubits
         matrix = sparse.csr_matrix((dim, dim), dtype=complex)
         if not self.terms:

@@ -13,12 +13,16 @@ can be compiled in compressed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set
 
-import networkx as nx
 import numpy as np
 
 Vertex = Hashable
+
+#: An undirected graph as ``vertex -> neighbors``.  Edges may be listed in one
+#: direction only, and a neighbor need not be a key.  A networkx graph reads
+#: the same way.
+Adjacency = Mapping[Vertex, Iterable[Vertex]]
 
 
 @dataclass
@@ -43,27 +47,23 @@ class ColoringResult:
         return max(classes, key=len)
 
 
-def _as_graph(graph: nx.Graph | Mapping[Vertex, Iterable[Vertex]]) -> nx.Graph:
-    if isinstance(graph, nx.Graph):
-        return graph
-    built = nx.Graph()
-    for vertex, neighbors in graph.items():
-        built.add_node(vertex)
-        for neighbor in neighbors:
-            built.add_edge(vertex, neighbor)
-    return built
+def _undirected(graph: Adjacency) -> Dict[Vertex, Dict[Vertex, None]]:
+    """Symmetric adjacency of ``graph``: its keys in order, then unlisted neighbors."""
+    adjacency: Dict[Vertex, Dict[Vertex, None]] = {vertex: {} for vertex in graph}
+    for vertex in graph:
+        for neighbor in graph[vertex]:
+            adjacency[vertex][neighbor] = None
+            adjacency.setdefault(neighbor, {})[vertex] = None
+    return adjacency
 
 
-def greedy_coloring(graph: nx.Graph, order: Sequence[Vertex]) -> ColoringResult:
-    """Color vertices greedily in the given order, reusing colors when possible.
-
-    When several existing colors are admissible the most-used one is chosen,
-    biasing towards large color classes, as described in Sec. IV of the paper.
-    """
+def _color_in_order(
+    adjacency: Mapping[Vertex, Iterable[Vertex]], order: Sequence[Vertex]
+) -> ColoringResult:
     colors: Dict[Vertex, int] = {}
     usage: List[int] = []
     for vertex in order:
-        forbidden = {colors[n] for n in graph.neighbors(vertex) if n in colors}
+        forbidden = {colors[n] for n in adjacency[vertex] if n in colors}
         allowed = [c for c in range(len(usage)) if c not in forbidden]
         if allowed:
             chosen = max(allowed, key=lambda c: (usage[c], -c))
@@ -75,8 +75,17 @@ def greedy_coloring(graph: nx.Graph, order: Sequence[Vertex]) -> ColoringResult:
     return ColoringResult(colors=colors, n_colors=len(usage))
 
 
+def greedy_coloring(graph: Adjacency, order: Sequence[Vertex]) -> ColoringResult:
+    """Color vertices greedily in the given order, reusing colors when possible.
+
+    When several existing colors are admissible the most-used one is chosen,
+    biasing towards large color classes, as described in Sec. IV of the paper.
+    """
+    return _color_in_order(_undirected(graph), order)
+
+
 def randomized_greedy_coloring(
-    graph: nx.Graph | Mapping[Vertex, Iterable[Vertex]],
+    graph: Adjacency,
     n_orders: int = 20,
     rng: Optional[np.random.Generator] = None,
 ) -> ColoringResult:
@@ -88,9 +97,9 @@ def randomized_greedy_coloring(
     """
     if n_orders < 1:
         raise ValueError("n_orders must be at least 1")
-    graph = _as_graph(graph)
+    adjacency = _undirected(graph)
     rng = rng or np.random.default_rng()
-    vertices = list(graph.nodes)
+    vertices = list(adjacency)
     if not vertices:
         return ColoringResult(colors={}, n_colors=0)
 
@@ -98,7 +107,7 @@ def randomized_greedy_coloring(
     for _ in range(n_orders):
         order = list(vertices)
         rng.shuffle(order)
-        candidate = greedy_coloring(graph, order)
+        candidate = _color_in_order(adjacency, order)
         if best is None:
             best = candidate
             continue
@@ -109,9 +118,6 @@ def randomized_greedy_coloring(
     return best
 
 
-def is_proper_coloring(
-    graph: nx.Graph | Mapping[Vertex, Iterable[Vertex]], colors: Mapping[Vertex, int]
-) -> bool:
+def is_proper_coloring(graph: Adjacency, colors: Mapping[Vertex, int]) -> bool:
     """True if no edge connects two vertices of the same color."""
-    graph = _as_graph(graph)
-    return all(colors[u] != colors[v] for u, v in graph.edges if u != v)
+    return all(colors[u] != colors[v] for u in graph for v in graph[u] if u != v)

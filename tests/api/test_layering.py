@@ -8,6 +8,9 @@
 * ``repro.chemistry.integrals`` builds on basis functions, so
   ``repro.chemistry.basis`` must not import it back: both take the Hermite
   expansion and primitive overlap from the leaf ``repro.chemistry.hermite``.
+* No module of the package imports networkx, which is a test-side oracle
+  only, and compiling on every backend loads neither the VQE driver nor the
+  simulator nor the scipy modules only they use.
 
 The scan walks every import in every module of a package — module level,
 inside functions and behind ``TYPE_CHECKING`` guards alike — so a lazily
@@ -15,8 +18,13 @@ imported module cannot hide from it.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
+import repro
 import repro.api
 import repro.chemistry
 import repro.verify
@@ -24,6 +32,7 @@ import repro.verify
 API_DIR = Path(repro.api.__file__).parent
 CHEMISTRY_DIR = Path(repro.chemistry.__file__).parent
 VERIFY_DIR = Path(repro.verify.__file__).parent
+PACKAGE_DIR = Path(repro.__file__).parent
 
 
 def imported_modules(path: Path):
@@ -63,3 +72,57 @@ def test_basis_does_not_import_the_integrals():
     assert "repro.chemistry.integrals" not in basis_imports
     leaf_imports = set(imported_modules(CHEMISTRY_DIR / "hermite.py"))
     assert not {name for name in leaf_imports if name.startswith("repro.")}
+
+
+def test_no_module_imports_networkx():
+    assert (PACKAGE_DIR / "optimizers" / "graph_coloring.py").exists()
+    offenders = offending_imports(PACKAGE_DIR, "networkx")
+    assert not offenders, f"networkx is test-only: {sorted(offenders)}"
+
+
+#: Compiles hybrid, bosonic and fermionic terms (coloring, Γ blocks, sort) on
+#: the four backends in a fresh interpreter, then lists the modules loaded.
+BOUNDARY_SCRIPT = """
+import sys
+import repro, repro.api, repro.service
+from repro.api import CompileRequest, get_backend
+from repro.vqe import ExcitationTerm
+terms = tuple(ExcitationTerm(creation=c, annihilation=a) for c, a in [
+    ((8, 11), (2, 3)), ((10, 11), (2, 5)), ((12, 13), (4, 7)), ((12, 15), (6, 7)),
+    ((10, 13), (4, 5)), ((8, 9), (0, 1)), ((8, 13), (0, 3)), ((14,), (6,)),
+])
+for name in ("jordan-wigner", "bravyi-kitaev", "baseline", "advanced"):
+    assert get_backend(name).compile(CompileRequest(terms=terms)).cnot_count > 0
+print(" ".join(sys.modules))
+"""
+
+#: Modules only the VQE driver, the simulator or the test oracles need.
+NOT_ON_COMPILE_PATH = (
+    "scipy.optimize", "scipy.sparse", "networkx", "repro.simulator", "repro.vqe.vqe",
+)
+
+
+def test_compiling_loads_no_vqe_simulator_or_networkx():
+    proc = subprocess.run(
+        [sys.executable, "-c", BOUNDARY_SCRIPT],
+        env={"PYTHONPATH": str(PACKAGE_DIR.parent), "PATH": "/usr/bin:/bin"},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "repro.core.hybrid_encoding" in loaded  # the listing sees the compile path
+    assert not loaded & set(NOT_ON_COMPILE_PATH), sorted(loaded & set(NOT_ON_COMPILE_PATH))
+
+
+def test_vqe_driver_names_resolve_on_first_access():
+    import repro.vqe
+    from repro.vqe import vqe as driver
+
+    for name in ("adaptive_vqe", "optimize_ansatz", "UccAnsatz", "VqeResult",
+                 "AdaptiveVqeResult", "hamiltonian_sparse_matrix"):
+        assert name in repro.vqe.__all__
+        assert getattr(repro.vqe, name) is getattr(driver, name)
+    with pytest.raises(AttributeError, match="not_a_driver_name"):
+        repro.vqe.not_a_driver_name

@@ -2,6 +2,7 @@
 
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +68,37 @@ class TestTopologyBlocks:
         # The leftover singleton of each split component stays out of any block
         # (those modes are simply left untouched by Γ).
         assert covered == [0, 1, 2, 4, 5, 6]
+
+    @given(
+        st.lists(
+            st.tuples(st.sets(st.integers(0, 13), min_size=2, max_size=2),
+                      st.sets(st.integers(0, 13), min_size=2, max_size=2)),
+            max_size=8,
+        ),
+        st.lists(st.integers(0, 13), max_size=2),
+        st.integers(0, 14),
+        st.integers(2, 7),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_blocks_match_networkx_components(self, doubles, singles, n_qubits, max_block_size):
+        """Union-find blocks equal the networkx components' chunks, in
+        ``nx.connected_components`` order, also for indices past ``n_qubits``."""
+        terms = [term(sorted(c), sorted(a)) for c, a in doubles if not c & a]
+        terms += [term((index,), ((index + 1) % 14,)) for index in singles]
+        graph = nx.Graph()
+        graph.add_nodes_from(range(n_qubits))
+        for t in terms:
+            if t.is_double:
+                graph.add_edge(*t.creation)
+                graph.add_edge(*t.annihilation)
+        expected = [
+            chunk
+            for component in nx.connected_components(graph)
+            for indices in [sorted(component)] if len(indices) >= 2
+            for start in range(0, len(indices), max_block_size)
+            for chunk in [indices[start:start + max_block_size]] if len(chunk) >= 2
+        ]
+        assert excitation_topology_blocks(terms, n_qubits, max_block_size) == expected
 
     def test_assemble_gamma_invertible(self):
         blocks = [[0, 1], [3, 4, 5]]

@@ -2,16 +2,19 @@
 
 Includes a full reproduction of the Appendix A worked example of the paper
 (shifted to 0-based spin-orbital indices so that the compressible pairs are
-the interleaved (2k, 2k+1) spin pairs).
+the interleaved (2k, 2k+1) spin pairs).  The scalar symmetry-breaking rule
+:func:`breaks_symmetry` and a networkx sink/source peeling are the oracles of
+the bit-mask graph and of :func:`repro.core.reduce_graph`.
 """
 
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     HYBRID_TERM_CNOT_COST,
-    breaks_symmetry,
     build_symmetry_graph,
     classify_terms,
     reduce_graph,
@@ -24,6 +27,45 @@ from repro.vqe import ExcitationTerm, select_ansatz_terms
 
 def term(creation, annihilation):
     return ExcitationTerm(creation=tuple(creation), annihilation=tuple(annihilation))
+
+
+def breaks_symmetry(breaker: ExcitationTerm, protected: ExcitationTerm) -> bool:
+    """True if applying ``breaker`` destroys the pair symmetry ``protected`` relies on.
+
+    The exact criterion: the exponential of ``breaker`` commutes with the
+    number-parity operator ``P_ab`` of ``protected``'s symmetric pair iff the
+    total number of ``breaker``'s ladder indices lying in ``{a, b}`` is even.
+    An odd count flips the parity and breaks the symmetry.
+    """
+    pair = symmetric_pair(protected)
+    if pair is None:
+        return False
+    touches = sum(1 for index in (*breaker.creation, *breaker.annihilation) if index in pair)
+    return touches % 2 == 1
+
+
+def edges(graph):
+    return [(u, v) for u in graph for v in graph[u]]
+
+
+def nx_reduce(graph: nx.DiGraph):
+    """Peel sinks then sources off a networkx copy until neither is left."""
+    working = graph.copy()
+    sinks, sources = [], []
+    changed = True
+    while changed and working.number_of_nodes() > 0:
+        changed = False
+        sink_vertices = [v for v in working.nodes if working.out_degree(v) == 0]
+        if sink_vertices:
+            sinks.extend(sorted(sink_vertices))
+            working.remove_nodes_from(sink_vertices)
+            changed = True
+        source_vertices = [v for v in working.nodes if working.in_degree(v) == 0]
+        if source_vertices:
+            sources.extend(sorted(source_vertices))
+            working.remove_nodes_from(source_vertices)
+            changed = True
+    return sinks, sources, working
 
 
 #: Appendix A terms, shifted down by one so pairs are (even, even+1).
@@ -107,26 +149,23 @@ class TestGraphConstructionAndReduction:
     def test_appendix_edges(self):
         graph, _ = self.graph()
         names = {i: APPENDIX_ORDER[i] for i in range(9)}
-        edges = {(names[u], names[v]) for u, v in graph.edges}
+        named = {(names[u], names[v]) for u, v in edges(graph)}
         expected = {
             ("h1", "h0"), ("h8", "h0"), ("h0", "h1"), ("h5", "h1"),
             ("h1", "h2"), ("h6", "h2"), ("h1", "h3"), ("h6", "h3"),
             ("h1", "h5"), ("h6", "h5"), ("h4", "h6"), ("h5", "h6"),
             ("h7", "h6"), ("h6", "h7"), ("h8", "h7"),
         }
-        assert edges == expected
+        assert named == expected
 
     def test_appendix_reduction(self):
         graph, _ = self.graph()
         sinks, sources, core = reduce_graph(graph)
         assert {APPENDIX_ORDER[i] for i in sinks} == {"h2", "h3"}
         assert {APPENDIX_ORDER[i] for i in sources} == {"h4", "h8"}
-        assert {APPENDIX_ORDER[i] for i in core.nodes} == {"h0", "h1", "h5", "h6", "h7"}
+        assert {APPENDIX_ORDER[i] for i in core} == {"h0", "h1", "h5", "h6", "h7"}
         # The undirected core is the path h0-h1-h5-h6-h7 of Fig. 6(b).
-        undirected = core.to_undirected()
-        core_edges = {
-            frozenset((APPENDIX_ORDER[u], APPENDIX_ORDER[v])) for u, v in undirected.edges
-        }
+        core_edges = {frozenset((APPENDIX_ORDER[u], APPENDIX_ORDER[v])) for u, v in edges(core)}
         assert core_edges == {
             frozenset(("h0", "h1")),
             frozenset(("h1", "h5")),
@@ -152,19 +191,103 @@ class TestGraphConstructionAndReduction:
                 if i != j and breaks_symmetry(breaker, protected)
             ]
             graph = build_symmetry_graph(terms)
-            assert list(graph.nodes) == list(range(len(terms)))
-            assert list(graph.edges) == expected
+            assert list(graph) == list(range(len(terms)))
+            assert edges(graph) == expected
 
     def test_empty_graph_reduction(self):
-        sinks, sources, core = reduce_graph(nx.DiGraph())
-        assert sinks == [] and sources == [] and core.number_of_nodes() == 0
+        sinks, sources, core = reduce_graph({})
+        assert sinks == [] and sources == [] and core == {}
 
     def test_isolated_vertices_become_sinks(self):
-        graph = nx.DiGraph()
-        graph.add_nodes_from([0, 1, 2])
-        sinks, sources, core = reduce_graph(graph)
+        sinks, sources, core = reduce_graph({0: [], 1: [], 2: []})
         assert set(sinks) == {0, 1, 2}
-        assert core.number_of_nodes() == 0
+        assert core == {}
+
+    def test_networkx_digraph_input(self):
+        graph = nx.DiGraph([(0, 1), (1, 2), (2, 1), (3, 1)])
+        assert reduce_graph(graph) == reduce_graph({0: [1], 1: [2], 2: [1], 3: [1]})
+
+
+#: Random directed graphs on up to 9 vertices, self-loops included, listed
+#: vertex by vertex in a shuffled order.
+digraphs = st.integers(1, 9).flatmap(
+    lambda n: st.tuples(
+        st.permutations(list(range(n))),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n),
+    )
+)
+
+
+class TestNetworkxOracle:
+    """``reduce_graph`` against the networkx peeling it replaced."""
+
+    @given(digraphs)
+    @settings(max_examples=200, deadline=None)
+    def test_reduction_matches_networkx(self, spec):
+        order, arcs = spec
+        oracle = nx.DiGraph()
+        oracle.add_nodes_from(order)
+        oracle.add_edges_from(arcs)
+        sinks, sources, core = reduce_graph({v: list(oracle.successors(v)) for v in oracle})
+        nx_sinks, nx_sources, nx_core = nx_reduce(oracle)
+        assert (sinks, sources) == (nx_sinks, nx_sources)
+        assert list(core) == list(nx_core.nodes)
+        assert edges(core) == list(nx_core.edges)
+
+    @given(st.lists(
+        st.tuples(st.sampled_from([(0, 1), (2, 3), (4, 5), (6, 7)]),
+                  st.sets(st.integers(0, 9), min_size=2, max_size=2).map(sorted),
+                  st.booleans()),
+        max_size=10,
+    ), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_schedule_matches_networkx_pipeline(self, specs, seed):
+        """Random hybrid terms: the schedule and the rng's state after it are
+        those of the networkx graph, peeling and undirected core coloring."""
+        terms = []
+        for pair, other, pair_creates in specs:
+            if set(pair) & set(other) or other[0] // 2 == other[1] // 2:
+                continue
+            creation, annihilation = (pair, tuple(other)) if pair_creates else (tuple(other), pair)
+            terms.append(term(creation, annihilation))
+        rng = np.random.default_rng(seed)
+        schedule = schedule_hybrid_terms(terms, rng=rng)
+
+        oracle = nx.DiGraph()
+        oracle.add_nodes_from(range(len(terms)))
+        oracle.add_edges_from(
+            (i, j) for i, a in enumerate(terms) for j, b in enumerate(terms)
+            if i != j and breaks_symmetry(a, b)
+        )
+        sinks, sources, core = nx_reduce(oracle)
+        oracle_rng = np.random.default_rng(seed)
+        colored = []
+        if core.number_of_nodes():
+            undirected = core.to_undirected()
+            best = None
+            for _ in range(20):
+                order = list(undirected.nodes)
+                oracle_rng.shuffle(order)
+                colors, usage = {}, []
+                for vertex in order:
+                    forbidden = {colors[n] for n in undirected.neighbors(vertex) if n in colors}
+                    allowed = [c for c in range(len(usage)) if c not in forbidden]
+                    chosen = max(allowed, key=lambda c: (usage[c], -c)) if allowed else len(usage)
+                    if chosen == len(usage):
+                        usage.append(0)
+                    colors[vertex] = chosen
+                    usage[chosen] += 1
+                largest = max(
+                    ({v for v, c in colors.items() if c == k} for k in range(len(usage))), key=len
+                )
+                key = (len(usage), -len(largest))
+                if best is None or key < best[0]:
+                    best = (key, largest)
+            colored = sorted(best[1])
+        assert schedule.sink_terms == [terms[i] for i in sinks]
+        assert schedule.source_terms == [terms[i] for i in sources]
+        assert schedule.color_terms == [terms[i] for i in colored]
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestScheduling:

@@ -1,7 +1,7 @@
 """The closed-form expansion kernel against the QubitOperator reference.
 
 :func:`repro.core.terms_to_rotations` expands excitation terms on symplectic
-bit-masks with integer phases; :func:`repro.core.excitation_to_rotations`
+bit-masks with integer phases; :func:`excitation_to_rotations` below
 multiplies the ladder images out as :class:`~repro.operators.QubitOperator`
 dicts.  Every compiler (and ``perfbench``'s own multiset check) reads the
 former, so the reference here is the scalar path, compared bit for bit:
@@ -9,13 +9,14 @@ string, ``angle.hex()``, ``term_index`` and order.
 """
 
 import math
+from typing import List
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import excitation_to_rotations, terms_to_rotations
+from repro.core import terms_to_rotations
 from repro.core import terms_to_paulis
 from repro.core.terms_to_paulis import (
     ANGLE_TOLERANCE,
@@ -34,6 +35,39 @@ from repro.transforms import (
     identity_matrix,
 )
 from repro.vqe import ExcitationTerm
+
+
+def excitation_to_rotations(
+    term: ExcitationTerm,
+    transform: FermionQubitTransform,
+    parameter: float = 1.0,
+    term_index: int = 0,
+) -> List[PauliRotation]:
+    """Expand ``exp(θ (T - T†))`` into Pauli rotations under ``transform``.
+
+    The anti-hermitian generator maps to a sum ``Σ_k i c_k P_k`` with real
+    ``c_k``; each summand contributes the rotation ``exp(-i (-2 c_k)/2 P_k)``.
+    The returned rotations all mutually commute for a single excitation term,
+    so their relative order is a pure compilation degree of freedom.  This
+    is the scalar reference of :func:`terms_to_rotations`; it accepts any
+    transform.
+    """
+    generator = term.generator(parameter)
+    qubit_generator = transform.transform(generator)
+    rotations: List[PauliRotation] = []
+    for string, coefficient in sorted(qubit_generator.terms.items(), key=lambda kv: kv[0]):
+        if string.is_identity:
+            continue
+        if abs(coefficient.real) > ANGLE_TOLERANCE:
+            raise ValueError(
+                f"generator of {term} produced a non-anti-hermitian coefficient {coefficient}"
+            )
+        angle = -2.0 * float(coefficient.imag)
+        if abs(angle) <= ANGLE_TOLERANCE:
+            continue
+        rotations.append(PauliRotation(string=string, angle=angle, term_index=term_index))
+    return rotations
+
 
 #: The drop boundary sits at θ = 4·tol for doubles (angle θ/4) and θ = tol
 #: for singles (angle θ); both sides of each, exactly.

@@ -1,4 +1,8 @@
-"""Unit tests for the randomized greedy graph coloring solver."""
+"""Unit tests for the randomized greedy graph coloring solver.
+
+The solver reads plain adjacency mappings; networkx is the test-side oracle
+(:func:`nx_randomized_coloring`) and a networkx graph is also valid input.
+"""
 
 import networkx as nx
 import numpy as np
@@ -104,3 +108,78 @@ class TestPropertyBased:
         result = randomized_greedy_coloring(graph, n_orders=5, rng=np.random.default_rng(seed))
         assert is_proper_coloring(graph, result.colors)
         assert result.n_colors <= n
+
+
+def nx_greedy(graph: nx.Graph, order):
+    colors, usage = {}, []
+    for vertex in order:
+        forbidden = {colors[n] for n in graph.neighbors(vertex) if n in colors}
+        allowed = [c for c in range(len(usage)) if c not in forbidden]
+        if allowed:
+            chosen = max(allowed, key=lambda c: (usage[c], -c))
+        else:
+            chosen = len(usage)
+            usage.append(0)
+        colors[vertex] = chosen
+        usage[chosen] += 1
+    return colors, len(usage)
+
+
+def nx_randomized_coloring(graph: nx.Graph, n_orders, rng):
+    """Best of ``n_orders`` greedy colorings over shuffles of ``graph.nodes``."""
+    best = None
+    for _ in range(n_orders):
+        order = list(graph.nodes)
+        rng.shuffle(order)
+        colors, n_colors = nx_greedy(graph, order)
+        largest = max(({v for v in colors if colors[v] == k} for k in range(n_colors)), key=len)
+        key = (n_colors, -len(largest))
+        if best is None or key < best[0]:
+            best = (key, colors)
+    return best[1]
+
+
+def _graph(nodes, edges):
+    graph = nx.Graph()
+    graph.add_nodes_from(nodes)
+    graph.add_edges_from(edges)
+    return graph
+
+
+#: Random undirected graphs: node labels inserted in a shuffled order, and
+#: edges that may repeat, loop or name a vertex twice.
+graphs = st.integers(1, 10).flatmap(
+    lambda n: st.tuples(
+        st.permutations(list(range(n))),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n),
+    )
+).map(lambda spec: _graph(*spec))
+
+
+class TestNetworkxOracle:
+    """Same colorings and the same rng draws as the networkx implementation."""
+
+    @given(graphs, st.integers(1, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_randomized_coloring_matches(self, graph, n_orders, seed):
+        oracle_rng = np.random.default_rng(seed)
+        expected = nx_randomized_coloring(graph, n_orders, oracle_rng)
+        # One direction of every edge, keys in node order, is enough input.
+        one_way = {v: [u for u in graph[v] if u >= v] for v in graph}
+        for adjacency in (graph, nx.to_dict_of_lists(graph), one_way):
+            rng = np.random.default_rng(seed)
+            result = randomized_greedy_coloring(adjacency, n_orders=n_orders, rng=rng)
+            assert list(result.colors.items()) == list(expected.items())
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @given(graphs, st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_greedy_and_proper_check_match(self, graph, random):
+        order = list(graph.nodes)
+        random.shuffle(order)
+        colors, n_colors = nx_greedy(graph, order)
+        result = greedy_coloring(nx.to_dict_of_lists(graph), order)
+        assert (result.colors, result.n_colors) == (colors, n_colors)
+        arbitrary = {v: random.randrange(3) for v in graph}
+        expected = all(arbitrary[u] != arbitrary[v] for u, v in graph.edges if u != v)
+        assert is_proper_coloring(nx.to_dict_of_lists(graph), arbitrary) == expected
