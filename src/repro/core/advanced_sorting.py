@@ -366,10 +366,12 @@ def greedy_walk(
     (:func:`repro.operators.routed_vertex_cost_vector`).  Only same-target
     vertices save, so without a distance matrix the walk takes the best
     same-target saving when it is positive and otherwise the lowest
-    unvisited string's lowest support qubit.  The savings after the current
-    vertex are one :meth:`~repro.operators.SameTargetSavings.row`; no
-    vertex-pair matrix is built.  ``cost`` is the path's CNOT count, or its
-    routed estimate with a distance matrix.
+    unvisited string's lowest support qubit.  The first time the walk stands
+    on target ``t`` it builds that target's string-pair savings
+    (:meth:`~repro.operators.SameTargetSavings.on_target`); every step then
+    reads one row of its target's table, and no vertex-pair matrix is
+    built.  ``cost`` is the path's CNOT count, or its routed estimate with
+    a distance matrix.
     """
     m = len(strings)
     if not m:
@@ -393,6 +395,7 @@ def greedy_walk(
     source, target = 0, int(n - 1 - np.argmax(support[0, ::-1]))
     path_rows, path_targets = [source], [target]
     saved = 0
+    tables: Dict[int, np.ndarray] = {}
     first = int(scores.argmax())
     for _ in range(m - 1):
         scores[source] = closed
@@ -402,7 +405,10 @@ def greedy_walk(
         # The next vertex is the first maximum of the scores, unless the
         # saving lifts a vertex on the current target at least as high and
         # that vertex comes first.
-        gains = scores[:, target] + savings.row(source, target)
+        table = tables.get(target)
+        if table is None:
+            table = tables[target] = savings.on_target(target)
+        gains = scores[:, target] + table[source]
         best = int(gains.argmax())
         gain, score = int(gains[best]), int(scores.flat[first])
         if gain > score or (gain == score and best * n + target < first):

@@ -9,23 +9,31 @@ invertible matrix, and one simulated-annealing walk updates a random block per
 step, with the objective being the CNOT count reported by a caller-supplied
 cost function.  The walk is the plain Metropolis loop of
 :func:`search_block_diagonal_gamma` with a geometric cooling schedule
-(``INITIAL_TEMPERATURE`` to ``FINAL_TEMPERATURE``).  The search memoizes the
-objective on the Γ bit pattern and reports how many distinct candidates it
+(``INITIAL_TEMPERATURE`` to ``FINAL_TEMPERATURE``).  A candidate pays only
+for what its step changed: the walk carries every block's GF(2) inverse next
+to the block and updates both with the row addition, so no candidate is
+inverted or re-validated, and Γ and Γ⁻¹ are written into the identity
+through flat positions computed once per search.  The search memoizes the
+objective on the blocks' bytes and reports how many distinct candidates it
 scored.
 
 In the full pipeline that cost is :class:`GreedySortingCost`: the greedy-sort
 CNOT count ("subroutine 1" of Fig. 2) of the terms transformed under the
 candidate Γ, evaluated on packed bit-planes.  The Jordan-Wigner rotation
 planes are built once.  A candidate re-encodes them with
-:meth:`repro.core.terms_to_paulis.RotationPlanes.encoded` — the step
+:meth:`repro.core.terms_to_paulis.RotationPlanes.encoded` under the
+transform built from the carried pair
+(:meth:`repro.transforms.LinearEncodingTransform.from_pair`) — the step
 ``terms_to_rotations`` takes, so the strings and their order are those the
 transform stage compiles — and walks
 :func:`repro.core.advanced_sorting.greedy_walk`, the walk ``greedy_sort``
-takes.  The walk reads its savings from string-pair tables
-(:class:`repro.operators.SameTargetSavings`), one row per step, so no
-candidate builds a vertex-pair matrix.  :class:`TermBlockCost` encodes the
-same way and scores the baseline's term-block order instead; it is the
-baseline's PSO objective.
+takes.  The walk reads its savings from one string-pair table per target
+it visits (:meth:`repro.operators.SameTargetSavings.on_target`), one row
+per step, so no candidate builds a vertex-pair matrix.
+:class:`TermBlockCost` encodes the same way and scores the baseline's
+term-block order instead; it is the baseline's PSO objective, and since the
+PSO hands it an arbitrary Γ, it builds a checked
+:class:`~repro.transforms.LinearEncodingTransform` and inverts Γ itself.
 """
 
 from __future__ import annotations
@@ -112,6 +120,24 @@ class GammaSearchResult:
     n_cache_hits: int = 0
 
 
+def _entry_positions(n_qubits: int, blocks: Sequence[Sequence[int]]) -> np.ndarray:
+    """Flat positions in an ``n × n`` matrix of every block's entries.
+
+    Block after block, each row-major: entry ``[r, c]`` of a block on indices
+    ``b`` sits at ``b[r] * n + b[c]``, so the blocks' raveled matrices,
+    concatenated, fill these positions.
+    """
+    positions = [(block[:, None] * n_qubits + block).ravel() for block in map(np.asarray, blocks)]
+    return np.concatenate(positions) if positions else np.zeros(0, dtype=np.intp)
+
+
+def _embed(n_qubits: int, positions: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """The ``n × n`` identity with the block ``entries`` written at ``positions``."""
+    matrix = identity_matrix(n_qubits)
+    matrix.flat[positions] = entries
+    return matrix
+
+
 def assemble_gamma(
     n_qubits: int, blocks: Sequence[Sequence[int]], block_matrices: Sequence[np.ndarray]
 ) -> np.ndarray:
@@ -120,38 +146,47 @@ def assemble_gamma(
     The blocks are disjoint, so each is written in place on its rows and
     columns.
     """
-    gamma = identity_matrix(n_qubits)
-    for indices, matrix in zip(blocks, block_matrices):
-        gamma[np.ix_(indices, indices)] = matrix
-    return gamma
+    entries = [np.asarray(matrix, dtype=np.uint8).ravel() for matrix in block_matrices]
+    return _embed(
+        n_qubits,
+        _entry_positions(n_qubits, blocks),
+        np.concatenate(entries) if entries else np.zeros(0, dtype=np.uint8),
+    )
 
 
 def _random_elementary_update(
-    matrix: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Multiply a block matrix by a random elementary row addition (stays invertible)."""
-    size = matrix.shape[0]
-    updated = matrix.copy()
+    block: np.ndarray, inverse: np.ndarray, rng: np.random.Generator
+) -> None:
+    """Add a random other row of ``block`` to one of its rows, in place.
+
+    The block stays invertible, and ``inverse`` stays its GF(2) inverse:
+    ``B[r] ^= B[c]`` is ``B ← E B`` with ``E = I + e_r e_cᵀ = E⁻¹``, so
+    ``B⁻¹ ← B⁻¹ E``, which adds column ``r`` of ``B⁻¹`` to its column ``c``.
+    """
+    size = block.shape[0]
     row, col = rng.integers(size), rng.integers(size)
     while col == row:
         col = rng.integers(size)
-    updated[row] ^= updated[col]
-    return updated
+    block[row] ^= block[col]
+    inverse[:, col] ^= inverse[:, row]
 
 
 class GreedySortingCost:
     """The Γ-search objective: greedy-sort cost of the terms encoded under Γ.
 
-    ``GreedySortingCost(terms, n, parameters, topology)(Γ)`` equals
-    ``greedy_sort(terms_to_rotations(terms, LinearEncodingTransform(Γ),
-    parameters), topology).objective()`` — the all-to-all CNOT count, or the
-    distance-weighted estimate under a ``topology``.  The Jordan-Wigner
-    planes are expanded once; each candidate is scored from scratch:
+    ``GreedySortingCost(terms, n, parameters, topology)(transform)`` equals
+    ``greedy_sort(terms_to_rotations(terms, transform, parameters),
+    topology).objective()`` for a :class:`LinearEncodingTransform` — the
+    all-to-all CNOT count, or the distance-weighted estimate under a
+    ``topology``.  The Jordan-Wigner planes are expanded once; each
+    candidate is scored from scratch:
     :meth:`~repro.core.terms_to_paulis.RotationPlanes.encoded` re-encodes
     them under Γ (the greedy tie-breaks depend on the row order), then
     :func:`~repro.core.advanced_sorting.greedy_walk`, the walk
-    ``greedy_sort`` takes, reads its savings from string pairs one row per
-    step.
+    ``greedy_sort`` takes, reads its savings one same-target table per
+    target it visits.  The transform is taken as given: the search hands
+    over the Γ⁻¹ it carries (:meth:`LinearEncodingTransform.from_pair`),
+    so no candidate is inverted or validated here.
     """
 
     def __init__(
@@ -164,8 +199,8 @@ class GreedySortingCost:
         self._planes = jordan_wigner_rotations(terms, n_qubits, parameters)
         self._distance = None if topology is None else topology.distance_matrix
 
-    def __call__(self, gamma: np.ndarray) -> float:
-        planes = self._planes.encoded(LinearEncodingTransform(gamma))
+    def __call__(self, transform: LinearEncodingTransform) -> float:
+        planes = self._planes.encoded(transform)
         return float(greedy_walk(planes.strings, self._distance).cost)
 
 
@@ -203,7 +238,7 @@ class TermBlockCost:
 def search_block_diagonal_gamma(
     terms: Sequence[ExcitationTerm],
     n_qubits: int,
-    cost_function: Callable[[np.ndarray], float],
+    cost_function: Callable[[LinearEncodingTransform], float],
     n_steps: int = 60,
     rng: Optional[np.random.Generator] = None,
     max_steps: Optional[int] = None,
@@ -216,6 +251,15 @@ def search_block_diagonal_gamma(
     cools geometrically from ``INITIAL_TEMPERATURE`` to
     ``FINAL_TEMPERATURE`` over the ``n_steps`` proposals.
 
+    A candidate costs only what its step changed.  The walk keeps every
+    block's GF(2) inverse next to the block and updates both with the row
+    addition (:func:`_random_elementary_update`), so no candidate is
+    inverted or re-validated.  All blocks live in one flat uint8 vector
+    (each block row-major, block after block), and so do their inverses: a
+    proposal copies the two vectors, the memo keys on the blocks' bytes,
+    and Γ and Γ⁻¹ are written into the identity through flat positions
+    computed once per search.
+
     Parameters
     ----------
     terms:
@@ -223,9 +267,11 @@ def search_block_diagonal_gamma(
     n_qubits:
         Register size N (Γ is N×N).
     cost_function:
-        Maps a candidate Γ to the CNOT count of the compiled circuit; this is
-        "subroutine 1" of Fig. 2 (advanced sorting + generic circuit
-        compiler).  The pipeline passes a :class:`GreedySortingCost`.
+        Maps a candidate's :class:`LinearEncodingTransform` to the CNOT
+        count of the compiled circuit; this is "subroutine 1" of Fig. 2
+        (advanced sorting + generic circuit compiler).  The pipeline passes
+        a :class:`GreedySortingCost`.  The transform comes from
+        :meth:`LinearEncodingTransform.from_pair` with the carried Γ⁻¹.
     n_steps:
         Number of SA proposals; 0 scores Γ = I alone.
     max_steps:
@@ -238,27 +284,40 @@ def search_block_diagonal_gamma(
         raise ValueError("max_steps must be None or at least 1")
     rng = rng or np.random.default_rng()
     blocks = excitation_topology_blocks(terms, n_qubits, max_block_size=MAX_BLOCK_SIZE)
+    positions = _entry_positions(n_qubits, blocks)
+    sizes = [len(block) for block in blocks]
+    offsets = np.cumsum([0] + [size * size for size in sizes]).tolist()
+
+    def block_view(entries: np.ndarray, index: int) -> np.ndarray:
+        size = sizes[index]
+        return entries[offsets[index]:offsets[index + 1]].reshape(size, size)
 
     # The cost function (bit-plane transform + greedy walk) is deterministic
     # in Γ and by far the dominant expense, while the elementary-update walk
-    # frequently revisits the same candidate; memoize on the Γ bit pattern.
+    # frequently revisits the same candidate; memoize on the blocks' bytes,
+    # which determine Γ.
     cost_cache: Dict[bytes, float] = {}
     n_cache_hits = 0
 
-    def energy(state: List[np.ndarray]) -> float:
+    def energy(entries: np.ndarray, inverse_entries: np.ndarray) -> float:
         nonlocal n_cache_hits
-        gamma = assemble_gamma(n_qubits, blocks, state)
-        key = gamma.tobytes()
+        key = entries.tobytes()
         cached = cost_cache.get(key)
         if cached is None:
-            cached = float(cost_function(gamma))
+            transform = LinearEncodingTransform.from_pair(
+                _embed(n_qubits, positions, entries),
+                _embed(n_qubits, positions, inverse_entries),
+            )
+            cached = float(cost_function(transform))
             cost_cache[key] = cached
         else:
             n_cache_hits += 1
         return cached
 
-    current = [identity_matrix(len(block)) for block in blocks]
-    current_energy = energy(current)
+    # Γ = I: the identity's entries at the block positions, its own inverse.
+    current = identity_matrix(n_qubits).flat[positions]
+    current_inverse = current.copy()
+    current_energy = energy(current, current_inverse)
     best, best_energy = current, current_energy
     if not blocks:
         n_steps = 0
@@ -268,16 +327,19 @@ def search_block_diagonal_gamma(
         fraction = step / (n_steps - 1) if n_steps > 1 else 0.0
         temperature = INITIAL_TEMPERATURE * ratio ** fraction
         index = int(rng.integers(len(blocks)))
-        candidate = list(current)
-        candidate[index] = _random_elementary_update(current[index], rng)
-        candidate_energy = energy(candidate)
+        candidate, candidate_inverse = current.copy(), current_inverse.copy()
+        _random_elementary_update(
+            block_view(candidate, index), block_view(candidate_inverse, index), rng
+        )
+        candidate_energy = energy(candidate, candidate_inverse)
         delta = candidate_energy - current_energy
         if delta <= 0 or rng.random() < math.exp(-delta / temperature):
-            current, current_energy = candidate, candidate_energy
+            current, current_inverse = candidate, candidate_inverse
+            current_energy = candidate_energy
             if current_energy < best_energy:
                 best, best_energy = current, current_energy
     return GammaSearchResult(
-        gamma=assemble_gamma(n_qubits, blocks, best),
+        gamma=_embed(n_qubits, positions, best),
         cnot_count=best_energy,
         blocks=blocks,
         n_steps=n_run,

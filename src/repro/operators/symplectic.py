@@ -293,14 +293,15 @@ class SameTargetSavings:
 
     Four readers, by how many pairs they need:
 
-    * :meth:`row` — the savings after one vertex (the greedy walk);
+    * :meth:`on_target` — every string pair on one target (the greedy walk
+      builds one per target it visits and reads one row per step);
     * :meth:`pairs` — every pair of a vertex list (the GTSP edge weights);
     * :meth:`blocks` — the pairs inside runs of vertices (the term-block
       order's blocks and chaining);
     * :meth:`consecutive` — the ``m - 1`` savings along a sequence (every
       sequence's CNOT count).
 
-    :meth:`row` reads the ``(m, m)`` tables ``both`` and ``equal``
+    :meth:`on_target` reads the ``(m, m)`` tables ``both`` and ``equal``
     (:attr:`tables`), built on its first call; the other three count only
     the pairs they return, from the planes, and build no table.
     """
@@ -337,26 +338,21 @@ class SameTargetSavings:
     def equal(self) -> np.ndarray:
         return self.tables[1]
 
-    @cached_property
-    def _letter_matches(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``[q, c, j]``: string j's letter on q shares the class of / equals the
-        letter code c, as 0/1 ints for the row arithmetic."""
-        codes = np.arange(4)[:, None]
-        return (
-            ((self.letters[:, None, :] & 1) == (codes & 1)).astype(np.int64),
-            (self.letters[:, None, :] == codes).astype(np.int64),
-        )
+    def on_target(self, target: int) -> np.ndarray:
+        """The ``(m, m)`` savings on one target: ``[i, j]`` of ``(j, t)`` after ``(i, t)``.
 
-    def row(self, source: int, target: int) -> np.ndarray:
-        """Saving of ``(j, target)`` right after ``(source, target)``, for every ``j``.
-
-        Entries are meaningful where ``target`` lies in the support of both
-        ``source`` and ``j``.
+        ``both + equal·[classes agree on t] - [letters equal on t]`` for
+        every string pair, from the tables.  Entries are meaningful where
+        ``target`` lies in the support of both strings.
         """
         both, equal = self.tables
-        same_class, same_letter = self._letter_matches
-        letter = self.letters[target, source]
-        return both[source] + equal[source] * same_class[target, letter] - same_letter[target, letter]
+        letters = self.letters[target]
+        classes = letters & 1
+        return (
+            both
+            + equal * (classes[:, None] == classes[None, :])
+            - (letters[:, None] == letters[None, :])
+        )
 
     def _codes(
         self, rows: Sequence[int], targets: Sequence[int]

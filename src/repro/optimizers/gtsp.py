@@ -23,12 +23,17 @@ From each seed it alternates two moves until a round improves nothing:
 Every accepted Or-opt move and every kept round strictly lowers the path
 cost, so on integer weights (the compiler's CNOT counts) the search ends,
 and the result is never worse than any seed.  The cheapest result wins, the
-earliest seed on ties.  Two shortcuts skip work whose outcome is known:
+earliest seed on ties.  Three shortcuts skip work whose outcome is known:
 
 * a kept round ends on an Or-opt fixpoint, so when the next round's DP
   returns the same path the search stops without scanning it again;
 * a seed tour equal to an earlier seed is not searched again; it counts
-  that seed's rounds and degraded flag once more, as a second search would.
+  that seed's rounds and degraded flag once more, as a second search would;
+* after an Or-opt move the scan resumes instead of starting over at run 1
+  (Bentley's don't-look bits, ORSA J. Computing 4, 1992, made exact): the
+  runs before the move's earliest new edge are re-priced against the three
+  new gaps only, and the full scan resumes from there, so the moves are
+  those of a scan that starts over.
 
 Edge weights live in one dense float64 buffer of shape ``(V + 3, V + 3)``:
 the ``(V, V)`` weight matrix indexed by global vertex row (clusters
@@ -37,16 +42,18 @@ vertices that turn the path ends into ordinary edges: *begin*, whose edge
 to a vertex is that vertex's start weight, and *end*, which every vertex
 reaches at zero cost.  The DP pads every cluster to the widest one with the
 sentinel vertex, so one fancy index gathers all of its ``(K, K)`` layer
-steps.  Or-opt scores a block of run starts at every run length at once:
-the cost of entering each gap through a run's head is gathered once for
-the block, and the cost of leaving it through a run's tail once per run
-end.  Weights must be finite.
+steps, and each layer then costs two numpy calls.  Or-opt scores a block
+of run starts at every run length at once: the cost of entering each gap
+through a run's head is gathered once for the block, and the cost of
+leaving it through a run's tail once per run end; the block's index arrays
+are cached per path length and block.  Weights must be finite.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -194,24 +201,52 @@ def _optimize_vertices(problem: GtspProblem, rows: np.ndarray) -> np.ndarray:
 
     ``costs[k]`` is the cheapest path from the virtual start to vertex
     ``k`` of the current layer; each layer is one ``(K, K)`` step gathered
-    from the padded buffer.  Sentinel vertices cost ``+inf`` and never win,
-    and ties go to the first vertex of a cluster.
+    from the padded buffer.  A layer costs two numpy calls: the costs are
+    added into its gathered step in place, and the step's column minima are
+    the next costs.  The steps then hold every path cost, so one ``argmin``
+    over all of them finds each vertex's parent after the loop.  Sentinel
+    vertices cost ``+inf`` and never win, and ties go to the first vertex of
+    a cluster.
     """
     layers = problem._padded_rows[problem._cluster_of_row[rows]]     # (m, K)
     # steps[l, j, k]: weight from vertex j of layer l to vertex k of layer l + 1.
     steps = problem._weights[layers[:-1, :, None], layers[1:, None, :]]
-    columns = np.arange(layers.shape[1])
     costs = problem._weights[problem._begin, layers[0]]
-    parents: List[np.ndarray] = []
     for step in steps:
-        candidates = costs[:, None] + step
-        best = candidates.argmin(axis=0)
-        parents.append(best)
-        costs = candidates[best, columns]
+        np.add(step, costs[:, None], out=step)
+        costs = step.min(axis=0)
     choice = [int(costs.argmin())]
-    for best in reversed(parents):
-        choice.append(int(best[choice[-1]]))
+    for parents in reversed(steps.argmin(axis=1).tolist()):
+        choice.append(parents[choice[-1]])
     return layers[np.arange(len(layers)), choice[::-1]]
+
+
+@lru_cache(maxsize=128)
+def _run_indices(m: int, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(starts, ends, fits)`` of the runs from ``lo .. hi - 1`` on ``m`` clusters.
+
+    ``ends[s, l]`` is the last position of the run of length ``l + 1`` from
+    ``starts[s]``, clipped to the path; ``fits`` marks the runs that do not
+    cross the path end.  Static per ``(m, lo, hi)``, so built once and
+    returned read-only.
+    """
+    starts = np.arange(lo, hi)
+    ends = starts[:, None] + np.arange(min(OR_OPT_MAX_RUN, m - 1))
+    fits = ends <= m
+    ends = np.minimum(ends, m)
+    for array in (starts, ends, fits):
+        array.flags.writeable = False
+    return starts, ends, fits
+
+
+@lru_cache(maxsize=128)
+def _spanned_gaps(m: int, lo: int, hi: int) -> np.ndarray:
+    """``[s, l, g]``: the run of :func:`_run_indices` spans gap ``g`` (read-only)."""
+    starts, ends, _ = _run_indices(m, lo, hi)
+    gaps = np.arange(m + 1)
+    spanned = (gaps >= starts[:, None, None] - 1) & (gaps <= ends[:, :, None])
+    spanned.flags.writeable = False
+    return spanned
 
 
 def _first_move(
@@ -226,57 +261,123 @@ def _first_move(
     i + length - 1`` it spans.  Every candidate is evaluated at once: a run
     enters a gap through its head ``path[i]`` whatever its length, so the
     ``(run start, gap)`` entry costs are gathered once for all lengths, and
-    the exit costs once per run end.
+    the exit costs once per run end.  The index arrays and the spanned-gap
+    mask are built once per ``(m, lo, hi)``.
     """
     m = len(path) - 2
-    longest = min(OR_OPT_MAX_RUN, m - 1)
-    if longest < 1:
+    if m < 2:
         return None
+    starts, ends, fits = _run_indices(m, lo, hi)
     edges = weights[path[:-1], path[1:]]
-    starts = np.arange(lo, hi)
-    # ends[s, l]: last position of the run of length l + 1 from starts[s],
-    # clipped to the path; runs past the path end are masked out below.
-    ends = starts[:, None] + np.arange(longest)
-    fits = ends <= m
-    ends = np.minimum(ends, m)
     enter = weights[path[None, :-1], path[starts, None]]                 # (S, m + 1)
     leave = weights[path[ends, None], path[None, None, 1:]]              # (S, L, m + 1)
     insertion = (enter[:, None, :] + leave) - edges
-    gaps = np.arange(m + 1)
-    insertion[(gaps >= starts[:, None, None] - 1) & (gaps <= ends[:, :, None])] = np.inf
+    insertion[_spanned_gaps(m, lo, hi)] = np.inf
+    hit = _first_improving_run(weights, path, edges, ends, fits, insertion)
+    if hit is None:
+        return None
+    k, length = hit
+    return lo + k, length + 1, int(insertion[k, length].argmin())
+
+
+def _first_improving_run(
+    weights: np.ndarray,
+    path: np.ndarray,
+    edges: np.ndarray,
+    ends: np.ndarray,
+    fits: np.ndarray,
+    insertion: np.ndarray,
+) -> Optional[Tuple[int, int]]:
+    """``(start index, length index)`` of the first run whose cheapest gap improves.
+
+    ``insertion[s, l, g]`` prices the run of ``(s, l)`` in its ``g``-th
+    candidate gap; the run's removal saving is priced here, in the one
+    float order both scans share.  The minimum is the entry at the first
+    cheapest gap, bit for bit.
+    """
+    starts = ends[:, 0]
     removal = (
         weights[path[starts - 1, None], path[ends + 1]] - edges[starts - 1, None] - edges[ends]
     )
-    # The minimum is the entry at the first cheapest gap, bit for bit.
     hits = np.flatnonzero(fits & (removal + insertion.min(axis=2) < 0))
     if not hits.size:
         return None
-    k, length = divmod(int(hits[0]), longest)
-    return lo + k, length + 1, int(insertion[k, length].argmin())
+    return divmod(int(hits[0]), ends.shape[1])
+
+
+def _first_move_through(
+    weights: np.ndarray, path: np.ndarray, hi: int, gaps: np.ndarray
+) -> Optional[Tuple[int, int, int]]:
+    """First Or-opt move with run start ``1 <= i < hi`` that improves through ``gaps``.
+
+    For runs that span none of ``gaps`` and that no other gap improves, as
+    after a move the runs :func:`_or_opt` does not scan again.  Such a run
+    improves iff one of ``gaps`` does: its entries are the very floats
+    :func:`_first_move` adds, and a float sum is monotone in each term.
+    Its cheapest gap is then the first cheapest of all its gaps, which one
+    row of :func:`_first_move`'s insertion costs finds.
+    """
+    starts, ends, fits = _run_indices(len(path) - 2, 1, hi)
+    edges = weights[path[:-1], path[1:]]
+    enter = weights[path[None, gaps], path[starts, None]]                 # (S, G)
+    leave = weights[path[ends, None], path[None, None, gaps + 1]]         # (S, L, G)
+    insertion = (enter[:, None, :] + leave) - edges[gaps]
+    hit = _first_improving_run(weights, path, edges, ends, fits, insertion)
+    if hit is None:
+        return None
+    k, length = hit
+    i, end = 1 + k, int(ends[k, length])
+    row = (weights[path[:-1], path[i]] + weights[path[end], path[1:]]) - edges
+    row[i - 1:end + 1] = np.inf
+    return i, length + 1, int(row.argmin())
+
+
+def _move_run(path: np.ndarray, move: Tuple[int, int, int]) -> Tuple[np.ndarray, np.ndarray]:
+    """``path`` with the run of ``move`` in its gap, and the gaps of the three new edges."""
+    i, length, gap = move
+    run = path[i:i + length]
+    rest = np.concatenate((path[:i], path[i + length:]))
+    if gap < i:
+        changed = (gap, gap + length, i + length - 1)
+        at = gap + 1
+    else:
+        changed = (i - 1, gap - length, gap)
+        at = gap + 1 - length
+    return np.concatenate((rest[:at], run, rest[at:])), np.array(changed, dtype=np.intp)
 
 
 def _or_opt(problem: GtspProblem, rows: np.ndarray) -> np.ndarray:
     """One first-improvement Or-opt pass over the path ``rows``.
 
-    Applies the first improving move of :func:`_first_move` and starts the
-    scan over, until no run of 1..:data:`OR_OPT_MAX_RUN` clusters has a
-    gap that strictly lowers the path cost.  Run starts are scanned in
-    blocks of :data:`OR_OPT_BLOCK`, each evaluated at once.
+    Applies the first improving move of :func:`_first_move`, in its
+    ranking, until no run of 1..:data:`OR_OPT_MAX_RUN` clusters has a gap
+    that strictly lowers the path cost.  Run starts are scanned in blocks
+    of :data:`OR_OPT_BLOCK`, each evaluated at once.
+
+    After a move the scan resumes instead of starting over (Bentley's
+    don't-look bits, made exact).  A move replaces three edges, the
+    earliest at gap ``min(gap, i - 1)``.  Every run that starts before the
+    block of the first run touching that gap spans no new edge and was not
+    improving before the move, so it can improve only through one of the
+    three new gaps: :func:`_first_move_through` re-prices those runs
+    against them alone.  Only if none improves does the block scan resume,
+    from that block.  The moves, and so the path, are those of a scan that
+    starts over at run 1 after every move.
     """
+    weights = problem._weights
     path = np.concatenate(([problem._begin], rows, [problem._end]))
     m = len(rows)
+    longest = min(OR_OPT_MAX_RUN, m - 1)
     lo = 1
     while lo <= m:
-        move = _first_move(problem._weights, path, lo, min(lo + OR_OPT_BLOCK, m + 1))
+        move = _first_move(weights, path, lo, min(lo + OR_OPT_BLOCK, m + 1))
         if move is None:
             lo += OR_OPT_BLOCK
-            continue
-        i, length, gap = move
-        run = path[i:i + length]
-        rest = np.concatenate((path[:i], path[i + length:]))
-        at = gap + 1 if gap < i else gap + 1 - length
-        path = np.concatenate((rest[:at], run, rest[at:]))
-        lo = 1
+        while move is not None:
+            path, changed = _move_run(path, move)
+            i, _, gap = move
+            lo = 1 + max(min(gap, i - 1) - longest, 0) // OR_OPT_BLOCK * OR_OPT_BLOCK
+            move = _first_move_through(weights, path, lo, changed) if lo > 1 else None
     return path[1:-1]
 
 

@@ -53,9 +53,25 @@ class LinearEncodingTransform(FermionQubitTransform):
     def __init__(self, gamma: np.ndarray):
         gamma = as_gf2(gamma)
         # Raises ValueError unless Γ is square and invertible over GF(2).
-        self._gamma_inverse = gf2_inverse(gamma)
-        super().__init__(gamma.shape[0])
+        self._bind(gamma, gf2_inverse(gamma))
+
+    @classmethod
+    def from_pair(cls, gamma: np.ndarray, gamma_inverse: np.ndarray) -> "LinearEncodingTransform":
+        """The transform of ``gamma``, taking ``gamma_inverse`` on trust.
+
+        Nothing is checked or inverted: the caller vouches that both are
+        ``n × n`` uint8 0/1 matrices and that ``gamma_inverse`` is the GF(2)
+        inverse of ``gamma``.  The Γ search builds its candidates this way,
+        carrying every block's inverse along its walk.
+        """
+        transform = cls.__new__(cls)
+        transform._bind(gamma, gamma_inverse)
+        return transform
+
+    def _bind(self, gamma: np.ndarray, gamma_inverse: np.ndarray) -> None:
+        FermionQubitTransform.__init__(self, gamma.shape[0])
         self.gamma = gamma
+        self._gamma_inverse = gamma_inverse
         self._jordan_wigner = JordanWignerTransform(self.n_modes)
 
     @property

@@ -33,6 +33,7 @@ from repro.core.gamma_search import (
 )
 from repro.transforms import (
     LinearEncodingTransform,
+    gf2_inverse,
     gf2_matmul,
     is_invertible,
     random_invertible_matrix,
@@ -133,10 +134,14 @@ class TestTopologyBlocks:
 class TestElementaryUpdate:
     @pytest.mark.parametrize("size", range(2, MAX_BLOCK_SIZE + 1))
     def test_adds_one_other_row_and_stays_invertible(self, size):
+        """One row gains another, and the carried inverse stays the block's
+        GF(2) inverse, step after step."""
         rng = np.random.default_rng(size)
         matrix = random_invertible_matrix(size, rng)
+        inverse = gf2_inverse(matrix)
         for _ in range(20):
-            updated = _random_elementary_update(matrix, rng)
+            updated, updated_inverse = matrix.copy(), inverse.copy()
+            _random_elementary_update(updated, updated_inverse, rng)
             changed = np.flatnonzero((updated != matrix).any(axis=1))
             assert len(changed) == 1
             row = changed[0]
@@ -146,7 +151,8 @@ class TestElementaryUpdate:
             ]
             assert sources
             assert is_invertible(updated)
-            matrix = updated
+            assert updated_inverse.tobytes() == gf2_inverse(updated).tobytes()
+            matrix, inverse = updated, updated_inverse
 
 
 class TestGammaSearch:
@@ -158,10 +164,12 @@ class TestGammaSearch:
         ]
         self.n_qubits = 8
 
-    def cost(self, gamma):
-        transform = LinearEncodingTransform(gamma)
+    def cost(self, transform):
         rotations = terms_to_rotations(self.terms, transform)
         return greedy_sort(rotations).cnot_count
+
+    def gamma_cost(self, gamma):
+        return self.cost(LinearEncodingTransform(gamma))
 
     def test_search_returns_invertible_gamma(self):
         result = search_block_diagonal_gamma(
@@ -172,7 +180,7 @@ class TestGammaSearch:
         assert result.cnot_count > 0
 
     def test_search_never_worse_than_identity(self):
-        identity_cost = self.cost(np.eye(self.n_qubits, dtype=np.uint8))
+        identity_cost = self.gamma_cost(np.eye(self.n_qubits, dtype=np.uint8))
         result = search_block_diagonal_gamma(
             self.terms, self.n_qubits, self.cost, n_steps=20,
             rng=np.random.default_rng(1),
@@ -182,7 +190,7 @@ class TestGammaSearch:
     def test_no_blocks_returns_identity(self):
         singles = [term((4,), (0,))]
         result = search_block_diagonal_gamma(
-            singles, 6, lambda gamma: 1.0, n_steps=5, rng=np.random.default_rng(2)
+            singles, 6, lambda transform: 1.0, n_steps=5, rng=np.random.default_rng(2)
         )
         assert np.array_equal(result.gamma, np.eye(6, dtype=np.uint8))
         assert result.blocks == []
@@ -191,9 +199,9 @@ class TestGammaSearch:
     def test_zero_steps_scores_the_identity_alone(self):
         calls = []
 
-        def cost(gamma):
-            calls.append(gamma.copy())
-            return self.cost(gamma)
+        def cost(transform):
+            calls.append(transform.gamma.copy())
+            return self.cost(transform)
 
         result = search_block_diagonal_gamma(
             self.terms, self.n_qubits, cost, n_steps=0, rng=np.random.default_rng(0)
@@ -203,16 +211,16 @@ class TestGammaSearch:
         assert np.array_equal(result.gamma, identity)
         assert len(calls) == 1 and np.array_equal(calls[0], identity)
         assert (result.n_steps, result.degraded) == (0, False)
-        assert result.cnot_count == self.cost(identity)
+        assert result.cnot_count == self.gamma_cost(identity)
 
     def test_search_effort_counts_every_energy_call(self):
         """The initial Γ and every proposal are scored once each, either by
         a distinct objective call or by a memo hit."""
         calls = []
 
-        def cost(gamma):
-            calls.append(gamma.tobytes())
-            return self.cost(gamma)
+        def cost(transform):
+            calls.append(transform.gamma.tobytes())
+            return self.cost(transform)
 
         result = search_block_diagonal_gamma(
             self.terms, self.n_qubits, cost, n_steps=25,
@@ -224,7 +232,7 @@ class TestGammaSearch:
     def test_blocks_are_capped_at_the_module_size(self):
         chain = [term((i + 8, i + 9), (i, i + 1)) for i in range(7)]
         result = search_block_diagonal_gamma(
-            chain, 16, lambda gamma: float(gamma.sum()), n_steps=5,
+            chain, 16, lambda transform: float(transform.gamma.sum()), n_steps=5,
             rng=np.random.default_rng(5),
         )
         assert result.blocks == excitation_topology_blocks(chain, 16)
@@ -235,9 +243,9 @@ class TestGammaSearch:
         still accept worse candidates, and the best stays the identity."""
         scored = []
 
-        def cost(gamma):
-            scored.append(gamma.sum())
-            return float(gamma.sum())
+        def cost(transform):
+            scored.append(transform.gamma.sum())
+            return float(transform.gamma.sum())
 
         result = search_block_diagonal_gamma(
             self.terms, self.n_qubits, cost, n_steps=30, rng=np.random.default_rng(6)
@@ -251,7 +259,7 @@ class TestGammaSearch:
             self.terms, self.n_qubits, self.cost, n_steps=15,
             rng=np.random.default_rng(3),
         )
-        assert np.isclose(result.cnot_count, self.cost(result.gamma))
+        assert np.isclose(result.cnot_count, self.gamma_cost(result.gamma))
 
 
 def reference_walk(blocks, n_qubits, cost, n_steps, rng):
@@ -307,9 +315,9 @@ class TestAnnealingWalk:
     def test_matches_the_reference_walk_draw_for_draw(self, seed, n_steps):
         scored = []
 
-        def cost(gamma):
-            scored.append(gamma.tobytes())
-            return self.cost(gamma)
+        def cost(transform):
+            scored.append(transform.gamma.tobytes())
+            return self.cost(transform.gamma)
 
         rng = np.random.default_rng(seed)
         result = search_block_diagonal_gamma(self.TERMS, 8, cost, n_steps=n_steps, rng=rng)
@@ -416,10 +424,10 @@ class TestGreedySortingCost:
                 terms, LinearEncodingTransform(candidate), parameters
             )
             if not rotations:
-                assert cost(candidate) == 0.0
+                assert cost(LinearEncodingTransform(candidate)) == 0.0
                 continue
             ordered, expected = vertex_matrix_walk(rotations, topology)
-            assert cost(candidate) == expected
+            assert cost(LinearEncodingTransform(candidate)) == expected
             result = greedy_sort(rotations, topology=topology)
             assert result.ordered_rotations == ordered
             assert result.objective() == expected
@@ -473,7 +481,7 @@ class TestGreedySortingCost:
     def test_all_rotations_dropped_costs_zero(self):
         terms = [term((4, 6), (0, 2)), term((5,), (1,))]
         cost = GreedySortingCost(terms, 8, parameters=[0.0, 0.0])
-        assert cost(np.eye(8, dtype=np.uint8)) == 0.0
+        assert cost(LinearEncodingTransform(np.eye(8, dtype=np.uint8))) == 0.0
 
     def test_parameter_count_checked(self):
         with pytest.raises(ValueError, match="one parameter per excitation term"):

@@ -212,9 +212,9 @@ class TestBatchedAgainstScalar:
     ))
     @settings(max_examples=60, deadline=None)
     def test_rows_match_pairs(self, label_list):
-        """One-vertex rows equal the pair matrix on every same-target pair,
-        and the scalar rule's interface-CNOT cap never binds there: a saving
-        is at most 2 both ≤ w_i + w_j - 2."""
+        """Rows of the per-target tables equal the pair matrix on every
+        same-target pair, and the scalar rule's interface-CNOT cap never
+        binds there: a saving is at most 2 both ≤ w_i + w_j - 2."""
         strings = [PauliString(label) for label in label_list]
         vertices = [(i, t) for i, string in enumerate(strings) for t in string.support]
         if not vertices:
@@ -223,7 +223,7 @@ class TestBatchedAgainstScalar:
         matrix = savings.pairs(*zip(*vertices))
         weights = weight_vector(strings)
         for a, (i, t) in enumerate(vertices):
-            row = savings.row(i, t)
+            row = savings.on_target(t)[i]
             for b, (j, u) in enumerate(vertices):
                 if u != t:
                     continue
@@ -309,7 +309,7 @@ class TestBatchedAgainstScalar:
         import weakref
 
         packed = PackedPaulis.from_strings([PauliString("XZ"), PauliString("ZX")])
-        packed.same_target_savings.row(0, 0)
+        packed.same_target_savings.on_target(0)
         alive = weakref.ref(packed)
         enabled = gc.isenabled()
         gc.disable()
@@ -322,13 +322,13 @@ class TestBatchedAgainstScalar:
 
     def test_tables_built_for_rows_only(self):
         """``pairs``, ``blocks`` and ``consecutive`` count their pairs from
-        the planes; the (m, m) tables appear on the first ``row``."""
+        the planes; the (m, m) tables appear on the first ``on_target``."""
         savings = SameTargetSavings([PauliString("XZ"), PauliString("XX"), PauliString("ZX")])
         savings.consecutive([0, 1, 2], [0, 0, 1])
         savings.blocks(([0, 1], [0, 0]), ([1, 0], [0, 0]), [2])
         savings.pairs([0, 1, 2], [0, 0, 1])
         assert "tables" not in vars(savings)
-        savings.row(0, 0)
+        savings.on_target(0)
         assert "tables" in vars(savings)
 
 
@@ -348,7 +348,7 @@ class TestSameTargetSavings:
     )
     def test_worked_rows(self, source, other, target, saving):
         savings = SameTargetSavings([PauliString(source), PauliString(other)])
-        assert savings.row(0, target)[1] == saving
+        assert savings.on_target(target)[0, 1] == saving
 
     def test_tables_on_the_diagonal(self):
         strings = [PauliString(label) for label in ("XIZY", "IIZI", "YYYY")]
@@ -369,7 +369,7 @@ class TestSameTargetSavings:
         packed = SameTargetSavings(PackedPaulis.from_strings(strings))
         for name in ("both", "equal", "letters"):
             assert np.array_equal(getattr(direct, name), getattr(packed, name))
-        assert np.array_equal(direct.row(1, 2), packed.row(1, 2))
+        assert np.array_equal(direct.on_target(2), packed.on_target(2))
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,8 @@ def anneal(seed=0, max_steps=None):
     """Run the Γ search on 8 qubits; returns the result and the Γ bytes scored."""
     scored = []
 
-    def cost(gamma):
+    def cost(transform):
+        gamma = transform.gamma
         scored.append(gamma.tobytes())
         return float(gamma.sum() + 3 * gamma[:4, 4:].sum())
 

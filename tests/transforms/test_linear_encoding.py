@@ -49,6 +49,28 @@ class TestConstruction:
         assert transform.transform(op) == jordan_wigner(op, n_modes=3)
 
 
+class TestTrustedPair:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_from_pair_transforms_as_the_checked_constructor(self, seed, monkeypatch):
+        """Given Γ and its inverse, ``from_pair`` inverts nothing and maps
+        operators and planes exactly as ``LinearEncodingTransform(Γ)``."""
+        import repro.transforms.linear_encoding as linear_encoding
+
+        n = 5
+        gamma = random_invertible_matrix(n, np.random.default_rng(seed))
+        checked = LinearEncodingTransform(gamma)
+        op = random_hermitian_fermion_operator(n, seed)
+
+        def no_inversion(matrix):
+            raise AssertionError("from_pair must not invert Γ")
+
+        monkeypatch.setattr(linear_encoding, "gf2_inverse", no_inversion)
+        trusted = LinearEncodingTransform.from_pair(checked.gamma, checked._gamma_inverse)
+        assert type(trusted) is LinearEncodingTransform
+        assert trusted.n_modes == n and trusted.gamma is checked.gamma
+        assert trusted.transform(op) == checked.transform(op)
+
+
 class TestEmptyImages:
     """An operator whose JW image has no strings keeps its register size."""
 
