@@ -2,11 +2,13 @@
 
 Hartree-Fock solutions and HMP2 term lists are computed once per session and
 cached, so individual benchmarks measure only the compilation / simulation
-stage they target.
+stage they target.  ``tests/`` goes on the import path, so the harnesses
+import the test tree's oracle modules (``operator_oracle``) as the tests do.
 """
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,9 @@ from repro.vqe import hmp2_ranked_terms
 
 
 BENCHMARKS_DIR = Path(__file__).parent
+TESTS_DIR = str(BENCHMARKS_DIR.parent / "tests")
+if TESTS_DIR not in sys.path:
+    sys.path.insert(0, TESTS_DIR)
 
 
 def pytest_collection_modifyitems(items):

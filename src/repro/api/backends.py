@@ -36,8 +36,8 @@ from repro.hardware import (
 from repro.operators import PauliString
 from repro.transforms import (
     BravyiKitaevTransform,
-    FermionQubitTransform,
     JordanWignerTransform,
+    LinearEncodingTransform,
 )
 
 
@@ -109,7 +109,7 @@ class NaiveTransformBackend:
     def __init__(
         self,
         name: str,
-        transform_factory: Callable[[int], FermionQubitTransform],
+        transform_factory: Callable[[int], LinearEncodingTransform],
     ):
         self._name = name
         self._transform_factory = transform_factory

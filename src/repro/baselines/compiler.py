@@ -31,7 +31,7 @@ from repro.core.hybrid_encoding import BOSONIC_TERM_CNOT_COST
 from repro.core.terms_to_paulis import RotationPlanes, required_qubits, terms_to_rotations
 from repro.operators import PauliString
 from repro.optimizers import binary_particle_swarm
-from repro.transforms import FermionQubitTransform, LinearEncodingTransform, identity_matrix
+from repro.transforms import LinearEncodingTransform, identity_matrix
 from repro.vqe import ExcitationTerm
 
 #: One compiled exponential: (string, angle, target).
@@ -181,7 +181,7 @@ class BaselineCompiler:
 
 def naive_rotation_sequence(
     terms: Sequence[ExcitationTerm],
-    transform: FermionQubitTransform,
+    transform: LinearEncodingTransform,
     parameters: Optional[Sequence[float]] = None,
 ) -> List[TargetedRotation]:
     """The exact ``(string, angle, target)`` sequence the naive flow compiles.
@@ -199,7 +199,7 @@ def naive_rotation_sequence(
 
 def naive_cnot_count(
     terms: Sequence[ExcitationTerm],
-    transform: FermionQubitTransform,
+    transform: LinearEncodingTransform,
     parameters: Optional[Sequence[float]] = None,
 ) -> int:
     """Reference compilation used for the JW and BK columns of Table I.

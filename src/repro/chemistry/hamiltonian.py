@@ -17,21 +17,21 @@ the ordering the paper's hybrid encoding assumes when it compresses the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.chemistry.hartree_fock import ScfNotConvergedError, ScfResult
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
-from repro.operators import FermionOperator
 
 #: Hamiltonian memo-cache traffic (per-ScfResult caches, global counters).
 _HAMILTONIAN_HITS = get_metrics().counter("chemistry.hamiltonian.cache_hits")
 _HAMILTONIAN_MISSES = get_metrics().counter("chemistry.hamiltonian.cache_misses")
 
-#: Integrals smaller than this are dropped when building operators.
+#: Integrals at or below this magnitude are dropped when building operators
+#: (:func:`repro.simulator.hamiltonian_sparse_matrix`).
 INTEGRAL_TOLERANCE = 1e-10
 
 
@@ -73,27 +73,6 @@ class MolecularHamiltonian:
     def virtual_spin_orbitals(self) -> Tuple[int, ...]:
         """Spin orbitals empty in the Hartree-Fock reference determinant."""
         return tuple(range(self.n_electrons, self.n_spin_orbitals))
-
-    def to_fermion_operator(self) -> FermionOperator:
-        """Export the Hamiltonian as a :class:`FermionOperator`."""
-        operator = FermionOperator.identity(self.constant)
-        n = self.n_spin_orbitals
-        for p in range(n):
-            for q in range(n):
-                coefficient = self.one_body[p, q]
-                if abs(coefficient) > INTEGRAL_TOLERANCE:
-                    operator += FermionOperator(((p, True), (q, False)), coefficient)
-        for p in range(n):
-            for q in range(n):
-                for r in range(n):
-                    for s in range(n):
-                        coefficient = 0.5 * self.two_body[p, q, r, s]
-                        if abs(coefficient) > INTEGRAL_TOLERANCE:
-                            operator += FermionOperator(
-                                ((p, True), (q, True), (s, False), (r, False)),
-                                coefficient,
-                            )
-        return operator
 
 
 def mo_one_body_integrals(scf: ScfResult) -> np.ndarray:

@@ -8,8 +8,8 @@ transform and keeps track of the rotation angles (the variational parameters
 
 The scalar reference, ``excitation_to_rotations`` in
 ``tests/core/test_terms_to_paulis.py``, builds the generator ``θ (T − T†)``
-as a :class:`~repro.operators.FermionOperator` and multiplies its
-:class:`~repro.operators.QubitOperator` image out.
+as a dict of ladder-operator products and multiplies its Pauli-dict image
+out with the test tree's operator algebra.
 :func:`terms_to_rotations`, which every compiler calls, multiplies nothing
 and returns :class:`RotationPlanes`, the rotations on packed bit-planes that
 the sorts and the Γ search read; they unpack into :class:`PauliRotation`
@@ -39,8 +39,8 @@ generator is not anti-hermitian; it raises :class:`ValueError` as the
 reference does.
 
 **Linear encodings only.**  A transform must be a
-:class:`~repro.transforms.JordanWignerTransform` or a
-:class:`~repro.transforms.LinearEncodingTransform`.  For ``Γ ≠ I`` the whole
+:class:`~repro.transforms.LinearEncodingTransform` (Jordan-Wigner is the
+one with ``Γ = I``).  For ``Γ ≠ I`` the whole
 request's Jordan-Wigner planes are mapped by one
 :meth:`~repro.transforms.LinearEncodingTransform.conjugate_planes` call,
 which applies the Y-count sign rule; every term's strings are then put in
@@ -53,17 +53,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.operators import PackedPaulis, PauliString, lexicographic_order
 from repro.operators.symplectic import WORD_BITS
-from repro.transforms import (
-    FermionQubitTransform,
-    JordanWignerTransform,
-    LinearEncodingTransform,
-)
+from repro.transforms import LinearEncodingTransform
 from repro.vqe import ExcitationTerm
 
 #: Imaginary-coefficient tolerance when extracting rotation angles.
@@ -139,9 +135,7 @@ class RotationPlanes(Sequence[PauliRotation]):
         columns = (self.strings.to_strings(), self.angles.tolist(), self.term_index.tolist())
         return list(map(PauliRotation, *columns))
 
-    def encoded(
-        self, transform: Union[JordanWignerTransform, LinearEncodingTransform]
-    ) -> "RotationPlanes":
+    def encoded(self, transform: LinearEncodingTransform) -> "RotationPlanes":
         """Jordan-Wigner planes mapped by Γ, each term's rows in label order.
 
         For ``Γ ≠ I`` the planes go through one
@@ -151,7 +145,7 @@ class RotationPlanes(Sequence[PauliRotation]):
         :func:`terms_to_rotations` returns under ``transform``.
         """
         strings, angles = self.strings, self.angles
-        if isinstance(transform, LinearEncodingTransform) and not transform.is_identity_encoding:
+        if not transform.is_identity_encoding:
             strings, signs = transform.conjugate_planes(strings)
             angles = signs * angles
         order = lexicographic_order(strings, groups=self.term_index)
@@ -176,8 +170,8 @@ def _term_planes(
     :data:`ANGLE_TOLERANCE` raises :class:`ValueError`, which the caller
     prefixes with the term.
     """
-    # T = a†_p (a†_q) (a_s) a_r as in ExcitationTerm.excitation_operator,
-    # and T† reverses it with every dagger flipped.
+    # T = a†_p (a†_q) (a_s) a_r, the index order of the simulator's UCC
+    # generators, and T† reverses it with every dagger flipped.
     ladders = [(mode, True) for mode in creation]
     ladders += [(mode, False) for mode in reversed(annihilation)]
     x, z, base_t, annihilated_t = _ladder_product(ladders)
@@ -264,7 +258,7 @@ def jordan_wigner_rotations(
 
 def terms_to_rotations(
     terms: Sequence[ExcitationTerm],
-    transform: FermionQubitTransform,
+    transform: LinearEncodingTransform,
     parameters: Optional[Sequence[float]] = None,
 ) -> RotationPlanes:
     """Expand an ordered list of excitation terms into Pauli rotations.
@@ -273,12 +267,10 @@ def terms_to_rotations(
     reference (module docstring) over the terms returns — the same
     strings, angles, term indices and order — from the closed-form kernel
     :func:`jordan_wigner_rotations` and :meth:`RotationPlanes.encoded`.
-    ``transform`` must be a linear encoding (a
-    :class:`~repro.transforms.JordanWignerTransform` or
-    :class:`~repro.transforms.LinearEncodingTransform`); any other transform
-    raises :class:`TypeError`.
+    ``transform`` must be a :class:`~repro.transforms.LinearEncodingTransform`
+    (Jordan-Wigner included); any other transform raises :class:`TypeError`.
     """
-    if not isinstance(transform, (JordanWignerTransform, LinearEncodingTransform)):
+    if not isinstance(transform, LinearEncodingTransform):
         raise TypeError(
             f"terms_to_rotations needs a linear encoding, not {type(transform).__name__}"
         )

@@ -1,11 +1,7 @@
-"""Operator algebra substrate: fermionic ladder operators and Pauli/qubit operators.
+"""The one Pauli representation: symplectic bit-planes.
 
-This subpackage provides the second-quantized and qubit-operator data
-structures that every other layer of the library builds on:
+Every layer of the library that handles Pauli strings builds on these:
 
-* :class:`~repro.operators.fermion.FermionOperator` — sums of products of
-  fermionic creation/annihilation operators with complex coefficients,
-  supporting normal ordering and hermitian conjugation.
 * :class:`~repro.operators.pauli.PauliString` — an immutable n-qubit Pauli
   string (tensor product of I/X/Y/Z) stored symplectically (bit-packed X/Z
   masks) with multiplication, commutation and sparse-matrix export.
@@ -13,13 +9,13 @@ structures that every other layer of the library builds on:
   into ``uint64`` bit-planes for vectorized scans, among them
   :class:`~repro.operators.symplectic.SameTargetSavings`, the batched
   Sec. III-B interface savings every sort decision reads.
-* :class:`~repro.operators.qubit.QubitOperator` — complex linear combinations
-  of Pauli strings with full algebra.
+
+Fermionic operators never appear as objects: the compiler expands excitation
+terms on these planes in closed form, and the simulator builds its matrices
+from ladder-operator products on basis-index bit masks.
 """
 
-from repro.operators.fermion import FermionOperator, FermionTerm
 from repro.operators.pauli import PauliString
-from repro.operators.qubit import QubitOperator
 from repro.operators.symplectic import (
     PackedPaulis,
     SameTargetSavings,
@@ -31,11 +27,8 @@ from repro.operators.symplectic import (
 )
 
 __all__ = [
-    "FermionOperator",
-    "FermionTerm",
     "PackedPaulis",
     "PauliString",
-    "QubitOperator",
     "SameTargetSavings",
     "lexicographic_order",
     "linear_encoding_image",

@@ -23,9 +23,8 @@ so ``P1 · P2 = phase · P3`` with ``phase ∈ {±1, ±i}``.
 The public label API is unchanged: labels read qubit 0 first, matrix exports
 place qubit 0 as the most significant bit of the computational-basis index,
 and equality/hash/ordering coincide with the historical label-tuple
-semantics (lexicographic in ``I < X < Y < Z``), so strings remain hashable
-dictionary keys inside :class:`~repro.operators.qubit.QubitOperator` and sort
-deterministically when building circuits.
+semantics (lexicographic in ``I < X < Y < Z``), so strings are hashable
+dictionary keys and sort deterministically when building circuits.
 """
 
 from __future__ import annotations
@@ -326,9 +325,7 @@ class PauliString:
         ``P|b⟩ = i^{|Y|} (-1)^{|z ∧ b|} |b ⊕ x⟩`` (index bit order, qubit 0
         most significant).  The return arrays give, for every basis column
         ``c``, the single non-zero row ``rows[c] = c ⊕ x`` and its value
-        ``values[c]``.  This is the one kernel behind :meth:`to_sparse`,
-        :meth:`QubitOperator.to_sparse` and the simulator's matrix-free
-        :func:`~repro.simulator.statevector.apply_pauli_string`.
+        ``values[c]``.  This is the kernel behind :meth:`to_sparse`.
         """
         dim = 1 << self._n
         columns = np.arange(dim, dtype=np.int64)

@@ -5,19 +5,16 @@ from repro.simulator.exact import (
     GroundStateResult,
     fci_ground_state_energy,
     ground_state,
+    hamiltonian_sparse_matrix,
     is_chemically_accurate,
 )
 from repro.simulator.statevector import (
     apply_exponential,
-    apply_pauli_string,
-    apply_qubit_operator,
     basis_state,
     expectation_value,
-    fermion_sparse,
     hartree_fock_state,
+    ladder_sparse,
     normalize,
-    number_operator_sparse,
-    operator_sparse,
     particle_number,
     state_fidelity,
 )
@@ -27,17 +24,14 @@ __all__ = [
     "GroundStateResult",
     "ground_state",
     "fci_ground_state_energy",
+    "hamiltonian_sparse_matrix",
     "is_chemically_accurate",
     "basis_state",
     "hartree_fock_state",
     "expectation_value",
     "apply_exponential",
-    "apply_pauli_string",
-    "apply_qubit_operator",
-    "fermion_sparse",
+    "ladder_sparse",
     "normalize",
-    "number_operator_sparse",
     "particle_number",
-    "operator_sparse",
     "state_fidelity",
 ]

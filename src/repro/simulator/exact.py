@@ -8,16 +8,15 @@ threshold) is measured.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
 from repro.chemistry import MolecularHamiltonian
-from repro.operators import QubitOperator
-from repro.simulator.statevector import number_operator_sparse, operator_sparse
-from repro.transforms import jordan_wigner
+from repro.chemistry.hamiltonian import INTEGRAL_TOLERANCE
+from repro.simulator.statevector import ladder_sparse, occupations
 
 #: Chemical accuracy threshold in Hartree (1 kcal/mol).
 CHEMICAL_ACCURACY = 1.6e-3
@@ -32,35 +31,23 @@ class GroundStateResult:
 
 
 def ground_state(
-    operator: Union[QubitOperator, sparse.spmatrix],
-    n_particles: Optional[int] = None,
-    n_qubits: Optional[int] = None,
+    operator: sparse.spmatrix, n_particles: Optional[int] = None
 ) -> GroundStateResult:
     """Lowest eigenpair of a qubit Hamiltonian, optionally in a particle-number sector.
 
     Parameters
     ----------
     operator:
-        Hermitian qubit operator or sparse matrix.
+        Hermitian sparse matrix on a register of ``log2(dim)`` qubits.
     n_particles:
         If given, the Hamiltonian is restricted to the subspace with that
         total Jordan-Wigner particle number before diagonalization.
-    n_qubits:
-        Register size; required when ``operator`` is a raw sparse matrix and a
-        particle sector is requested.
     """
-    if isinstance(operator, QubitOperator):
-        n_qubits = operator.n_qubits
-    matrix = operator_sparse(operator)
+    matrix = sparse.csr_matrix(operator)
     dim = matrix.shape[0]
 
     if n_particles is not None:
-        if n_qubits is None:
-            n_qubits = int(np.log2(dim))
-        # Vectorized popcount over all basis indices (the pure-Python
-        # bin().count() loop was O(2**n) interpreter work per call).
-        occupations = np.bitwise_count(np.arange(dim, dtype=np.uint64))
-        sector = np.where(occupations == n_particles)[0]
+        sector = np.flatnonzero(occupations(dim.bit_length() - 1) == n_particles)
         if sector.size == 0:
             raise ValueError(f"no basis states with {n_particles} particles")
         matrix = matrix[np.ix_(sector, sector)]
@@ -83,13 +70,32 @@ def _lowest_eigenpair(matrix: sparse.spmatrix) -> Tuple[float, np.ndarray]:
     return float(eigenvalues[0]), eigenvectors[:, 0]
 
 
+def hamiltonian_sparse_matrix(hamiltonian: MolecularHamiltonian) -> sparse.csr_matrix:
+    """Jordan-Wigner sparse matrix of a molecular Hamiltonian.
+
+    The ladder products are ``a†_p a_q`` and ``a†_p a†_q a_s a_r`` with
+    coefficients ``h_pq`` and ``½ ⟨pq|rs⟩``, each kept only above
+    :data:`~repro.chemistry.hamiltonian.INTEGRAL_TOLERANCE`, plus the constant.
+    """
+    one_body = hamiltonian.one_body
+    two_body = 0.5 * hamiltonian.two_body
+    products = [((), hamiltonian.constant)]
+    for p, q in _significant(one_body):
+        products.append((((p, True), (q, False)), one_body[p, q]))
+    for p, q, r, s in _significant(two_body):
+        products.append((((p, True), (q, True), (s, False), (r, False)), two_body[p, q, r, s]))
+    return ladder_sparse(products, hamiltonian.n_spin_orbitals)
+
+
+def _significant(integrals: np.ndarray):
+    """Index tuples of the entries above the tolerance, in C order."""
+    return zip(*(axis.tolist() for axis in np.nonzero(np.abs(integrals) > INTEGRAL_TOLERANCE)))
+
+
 def fci_ground_state_energy(hamiltonian: MolecularHamiltonian) -> float:
     """Exact ground-state energy of a molecular Hamiltonian in its particle sector."""
-    qubit_hamiltonian = jordan_wigner(
-        hamiltonian.to_fermion_operator(), n_modes=hamiltonian.n_spin_orbitals
-    )
-    result = ground_state(qubit_hamiltonian, n_particles=hamiltonian.n_electrons)
-    return result.energy
+    matrix = hamiltonian_sparse_matrix(hamiltonian)
+    return ground_state(matrix, n_particles=hamiltonian.n_electrons).energy
 
 
 def is_chemically_accurate(energy: float, reference: float) -> bool:

@@ -6,24 +6,24 @@ exact sparse statevector simulation.  Qubit ``0`` is the most significant bit
 of the computational-basis index, matching the convention of
 :meth:`repro.operators.pauli.PauliString.to_sparse`.
 
-Pauli strings act on statevectors as signed index permutations
-(``P|b⟩ = i^{|Y|} (-1)^{|z ∧ b|} |b ⊕ x⟩``), so
-:func:`apply_pauli_string` / :func:`apply_qubit_operator` and the
-:class:`~repro.operators.qubit.QubitOperator` branch of
-:func:`expectation_value` never materialize an operator matrix.
+Every operator the simulator needs — the molecular Hamiltonian and each UCC
+generator ``T − T†`` — is a sum of products of fermionic ladder operators, and
+:func:`ladder_sparse` builds its Jordan-Wigner matrix directly on the bit
+masks of the basis indices.  The particle number is the popcount of the
+basis index, so it needs no matrix at all.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Dict, Iterable, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import sparse as sp
 from scipy.sparse import spmatrix
 from scipy.sparse.linalg import expm_multiply
 
-from repro.operators import FermionOperator, PauliString, QubitOperator
-from repro.transforms import jordan_wigner
+#: A product of ladder operators, ``(mode, is_creation)`` pairs applied right to left.
+LadderProduct = Sequence[Tuple[int, bool]]
 
 
 def basis_state(
@@ -66,58 +66,17 @@ def hartree_fock_state(
     return basis_state(n_qubits, range(n_electrons), sparse=sparse)
 
 
-def operator_sparse(operator: Union[QubitOperator, spmatrix]) -> sp.csr_matrix:
-    """Coerce a qubit operator (or an already-sparse matrix) to CSR form."""
-    if isinstance(operator, QubitOperator):
-        return operator.to_sparse()
-    return sp.csr_matrix(operator)
-
-
-def apply_pauli_string(
-    string: PauliString, state: np.ndarray, coefficient: complex = 1.0
-) -> np.ndarray:
-    """Return ``coefficient · P |state⟩`` without building a matrix.
-
-    The Pauli string permutes basis indices by XOR with its X mask (in index
-    bit order) and multiplies each amplitude by ``i^{|Y|} (-1)^{|z ∧ b|}``.
-    """
-    state = np.asarray(state, dtype=complex).reshape(-1)
-    if state.size != 2 ** string.n_qubits:
-        raise ValueError("operator and state dimensions do not match")
-    rows, values = string.signed_permutation()
-    # out[rows[c]] = values[c] * state[c]; XOR permutations are involutions,
-    # so gathering through `rows` scatters to the right places.
-    return coefficient * (values * state)[rows]
-
-
-def apply_qubit_operator(operator: QubitOperator, state: np.ndarray) -> np.ndarray:
-    """Return ``operator |state⟩`` as a sum of permutation applications."""
-    state = np.asarray(state, dtype=complex).reshape(-1)
-    if state.size != 2 ** operator.n_qubits:
-        raise ValueError("operator and state dimensions do not match")
-    result = np.zeros_like(state)
-    for string, coefficient in operator.terms.items():
-        result += apply_pauli_string(string, state, coefficient)
-    return result
-
-
-def expectation_value(
-    operator: Union[QubitOperator, spmatrix], state: np.ndarray
-) -> float:
+def expectation_value(operator: spmatrix, state: np.ndarray) -> float:
     """Real part of ``⟨state| operator |state⟩``."""
     state = np.asarray(state, dtype=complex).reshape(-1)
-    if isinstance(operator, QubitOperator):
-        if 2 ** operator.n_qubits != state.size:
-            raise ValueError("operator and state dimensions do not match")
-        return float(np.real(np.vdot(state, apply_qubit_operator(operator, state))))
-    matrix = operator_sparse(operator)
+    matrix = sp.csr_matrix(operator)
     if matrix.shape[0] != state.size:
         raise ValueError("operator and state dimensions do not match")
     return float(np.real(np.vdot(state, matrix @ state)))
 
 
 def apply_exponential(
-    generator: Union[QubitOperator, spmatrix],
+    generator: spmatrix,
     state: np.ndarray,
     scale: float = 1.0,
 ) -> np.ndarray:
@@ -126,7 +85,7 @@ def apply_exponential(
     ``generator`` is typically the anti-hermitian image ``θ (T - T†)`` of a
     UCC excitation term, so the result stays normalized.
     """
-    matrix = operator_sparse(generator)
+    matrix = sp.csr_matrix(generator)
     state = np.asarray(state, dtype=complex).reshape(-1)
     if matrix.shape[0] != state.size:
         raise ValueError("generator and state dimensions do not match")
@@ -144,22 +103,79 @@ def normalize(state: np.ndarray) -> np.ndarray:
     return state / norm
 
 
-def fermion_sparse(operator: FermionOperator, n_modes: int) -> sp.csr_matrix:
-    """Sparse matrix of a fermionic operator under the Jordan-Wigner encoding."""
-    return jordan_wigner(operator, n_modes=n_modes).to_sparse()
+def ladder_sparse(
+    products: Iterable[Tuple[LadderProduct, complex]], n_modes: int
+) -> sp.csr_matrix:
+    """Jordan-Wigner matrix of ``Σ coefficient · product`` on ``n_modes`` modes.
 
+    Mode ``j`` is index bit ``n_modes − 1 − j``.  ``a_j`` maps ``|b⟩`` to
+    ``(−1)^{occupied modes below j} |b ⊕ bit_j⟩`` when mode ``j`` is occupied
+    and to zero otherwise; ``a†_j`` needs it empty.  Walking a product right
+    to left on masks instead of states gives its action in closed form.  Each
+    factor tests occupancy (fixing one bit of ``b`` in ``required``), flips its
+    bit (``flip``) and reads the lower modes of ``b ⊕ flip``, which is the
+    parity of ``b ∧ lower`` plus that of ``flip ∧ lower``.  So the product is
+    non-zero exactly on the ``b`` whose touched bits equal ``required``, maps
+    them to ``b ⊕ flip`` and signs them by ``(−1)^{|b ∧ sign_mask|}`` times a
+    constant.  Products with the same masks add their coefficients first, and
+    every set of touched modes enumerates its basis states once.
+    """
+    full = (1 << n_modes) - 1
+    # touched modes -> (required, flip, sign_mask) -> summed coefficient
+    groups: Dict[int, Dict[Tuple[int, int, int], complex]] = {}
+    for product, coefficient in products:
+        touched = required = flip = sign_mask = negative = 0
+        for mode, is_creation in reversed(product):
+            if not 0 <= mode < n_modes:
+                raise ValueError(f"mode {mode} out of range for {n_modes} modes")
+            bit = 1 << (n_modes - 1 - mode)
+            need = (0 if is_creation else bit) ^ (flip & bit)
+            if touched & bit and (required & bit) != need:
+                break  # a repeated a_j or a†_j: the product vanishes
+            touched |= bit
+            required |= need
+            lower = full ^ ((bit << 1) - 1)
+            negative ^= (flip & lower).bit_count() & 1
+            sign_mask ^= lower
+            flip ^= bit
+        else:
+            group = groups.setdefault(touched, {})
+            key = (required, flip, sign_mask)
+            group[key] = group.get(key, 0) + (-coefficient if negative else coefficient)
 
-def number_operator_sparse(n_qubits: int) -> sp.csr_matrix:
-    """Sparse total particle-number operator in the Jordan-Wigner encoding."""
-    total = FermionOperator.zero()
-    for mode in range(n_qubits):
-        total += FermionOperator.number(mode)
-    return fermion_sparse(total, n_qubits)
+    dim = 1 << n_modes
+    basis = np.arange(dim, dtype=np.int64)
+    rows, columns, values = [], [], []
+    for touched, group in groups.items():
+        masks = np.array(list(group), dtype=np.int64)
+        states = basis[(basis & touched) == 0] | masks[:, :1]
+        signs = 1.0 - 2.0 * (np.bitwise_count(states & masks[:, 2:]) & 1)
+        coefficients = np.array(list(group.values()), dtype=complex)
+        columns.append(states.ravel())
+        rows.append((states ^ masks[:, 1:2]).ravel())
+        values.append((coefficients[:, None] * signs).ravel())
+    if not values:
+        return sp.csr_matrix((dim, dim), dtype=complex)
+    return sp.csr_matrix(
+        (np.concatenate(values), (np.concatenate(rows), np.concatenate(columns))),
+        shape=(dim, dim),
+    )
 
 
 def particle_number(state: np.ndarray, n_qubits: int) -> float:
-    """Expectation of the total particle number in a Jordan-Wigner encoded state."""
-    return expectation_value(number_operator_sparse(n_qubits), state)
+    """Expectation of the total particle number in a Jordan-Wigner encoded state.
+
+    The number operator is diagonal: its value on ``|b⟩`` is the popcount of ``b``.
+    """
+    state = np.asarray(state, dtype=complex).reshape(-1)
+    if state.size != 2 ** n_qubits:
+        raise ValueError("state does not match the register size")
+    return float(np.abs(state) ** 2 @ occupations(n_qubits))
+
+
+def occupations(n_qubits: int) -> np.ndarray:
+    """Jordan-Wigner particle number of every basis index: its popcount."""
+    return np.bitwise_count(np.arange(2 ** n_qubits, dtype=np.uint64))
 
 
 def state_fidelity(state_a: np.ndarray, state_b: np.ndarray) -> float:

@@ -1,12 +1,13 @@
 """Fermion-to-qubit transformations and the GF(2) matrices behind them.
 
-Exports the Jordan-Wigner, Bravyi-Kitaev, parity and generalized
-(Γ-conjugated) transforms along with the binary-matrix utilities they are
-built from.  A linear encoding applies Γ to the Jordan-Wigner image as a
-signed GF(2) map of the Pauli planes; no CNOT network is built or walked.
+Every transform is a :class:`LinearEncodingTransform`: Jordan-Wigner is
+Γ = I, and Bravyi-Kitaev, parity and the paper's generalized (Γ-conjugated)
+encodings are other invertible Γ.  A transform maps Jordan-Wigner Pauli
+planes by Γ with a closed-form sign (:meth:`LinearEncodingTransform.conjugate_planes`);
+no CNOT network is built or walked and no operator dict is multiplied.  The
+binary-matrix utilities the encodings are built from are exported too.
 """
 
-from repro.transforms.base import FermionQubitTransform
 from repro.transforms.binary import (
     block_diagonal,
     bravyi_kitaev_matrix,
@@ -23,26 +24,18 @@ from repro.transforms.binary import (
     random_invertible_matrix,
     random_upper_triangular_matrix,
 )
-from repro.transforms.jordan_wigner import JordanWignerTransform, jordan_wigner
 from repro.transforms.linear_encoding import (
     BravyiKitaevTransform,
+    JordanWignerTransform,
     LinearEncodingTransform,
     ParityTransform,
-    bravyi_kitaev,
-    generalized_transform,
-    parity_transform,
 )
 
 __all__ = [
-    "FermionQubitTransform",
     "JordanWignerTransform",
-    "jordan_wigner",
     "LinearEncodingTransform",
     "BravyiKitaevTransform",
     "ParityTransform",
-    "bravyi_kitaev",
-    "parity_transform",
-    "generalized_transform",
     "identity_matrix",
     "jordan_wigner_matrix",
     "parity_matrix",

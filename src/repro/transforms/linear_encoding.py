@@ -14,7 +14,9 @@ maps the symplectic planes linearly (x → Γx, z → Γ^{-T}z, see
 form.  Writing a string as ``i^{|x∧z|} X^x Z^z``, ``U_Γ`` maps ``X^x Z^z`` to
 ``X^{x'} Z^{z'}`` with no phase, so ``U_Γ P U_Γ† = i^{|x∧z| − |x'∧z'|} P'``.
 The exponent is even (``x·z`` is invariant mod 2), so the sign is −1 exactly
-when the Y count changes by 2 mod 4.
+when the Y count changes by 2 mod 4.  The Jordan-Wigner images themselves are
+written in closed form on the same planes by
+:func:`repro.core.terms_to_paulis.jordan_wigner_rotations`.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.operators import FermionOperator, PackedPaulis, QubitOperator, linear_encoding_image
-from repro.transforms.base import FermionQubitTransform
+from repro.operators import PackedPaulis, linear_encoding_image
 from repro.transforms.binary import (
     as_gf2,
     bravyi_kitaev_matrix,
@@ -32,7 +33,6 @@ from repro.transforms.binary import (
     identity_matrix,
     parity_matrix,
 )
-from repro.transforms.jordan_wigner import JordanWignerTransform
 
 
 def _y_counts(packed: PackedPaulis) -> np.ndarray:
@@ -40,7 +40,7 @@ def _y_counts(packed: PackedPaulis) -> np.ndarray:
     return np.bitwise_count(packed.x & packed.z).sum(axis=-1, dtype=np.int64)
 
 
-class LinearEncodingTransform(FermionQubitTransform):
+class LinearEncodingTransform:
     """Fermion-to-qubit transformation defined by an invertible GF(2) matrix.
 
     Parameters
@@ -68,40 +68,24 @@ class LinearEncodingTransform(FermionQubitTransform):
         transform._bind(gamma, gamma_inverse)
         return transform
 
-    def _bind(self, gamma: np.ndarray, gamma_inverse: np.ndarray) -> None:
-        FermionQubitTransform.__init__(self, gamma.shape[0])
+    def _bind(
+        self, gamma: np.ndarray, gamma_inverse: np.ndarray, is_identity: Optional[bool] = None
+    ) -> None:
+        self.n_modes = gamma.shape[0]
+        if self.n_modes <= 0:
+            raise ValueError("n_modes must be positive")
         self.gamma = gamma
         self._gamma_inverse = gamma_inverse
-        self._jordan_wigner = JordanWignerTransform(self.n_modes)
+        if is_identity is None:
+            # A 0/1 matrix with exactly n ones, all on the diagonal, is I.
+            is_identity = np.count_nonzero(gamma) == self.n_modes and gamma.diagonal().all()
+        #: True if Γ is the identity, i.e. the transform is plain Jordan-Wigner.
+        self.is_identity_encoding = bool(is_identity)
 
     @property
-    def is_identity_encoding(self) -> bool:
-        """True if Γ is the identity, i.e. the transform is plain Jordan-Wigner."""
-        return bool(np.array_equal(self.gamma, identity_matrix(self.n_modes)))
-
-    def annihilation_operator(self, mode: int) -> QubitOperator:
-        return self.conjugate(self._jordan_wigner.annihilation_operator(mode))
-
-    def transform(self, operator: FermionOperator) -> QubitOperator:
-        # Conjugating the full JW image once is cheaper than conjugating each
-        # ladder-operator factor separately.
-        return self.conjugate(self._jordan_wigner.transform(operator))
-
-    def conjugate(self, operator: QubitOperator) -> QubitOperator:
-        """``U_Γ O U_Γ†``, term by term in input order, signed by the Y-count rule."""
-        if self.is_identity_encoding:
-            return operator
-        image, signs = self.conjugate_planes(PackedPaulis.from_strings(operator.terms))
-        # Conjugation permutes the Pauli strings, so no two terms collide.
-        return QubitOperator(
-            operator.n_qubits,
-            {
-                string: sign * coefficient
-                for string, sign, coefficient in zip(
-                    image.to_strings(), signs.tolist(), operator.terms.values()
-                )
-            },
-        )
+    def n_qubits(self) -> int:
+        """Number of qubits in the image (equal to the number of modes)."""
+        return self.n_modes
 
     def conjugate_planes(self, strings: PackedPaulis) -> Tuple[PackedPaulis, np.ndarray]:
         """``U_Γ P U_Γ† = ± P'`` for every string: the planes of ``P'`` and the ±1 signs."""
@@ -111,6 +95,20 @@ class LinearEncodingTransform(FermionQubitTransform):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n_modes={self.n_modes})"
+
+
+class JordanWignerTransform(LinearEncodingTransform):
+    """Jordan-Wigner transform on ``n_modes`` spin orbitals: the linear encoding Γ = I.
+
+    Mode ``j`` maps to qubit ``j`` and ``a_j = Z_0 ⊗ ... ⊗ Z_{j-1} ⊗ σ⁻_j``
+    with ``σ⁻ = (X + iY) / 2``; the Z string enforces the fermionic
+    anti-commutation relations between operators on different modes.  Γ is
+    its own inverse, so nothing is inverted.
+    """
+
+    def __init__(self, n_modes: int):
+        identity = identity_matrix(n_modes)
+        self._bind(identity, identity, is_identity=True)
 
 
 class BravyiKitaevTransform(LinearEncodingTransform):
@@ -130,28 +128,3 @@ class ParityTransform(LinearEncodingTransform):
 
     def __init__(self, n_modes: int):
         super().__init__(parity_matrix(n_modes))
-
-
-def bravyi_kitaev(operator: FermionOperator, n_modes: Optional[int] = None) -> QubitOperator:
-    """Transform ``operator`` with the Bravyi-Kitaev linear encoding."""
-    if n_modes is None:
-        n_modes = operator.max_orbital() + 1
-        if n_modes <= 0:
-            raise ValueError("cannot infer mode count; pass n_modes")
-    return BravyiKitaevTransform(n_modes).transform(operator)
-
-
-def parity_transform(operator: FermionOperator, n_modes: Optional[int] = None) -> QubitOperator:
-    """Transform ``operator`` with the parity linear encoding."""
-    if n_modes is None:
-        n_modes = operator.max_orbital() + 1
-        if n_modes <= 0:
-            raise ValueError("cannot infer mode count; pass n_modes")
-    return ParityTransform(n_modes).transform(operator)
-
-
-def generalized_transform(
-    operator: FermionOperator, gamma: np.ndarray
-) -> QubitOperator:
-    """Transform ``operator`` with the generalized (Γ-conjugated JW) encoding."""
-    return LinearEncodingTransform(gamma).transform(operator)

@@ -2,10 +2,11 @@
 
 The compilers need only :class:`ExcitationTerm` and the HMP2 ranking.  The
 VQE driver (:func:`adaptive_vqe`, :func:`optimize_ansatz`,
-:class:`UccAnsatz`, :class:`VqeResult`, :class:`AdaptiveVqeResult` and
-:func:`hamiltonian_sparse_matrix`) lives in :mod:`repro.vqe.vqe` and is
-imported on first access to any of those names, which is when
-``scipy.optimize``, ``scipy.sparse`` and :mod:`repro.simulator` load.
+:class:`UccAnsatz`, :class:`VqeResult`, :class:`AdaptiveVqeResult`, and
+:func:`hamiltonian_sparse_matrix` from :mod:`repro.simulator`) lives in
+:mod:`repro.vqe.vqe` and is imported on first access to any of those names,
+which is when ``scipy.optimize``, ``scipy.sparse`` and :mod:`repro.simulator`
+load.
 """
 
 from importlib import import_module

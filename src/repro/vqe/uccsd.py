@@ -14,9 +14,7 @@ bosonic, hybrid or fermionic (Sec. III-A).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
-
-from repro.operators import FermionOperator
+from typing import List, Tuple
 
 
 def is_spin_pair(index_low: int, index_high: int) -> bool:
@@ -110,26 +108,6 @@ class ExcitationTerm:
 
     def max_spin_orbital(self) -> int:
         return max(self.spin_orbitals)
-
-    # ------------------------------------------------------------------
-    # Operators
-    # ------------------------------------------------------------------
-    def excitation_operator(self, coefficient: float = 1.0) -> FermionOperator:
-        """The bare excitation ``T`` (not yet anti-hermitian)."""
-        if self.is_single:
-            return FermionOperator.single_excitation(
-                self.creation[0], self.annihilation[0], coefficient
-            )
-        p, q = self.creation
-        # Store as a†_p a†_q a_s a_r with (r, s) = annihilation indices; the
-        # exact index order only affects the sign convention of θ.
-        r, s = self.annihilation
-        return FermionOperator.double_excitation(p, q, s, r, coefficient)
-
-    def generator(self, parameter: float = 1.0) -> FermionOperator:
-        """Anti-hermitian generator ``θ (T - T†)`` of the ansatz factor."""
-        excitation = self.excitation_operator(parameter)
-        return excitation - excitation.hermitian_conjugate()
 
     def __repr__(self) -> str:
         daggers = " ".join(f"a^{i}" for i in self.creation)

@@ -14,7 +14,7 @@ paper's Fig. 5 assumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -26,10 +26,10 @@ from repro.simulator import (
     apply_exponential,
     expectation_value,
     fci_ground_state_energy,
+    hamiltonian_sparse_matrix,
     hartree_fock_state,
+    ladder_sparse,
 )
-from repro.simulator.statevector import fermion_sparse
-from repro.transforms import jordan_wigner
 from repro.vqe.uccsd import ExcitationTerm
 
 
@@ -61,7 +61,11 @@ class UccAnsatz:
             raise ValueError(
                 f"term {term} acts outside a register of {self.n_qubits} spin orbitals"
             )
-        return fermion_sparse(term.generator(1.0), self.n_qubits)
+        # T = a†_p (a†_q) a_s a_r and T† = a†_r a†_s (a_q) a_p: the generator T − T†.
+        excitation = [(mode, True) for mode in term.creation]
+        excitation += [(mode, False) for mode in reversed(term.annihilation)]
+        adjoint = [(mode, not is_creation) for mode, is_creation in reversed(excitation)]
+        return ladder_sparse([(excitation, 1.0), (adjoint, -1.0)], self.n_qubits)
 
     @property
     def n_parameters(self) -> int:
@@ -133,14 +137,6 @@ class AdaptiveVqeResult:
         return [abs(energy - self.exact_energy) for energy in self.energies]
 
 
-def hamiltonian_sparse_matrix(hamiltonian: MolecularHamiltonian) -> sparse.csr_matrix:
-    """Jordan-Wigner sparse matrix of a molecular Hamiltonian."""
-    qubit_hamiltonian = jordan_wigner(
-        hamiltonian.to_fermion_operator(), n_modes=hamiltonian.n_spin_orbitals
-    )
-    return qubit_hamiltonian.to_sparse()
-
-
 def optimize_ansatz(
     ansatz: UccAnsatz,
     hamiltonian_sparse: sparse.spmatrix,
@@ -188,14 +184,20 @@ def adaptive_vqe(
     ranked_terms:
         Excitation terms in decreasing order of importance (HMP2 ordering).
     max_terms:
-        Maximum ansatz size; defaults to using every provided term.
+        Maximum ansatz size, at least 1; defaults to using every provided
+        term.  ``max_terms < 1`` or no ranked terms raises :class:`ValueError`,
+        as the result would hold no energy.
     threshold:
         Stop when ``|E - E_exact| <= threshold`` (chemical accuracy default).
     exact_energy:
         Exact ground-state energy; computed by sparse FCI when omitted.
     """
+    if not ranked_terms:
+        raise ValueError("adaptive_vqe needs at least one ranked term")
     if max_terms is None:
         max_terms = len(ranked_terms)
+    if max_terms < 1:
+        raise ValueError(f"max_terms must be at least 1, got {max_terms}")
     max_terms = min(max_terms, len(ranked_terms))
     if exact_energy is None:
         exact_energy = fci_ground_state_energy(hamiltonian)

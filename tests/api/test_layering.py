@@ -11,6 +11,10 @@
 * No module of the package imports networkx, which is a test-side oracle
   only, and compiling on every backend loads neither the VQE driver nor the
   simulator nor the scipy modules only they use.
+* The package has one operator representation, symplectic bit-planes: no
+  module defines or imports the dict operator algebra (``FermionOperator``,
+  ``QubitOperator``, ``FermionQubitTransform``), which lives in the test
+  tree's ``operator_oracle`` as the oracle of the bit-plane kernels.
 
 The scan walks every import in every module of a package — module level,
 inside functions and behind ``TYPE_CHECKING`` guards alike — so a lazily
@@ -24,6 +28,7 @@ from pathlib import Path
 
 import pytest
 
+import operator_oracle
 import repro
 import repro.api
 import repro.chemistry
@@ -78,6 +83,36 @@ def test_no_module_imports_networkx():
     assert (PACKAGE_DIR / "optimizers" / "graph_coloring.py").exists()
     offenders = offending_imports(PACKAGE_DIR, "networkx")
     assert not offenders, f"networkx is test-only: {sorted(offenders)}"
+
+
+#: The dict operator algebra: test-tree oracle only.
+DICT_ALGEBRA_NAMES = {"FermionOperator", "QubitOperator", "FermionQubitTransform"}
+
+
+def bound_names(path: Path):
+    """Every name ``path`` defines, assigns or imports (the last dotted part, and any alias)."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.name.rsplit(".", 1)[-1]
+                if alias.asname:
+                    yield alias.asname
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+
+
+def test_no_module_defines_or_imports_the_dict_operator_algebra():
+    oracle_names = set(bound_names(Path(operator_oracle.__file__)))
+    assert DICT_ALGEBRA_NAMES <= oracle_names  # the scan sees the definitions
+    offenders = {
+        f"{path.relative_to(PACKAGE_DIR)}: {name}"
+        for path in sorted(PACKAGE_DIR.rglob("*.py"))
+        for name in bound_names(path)
+        if name in DICT_ALGEBRA_NAMES
+    }
+    assert not offenders, f"the dict operator algebra is test-only: {sorted(offenders)}"
 
 
 #: Compiles hybrid, bosonic and fermionic terms (coloring, Γ blocks, sort) on

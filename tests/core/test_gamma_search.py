@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from operator_oracle import FermionOperator
 from repro.baselines import BaselineCompiler
 from repro.circuits import interface_cnot_reduction
 from repro.core import (
@@ -20,11 +21,7 @@ from repro.core import (
     terms_to_rotations,
 )
 from repro.hardware import Topology
-from repro.operators import (
-    FermionOperator,
-    routed_vertex_cost_vector,
-    weight_vector,
-)
+from repro.operators import routed_vertex_cost_vector, weight_vector
 from repro.core.gamma_search import (
     FINAL_TEMPERATURE,
     INITIAL_TEMPERATURE,

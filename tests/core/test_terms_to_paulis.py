@@ -2,7 +2,7 @@
 
 :func:`repro.core.terms_to_rotations` expands excitation terms on symplectic
 bit-masks with integer phases; :func:`excitation_to_rotations` below
-multiplies the ladder images out as :class:`~repro.operators.QubitOperator`
+multiplies the ladder images out as ``operator_oracle.QubitOperator``
 dicts.  Every compiler (and ``perfbench``'s own multiset check) reads the
 former, so the reference here is the scalar path, compared bit for bit:
 string, ``angle.hex()``, ``term_index`` and order.
@@ -16,6 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from operator_oracle import (
+    DictJordanWigner,
+    DictLinearEncoding,
+    FermionQubitTransform,
+    generator,
+)
 from repro.core import terms_to_rotations
 from repro.core import terms_to_paulis
 from repro.core.terms_to_paulis import (
@@ -27,7 +33,6 @@ from repro.core.terms_to_paulis import (
 from repro.operators import PackedPaulis
 from repro.transforms import (
     BravyiKitaevTransform,
-    FermionQubitTransform,
     JordanWignerTransform,
     LinearEncodingTransform,
     ParityTransform,
@@ -39,7 +44,7 @@ from repro.vqe import ExcitationTerm
 
 def excitation_to_rotations(
     term: ExcitationTerm,
-    transform: FermionQubitTransform,
+    transform: FermionQubitTransform | LinearEncodingTransform,
     parameter: float = 1.0,
     term_index: int = 0,
 ) -> List[PauliRotation]:
@@ -50,10 +55,12 @@ def excitation_to_rotations(
     The returned rotations all mutually commute for a single excitation term,
     so their relative order is a pure compilation degree of freedom.  This
     is the scalar reference of :func:`terms_to_rotations`; it accepts any
-    transform.
+    dict-algebra transform, and a linear encoding goes through
+    :class:`~operator_oracle.DictLinearEncoding`.
     """
-    generator = term.generator(parameter)
-    qubit_generator = transform.transform(generator)
+    if isinstance(transform, LinearEncodingTransform):
+        transform = DictLinearEncoding(transform)
+    qubit_generator = transform.transform(generator(term, parameter))
     rotations: List[PauliRotation] = []
     for string, coefficient in sorted(qubit_generator.terms.items(), key=lambda kv: kv[0]):
         if string.is_identity:
@@ -286,7 +293,7 @@ class _DoublingTransform(FermionQubitTransform):
     """A transform that is not a linear encoding: JW ladder images scaled by two."""
 
     def annihilation_operator(self, mode):
-        return 2.0 * JordanWignerTransform(self.n_modes).annihilation_operator(mode)
+        return 2.0 * DictJordanWigner(self.n_modes).annihilation_operator(mode)
 
 
 class TestCallContract:
@@ -354,11 +361,10 @@ class TestCallContract:
 class TestConjugatePlanes:
     def test_signs_match_operator_conjugation(self):
         transform = BravyiKitaevTransform(9)
-        jw = JordanWignerTransform(9)
         term = ExcitationTerm(creation=(5, 8), annihilation=(0, 3))
-        image = jw.transform(term.generator(1.0))
+        image = DictJordanWigner(9).transform(generator(term, 1.0))
         planes, signs = transform.conjugate_planes(PackedPaulis.from_strings(image.terms))
-        conjugated = transform.conjugate(image)
+        conjugated = DictLinearEncoding(transform).conjugate(image)
         for string, sign, coefficient in zip(
             planes.to_strings(), signs.tolist(), image.terms.values()
         ):

@@ -29,6 +29,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from operator_oracle import DictLinearEncoding, generator
 from repro.api import CompileRequest, CompilerConfig, get_backend
 from repro.baselines import BaselineCompiler, naive_rotation_sequence
 from repro.circuits import exponential_sequence_circuit, sequence_cnot_count
@@ -101,8 +102,8 @@ def term_reference_unitary(terms, parameters, transform):
     dim = 2 ** transform.n_qubits
     unitary = np.eye(dim, dtype=complex)
     for term, parameter in zip(terms, parameters):
-        generator = transform.transform(term.generator(parameter))
-        unitary = expm(generator.to_dense()) @ unitary
+        image = DictLinearEncoding(transform).transform(generator(term, parameter))
+        unitary = expm(image.to_dense()) @ unitary
     return unitary
 
 

@@ -17,6 +17,7 @@ from functools import lru_cache
 
 import pytest
 
+from operator_oracle import DictLinearEncoding, generator
 from repro.api import CompilerConfig
 from repro.chemistry import build_molecular_hamiltonian, make_molecule, run_rhf
 from repro.core import AdvancedPipeline
@@ -84,5 +85,5 @@ def test_generator_images_are_pinned(pin):
         transform = ParityTransform(n_qubits)
     else:
         transform = LinearEncodingTransform(chosen_gamma(terms, n_qubits))
-    images = [transform.transform(term.generator()) for term in terms]
+    images = [DictLinearEncoding(transform).transform(generator(term)) for term in terms]
     assert image_digest(images) == PINS[pin]

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from operator_oracle import DictLinearEncoding, generator
 from repro import compile_molecule_ansatz
 from repro.chemistry import build_molecular_hamiltonian, make_molecule, run_rhf
 from repro.circuits import optimize_circuit, sequence_cnot_count
@@ -23,7 +24,6 @@ from repro.core import (
     identity_gamma_stage,
     terms_to_rotations,
 )
-from repro.operators import QubitOperator
 from repro.simulator import expectation_value, fci_ground_state_energy, hartree_fock_state
 from repro.transforms import JordanWignerTransform, LinearEncodingTransform
 from repro.vqe import (
@@ -53,9 +53,8 @@ class TestCircuitEmissionConsistency:
         result = pipeline.run([excitation], n_qubits=5, parameters=[0.37])
         circuit = result.fermionic_circuit()
 
-        transform = JordanWignerTransform(5)
-        generator = transform.transform(excitation.generator(0.37))
-        expected = expm(generator.to_dense())
+        image = DictLinearEncoding(JordanWignerTransform(5)).transform(generator(excitation, 0.37))
+        expected = expm(image.to_dense())
         assert np.allclose(circuit.to_unitary(), expected, atol=1e-8)
 
     def test_emitted_circuit_cnot_count_matches_accounting_after_optimization(self):
@@ -86,11 +85,11 @@ class TestCircuitEmissionConsistency:
         gamma = np.array(
             [[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1]], dtype=np.uint8
         )
-        jw = JordanWignerTransform(n_qubits)
-        encoded = LinearEncodingTransform(gamma)
-        generator = excitation.generator(0.21)
-        jw_image = jw.transform(generator).to_dense()
-        encoded_image = encoded.transform(generator).to_dense()
+        jw = DictLinearEncoding(JordanWignerTransform(n_qubits))
+        encoded = DictLinearEncoding(LinearEncodingTransform(gamma))
+        fermionic = generator(excitation, 0.21)
+        jw_image = jw.transform(fermionic).to_dense()
+        encoded_image = encoded.transform(fermionic).to_dense()
         assert np.allclose(
             np.sort(np.linalg.eigvals(jw_image).imag), np.sort(np.linalg.eigvals(encoded_image).imag)
         )

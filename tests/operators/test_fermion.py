@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.operators import FermionOperator
+from operator_oracle import FermionOperator
 
 
 class TestConstruction:

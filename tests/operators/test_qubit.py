@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.operators import PauliString, QubitOperator
+from operator_oracle import QubitOperator
+from repro.operators import PauliString
 
 
 def random_operator(draw, n_qubits=3, max_terms=4):

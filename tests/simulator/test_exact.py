@@ -1,16 +1,16 @@
-"""Unit tests for exact diagonalization helpers."""
+"""Unit tests for exact diagonalization helpers.
+
+Qubit operators come from the test tree's dict algebra; its ``ground_state``
+diagonalizes their sparse matrices with :func:`repro.simulator.ground_state`.
+"""
 
 import numpy as np
 import pytest
 
+from operator_oracle import FermionOperator, QubitOperator, ground_state, jordan_wigner
 from repro.chemistry import build_molecular_hamiltonian, make_molecule, run_rhf
-from repro.operators import PauliString, QubitOperator
-from repro.simulator import (
-    CHEMICAL_ACCURACY,
-    fci_ground_state_energy,
-    ground_state,
-    is_chemically_accurate,
-)
+from repro.operators import PauliString
+from repro.simulator import CHEMICAL_ACCURACY, fci_ground_state_energy, is_chemically_accurate
 
 
 class TestGroundState:
@@ -33,9 +33,6 @@ class TestGroundState:
     def test_particle_sector_projection(self):
         # Number operator on 2 modes: ground energy 0 overall but 1 in the
         # single-particle sector.
-        from repro.operators import FermionOperator
-        from repro.transforms import jordan_wigner
-
         number = jordan_wigner(
             FermionOperator.number(0) + FermionOperator.number(1), n_modes=2
         )

@@ -1,14 +1,20 @@
-"""Unit tests for the sparse statevector utilities."""
+"""Unit tests for the sparse statevector utilities.
+
+Operators are built with the test tree's dict algebra (``operator_oracle``);
+``tests/simulator/test_ladder_kernel.py`` compares the simulator's own
+ladder-product kernel with it.
+"""
 
 import numpy as np
 import pytest
 
-from repro.operators import FermionOperator, QubitOperator
+import operator_oracle
+from operator_oracle import FermionOperator, QubitOperator, fermion_sparse
+from repro.operators import PauliString
 from repro.simulator import (
     apply_exponential,
     basis_state,
     expectation_value,
-    fermion_sparse,
     hartree_fock_state,
     normalize,
     particle_number,
@@ -46,13 +52,13 @@ class TestBasisStates:
 
 class TestExpectation:
     def test_z_expectation(self):
-        operator = QubitOperator.from_label("ZI")
+        operator = PauliString("ZI").to_sparse()
         assert np.isclose(expectation_value(operator, basis_state(2, [])), 1.0)
         assert np.isclose(expectation_value(operator, basis_state(2, [0])), -1.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            expectation_value(QubitOperator.from_label("Z"), basis_state(2, []))
+            expectation_value(PauliString("Z").to_sparse(), basis_state(2, []))
 
     def test_number_operator_expectation(self):
         number_op = fermion_sparse(FermionOperator.number(1), 3)
@@ -150,32 +156,27 @@ class TestSparseBasisStates:
 
 
 class TestPermutationApplication:
-    """apply_pauli_string / apply_qubit_operator vs explicit sparse matrices."""
+    """The oracle's matrix-free Pauli application vs explicit sparse matrices."""
 
     def test_apply_pauli_string_matches_matrix(self):
-        from repro.operators import PauliString
-        from repro.simulator import apply_pauli_string
-
         rng = np.random.default_rng(7)
         state = rng.normal(size=16) + 1j * rng.normal(size=16)
         for label in ("IXYZ", "YYII", "ZIZX", "IIII"):
             string = PauliString(label)
             np.testing.assert_allclose(
-                apply_pauli_string(string, state, 0.5 - 0.25j),
+                operator_oracle.apply_pauli_string(string, state, 0.5 - 0.25j),
                 (0.5 - 0.25j) * (string.to_sparse() @ state),
                 atol=1e-12,
             )
 
     def test_apply_qubit_operator_matches_matrix(self):
-        from repro.simulator import apply_qubit_operator
-
         qubit_op = QubitOperator.from_label("XYZ", 0.3) + QubitOperator.from_label(
             "ZZI", -1.2j
         ) + QubitOperator.from_label("III", 0.7)
         rng = np.random.default_rng(11)
         state = rng.normal(size=8) + 1j * rng.normal(size=8)
         np.testing.assert_allclose(
-            apply_qubit_operator(qubit_op, state),
+            operator_oracle.apply_qubit_operator(qubit_op, state),
             qubit_op.to_sparse() @ state,
             atol=1e-12,
         )
@@ -186,4 +187,4 @@ class TestPermutationApplication:
         )
         # Qubit 0 occupied: <ZI> = -1 and <IZ> = +1.
         state = basis_state(2, [0])
-        assert expectation_value(qubit_op, state) == pytest.approx(-1.5 - 0.5)
+        assert operator_oracle.expectation_value(qubit_op, state) == pytest.approx(-1.5 - 0.5)

@@ -1,7 +1,8 @@
 """Pauli conjugation by the CNOT Clifford ``U_Γ``, in matrix form.
 
-:meth:`LinearEncodingTransform.conjugate` maps the planes through Γ and
-signs each string by the Y-count rule, without a circuit.  Γ is built here
+:meth:`LinearEncodingTransform.conjugate_planes` maps the planes through Γ
+and signs each string by the Y-count rule, without a circuit; the oracle's
+``DictLinearEncoding.conjugate`` applies it to operators.  Γ is built here
 from CNOT lists with :func:`cnot_network_matrix`, and every image is checked
 against dense ``U P U†`` with ``U`` the product of the same gates.
 """
@@ -10,7 +11,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.operators import PauliString, QubitOperator
+from operator_oracle import DictLinearEncoding, QubitOperator
+from repro.operators import PauliString
 from repro.transforms import LinearEncodingTransform, cnot_network_matrix
 
 
@@ -38,7 +40,7 @@ def network_unitary(n, cnots):
 def conjugate(string, cnots):
     """``(sign, image)`` of ``U P U†`` by the matrix form, ``U`` from ``cnots``."""
     transform = LinearEncodingTransform(cnot_network_matrix(string.n_qubits, cnots))
-    ((image, coefficient),) = transform.conjugate(
+    ((image, coefficient),) = DictLinearEncoding(transform).conjugate(
         QubitOperator.from_pauli_string(string)
     ).terms.items()
     assert coefficient in (1, -1)
@@ -92,7 +94,7 @@ class TestNetworkConjugation:
     def test_operator_conjugation_preserves_spectrum(self):
         op = QubitOperator.from_label("XYZ", 0.7) + QubitOperator.from_label("ZZI", -0.3)
         transform = LinearEncodingTransform(cnot_network_matrix(3, [(0, 1), (1, 2), (0, 2)]))
-        conjugated = transform.conjugate(op)
+        conjugated = DictLinearEncoding(transform).conjugate(op)
         original = np.sort(np.linalg.eigvalsh(op.to_dense()))
         transformed = np.sort(np.linalg.eigvalsh(conjugated.to_dense()))
         assert np.allclose(original, transformed)

@@ -1,34 +1,61 @@
-"""Unit tests for the Jordan-Wigner transform."""
+"""Unit tests for the Jordan-Wigner transform.
+
+``repro.transforms.JordanWignerTransform`` is the linear encoding Γ = I; its
+dict-algebra images (ladder operators multiplied out) are the test tree's
+oracle, ``operator_oracle.DictJordanWigner``.
+"""
 
 import numpy as np
 import pytest
 
-from repro.operators import FermionOperator, PauliString, QubitOperator
-from repro.transforms import JordanWignerTransform, jordan_wigner
+import repro.transforms.linear_encoding as linear_encoding
+from operator_oracle import DictJordanWigner, FermionOperator, QubitOperator, jordan_wigner
+from repro.operators import PauliString
+from repro.transforms import JordanWignerTransform, LinearEncodingTransform, identity_matrix
+
+
+class TestLinearEncoding:
+    def test_is_the_identity_linear_encoding(self):
+        transform = JordanWignerTransform(5)
+        assert isinstance(transform, LinearEncodingTransform)
+        assert transform.is_identity_encoding
+        np.testing.assert_array_equal(transform.gamma, identity_matrix(5))
+        assert transform.n_modes == transform.n_qubits == 5
+
+    def test_binds_gamma_without_inverting(self, monkeypatch):
+        def no_inverse(gamma):
+            raise AssertionError("inverted the identity")
+
+        monkeypatch.setattr(linear_encoding, "gf2_inverse", no_inverse)
+        assert JordanWignerTransform(4).is_identity_encoding
+
+    def test_rejects_empty_register(self):
+        with pytest.raises(ValueError, match="n_modes must be positive"):
+            JordanWignerTransform(0)
 
 
 class TestLadderOperatorImages:
     def test_annihilation_on_first_mode(self):
-        op = JordanWignerTransform(2).annihilation_operator(0)
+        op = DictJordanWigner(2).annihilation_operator(0)
         assert op.terms == {PauliString("XI"): 0.5, PauliString("YI"): 0.5j}
 
     def test_annihilation_has_z_chain(self):
-        op = JordanWignerTransform(3).annihilation_operator(2)
+        op = DictJordanWigner(3).annihilation_operator(2)
         assert op.terms == {PauliString("ZZX"): 0.5, PauliString("ZZY"): 0.5j}
 
     def test_creation_is_conjugate(self):
-        transform = JordanWignerTransform(2)
+        transform = DictJordanWigner(2)
         cr = transform.creation_operator(1)
         an = transform.annihilation_operator(1)
         assert cr == an.hermitian_conjugate()
 
     def test_mode_out_of_range(self):
         with pytest.raises(ValueError):
-            JordanWignerTransform(2).annihilation_operator(2)
+            DictJordanWigner(2).annihilation_operator(2)
 
     def test_transform_rejects_out_of_range_operator(self):
         with pytest.raises(ValueError):
-            JordanWignerTransform(2).transform(FermionOperator.creation(5))
+            DictJordanWigner(2).transform(FermionOperator.creation(5))
 
 
 class TestAlgebraPreservation:
@@ -39,7 +66,7 @@ class TestAlgebraPreservation:
         assert image == expected
 
     def test_canonical_anticommutation(self):
-        transform = JordanWignerTransform(3)
+        transform = DictJordanWigner(3)
         for i in range(3):
             for j in range(3):
                 a_i = transform.annihilation_operator(i)
@@ -49,7 +76,7 @@ class TestAlgebraPreservation:
                 assert anticommutator == expected
 
     def test_annihilation_anticommute(self):
-        transform = JordanWignerTransform(3)
+        transform = DictJordanWigner(3)
         for i in range(3):
             for j in range(3):
                 a_i = transform.annihilation_operator(i)

@@ -3,17 +3,24 @@
 import numpy as np
 import pytest
 
-from repro.operators import FermionOperator, PauliString, QubitOperator
+import repro.transforms.linear_encoding as linear_encoding
+from operator_oracle import (
+    DictLinearEncoding,
+    FermionOperator,
+    QubitOperator,
+    bravyi_kitaev,
+    generalized_transform,
+    jordan_wigner,
+    parity_transform,
+)
+from repro.operators import PauliString
 from repro.transforms import (
     BravyiKitaevTransform,
     JordanWignerTransform,
     LinearEncodingTransform,
     ParityTransform,
-    bravyi_kitaev,
     cnot_network_matrix,
-    generalized_transform,
-    jordan_wigner,
-    parity_transform,
+    identity_matrix,
     random_invertible_matrix,
 )
 
@@ -46,7 +53,7 @@ class TestConstruction:
         transform = LinearEncodingTransform(np.eye(3))
         assert transform.is_identity_encoding
         op = FermionOperator.double_excitation(0, 1, 2, 0, 0.5).anti_hermitian_part()
-        assert transform.transform(op) == jordan_wigner(op, n_modes=3)
+        assert DictLinearEncoding(transform).transform(op) == jordan_wigner(op, n_modes=3)
 
 
 class TestTrustedPair:
@@ -54,8 +61,6 @@ class TestTrustedPair:
     def test_from_pair_transforms_as_the_checked_constructor(self, seed, monkeypatch):
         """Given Γ and its inverse, ``from_pair`` inverts nothing and maps
         operators and planes exactly as ``LinearEncodingTransform(Γ)``."""
-        import repro.transforms.linear_encoding as linear_encoding
-
         n = 5
         gamma = random_invertible_matrix(n, np.random.default_rng(seed))
         checked = LinearEncodingTransform(gamma)
@@ -68,7 +73,47 @@ class TestTrustedPair:
         trusted = LinearEncodingTransform.from_pair(checked.gamma, checked._gamma_inverse)
         assert type(trusted) is LinearEncodingTransform
         assert trusted.n_modes == n and trusted.gamma is checked.gamma
-        assert trusted.transform(op) == checked.transform(op)
+        trusted_image = DictLinearEncoding(trusted).transform(op)
+        assert trusted_image == DictLinearEncoding(checked).transform(op)
+
+
+def _trusted(encoding):
+    return LinearEncodingTransform.from_pair(encoding.gamma, encoding._gamma_inverse)
+
+
+class TestIdentityFlag:
+    """``is_identity_encoding`` is worked out once, when the transform binds Γ."""
+
+    @pytest.mark.parametrize(
+        "make, expected",
+        [
+            (lambda: JordanWignerTransform(6), True),
+            (lambda: LinearEncodingTransform(np.eye(6)), True),
+            (lambda: BravyiKitaevTransform(6), False),
+            (lambda: ParityTransform(6), False),
+            (
+                lambda: LinearEncodingTransform(random_invertible_matrix(6, np.random.default_rng(3))),
+                False,
+            ),
+            (lambda: _trusted(JordanWignerTransform(6)), True),
+            (lambda: _trusted(BravyiKitaevTransform(6)), False),
+        ],
+        ids=["jw", "eye", "bravyi-kitaev", "parity", "random-gamma", "pair-identity", "pair-bk"],
+    )
+    def test_flag_matches_gamma_and_reads_build_no_identity(self, make, expected, monkeypatch):
+        transform = make()
+        assert transform.is_identity_encoding is expected
+        assert expected == np.array_equal(transform.gamma, identity_matrix(6))
+        built = []
+
+        def counting_identity(n):
+            built.append(n)
+            return identity_matrix(n)
+
+        monkeypatch.setattr(linear_encoding, "identity_matrix", counting_identity)
+        assert transform.is_identity_encoding is expected
+        assert transform.is_identity_encoding is expected
+        assert built == []
 
 
 class TestEmptyImages:
@@ -86,16 +131,16 @@ class TestEmptyImages:
         return request.param()
 
     def test_vanishing_product(self, transform):
-        image = transform.transform(FermionOperator(((0, True), (0, True))))
+        image = DictLinearEncoding(transform).transform(FermionOperator(((0, True), (0, True))))
         assert (image.n_qubits, image.terms) == (transform.n_modes, {})
 
     def test_zero_operator(self, transform):
-        image = transform.transform(FermionOperator.zero())
+        image = DictLinearEncoding(transform).transform(FermionOperator.zero())
         assert (image.n_qubits, image.terms) == (transform.n_modes, {})
 
     def test_constant_only_operator(self, transform):
         n = transform.n_modes
-        image = transform.transform(FermionOperator.identity(-0.75))
+        image = DictLinearEncoding(transform).transform(FermionOperator.identity(-0.75))
         assert (image.n_qubits, image.terms) == (n, {PauliString.identity(n): -0.75})
 
 
@@ -111,7 +156,7 @@ class TestCanonicalAnticommutation:
     )
     def test_ladder_operator_algebra(self, transform_factory):
         n = 4
-        transform = transform_factory(n)
+        transform = DictLinearEncoding(transform_factory(n))
         for i in range(n):
             for j in range(n):
                 a_i = transform.annihilation_operator(i)
@@ -122,7 +167,7 @@ class TestCanonicalAnticommutation:
 
     def test_number_operator_spectrum(self):
         transform = BravyiKitaevTransform(3)
-        image = transform.transform(FermionOperator.number(1))
+        image = DictLinearEncoding(transform).transform(FermionOperator.number(1))
         eigenvalues = np.linalg.eigvalsh(image.to_dense())
         assert np.allclose(np.sort(np.unique(np.round(eigenvalues, 10))), [0, 1])
 
@@ -153,7 +198,7 @@ class TestStringWeights:
         # In the parity encoding the number operator of mode j acts on at most
         # two qubits (j-1 and j).
         transform = ParityTransform(5)
-        image = transform.transform(FermionOperator.number(3))
+        image = DictLinearEncoding(transform).transform(FermionOperator.number(3))
         assert image.max_weight() <= 2
 
     def test_bravyi_kitaev_reduces_chain_weight(self):

@@ -19,9 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from operator_oracle import DictLinearEncoding, QubitOperator
 from repro.circuits.circuit import Circuit
 from repro.circuits.gates import Gate
-from repro.operators import PauliString, QubitOperator
+from repro.operators import PauliString
 from repro.transforms import LinearEncodingTransform, cnot_network_matrix
 from repro.verify import CliffordTableau, conjugate_pauli_by_clifford_gate
 
@@ -118,7 +119,7 @@ class TestExhaustiveGolden:
         string = PauliString(label)
         sign, image = conjugate_pauli_by_clifford_gate(string, Gate("CNOT", (0, 1)))
         encoding = LinearEncodingTransform(cnot_network_matrix(2, [(0, 1)]))
-        expected = encoding.conjugate(QubitOperator.from_pauli_string(string))
+        expected = DictLinearEncoding(encoding).conjugate(QubitOperator.from_pauli_string(string))
         assert expected.terms == {image: sign}
 
 

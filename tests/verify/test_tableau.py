@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from operator_oracle import DictLinearEncoding, QubitOperator
 from repro.circuits.circuit import Circuit
 from repro.circuits.gates import Gate, cnot, hadamard, rx, ry, rz, s_gate
-from repro.operators import PauliString, QubitOperator
+from repro.operators import PauliString
 from repro.transforms import LinearEncodingTransform, cnot_network_matrix
 from repro.verify import (
     CliffordTableau,
@@ -161,7 +162,7 @@ class TestMultiWordRegisters:
             string = PauliString.from_bitmasks(n, x, z)
             sign, image = tableau.conjugate(string)
             signs.add(sign)
-            expected = encoding.conjugate(QubitOperator.from_pauli_string(string))
+            expected = DictLinearEncoding(encoding).conjugate(QubitOperator.from_pauli_string(string))
             assert expected.terms == {image: sign}
         assert signs == {1, -1}
 

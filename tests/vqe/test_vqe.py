@@ -115,6 +115,18 @@ class TestAdaptiveVqe:
         assert result.converged
         assert abs(result.final_energy - result.exact_energy) <= CHEMICAL_ACCURACY
 
+    @pytest.mark.parametrize("max_terms", [0, -3])
+    def test_non_positive_max_terms_raises(self, h2_hamiltonian, max_terms):
+        """A run that adds no term has no final energy: it fails up front."""
+        terms = hmp2_ranked_terms(h2_hamiltonian)
+        with pytest.raises(ValueError, match=f"max_terms must be at least 1, got {max_terms}"):
+            adaptive_vqe(h2_hamiltonian, terms, max_terms=max_terms)
+
+    @pytest.mark.parametrize("max_terms", [None, 4])
+    def test_no_ranked_terms_raises(self, h2_hamiltonian, max_terms):
+        with pytest.raises(ValueError, match="at least one ranked term"):
+            adaptive_vqe(h2_hamiltonian, [], max_terms=max_terms)
+
     def test_errors_reported(self, h2_hamiltonian):
         terms = hmp2_ranked_terms(h2_hamiltonian)
         result = adaptive_vqe(h2_hamiltonian, terms, max_terms=1, threshold=1e-9)
