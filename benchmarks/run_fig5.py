@@ -9,10 +9,11 @@ both flows prepare the same ansatz state — the paper's point being exactly
 that the circuit optimizations cost no accuracy.
 
 The paper simulates the full 14-spin-orbital water system and reaches chemical
-accuracy at M = 17.  That takes a while in pure Python; the default here is a
-12-spin-orbital frozen-core active space.  Use ``--active 5`` for a fast run
-or ``--active 6`` (the default) for the fuller progression, and
-``--frozen 0 --active 7`` for the paper's system (about 160 s to M = 20).
+accuracy at M = 17.  The default here is a 12-spin-orbital frozen-core active
+space.  Use ``--active 5`` for a fast run or ``--active 6`` (the default) for
+the fuller progression, and ``--frozen 0 --active 7`` for the paper's system
+(about 2 s to M = 20, where it first reaches chemical accuracy;
+``benchmarks/test_fig5_paper_size.py`` pins that series).
 The summary names the first M whose error is within chemical accuracy, or
 says that no M up to the last one reached it.
 

@@ -6,16 +6,17 @@ arXiv:2303.03460).
 
 The package is organised bottom-up:
 
-* :mod:`repro.operators` — fermionic and Pauli/qubit operator algebra;
+* :mod:`repro.operators` — Pauli strings as symplectic bit-planes;
 * :mod:`repro.transforms` — Jordan-Wigner, Bravyi-Kitaev, parity and
   generalized GL(N,2) fermion-to-qubit transformations;
 * :mod:`repro.circuits` — circuit IR, Pauli-exponential synthesis, CNOT
   cancellation accounting and peephole optimization;
-* :mod:`repro.optimizers` — simulated annealing, graph coloring, GTSP local
-  search, particle swarm, TSP heuristics;
+* :mod:`repro.optimizers` — graph coloring, GTSP local search, particle
+  swarm, TSP heuristics;
 * :mod:`repro.chemistry` — STO-3G integrals, Hartree-Fock, molecular
   Hamiltonians and MP2;
-* :mod:`repro.simulator` — exact statevector simulation and FCI references;
+* :mod:`repro.simulator` — exact N-electron-sector statevector simulation and
+  FCI references;
 * :mod:`repro.vqe` — UCCSD terms, HMP2 ordering and the adaptive VQE loop;
 * :mod:`repro.baselines` — the prior-art compiler (the paper's "GT" column);
 * :mod:`repro.core` — the paper's contribution as a staged pipeline: hybrid

@@ -1,8 +1,7 @@
 """Simple TSP heuristics: nearest neighbor construction and 2-opt improvement.
 
 The term-block order uses them to order the strings of large excitation
-terms (:func:`repro.core.advanced_sorting.term_block_order`); ablation
-benchmarks use them as a sanity baseline against the GTSP search.
+terms (:func:`repro.core.advanced_sorting.term_block_order`).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Exact statevector simulation and FCI reference energies."""
+"""Exact N-electron-sector statevector simulation and FCI references."""
 
 from repro.simulator.exact import (
     CHEMICAL_ACCURACY,
@@ -9,13 +9,9 @@ from repro.simulator.exact import (
     is_chemically_accurate,
 )
 from repro.simulator.statevector import (
-    apply_exponential,
-    basis_state,
     expectation_value,
-    hartree_fock_state,
     ladder_sparse,
     normalize,
-    particle_number,
     state_fidelity,
 )
 
@@ -26,12 +22,8 @@ __all__ = [
     "fci_ground_state_energy",
     "hamiltonian_sparse_matrix",
     "is_chemically_accurate",
-    "basis_state",
-    "hartree_fock_state",
     "expectation_value",
-    "apply_exponential",
     "ladder_sparse",
     "normalize",
-    "particle_number",
     "state_fidelity",
 ]

@@ -1,14 +1,13 @@
 """Exact (full configuration interaction) reference energies.
 
-Sparse diagonalization of the qubit Hamiltonian provides the exact ground
-state against which VQE convergence (Fig. 5 of the paper, chemical accuracy
-threshold) is measured.
+Sparse diagonalization of the Hamiltonian on its N-electron sector provides
+the exact ground state against which VQE convergence (Fig. 5 of the paper,
+chemical accuracy threshold) is measured.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -16,7 +15,7 @@ from scipy.sparse.linalg import eigsh
 
 from repro.chemistry import MolecularHamiltonian
 from repro.chemistry.hamiltonian import INTEGRAL_TOLERANCE
-from repro.simulator.statevector import ladder_sparse, occupations
+from repro.simulator.statevector import ladder_sparse
 
 #: Chemical accuracy threshold in Hartree (1 kcal/mol).
 CHEMICAL_ACCURACY = 1.6e-3
@@ -24,57 +23,34 @@ CHEMICAL_ACCURACY = 1.6e-3
 
 @dataclass
 class GroundStateResult:
-    """Ground-state energy and eigenvector of a (possibly sector-projected) Hamiltonian."""
+    """Ground-state energy and eigenvector of a Hamiltonian matrix."""
 
     energy: float
     state: np.ndarray
 
 
-def ground_state(
-    operator: sparse.spmatrix, n_particles: Optional[int] = None
-) -> GroundStateResult:
-    """Lowest eigenpair of a qubit Hamiltonian, optionally in a particle-number sector.
+def ground_state(operator: sparse.spmatrix) -> GroundStateResult:
+    """Lowest eigenpair of a Hermitian sparse matrix.
 
-    Parameters
-    ----------
-    operator:
-        Hermitian sparse matrix on a register of ``log2(dim)`` qubits.
-    n_particles:
-        If given, the Hamiltonian is restricted to the subspace with that
-        total Jordan-Wigner particle number before diagonalization.
+    Registers of at most 64 states are diagonalized densely, larger ones by
+    ARPACK, which on the simulator's real sector matrices runs in real
+    arithmetic.
     """
     matrix = sparse.csr_matrix(operator)
-    dim = matrix.shape[0]
-
-    if n_particles is not None:
-        sector = np.flatnonzero(occupations(dim.bit_length() - 1) == n_particles)
-        if sector.size == 0:
-            raise ValueError(f"no basis states with {n_particles} particles")
-        matrix = matrix[np.ix_(sector, sector)]
-        energy, vectors = _lowest_eigenpair(matrix)
-        state = np.zeros(dim, dtype=complex)
-        state[sector] = vectors
-        return GroundStateResult(energy=energy, state=state)
-
-    energy, vector = _lowest_eigenpair(matrix)
-    return GroundStateResult(energy=energy, state=vector)
-
-
-def _lowest_eigenpair(matrix: sparse.spmatrix) -> Tuple[float, np.ndarray]:
-    dim = matrix.shape[0]
-    if dim <= 64:
-        dense = matrix.toarray()
-        eigenvalues, eigenvectors = np.linalg.eigh(dense)
-        return float(eigenvalues[0]), eigenvectors[:, 0]
-    eigenvalues, eigenvectors = eigsh(matrix.tocsc(), k=1, which="SA")
-    return float(eigenvalues[0]), eigenvectors[:, 0]
+    if matrix.shape[0] <= 64:
+        eigenvalues, eigenvectors = np.linalg.eigh(matrix.toarray())
+    else:
+        eigenvalues, eigenvectors = eigsh(matrix, k=1, which="SA")
+    return GroundStateResult(energy=float(eigenvalues[0]), state=eigenvectors[:, 0])
 
 
 def hamiltonian_sparse_matrix(hamiltonian: MolecularHamiltonian) -> sparse.csr_matrix:
-    """Jordan-Wigner sparse matrix of a molecular Hamiltonian.
+    """Jordan-Wigner sparse matrix of a molecular Hamiltonian on its electron sector.
 
-    The ladder products are ``a†_p a_q`` and ``a†_p a†_q a_s a_r`` with
-    coefficients ``h_pq`` and ``½ ⟨pq|rs⟩``, each kept only above
+    The matrix is real, of dimension ``C(n_spin_orbitals, n_electrons)`` (see
+    :func:`~repro.simulator.statevector.ladder_sparse`).  The ladder products
+    are ``a†_p a_q`` and ``a†_p a†_q a_s a_r`` with coefficients ``h_pq`` and
+    ``½ ⟨pq|rs⟩``, each kept only above
     :data:`~repro.chemistry.hamiltonian.INTEGRAL_TOLERANCE`, plus the constant.
     """
     one_body = hamiltonian.one_body
@@ -84,7 +60,7 @@ def hamiltonian_sparse_matrix(hamiltonian: MolecularHamiltonian) -> sparse.csr_m
         products.append((((p, True), (q, False)), one_body[p, q]))
     for p, q, r, s in _significant(two_body):
         products.append((((p, True), (q, True), (s, False), (r, False)), two_body[p, q, r, s]))
-    return ladder_sparse(products, hamiltonian.n_spin_orbitals)
+    return ladder_sparse(products, hamiltonian.n_spin_orbitals, hamiltonian.n_electrons)
 
 
 def _significant(integrals: np.ndarray):
@@ -93,9 +69,8 @@ def _significant(integrals: np.ndarray):
 
 
 def fci_ground_state_energy(hamiltonian: MolecularHamiltonian) -> float:
-    """Exact ground-state energy of a molecular Hamiltonian in its particle sector."""
-    matrix = hamiltonian_sparse_matrix(hamiltonian)
-    return ground_state(matrix, n_particles=hamiltonian.n_electrons).energy
+    """Exact ground-state energy of a molecular Hamiltonian in its electron sector."""
+    return ground_state(hamiltonian_sparse_matrix(hamiltonian)).energy
 
 
 def is_chemically_accurate(energy: float, reference: float) -> bool:

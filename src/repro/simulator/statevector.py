@@ -7,96 +7,42 @@ of the computational-basis index, matching the convention of
 :meth:`repro.operators.pauli.PauliString.to_sparse`.
 
 Every operator the simulator needs — the molecular Hamiltonian and each UCC
-generator ``T − T†`` — is a sum of products of fermionic ladder operators, and
-:func:`ladder_sparse` builds its Jordan-Wigner matrix directly on the bit
-masks of the basis indices.  The particle number is the popcount of the
-basis index, so it needs no matrix at all.
+generator ``T − T†`` — is a real sum of particle-conserving products of
+fermionic ladder operators.  Jordan-Wigner keeps the occupation basis, so the
+particle number of a basis index is its popcount and such a sum never leaves
+the N-electron sector: the indices with N set bits.  :func:`ladder_sparse`
+builds the real matrix of the sum on that sector alone, ``C(n, N)`` states
+instead of ``2**n`` (1001 of 16384 for water's 14 spin orbitals and 10
+electrons).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence, Tuple, Union
+from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse as sp
 from scipy.sparse import spmatrix
-from scipy.sparse.linalg import expm_multiply
 
 #: A product of ladder operators, ``(mode, is_creation)`` pairs applied right to left.
 LadderProduct = Sequence[Tuple[int, bool]]
 
-
-def basis_state(
-    n_qubits: int, occupied: Sequence[int], sparse: bool = False
-) -> Union[np.ndarray, sp.csc_matrix]:
-    """Computational basis state with the given qubits set to ``1``.
-
-    With ``sparse=True`` the state is returned as a ``(2**n, 1)``
-    :class:`scipy.sparse.csc_matrix` column vector holding the single
-    non-zero amplitude, so no dense ``2**n`` array is ever allocated — at 20+
-    qubits the dense path costs tens of megabytes per state, the sparse path
-    a few bytes.
-    """
-    index = 0
-    for qubit in occupied:
-        if not 0 <= qubit < n_qubits:
-            raise ValueError(f"qubit {qubit} out of range for {n_qubits} qubits")
-        index |= 1 << (n_qubits - 1 - qubit)
-    if sparse:
-        return sp.csc_matrix(
-            (np.ones(1, dtype=complex), ([index], [0])),
-            shape=(2 ** n_qubits, 1),
-            dtype=complex,
-        )
-    state = np.zeros(2 ** n_qubits, dtype=complex)
-    state[index] = 1.0
-    return state
-
-
-def hartree_fock_state(
-    n_qubits: int, n_electrons: int, sparse: bool = False
-) -> Union[np.ndarray, sp.csc_matrix]:
-    """Jordan-Wigner Hartree-Fock reference: the first ``n_electrons`` modes filled.
-
-    ``sparse=True`` returns the state as a sparse column vector (see
-    :func:`basis_state`).
-    """
-    if n_electrons < 0 or n_electrons > n_qubits:
-        raise ValueError("invalid electron count")
-    return basis_state(n_qubits, range(n_electrons), sparse=sparse)
+#: Entries of the ``keys × states`` match table built at once: 8 MB of int64.
+_MATCH_CHUNK = 1 << 20
 
 
 def expectation_value(operator: spmatrix, state: np.ndarray) -> float:
     """Real part of ``⟨state| operator |state⟩``."""
-    state = np.asarray(state, dtype=complex).reshape(-1)
+    state = np.asarray(state).reshape(-1)
     matrix = sp.csr_matrix(operator)
     if matrix.shape[0] != state.size:
         raise ValueError("operator and state dimensions do not match")
     return float(np.real(np.vdot(state, matrix @ state)))
 
 
-def apply_exponential(
-    generator: spmatrix,
-    state: np.ndarray,
-    scale: float = 1.0,
-) -> np.ndarray:
-    """Apply ``exp(scale * generator)`` to a statevector.
-
-    ``generator`` is typically the anti-hermitian image ``θ (T - T†)`` of a
-    UCC excitation term, so the result stays normalized.
-    """
-    matrix = sp.csr_matrix(generator)
-    state = np.asarray(state, dtype=complex).reshape(-1)
-    if matrix.shape[0] != state.size:
-        raise ValueError("generator and state dimensions do not match")
-    if scale != 1.0:
-        matrix = matrix * scale
-    return expm_multiply(matrix, state)
-
-
 def normalize(state: np.ndarray) -> np.ndarray:
     """Return the state rescaled to unit norm."""
-    state = np.asarray(state, dtype=complex).reshape(-1)
+    state = np.asarray(state).reshape(-1)
     norm = np.linalg.norm(state)
     if norm == 0:
         raise ValueError("cannot normalize the zero vector")
@@ -104,9 +50,9 @@ def normalize(state: np.ndarray) -> np.ndarray:
 
 
 def ladder_sparse(
-    products: Iterable[Tuple[LadderProduct, complex]], n_modes: int
+    products: Iterable[Tuple[LadderProduct, float]], n_modes: int, n_particles: int
 ) -> sp.csr_matrix:
-    """Jordan-Wigner matrix of ``Σ coefficient · product`` on ``n_modes`` modes.
+    """Real Jordan-Wigner matrix of ``Σ coefficient · product`` on one particle sector.
 
     Mode ``j`` is index bit ``n_modes − 1 − j``.  ``a_j`` maps ``|b⟩`` to
     ``(−1)^{occupied modes below j} |b ⊕ bit_j⟩`` when mode ``j`` is occupied
@@ -117,13 +63,23 @@ def ladder_sparse(
     parity of ``b ∧ lower`` plus that of ``flip ∧ lower``.  So the product is
     non-zero exactly on the ``b`` whose touched bits equal ``required``, maps
     them to ``b ⊕ flip`` and signs them by ``(−1)^{|b ∧ sign_mask|}`` times a
-    constant.  Products with the same masks add their coefficients first, and
-    every set of touched modes enumerates its basis states once.
+    constant.  Products with the same masks add their coefficients first.
+
+    Row and column ``k`` stand for the ``k``-th smallest basis index with
+    ``n_particles`` set bits; the Hartree-Fock determinant, the first
+    ``n_particles`` modes filled, is the last.  A product with as many
+    creations as annihilations maps this sector to itself, so its image is
+    found there by binary search.  A product that changes the particle number
+    raises :class:`ValueError`.
     """
+    if not 0 <= n_particles <= n_modes:
+        raise ValueError(f"invalid particle number {n_particles} for {n_modes} modes")
     full = (1 << n_modes) - 1
-    # touched modes -> (required, flip, sign_mask) -> summed coefficient
-    groups: Dict[int, Dict[Tuple[int, int, int], complex]] = {}
+    # (touched, required, flip, sign_mask) -> summed coefficient
+    keys: Dict[Tuple[int, int, int, int], float] = {}
     for product, coefficient in products:
+        if 2 * sum(is_creation for _, is_creation in product) != len(product):
+            raise ValueError(f"ladder product {tuple(product)} changes the particle number")
         touched = required = flip = sign_mask = negative = 0
         for mode, is_creation in reversed(product):
             if not 0 <= mode < n_modes:
@@ -139,43 +95,30 @@ def ladder_sparse(
             sign_mask ^= lower
             flip ^= bit
         else:
-            group = groups.setdefault(touched, {})
-            key = (required, flip, sign_mask)
-            group[key] = group.get(key, 0) + (-coefficient if negative else coefficient)
+            key = (touched, required, flip, sign_mask)
+            keys[key] = keys.get(key, 0.0) + (-coefficient if negative else coefficient)
 
-    dim = 1 << n_modes
-    basis = np.arange(dim, dtype=np.int64)
+    basis = np.arange(1 << n_modes, dtype=np.int64)
+    sector = basis[np.bitwise_count(basis) == n_particles]
+    masks = np.array(list(keys), dtype=np.int64).reshape(-1, 4)
+    coefficients = np.array(list(keys.values()), dtype=float)
     rows, columns, values = [], [], []
-    for touched, group in groups.items():
-        masks = np.array(list(group), dtype=np.int64)
-        states = basis[(basis & touched) == 0] | masks[:, :1]
-        signs = 1.0 - 2.0 * (np.bitwise_count(states & masks[:, 2:]) & 1)
-        coefficients = np.array(list(group.values()), dtype=complex)
-        columns.append(states.ravel())
-        rows.append((states ^ masks[:, 1:2]).ravel())
-        values.append((coefficients[:, None] * signs).ravel())
+    step = max(1, _MATCH_CHUNK // sector.size)
+    for start in range(0, len(masks), step):
+        chunk = masks[start:start + step]
+        key, column = np.nonzero((sector & chunk[:, :1]) == chunk[:, 1:2])
+        states = sector[column]
+        signs = 1.0 - 2.0 * (np.bitwise_count(states & chunk[key, 3]) & 1)
+        columns.append(column)
+        rows.append(np.searchsorted(sector, states ^ chunk[key, 2]))
+        values.append(coefficients[start + key] * signs)
+    dim = sector.size
     if not values:
-        return sp.csr_matrix((dim, dim), dtype=complex)
+        return sp.csr_matrix((dim, dim))
     return sp.csr_matrix(
         (np.concatenate(values), (np.concatenate(rows), np.concatenate(columns))),
         shape=(dim, dim),
     )
-
-
-def particle_number(state: np.ndarray, n_qubits: int) -> float:
-    """Expectation of the total particle number in a Jordan-Wigner encoded state.
-
-    The number operator is diagonal: its value on ``|b⟩`` is the popcount of ``b``.
-    """
-    state = np.asarray(state, dtype=complex).reshape(-1)
-    if state.size != 2 ** n_qubits:
-        raise ValueError("state does not match the register size")
-    return float(np.abs(state) ** 2 @ occupations(n_qubits))
-
-
-def occupations(n_qubits: int) -> np.ndarray:
-    """Jordan-Wigner particle number of every basis index: its popcount."""
-    return np.bitwise_count(np.arange(2 ** n_qubits, dtype=np.uint64))
 
 
 def state_fidelity(state_a: np.ndarray, state_b: np.ndarray) -> float:

@@ -6,14 +6,15 @@ after every addition (with warm starts), and the loop stops once the energy
 estimate is within a threshold — chemical accuracy by default — of the exact
 ground state, or once a maximum ansatz size is reached.
 
-The "quantum computer" is an exact sparse statevector simulation, so the
-energies reported here correspond to the noiseless, infinite-shot limit the
-paper's Fig. 5 assumes.
+The "quantum computer" is an exact sparse statevector simulation on the
+N-electron sector, so the energies reported here correspond to the noiseless,
+infinite-shot limit the paper's Fig. 5 assumes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -23,11 +24,9 @@ from scipy.optimize import minimize
 from repro.chemistry import MolecularHamiltonian
 from repro.simulator import (
     CHEMICAL_ACCURACY,
-    apply_exponential,
     expectation_value,
     fci_ground_state_energy,
     hamiltonian_sparse_matrix,
-    hartree_fock_state,
     ladder_sparse,
 )
 from repro.vqe.uccsd import ExcitationTerm
@@ -39,6 +38,9 @@ class UccAnsatz:
 
     The prepared state is ``Π_k exp(θ_k (T_k - T_k†)) |HF⟩`` with the product
     applied left-to-right in list order (term 0 acts on the reference first).
+    States are real vectors on the ``n_electrons`` sector of
+    :func:`~repro.simulator.ladder_sparse`, where the Hartree-Fock
+    determinant is the last basis state.
     """
 
     n_qubits: int
@@ -46,15 +48,11 @@ class UccAnsatz:
     terms: List[ExcitationTerm] = field(default_factory=list)
 
     def __post_init__(self):
+        if not 0 <= self.n_electrons <= self.n_qubits:
+            raise ValueError("invalid electron count")
         self._generators: List[sparse.csr_matrix] = [
             self._build_generator(term) for term in self.terms
         ]
-        # Reference determinant and a reusable work buffer: the optimizer
-        # calls prepare_state once per energy evaluation, so the reference is
-        # built once and copied into one preallocated array instead of
-        # allocating a fresh 2**n vector every iteration.
-        self._reference: Optional[np.ndarray] = None
-        self._state_buffer: Optional[np.ndarray] = None
 
     def _build_generator(self, term: ExcitationTerm) -> sparse.csr_matrix:
         if term.max_spin_orbital() >= self.n_qubits:
@@ -65,7 +63,9 @@ class UccAnsatz:
         excitation = [(mode, True) for mode in term.creation]
         excitation += [(mode, False) for mode in reversed(term.annihilation)]
         adjoint = [(mode, not is_creation) for mode, is_creation in reversed(excitation)]
-        return ladder_sparse([(excitation, 1.0), (adjoint, -1.0)], self.n_qubits)
+        return ladder_sparse(
+            [(excitation, 1.0), (adjoint, -1.0)], self.n_qubits, self.n_electrons
+        )
 
     @property
     def n_parameters(self) -> int:
@@ -76,31 +76,23 @@ class UccAnsatz:
         self._generators.append(self._build_generator(term))
         self.terms.append(term)
 
-    def reference_state(self) -> np.ndarray:
-        """The Hartree-Fock reference determinant."""
-        return hartree_fock_state(self.n_qubits, self.n_electrons)
-
     def prepare_state(self, parameters: Sequence[float]) -> np.ndarray:
-        """Apply the parametrized ansatz to the reference state."""
+        """Apply the parametrized ansatz to the Hartree-Fock reference.
+
+        A single or double generator ``G`` satisfies ``G³ = −G``, so each
+        factor is ``exp(θG) = I + sin θ·G + (1 − cos θ)·G²``.
+        """
         parameters = np.asarray(parameters, dtype=float)
         if parameters.size != self.n_parameters:
             raise ValueError(
                 f"expected {self.n_parameters} parameters, got {parameters.size}"
             )
-        if self._reference is None:
-            self._reference = self.reference_state()
-            self._state_buffer = np.empty_like(self._reference)
-        state = self._state_buffer
-        np.copyto(state, self._reference)
-        applied = False
-        for parameter, generator in zip(parameters, self._generators):
-            if abs(parameter) < 1e-14:
-                continue
-            state = apply_exponential(generator, state, scale=float(parameter))
-            applied = True
-        # Every applied exponential returns a fresh array; only the untouched
-        # reference path must be copied out of the shared buffer.
-        return state if applied else state.copy()
+        state = np.zeros(comb(self.n_qubits, self.n_electrons))
+        state[-1] = 1.0
+        for theta, generator in zip(parameters, self._generators):
+            image = generator @ state
+            state = state + np.sin(theta) * image + (1.0 - np.cos(theta)) * (generator @ image)
+        return state
 
     def energy(self, parameters: Sequence[float], hamiltonian_sparse: sparse.spmatrix) -> float:
         """Energy expectation of the prepared state."""
@@ -149,7 +141,7 @@ def optimize_ansatz(
         initial_parameters = np.zeros(ansatz.n_parameters)
     initial_parameters = np.asarray(initial_parameters, dtype=float)
     if ansatz.n_parameters == 0:
-        energy = expectation_value(hamiltonian_sparse, ansatz.reference_state())
+        energy = ansatz.energy(initial_parameters, hamiltonian_sparse)
         return VqeResult(energy=energy, parameters=np.zeros(0), n_iterations=0, success=True)
 
     result = minimize(

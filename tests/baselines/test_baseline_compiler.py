@@ -93,6 +93,23 @@ class TestBaselineCompiler:
         result = BaselineCompiler().compile(mixed_terms, n_qubits=8)
         assert result.cnot_count == result.bosonic_cnot_count + result.rotation_cnot_count
 
+    @pytest.mark.parametrize("index", [1, 2, 3], ids=["hybrid", "fermionic", "single"])
+    def test_zero_angle_term_compiles_like_no_term(self, mixed_terms, index):
+        """A non-bosonic term at θ = 0 expands to no rotations: the count and
+        the compiled sequence are those of the list without it."""
+        parameters = [0.3, -0.7, 1.1, 0.5]
+        parameters[index] = 0.0
+        rest = mixed_terms[:index] + mixed_terms[index + 1:]
+        rest_parameters = parameters[:index] + parameters[index + 1:]
+        gamma = np.eye(8, dtype=np.uint8)
+        gamma[0, 3] = 1
+        for compiler in (BaselineCompiler(), BaselineCompiler(transform_matrix=gamma)):
+            with_term = compiler.compile(mixed_terms, n_qubits=8, parameters=parameters)
+            without = compiler.compile(rest, n_qubits=8, parameters=rest_parameters)
+            assert with_term.cnot_count == without.cnot_count
+            assert with_term.ordered_exponentials == without.ordered_exponentials
+            assert with_term.ordered_rotations == without.ordered_rotations
+
 
 class TestPsoTransformSearch:
     def test_search_returns_upper_triangular_invertible(self, mixed_terms):

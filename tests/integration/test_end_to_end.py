@@ -24,7 +24,7 @@ from repro.core import (
     identity_gamma_stage,
     terms_to_rotations,
 )
-from repro.simulator import expectation_value, fci_ground_state_energy, hartree_fock_state
+from repro.simulator import expectation_value, fci_ground_state_energy
 from repro.transforms import JordanWignerTransform, LinearEncodingTransform
 from repro.vqe import (
     ExcitationTerm,
@@ -112,7 +112,7 @@ class TestMoleculeLevelConsistency:
 
     def test_hartree_fock_reference_energy(self, h2):
         matrix_energy = expectation_value(
-            hamiltonian_sparse_matrix(h2), hartree_fock_state(4, 2)
+            hamiltonian_sparse_matrix(h2), UccAnsatz(n_qubits=4, n_electrons=2).prepare_state([])
         )
         assert np.isclose(matrix_energy, h2.hartree_fock_energy, atol=1e-8)
 

@@ -15,7 +15,9 @@ fast kernels have something independent to be compared with:
 * the Hamiltonian and UCC generators of ``src/`` as :class:`FermionOperator`
   (:func:`hamiltonian_operator`, :func:`excitation_operator`,
   :func:`generator`) and the statevector helpers that take these operators
-  (:func:`fermion_sparse`, :func:`apply_qubit_operator`, ...).
+  (:func:`fermion_sparse`, :func:`apply_qubit_operator`, ...), which work on
+  the full ``2**n`` register: :func:`prepare_state` applies each UCC factor
+  with ``expm_multiply`` and :func:`sector` cuts out a particle-number sector.
 
 Every test directory imports it as ``operator_oracle``: ``tests/conftest.py``
 and ``benchmarks/conftest.py`` put ``tests/`` on the import path.
@@ -25,10 +27,11 @@ from __future__ import annotations
 
 import abc
 import numbers
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import expm_multiply
 
 from repro.chemistry import MolecularHamiltonian
 from repro.chemistry.hamiltonian import INTEGRAL_TOLERANCE
@@ -881,6 +884,43 @@ def expectation_value(operator: QubitOperator, state: np.ndarray) -> float:
     return float(np.real(np.vdot(state, apply_qubit_operator(operator, state))))
 
 
-def ground_state(operator: QubitOperator, n_particles: Optional[int] = None) -> GroundStateResult:
-    """Lowest eigenpair of a qubit operator, optionally in a particle-number sector."""
-    return sparse_ground_state(operator.to_sparse(), n_particles=n_particles)
+def sector(n_modes: int, n_particles: int) -> np.ndarray:
+    """Basis indices of the ``n_particles`` sector: the Jordan-Wigner states whose
+    popcount, the number of occupied modes, is ``n_particles``, in ascending order."""
+    occupations = np.array([bin(index).count("1") for index in range(2**n_modes)])
+    indices = np.flatnonzero(occupations == n_particles)
+    if indices.size == 0:
+        raise ValueError(f"no basis states with {n_particles} particles")
+    return indices
+
+
+def hartree_fock_state(n_modes: int, n_electrons: int) -> np.ndarray:
+    """Full-register Jordan-Wigner Hartree-Fock determinant: modes ``0..N−1`` filled."""
+    state = np.zeros(2**n_modes, dtype=complex)
+    state[((1 << n_electrons) - 1) << (n_modes - n_electrons)] = 1.0
+    return state
+
+
+def prepare_state(
+    terms: Iterable[ExcitationTerm], parameters: Iterable[float], n_modes: int, n_electrons: int
+) -> np.ndarray:
+    """``Π_k exp(θ_k (T_k − T_k†)) |HF⟩`` on the full register, each factor by ``expm_multiply``."""
+    state = hartree_fock_state(n_modes, n_electrons)
+    for term, parameter in zip(terms, parameters):
+        state = expm_multiply(fermion_sparse(generator(term, parameter), n_modes), state)
+    return state
+
+
+def ground_state(
+    operator: Union[QubitOperator, sparse.spmatrix], n_particles: Optional[int] = None
+) -> GroundStateResult:
+    """Lowest eigenpair of a full-register operator, optionally in a particle-number sector.
+
+    With ``n_particles`` the matrix is cut down to :func:`sector` first, and the
+    returned state has the sector's dimension.
+    """
+    matrix = operator.to_sparse() if isinstance(operator, QubitOperator) else operator
+    if n_particles is not None:
+        indices = sector(matrix.shape[0].bit_length() - 1, n_particles)
+        matrix = sparse.csr_matrix(matrix)[np.ix_(indices, indices)]
+    return sparse_ground_state(matrix)

@@ -1,7 +1,8 @@
 """Unit tests for exact diagonalization helpers.
 
 Qubit operators come from the test tree's dict algebra; its ``ground_state``
-diagonalizes their sparse matrices with :func:`repro.simulator.ground_state`.
+cuts out a particle-number sector when asked and diagonalizes the sparse
+matrix with :func:`repro.simulator.ground_state`.
 """
 
 import numpy as np
