@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 import operator_oracle
-from operator_oracle import FermionOperator, QubitOperator, fermion_sparse
+from operator_oracle import (
+    FermionOperator,
+    QubitOperator,
+    fermion_sparse,
+    number_operator_sparse,
+    sector,
+)
 from repro.operators import PauliString
 from repro.simulator import expectation_value, normalize, state_fidelity
 from repro.vqe import ExcitationTerm, UccAnsatz
@@ -19,6 +25,47 @@ def basis_vector(n_qubits, index):
     state = np.zeros(2**n_qubits)
     state[index] = 1.0
     return state
+
+
+def full_register(state, n_qubits, n_electrons):
+    """An N-electron sector state written out on all ``2**n_qubits`` basis states."""
+    full = np.zeros(2**n_qubits)
+    full[sector(n_qubits, n_electrons)] = state
+    return full
+
+
+class TestBasisStates:
+    """The ansatz's Hartree-Fock reference: modes ``0..N−1`` filled, qubit 0 the MSB."""
+
+    def test_vacuum(self):
+        state = full_register(UccAnsatz(3, 0).prepare_state([]), 3, 0)
+        assert state[0] == 1.0 and np.count_nonzero(state) == 1
+
+    def test_single_occupation_msb_convention(self):
+        # Qubit 0 occupied -> index 4 on three qubits.
+        state = full_register(UccAnsatz(3, 1).prepare_state([]), 3, 1)
+        assert state[4] == 1.0 and np.count_nonzero(state) == 1
+
+    def test_out_of_range_rejected(self):
+        term = ExcitationTerm(creation=(5,), annihilation=(0,))
+        with pytest.raises(ValueError, match="acts outside a register of 2"):
+            UccAnsatz(2, 1, [term])
+        with pytest.raises(ValueError, match="acts outside a register of 2"):
+            UccAnsatz(2, 1).add_term(term)
+
+    def test_hartree_fock_state(self):
+        state = full_register(UccAnsatz(4, 2).prepare_state([]), 4, 2)
+        # Modes 0 and 1 occupied -> index 0b1100 = 12.
+        assert state[12] == 1.0 and np.count_nonzero(state) == 1
+        assert np.array_equal(state, operator_oracle.hartree_fock_state(4, 2))
+
+    def test_hartree_fock_invalid_count(self):
+        with pytest.raises(ValueError, match="invalid electron count"):
+            UccAnsatz(2, 5)
+
+    def test_particle_number_of_hf_state(self):
+        state = full_register(UccAnsatz(5, 3).prepare_state([]), 5, 3)
+        assert np.isclose(expectation_value(number_operator_sparse(5), state), 3.0)
 
 
 class TestExpectation:
@@ -46,6 +93,12 @@ class TestExponentials:
         state = UccAnsatz(4, 2, [double]).prepare_state([0.37])
         assert np.isclose(np.linalg.norm(state), 1.0)
 
+    def test_exponential_preserves_particle_number(self):
+        double = ExcitationTerm(creation=(2, 3), annihilation=(0, 1))
+        state = full_register(UccAnsatz(4, 2, [double]).prepare_state([0.8]), 4, 2)
+        assert np.count_nonzero(state) == 2
+        assert np.isclose(expectation_value(number_operator_sparse(4), state), 2.0)
+
     def test_zero_angle_is_identity(self):
         single = ExcitationTerm(creation=(2,), annihilation=(0,))
         ansatz = UccAnsatz(3, 1, [single])
@@ -58,9 +111,10 @@ class TestExponentials:
         state = UccAnsatz(2, 1, [single]).prepare_state([np.pi / 2])
         assert np.isclose(abs(state[0]), 1.0, atol=1e-8)
 
-    def test_invalid_electron_count(self):
-        with pytest.raises(ValueError, match="invalid electron count"):
-            UccAnsatz(2, 5)
+    def test_dimension_mismatch(self):
+        single = ExcitationTerm(creation=(2,), annihilation=(0,))
+        with pytest.raises(ValueError, match="expected 1 parameters, got 2"):
+            UccAnsatz(3, 1, [single]).prepare_state([0.1, 0.2])
 
 
 class TestHelpers:
