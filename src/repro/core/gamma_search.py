@@ -27,9 +27,13 @@ transform built from the carried pair
 ``terms_to_rotations`` takes, so the strings and their order are those the
 transform stage compiles — and walks
 :func:`repro.core.advanced_sorting.greedy_walk`, the walk ``greedy_sort``
-takes.  The walk reads its savings from one string-pair table per target
-it visits (:meth:`repro.operators.SameTargetSavings.on_target`), one row
-per step, so no candidate builds a vertex-pair matrix.
+takes.  The search's memo keys on Γ, but distinct Γ often encode each
+term's strings as a permutation of themselves, which the label order
+undoes; so the cost object memoizes the walk on the label-ordered strings'
+bytes and walks each distinct string set once per compile.  The walk
+reads its savings from one string-pair table per target it visits
+(:meth:`repro.operators.SameTargetSavings.on_target`), one row per step,
+so no candidate builds a vertex-pair matrix.
 :class:`TermBlockCost` encodes the same way and scores the baseline's
 term-block order instead; it is the baseline's PSO objective, and since the
 PSO hands it an arbitrary Γ, it builds a checked
@@ -179,14 +183,21 @@ class GreedySortingCost:
     topology).objective()`` for a :class:`LinearEncodingTransform` — the
     all-to-all CNOT count, or the distance-weighted estimate under a
     ``topology``.  The Jordan-Wigner planes are expanded once; each
-    candidate is scored from scratch:
-    :meth:`~repro.core.terms_to_paulis.RotationPlanes.encoded` re-encodes
-    them under Γ (the greedy tie-breaks depend on the row order), then
-    :func:`~repro.core.advanced_sorting.greedy_walk`, the walk
-    ``greedy_sort`` takes, reads its savings one same-target table per
-    target it visits.  The transform is taken as given: the search hands
-    over the Γ⁻¹ it carries (:meth:`LinearEncodingTransform.from_pair`),
-    so no candidate is inverted or validated here.
+    candidate re-encodes them under Γ with
+    :meth:`~repro.core.terms_to_paulis.RotationPlanes.encoded`, which puts
+    each term's strings in label order (the greedy tie-breaks depend on the
+    row order).  :func:`~repro.core.advanced_sorting.greedy_walk`, the walk
+    ``greedy_sort`` takes, is a pure function of those ordered strings, and
+    distinct Γ often map a term's strings onto a permutation of themselves,
+    so the walk's cost is memoized on the encoded strings' X/Z bytes: a
+    candidate whose label-ordered strings were walked before is not walked
+    again.  The memo lives with this object, one compile's search;
+    :attr:`n_walks` counts the distinct encodings walked.  Keying on the
+    raw :func:`~repro.operators.linear_encoding_image` instead would find
+    almost no repeats: the images differ by the permutation the label sort
+    undoes.  The transform is taken as given: the search hands over the
+    Γ⁻¹ it carries (:meth:`LinearEncodingTransform.from_pair`), so no
+    candidate is inverted or validated here.
     """
 
     def __init__(
@@ -198,10 +209,22 @@ class GreedySortingCost:
     ):
         self._planes = jordan_wigner_rotations(terms, n_qubits, parameters)
         self._distance = None if topology is None else topology.distance_matrix
+        self._walk_costs: Dict[bytes, float] = {}
+
+    @property
+    def n_walks(self) -> int:
+        """Distinct label-ordered string sets walked so far."""
+        return len(self._walk_costs)
 
     def __call__(self, transform: LinearEncodingTransform) -> float:
-        planes = self._planes.encoded(transform)
-        return float(greedy_walk(planes.strings, self._distance).cost)
+        strings = self._planes.encoded(transform).strings
+        # Every candidate has the same row count and word width, so the
+        # concatenated planes identify the ordered strings.
+        key = strings.x.tobytes() + strings.z.tobytes()
+        cost = self._walk_costs.get(key)
+        if cost is None:
+            cost = self._walk_costs[key] = float(greedy_walk(strings, self._distance).cost)
+        return cost
 
 
 class TermBlockCost:

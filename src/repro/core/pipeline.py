@@ -255,13 +255,16 @@ def gamma_search_stage(context: StageContext) -> None:
     The objective is built once per stage as a
     :class:`~repro.core.gamma_search.GreedySortingCost` over the fermionic
     terms: their Jordan-Wigner images on packed bit-planes, to which every
-    candidate Γ applies only GF(2) algebra and one greedy walk.  With a
-    ``config.topology`` it is the same distance-weighted objective the
-    sorting stage uses.  Honors ``config.gamma_budget_steps``: a truncated
-    walk records the stage in ``context.degraded_stages`` and keeps the best
-    Γ seen so far.  Under tracing, the stage's span carries the search
-    effort: ``evaluations`` (distinct objective calls) and ``cache_hits``
-    (memoized revisits).
+    candidate Γ applies only GF(2) algebra and the label sort.  A greedy
+    walk runs only for a label-ordered string set no earlier candidate of
+    this stage produced.  With a ``config.topology`` it is the same
+    distance-weighted objective the sorting stage uses.  Honors
+    ``config.gamma_budget_steps``: a truncated walk records the stage in
+    ``context.degraded_stages`` and keeps the best Γ seen so far.  Under
+    tracing, the stage's span carries the search effort: ``evaluations``
+    (distinct Γ scored), ``cache_hits`` (memoized revisits of a Γ) and
+    ``walks`` (distinct encoded string sets walked, at most
+    ``evaluations``).
     """
     context.gamma = identity_matrix(context.n_qubits)
     if not context.fermionic_terms:
@@ -287,6 +290,7 @@ def gamma_search_stage(context: StageContext) -> None:
     if span is not None:
         span.set_attribute("evaluations", search.n_evaluations)
         span.set_attribute("cache_hits", search.n_cache_hits)
+        span.set_attribute("walks", cost.n_walks)
     if search.degraded:
         context.degraded_stages.append("gamma_search")
 

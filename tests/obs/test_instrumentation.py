@@ -71,7 +71,8 @@ class TestCompileSpans:
 
     def test_gamma_search_span_carries_the_search_effort(self):
         """Every SA energy call is a distinct objective call or a memo hit:
-        the initial Γ plus one per proposal."""
+        the initial Γ plus one per proposal.  Distinct Γ can share their
+        encoded strings, so the walks number at most the evaluations."""
         request = CompileRequest(
             terms=(
                 ExcitationTerm(creation=(4, 6), annihilation=(0, 2)),
@@ -90,6 +91,7 @@ class TestCompileSpans:
         evaluations = span.attributes["evaluations"]
         assert evaluations >= 2
         assert evaluations + span.attributes["cache_hits"] == FAST.gamma_steps + 1
+        assert 1 <= span.attributes["walks"] <= evaluations
 
     def test_stage_timings_on_the_result(self):
         result = get_backend("advanced").compile(small_request())

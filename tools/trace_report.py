@@ -7,7 +7,9 @@ one of three formats:
 * ``text`` (default) — the indented span tree with durations, percentages
   and attributes, followed by the metrics snapshot;
 * ``summary`` — one aggregate row per span name (count, total/mean/max ms)
-  across the whole forest, widest totals first;
+  across the whole forest, widest totals first, then the Γ-search effort
+  (``evaluations``, ``cache_hits`` and ``walks``) summed over the
+  ``pipeline.gamma_search`` spans;
 * ``chrome`` — Chrome trace-event JSON, schema-validated before writing,
   loadable in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.
 
@@ -24,6 +26,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import List
 
 from repro.obs import (
     chrome_trace,
@@ -39,6 +42,22 @@ def walk_spans(spans):
     for span in spans:
         yield span
         yield from walk_spans(span.get("children", []))
+
+
+def gamma_search_effort(document) -> List[str]:
+    """Lines of the Γ-search effort summed over the ``pipeline.gamma_search`` spans.
+
+    No lines when the forest has no such span; a span that carries no
+    effort (no fermionic terms to search) adds 0.
+    """
+    spans = [s for s in walk_spans(document["spans"]) if s["name"] == "pipeline.gamma_search"]
+    if not spans:
+        return []
+    lines = ["", f"gamma search effort ({len(spans)} spans):"]
+    for key in ("evaluations", "cache_hits", "walks"):
+        total = sum(span.get("attributes", {}).get(key, 0) for span in spans)
+        lines.append(f"  {key} = {total}")
+    return lines
 
 
 def summarize(document) -> str:
@@ -59,7 +78,7 @@ def summarize(document) -> str:
             f"{name:<36}{entry['count']:>7}{entry['total']:>12.3f}"
             f"{entry['total'] / entry['count']:>10.3f}{entry['max']:>10.3f}"
         )
-    return "\n".join(lines)
+    return "\n".join(lines + gamma_search_effort(document))
 
 
 def render_metrics(document) -> str:
