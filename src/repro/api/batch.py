@@ -5,7 +5,9 @@ jobs across one or more backends in a single call.  Identical jobs — same
 terms fingerprint, backend and the part of the config that backend reads
 (:meth:`~repro.api.store.CompileCache.key`) — are compiled once and served
 from a :class:`~repro.api.store.CompileCache`, which can be kept across
-calls so warm batches skip recompilation entirely.  With ``workers > 1`` the
+calls so warm batches skip recompilation entirely; jobs compiled in-process
+also share the cache's sort memo, so a fermionic rotation set is sorted once
+per cache.  With ``workers > 1`` the
 outstanding jobs fan out over a process pool (every flow is CPU-bound pure
 Python, so threads would not help).
 
@@ -73,6 +75,7 @@ from repro.api.store import (
     PersistentCompileCache,
     cache_key_digest,
 )
+from repro.core.advanced_sorting import sort_memo_scope
 from repro.core.pipeline import StageFailure
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer, tracing
@@ -336,7 +339,11 @@ def compile_batch(
         default) stays in-process.
     cache:
         A :class:`CompileCache` reused across calls.  Omitted, a private
-        cache still deduplicates identical jobs inside this batch.
+        cache still deduplicates identical jobs inside this batch.  Jobs
+        compiled in-process also share the cache's sort memo: a fermionic
+        rotation set sorted once under a topology and sort budget is not
+        sorted again (an ansatz sweep that only adds bosonic or hybrid
+        terms reuses every sort).  Pool workers compile without it.
     executor:
         A caller-owned :class:`concurrent.futures.Executor` to run the jobs
         on instead of a per-call pool, so many small batches (e.g. one per
@@ -508,9 +515,11 @@ def compile_batch(
                 # joined, and no worker process is leaked.
                 pool.shutdown(wait=True, cancel_futures=True)
         else:
-            # In-process: spans from each backend nest under this one naturally.
-            for key, (chain, request) in jobs:
-                settle(key, chain, request, lambda: run_job(chain, request))
+            # In-process: spans from each backend nest under this one
+            # naturally, and the cache's sort memo serves repeated sorts.
+            with sort_memo_scope(cache.sort_memo):
+                for key, (chain, request) in jobs:
+                    settle(key, chain, request, lambda: run_job(chain, request))
         if report.skipped:
             batch_span.set_attribute("n_skipped", len(report.skipped))
         if report.fallbacks:

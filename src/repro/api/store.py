@@ -51,6 +51,7 @@ from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 from repro import faults
 from repro.api.backend import CompileRequest, CompileResult, get_backend
+from repro.core.advanced_sorting import SortMemo
 
 #: A memoization key: (request fingerprint, canonical backend name).
 CacheKey = Tuple[Hashable, str]
@@ -78,6 +79,14 @@ class CompileCache:
     entry's recency, :meth:`peek` does not) and increments ``evictions``,
     mirroring the bounded-cache convention of the SCF/integral caches.
     ``None`` (the default) keeps the historical unbounded behavior.
+
+    The cache also shares sort results across the compiles it serves:
+    ``sort_memo`` is a :class:`~repro.core.advanced_sorting.SortMemo`,
+    bounded by the same ``max_entries`` and emptied by :meth:`clear`, that
+    :func:`~repro.api.compile_batch` installs around its in-process jobs.
+    Two requests whose fermionic rotations, topology and sort budget agree
+    then run one GTSP sort between them.  Pool workers and direct
+    ``compile`` calls never see it.
     """
 
     _store: Dict[CacheKey, CompileResult] = field(default_factory=dict)
@@ -85,10 +94,12 @@ class CompileCache:
     misses: int = 0
     max_entries: Optional[int] = None
     evictions: int = 0
+    sort_memo: SortMemo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.max_entries is not None and self.max_entries < 1:
             raise ValueError("max_entries must be None or at least 1")
+        self.sort_memo = SortMemo(self.max_entries)
 
     @staticmethod
     def key(request: CompileRequest, backend_name: str) -> CacheKey:
@@ -132,6 +143,7 @@ class CompileCache:
 
     def clear(self) -> None:
         self._store.clear()
+        self.sort_memo.clear()
         self.hits = 0
         self.misses = 0
         self.evictions = 0

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import eigh
 
 from repro import faults
 from repro.chemistry.basis import BasisFunction, Molecule, build_sto3g_basis
@@ -218,6 +217,9 @@ def _solve_rhf(
     damping: float,
 ) -> "ScfResult":
     """The actual SCF iteration (cache handling and tracing live in run_rhf)."""
+    # Imported here so that compiling, which imports this package, loads no scipy.
+    from scipy.linalg import eigh
+
     nuclear_repulsion = molecule.nuclear_repulsion  # rejects coincident atoms up front
     basis = list(basis) if basis is not None else build_sto3g_basis(molecule)
     n_occupied = molecule.n_electrons // 2

@@ -35,7 +35,6 @@ import math
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy.special import hyp1f1
 
 from repro.chemistry.basis import BasisFunction, Molecule
 from repro.chemistry.hermite import hermite_expansion
@@ -303,6 +302,9 @@ def _hermite_coulomb(exponent, pq, orders, keys) -> np.ndarray:
     largest ``t+u+v`` the row's integrals read; ``R^n_{tuv}`` is carried over
     the leading rows of order ``>= t+u+v+n`` only.
     """
+    # Imported here so that compiling, which imports this package, loads no scipy.
+    from scipy.special import hyp1f1
+
     x, y, z = pq
     arguments = _Distinct(exponent * (x * x + y * y + z * z))
     powers = _Distinct(-2.0 * exponent)

@@ -21,6 +21,14 @@ only their packed strings: the seeds, the GTSP instance and the final count
 share the one :class:`~repro.operators.SameTargetSavings` memoized on them,
 and :class:`PauliRotation` items are unpacked only for the result.
 
+An ansatz that grows one term at a time recompiles the same fermionic
+rotations many times over, so :func:`advanced_sort` consults the
+:class:`SortMemo` of the calling context, if any, keyed on everything the
+sort reads (:func:`sort_memo_key`).  A memo is installed only by
+:func:`sort_memo_scope`; :class:`~repro.api.CompileCache` owns one and
+:func:`~repro.api.compile_batch` installs it around its in-process jobs.
+Outside a scope nothing is memoized.
+
 The module also holds the prior art's fixed construction,
 :func:`term_block_order` (one shared target per term): the baseline and
 JW/BK flows compile with it, the baseline's Γ search scores with it, and it
@@ -29,10 +37,13 @@ seeds the GTSP search.
 
 from __future__ import annotations
 
+import copy
 import itertools
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -310,6 +321,76 @@ def sort_seed_tours(
     ]
 
 
+class SortMemo:
+    """Finalized :func:`advanced_sort` results keyed by :func:`sort_memo_key`.
+
+    ``max_entries`` bounds the table: beyond it the least-recently-used
+    entry goes (a :meth:`get` hit refreshes recency).  ``None`` keeps every
+    entry.  The table is read only inside :func:`sort_memo_scope`.
+    """
+
+    def __init__(self, max_entries: Optional[int] = None):
+        self.max_entries = max_entries
+        self._table: Dict[Hashable, SortingResult] = {}
+
+    def get(self, key: Hashable) -> Optional[SortingResult]:
+        result = self._table.pop(key, None)
+        if result is not None:
+            self._table[key] = result  # refresh LRU recency
+        return result
+
+    def put(self, key: Hashable, result: SortingResult) -> None:
+        self._table.pop(key, None)
+        self._table[key] = result
+        if self.max_entries is not None:
+            while len(self._table) > self.max_entries:
+                del self._table[next(iter(self._table))]
+
+    def clear(self) -> None:
+        self._table.clear()
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+
+#: The sort memo of the calling context (task/thread-local via contextvars).
+_SORT_MEMO: ContextVar[Optional[SortMemo]] = ContextVar("repro_sort_memo", default=None)
+
+
+@contextmanager
+def sort_memo_scope(memo: SortMemo) -> Iterator[SortMemo]:
+    """Scope in which :func:`advanced_sort` reads and fills ``memo``."""
+    token = _SORT_MEMO.set(memo)
+    try:
+        yield memo
+    finally:
+        _SORT_MEMO.reset(token)
+
+
+def sort_memo_key(
+    rotations: RotationPlanes, topology: Optional[Topology], max_rounds: Optional[int]
+) -> Hashable:
+    """Everything :func:`advanced_sort` reads, as a hashable key.
+
+    The register size and the strings' X/Z bytes, the angles and term
+    indices (the term-block seeds read them, and the result's rotations
+    carry them), the topology's distance matrix and the round budget.
+    """
+    strings = rotations.strings
+    distance = None
+    if topology is not None:
+        matrix = topology.distance_matrix
+        distance = (matrix.shape, matrix.dtype.str, matrix.tobytes())
+    return (
+        strings.n_qubits,
+        strings.x.tobytes() + strings.z.tobytes(),
+        np.asarray(rotations.angles, dtype=np.float64).tobytes(),
+        np.asarray(rotations.term_index, dtype=np.int64).tobytes(),
+        distance,
+        max_rounds,
+    )
+
+
 def advanced_sort(
     rotations: RotationPlanes,
     topology: Optional[Topology] = None,
@@ -324,8 +405,38 @@ def advanced_sort(
     cost instead of the all-to-all CNOT count; either way the search's path
     cost is the result's :meth:`~SortingResult.objective`.  ``max_rounds`` is
     the anytime budget of the search; a truncated search marks the result
-    ``degraded=True``.
+    ``degraded=True``.  Inside :func:`sort_memo_scope` an input sorted
+    before returns a shallow copy of that result (:func:`memoized_sort`).
     """
+    return memoized_sort(rotations, topology, max_rounds)[0]
+
+
+def memoized_sort(
+    rotations: RotationPlanes,
+    topology: Optional[Topology] = None,
+    max_rounds: Optional[int] = None,
+) -> Tuple[SortingResult, bool]:
+    """:func:`advanced_sort`, and whether the memo of the calling context served it.
+
+    A hit returns a shallow copy of the stored result: its rotations are
+    the stored ones, none is unpacked again.
+    """
+    memo = _SORT_MEMO.get()
+    if memo is None or not len(rotations):
+        return _search_sort(rotations, topology, max_rounds), False
+    key = sort_memo_key(rotations, topology, max_rounds)
+    stored = memo.get(key)
+    if stored is not None:
+        return copy.copy(stored), True
+    result = _search_sort(rotations, topology, max_rounds)
+    memo.put(key, result)
+    return result, False
+
+
+def _search_sort(
+    rotations: RotationPlanes, topology: Optional[Topology], max_rounds: Optional[int]
+) -> SortingResult:
+    """The GTSP search of :func:`advanced_sort`, without the memo."""
     if not len(rotations):
         return SortingResult(
             ordered_rotations=[],

@@ -20,8 +20,8 @@ scored.
 In the full pipeline that cost is :class:`GreedySortingCost`: the greedy-sort
 CNOT count ("subroutine 1" of Fig. 2) of the terms transformed under the
 candidate Γ, evaluated on packed bit-planes.  The Jordan-Wigner rotation
-planes are built once.  A candidate re-encodes them with
-:meth:`repro.core.terms_to_paulis.RotationPlanes.encoded` under the
+planes are built once.  A candidate re-encodes their strings with
+:meth:`repro.core.terms_to_paulis.RotationPlanes.encoded_strings` under the
 transform built from the carried pair
 (:meth:`repro.transforms.LinearEncodingTransform.from_pair`) — the step
 ``terms_to_rotations`` takes, so the strings and their order are those the
@@ -183,10 +183,11 @@ class GreedySortingCost:
     topology).objective()`` for a :class:`LinearEncodingTransform` — the
     all-to-all CNOT count, or the distance-weighted estimate under a
     ``topology``.  The Jordan-Wigner planes are expanded once; each
-    candidate re-encodes them under Γ with
-    :meth:`~repro.core.terms_to_paulis.RotationPlanes.encoded`, which puts
-    each term's strings in label order (the greedy tie-breaks depend on the
-    row order).  :func:`~repro.core.advanced_sorting.greedy_walk`, the walk
+    candidate re-encodes their strings alone under Γ with
+    :meth:`~repro.core.terms_to_paulis.RotationPlanes.encoded_strings`,
+    which puts each term's strings in label order (the greedy tie-breaks
+    depend on the row order) and gathers no angles or term indices.
+    :func:`~repro.core.advanced_sorting.greedy_walk`, the walk
     ``greedy_sort`` takes, is a pure function of those ordered strings, and
     distinct Γ often map a term's strings onto a permutation of themselves,
     so the walk's cost is memoized on the encoded strings' X/Z bytes: a
@@ -217,7 +218,7 @@ class GreedySortingCost:
         return len(self._walk_costs)
 
     def __call__(self, transform: LinearEncodingTransform) -> float:
-        strings = self._planes.encoded(transform).strings
+        strings = self._planes.encoded_strings(transform)[0]
         # Every candidate has the same row count and word width, so the
         # concatenated planes identify the ordered strings.
         key = strings.x.tobytes() + strings.z.tobytes()

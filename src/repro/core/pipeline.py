@@ -44,8 +44,8 @@ from repro.obs.tracer import current_span, get_tracer
 from repro.circuits import Circuit, exponential_sequence_circuit, optimize_circuit
 from repro.core.advanced_sorting import (
     SortingResult,
-    advanced_sort,
     baseline_order_cnot_count,
+    memoized_sort,
 )
 from repro.core.config import CompilerConfig
 from repro.core.gamma_search import GreedySortingCost, search_block_diagonal_gamma
@@ -325,17 +325,23 @@ def sort_stage(context: StageContext) -> None:
     and never returns worse than its best seed.  Honors
     ``config.sorting_budget_rounds``: a truncated search records the stage
     in ``context.degraded_stages`` and keeps the best tour found so far.
+    Under tracing, the stage's span carries ``memo_hit``: whether the sort
+    memo of the calling context served the sort
+    (:func:`~repro.core.advanced_sorting.sort_memo_scope`).
     """
     context.sorting = SortingResult(ordered_rotations=[], cnot_count=0)
     if not context.rotations:
         return
     config = context.config
     faults.fire("stage.sort", n_rotations=len(context.rotations))
-    context.sorting = advanced_sort(
+    context.sorting, memo_hit = memoized_sort(
         context.rotations,
         topology=config.topology,
         max_rounds=config.sorting_budget_rounds,
     )
+    span = current_span()
+    if span is not None:
+        span.set_attribute("memo_hit", memo_hit)
     if context.sorting.degraded:
         context.degraded_stages.append("sort")
 

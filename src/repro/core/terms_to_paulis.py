@@ -45,7 +45,8 @@ request's Jordan-Wigner planes are mapped by one
 :meth:`~repro.transforms.LinearEncodingTransform.conjugate_planes` call,
 which applies the Y-count sign rule; every term's strings are then put in
 :class:`~repro.operators.PauliString` order.  That step is
-:meth:`RotationPlanes.encoded`; the Γ-search objectives run it per candidate.
+:meth:`RotationPlanes.encoded`; the Γ-search objectives run it, or only its
+strings (:meth:`RotationPlanes.encoded_strings`), per candidate.
 """
 
 from __future__ import annotations
@@ -135,21 +136,36 @@ class RotationPlanes(Sequence[PauliRotation]):
         columns = (self.strings.to_strings(), self.angles.tolist(), self.term_index.tolist())
         return list(map(PauliRotation, *columns))
 
+    def encoded_strings(
+        self, transform: LinearEncodingTransform
+    ) -> Tuple[PackedPaulis, Optional[np.ndarray], np.ndarray]:
+        """The strings mapped by Γ in label order, the angle signs and the order.
+
+        Returns ``(strings, signs, order)``: row ``i`` of ``strings`` is row
+        ``order[i]`` of the mapped planes, each term's rows in
+        :class:`~repro.operators.PauliString` order.  For ``Γ ≠ I`` the
+        planes go through one
+        :meth:`~repro.transforms.LinearEncodingTransform.conjugate_planes`
+        call and ``signs`` are its ±1 signs, by unordered row; for ``Γ = I``
+        ``signs`` is ``None``.  Nothing here gathers angles or term indices.
+        """
+        strings, signs = self.strings, None
+        if not transform.is_identity_encoding:
+            strings, signs = transform.conjugate_planes(strings)
+        order = lexicographic_order(strings, groups=self.term_index)
+        return strings.take(order), signs, order
+
     def encoded(self, transform: LinearEncodingTransform) -> "RotationPlanes":
         """Jordan-Wigner planes mapped by Γ, each term's rows in label order.
 
-        For ``Γ ≠ I`` the planes go through one
-        :meth:`~repro.transforms.LinearEncodingTransform.conjugate_planes`
-        call and the angles take its signs; conjugation only flips signs, so
-        the dropped rotations do not depend on Γ.  The result is what
-        :func:`terms_to_rotations` returns under ``transform``.
+        The strings are :meth:`encoded_strings` and the angles take its
+        signs; conjugation only flips signs, so the dropped rotations do not
+        depend on Γ.  The result is what :func:`terms_to_rotations` returns
+        under ``transform``.
         """
-        strings, angles = self.strings, self.angles
-        if not transform.is_identity_encoding:
-            strings, signs = transform.conjugate_planes(strings)
-            angles = signs * angles
-        order = lexicographic_order(strings, groups=self.term_index)
-        return RotationPlanes(strings.take(order), angles[order], self.term_index[order])
+        strings, signs, order = self.encoded_strings(transform)
+        angles = self.angles if signs is None else signs * self.angles
+        return RotationPlanes(strings, angles[order], self.term_index[order])
 
 
 #: Distinct ``(term, θ, word count)`` expansions :func:`_term_planes` keeps:

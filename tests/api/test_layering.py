@@ -10,7 +10,7 @@
   expansion and primitive overlap from the leaf ``repro.chemistry.hermite``.
 * No module of the package imports networkx, which is a test-side oracle
   only, and compiling on every backend loads neither the VQE driver nor the
-  simulator nor the scipy modules only they use.
+  simulator nor the scipy modules only they and the SCF use.
 * The package has one operator representation, symplectic bit-planes: no
   module defines or imports the dict operator algebra (``FermionOperator``,
   ``QubitOperator``, ``FermionQubitTransform``), which lives in the test
@@ -131,9 +131,10 @@ for name in ("jordan-wigner", "bravyi-kitaev", "baseline", "advanced"):
 print(" ".join(sys.modules))
 """
 
-#: Modules only the VQE driver, the simulator or the test oracles need.
+#: Modules only the VQE driver, the simulator, the SCF or the test oracles need.
 NOT_ON_COMPILE_PATH = (
-    "scipy.optimize", "scipy.sparse", "networkx", "repro.simulator", "repro.vqe.vqe",
+    "scipy.optimize", "scipy.sparse", "scipy.linalg", "scipy.special",
+    "networkx", "repro.simulator", "repro.vqe.vqe",
 )
 
 

@@ -1,11 +1,11 @@
-"""``tools/trace_report.py --format summary``: span rows plus the Γ-search effort."""
+"""``tools/trace_report.py --format summary``: span rows, Γ-search effort, sort memo hits."""
 
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.api import CompileRequest, CompilerConfig, get_backend
+from repro.api import CompileCache, CompileRequest, CompilerConfig, compile_batch, get_backend
 from repro.obs import trace_document, tracing, write_trace
 from repro.vqe import ExcitationTerm
 
@@ -48,12 +48,34 @@ def test_summary_sums_the_gamma_search_effort(tmp_path, monkeypatch, capsys):
     assert totals["evaluations"] + totals["cache_hits"] == 2 * 13
     assert 2 <= totals["walks"] <= totals["evaluations"]
     start = lines.index("gamma search effort (2 spans):")
-    assert lines[start + 1:] == [
+    assert lines[start + 1:start + 4] == [
         f"  evaluations = {totals['evaluations']}",
         f"  cache_hits = {totals['cache_hits']}",
         f"  walks = {totals['walks']}",
     ]
     assert any(line.startswith("pipeline.gamma_search ") for line in lines[:start])
+    # Direct compiles run under no sort memo.
+    assert lines[start + 4:] == ["", "sort memo (2 sorts):", "  memo_hits = 0"]
+
+
+def test_summary_counts_the_sorts_the_memo_served(tmp_path, monkeypatch, capsys):
+    # Same fermionic terms, the second request adds a bosonic one: one sort.
+    bosonic = ExcitationTerm(creation=(6, 7), annihilation=(2, 3))
+    requests = [
+        CompileRequest(terms=terms, n_qubits=8, config=CompilerConfig(gamma_steps=0))
+        for terms in (TERMS, TERMS + (bosonic,))
+    ]
+    cache = CompileCache()
+    with tracing() as tracer:
+        for request in requests:
+            compile_batch([request], cache=cache)
+    path = tmp_path / "trace.json"
+    write_trace(path, trace_document(tracer, label="test"))
+    monkeypatch.setattr(sys, "argv", ["trace_report.py", str(path), "--format", "summary"])
+    trace_report.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert len(cache.sort_memo) == 1
+    assert lines[-3:] == ["", "sort memo (2 sorts):", "  memo_hits = 1"]
 
 
 @pytest.mark.parametrize("backend", ["jordan-wigner", "baseline"])
@@ -62,3 +84,4 @@ def test_summary_without_a_gamma_search_prints_no_effort(backend, tmp_path, monk
     lines, _ = summary_of([request], backend, tmp_path, monkeypatch, capsys)
     assert lines[0].startswith("span")
     assert not any("gamma search effort" in line for line in lines)
+    assert not any("sort memo" in line for line in lines)

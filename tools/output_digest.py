@@ -37,7 +37,11 @@ The inputs are all four backends on the Table-I grid (LiH/BeH2/H2O/NH3 ×
 0–2, with one frozen core orbital as the benchmark uses.
 
 ``--check FILE`` compares the printed lines with a recorded set (CI checks
-``tests/golden/output_digest.txt``) and exits 1 on any difference.
+``tests/golden/output_digest.txt``) and exits 1 on any difference.  It also
+compiles the LiH and BeH2 sweeps again through :func:`repro.api.compile_batch`
+with one shared :class:`~repro.api.CompileCache`, whose sort memo then serves
+most advanced sorts, and exits 1 unless every result's lines equal the direct
+compile's.  The printed lines do not depend on it.
 
 Usage:
     PYTHONPATH=src python tools/output_digest.py
@@ -56,9 +60,11 @@ import numpy as np
 
 from repro.api import (
     DEFAULT_BACKEND_NAMES,
+    CompileCache,
     CompileRequest,
     CompileResult,
     CompilerConfig,
+    compile_batch,
     compiled_rotation_sequence,
     get_backend,
 )
@@ -145,6 +151,35 @@ def routing_lines(result: CompileResult, seed: int) -> Iterator[str]:
             yield f"{gate.name} {gate.qubits} {gate.parameter!r}"
 
 
+def result_bytes(result: CompileResult, terms: Sequence) -> bytes:
+    """One compile result's :func:`result_lines`, each ended by a newline."""
+    return "".join(line + "\n" for line in result_lines(result, terms)).encode()
+
+
+def batch_mismatches(seeds: Sequence[int], rankings, direct) -> List[str]:
+    """The sweep compiles whose shared-cache :func:`compile_batch` lines differ.
+
+    Each sweep cell is one ``compile_batch`` call over the four backends, in
+    sweep order, every call on the same :class:`CompileCache`; ``direct``
+    maps ``(seed, molecule, n_terms, backend)`` to the SHA-256 of the direct
+    compile's :func:`result_bytes`.
+    """
+    cache = CompileCache()
+    mismatches = []
+    for seed in seeds:
+        config = CompilerConfig(seed=seed)
+        for molecule, n_terms in SWEEPS:
+            n_qubits, ranking = rankings[molecule]
+            terms = tuple(ranking[:n_terms])
+            request = CompileRequest(terms=terms, n_qubits=n_qubits, config=config)
+            row = compile_batch([request], DEFAULT_BACKEND_NAMES, cache=cache).results[0]
+            for name in DEFAULT_BACKEND_NAMES:
+                compiled = hashlib.sha256(result_bytes(row[name], terms)).digest()
+                if compiled != direct[seed, molecule, n_terms, name]:
+                    mismatches.append(f"seed {seed} {molecule}/{n_terms} {name}")
+    return mismatches
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
@@ -162,6 +197,8 @@ def main() -> None:
     verified = hashlib.sha256()
     routings = hashlib.sha256()
     backends = {name: hashlib.sha256() for name in DEFAULT_BACKEND_NAMES}
+    #: (seed, molecule, n_terms, backend) -> SHA-256 of a sweep compile's lines.
+    direct = {}
     compiles = 0
     forms = 0
     for seed in args.seeds:
@@ -173,9 +210,11 @@ def main() -> None:
             cell = hashlib.sha256()
             for name in DEFAULT_BACKEND_NAMES:
                 result = get_backend(name).compile(request)
-                for line in result_lines(result, terms):
-                    cell.update(line.encode() + b"\n")
-                    backends[name].update(line.encode() + b"\n")
+                compiled = result_bytes(result, terms)
+                cell.update(compiled)
+                backends[name].update(compiled)
+                if (molecule, n_terms) in SWEEPS:
+                    direct[seed, molecule, n_terms, name] = hashlib.sha256(compiled).digest()
                 compiles += 1
                 if name == "advanced" and (molecule, n_terms) in GRID:
                     for line in verify_lines(result):
@@ -201,8 +240,7 @@ def main() -> None:
         n_qubits, ranking = rankings[molecule]
         terms = tuple(ranking[:n_terms])
         request = CompileRequest(terms=terms, n_qubits=n_qubits, config=BUDGETED)
-        for line in result_lines(get_backend("advanced").compile(request), terms):
-            budgeted.update(line.encode() + b"\n")
+        budgeted.update(result_bytes(get_backend("advanced").compile(request), terms))
     lines.append(
         f"{budgeted.hexdigest()}  ({len(GRID)} budgeted advanced grid compiles, "
         f"gamma_budget_steps={BUDGETED.gamma_budget_steps}, "
@@ -224,6 +262,9 @@ def main() -> None:
         if lines != expected:
             missing = [line for line in expected if line not in lines]
             sys.exit(f"output digest differs from {args.check}; not reproduced: {missing}")
+        mismatches = batch_mismatches(args.seeds, rankings, direct)
+        if mismatches:
+            sys.exit(f"shared-cache compile_batch differs from direct compiles: {mismatches}")
 
 
 if __name__ == "__main__":

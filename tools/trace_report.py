@@ -9,7 +9,8 @@ one of three formats:
 * ``summary`` — one aggregate row per span name (count, total/mean/max ms)
   across the whole forest, widest totals first, then the Γ-search effort
   (``evaluations``, ``cache_hits`` and ``walks``) summed over the
-  ``pipeline.gamma_search`` spans;
+  ``pipeline.gamma_search`` spans and the ``pipeline.sort`` spans a sort
+  memo served (``memo_hit``);
 * ``chrome`` — Chrome trace-event JSON, schema-validated before writing,
   loadable in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.
 
@@ -60,6 +61,22 @@ def gamma_search_effort(document) -> List[str]:
     return lines
 
 
+def sort_memo_hits(document) -> List[str]:
+    """Lines counting the ``pipeline.sort`` spans the sort memo served.
+
+    No lines when no ``pipeline.sort`` span carries ``memo_hit`` (no sort
+    ran: no fermionic rotations, or another sort stage).
+    """
+    spans = [
+        s for s in walk_spans(document["spans"])
+        if s["name"] == "pipeline.sort" and "memo_hit" in s.get("attributes", {})
+    ]
+    if not spans:
+        return []
+    hits = sum(bool(span["attributes"]["memo_hit"]) for span in spans)
+    return ["", f"sort memo ({len(spans)} sorts):", f"  memo_hits = {hits}"]
+
+
 def summarize(document) -> str:
     """Aggregate table: one row per span name across the whole forest."""
     totals = {}
@@ -78,7 +95,7 @@ def summarize(document) -> str:
             f"{name:<36}{entry['count']:>7}{entry['total']:>12.3f}"
             f"{entry['total'] / entry['count']:>10.3f}{entry['max']:>10.3f}"
         )
-    return "\n".join(lines + gamma_search_effort(document))
+    return "\n".join(lines + gamma_search_effort(document) + sort_memo_hits(document))
 
 
 def render_metrics(document) -> str:
